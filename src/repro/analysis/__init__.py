@@ -31,12 +31,6 @@ from repro.analysis.export import (
     sweep_to_dict,
 )
 from repro.analysis.figures import ascii_bars, figure7, figure9a, figure10
-from repro.analysis.parallel import (
-    ParallelSweepExecutor,
-    SweepJob,
-    derive_job_seed,
-    run_sweep_jobs,
-)
 from repro.analysis.runner import (
     llc_sensitivity_sweep,
     parsec_sweep,
@@ -55,12 +49,8 @@ __all__ = [
     "DefenseReport",
     "ExperimentResult",
     "LevelMpki",
-    "ParallelSweepExecutor",
-    "SweepJob",
-    "derive_job_seed",
     "resilient_parsec_sweep",
     "resilient_spec_pair_sweep",
-    "run_sweep_jobs",
     "ascii_bars",
     "compare_defenses",
     "comparison_to_dict",

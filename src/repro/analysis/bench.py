@@ -29,7 +29,7 @@ watch.  The workloads:
   on a resident line (TimeCache's signature event), timing the batched
   s-bit miss-resolution cohort;
 * ``sweep_parallel``    — a small SPEC pair sweep at ``--jobs 1`` vs
-  ``--jobs N``, recording the process-pool speedup.
+  ``--jobs N``, recording the worker-process speedup.
 
 The engine-shaped workloads (``single_config``, ``hierarchy_access``,
 ``hierarchy_access_batched``, ``sweep_parallel``) accept
@@ -545,16 +545,16 @@ def bench_sbit_miss_kernel(
 def bench_sweep_parallel(
     quick: bool = False, jobs: Optional[int] = None, engine: str = "object"
 ) -> BenchResult:
-    """A small SPEC pair sweep serially vs across the process pool.
+    """A small SPEC pair sweep in-process vs across worker processes.
 
     ``runs`` times the parallel sweep; ``extra`` records the serial
-    median and the speedup — the number the tentpole exists to move.
-    On a single-CPU machine (or with one worker) a process pool cannot
-    beat the serial path, so the bench reports
-    ``skipped: insufficient_cpus`` rather than a meaningless speedup.
+    median and the speedup.  On a single-CPU machine (or with one
+    worker) worker processes cannot beat the in-process loop, so the
+    bench reports ``skipped: insufficient_cpus`` rather than a
+    meaningless speedup.
     """
-    from repro.analysis.parallel import resolve_jobs
     from repro.analysis.runner import spec_pair_sweep
+    from repro.robustness.supervisor import resolve_jobs
 
     workers = resolve_jobs(jobs)
     cpus = os.cpu_count() or 1

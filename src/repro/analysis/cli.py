@@ -26,8 +26,11 @@ quarantined with provenance, completed experiments are checkpointed, and
 a rerun with the same file picks up where it left off.
 
 ``--jobs N`` fans the sweep commands out across ``N`` worker processes
-(default: one per CPU; ``--jobs 1`` forces the serial path).  Results are
-identical either way — see docs/internals.md §9.
+(default: one per CPU; ``--jobs 1`` runs every cell in this process).
+Results are identical either way — see docs/internals.md §9.  Options
+that act inside worker processes (``--obs-dir``, and ``chaos``'s
+kill/hang injections) need ``--jobs 2`` or more and exit 1 at
+``--jobs 1``.
 
 Exit codes follow one contract across the sweep commands:
 
@@ -804,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes for the sweep (default: one per CPU; "
-        "1 = the exact serial path)",
+        "1 = run every cell in this process)",
     )
     jobs_parent.add_argument(
         "--engine",
@@ -845,9 +848,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "--obs-dir",
                 metavar="DIR",
                 default=None,
-                help="with --resume and --jobs >= 2: write per-worker "
-                "obs shards, a heartbeat, and a merged Perfetto trace + "
-                "counters JSON under DIR (see 'repro obs top/flame')",
+                help="with --resume: write per-worker obs shards, a "
+                "heartbeat, and a merged Perfetto trace + counters JSON "
+                "under DIR (see 'repro obs top/flame'); needs --jobs >= 2, "
+                "exits 1 at --jobs 1",
             )
     compare = sub.add_parser(
         "compare",
@@ -873,8 +877,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-dir",
         metavar="DIR",
         default=None,
-        help="with --resume and --jobs >= 2: write obs shards and a "
-        "merged trace under DIR",
+        help="with --resume: write obs shards and a merged trace under "
+        "DIR; needs --jobs >= 2, exits 1 at --jobs 1",
     )
     faults = sub.add_parser(
         "faults",
@@ -914,7 +918,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker slots for the sabotaged mini-sweeps (default 2)",
+        help="worker slots for the sabotaged mini-sweeps (default 2); "
+        "kill/hang injections need --jobs >= 2, exits 1 at --jobs 1",
     )
     chaos.add_argument(
         "--output",
@@ -989,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="supervised worker processes for the cell matrix "
-        "(default: one per CPU; 1 = the serial path)",
+        "(default: one per CPU; 1 = run every cell in this process)",
     )
     tournament.add_argument(
         "--engine",
@@ -1055,8 +1060,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-dir",
         metavar="DIR",
         default=None,
-        help="with --jobs >= 2: write per-worker obs shards and a merged "
-        "Perfetto trace + counters JSON under DIR",
+        help="write per-worker obs shards and a merged Perfetto trace + "
+        "counters JSON under DIR; needs --jobs >= 2, exits 1 at --jobs 1",
     )
     compare_defenses = sub.add_parser(
         "compare-defenses",
@@ -1074,7 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="supervised worker processes for the cell matrix "
-        "(default: one per CPU; 1 = the serial path)",
+        "(default: one per CPU; 1 = run every cell in this process)",
     )
     compare_defenses.add_argument(
         "--engine",
@@ -1125,8 +1130,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-dir",
         metavar="DIR",
         default=None,
-        help="with --jobs >= 2: write per-worker obs shards and a merged "
-        "Perfetto trace + counters JSON under DIR",
+        help="write per-worker obs shards and a merged Perfetto trace + "
+        "counters JSON under DIR; needs --jobs >= 2, exits 1 at --jobs 1",
     )
     trace = sub.add_parser(
         "trace",

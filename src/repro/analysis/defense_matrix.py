@@ -9,7 +9,7 @@ both engines for the leakage axis, plus one SPEC-pair workload per
 (defense, engine) for the overhead axis — into a single artifact
 (``DEFENSE_MATRIX.json``) and one rendered table.
 
-Every cell runs as a :class:`~repro.analysis.parallel.SweepJob` under the
+Every cell runs as a :class:`~repro.robustness.supervisor.SweepJob` under the
 supervised executor, so the matrix inherits the tournament's crash
 handling: a hung defense is killed and quarantined without taking the
 matrix down, and the checkpoint/``--resume`` path makes an interrupted
@@ -32,13 +32,12 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 import time
 
 from repro.analysis.bench import machine_metadata
-from repro.analysis.parallel import SweepJob
 from repro.analysis.tournament import ATTACKS, ENGINES, tournament_jobs
 from repro.common.config import scaled_experiment_config
 from repro.defenses import defense_names, get_defense, is_control_defense
 from repro.robustness import safeio
 from repro.robustness.resilience import Checkpoint, SweepOutcome
-from repro.robustness.supervisor import SupervisedSweepExecutor
+from repro.robustness.supervisor import SupervisedSweepExecutor, SweepJob
 
 MATRIX_SCHEMA = 1
 #: the SPEC pair the overhead arm times (same-benchmark pair keeps the

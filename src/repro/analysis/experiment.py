@@ -12,7 +12,7 @@ The paper's primary metrics, computed here for every experiment:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.common.config import SimConfig
 from repro.common.units import mpki
@@ -190,43 +190,3 @@ def run_parsec_experiment(
     base = _run_configured(config.baseline(), build, budget)
     defended = _run_configured(config, build, budget)
     return ExperimentResult(bench, base, defended)
-
-
-#: experiment kinds a process-pool job may name (see ExperimentJob)
-_EXPERIMENT_KINDS: Dict[str, Callable[..., ExperimentResult]] = {
-    "spec_pair": run_spec_pair_experiment,
-    "parsec": run_parsec_experiment,
-}
-
-
-@dataclass(frozen=True)
-class ExperimentJob:
-    """A picklable description of one experiment cell.
-
-    The parallel sweep executor ships jobs into worker processes by
-    pickling; a closure over a config (the serial runner's thunk shape)
-    cannot cross that boundary, but this spec — a kind name, a label,
-    a config, and plain arguments — can.  ``run`` dispatches to the
-    matching ``run_*_experiment`` function in this module.
-    """
-
-    kind: str
-    label: str
-    config: SimConfig
-    args: Tuple = ()
-    kwargs: Dict = field(default_factory=dict)
-
-    def run(self) -> ExperimentResult:
-        try:
-            fn = _EXPERIMENT_KINDS[self.kind]
-        except KeyError:
-            raise ValueError(
-                f"unknown experiment kind {self.kind!r}; expected one of "
-                f"{sorted(_EXPERIMENT_KINDS)}"
-            ) from None
-        return fn(self.config, *self.args, **self.kwargs)
-
-
-def run_experiment_job(job: ExperimentJob) -> ExperimentResult:
-    """Module-level pool entry point: run one :class:`ExperimentJob`."""
-    return job.run()

@@ -109,8 +109,8 @@ def outcome_to_dict(
 
     The payload is a superset of :func:`sweep_to_dict`'s, so existing
     loaders keep working; because results are reassembled in label order
-    the bytes are identical whether the sweep ran serially or across a
-    process pool.
+    the bytes are identical whether the sweep ran in-process or across
+    worker processes.
     """
     payload = sweep_to_dict(outcome.ordered_results(labels), kind=kind)
     payload["failures"] = [f.to_dict() for f in outcome.failures]

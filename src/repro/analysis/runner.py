@@ -5,13 +5,15 @@ returns structured results; the benchmark files print them with the
 :mod:`repro.analysis.tables` renderers and assert the paper's *shape*
 claims (who wins, orderings, trends).
 
-Every sweep takes ``jobs``: ``1`` (the default) runs the exact serial
-path, any other value fans the independent simulation cells out across
-a process pool via :class:`repro.analysis.parallel.ParallelSweepExecutor`
-(``None`` means one worker per CPU).  Serial and parallel runs of the
-same sweep produce identical results — each cell is a deterministic
-function of its arguments — which `tests/analysis/test_parallel.py`
-locks in byte-for-byte on the exported tables and checkpoints.
+Every sweep builds one :class:`~repro.robustness.supervisor.SweepJob`
+per simulation cell and runs the list through
+:class:`~repro.robustness.supervisor.SupervisedSweepExecutor`.  ``jobs``
+picks the mode: ``1`` (the default) runs the cells in this process,
+anything else across that many supervised worker processes (``None``
+means one per CPU).  Each cell is a deterministic function of its
+arguments, so both modes produce identical results —
+`tests/analysis/test_parallel.py` locks that in byte-for-byte on the
+exported tables and checkpoints.
 """
 
 from __future__ import annotations
@@ -20,22 +22,15 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.experiment import (
-    ExperimentJob,
     ExperimentResult,
     SimulationBudget,
-    run_experiment_job,
     run_parsec_experiment,
     run_spec_pair_experiment,
 )
-from repro.analysis.parallel import ParallelSweepExecutor, SweepJob
 from repro.common.config import SimConfig, scaled_experiment_config
 from repro.obs.manifest import config_fingerprint
-from repro.robustness.resilience import (
-    Checkpoint,
-    SweepOutcome,
-    run_resilient_jobs,
-)
-from repro.robustness.supervisor import SupervisedSweepExecutor
+from repro.robustness.resilience import Checkpoint, SweepOutcome
+from repro.robustness.supervisor import SupervisedSweepExecutor, SweepJob
 from repro.workloads.mixes import (
     PARSEC_BENCHMARKS,
     SPEC_MIXED_PAIRS,
@@ -45,7 +40,7 @@ from repro.workloads.mixes import (
 
 
 def _sweep_provenance(config: SimConfig, seed: int) -> Dict[str, object]:
-    """Per-job provenance stamped onto FailureRecords by the supervised
+    """Per-job provenance stamped onto FailureRecords by the sweep
     executor: enough to re-run (and blame) one quarantined cell."""
     from repro.memsys.fastengine import FastHierarchy
 
@@ -68,27 +63,18 @@ def _spec_pair_jobs(
     budget: Optional[SimulationBudget] = None,
     label_prefix: str = "",
 ) -> List[SweepJob]:
-    """Picklable job list for a SPEC pair sweep (one cell per pair)."""
+    """One job per SPEC pair."""
     provenance = _sweep_provenance(config, seed)
-    jobs: List[SweepJob] = []
-    for a, b in pairs:
-        label = label_prefix + pair_label(a, b)
-        spec = ExperimentJob(
-            kind="spec_pair",
-            label=label,
-            config=config,
-            args=(a, b),
+    return [
+        SweepJob(
+            label=label_prefix + pair_label(a, b),
+            fn=run_spec_pair_experiment,
+            args=(config, a, b),
             kwargs={"instructions": instructions, "seed": seed, "budget": budget},
+            provenance=dict(provenance),
         )
-        jobs.append(
-            SweepJob(
-                label=label,
-                fn=run_experiment_job,
-                args=(spec,),
-                provenance=dict(provenance),
-            )
-        )
-    return jobs
+        for a, b in pairs
+    ]
 
 
 def _parsec_jobs(
@@ -98,30 +84,32 @@ def _parsec_jobs(
     seed: int,
     budget: Optional[SimulationBudget] = None,
 ) -> List[SweepJob]:
-    """Picklable job list for a PARSEC sweep (one cell per benchmark)."""
+    """One job per PARSEC benchmark."""
     provenance = _sweep_provenance(config, seed)
-    jobs: List[SweepJob] = []
-    for bench in benchmarks:
-        spec = ExperimentJob(
-            kind="parsec",
+    return [
+        SweepJob(
             label=bench,
-            config=config,
-            args=(bench,),
+            fn=run_parsec_experiment,
+            args=(config, bench),
             kwargs={
                 "instructions_per_thread": instructions_per_thread,
                 "seed": seed,
                 "budget": budget,
             },
+            provenance=dict(provenance),
         )
-        jobs.append(
-            SweepJob(
-                label=bench,
-                fn=run_experiment_job,
-                args=(spec,),
-                provenance=dict(provenance),
-            )
-        )
-    return jobs
+        for bench in benchmarks
+    ]
+
+
+def _map_sweep(
+    sweep_jobs: Sequence[SweepJob], jobs: Optional[int], seed: int
+) -> List:
+    """Run a plain (non-resilient) sweep: no retries, any failure raises
+    :class:`~repro.common.errors.SweepExecutionError`."""
+    return SupervisedSweepExecutor(jobs, retries=0, base_seed=seed).map(
+        sweep_jobs
+    )
 
 
 def spec_pair_sweep(
@@ -136,16 +124,7 @@ def spec_pair_sweep(
     config = scaled_experiment_config(
         num_cores=1, llc_kib=llc_kib, seed=seed, engine=engine
     )
-    if jobs == 1:
-        return [
-            run_spec_pair_experiment(
-                config, a, b, instructions=instructions, seed=seed
-            )
-            for a, b in pairs
-        ]
-    executor = ParallelSweepExecutor(jobs, retries=0, base_seed=seed)
-    results = executor.map(_spec_pair_jobs(config, pairs, instructions, seed))
-    return list(results)  # type: ignore[arg-type]
+    return _map_sweep(_spec_pair_jobs(config, pairs, instructions, seed), jobs, seed)
 
 
 def parsec_sweep(
@@ -160,18 +139,9 @@ def parsec_sweep(
     config = scaled_experiment_config(
         num_cores=2, llc_kib=llc_kib, seed=seed, engine=engine
     )
-    if jobs == 1:
-        return [
-            run_parsec_experiment(
-                config, b, instructions_per_thread=instructions_per_thread, seed=seed
-            )
-            for b in benchmarks
-        ]
-    executor = ParallelSweepExecutor(jobs, retries=0, base_seed=seed)
-    results = executor.map(
-        _parsec_jobs(config, benchmarks, instructions_per_thread, seed)
+    return _map_sweep(
+        _parsec_jobs(config, benchmarks, instructions_per_thread, seed), jobs, seed
     )
-    return list(results)  # type: ignore[arg-type]
 
 
 def llc_sensitivity_sweep(
@@ -186,22 +156,9 @@ def llc_sensitivity_sweep(
 
     The paper's 2/4/8 MB sweep maps to 128/256/512 KiB at the model's
     16x scale factor; the claim under test is the monotone shrink of the
-    mean overhead with LLC size.  With ``jobs != 1`` every (size, pair)
-    cell runs concurrently — the whole grid is one flat job list.
+    mean overhead with LLC size.  The whole (size, pair) grid is one
+    flat job list, so with ``jobs != 1`` every cell runs concurrently.
     """
-    results: Dict[int, List[ExperimentResult]] = {}
-    if jobs == 1:
-        for llc_kib in llc_sizes_kib:
-            config = scaled_experiment_config(
-                num_cores=1, llc_kib=llc_kib, seed=seed, engine=engine
-            )
-            results[llc_kib] = [
-                run_spec_pair_experiment(
-                    config, a, b, instructions=instructions, seed=seed
-                )
-                for a, b in pairs
-            ]
-        return results
     all_jobs: List[SweepJob] = []
     for llc_kib in llc_sizes_kib:
         config = scaled_experiment_config(
@@ -212,12 +169,12 @@ def llc_sensitivity_sweep(
                 config, pairs, instructions, seed, label_prefix=f"{llc_kib}KiB/"
             )
         )
-    executor = ParallelSweepExecutor(jobs, retries=0, base_seed=seed)
-    flat = executor.map(all_jobs)
+    flat = _map_sweep(all_jobs, jobs, seed)
     per_size = len(pairs)
-    for i, llc_kib in enumerate(llc_sizes_kib):
-        results[llc_kib] = list(flat[i * per_size : (i + 1) * per_size])  # type: ignore[arg-type]
-    return results
+    return {
+        llc_kib: flat[i * per_size : (i + 1) * per_size]
+        for i, llc_kib in enumerate(llc_sizes_kib)
+    }
 
 
 def _result_checkpoint(
@@ -248,39 +205,24 @@ def resilient_spec_pair_sweep(
     manifest_id: str = "",
     obs_dir: Optional[Union[str, Path]] = None,
 ) -> SweepOutcome:
-    """:func:`spec_pair_sweep` under the resilient runner.
+    """:func:`spec_pair_sweep` with retries, checkpoint, and quarantine.
 
     A pair that crashes or exceeds ``budget`` is retried with backoff and
     ultimately becomes a ``FailureRecord`` instead of sinking the sweep;
-    ``checkpoint_path`` enables resume — completed pairs are loaded, not
-    re-simulated, and previously failed pairs get a fresh chance.  With
-    ``jobs != 1`` the pairs run under the supervised executor
-    (:class:`~repro.robustness.supervisor.SupervisedSweepExecutor`):
-    one worker process per in-flight pair with heartbeat monitoring, so
-    a crashed worker is detected and rescheduled and (with
-    ``deadline_s``) a hung worker is killed at the deadline.  Poison
-    pairs are quarantined with full provenance under ``quarantine_dir``.
-    Retry/checkpoint/resume semantics and the results themselves are
-    identical to the serial path.
+    poison pairs are quarantined with full provenance under
+    ``quarantine_dir``.  ``checkpoint_path`` enables resume — completed
+    pairs are loaded, not re-simulated, and previously failed pairs get a
+    fresh chance.  With ``jobs != 1`` each in-flight pair gets its own
+    heartbeat-monitored worker process, so a crashed worker is detected
+    and rescheduled and (with ``deadline_s``) a hung worker is killed at
+    the deadline; ``deadline_s`` does nothing at ``jobs == 1``, and
+    ``obs_dir`` needs ``jobs >= 2``.  Retry/checkpoint/resume semantics,
+    failure records, and the results themselves are identical at any
+    ``jobs``.
     """
     config = scaled_experiment_config(
         num_cores=1, llc_kib=llc_kib, seed=seed, engine=engine
     )
-
-    if jobs == 1:
-
-        def job(a: str, b: str):
-            return lambda: run_spec_pair_experiment(
-                config, a, b, instructions=instructions, seed=seed, budget=budget
-            )
-
-        serial_jobs = [(pair_label(a, b), job(a, b)) for a, b in pairs]
-        return run_resilient_jobs(
-            serial_jobs,
-            retries=retries,
-            backoff_s=backoff_s,
-            checkpoint=_result_checkpoint(checkpoint_path),
-        )
     executor = SupervisedSweepExecutor(
         jobs,
         retries=retries,
@@ -311,31 +253,12 @@ def resilient_parsec_sweep(
     manifest_id: str = "",
     obs_dir: Optional[Union[str, Path]] = None,
 ) -> SweepOutcome:
-    """:func:`parsec_sweep` under the resilient runner (see
+    """:func:`parsec_sweep` with retries, checkpoint, and quarantine (see
     :func:`resilient_spec_pair_sweep` for the failure and supervision
     semantics)."""
     config = scaled_experiment_config(
         num_cores=2, llc_kib=llc_kib, seed=seed, engine=engine
     )
-
-    if jobs == 1:
-
-        def job(bench: str):
-            return lambda: run_parsec_experiment(
-                config,
-                bench,
-                instructions_per_thread=instructions_per_thread,
-                seed=seed,
-                budget=budget,
-            )
-
-        serial_jobs = [(bench, job(bench)) for bench in benchmarks]
-        return run_resilient_jobs(
-            serial_jobs,
-            retries=retries,
-            backoff_s=backoff_s,
-            checkpoint=_result_checkpoint(checkpoint_path),
-        )
     executor = SupervisedSweepExecutor(
         jobs,
         retries=retries,
@@ -418,7 +341,7 @@ def batched_replay_run(
     :class:`~repro.core.timecache.TimeCacheSystem` via
     :func:`repro.cpu.tracing.replay_ops` (``batch=False`` replays the
     identical stream scalar).  Deterministic in its arguments and
-    picklable, so sweeps can fan cells across the process pool; scalar
+    module-level, so sweeps can fan cells across worker processes; scalar
     and batched runs of the same cell must produce identical summaries
     — the equivalence tests lock that in across ``--jobs N``.
     """
@@ -468,16 +391,9 @@ def batched_replay_sweep(
 ) -> List[Dict[str, object]]:
     """A sweep of independent batched-replay cells (one seed per cell).
 
-    ``jobs=1`` runs the exact serial path; anything else fans the cells
-    across the process pool, same contract as the other sweeps: the
-    result list is identical either way.
+    The result list is identical at any ``jobs``, like the other
+    sweeps.
     """
-    if jobs == 1:
-        return [
-            batched_replay_run(accesses, engine, batch, seed + i)
-            for i in range(cells)
-        ]
-    executor = ParallelSweepExecutor(jobs, retries=0, base_seed=seed)
     sweep_jobs = [
         SweepJob(
             label=f"replay{i}",
@@ -486,7 +402,7 @@ def batched_replay_sweep(
         )
         for i in range(cells)
     ]
-    return list(executor.map(sweep_jobs))  # type: ignore[arg-type]
+    return _map_sweep(sweep_jobs, jobs, seed)
 
 
 def write_run_manifest(

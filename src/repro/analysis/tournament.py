@@ -13,7 +13,7 @@ interval, plus mutual information in bits per probe).
 A *cell* is one ``(attack, defense, engine)`` triple; the full matrix is
 every attack module × every registered defense (:mod:`repro.defenses`)
 × {object, fast}.  Cells run
-as :class:`~repro.analysis.parallel.SweepJob`\\ s under the supervised
+as :class:`~repro.robustness.supervisor.SweepJob`\\ s under the supervised
 executor (PR 6), so a hung or crashing attack is killed, retried, and at
 worst quarantined without taking the tournament down, and the
 checkpoint/``--resume`` path makes an interrupted tournament cheap to
@@ -45,13 +45,16 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.bench import machine_metadata
-from repro.analysis.parallel import SweepJob, derive_job_seed
 from repro.common.config import SimConfig, scaled_experiment_config
 from repro.common.errors import LeakageStatsError
 from repro.defenses import defense_names, get_defense, is_control_defense
 from repro.robustness import safeio
 from repro.robustness.resilience import Checkpoint, SweepOutcome
-from repro.robustness.supervisor import SupervisedSweepExecutor
+from repro.robustness.supervisor import (
+    SupervisedSweepExecutor,
+    SweepJob,
+    derive_job_seed,
+)
 from repro.security.stats import LEAK_AUC_CUTOFF, score_populations
 
 SECURITY_SCHEMA = 1

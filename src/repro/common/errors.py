@@ -54,11 +54,12 @@ class SimulationTimeout(ReproError):
 
 
 class SweepExecutionError(ReproError):
-    """A non-resilient parallel sweep had at least one failed job.
+    """A plain (non-resilient) sweep had at least one failed job.
 
-    Raised by :meth:`repro.analysis.parallel.ParallelSweepExecutor.map`
-    after every job has finished, so one bad cell cannot abort its
-    siblings mid-flight; the message names the first failure.
+    Raised by :meth:`repro.robustness.supervisor.SweepExecutor.map` —
+    what the plain sweeps in :mod:`repro.analysis.runner` call at any
+    ``jobs`` — after every job has finished, so one bad cell cannot
+    abort its siblings mid-flight; the message names the first failure.
     """
 
 

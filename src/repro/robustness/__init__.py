@@ -1,6 +1,6 @@
 """Robustness layer: fault injection, invariant checking, resilient sweeps.
 
-Three independent pieces, usable separately:
+Independent pieces, usable separately:
 
 * :mod:`repro.robustness.invariants` — an :class:`InvariantChecker` that
   watches a running :class:`~repro.core.timecache.TimeCacheSystem` and
@@ -10,22 +10,18 @@ Three independent pieces, usable separately:
   save/restore), plus the campaign driver in
   :mod:`repro.robustness.campaign` producing a detection matrix
   (``repro faults`` on the command line);
-* :mod:`repro.robustness.resilience` — retry/backoff, graceful
-  degradation, and checkpoint/resume for long sweeps (used by
-  :mod:`repro.analysis.runner`);
+* :mod:`repro.robustness.resilience` — failure records, sweep
+  outcomes, and checkpoint/resume for long sweeps;
 * :mod:`repro.robustness.safeio` — crash-safe JSON persistence (atomic
   rename, content checksums, rotated last-good backups) used by every
   durable artifact writer in the repo;
-* :mod:`repro.robustness.supervisor` — heartbeat-supervised sweep
-  execution: hung workers are killed and rescheduled, poison jobs are
-  quarantined with full provenance (``SupervisedSweepExecutor``);
+* :mod:`repro.robustness.supervisor` — the one sweep executor
+  (``SupervisedSweepExecutor``): an in-process loop at ``jobs == 1``,
+  heartbeat-supervised worker processes otherwise; failing jobs are
+  retried with backoff, then quarantined with full provenance;
 * :mod:`repro.robustness.chaos` — deterministic orchestration-level
   chaos (kill/hang/corrupt/io_error) and the ``repro chaos`` resilience
   scorecard campaign.
-
-``supervisor`` and ``chaos`` are re-exported lazily (PEP 562): they
-import the analysis layer, which imports this package, so eager imports
-here would cycle.
 """
 
 from repro.robustness.campaign import (
@@ -46,41 +42,21 @@ from repro.robustness.faults import (
     TcCorruption,
 )
 from repro.robustness.invariants import InvariantChecker
-from repro.robustness.resilience import (
-    Checkpoint,
-    FailureRecord,
-    SweepOutcome,
-    run_resilient_jobs,
+from repro.robustness.chaos import (
+    CHAOS_MODELS,
+    ChaosEvent,
+    ChaosPlan,
+    ResilienceScorecard,
+    run_chaos_campaign,
 )
-
-#: lazily-resolved exports (module -> names); see the module docstring
-_LAZY = {
-    "repro.robustness.supervisor": (
-        "SupervisedSweepExecutor",
-        "SupervisionReport",
-        "load_quarantine_record",
-        "write_quarantine_record",
-    ),
-    "repro.robustness.chaos": (
-        "CHAOS_MODELS",
-        "ChaosEvent",
-        "ChaosPlan",
-        "ResilienceScorecard",
-        "run_chaos_campaign",
-    ),
-}
-
-
-def __getattr__(name: str):
-    import importlib
-
-    for module, names in _LAZY.items():
-        if name in names:
-            return getattr(importlib.import_module(module), name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
+from repro.robustness.resilience import Checkpoint, FailureRecord, SweepOutcome
+from repro.robustness.supervisor import (
+    SupervisedSweepExecutor,
+    SupervisionReport,
+    SweepJob,
+    load_quarantine_record,
+    write_quarantine_record,
+)
 
 __all__ = [
     "ALL_FAULT_MODELS",
@@ -100,6 +76,7 @@ __all__ = [
     "SBitCorruption",
     "SupervisedSweepExecutor",
     "SupervisionReport",
+    "SweepJob",
     "SweepOutcome",
     "SwitchStateLoss",
     "TcCorruption",
@@ -107,7 +84,6 @@ __all__ = [
     "load_quarantine_record",
     "run_chaos_campaign",
     "run_fault_campaign",
-    "run_resilient_jobs",
     "run_single_injection",
     "write_quarantine_record",
 ]

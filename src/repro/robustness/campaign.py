@@ -215,9 +215,9 @@ def run_injection_uncaught(model_name: str, seed: int) -> str:
     """One injection run that lets :class:`InvariantViolation` escape.
 
     Picklable, module-level, and deliberately *not* wrapped in the
-    detected/benign classification: the parallel-executor tests ship it
-    into a pool worker to prove a violation raised in a child process
-    comes back as a recorded failure rather than being swallowed.
+    detected/benign classification: the sweep-executor tests run it in
+    a worker process (and in-process) to prove a violation raised in a
+    job comes back as a recorded failure rather than being swallowed.
     Returns ``"clean"`` when the drive and final audit pass.
     """
     by_name = {cls.name: cls for cls in ALL_FAULT_MODELS}

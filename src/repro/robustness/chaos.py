@@ -34,7 +34,6 @@ and exits nonzero if anything was silent.
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +43,7 @@ from repro.common.errors import CheckpointCorruptionError, FaultInjectionError
 from repro.common.rng import DeterministicRng
 from repro.robustness import safeio
 from repro.robustness.resilience import CHECKPOINT_SCHEMA, Checkpoint
+from repro.robustness.supervisor import SupervisedSweepExecutor, SweepJob
 
 CHAOS_MODELS = ("kill", "hang", "corrupt", "io_error")
 CORRUPT_VARIANTS = ("truncate", "bitflip", "stale_schema", "torn_rename")
@@ -283,9 +283,7 @@ def _reference_results(seeds: Sequence[int]) -> Dict[str, Dict]:
     }
 
 
-def _probe_sweep_jobs(seeds: Sequence[int]):
-    from repro.analysis.parallel import SweepJob
-
+def _probe_sweep_jobs(seeds: Sequence[int]) -> List[SweepJob]:
     return [
         SweepJob(
             label=f"probe{i}",
@@ -306,8 +304,6 @@ def _run_process_injection(
     jobs: int,
 ) -> None:
     """One kill/hang injection: a supervised mini-sweep with sabotage."""
-    from repro.analysis.export import result_to_dict  # noqa: F401 (doc)
-    from repro.robustness.supervisor import SupervisedSweepExecutor
 
     def sabotage_for(label: str, attempt: int):
         if label != event.target:
@@ -511,6 +507,10 @@ def run_chaos_campaign(
     ``counts`` maps chaos model -> injections (default: the ≥50-injection
     quick mix).  All artifacts (checkpoints, quarantine records) are
     written under ``workdir`` (a temp dir by default, removed after).
+    Kill and hang injections sabotage worker processes, so a plan with
+    any of them needs ``jobs >= 2``; at ``jobs == 1`` the executor
+    raises :class:`~repro.common.errors.ConfigError` rather than score
+    injections that never happened.
     """
     plan = ChaosPlan.generate(seed, counts)
     scorecard = ResilienceScorecard(seed=seed)

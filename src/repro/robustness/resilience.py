@@ -1,15 +1,15 @@
-"""Resilient execution of long experiment sweeps.
+"""Sweep outcomes, failure records, and checkpoint/resume.
 
 A paper-scale sweep is hours of simulation; one diverging workload or
-wall-clock overrun should cost one retry, not the whole run.  This module
-provides the generic machinery — the analysis layer
-(:mod:`repro.analysis.runner`) wraps its sweeps around it:
+wall-clock overrun should cost one retry, not the whole run.  This
+module holds the records the sweep executor
+(:mod:`repro.robustness.supervisor`) produces and persists:
 
-* **retry with exponential backoff** for transient failures;
-* **graceful degradation**: a job that keeps failing becomes a
-  :class:`FailureRecord` while every other job's result is still
-  returned;
-* **checkpoint/resume**: after every finished job the completed results
+* :class:`FailureRecord` — a job that exhausted its retries, with the
+  provenance needed to reproduce it in isolation;
+* :class:`SweepOutcome` — results keyed by label, failures, and the
+  labels resumed from a checkpoint;
+* :class:`Checkpoint` — after every finished job the completed results
   are written to a JSON checkpoint; a rerun pointed at the same file
   skips completed jobs (previously *failed* jobs are retried — a resume
   is exactly a second chance for them).  Checkpoint files are written
@@ -17,25 +17,18 @@ provides the generic machinery — the analysis layer
   content checksum, rotated ``.bak``), so a kill mid-write can never
   poison a later ``--resume`` — a corrupt primary falls back to the
   last-good backup automatically.
-
-Deliberately not caught: :class:`KeyboardInterrupt` (the operator wins;
-the checkpoint preserves progress) and :class:`BaseException` generally.
 """
 
 from __future__ import annotations
 
-import time
 import traceback as _traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import repro.robustness.safeio as safeio
 
 CHECKPOINT_SCHEMA = 1
-
-#: a sweep job: a stable label and a thunk producing the result
-Job = Tuple[str, Callable[[], object]]
 
 
 @dataclass
@@ -117,7 +110,7 @@ class FailureRecord:
 
 
 def format_exception(error: BaseException) -> str:
-    """The traceback a failure record carries (worker- or serial-side)."""
+    """The traceback a failure record carries (worker- or in-process)."""
     return "".join(
         _traceback.format_exception(type(error), error, error.__traceback__)
     )
@@ -211,69 +204,3 @@ class Checkpoint:
             "failures": [f.to_dict() for f in self.failures],
         }
         safeio.write_json_atomic(payload, self.path)
-
-
-def run_resilient_jobs(
-    jobs: Sequence[Job],
-    *,
-    retries: int = 2,
-    backoff_s: float = 0.5,
-    checkpoint: Optional[Checkpoint] = None,
-    sleep: Callable[[float], None] = time.sleep,
-    on_event: Optional[Callable[[str, str], None]] = None,
-) -> SweepOutcome:
-    """Run every job, retrying failures and checkpointing progress.
-
-    ``retries`` is the number of *re*-tries after the first attempt, so a
-    job runs at most ``retries + 1`` times; the n-th retry waits
-    ``backoff_s * 2**(n-1)`` seconds first (``sleep`` is injectable for
-    tests).  ``on_event(label, event)`` observes progress with events
-    ``"resumed" | "ok" | "retry" | "failed"``.
-    """
-    if checkpoint is not None:
-        checkpoint.load()
-    outcome = SweepOutcome()
-
-    def notify(label: str, event: str) -> None:
-        if on_event is not None:
-            on_event(label, event)
-
-    for label, thunk in jobs:
-        if checkpoint is not None:
-            prior = checkpoint.result_for(label)
-            if prior is not None:
-                outcome.results[label] = prior
-                outcome.resumed.append(label)
-                notify(label, "resumed")
-                continue
-        error: Optional[BaseException] = None
-        attempts = 0
-        for attempt in range(retries + 1):
-            attempts = attempt + 1
-            if attempt:
-                sleep(backoff_s * 2 ** (attempt - 1))
-                notify(label, "retry")
-            try:
-                result = thunk()
-            except Exception as exc:  # noqa: BLE001 - the whole point
-                error = exc
-                continue
-            outcome.results[label] = result
-            if checkpoint is not None:
-                checkpoint.record_success(label, result)
-            notify(label, "ok")
-            error = None
-            break
-        if error is not None:
-            record = FailureRecord(
-                label=label,
-                attempts=attempts,
-                error_type=type(error).__name__,
-                message=str(error),
-                traceback=format_exception(error),
-            )
-            outcome.failures.append(record)
-            if checkpoint is not None:
-                checkpoint.record_failure(record)
-            notify(label, "failed")
-    return outcome

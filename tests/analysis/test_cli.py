@@ -66,7 +66,7 @@ def test_export_command(tmp_path, capsys):
 
 
 def test_table2_with_explicit_jobs(capsys):
-    """--jobs 2 runs the sweep through the process pool; same output."""
+    """--jobs 2 runs the sweep in worker processes; same output."""
     assert (
         main(["--instructions", "6000", "table2", "--pairs", "2", "--jobs", "2"])
         == 0

@@ -1,27 +1,23 @@
-"""The parallel sweep executor: equivalence, resume, failure propagation.
+"""The sweep executor across modes: equivalence, resume, failures.
 
-The load-bearing correctness check for the process-pool layer is
-serial/parallel *equivalence*: the same seeds must produce byte-identical
-exported tables and checkpoints whether cells run in-process one by one
-or out of order across workers.
+The load-bearing correctness check for the executor is in-process vs
+worker *equivalence*: the same seeds must produce byte-identical
+exported tables, checkpoints, and failure records whether cells run
+in-process one by one (``jobs=1``) or out of order across supervised
+workers (``jobs=2``).
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiment import ExperimentJob, run_experiment_job
+from repro.analysis.experiment import SimulationBudget, run_spec_pair_experiment
 from repro.analysis.export import (
     export_outcome,
     result_from_dict,
     result_to_dict,
     sweep_to_dict,
-)
-from repro.analysis.parallel import (
-    ParallelSweepExecutor,
-    SweepJob,
-    derive_job_seed,
-    resolve_jobs,
 )
 from repro.analysis.runner import (
     llc_sensitivity_sweep,
@@ -32,6 +28,12 @@ from repro.common.config import scaled_experiment_config
 from repro.common.errors import SweepExecutionError
 from repro.robustness.campaign import run_injection_uncaught
 from repro.robustness.resilience import Checkpoint
+from repro.robustness.supervisor import (
+    SupervisedSweepExecutor,
+    SweepJob,
+    derive_job_seed,
+    resolve_jobs,
+)
 from repro.workloads.mixes import pair_label
 
 PAIRS = [("wrf", "wrf"), ("milc", "milc")]
@@ -67,6 +69,7 @@ class TestSerialParallelEquivalence:
 
     def test_checkpoints_byte_identical(self, tmp_path):
         paths = {}
+        records = {}
         for jobs in (1, 2):
             path = tmp_path / f"ck{jobs}.json"
             outcome = resilient_spec_pair_sweep(
@@ -77,7 +80,33 @@ class TestSerialParallelEquivalence:
             )
             assert outcome.complete
             paths[jobs] = path.read_bytes()
+            # A pair that times out on its budget is quarantined the
+            # same way in both modes.
+            qdir = tmp_path / f"q{jobs}"
+            timed_out = resilient_spec_pair_sweep(
+                pairs=[("specrand", "specrand")],
+                instructions=INSTRUCTIONS,
+                budget=SimulationBudget(max_instructions=100),
+                retries=0,
+                quarantine_dir=qdir,
+                manifest_id="m123",
+                engine="fast",
+                jobs=jobs,
+            )
+            (record,) = timed_out.failures
+            assert (qdir / "2Xspecrand.failure.json").exists()
+            records[jobs] = record
         assert paths[1] == paths[2]
+        for record in records.values():
+            assert record.error_type == "SimulationTimeout"
+            assert record.seed is not None and record.engine == "fast"
+            assert record.config_sha256 and record.manifest_id == "m123"
+            assert record.traceback
+        one, two = (records[j].to_dict() for j in (1, 2))
+        for fields in (one, two):
+            del fields["traceback"]
+            fields["record_path"] = Path(fields["record_path"]).name
+        assert one == two
 
     def test_exported_outcome_byte_identical(self, tmp_path):
         labels = [pair_label(a, b) for a, b in PAIRS]
@@ -134,6 +163,10 @@ class TestResume:
         assert sorted(again.resumed) == sorted(pair_label(a, b) for a, b in PAIRS)
 
 
+#: both executor modes: in-process and supervised worker slots
+MODES = (1, 2)
+
+
 class TestFailurePropagation:
     # sbit-corruption at seed 0 deterministically raises
     # InvariantViolation (verified by the fault-campaign tests); any
@@ -142,45 +175,55 @@ class TestFailurePropagation:
 
     def test_invariant_violation_from_child_is_recorded(self):
         model, seed = self.DETECTED
-        executor = ParallelSweepExecutor(2, retries=0)
-        outcome = executor.run(
-            [
-                SweepJob("inject", run_injection_uncaught, (model, seed)),
-                # a trivially-succeeding picklable job riding along
-                SweepJob("clean", derive_job_seed, (1, "x")),
-            ]
-        )
-        assert "clean" in outcome.results
-        (failure,) = outcome.failures
-        assert failure.label == "inject"
-        assert failure.error_type == "InvariantViolation"
-        assert failure.message  # the diagnostic detail survived the pool
+        for jobs in MODES:
+            executor = SupervisedSweepExecutor(jobs, retries=0)
+            outcome = executor.run(
+                [
+                    SweepJob("inject", run_injection_uncaught, (model, seed)),
+                    # a trivially-succeeding job riding along
+                    SweepJob("clean", derive_job_seed, (1, "x")),
+                ]
+            )
+            assert "clean" in outcome.results
+            (failure,) = outcome.failures
+            assert failure.label == "inject"
+            assert failure.error_type == "InvariantViolation"
+            assert failure.message  # the diagnostic detail survived
 
     def test_map_raises_sweep_execution_error(self):
         model, seed = self.DETECTED
-        executor = ParallelSweepExecutor(2, retries=0)
-        with pytest.raises(SweepExecutionError, match="InvariantViolation"):
-            executor.map([SweepJob("inject", run_injection_uncaught, (model, seed))])
+        for jobs in MODES:
+            executor = SupervisedSweepExecutor(jobs, retries=0)
+            with pytest.raises(SweepExecutionError, match="InvariantViolation"):
+                executor.map(
+                    [SweepJob("inject", run_injection_uncaught, (model, seed))]
+                )
 
     def test_failure_lands_in_checkpoint(self, tmp_path):
         model, seed = self.DETECTED
-        path = tmp_path / "ck.json"
-        checkpoint = Checkpoint(
-            path, serialize=result_to_dict, deserialize=result_from_dict
-        )
-        executor = ParallelSweepExecutor(2, retries=0, checkpoint=checkpoint)
-        executor.run([SweepJob("inject", run_injection_uncaught, (model, seed))])
-        payload = json.loads(path.read_text())
-        (record,) = payload["failures"]
-        assert record["label"] == "inject"
-        assert record["error_type"] == "InvariantViolation"
+        for jobs in MODES:
+            path = tmp_path / f"ck{jobs}.json"
+            checkpoint = Checkpoint(
+                path, serialize=result_to_dict, deserialize=result_from_dict
+            )
+            executor = SupervisedSweepExecutor(
+                jobs, retries=0, checkpoint=checkpoint
+            )
+            executor.run(
+                [SweepJob("inject", run_injection_uncaught, (model, seed))]
+            )
+            payload = json.loads(path.read_text())
+            (record,) = payload["failures"]
+            assert record["label"] == "inject"
+            assert record["error_type"] == "InvariantViolation"
 
 
 class TestExecutorContract:
     def test_duplicate_labels_rejected(self):
         job = SweepJob("same", run_injection_uncaught, ("sbit-corruption", 0))
-        with pytest.raises(ValueError, match="unique"):
-            ParallelSweepExecutor(2).run([job, job])
+        for jobs in MODES:
+            with pytest.raises(ValueError, match="unique"):
+                SupervisedSweepExecutor(jobs).run([job, job])
 
     def test_derived_seeds_deterministic_and_distinct(self):
         assert derive_job_seed(7, "a") == derive_job_seed(7, "a")
@@ -195,16 +238,15 @@ class TestExecutorContract:
 
     def test_ordered_reassembly(self):
         config = scaled_experiment_config(num_cores=1, llc_kib=32, seed=1)
-        jobs = []
-        for a, b in [("milc", "milc"), ("wrf", "wrf"), ("gobmk", "gobmk")]:
-            label = pair_label(a, b)
-            spec = ExperimentJob(
-                kind="spec_pair",
-                label=label,
-                config=config,
-                args=(a, b),
-                kwargs={"instructions": INSTRUCTIONS, "seed": 1},
+        jobs = [
+            SweepJob(
+                pair_label(a, b),
+                run_spec_pair_experiment,
+                (config, a, b),
+                {"instructions": INSTRUCTIONS, "seed": 1},
             )
-            jobs.append(SweepJob(label, run_experiment_job, (spec,)))
-        outcome = ParallelSweepExecutor(2, retries=0).run(jobs)
-        assert list(outcome.results) == [j.label for j in jobs]
+            for a, b in [("milc", "milc"), ("wrf", "wrf"), ("gobmk", "gobmk")]
+        ]
+        for mode in MODES:
+            outcome = SupervisedSweepExecutor(mode, retries=0).run(jobs)
+            assert list(outcome.results) == [j.label for j in jobs]

@@ -159,6 +159,41 @@ def test_obs_top_once_renders_heartbeat_and_shards(obs_sweep_dir, capsys):
     assert "alpha" in captured.out
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["table2", "fig8", "fig9", "export", "tournament", "compare-defenses"],
+)
+def test_obs_dir_help_names_the_jobs_requirement(command):
+    from repro.analysis.cli import build_parser
+
+    subparsers = next(
+        a for a in build_parser()._actions if a.dest == "command"
+    )
+    (option,) = [
+        a
+        for a in subparsers.choices[command]._actions
+        if "--obs-dir" in a.option_strings
+    ]
+    assert "--jobs >= 2" in option.help
+    assert "exits 1 at --jobs 1" in option.help
+
+
+def test_obs_dir_at_jobs_1_exits_1_and_writes_nothing(tmp_path, capsys):
+    obs_dir = tmp_path / "obs"
+    rc = main(
+        [
+            "--instructions", "2000",
+            "table2", "--pairs", "1",
+            "--resume", str(tmp_path / "ck.json"),
+            "--jobs", "1",
+            "--obs-dir", str(obs_dir),
+        ]
+    )
+    assert rc == 1
+    assert "ConfigError" in capsys.readouterr().err
+    assert not obs_dir.exists()
+
+
 def test_obs_top_once_without_heartbeat(tmp_path, capsys):
     rc = main(["obs", "top", str(tmp_path), "--once"])
     assert rc == 1

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.analysis.parallel import SweepJob
 from repro.common.config import scaled_experiment_config
 from repro.core.timecache import TimeCacheSystem
 from repro.memsys.hierarchy import AccessKind
@@ -20,7 +19,7 @@ from repro.obs.shards import (
     write_merged,
     write_shard,
 )
-from repro.robustness.supervisor import SupervisedSweepExecutor
+from repro.robustness.supervisor import SupervisedSweepExecutor, SweepJob
 
 LABELS = ("alpha", "beta", "gamma")
 

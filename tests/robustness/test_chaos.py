@@ -5,11 +5,9 @@ Also hosts the PR's acceptance test: a chaos-interrupted ``table2
 uninterrupted serial run.
 """
 
-import json
-
 import pytest
 
-from repro.analysis.cli import EXIT_OK, EXIT_PARTIAL, main
+from repro.analysis.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, main
 from repro.common.errors import FaultInjectionError
 from repro.robustness import safeio
 from repro.robustness.chaos import (
@@ -118,6 +116,21 @@ class TestChaosCli:
         )
         assert payload["silent_total"] == 0
         assert payload["total"] == 4  # one per model
+
+    def test_chaos_jobs_1_refuses_process_injections(self, tmp_path, capsys):
+        """Kill/hang injections sabotage worker processes; in-process
+        they would never happen, so scoring them would be a lie."""
+        code = main(
+            [
+                "chaos",
+                "--injections", "1",
+                "--jobs", "1",
+                "--workdir", str(tmp_path / "w"),
+            ]
+        )
+        assert code == EXIT_FATAL
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "jobs >= 2" in err
 
 
 PAIRS_ARGS = ["--instructions", "2000", "table2", "--pairs", "2", "--quiet"]

@@ -1,4 +1,9 @@
-"""Retry, graceful degradation, and checkpoint/resume for sweeps."""
+"""Retry, graceful degradation, and checkpoint/resume for sweeps.
+
+The executor-level tests run in-process (``jobs=1``), where job
+functions may be closures; ``tests/analysis/test_parallel.py`` holds
+the same contract against worker processes.
+"""
 
 import json
 
@@ -7,28 +12,36 @@ import pytest
 from repro.analysis.experiment import SimulationBudget
 from repro.analysis.runner import resilient_spec_pair_sweep
 from repro.common.errors import SimulationTimeout
-from repro.robustness.resilience import (
-    Checkpoint,
-    FailureRecord,
-    run_resilient_jobs,
-)
+from repro.robustness import supervisor
+from repro.robustness.resilience import Checkpoint, FailureRecord
+from repro.robustness.supervisor import SupervisedSweepExecutor, SweepJob
 
 
-def _noop_sleep(_):
-    pass
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Record backoff sleeps instead of waiting them out."""
+    waits = []
+    monkeypatch.setattr(supervisor.time, "sleep", waits.append)
+    return waits
 
 
+def run_jobs(jobs, **options):
+    """Run ``(label, fn)`` pairs through the in-process executor."""
+    executor = SupervisedSweepExecutor(1, **options)
+    return executor.run([SweepJob(label, fn) for label, fn in jobs])
+
+
+@pytest.mark.usefixtures("sleeps")
 class TestRetries:
     def test_all_jobs_succeed_first_try(self):
-        outcome = run_resilient_jobs(
-            [("a", lambda: 1), ("b", lambda: 2)], sleep=_noop_sleep
-        )
+        outcome = run_jobs([("a", lambda: 1), ("b", lambda: 2)])
         assert outcome.results == {"a": 1, "b": 2}
         assert outcome.complete
         assert outcome.ordered_results(["b", "a"]) == [2, 1]
 
     def test_transient_failure_is_retried(self):
         calls = {"n": 0}
+        events = []
 
         def flaky():
             calls["n"] += 1
@@ -36,35 +49,30 @@ class TestRetries:
                 raise RuntimeError("transient")
             return "ok"
 
-        outcome = run_resilient_jobs(
-            [("flaky", flaky)], retries=2, sleep=_noop_sleep
+        outcome = run_jobs(
+            [("flaky", flaky)],
+            retries=2,
+            on_event=lambda label, event: events.append(event),
         )
         assert outcome.results["flaky"] == "ok"
         assert calls["n"] == 3
+        assert events == ["retry", "retry", "ok"]
         assert outcome.complete
 
-    def test_backoff_is_exponential(self):
-        waits = []
-
+    def test_backoff_is_exponential(self, sleeps):
         def always_fails():
             raise RuntimeError("no")
 
-        run_resilient_jobs(
-            [("bad", always_fails)],
-            retries=3,
-            backoff_s=0.5,
-            sleep=waits.append,
-        )
-        assert waits == [0.5, 1.0, 2.0]
+        run_jobs([("bad", always_fails)], retries=3, backoff_s=0.5)
+        assert sleeps == [0.5, 1.0, 2.0]
 
     def test_exhausted_job_becomes_failure_record(self):
         def always_fails():
             raise ValueError("deterministic bug")
 
-        outcome = run_resilient_jobs(
+        outcome = run_jobs(
             [("good", lambda: 7), ("bad", always_fails), ("after", lambda: 8)],
             retries=1,
-            sleep=_noop_sleep,
         )
         # Graceful degradation: the good jobs' results survive.
         assert outcome.results == {"good": 7, "after": 8}
@@ -74,15 +82,17 @@ class TestRetries:
         assert failure.attempts == 2
         assert failure.error_type == "ValueError"
         assert "deterministic bug" in failure.message
+        assert "always_fails" in failure.traceback
 
     def test_keyboard_interrupt_is_not_swallowed(self):
         def interrupted():
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            run_resilient_jobs([("x", interrupted)], sleep=_noop_sleep)
+            run_jobs([("x", interrupted)])
 
 
+@pytest.mark.usefixtures("sleeps")
 class TestCheckpoint:
     def _checkpoint(self, path):
         return Checkpoint(
@@ -94,16 +104,14 @@ class TestCheckpoint:
         ran = []
 
         def job(label, value):
-            def thunk():
+            def fn():
                 ran.append(label)
                 return value
 
-            return (label, thunk)
+            return (label, fn)
 
-        first = run_resilient_jobs(
-            [job("a", 1), job("b", 2)],
-            checkpoint=self._checkpoint(path),
-            sleep=_noop_sleep,
+        first = run_jobs(
+            [job("a", 1), job("b", 2)], checkpoint=self._checkpoint(path)
         )
         assert first.results == {"a": 1, "b": 2}
         payload = json.loads(path.read_text())
@@ -111,10 +119,9 @@ class TestCheckpoint:
         assert set(payload["completed"]) == {"a", "b"}
 
         ran.clear()
-        second = run_resilient_jobs(
+        second = run_jobs(
             [job("a", 1), job("b", 2), job("c", 3)],
             checkpoint=self._checkpoint(path),
-            sleep=_noop_sleep,
         )
         assert ran == ["c"]  # completed jobs were not re-run
         assert second.resumed == ["a", "b"]
@@ -130,15 +137,11 @@ class TestCheckpoint:
             return 42
 
         jobs = [("ok", lambda: 1), ("sick", sometimes)]
-        first = run_resilient_jobs(
-            jobs, retries=1, checkpoint=self._checkpoint(path), sleep=_noop_sleep
-        )
+        first = run_jobs(jobs, retries=1, checkpoint=self._checkpoint(path))
         assert [f.label for f in first.failures] == ["sick"]
 
         healthy["now"] = True
-        second = run_resilient_jobs(
-            jobs, retries=1, checkpoint=self._checkpoint(path), sleep=_noop_sleep
-        )
+        second = run_jobs(jobs, retries=1, checkpoint=self._checkpoint(path))
         assert second.resumed == ["ok"]
         assert second.results["sick"] == 42
         assert second.complete

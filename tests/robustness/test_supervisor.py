@@ -12,10 +12,11 @@ import json
 
 import pytest
 
-from repro.analysis.parallel import SweepJob
+from repro.common.errors import ConfigError
 from repro.robustness.resilience import Checkpoint, FailureRecord
 from repro.robustness.supervisor import (
     SupervisedSweepExecutor,
+    SweepJob,
     load_quarantine_record,
     quarantine_record_path,
     write_quarantine_record,
@@ -177,6 +178,22 @@ class TestContractCompatibility:
         assert list(outcome.results) == [j.label for j in jobs]
 
 
+class TestInProcessMode:
+    """``jobs == 1`` runs in this process: worker-only options are
+    refused instead of silently dropped."""
+
+    def test_sabotage_needs_worker_processes(self):
+        with pytest.raises(ConfigError, match="sabotage_for.*jobs >= 2"):
+            SupervisedSweepExecutor(
+                1, sabotage_for=_sabotage("j0", {1: ("kill", 9)})
+            )
+
+    def test_obs_dir_needs_worker_processes(self, tmp_path):
+        with pytest.raises(ConfigError, match="obs_dir.*jobs >= 2"):
+            SupervisedSweepExecutor(1, obs_dir=tmp_path / "obs")
+        assert not (tmp_path / "obs").exists()
+
+
 class TestFailureRecordEnrichment:
     """Satellite: the enriched record schema stays backward-compatible."""
 
@@ -210,3 +227,36 @@ class TestFailureRecordEnrichment:
         assert record.seed == 5
         assert record.engine == "object"  # existing value wins
         assert record.batch_window == 4096
+
+
+class TestImportGraph:
+    def test_robustness_imports_no_analysis_module(self):
+        """The executor lives below the analysis layer: importing the
+        robustness package must not pull any of it in."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        probe = (
+            "import sys, repro.robustness as r; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.analysis'))); "
+            "print('__getattr__' in vars(r))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split("\n")
+        assert out[0] == "[]"
+        assert out[1] == "False"
