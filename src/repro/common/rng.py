@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import List, Sequence, TypeVar
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -53,6 +53,33 @@ class DeterministicRng:
 
     def random(self) -> float:
         return self._rng.random()
+
+    def bound_draws(
+        self,
+    ) -> Tuple[Callable[[int, int], int], Callable[[], float]]:
+        """``(randint, random)`` drawing from this stream, for hot loops.
+
+        ``randint(lo, hi)`` repeats what :meth:`random.Random.randint`
+        does for a non-empty range — CPython's
+        ``_randbelow_with_getrandbits`` rejection loop over
+        ``getrandbits`` — so both return the same values from the same
+        state and advance it alike, in one Python-level call per draw
+        where :meth:`randint` makes four.  ``random`` is the stream's
+        bound ``Random.random``.
+        """
+        getrandbits = self._rng.getrandbits
+
+        def randint(lo: int, hi: int) -> int:
+            n = hi - lo + 1
+            if n <= 0:
+                raise ValueError(f"empty range for randint({lo}, {hi})")
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return lo + r
+
+        return randint, self._rng.random
 
     def choice(self, seq: Sequence[T]) -> T:
         return self._rng.choice(seq)

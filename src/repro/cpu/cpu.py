@@ -6,15 +6,15 @@ count by one cycle per instruction plus the full latency of every memory
 operation — the blocking model the paper's gem5 evaluation uses.
 
 Scheduling decisions (who runs next, quantum expiry, context-switch cost)
-belong to the OS layer; the executor reports each step's outcome so the
-kernel can react.
+belong to the OS layer.  The kernel hands the executor a *slice* — an op
+budget and a time bound — and the executor reports how the slice ended
+so the kernel can react.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from repro.common.errors import ProgramError
 from repro.common.stats import StatGroup
@@ -27,7 +27,6 @@ from repro.cpu.isa import (
     Flush,
     Ifetch,
     Load,
-    Op,
     Rdtsc,
     SleepOp,
     Store,
@@ -36,16 +35,19 @@ from repro.cpu.isa import (
 from repro.cpu.program import ProgramGen
 from repro.memsys.hierarchy import AccessKind
 
-#: AccessRun kind code -> access kind (and the stat counter it bumps)
-_KIND_OF_CODE = {
-    "L": (AccessKind.LOAD, "loads"),
-    "S": (AccessKind.STORE, "stores"),
-    "I": (AccessKind.IFETCH, "ifetches"),
-}
+if TYPE_CHECKING:  # pragma: no cover - typing only (repro.os imports us)
+    from repro.os.tlb import Tlb
+
+_LOAD, _STORE, _IFETCH = AccessKind.LOAD, AccessKind.STORE, AccessKind.IFETCH
+#: AccessRun kind code -> access kind
+_KIND_OF_CODE = {"L": _LOAD, "S": _STORE, "I": _IFETCH}
+
+#: the time bound of a slice nothing else is waiting on
+_NO_DEADLINE = float("inf")
 
 
 class StepEvent(enum.Enum):
-    """What happened when the context executed one operation."""
+    """How the last operation of a step left the task."""
 
     RUNNING = "running"
     YIELDED = "yielded"
@@ -53,13 +55,14 @@ class StepEvent(enum.Enum):
     EXITED = "exited"
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """Result of one :meth:`HardwareContext.step` call."""
 
     event: StepEvent
     #: core-local wake time for SLEEPING, else None
     wake_at: Optional[int] = None
+    #: operations the step executed (a generator's end counts as one)
+    ops: int = 1
 
 
 #: translates a task virtual address to a physical address
@@ -75,24 +78,46 @@ class HardwareContext:
         #: core-local cycle counter (monotone for the context's lifetime)
         self.local_time = 0
         self.stats = StatGroup(f"ctx{ctx_id}")
+        bound = self.stats.bound_counter
+        self._instructions = bound("instructions")
+        self._loads = bound("loads")
+        self._stores = bound("stores")
+        self._ifetches = bound("ifetches")
+        self._flushes = bound("flushes")
         self._gen: Optional[ProgramGen] = None
         self._translate: Optional[Translator] = None
+        self._tlb: Optional["Tlb"] = None
         self._pending_result: object = None
-        self._started = False
 
     # ------------------------------------------------------------------
-    def install(self, gen: ProgramGen, translate: Translator) -> None:
-        """Bind a task's generator and address translation to this context."""
+    def install(
+        self,
+        gen: ProgramGen,
+        translate: Translator,
+        tlb: Optional["Tlb"] = None,
+        result: object = None,
+    ) -> None:
+        """Bind a task's generator and address translation to this context.
+
+        With a ``tlb``, translations go through it and each page walk's
+        cycles are charged to local time before the access issues.
+        ``result`` is what the generator receives for the op it yielded
+        last (``None`` for a fresh generator).
+        """
         self._gen = gen
         self._translate = translate
-        self._pending_result = None
-        self._started = False
+        self._tlb = tlb
+        self._pending_result = result
 
-    def uninstall(self) -> None:
+    def uninstall(self) -> object:
+        """Unbind the task; returns the result its last op is still owed,
+        for the ``install`` that resumes it."""
+        result = self._pending_result
         self._gen = None
         self._translate = None
+        self._tlb = None
         self._pending_result = None
-        self._started = False
+        return result
 
     @property
     def busy(self) -> bool:
@@ -103,114 +128,150 @@ class HardwareContext:
         return self.stats.get("instructions")
 
     # ------------------------------------------------------------------
-    def step(self) -> StepOutcome:
-        """Execute one operation of the installed task."""
-        if self._gen is None or self._translate is None:
-            raise ProgramError(f"ctx{self.ctx_id}: no task installed")
-        try:
-            if not self._started:
-                op = next(self._gen)
-                self._started = True
-            else:
-                op = self._gen.send(self._pending_result)
-        except StopIteration:
-            return StepOutcome(StepEvent.EXITED)
-        return self._execute(op)
+    def step(self, max_ops: int = 1, until: Optional[int] = None) -> StepOutcome:
+        """Execute up to ``max_ops`` operations of the installed task.
 
-    def _execute(self, op: Op) -> StepOutcome:
-        stats = self.stats
-        if isinstance(op, Load):
-            result = self.system.access(
-                self.ctx_id, self._translate(op.vaddr), AccessKind.LOAD, self.local_time
-            )
-            self.local_time += 1 + result.latency
-            stats.counter("instructions").add()
-            stats.counter("loads").add()
+        The step ends after the first op whose end time reaches
+        ``until``, after a yield, sleep or exit, or once ``max_ops`` ops
+        ran; the outcome says how many did.  ``step()`` runs exactly one.
+        Every op issues at the same core-local time it would one call at
+        a time, and the instruction and access counters are added once
+        per call.
+        """
+        gen = self._gen
+        translate = self._translate
+        if gen is None or translate is None:
+            raise ProgramError(f"ctx{self.ctx_id}: no task installed")
+        send = gen.send
+        tlb = self._tlb
+        system = self.system
+        access = system.access
+        ctx = self.ctx_id
+        if until is None:
+            until = _NO_DEADLINE
+        now = self.local_time
+        result = self._pending_result
+        ops = instructions = loads = stores = ifetches = flushes = 0
+        event = StepEvent.RUNNING
+        wake_at = None
+        try:
+            while True:
+                try:
+                    op = send(result)
+                except StopIteration:
+                    ops += 1
+                    event = StepEvent.EXITED
+                    break
+                ops += 1
+                cls = type(op)
+                if cls is Load:
+                    kind = _LOAD
+                    loads += 1
+                elif cls is Compute:
+                    count = op.instructions
+                    now += count
+                    instructions += count
+                    result = None
+                    if now >= until or ops >= max_ops:
+                        break
+                    continue
+                elif cls is Ifetch:
+                    kind = _IFETCH
+                    ifetches += 1
+                elif cls is Store:
+                    kind = _STORE
+                    stores += 1
+                else:  # timing, ordering, flush, batched runs, scheduling
+                    if cls is Rdtsc:
+                        now += 1
+                        instructions += 1
+                        result = now
+                    elif cls is Fence:
+                        now += 1
+                        instructions += 1
+                        result = None
+                    elif cls is Flush:
+                        if tlb is None:
+                            paddr = translate(op.vaddr)
+                        else:
+                            paddr, walk = tlb.translate(op.vaddr, translate)
+                            now += walk
+                        result = system.flush(ctx, paddr, now)
+                        now += 1 + result.latency
+                        instructions += 1
+                        flushes += 1
+                    elif cls is AccessRun:
+                        if tlb is None:
+                            paddrs = [translate(v) for v in op.vaddrs]
+                        else:
+                            paddrs = []
+                            for vaddr in op.vaddrs:
+                                paddr, walk = tlb.translate(vaddr, translate)
+                                now += walk
+                                paddrs.append(paddr)
+                        codes = op.kinds
+                        if len(codes) == 1:
+                            run_kinds = _KIND_OF_CODE[codes]
+                            codes *= len(paddrs)
+                        else:
+                            run_kinds = [_KIND_OF_CODE[c] for c in codes]
+                        batch = system.access_batch(
+                            ctx, paddrs, run_kinds, now=now, advance=1
+                        )
+                        # batch.now is exactly now + sum(1 + latency) over
+                        # the run — the clock a Load/Store/Ifetch sequence
+                        # reaches.
+                        now = batch.now
+                        instructions += len(paddrs)
+                        loads += codes.count("L")
+                        stores += codes.count("S")
+                        ifetches += codes.count("I")
+                        result = batch.results
+                    elif cls is YieldOp:
+                        now += 1
+                        instructions += 1
+                        result = None
+                        event = StepEvent.YIELDED
+                        break
+                    elif cls is SleepOp:
+                        now += 1
+                        instructions += 1
+                        result = None
+                        event = StepEvent.SLEEPING
+                        wake_at = now + op.cycles
+                        break
+                    elif cls is Exit:
+                        instructions += 1
+                        result = None
+                        event = StepEvent.EXITED
+                        break
+                    else:
+                        raise ProgramError(f"unknown operation {op!r}")
+                    if now >= until or ops >= max_ops:
+                        break
+                    continue
+                # Load, Ifetch, Store
+                if tlb is None:
+                    paddr = translate(op.vaddr)
+                else:
+                    paddr, walk = tlb.translate(op.vaddr, translate)
+                    now += walk
+                result = access(ctx, paddr, kind, now)
+                now += 1 + result.latency
+                instructions += 1
+                if now >= until or ops >= max_ops:
+                    break
+        finally:
+            self.local_time = now
             self._pending_result = result
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, Store):
-            result = self.system.access(
-                self.ctx_id, self._translate(op.vaddr), AccessKind.STORE, self.local_time
-            )
-            self.local_time += 1 + result.latency
-            stats.counter("instructions").add()
-            stats.counter("stores").add()
-            self._pending_result = result
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, Ifetch):
-            result = self.system.access(
-                self.ctx_id,
-                self._translate(op.vaddr),
-                AccessKind.IFETCH,
-                self.local_time,
-            )
-            self.local_time += 1 + result.latency
-            stats.counter("instructions").add()
-            stats.counter("ifetches").add()
-            self._pending_result = result
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, Flush):
-            result = self.system.flush(
-                self.ctx_id, self._translate(op.vaddr), self.local_time
-            )
-            self.local_time += 1 + result.latency
-            stats.counter("instructions").add()
-            stats.counter("flushes").add()
-            self._pending_result = result
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, AccessRun):
-            translate = self._translate
-            paddrs = [translate(v) for v in op.vaddrs]
-            n = len(paddrs)
-            if len(op.kinds) == 1:
-                kind, counter = _KIND_OF_CODE[op.kinds]
-                batch = self.system.access_batch(
-                    self.ctx_id, paddrs, kind, now=self.local_time, advance=1
-                )
-                stats.counter(counter).add(n)
-            else:
-                kinds = [_KIND_OF_CODE[c][0] for c in op.kinds]
-                batch = self.system.access_batch(
-                    self.ctx_id, paddrs, kinds, now=self.local_time, advance=1
-                )
-                for code, counter in (("L", "loads"), ("S", "stores"),
-                                      ("I", "ifetches")):
-                    count = op.kinds.count(code)
-                    if count:
-                        stats.counter(counter).add(count)
-            # batch.now is exactly local_time + sum(1 + latency) over the
-            # run — the same clock a Load/Store/Ifetch sequence reaches.
-            self.local_time = batch.now
-            stats.counter("instructions").add(n)
-            self._pending_result = batch.results
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, Compute):
-            self.local_time += op.instructions
-            stats.counter("instructions").add(op.instructions)
-            self._pending_result = None
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, Rdtsc):
-            self.local_time += 1
-            stats.counter("instructions").add()
-            self._pending_result = self.local_time
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, Fence):
-            self.local_time += 1
-            stats.counter("instructions").add()
-            self._pending_result = None
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, YieldOp):
-            self.local_time += 1
-            stats.counter("instructions").add()
-            self._pending_result = None
-            return StepOutcome(StepEvent.YIELDED)
-        if isinstance(op, SleepOp):
-            self.local_time += 1
-            stats.counter("instructions").add()
-            self._pending_result = None
-            return StepOutcome(StepEvent.SLEEPING, wake_at=self.local_time + op.cycles)
-        if isinstance(op, Exit):
-            stats.counter("instructions").add()
-            self._pending_result = None
-            return StepOutcome(StepEvent.EXITED)
-        raise ProgramError(f"unknown operation {op!r}")
+            if instructions:
+                self._instructions.add(instructions)
+            if loads:
+                self._loads.add(loads)
+            if stores:
+                self._stores.add(stores)
+            if ifetches:
+                self._ifetches.add(ifetches)
+            if flushes:
+                self._flushes.add(flushes)
+        return StepOutcome(event, wake_at, ops)

@@ -5,7 +5,10 @@
 scheduler.  It advances the machine by always stepping the busy hardware
 context with the *lowest* core-local time (exact event ordering across
 cores, the way a conservative discrete-event simulator would), enforcing
-the quantum, and performing context switches.
+the quantum, and performing context switches.  Each step runs a whole
+slice in one :meth:`~repro.cpu.cpu.HardwareContext.step` call: the ops
+the context would run back to back until the quantum expires, another
+context's time comes up, or the next stop check is due.
 
 A context switch is where the paper's software support runs: the kernel
 calls :meth:`TimeCacheSystem.context_switch`, which saves the outgoing
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.config import SimConfig
 from repro.common.errors import SchedulerError, SimulationTimeout
@@ -27,7 +30,7 @@ from repro.core.timecache import TimeCacheSystem
 from repro.cpu.cpu import HardwareContext, StepEvent
 from repro.os.process import Process, Task, TaskStatus
 from repro.os.scheduler import RoundRobinScheduler
-from repro.os.tlb import Tlb, tlb_wrapped_translator
+from repro.os.tlb import Tlb
 from repro.os.vm import PhysicalMemory
 
 
@@ -134,14 +137,12 @@ class Kernel:
             tlb = self._tlbs[ctx_id]
             if tlb is not None:
                 tlb.flush()  # CR3 write
-        translator = task.translator()
-        tlb = self._tlbs[ctx_id]
-        if tlb is not None:
-            def charge(cycles: int, hw=hw) -> None:
-                hw.local_time += cycles
-
-            translator = tlb_wrapped_translator(tlb, translator, charge)
-        hw.install(task.generator(), translator)
+        hw.install(
+            task.generator(),
+            task.translator(),
+            self._tlbs[ctx_id],
+            task.pending_result,
+        )
         self._current[ctx_id] = task
         self._slice_start[ctx_id] = hw.local_time
         self._dispatch_instr[ctx_id] = hw.instructions
@@ -155,27 +156,39 @@ class Kernel:
             raise SchedulerError(f"ctx{ctx_id}: nothing to undispatch")
         task.instructions += hw.instructions - self._dispatch_instr[ctx_id]
         task.cycles += hw.local_time - self._dispatch_time[ctx_id]
-        hw.uninstall()
+        task.pending_result = hw.uninstall()
         self._current[ctx_id] = None
         return task
 
     # ------------------------------------------------------------------
     # The stepping loop
     # ------------------------------------------------------------------
-    def _ctx_has_work(self, ctx_id: int) -> bool:
-        return self._current[ctx_id] is not None or self.scheduler.pending(ctx_id) > 0
+    def _pick_context(self) -> Tuple[Optional[int], Optional[int]]:
+        """The busy context with the lowest core-local time (the first
+        one on a tie), and the time at which another busy context would
+        be picked instead (``None`` when no other context is busy).
 
-    def _pick_context(self) -> Optional[int]:
-        """The busy context with the lowest core-local time."""
+        While the picked context runs, nothing else moves, so it stays
+        picked below every lower-indexed busy context's time and at or
+        below every higher-indexed one's.
+        """
+        current = self._current
+        pending = self.scheduler.pending
         best: Optional[int] = None
-        best_time = None
+        best_time = 0
+        bound: Optional[int] = None
         for ctx_id, hw in enumerate(self.contexts):
-            if not self._ctx_has_work(ctx_id):
-                continue
-            if best_time is None or hw.local_time < best_time:
-                best = ctx_id
-                best_time = hw.local_time
-        return best
+            if current[ctx_id] is None and pending(ctx_id) == 0:
+                continue  # idle: no running task, none queued or asleep
+            now = hw.local_time
+            if best is None:
+                best, best_time = ctx_id, now
+            elif now < best_time:
+                # every context seen so far is lower-indexed and no earlier
+                best, best_time, bound = ctx_id, now, best_time
+            elif bound is None or now + 1 < bound:
+                bound = now + 1
+        return best, bound
 
     def instructions_executed(self) -> int:
         """Instructions retired so far, including the running slices."""
@@ -238,6 +251,7 @@ class Kernel:
         wall_clock_budget_s: Optional[float],
         instruction_budget: Optional[int],
     ) -> RunSummary:
+        quantum = self.scheduler.quantum_cycles
         steps = 0
         while steps < max_steps:
             if steps % stop_check_interval == 0:
@@ -256,7 +270,7 @@ class Kernel:
                         f"instruction budget {instruction_budget} exceeded "
                         f"after {steps} steps"
                     )
-            ctx_id = self._pick_context()
+            ctx_id, until = self._pick_context()
             if ctx_id is None:
                 break  # machine fully idle: all tasks exited
             hw = self.contexts[ctx_id]
@@ -273,13 +287,25 @@ class Kernel:
                         )
                     hw.local_time = max(hw.local_time, wake)
                     continue
-            outcome = hw.step()
-            steps += 1
+            # One slice: every op this context runs before its quantum
+            # expires (if anyone waits), another context's turn comes, or
+            # the next stop check is due.
+            quantum_end = self._slice_start[ctx_id] + quantum
+            if until is None or quantum_end < until:
+                if self.scheduler.pending(ctx_id) > 0:
+                    until = quantum_end
+            outcome = hw.step(
+                min(
+                    stop_check_interval - steps % stop_check_interval,
+                    max_steps - steps,
+                ),
+                until,
+            )
+            steps += outcome.ops
             event = outcome.event
             if event is StepEvent.RUNNING:
                 if (
-                    hw.local_time - self._slice_start[ctx_id]
-                    >= self.scheduler.quantum_cycles
+                    hw.local_time >= quantum_end
                     and self.scheduler.pending(ctx_id) > 0
                 ):
                     preempted = self._undispatch(ctx_id)

@@ -73,6 +73,9 @@ class Task:
         #: core-local wake time when SLEEPING
         self.wake_at: Optional[int] = None
         self._gen: Optional[ProgramGen] = None
+        #: result of the task's last op, owed to its generator when the
+        #: task was switched out right after that op
+        self.pending_result: object = None
         #: instructions retired by this task (accumulated by the kernel)
         self.instructions = 0
         #: cycles this task has been charged (run time + switch costs)

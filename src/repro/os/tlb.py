@@ -5,7 +5,9 @@ memory operation; a real core caches those translations in a TLB and
 pays a page-table walk on a miss.  The TLB is flushed on a CR3 write —
 i.e. whenever the kernel switches the context to a different process —
 which adds a (small) per-switch warm-up cost on top of TimeCache's own
-bookkeeping.
+bookkeeping.  The kernel installs each context's TLB with the running
+task; the hardware context charges a miss's walk cycles to its local
+time before the access issues.
 
 Off by default (``SimConfig.tlb_entries == 0``): the paper's evaluation
 does not model TLBs, and the calibrated experiment numbers are produced
@@ -76,21 +78,3 @@ class Tlb:
     @property
     def occupancy(self) -> int:
         return len(self._map)
-
-
-def tlb_wrapped_translator(
-    tlb: Tlb, walker: Callable[[int], int], charge: Callable[[int], None]
-) -> Callable[[int], int]:
-    """Adapt a TLB to the CPU's plain ``vaddr -> paddr`` interface.
-
-    ``charge`` receives the walk cycles to add to the core's local time
-    (the kernel passes a closure over the hardware context).
-    """
-
-    def translate(vaddr: int) -> int:
-        paddr, extra = tlb.translate(vaddr, walker)
-        if extra:
-            charge(extra)
-        return paddr
-
-    return translate

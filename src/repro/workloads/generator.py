@@ -121,12 +121,13 @@ def _profile_ops(
     Shared by the process programs and the reference-stream producers so
     both draw the identical deterministic stream for a given rng state.
     """
+    randint, random = rng.bound_draws()
     hot_lines = max(1, int(profile.data_lines * profile.hot_set_fraction))
     ws_lines = profile.data_lines
     lib_lines = profile.shared_lib_lines
     code_lines = profile.code_lines
     retired = 0
-    stream_pos = rng.randint(0, ws_lines - 1)
+    stream_pos = randint(0, ws_lines - 1)
     stream_in_line = 0
     code_pos = 0
     since_ifetch = 0
@@ -137,12 +138,12 @@ def _profile_ops(
         since_ifetch += 1
         if since_ifetch >= profile.ifetch_every:
             since_ifetch = 0
-            if rng.random() < 0.15 and lib_lines > 0:
-                addr = LIB_BASE + rng.randint(0, lib_lines - 1) * line_bytes
+            if random() < 0.15 and lib_lines > 0:
+                addr = LIB_BASE + randint(0, lib_lines - 1) * line_bytes
             else:
                 code_pos = (code_pos + 1) % code_lines
-                if rng.random() < 0.1:  # branch: jump somewhere
-                    code_pos = rng.randint(0, code_lines - 1)
+                if random() < 0.1:  # branch: jump somewhere
+                    code_pos = randint(0, code_lines - 1)
                 addr = CODE_BASE + code_pos * line_bytes
             yield Ifetch(addr)
             retired += 1
@@ -152,34 +153,34 @@ def _profile_ops(
         since_syscall += 1
         if since_syscall >= profile.syscall_every:
             since_syscall = 0
-            start = rng.randint(0, KERNEL_LINES - 5)
+            start = randint(0, KERNEL_LINES - 5)
             for k in range(4):
                 yield Ifetch(KERNEL_BASE + (start + k) * line_bytes)
             retired += 4
             continue
 
-        if rng.random() < profile.mem_ratio:
+        if random() < profile.mem_ratio:
             # Data access: streaming, hot, or cold.
-            r = rng.random()
+            r = random()
             if r < profile.stream_fraction:
                 stream_in_line += 1
                 if stream_in_line >= profile.stream_accesses_per_line:
                     stream_in_line = 0
                     stream_pos = (stream_pos + 1) % ws_lines
                 index = stream_pos
-            elif rng.random() < profile.hot_fraction:
-                index = rng.randint(0, hot_lines - 1)
+            elif random() < profile.hot_fraction:
+                index = randint(0, hot_lines - 1)
             else:
-                index = rng.randint(0, ws_lines - 1)
+                index = randint(0, ws_lines - 1)
             addr = DATA_BASE + index * line_bytes
-            if rng.random() < profile.write_ratio:
+            if random() < profile.write_ratio:
                 yield Store(addr)
             else:
                 yield Load(addr)
             retired += 1
         else:
             # A run of ALU work between memory operations.
-            burst = rng.randint(1, 4)
+            burst = randint(1, 4)
             yield Compute(burst)
             retired += burst
 

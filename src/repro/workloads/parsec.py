@@ -48,6 +48,7 @@ def _thread_program(
     hot_lines = max(1, int(private_lines * profile.hot_set_fraction))
 
     def factory() -> ProgramGen:
+        randint, random = rng.bound_draws()
         retired = 0
         stream_pos = 0
         stream_in_line = 0
@@ -57,45 +58,45 @@ def _thread_program(
             since_ifetch += 1
             if since_ifetch >= profile.ifetch_every:
                 since_ifetch = 0
-                r = rng.random()
+                r = random()
                 if r < 0.1 and profile.shared_lib_lines > 0:
-                    line = rng.randint(0, profile.shared_lib_lines - 1)
+                    line = randint(0, profile.shared_lib_lines - 1)
                     yield Ifetch(LIB_BASE + line * line_bytes)
                 elif r < 0.13:
-                    line = rng.randint(0, KERNEL_LINES - 1)
+                    line = randint(0, KERNEL_LINES - 1)
                     yield Ifetch(KERNEL_BASE + line * line_bytes)
                 else:
                     code_pos = (code_pos + 1) % profile.code_lines
                     yield Ifetch(CODE_BASE + code_pos * line_bytes)
                 retired += 1
                 continue
-            if rng.random() < profile.mem_ratio:
-                r = rng.random()
+            if random() < profile.mem_ratio:
+                r = random()
                 if r < 0.08:
                     # read the shared input region (cross-thread sharing)
-                    index = rng.randint(0, shared_lines - 1)
+                    index = randint(0, shared_lines - 1)
                     yield Load(DATA_BASE + index * line_bytes)
                 else:
-                    if rng.random() < profile.stream_fraction:
+                    if random() < profile.stream_fraction:
                         stream_in_line += 1
                         if stream_in_line >= profile.stream_accesses_per_line:
                             stream_in_line = 0
                             stream_pos = (stream_pos + 1) % private_lines
                         index = private_base_line + stream_pos
-                    elif rng.random() < profile.hot_fraction:
-                        index = private_base_line + rng.randint(0, hot_lines - 1)
+                    elif random() < profile.hot_fraction:
+                        index = private_base_line + randint(0, hot_lines - 1)
                     else:
-                        index = private_base_line + rng.randint(
+                        index = private_base_line + randint(
                             0, private_lines - 1
                         )
                     addr = DATA_BASE + index * line_bytes
-                    if rng.random() < profile.write_ratio:
+                    if random() < profile.write_ratio:
                         yield Store(addr)
                     else:
                         yield Load(addr)
                 retired += 1
             else:
-                burst = rng.randint(1, 4)
+                burst = randint(1, 4)
                 yield Compute(burst)
                 retired += burst
         yield Exit()

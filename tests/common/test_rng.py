@@ -1,5 +1,7 @@
 """Unit tests for deterministic RNG streams."""
 
+import random
+
 import pytest
 
 from repro.common.rng import DeterministicRng
@@ -110,3 +112,26 @@ def test_choice_shuffle_sample_work():
     assert len(picked) == 3 and len(set(picked)) == 3
     rng.shuffle(seq)
     assert sorted(seq) == list(range(10))
+
+
+def test_bound_draws_match_random_randint():
+    """The bound ``randint`` returns what ``Random.randint`` returns,
+    draw for draw, over every range a workload profile can ask for, and
+    leaves the stream where ``Random`` would (checked through the
+    interleaved ``random`` draws)."""
+    from repro.workloads.profiles import PARSEC_PROFILES, SPEC_PROFILES
+
+    profiles = [*SPEC_PROFILES.values(), *PARSEC_PROFILES.values()]
+    widest = max(p.data_lines for p in profiles)
+    ranges = [(1, 4), (3, 3)] + [(0, hi) for hi in range(widest)]
+    randint, draw = DeterministicRng(11).bound_draws()
+    reference = random.Random(11)
+    for lo, hi in ranges:
+        assert randint(lo, hi) == reference.randint(lo, hi), (lo, hi)
+        assert draw() == reference.random()
+
+
+def test_bound_randint_rejects_empty_range():
+    randint, _ = DeterministicRng(1).bound_draws()
+    with pytest.raises(ValueError):
+        randint(5, 4)

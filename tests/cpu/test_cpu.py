@@ -143,3 +143,62 @@ def test_uninstall_clears_state(ctx):
     assert not ctx.busy
     with pytest.raises(ProgramError):
         ctx.step()
+
+
+def test_step_runs_a_slice_up_to_its_budget(ctx):
+    def gen():
+        while True:
+            yield Compute(10)
+
+    ctx.install(gen(), identity)
+    assert ctx.step().ops == 1
+    outcome = ctx.step(max_ops=5)
+    assert (outcome.event, outcome.ops) == (StepEvent.RUNNING, 5)
+    assert ctx.local_time == 60
+    assert ctx.instructions == 60
+
+
+def test_step_stops_after_the_op_that_reaches_until(ctx):
+    def gen():
+        while True:
+            yield Compute(10)
+
+    ctx.install(gen(), identity)
+    outcome = ctx.step(max_ops=100, until=25)
+    assert outcome.ops == 3 and ctx.local_time == 30  # 30 is the first >= 25
+    # a bound already passed still runs one op
+    assert ctx.step(max_ops=100, until=0).ops == 1
+
+
+def test_scheduling_ops_end_a_slice(ctx):
+    def gen():
+        yield Compute(1)
+        yield YieldOp()
+        yield Compute(1)
+        yield SleepOp(50)
+        yield Compute(1)
+        yield Exit()
+        yield Compute(1)  # never reached
+
+    ctx.install(gen(), identity)
+    assert ctx.step(max_ops=10) == (StepEvent.YIELDED, None, 2)
+    assert ctx.step(max_ops=10) == (StepEvent.SLEEPING, ctx.local_time + 50, 2)
+    assert ctx.step(max_ops=10) == (StepEvent.EXITED, None, 2)
+    assert ctx.instructions == 6
+
+
+def test_uninstall_hands_back_the_pending_result(ctx):
+    seen = []
+
+    def gen():
+        seen.append((yield Rdtsc()))
+        yield Exit()
+
+    program = gen()
+    ctx.install(program, identity)
+    ctx.step()
+    owed = ctx.uninstall()
+    assert owed == ctx.local_time == 1
+    ctx.install(program, identity, result=owed)
+    assert ctx.step().event is StepEvent.EXITED
+    assert seen == [1]

@@ -1,6 +1,7 @@
 """Integration tests for the kernel: dispatch, quanta, switches, sleep."""
 
-from repro.cpu.isa import Compute, Exit, Load, SleepOp, Store, YieldOp
+from repro.common import scaled_experiment_config
+from repro.cpu.isa import Compute, Exit, Load, Rdtsc, SleepOp, Store, YieldOp
 from repro.cpu.program import Program
 from repro.os.kernel import Kernel
 
@@ -230,3 +231,48 @@ def test_budgetless_run_leaves_seam_disarmed(config):
     kernel.submit(task)
     kernel.run()
     assert kernel.system.hierarchy.batch_deadline is None
+
+
+def test_preempted_task_receives_its_last_result():
+    """A task switched out right after an op gets that op's result when
+    it resumes, not None (the rdtsc here is often the quantum's last op)."""
+    kernel = Kernel(scaled_experiment_config(quantum_cycles=100, engine="fast"))
+    pa, pb = kernel.create_process("a"), kernel.create_process("b")
+    stamps = []
+
+    def timer():
+        for _ in range(50):
+            yield Compute(49)
+            stamps.append((yield Rdtsc()))
+        yield Exit()
+
+    def worker():
+        for _ in range(50):
+            yield Compute(40)
+        yield Exit()
+
+    ta = pa.spawn(Program("timer", timer), affinity=0)
+    tb = pb.spawn(Program("worker", worker), affinity=0)
+    kernel.submit(ta)
+    kernel.submit(tb)
+    summary = kernel.run()
+    assert kernel.all_done()
+    assert summary.context_switches > 20  # many preemptions happened
+    assert None not in stamps
+    assert stamps == sorted(stamps) and len(set(stamps)) == 50
+
+
+def test_generous_budgets_let_the_run_finish():
+    """Armed but unreached watchdog budgets change nothing."""
+    summaries = []
+    for budgets in ({}, {"wall_clock_budget_s": 600.0, "instruction_budget": 10**9}):
+        kernel = Kernel(tiny_config(quantum=100))
+        for name in ("a", "b"):
+            process = kernel.create_process(name)
+            kernel.submit(
+                process.spawn(simple_program(name, [Compute(40)] * 30 + [Exit()]))
+            )
+        summaries.append(kernel.run(**budgets))
+        assert kernel.all_done()
+    assert summaries[0].steps == summaries[1].steps == 62
+    assert summaries[0].makespan == summaries[1].makespan

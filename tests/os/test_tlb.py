@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.timecache import TimeCacheSystem
+from repro.cpu.cpu import HardwareContext
 from repro.cpu.isa import Compute, Exit, Load
 from repro.cpu.program import Program
 from repro.os.kernel import Kernel
-from repro.os.tlb import Tlb, tlb_wrapped_translator
+from repro.os.tlb import Tlb
 
 from tests.conftest import tiny_config
 
@@ -50,16 +52,32 @@ class TestTlbUnit:
         with pytest.raises(ValueError):
             Tlb(entries=1, walk_cycles=-1)
 
-    def test_wrapped_translator_charges(self):
-        tlb = Tlb(entries=4, walk_cycles=25)
-        charged = []
-        translate = tlb_wrapped_translator(
-            tlb, self.walker, charged.append
+
+
+class TestTlbOnContext:
+    def test_context_charges_walk_before_access(self):
+        """A miss's walk cycles land on local time before the access
+        issues; a hit charges nothing."""
+        system = TimeCacheSystem(tiny_config())
+        issued = []
+        access = system.access
+        system.access = lambda ctx, addr, kind, now: (
+            issued.append((addr, now)) or access(ctx, addr, kind, now)
         )
-        assert translate(0x5000) == 0x1000_5000
-        assert charged == [25]
-        translate(0x5010)
-        assert charged == [25]  # hit: nothing more charged
+        ctx = HardwareContext(0, system)
+        tlb = Tlb(entries=4, walk_cycles=25)
+
+        def prog():
+            yield Load(0x5000)
+            yield Load(0x5010)  # same page
+
+        ctx.install(prog(), lambda vaddr: vaddr + 0x1000_0000, tlb)
+        ctx.step()
+        assert issued == [(0x1000_5000, 25)]
+        issue_time = ctx.local_time
+        ctx.step()
+        assert issued[1] == (0x1000_5010, issue_time)
+        assert (tlb.stats.get("misses"), tlb.stats.get("hits")) == (1, 1)
 
 
 class TestTlbInKernel:
