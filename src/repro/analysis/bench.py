@@ -11,28 +11,15 @@ watch.  The workloads:
   vectorized ``fast_compare`` over the same timestamp array;
 * ``hierarchy_access``  — raw access throughput through the modeled
   L1/LLC hierarchy with TimeCache enabled;
-* ``hierarchy_access_batched`` — ``access_batch`` throughput over the
-  hot/cold reference trace, with the same trace driven scalar recorded
-  alongside (``batch_speedup``);
 * ``hierarchy_access_traced`` — the same access trace under the
   observability layer: no tracer, a disabled tracer (the production
   default, gated at <5% overhead), and an enabled tracer streaming
   JSONL;
-* ``fill_kernel``       — a cold sweep of distinct lines through
-  ``access_batch``: every access is a miss + fill, so the median times
-  the batched fill path end to end (events/s in ``extra``);
-* ``evict_kernel``      — the same sweep against a warmed hierarchy:
-  every fill must evict a victim first, timing victim selection +
-  eviction bookkeeping at steady state;
-* ``sbit_miss_kernel``  — context switch to a fresh task, then re-touch
-  an L1-resident working set: every access is a first-access s-bit miss
-  on a resident line (TimeCache's signature event), timing the batched
-  s-bit miss-resolution cohort;
 * ``sweep_parallel``    — a small SPEC pair sweep at ``--jobs 1`` vs
   ``--jobs N``, recording the worker-process speedup.
 
 The engine-shaped workloads (``single_config``, ``hierarchy_access``,
-``hierarchy_access_batched``, ``sweep_parallel``) accept
+``hierarchy_access_traced``, ``sweep_parallel``) accept
 ``engine="object"|"fast"`` and, under the
 fast engine, record under a ``_fast``-suffixed name so a baseline file
 holds one entry per engine.  A workload can also *decline* to produce a
@@ -67,11 +54,7 @@ DEFAULT_THRESHOLD = 0.20
 ENGINE_AWARE = (
     "single_config",
     "hierarchy_access",
-    "hierarchy_access_batched",
     "hierarchy_access_traced",
-    "fill_kernel",
-    "evict_kernel",
-    "sbit_miss_kernel",
     "sweep_parallel",
 )
 
@@ -240,67 +223,6 @@ def bench_hierarchy_access(
     )
 
 
-def bench_hierarchy_access_batched(
-    quick: bool = False, engine: str = "object"
-) -> BenchResult:
-    """Batched-run throughput through the modeled hierarchy.
-
-    Drives the shared hot/cold reference trace (99.5% of loads over 8
-    hot lines — the cache-friendly regime real workload phases spend
-    most of their time in, and the one the batched path exists for)
-    through ``access_batch`` in one run per repeat.  ``extra`` records
-    the *same trace* driven through the scalar ``access`` loop and the
-    resulting ``batch_speedup``, so the number is honest about what
-    batching buys on identical work.  The miss-heavy uniform trace of
-    ``hierarchy_access`` is deliberately left to the scalar arm.
-    """
-    import dataclasses
-
-    from repro.analysis.runner import hot_cold_reference_trace
-    from repro.core.timecache import TimeCacheSystem
-    from repro.memsys.hierarchy import AccessKind
-    from repro.robustness.campaign import campaign_config
-
-    accesses = 20_000 if quick else 100_000
-    config = campaign_config(seed=7)
-    if engine != config.hierarchy.engine:
-        config = dataclasses.replace(
-            config,
-            hierarchy=dataclasses.replace(config.hierarchy, engine=engine),
-        )
-    addrs = hot_cold_reference_trace(
-        accesses, line_bytes=config.hierarchy.line_bytes, seed=7
-    )
-    load = AccessKind.LOAD
-    repeats = 3 if quick else 5
-
-    def drive_batched() -> None:
-        system = TimeCacheSystem(config)
-        system.hierarchy.access_batch(0, addrs, load, now=0, advance=0)
-
-    def drive_scalar() -> None:
-        system = TimeCacheSystem(config)
-        access = system.hierarchy.access
-        now = 0
-        for addr in addrs:
-            now += access(0, addr, load, now).latency
-
-    runs = _time_runs(drive_batched, repeats)
-    scalar_runs = _time_runs(drive_scalar, repeats)
-    median = statistics.median(runs)
-    scalar_median = statistics.median(scalar_runs)
-    return BenchResult(
-        name="hierarchy_access_batched",
-        runs=runs,
-        extra={
-            "accesses": float(accesses),
-            "accesses_per_s": accesses / median,
-            "scalar_median_s": scalar_median,
-            "batch_speedup": scalar_median / median if median else 0.0,
-        },
-    )
-
-
 def bench_hierarchy_access_traced(
     quick: bool = False, engine: str = "object"
 ) -> BenchResult:
@@ -389,159 +311,6 @@ def bench_hierarchy_access_traced(
     )
 
 
-def _kernel_bench_setup(engine: str, l1_kib: int = 4, llc_kib: int = 128):
-    """System factory + AccessKind for the kernel-level microbenches."""
-    from repro.common.config import scaled_experiment_config
-    from repro.core.timecache import TimeCacheSystem
-    from repro.memsys.hierarchy import AccessKind
-
-    config = scaled_experiment_config(
-        l1_kib=l1_kib, llc_kib=llc_kib, seed=7, engine=engine
-    )
-    line = config.hierarchy.line_bytes
-    return (lambda: TimeCacheSystem(config)), line, AccessKind.LOAD
-
-
-def _timed_batches(make_system, addrs, load, repeats, warm_passes=0):
-    """Time ``access_batch`` over ``addrs`` on a fresh system per repeat,
-    optionally warming the hierarchy with untimed passes first."""
-    runs: List[float] = []
-    for _ in range(repeats):
-        system = make_system()
-        for _ in range(warm_passes):
-            system.hierarchy.access_batch(0, addrs, load, now=0, advance=0)
-        start = time.perf_counter()
-        system.hierarchy.access_batch(0, addrs, load, now=0, advance=0)
-        runs.append(time.perf_counter() - start)
-    return runs
-
-
-def _kernel_phase_extra(make_system, addrs, load, warm_passes=0):
-    """Per-phase time breakdown from one extra *untimed* instrumented pass.
-
-    Runs the same batch once more on a fresh system with a
-    :class:`~repro.obs.spans.PhaseAccumulator` attached, so the timed
-    runs above stay uninstrumented while the result still records where
-    the kernel spends its time.  Keys are flattened into ``extra`` as
-    ``phase_<name>_s`` / ``phase_share_<name>`` floats.
-    """
-    from repro.obs.spans import PhaseAccumulator
-
-    system = make_system()
-    for _ in range(warm_passes):
-        system.hierarchy.access_batch(0, addrs, load, now=0, advance=0)
-    acc = PhaseAccumulator()
-    system.hierarchy.kernel_profiler = acc
-    system.hierarchy.access_batch(0, addrs, load, now=0, advance=0)
-    system.hierarchy.kernel_profiler = None
-    summary = acc.summary()
-    extra: Dict[str, float] = {
-        "phase_total_s": summary["total_ns"] / 1e9,
-    }
-    for phase, ns in summary["phase_ns"].items():
-        extra[f"phase_{phase}_s"] = ns / 1e9
-    for phase, share in summary["phase_share"].items():
-        extra[f"phase_share_{phase}"] = round(share, 4)
-    for key in ("windows", "events", "cuts", "replans"):
-        extra[f"phase_{key}"] = float(summary[key])
-    if "plan_events_per_s" in summary:
-        extra["plan_events_per_s"] = summary["plan_events_per_s"]
-    return extra
-
-
-def bench_fill_kernel(quick: bool = False, engine: str = "object") -> BenchResult:
-    """Batched miss + fill throughput: a cold sweep of distinct lines.
-
-    Every access is an L1 miss that fills both levels (the pool fits
-    the LLC, so the sweep exercises the vectorized fill kernel, not
-    the LLC-capacity scalar boundary).  ``events_per_s`` is the
-    kernel-level number the vectorized fill path is gated on.
-    """
-    make_system, line, load = _kernel_bench_setup(engine, llc_kib=1024)
-    events = 4_000 if quick else 12_000
-    addrs = [i * line for i in range(events)]
-    runs = _timed_batches(
-        make_system, addrs, load, repeats=5 if quick else 9
-    )
-    median = statistics.median(runs)
-    extra = {
-        "events": float(events),
-        "events_per_s": events / median if median else 0.0,
-    }
-    extra.update(_kernel_phase_extra(make_system, addrs, load))
-    return BenchResult(name="fill_kernel", runs=runs, extra=extra)
-
-
-def bench_evict_kernel(quick: bool = False, engine: str = "object") -> BenchResult:
-    """Batched L1 eviction throughput: a working set that fits the LLC
-    but overflows the L1 many times over, driven at steady state.
-
-    The hierarchy is warmed with an untimed pass first, so every timed
-    access is an L1 miss whose fill has to select a victim and evict it
-    (victim rehearsal, dirty/counter bookkeeping, tag maintenance)
-    before re-installing the line from an LLC hit.
-    """
-    make_system, line, load = _kernel_bench_setup(engine)
-    events = 20_000 if quick else 100_000
-    pool = 1_500
-    addrs = [((i * 131) % pool) * line for i in range(events)]
-    runs = _timed_batches(
-        make_system, addrs, load, repeats=3 if quick else 5, warm_passes=1
-    )
-    median = statistics.median(runs)
-    extra = {
-        "events": float(events),
-        "events_per_s": events / median if median else 0.0,
-    }
-    extra.update(_kernel_phase_extra(make_system, addrs, load, warm_passes=1))
-    return BenchResult(name="evict_kernel", runs=runs, extra=extra)
-
-
-def bench_sbit_miss_kernel(
-    quick: bool = False, engine: str = "object"
-) -> BenchResult:
-    """Batched s-bit first-access-miss throughput.
-
-    A working set resident in a large L1 is re-touched right after a
-    context switch to a brand-new task: the tags all hit but every
-    s-bit is clear, so each access is TimeCache's forced first-access
-    miss on a resident line — the event the defense makes ubiquitous
-    and the batched cohort path exists for.  Each timed run performs
-    several switch + full-sweep rounds.
-    """
-    make_system, line, load = _kernel_bench_setup(engine, l1_kib=64, llc_kib=256)
-    lines_resident = 768
-    rounds = 4 if quick else 16
-    addrs = [i * line for i in range(lines_resident)]
-    events = lines_resident * rounds
-    repeats = 3 if quick else 5
-    runs: List[float] = []
-    for _ in range(repeats):
-        system = make_system()
-        # warm: fill the working set into L1 for task 0
-        out = system.hierarchy.access_batch(0, addrs, load, now=0, advance=0)
-        now = out.now
-        task = 0
-        start = time.perf_counter()
-        for _ in range(rounds):
-            task += 1
-            cost = system.context_switch(task - 1, task, 0, now)
-            now += cost.dma_cycles
-            out = system.hierarchy.access_batch(0, addrs, load, now=now, advance=0)
-            now = out.now
-        runs.append(time.perf_counter() - start)
-    median = statistics.median(runs)
-    return BenchResult(
-        name="sbit_miss_kernel",
-        runs=runs,
-        extra={
-            "events": float(events),
-            "rounds": float(rounds),
-            "events_per_s": events / median if median else 0.0,
-        },
-    )
-
-
 def bench_sweep_parallel(
     quick: bool = False, jobs: Optional[int] = None, engine: str = "object"
 ) -> BenchResult:
@@ -603,11 +372,7 @@ BENCHMARKS: Dict[str, Callable[..., BenchResult]] = {
     "single_config": bench_single_config,
     "comparator": bench_comparator,
     "hierarchy_access": bench_hierarchy_access,
-    "hierarchy_access_batched": bench_hierarchy_access_batched,
     "hierarchy_access_traced": bench_hierarchy_access_traced,
-    "fill_kernel": bench_fill_kernel,
-    "evict_kernel": bench_evict_kernel,
-    "sbit_miss_kernel": bench_sbit_miss_kernel,
     "sweep_parallel": bench_sweep_parallel,
 }
 
@@ -795,30 +560,8 @@ def render_results(results: Mapping[str, BenchResult]) -> str:
             extras = f"  fast_speedup {result.extra['fast_speedup']:.1f}x"
         elif "accesses_per_s" in result.extra:
             extras = f"  {result.extra['accesses_per_s']:,.0f} accesses/s"
-        elif "events_per_s" in result.extra:
-            extras = f"  {result.extra['events_per_s']:,.0f} events/s"
         lines.append(
             f"{name:<18} median {result.median_s:.4f}s over "
             f"{len(result.runs)} run(s){extras}"
         )
-        if "phase_total_s" in result.extra:
-            from repro.obs.spans import KERNEL_PHASES
-
-            parts = []
-            for phase in KERNEL_PHASES:
-                share = result.extra.get(f"phase_share_{phase}", 0.0)
-                if share:
-                    parts.append(f"{phase} {share:.0%}")
-            if parts:
-                lines.append(
-                    f"  phases ({result.extra['phase_total_s']:.4f}s): "
-                    + "  ".join(parts)
-                )
-        speedup = result.extra.get("batch_speedup")
-        if speedup is not None and speedup < 1.0:
-            lines.append(
-                f"  !! {name}: batching is SLOWER than the scalar loop "
-                f"(batch_speedup {speedup:.2f}x) — known cost on the "
-                f"object engine, see benchmarks/perf/README.md"
-            )
     return "\n".join(lines)

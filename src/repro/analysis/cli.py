@@ -751,8 +751,9 @@ def _render_obs_top(console: Console, obs_dir: str) -> Optional[str]:
         state = "ok" if shard.get("ok", True) else "FAILED"
         lines.append(
             f"  {state:<4} {shard.get('label', path.stem):<24} "
-            f"counters {len(counts)}  kernel windows "
-            f"{phases.get('windows', 0)}  attempt {shard.get('attempt', 1)}"
+            f"counters {len(counts)}  batched accesses "
+            f"{phases.get('scalar_accesses', 0)}  "
+            f"attempt {shard.get('attempt', 1)}"
         )
     console.result("\n".join(lines))
     return str(hb.get("status", ""))

@@ -42,16 +42,10 @@ from repro.workloads.mixes import (
 def _sweep_provenance(config: SimConfig, seed: int) -> Dict[str, object]:
     """Per-job provenance stamped onto FailureRecords by the sweep
     executor: enough to re-run (and blame) one quarantined cell."""
-    from repro.memsys.fastengine import FastHierarchy
-
-    engine = config.hierarchy.engine
     return {
         "seed": seed,
-        "engine": engine,
+        "engine": config.hierarchy.engine,
         "config_sha256": config_fingerprint(config),
-        "batch_window": (
-            FastHierarchy._BATCH_WINDOW_MAX if engine == "fast" else None
-        ),
     }
 
 
@@ -298,14 +292,10 @@ def hot_cold_reference_trace(
     ``hot_fraction`` of the accesses land on ``hot_lines`` distinct
     lines, the rest on a ``pool_lines``-line cold pool — the
     cache-friendly regime real workload phases spend most of their time
-    in (and the one the batched access path exists for).  Shared by the
-    ``hierarchy_access_batched`` bench arm and the batched-replay
-    sweeps so both measure the same stream.
+    in.  The batched-replay sweeps replay it through ``access_batch``.
 
-    The trace comes back as an ``array('q')``: it indexes and iterates
-    as plain Python ints for the scalar loops, but the fast engine's
-    ``access_batch`` ingests it zero-copy through the buffer protocol
-    instead of boxing 10^5 list elements into an int64 array per call.
+    The trace comes back as an ``array('q')``, which indexes and
+    iterates as plain Python ints.
     """
     from array import array
 

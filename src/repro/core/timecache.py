@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.common.clock import GlobalClock
 from repro.common.config import SimConfig
-from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
 from repro.core.context import ContextSwitchEngine, SwitchCost
 from repro.core.sbits import TaskCachingState
@@ -78,26 +77,7 @@ class TimeCacheSystem:
 
             self.defense = get_defense(config.defense)
             self.defense.check_engine(config)
-            listeners_before = len(self.hierarchy.pre_access_listeners) + len(
-                self.hierarchy.post_access_listeners
-            )
             self.defense_state = self.defense.attach(self)
-            attached_listeners = (
-                len(self.hierarchy.pre_access_listeners)
-                + len(self.hierarchy.post_access_listeners)
-                - listeners_before
-            )
-            if (
-                attached_listeners
-                and config.hierarchy.engine == "fast"
-                and self.defense.fast_engine == "kernel"
-            ):
-                raise ConfigError(
-                    f"defense {config.defense!r} attaches per-access hooks, "
-                    f"which the fast engine's in-kernel batched path cannot "
-                    f"honor; declare fast_engine='scalar' (announced scalar "
-                    f"fallback) or fall back to engine='object'"
-                )
         self._task_state: Dict[int, TaskCachingState] = {}
         #: partitioning baseline: security domain per task id (assigned
         #: round-robin on first sight, like CLOS assignment per process)
@@ -117,8 +97,8 @@ class TimeCacheSystem:
         # Profiling sessions install process-globally (sweep jobs build
         # their systems many layers below the code that turned profiling
         # on); construction is the one moment both sides are in scope.
-        # Without a session this is one None check — the hot paths keep
-        # their ``kernel_profiler is None`` branch untouched.
+        # Without a session this is one None check — ``access_batch``
+        # keeps its ``kernel_profiler is None`` branch untouched.
         _session = current_session()
         if _session is not None:
             _session.attach_system(self)
@@ -148,17 +128,15 @@ class TimeCacheSystem:
 
         Semantically identical to calling :meth:`access` in a loop with
         the blocking-CPU time rule (see
-        :meth:`~repro.memsys.hierarchy.MemoryHierarchy.access_batch`);
-        on the fast engine the run executes vectorized.  ``now`` defaults
-        to the global clock.  Context switches and flushes are batch
-        boundaries — issue them between calls.
+        :meth:`~repro.memsys.hierarchy.MemoryHierarchy.access_batch`).
+        ``now`` defaults to the global clock.  Context switches and
+        flushes are batch boundaries — issue them between calls.
         """
         when = self.clock.now if now is None else now
         if self._addr_offset is not None:
             offset = self._addr_offset(ctx)
             if offset:
-                # One context per batch, so the remap is a constant shift
-                # — the fast engine's batched kernels stay eligible.
+                # One context per batch, so the remap is a constant shift.
                 addrs = [int(addr) + offset for addr in addrs]
         return self.hierarchy.access_batch(
             ctx, addrs, kinds, now=when, advance=advance, nows=nows

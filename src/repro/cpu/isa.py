@@ -69,10 +69,10 @@ class AccessRun(Op):
     ``kinds`` is a string of per-access codes — ``L`` (load), ``S``
     (store), ``I`` (instruction fetch) — either a single code applied to
     every address or one code per address.  The CPU executes the whole
-    run atomically with the same per-operation timing as the equivalent
-    ``Load``/``Store``/``Ifetch`` sequence (on the fast engine through
-    the vectorized batched path), and the program receives the list of
-    per-access results instead of a single result.
+    run atomically through ``access_batch`` with the same per-operation
+    timing as the equivalent ``Load``/``Store``/``Ifetch`` sequence, and
+    the program receives the list of per-access results instead of a
+    single result.
     """
 
     __slots__ = ("vaddrs", "kinds")

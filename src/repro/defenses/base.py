@@ -25,21 +25,13 @@ selective flushing and CACHEBAR-style copy-on-access need only the hooks.
 Engine capability
 -----------------
 
-The fast engine's batched miss-resolution kernels (docs/internals.md §15)
-cannot call back into Python per access.  Each defense therefore declares
-``fast_engine``:
-
-* ``"kernel"`` — no per-access hooks; the in-kernel batched path stays
-  eligible (TimeCache, the baseline control, copy-on-access: its remap
-  happens at the facade, before the hierarchy is entered);
-* ``"scalar"`` — the defense attaches per-access listeners, which force
-  the fast engine onto its scalar reference loop (selective flushing);
-  correct, just slower — the capability declaration is what makes the
-  degradation an announced contract instead of a silent one;
-* ``"none"`` — the combination is unsupported:
-  :meth:`Defense.check_engine` raises a typed
-  :class:`~repro.common.errors.ConfigError` naming the fallback, the
-  same way the fast engine rejects tree-plru replacement.
+Each defense declares ``fast_engine``: True (the default) when it runs
+on the fast engine, False when :meth:`Defense.check_engine` must reject
+``engine='fast'`` with a typed :class:`~repro.common.errors.ConfigError`
+naming the object-engine fallback, the same way the fast engine rejects
+tree-plru replacement.  Per-access listeners need no declaration: both
+engines run every batched access through their scalar ``access``, which
+calls them.
 """
 
 from __future__ import annotations
@@ -53,9 +45,6 @@ from repro.core.context import SwitchCost
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.timecache import TimeCacheSystem
-
-#: the declared fast-engine capability levels, strongest first
-FAST_ENGINE_MODES = ("kernel", "scalar", "none")
 
 
 class Defense:
@@ -74,9 +63,9 @@ class Defense:
     #: control cells to the *sanity* direction (the attack must keep
     #: leaking) instead of the defense-regression direction
     is_control: bool = False
-    #: fast-engine capability: "kernel" | "scalar" | "none" (see module
-    #: docstring)
-    fast_engine: str = "kernel"
+    #: False when this defense cannot run on the fast engine (see the
+    #: module docstring)
+    fast_engine: bool = True
 
     # ------------------------------------------------------------------
     # config transform
@@ -97,7 +86,7 @@ class Defense:
         """Raise :class:`ConfigError` when this defense cannot run on the
         configured engine, naming the fallback — mirroring the fast
         engine's tree-plru rejection."""
-        if config.hierarchy.engine == "fast" and self.fast_engine == "none":
+        if config.hierarchy.engine == "fast" and not self.fast_engine:
             raise ConfigError(
                 f"defense {self.name!r} does not support engine='fast'; "
                 f"fall back to engine='object' (the reference model)"

@@ -13,8 +13,7 @@ Cost models (docs/internals.md §17):
 * **selective_flush** — FASE: at each reschedule, flush only the lines
   the switching-out context actually touched since it was switched in.
   Cost is ``flush_cached`` cycles per flushed line, charged through the
-  scheduler like the s-bit DMA; per-access tracking forces the fast
-  engine's scalar loop (``fast_engine="scalar"``).
+  scheduler like the s-bit DMA.
 * **copy_on_access** — CACHEBAR: every security domain gets its own copy
   of any shared line, so reuse channels (flush+reload, flush+flush,
   evict+reload) lose their shared-line signal.  Modeled as a tenant tag
@@ -25,7 +24,7 @@ Cost models (docs/internals.md §17):
   another's copy.  The cost is emergent — extra cold misses and cache
   pressure from the duplicated footprint — so no explicit switch cost
   is charged; the remap is pure arithmetic before the hierarchy is
-  entered, which keeps the fast engine's batched kernels eligible.
+  entered.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ class TimeCacheDefense(Defense):
 
     name = "timecache"
     summary = "per-context s-bits + Tc timestamps (the paper's defense)"
-    fast_engine = "kernel"
 
     def configure(self, config: SimConfig) -> SimConfig:
         return super().configure(config.with_timecache(enabled=True))
@@ -59,7 +57,6 @@ class BaselineControl(Defense):
     name = "baseline"
     summary = "unmodified cache (control arm; attacks must leak here)"
     is_control = True
-    fast_engine = "kernel"
 
     def configure(self, config: SimConfig) -> SimConfig:
         return super().configure(config.baseline())
@@ -78,7 +75,6 @@ class SelectiveFlushDefense(Defense):
 
     name = "selective_flush"
     summary = "FASE: flush the switching context's touched lines"
-    fast_engine = "scalar"
 
     def configure(self, config: SimConfig) -> SimConfig:
         return super().configure(config.baseline())
@@ -139,7 +135,6 @@ class CopyOnAccessDefense(Defense):
 
     name = "copy_on_access"
     summary = "CACHEBAR: per-tenant line copies break shared-line reuse"
-    fast_engine = "kernel"
 
     def configure(self, config: SimConfig) -> SimConfig:
         return super().configure(config.baseline())

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.common.errors import ConfigError
-from repro.defenses.base import FAST_ENGINE_MODES, Defense
+from repro.defenses.base import Defense
 from repro.defenses.builtin import (
     BaselineControl,
     CopyOnAccessDefense,
@@ -28,11 +28,6 @@ def register_defense(defense: Defense, replace: bool = False) -> Defense:
     """Add a defense to the registry (typed errors, never silent)."""
     if not defense.name:
         raise ConfigError("a defense must carry a non-empty name")
-    if defense.fast_engine not in FAST_ENGINE_MODES:
-        raise ConfigError(
-            f"defense {defense.name!r}: fast_engine must be one of "
-            f"{FAST_ENGINE_MODES}, got {defense.fast_engine!r}"
-        )
     if defense.name in _REGISTRY and not replace:
         raise ConfigError(f"defense {defense.name!r} is already registered")
     _REGISTRY[defense.name] = defense

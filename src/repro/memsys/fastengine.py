@@ -10,8 +10,7 @@ that keeps the same per-slot state in struct-of-arrays form:
 * ``tags`` / ``dirty`` / ``last_used`` / ``filled_at`` — numpy arrays
   shaped ``(num_sets, ways)`` with flat views, wrapped in memoryviews
   for the scalar paths (a memoryview scalar read costs about half a
-  numpy scalar index, and the batched kernels gather/scatter the same
-  buffers wholesale);
+  numpy scalar index);
 * ``tc`` / ``sbits`` / ``valid`` — **canonical numpy arrays with the
   exact dtype and shape of the object engine's**, because the
   context-switch comparator, the fault injector, and the invariant
@@ -45,7 +44,6 @@ objects and stay object-engine-only; configuring them with
 from __future__ import annotations
 
 from typing import (
-    Any,
     Callable,
     Dict,
     List,
@@ -55,21 +53,13 @@ from typing import (
     Tuple,
 )
 
-from time import perf_counter_ns
-
 import numpy as np
 
 from repro.common.config import CacheConfig
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import DeterministicRng
 from repro.common.stats import Counter, StatGroup
-from repro.memsys.hierarchy import (
-    AccessKind,
-    AccessResult,
-    BatchResult,
-    KindsArg,
-    MemoryHierarchy,
-)
+from repro.memsys.hierarchy import AccessKind, AccessResult, MemoryHierarchy
 from repro.memsys.line import LineState
 
 _IFETCH = AccessKind.IFETCH
@@ -352,11 +342,10 @@ class FastCache:
         self.sbits_mv = memoryview(self.sbits_flat)
         self.valid_mv = memoryview(self.valid_flat)
         # Architectural slot state: numpy arrays (set * ways + way flat
-        # order) so the batched kernels can gather/scatter whole windows,
-        # with memoryview aliases for the scalar paths.  MESI-lite keeps
-        # line state in lockstep with the dirty flag (MODIFIED iff dirty,
-        # else SHARED), so the fast engine stores only the dirty bit;
-        # ``state_at`` derives the enum on demand.  ``_tags`` IS
+        # order) with memoryview aliases for the scalar paths.  MESI-lite
+        # keeps line state in lockstep with the dirty flag (MODIFIED iff
+        # dirty, else SHARED), so the fast engine stores only the dirty
+        # bit; ``state_at`` derives the enum on demand.  ``_tags`` IS
         # ``tags_mv`` — one buffer, no mirror to keep in lockstep.
         self.tags_np = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
         self.tags_flat = self.tags_np.reshape(-1)
@@ -1126,1487 +1115,6 @@ class FastHierarchy(MemoryHierarchy):
             for listener in post_listeners:
                 listener(ctx, line, kind, now, result)
         return result
-
-    # ------------------------------------------------------------------
-    # Batched access execution (vectorized)
-    # ------------------------------------------------------------------
-    #: below this batch size the numpy fixed costs beat the win
-    _BATCH_MIN = 32
-    #: scalar accesses executed after each vectorized window stops at a
-    #: boundary, before reclassifying (amortizes classification cost when
-    #: boundaries cluster — a miss usually drags dependent misses along)
-    _BATCH_SCALAR_RUN = 8
-    #: adaptive classification-window bounds (the miss-resolution kernels
-    #: retire whole windows, so the ceiling is set by classification cost
-    #: amortization, not by boundary density)
-    _BATCH_WINDOW_MIN = 32
-    _BATCH_WINDOW_MAX = 4096
-    #: re-plan rounds allowed per window before a stale reference
-    #: cuts the window instead (0 disables conversion entirely)
-    _BATCH_REPLANS = 1
-
-    def access_batch(
-        self,
-        ctx: int,
-        addrs,
-        kinds: KindsArg = AccessKind.LOAD,
-        now: int = 0,
-        advance: int = 1,
-        nows=None,
-    ) -> BatchResult:
-        """Vectorized run of same-context accesses.
-
-        Classifies a window of accesses at once with numpy — set index
-        and tag extraction, tag match against the ``tags_np`` mirror,
-        s-bit presence against the packed per-way bitmasks — and, in the
-        common configuration, hands the window to the miss-resolution
-        kernels (:meth:`_access_batch_kernel`, docs/internals.md §15),
-        which retire hits, first-access misses, fills/evictions, and
-        stores without re-entering the scalar loop.  When a gated
-        feature is attached (cache event listeners, coherence sharers,
-        CAT partitions, open-row DRAM) the prefix-retire fallback below
-        runs instead: simple L1 hits retire as array operations and
-        every other event takes the scalar path, after which the next
-        window reclassifies against the updated state.  The window
-        grows while it keeps retiring whole windows and shrinks when
-        boundaries cut it short.
-
-        Semantics (results, counters, final s-bit/Tc/LRU state, clock)
-        are identical to :meth:`MemoryHierarchy.access_batch`'s scalar
-        loop, which the differential fuzz enforces.  With hierarchy
-        pre/post access listeners attached the scalar loop runs instead,
-        so observers see every access exactly as they would unbatched.
-        """
-        n = len(addrs)
-        if (
-            n < self._BATCH_MIN
-            or self.pre_access_listeners
-            or self.post_access_listeners
-            or (isinstance(kinds, AccessKind) and kinds is _STORE)
-        ):
-            # Listeners must observe every access in order; every store
-            # is a boundary, so an all-store batch has no vector work.
-            return MemoryHierarchy.access_batch(
-                self, ctx, addrs, kinds, now=now, advance=advance, nows=nows
-            )
-        if advance < 0:
-            raise SimulationError(f"advance cannot be negative: {advance}")
-        try:
-            if ctx < 0:
-                raise IndexError
-            l1i = self._l1i_of_ctx[ctx]
-            l1d = self._l1d_of_ctx[ctx]
-        except IndexError:
-            raise SimulationError(
-                f"hardware context {ctx} out of range"
-            ) from None
-        addrs_np = np.asarray(addrs, dtype=np.int64)
-        lines = addrs_np >> self.line_shift
-        if isinstance(kinds, AccessKind):
-            uniform: Optional[AccessKind] = kinds
-            kseq: Optional[List[AccessKind]] = None
-            is_ifetch = is_store = None
-            has_store = False
-            need_d = kinds is not _IFETCH
-            need_i = kinds is _IFETCH
-        else:
-            uniform = None
-            kseq = list(kinds)
-            if len(kseq) != n:
-                raise SimulationError(
-                    f"kinds has {len(kseq)} entries for {n} addresses"
-                )
-            is_ifetch = np.fromiter(
-                (k is _IFETCH for k in kseq), dtype=bool, count=n
-            )
-            is_store = np.fromiter(
-                (k is _STORE for k in kseq), dtype=bool, count=n
-            )
-            has_store = bool(is_store.any())
-            need_d = True
-            need_i = bool(is_ifetch.any())
-        nows_np = None
-        if nows is not None:
-            nows_np = np.asarray(nows, dtype=np.int64).reshape(-1)
-            if nows_np.size != n:
-                raise SimulationError(
-                    f"nows has {nows_np.size} entries for {n} addresses"
-                )
-            if n > 1 and bool(np.any(np.diff(nows_np) < 0)):
-                raise SimulationError("nows must be non-decreasing")
-        llc = self.llc
-        if (
-            l1d.event_listener is None
-            and l1i.event_listener is None
-            and llc.event_listener is None
-            and l1d.max_sharers == 0
-            and l1i.max_sharers == 0
-            and llc.max_sharers == 0
-            and self.dram._fixed_latency
-            and self._llc_allowed_ways(ctx) is None
-        ):
-            # The vectorized miss-resolution kernels retire fills,
-            # evictions, stores, and first-access misses in-window.  The
-            # gated features stay on the scalar-fallback loop below:
-            # listeners need a callback per event, max_sharers rewrites
-            # s-bit sets on install, CAT partitions constrain victim
-            # ways, and open-row DRAM keeps hidden per-access state.
-            return self._access_batch_kernel(
-                ctx,
-                addrs_np,
-                lines,
-                uniform,
-                kseq,
-                is_ifetch,
-                is_store,
-                has_store,
-                need_i,
-                nows_np,
-                now,
-                advance,
-                l1d,
-                l1i,
-            )
-        tc_enabled = self._tc_enabled
-        clock = self.clock
-        d_mask, d_ways, d_bit = l1d._set_mask, l1d.ways, l1d._ctx_bit_of[ctx]
-        i_mask, i_ways, i_bit = l1i._set_mask, l1i.ways, l1i._ctx_bit_of[ctx]
-        d_last, i_last = l1d._last_used, l1i._last_used
-        d_hit = self._intern_result(l1d.hit_latency, "L1")
-        i_hit = self._intern_result(l1i.hit_latency, "L1")
-        # L1I and L1D share one hit latency by construction (both are
-        # built with latency.l1_hit), so one stride covers mixed windows.
-        step = advance + l1d.hit_latency
-        scalar_access = self.access
-        results: List[AccessResult] = []
-        extend = results.extend
-        # Per-context match arrays: a slot matches a line iff its tag
-        # equals the line AND (defense off, or the context's s-bit is
-        # set) — the whole simple-hit test as one gathered comparison
-        # against a sentinel-filled copy.  Vectorized hits never change
-        # tags or s-bits, so the copies only go stale across scalar
-        # stretches (``stale`` below).  With the defense off the live tag
-        # mirrors serve directly and never go stale (in-place updates).
-        if tc_enabled:
-            d_etag = i_etag = None
-            stale = True
-        else:
-            d_etag = l1d.tags_np
-            i_etag = l1i.tags_np
-            stale = False
-        window = min(256, self._BATCH_WINDOW_MAX)
-        scalar_run = self._BATCH_SCALAR_RUN
-        cursor = now
-        i = 0
-        check_deadline = self._check_batch_deadline
-        # On this prefix-retire path the phase profiler attributes the
-        # vectorized classify + prefix retirement to ``classify`` and the
-        # scalar runs to ``fallback`` — there is no plan/rehearse/apply
-        # machinery here to break down further.
-        prof = self.kernel_profiler
-        while i < n:
-            # Cooperative watchdog seam: one kernel step can be a whole
-            # batched run, so the budget is re-checked between adaptive
-            # windows (≤ _BATCH_WINDOW_MAX accesses apart), never
-            # mid-window — state stays consistent at the raise point.
-            check_deadline(i, n)
-            if prof is not None:
-                _t0 = perf_counter_ns()
-            if stale:
-                if need_d:
-                    d_etag = np.where(
-                        (l1d.sbits & d_bit) != 0, l1d.tags_np, -2
-                    )
-                if need_i:
-                    i_etag = np.where(
-                        (l1i.sbits & i_bit) != 0, l1i.tags_np, -2
-                    )
-                stale = False
-            j = min(i + window, n)
-            m = j - i
-            sl = lines[i:j]
-            col = sl[:, None]
-            if uniform is not None:
-                if uniform is _IFETCH:
-                    set_i = sl & i_mask
-                    eq_i = i_etag[set_i] == col
-                    simple = eq_i.any(axis=1)
-                else:
-                    set_d = sl & d_mask
-                    eq_d = d_etag[set_d] == col
-                    simple = eq_d.any(axis=1)
-                any_if = uniform is _IFETCH
-            else:
-                sif = is_ifetch[i:j]
-                any_if = bool(sif.any())
-                set_d = sl & d_mask
-                eq_d = d_etag[set_d] == col
-                hit_d = eq_d.any(axis=1)
-                if any_if:
-                    set_i = sl & i_mask
-                    eq_i = i_etag[set_i] == col
-                    hit_i = eq_i.any(axis=1)
-                    simple = np.where(sif, hit_i, hit_d)
-                else:
-                    simple = hit_d
-                if has_store:
-                    simple = simple & ~is_store[i:j]
-            k = m if simple.all() else int(np.argmax(~simple))
-            if k:
-                # Issue times of the prefix.  Within it no fill, evict,
-                # or s-bit change can occur, so only each slot's LAST
-                # touch survives — dict(zip(...)) dedupes slots with the
-                # scalar path's last-write-wins order.
-                if nows_np is not None:
-                    ts_list = nows_np[i : i + k].tolist()
-                    t_last = ts_list[-1]
-                else:
-                    ts_list = None
-                    t_last = cursor + step * (k - 1)
-                if uniform is not None:
-                    if uniform is _IFETCH:
-                        slots = set_i[:k] * i_ways + eq_i[:k].argmax(axis=1)
-                        last = i_last
-                        l1i.n_hits += k
-                        extend([i_hit] * k)
-                    else:
-                        slots = set_d[:k] * d_ways + eq_d[:k].argmax(axis=1)
-                        last = d_last
-                        l1d.n_hits += k
-                        extend([d_hit] * k)
-                    if ts_list is not None:
-                        for slot, t in zip(slots.tolist(), ts_list):
-                            last[slot] = t
-                    else:
-                        for slot, p in dict(
-                            zip(slots.tolist(), range(k))
-                        ).items():
-                            last[slot] = cursor + step * p
-                else:
-                    if ts_list is None:
-                        ts_list = (
-                            cursor + step * np.arange(k, dtype=np.int64)
-                        ).tolist()
-                    pif = sif[:k]
-                    ni = int(np.count_nonzero(pif)) if any_if else 0
-                    if ni == 0:
-                        idx_d = set_d[:k] * d_ways + eq_d[:k].argmax(axis=1)
-                        for slot, t in zip(idx_d.tolist(), ts_list):
-                            d_last[slot] = t
-                        l1d.n_hits += k
-                        extend([d_hit] * k)
-                    elif ni == k:
-                        idx_i = set_i[:k] * i_ways + eq_i[:k].argmax(axis=1)
-                        for slot, t in zip(idx_i.tolist(), ts_list):
-                            i_last[slot] = t
-                        l1i.n_hits += k
-                        extend([i_hit] * k)
-                    else:
-                        idx_d = set_d[:k] * d_ways + eq_d[:k].argmax(axis=1)
-                        idx_i = set_i[:k] * i_ways + eq_i[:k].argmax(axis=1)
-                        dl, il = idx_d.tolist(), idx_i.tolist()
-                        flags = pif.tolist()
-                        for p in range(k):
-                            if flags[p]:
-                                i_last[il[p]] = ts_list[p]
-                            else:
-                                d_last[dl[p]] = ts_list[p]
-                        l1i.n_hits += ni
-                        l1d.n_hits += k - ni
-                        extend(i_hit if f else d_hit for f in flags)
-                if t_last > clock._now:
-                    clock._now = t_last
-                if nows_np is None:
-                    cursor = t_last + step
-                i += k
-            if prof is not None:
-                _t1 = perf_counter_ns()
-                prof.classify_ns += _t1 - _t0
-                prof.windows += 1
-                prof.batch_accesses += k
-                _t0 = _t1
-            if k == m:
-                if window < self._BATCH_WINDOW_MAX:
-                    window <<= 1
-                continue
-            if k < (m >> 1) and window > self._BATCH_WINDOW_MIN:
-                window >>= 1
-            stop = min(i + scalar_run, n)
-            _ib = i
-            if nows_np is not None:
-                while i < stop:
-                    kind = uniform if kseq is None else kseq[i]
-                    results.append(
-                        scalar_access(
-                            ctx, int(addrs_np[i]), kind, int(nows_np[i])
-                        )
-                    )
-                    i += 1
-            else:
-                while i < stop:
-                    kind = uniform if kseq is None else kseq[i]
-                    result = scalar_access(ctx, int(addrs_np[i]), kind, cursor)
-                    results.append(result)
-                    cursor += advance + result.latency
-                    i += 1
-            if prof is not None:
-                prof.fallback_ns += perf_counter_ns() - _t0
-                prof.cuts += 1
-                prof.scalar_accesses += i - _ib
-            if tc_enabled:
-                stale = True
-        final_now = int(nows_np[n - 1]) if nows_np is not None else cursor
-        return BatchResult(results, final_now)
-
-    def _access_batch_kernel(
-        self,
-        ctx: int,
-        addrs_np,
-        lines,
-        uniform: Optional[AccessKind],
-        kseq: Optional[List[AccessKind]],
-        is_ifetch,
-        is_store,
-        has_store: bool,
-        need_i: bool,
-        nows_np,
-        now: int,
-        advance: int,
-        l1d: FastCache,
-        l1i: FastCache,
-    ) -> BatchResult:
-        """Retire whole classified windows — hits, first-access misses,
-        fills/evictions, and stores — without the scalar fallback.
-
-        Per adaptive window (pipeline detailed in docs/internals.md §15):
-
-        1. **classify** — one gathered compare per way against the
-           per-context effective-tag arrays splits the window into simple
-           hits and *specials* (first accesses, misses, stores).
-        2. **plan** (read-only) — a sparse walk over the specials groups
-           them into cohorts, derives each miss/store outcome from entry
-           state, and cuts the window at the first position whose
-           classification an earlier special invalidates (same line as
-           an earlier event, second fill into one set, ...).  Events the
-           kernels cannot retire exactly (foreign owner transfer, LLC
-           eviction, store with a remote copy, prefetch side effects)
-           become a scalar boundary instead.
-        3. **victim rehearsal** (read-only) — LRU victims for evicting
-           fills come from an overlay copy of the recency stamps with
-           the window's earlier touches scattered in; a later reference
-           to a chosen victim line shrinks the cut, since its
-           classification is stale once the line is gone.
-        4. **apply** — bulk counters, one last-write-wins LRU scatter per
-           cache, the s-bit/Tc cohort scatters for first-access misses,
-           then a sparse in-order event loop for fills/evictions/stores
-           (tag→way dicts, dirty writebacks, ``_ever_filled``, directory
-           bookkeeping) against live state.
-
-        Nothing mutates before the cut is final, so a
-        :class:`SimulationTimeout` between windows always observes a
-        consistent retired prefix, and every cut reason is guaranteed to
-        make progress on the next window's reclassification.
-        """
-        n = int(lines.shape[0])
-        llc = self.llc
-        dram = self.dram
-        clock = self.clock
-        directory = self.directory
-        owners = directory._owner
-        all_sharers = directory._sharers
-        tc_enabled = self._tc_enabled
-        llc_guard = self._llc_guard
-        dram_first = self._dram_first
-        ev_ok = not self._prefetch_on
-        tc_mask = self._tc_mask
-        sctx = self._sctx_of[ctx]
-        private_list = self._private_list
-        dram_acc = dram.access
-        intern = self._intern_result
-        shared = LineState.SHARED
-
-        d_mask, d_ways, d_bit = l1d._set_mask, l1d.ways, l1d._ctx_bit_of[ctx]
-        i_mask, i_ways, i_bit = l1i._set_mask, l1i.ways, l1i._ctx_bit_of[ctx]
-        cinfo = {
-            False: (l1d, d_mask, d_ways, d_bit),
-            True: (l1i, i_mask, i_ways, i_bit),
-        }
-        llc_mask, llc_ways = llc._set_mask, llc.ways
-        llc_t2w = llc._tag_to_way
-        llc_occ = llc._occ
-        llc_sbits_mv = llc.sbits_mv
-        llc_tags_f = llc._tags
-        lbit = llc._ctx_bit_of[sctx]
-        # Both L1s share one latency knob (built with latency.l1_hit).
-        l1_lat = l1d.hit_latency
-        llc_lat = llc.hit_latency
-        step = advance + l1_lat
-        lat_llc = l1_lat + llc_lat
-        lat_dram = lat_llc + dram.latency
-        hit_res = intern(l1_lat, "L1")
-        res_llc_hit = intern(lat_llc, "LLC")
-        res_llc_first = intern(lat_llc, "LLC", True)
-        res_dram = intern(lat_dram, "DRAM")
-        res_dram_first = intern(lat_dram, "DRAM", True)
-
-        prim = uniform is _IFETCH
-        if uniform is not None:
-            keys: Tuple[bool, ...] = (prim,)
-        else:
-            keys = (False, True) if need_i else (False,)
-
-        # Per-context effective tags: tag match AND s-bit set collapse to
-        # one gathered compare (-2 never matches a line address).  With
-        # Tc disabled the live flat tags serve directly — fills update
-        # them in place, so no rebuild is ever needed.
-        etf: Dict[bool, Any] = {}
-        for kf in keys:
-            l1c = cinfo[kf][0]
-            if tc_enabled:
-                etf[kf] = np.where(
-                    (l1c.sbits & cinfo[kf][3]) != 0, l1c.tags_np, -2
-                ).reshape(-1)
-            else:
-                etf[kf] = l1c.tags_flat
-        stale = False
-
-        results: List[AccessResult] = []
-        extend = results.extend
-        append = results.append
-        check_deadline = self._check_batch_deadline
-        scalar_access = self.access
-        wmin = self._BATCH_WINDOW_MIN
-        wmax = self._BATCH_WINDOW_MAX
-        replan_cap = self._BATCH_REPLANS
-        arange = np.arange(min(wmax, n), dtype=np.int64)
-        # reusable per-window scratch: latencies, their prefix sum, and
-        # issue times are rebuilt every re-plan round, so allocating them
-        # once is a measurable win at large windows
-        lat_buf = np.empty(min(wmax, n), dtype=np.int64)
-        cs_buf = np.empty_like(lat_buf)
-        t_buf = np.empty_like(lat_buf)
-        adv_ar = advance * arange if advance else None
-        # evicted-line scan LUT: when line addresses are small ints a
-        # reusable byte mask makes the membership test one gather
-        # instead of a sort-based isin per round
-        lmax = int(lines.max()) if n else -1
-        vmask = (
-            np.zeros(lmax + 1, dtype=bool)
-            if 0 <= lmax < (1 << 22)
-            else None
-        )
-        window = min(256, wmax)
-        cursor = now
-        i = 0
-        # Wall-clock phase profiler (repro.obs.spans.PhaseAccumulator).
-        # ``None`` is the common case and costs one load per window plus
-        # guarded branches at the phase boundaries; when installed, each
-        # boundary adds one perf_counter_ns call and an int add.  The
-        # replan loop can break out of the plan walk directly, so ``_reh``
-        # tracks whether the open segment is plan or rehearsal time.
-        prof = self.kernel_profiler
-        while i < n:
-            check_deadline(i, n)
-            if prof is not None:
-                _t0 = perf_counter_ns()
-            if stale:
-                # a scalar run moved tags/s-bits under the etag mirrors
-                for kf in keys:
-                    l1c = cinfo[kf][0]
-                    etf[kf] = np.where(
-                        (l1c.sbits & cinfo[kf][3]) != 0, l1c.tags_np, -2
-                    ).reshape(-1)
-                stale = False
-            j = i + window
-            if j > n:
-                j = n
-            m = j - i
-            sl = lines[i:j]
-            if uniform is None:
-                sif = is_ifetch[i:j]
-                sst = is_store[i:j]
-            else:
-                sif = sst = None
-            # ---- phase 1: classify -------------------------------------
-            hits = {}
-            slots_c = {}
-            for kf in keys:
-                cways = cinfo[kf][2]
-                base = (sl & cinfo[kf][1]) * cways
-                cetf = etf[kf]
-                h = cetf[base] == sl
-                wsel = np.zeros(m, dtype=np.int64)
-                for w in range(1, cways):
-                    eqw = cetf[base + w] == sl
-                    wsel[eqw] = w
-                    h |= eqw
-                hits[kf] = h
-                slots_c[kf] = base + wsel
-            if uniform is not None:
-                simple = hits[prim]
-            elif need_i:
-                simple = np.where(sif, hits[True], hits[False])
-            else:
-                simple = hits[False].copy()
-            if sst is not None and has_store:
-                simple &= ~sst
-            nspec = m - int(np.count_nonzero(simple))
-            if prof is not None:
-                _tp = perf_counter_ns()
-                prof.classify_ns += _tp - _t0
-                prof.windows += 1
-
-            if nspec == 0:
-                # whole window is simple hits: touch + count + results
-                if nows_np is not None:
-                    times = nows_np[i:j]
-                else:
-                    times = cursor + step * arange[:m]
-                    cursor += step * m
-                if uniform is not None:
-                    l1u = cinfo[prim][0]
-                    l1u.last_flat[slots_c[prim]] = times
-                    l1u.n_hits += m
-                elif need_i:
-                    di = ~sif
-                    nd = int(np.count_nonzero(di))
-                    if nd:
-                        l1d.last_flat[slots_c[False][di]] = times[di]
-                        l1d.n_hits += nd
-                    if nd < m:
-                        l1i.last_flat[slots_c[True][sif]] = times[sif]
-                        l1i.n_hits += m - nd
-                else:
-                    l1d.last_flat[slots_c[False]] = times
-                    l1d.n_hits += m
-                extend([hit_res] * m)
-                t_last = int(times[m - 1])
-                if t_last > clock._now:
-                    clock._now = t_last
-                if prof is not None:
-                    prof.apply_ns += perf_counter_ns() - _tp
-                    prof.batch_accesses += m
-                i = j
-                if m == window and window < wmax:
-                    window <<= 1
-                continue
-
-            # ---- phase 2: plan (read-only walk over the specials) ------
-            # A reference to a line evicted earlier in the window was
-            # classified against entry state that no longer holds it.
-            # Rather than cutting the window there, convert the stale
-            # positions into forced misses and re-plan (the numpy
-            # classification is reused; only the cheap sparse phases
-            # rerun), falling back to a cut after a few rounds.
-            stale_pos: set = set()
-            replans = 0
-            _reh = False
-            while True:
-                nsm = ~simple
-                ns_pos = np.nonzero(nsm)[0].tolist()
-                ns_lines = sl[nsm].tolist()
-                if uniform is None:
-                    ns_if = sif[nsm].tolist()
-                    ns_st = sst[nsm].tolist()
-                else:
-                    ns_if = ns_st = None
-                cut = m
-                hard = False
-                # line → (cache, way-or--2, set, llc_sbit_known_set): every
-                # line an event has already acted on this window.  Way -2
-                # means "installed by an in-window fill": the slot is
-                # resolved by the rehearsal (plan-time) and the live
-                # tag→way dict (apply-time).  The last element records
-                # whether the event guaranteed the line's LLC s-bit is set
-                # (probes and fills do), which a later re-fill of the same
-                # line needs because entry LLC state went stale.
-                inwin: Dict[int, Tuple[bool, int, int, bool]] = {}
-                occ_sim: Dict[Tuple[bool, int], int] = {}
-                locc_sim: Dict[int, int] = {}
-                # line → LLC slot of an in-window LLC fill: fill() scans
-                # for the first free way, so the plan can rehearse the
-                # choice and later re-fills see a valid LLC hit
-                llc_new: Dict[int, int] = {}
-                llc_taken: Dict[int, set] = {}
-                b_first: Dict[bool, dict] = {False: {}, True: {}}
-                b_pos: list = []
-                b_slot: list = []
-                b_lidx: list = []
-                b_line: list = []
-                b_isif: list = []
-                bhits: list = []  # (pos, slot, is_ifetch) — extra plain hits
-                pend: list = []  # (pos, line, is_ifetch, counts_as_hit)
-                # (pos, is_if, is_st, code, line, set, way, lidx, flag, lat,
-                # result); codes: 0 store-hit, 1 store-probe, 2 miss with an
-                # LLC hit, 3 miss with an LLC fill (lidx carries the LLC set)
-                events: list = []
-                evicting: list = []  # event indices that displace an L1 line
-                for sx in range(len(ns_pos)):
-                    q = ns_pos[sx]
-                    line = ns_lines[sx]
-                    if ns_if is None:
-                        e_if = prim
-                        e_st = False
-                    else:
-                        e_if = ns_if[sx]
-                        e_st = ns_st[sx]
-                    l1c, cmask, cways, cbit = cinfo[e_if]
-                    forced = bool(stale_pos) and q in stale_pos
-                    prev_lsb = False
-                    refill = False
-                    if forced:
-                        fprev = inwin.get(line)
-                        if fprev is not None:
-                            # filled in-window, then evicted: plan a second
-                            # fill, carrying what the first one established
-                            # about the LLC s-bit (entry state is stale)
-                            if fprev[0] != e_if:
-                                cut = q
-                                break
-                            prev_lsb = fprev[3]
-                            refill = True
-                        prev = None
-                    else:
-                        prev = inwin.get(line)
-                    if prev is not None:
-                        # an earlier event already resolved this line: it is
-                        # resident with the s-bit set, so this is a plain hit
-                        # (or a store upgrade of one)
-                        p_if, p_w, p_set, _p_lsb = prev
-                        if p_if != e_if:
-                            # cross-cache replay would need LLC re-planning
-                            cut = q
-                            break
-                        if not e_st:
-                            if p_w >= 0:
-                                bhits.append((q, p_set * cways + p_w, e_if))
-                            else:
-                                pend.append((q, line, e_if, True))
-                            continue
-                        other_copy = False
-                        for c in private_list:
-                            if (
-                                c is not l1c
-                                and c._tag_to_way[line & c._set_mask].get(line)
-                                is not None
-                            ):
-                                other_copy = True
-                                break
-                        if other_copy:
-                            # entry state may still hold a foreign copy the
-                            # in-window events never checked — invalidating
-                            # it is scalar work
-                            cut = q
-                            hard = True
-                            break
-                        events.append(
-                            (q, e_if, True, 0, line, p_set, p_w, -1, False,
-                             l1_lat, hit_res)
-                        )
-                        if p_w < 0:
-                            pend.append((q, line, e_if, False))
-                        continue
-                    set_ = line & cmask
-                    # a forced (stale-converted) position is a miss even
-                    # though entry state still shows the line resident
-                    w = None if forced else l1c._tag_to_way[set_].get(line)
-                    b_own = b_first[e_if]
-                    b_other = b_first[not e_if]
-                    if w is not None and not e_st:
-                        # resident, s-bit clear: a first-access miss (B)
-                        bprev = b_own.get(line)
-                        if bprev is not None:
-                            # repeat: the first probe set the s-bit, so this
-                            # retires as a plain hit
-                            bhits.append((q, bprev[1], e_if))
-                            continue
-                        if line in b_other:
-                            # the other cache's probe already set the shared
-                            # LLC s-bit; the entry-state plan is stale
-                            cut = q
-                            break
-                        lset = line & llc_mask
-                        lw = llc_t2w[lset].get(line)
-                        if lw is None:
-                            # inclusion violated — the scalar path raises it
-                            cut = q
-                            hard = True
-                            break
-                        slot = set_ * cways + w
-                        b_pos.append(q)
-                        b_slot.append(slot)
-                        b_lidx.append(lset * llc_ways + lw)
-                        b_line.append(line)
-                        b_isif.append(e_if)
-                        b_own[line] = (q, slot)
-                        continue
-                    if w is not None:
-                        # resident store: upgrade (dirty + ownership), with a
-                        # probe first when the s-bit is clear
-                        bprev = b_own.get(line)
-                        if line in b_other:
-                            cut = q
-                            break
-                        other_copy = False
-                        for c in private_list:
-                            if (
-                                c is not l1c
-                                and c._tag_to_way[line & c._set_mask].get(line)
-                                is not None
-                            ):
-                                other_copy = True
-                                break
-                        if other_copy:
-                            # invalidating the remote copy is scalar work
-                            cut = q
-                            hard = True
-                            break
-                        idx = set_ * cways + w
-                        lsbk = True
-                        if bprev is not None or not tc_enabled or (
-                            l1c.sbits_mv[idx] & cbit
-                        ):
-                            # s-bit already set (possibly by an earlier B,
-                            # which also set the LLC s-bit; a plain L1
-                            # s-bit says nothing about the LLC's)
-                            lsbk = bprev is not None
-                            events.append(
-                                (q, e_if, True, 0, line, set_, w, -1, False,
-                                 l1_lat, hit_res)
-                            )
-                        else:
-                            lset = line & llc_mask
-                            lw = llc_t2w[lset].get(line)
-                            if lw is None:
-                                cut = q
-                                hard = True
-                                break
-                            lidx = lset * llc_ways + lw
-                            lsb = bool(llc_sbits_mv[lidx] & lbit)
-                            if lsb and not dram_first:
-                                events.append(
-                                    (q, e_if, True, 1, line, set_, w, lidx,
-                                     True, lat_llc, res_llc_first)
-                                )
-                            else:
-                                events.append(
-                                    (q, e_if, True, 1, line, set_, w, lidx,
-                                     lsb, lat_dram, res_dram_first)
-                                )
-                        inwin[line] = (e_if, w, set_, lsbk)
-                        continue
-                    # not resident in its L1: a real miss
-                    if not ev_ok:
-                        # the next-line prefetch issues extra fills/fetches
-                        cut = q
-                        hard = True
-                        break
-                    if line in b_own or line in b_other:
-                        cut = q
-                        break
-                    owner = owners.get(line)
-                    if owner is not None and owner != l1c.name:
-                        # foreign owner transfer (possible dirty pull)
-                        cut = q
-                        hard = True
-                        break
-                    if e_st:
-                        other_copy = False
-                        for c in private_list:
-                            if (
-                                c is not l1c
-                                and c._tag_to_way[line & c._set_mask].get(line)
-                                is not None
-                            ):
-                                other_copy = True
-                                break
-                        if other_copy:
-                            cut = q
-                            hard = True
-                            break
-                    lset = line & llc_mask
-                    lw = llc_t2w[lset].get(line)
-                    if lw is not None:
-                        lidx = lset * llc_ways + lw
-                        if (
-                            llc_guard
-                            and not prev_lsb
-                            and not (llc_sbits_mv[lidx] & lbit)
-                        ):
-                            ev = (q, e_if, e_st, 2, line, set_, -1, lidx,
-                                  True, lat_dram, res_dram_first)
-                        else:
-                            ev = (q, e_if, e_st, 2, line, set_, -1, lidx,
-                                  False, lat_llc, res_llc_hit)
-                    elif refill and line in llc_new:
-                        # the first fill installed the line in the LLC at
-                        # a rehearsed way: the re-fill is an LLC hit
-                        ev = (q, e_if, e_st, 2, line, set_, -1,
-                              llc_new[line], False, lat_llc, res_llc_hit)
-                    elif refill:
-                        cut = q
-                        break
-                    else:
-                        locc = locc_sim.get(lset)
-                        if locc is None:
-                            locc = llc_occ[lset]
-                        if locc >= llc_ways:
-                            # LLC eviction (back-invalidations) stays scalar
-                            cut = q
-                            hard = True
-                            break
-                        locc_sim[lset] = locc + 1
-                        lbase = lset * llc_ways
-                        taken = llc_taken.get(lset)
-                        lwf = 0
-                        while llc_tags_f[lbase + lwf] >= 0 or (
-                            taken is not None and lwf in taken
-                        ):
-                            lwf += 1
-                        if taken is None:
-                            llc_taken[lset] = {lwf}
-                        else:
-                            taken.add(lwf)
-                        llc_new[line] = lbase + lwf
-                        ev = (q, e_if, e_st, 3, line, set_, -1, lset, False,
-                              lat_dram, res_dram)
-                    okey = (e_if, set_)
-                    occ = occ_sim.get(okey)
-                    if occ is None:
-                        occ = l1c._occ[set_]
-                    if occ >= cways:
-                        if l1c._victim_stamps is None:
-                            # random replacement draws from the per-set rng —
-                            # a rehearsed draw could not be rolled back
-                            cut = q
-                            hard = True
-                            break
-                        evicting.append(len(events))
-                    else:
-                        occ_sim[okey] = occ + 1
-                    events.append(ev)
-                    inwin[line] = (e_if, -2, set_, True)
-
-                # ---- latencies and issue times -----------------------------
-                nb_all = len(b_pos)
-                if nb_all:
-                    b_pos_np = np.array(b_pos, dtype=np.int64)
-                    b_lidx_np = np.array(b_lidx, dtype=np.int64)
-                    b_sb = (llc.sbits_flat[b_lidx_np] & lbit) != 0
-                cs = None
-                if nows_np is not None:
-                    times = nows_np[i : i + cut]
-                else:
-                    lat = lat_buf[:cut]
-                    lat.fill(l1_lat)
-                    if nb_all:
-                        if dram_first:
-                            lat[b_pos_np] = lat_dram
-                        else:
-                            lat[b_pos_np] = np.where(b_sb, lat_llc, lat_dram)
-                    for ev in events:
-                        lat[ev[0]] = ev[9]
-                    cs = np.cumsum(lat, out=cs_buf[:cut])
-                    times = np.subtract(cs, lat, out=t_buf[:cut])
-                    if adv_ar is not None:
-                        times += adv_ar[:cut]
-                    times += cursor
-
-                # ---- LRU touch plan (also feeds the victim rehearsal) ------
-                touch = {}
-                for kf in keys:
-                    if uniform is not None:
-                        touch[kf] = simple.copy()
-                    elif kf:
-                        touch[kf] = simple & sif
-                    else:
-                        touch[kf] = simple & ~sif if need_i else simple.copy()
-                for q, slot, f in bhits:
-                    touch[f][q] = True
-                    slots_c[f][q] = slot
-                for x in range(nb_all):
-                    f = b_isif[x]
-                    touch[f][b_pos[x]] = True
-                    slots_c[f][b_pos[x]] = b_slot[x]
-                for ev in events:
-                    # resident stores touch like hits (pending slots — way
-                    # -2, stores to in-window fills — patch after rehearsal)
-                    if ev[3] <= 1 and ev[6] >= 0:
-                        f = ev[1]
-                        touch[f][ev[0]] = True
-                        slots_c[f][ev[0]] = ev[5] * cinfo[f][2] + ev[6]
-
-                if prof is not None:
-                    _t1 = perf_counter_ns()
-                    prof.plan_ns += _t1 - _tp
-                    prof.events += len(events)
-                    _tp = _t1
-                    _reh = True
-
-                # ---- phase 3: victim rehearsal + stale-victim hazard -------
-                # Replay every fill of a cache, in order, against an overlay
-                # of its replacement stamps (touches scattered in for LRU,
-                # truncated fill stamps for both policies) plus a tag
-                # overlay, so chained same-set fills pick the exact victims
-                # the in-order scalar loop would.
-                victim_of: Dict[int, int] = {}
-                fill_slot: Dict[int, int] = {}
-                fill_seq: Dict[int, list] = {}
-                vline_ev: Dict[Tuple[int, bool], list] = {}
-                vlines: list = []
-                if evicting or pend:
-                    evset = set(evicting)
-                    for kf in keys:
-                        fills_c = [
-                            ei
-                            for ei, ev in enumerate(events)
-                            if ev[1] == kf and ev[3] >= 2
-                        ]
-                        if not fills_c:
-                            continue
-                        has_ev = any(ei in evset for ei in fills_c)
-                        pend_c = [p for p in pend if p[2] == kf]
-                        if not has_ev and not pend_c:
-                            continue
-                        l1c, _, cways, _ = cinfo[kf]
-                        tags_live = l1c.tags_flat
-                        sim_tags: Dict[int, int] = {}
-                        tpos = tsl = tt = None
-                        # the overlay lives as a plain list: the arrays are
-                        # a few hundred slots and the loop is scalar, where
-                        # list indexing beats numpy call overhead
-                        if not has_ev:
-                            # only pending-hit slots are needed: a free-way
-                            # sim suffices, no stamp overlay
-                            ov = None
-                        elif l1c._victim_stamps is l1c._filled_at:
-                            # FIFO: touches never move the fill stamps
-                            ov = l1c.filled_flat.copy()
-                        else:
-                            ov = l1c.last_flat.copy()
-                            tpos = np.nonzero(touch[kf][:cut])[0]
-                            tsl = slots_c[kf][tpos]
-                            tt = times[tpos]
-                        done = 0
-                        pi = 0
-                        npc = len(pend_c)
-                        fpos = np.array(
-                            [events[ei][0] for ei in fills_c],
-                            dtype=np.int64,
-                        )
-                        if ov is not None:
-                            ftimes = (times[fpos] & tc_mask).tolist()
-                        if tpos is not None:
-                            uptos = np.searchsorted(tpos, fpos).tolist()
-                            if npc:
-                                ptimes = times[
-                                    np.array(
-                                        [p[0] for p in pend_c],
-                                        dtype=np.int64,
-                                    )
-                                ].tolist()
-                        for fx, ei in enumerate(fills_c):
-                            ev = events[ei]
-                            if tpos is not None:
-                                upto = uptos[fx]
-                                if upto > done:
-                                    ov[tsl[done:upto]] = tt[done:upto]
-                                    done = upto
-                                # pending hits touch the slot their fill
-                                # resolved to (always an earlier fill here)
-                                while pi < npc and pend_c[pi][0] < ev[0]:
-                                    ov[fill_slot[pend_c[pi][1]]] = ptimes[pi]
-                                    pi += 1
-                            base = ev[5] * cways
-                            if ei in evset:
-                                fw = int(ov[base : base + cways].argmin())
-                                idx = base + fw
-                                vline = sim_tags.get(idx)
-                                if vline is None:
-                                    vline = int(tags_live[idx])
-                                victim_of[ei] = fw
-                                vlines.append(vline)
-                                vkey = (vline, kf)
-                                evs = vline_ev.get(vkey)
-                                if evs is None:
-                                    vline_ev[vkey] = [ev[0]]
-                                else:
-                                    evs.append(ev[0])
-                            else:
-                                fw = 0
-                                while True:
-                                    idx = base + fw
-                                    tag = sim_tags.get(idx)
-                                    if tag is None:
-                                        tag = tags_live[idx]
-                                    if tag < 0:
-                                        break
-                                    fw += 1
-                            if ov is not None:
-                                ov[idx] = ftimes[fx]
-                            sim_tags[idx] = ev[4]
-                            fill_slot[ev[4]] = idx
-                            fs = fill_seq.get(ev[4])
-                            if fs is None:
-                                fill_seq[ev[4]] = [(ev[0], idx)]
-                            else:
-                                fs.append((ev[0], idx))
-                # any later reference to an evicted line was classified
-                # against entry state that no longer holds it: convert
-                # those positions to forced misses and re-plan (or cut)
-                stale_new: list = []
-                respec_new: list = []
-                bad = -1
-                if vlines:
-                    # in-window refills (converted misses) make later
-                    # references to the same line valid pends again
-                    refills: Dict[Tuple[int, bool], list] = {}
-                    if stale_pos:
-                        for ev in events:
-                            if ev[3] >= 2:
-                                refills.setdefault(
-                                    (ev[4], ev[1]), []
-                                ).append(ev[0])
-                        # conversions shift LRU stamps, which can shift
-                        # victim choices: every prior conversion must
-                        # stay justified (line evicted, not since
-                        # refilled, before the position) under the
-                        # re-planned schedule, else its forced miss
-                        # would double-fill a still-resident line
-                        for p0 in sorted(stale_pos):
-                            if p0 >= cut:
-                                break
-                            kf0 = (
-                                prim
-                                if uniform is not None
-                                else bool(sif[p0])
-                            )
-                            key0 = (int(sl[p0]), kf0)
-                            laste0 = -1
-                            for x in vline_ev.get(key0, ()):
-                                if x < p0:
-                                    laste0 = x
-                                else:
-                                    break
-                            lastr0 = -1
-                            for x in refills.get(key0, ()):
-                                if x < p0:
-                                    lastr0 = x
-                                else:
-                                    break
-                            if laste0 < 0 or lastr0 > laste0:
-                                bad = p0
-                                break
-                    # the scan still runs with ``bad`` set: the same
-                    # re-planned schedule that invalidated a prior
-                    # conversion can make a reference *before* ``bad``
-                    # newly stale, and the cut must cover that too
-                    seen_new: set = set()
-                    if vmask is not None and 0 <= min(vlines) and max(
-                        vlines
-                    ) <= lmax:
-                        vl = np.array(vlines, dtype=np.int64)
-                        vmask[vl] = True
-                        matches = np.nonzero(vmask[sl[:cut]])[0]
-                        vmask[vl] = False
-                    else:
-                        matches = np.nonzero(
-                            np.isin(
-                                sl[:cut],
-                                np.array(vlines, dtype=np.int64),
-                            )
-                        )[0]
-                    for p in matches.tolist():
-                        if p in stale_pos:
-                            continue
-                        # only the evicting cache's own references went
-                        # stale; the other L1's state is untouched
-                        kf_p = (
-                            prim if uniform is not None else bool(sif[p])
-                        )
-                        key = (int(sl[p]), kf_p)
-                        evs = vline_ev.get(key)
-                        if evs is None:
-                            continue
-                        laste = -1
-                        for x in evs:
-                            if x < p:
-                                laste = x
-                            else:
-                                break
-                        if laste < 0:
-                            continue
-                        lastr = -1
-                        for x in refills.get(key, ()):
-                            if x < p:
-                                lastr = x
-                            else:
-                                break
-                        if lastr > laste:
-                            # refilled since the eviction: the reference
-                            # is valid again, but a still-simple plan
-                            # points at the pre-eviction slot — reroute
-                            # it through the walk to land as a pend
-                            if bool(simple[p]):
-                                respec_new.append(p)
-                            continue
-                        # convert only the first stale reference per
-                        # line: once it refills, the rest become pends
-                        if key in seen_new:
-                            continue
-                        seen_new.add(key)
-                        stale_new.append(p)
-                elif stale_pos:
-                    # the re-plan lost every eviction (an earlier cut):
-                    # no conversion before the cut can be justified
-                    for p0 in sorted(stale_pos):
-                        if p0 < cut:
-                            bad = p0
-                        break
-                if bad >= 0:
-                    # unstable fixpoint: cut just before the first
-                    # contested position — the invalidated conversion or
-                    # the earliest newly-stale reference, whichever comes
-                    # first; the plan ahead of the cut carries no known
-                    # hazard
-                    if stale_new or respec_new:
-                        bad = min(bad, min(stale_new + respec_new))
-                    if bad < cut:
-                        cut = bad
-                        hard = False
-                    break
-                if not stale_new and not respec_new:
-                    break
-                if replans >= replan_cap:
-                    # not converging: cut at the first stale reference
-                    pmin = min(stale_new + respec_new)
-                    if pmin < cut:
-                        cut = pmin
-                        hard = False
-                    break
-                replans += 1
-                stale_pos.update(stale_new)
-                simple[
-                    np.array(stale_new + respec_new, dtype=np.int64)
-                ] = False
-                if prof is not None:
-                    _t1 = perf_counter_ns()
-                    prof.rehearse_ns += _t1 - _tp
-                    prof.replans += 1
-                    _tp = _t1
-                    _reh = False
-
-            if prof is not None:
-                _t1 = perf_counter_ns()
-                if _reh:
-                    prof.rehearse_ns += _t1 - _tp
-                else:
-                    prof.plan_ns += _t1 - _tp
-                _tp = _t1
-
-            # ---- drop planned work past a shrunken cut -----------------
-            C = cut
-            while events and events[-1][0] >= C:
-                events.pop()
-            if nb_all and b_pos[-1] >= C:
-                nbk = int(np.searchsorted(b_pos_np, C))
-                b_pos_np = b_pos_np[:nbk]
-                b_lidx_np = b_lidx_np[:nbk]
-                b_sb = b_sb[:nbk]
-                b_pos = b_pos[:nbk]
-                b_slot = b_slot[:nbk]
-                b_line = b_line[:nbk]
-                b_isif = b_isif[:nbk]
-                nb_all = nbk
-            times = times[:C]
-            if nows_np is not None:
-                adv = 0
-            else:
-                adv = advance * C + (int(cs[C - 1]) if C else 0)
-
-            # pending hits are plain hits; their LRU touches land on fill
-            # slots, so they are applied after the event loop (a fill's
-            # truncated stamp must not clobber a later touch)
-            for q, _line, f, counts in pend:
-                if q >= C:
-                    break
-                if counts:
-                    cinfo[f][0].n_hits += 1
-
-            # ---- phase 4: apply ----------------------------------------
-            if C:
-                if uniform is not None:
-                    cinfo[prim][0].n_hits += int(
-                        np.count_nonzero(simple[:C])
-                    )
-                elif need_i:
-                    sc = simple[:C]
-                    nhi = int(np.count_nonzero(sc & sif[:C]))
-                    l1i.n_hits += nhi
-                    l1d.n_hits += int(np.count_nonzero(sc)) - nhi
-                else:
-                    l1d.n_hits += int(np.count_nonzero(simple[:C]))
-                for q, _slot, f in bhits:
-                    if q < C:
-                        cinfo[f][0].n_hits += 1
-
-                if nb_all:
-                    # first-access-miss cohort: LLC probes in bulk
-                    llc.last_flat[b_lidx_np] = times[b_pos_np]
-                    clear = b_lidx_np[~b_sb]
-                    nclear = int(clear.shape[0])
-                    nsb = nb_all - nclear
-                    if nclear:
-                        llc.sbits_flat[clear] |= lbit
-                        llc.n_first_access_misses += nclear
-                    if dram_first:
-                        llc.n_accesses += nsb
-                        dram.c_accesses.add(nb_all)
-                    else:
-                        llc.n_hits += nsb
-                        if nclear:
-                            dram.c_accesses.add(nclear)
-                    b_slot_np = np.array(b_slot, dtype=np.int64)
-                    b_line_np = np.array(b_line, dtype=np.int64)
-                    if len(keys) == 1:
-                        kf0 = keys[0]
-                        l1c = cinfo[kf0][0]
-                        l1c.sbits_flat[b_slot_np] |= cinfo[kf0][3]
-                        etf[kf0][b_slot_np] = b_line_np
-                        l1c.n_first_access_misses += nb_all
-                    else:
-                        fmask = np.array(b_isif, dtype=bool)
-                        for kf in keys:
-                            selm = fmask if kf else ~fmask
-                            ssel = b_slot_np[selm]
-                            nsel = int(ssel.shape[0])
-                            if nsel:
-                                l1c = cinfo[kf][0]
-                                l1c.sbits_flat[ssel] |= cinfo[kf][3]
-                                etf[kf][ssel] = b_line_np[selm]
-                                l1c.n_first_access_misses += nsel
-
-                # one position-ordered (last-write-wins) scatter per cache
-                for kf in keys:
-                    tm = touch[kf][:C]
-                    if tm.any():
-                        cinfo[kf][0].last_flat[slots_c[kf][:C][tm]] = (
-                            times[tm]
-                        )
-
-                chunk = [hit_res] * C
-                if nb_all:
-                    if dram_first:
-                        for p in b_pos:
-                            chunk[p] = res_dram_first
-                    else:
-                        sbl = b_sb.tolist()
-                        for x in range(nb_all):
-                            chunk[b_pos[x]] = (
-                                res_llc_first if sbl[x] else res_dram_first
-                            )
-
-                lastfill: Dict[Tuple[bool, int], int] = {}
-                for eix, ev in enumerate(events):
-                    (q, e_if, e_st, code, line, set_, w, lidx, flag,
-                     _elat, eres) = ev
-                    chunk[q] = eres
-                    l1c, cmask, cways, cbit = cinfo[e_if]
-                    t = int(times[q])
-                    if code == 0:
-                        # store hit: dirty + ownership (no other copies —
-                        # the walk gated on that); a pending way (-2,
-                        # store to an in-window fill) resolves live since
-                        # the fill has already installed by this point
-                        l1c.n_hits += 1
-                        if w < 0:
-                            w = l1c._tag_to_way[set_][line]
-                        l1c._dirty[set_ * cways + w] = True
-                        owners[line] = l1c.name
-                        sh = all_sharers.get(line)
-                        if sh is None:
-                            sh = all_sharers[line] = set()
-                        sh.add(l1c.name)
-                        continue
-                    if code == 1:
-                        # store to a resident line, s-bit clear: probe
-                        # the LLC, set both s-bits, then upgrade
-                        l1c.n_first_access_misses += 1
-                        llc._last_used[lidx] = t
-                        if flag:
-                            if dram_first:
-                                llc.n_accesses += 1
-                                dram_acc(line)
-                            else:
-                                llc.n_hits += 1
-                        else:
-                            llc.n_first_access_misses += 1
-                            llc_sbits_mv[lidx] |= lbit
-                            dram_acc(line)
-                        idx = set_ * cways + w
-                        l1c.sbits_mv[idx] |= cbit
-                        if tc_enabled:
-                            etf[e_if][idx] = line
-                        l1c._dirty[idx] = True
-                        owners[line] = l1c.name
-                        sh = all_sharers.get(line)
-                        if sh is None:
-                            sh = all_sharers[line] = set()
-                        sh.add(l1c.name)
-                        continue
-                    # codes 2/3: a real L1 miss
-                    l1c.n_misses += 1
-                    tnow = t & tc_mask
-                    if code == 2:
-                        # LLC hit (possibly a first access at the LLC)
-                        if flag:
-                            llc.n_first_access_misses += 1
-                            dram_acc(line)
-                            llc_sbits_mv[lidx] |= lbit
-                        else:
-                            llc.n_hits += 1
-                        llc._last_used[lidx] = t
-                        if e_st:
-                            owners[line] = l1c.name
-                        sh = all_sharers.get(line)
-                        if sh is None:
-                            sh = all_sharers[line] = set()
-                        sh.add(l1c.name)
-                    else:
-                        # LLC miss: DRAM fetch + fill (never a victim —
-                        # full LLC sets were cut as a scalar boundary)
-                        llc.n_misses += 1
-                        dram_acc(line)
-                        llc.fill(line, sctx, tnow, shared)
-                        if e_st:
-                            directory.set_owner(line, l1c.name)
-                        else:
-                            directory.add_sharer(line, l1c.name)
-                    # L1 fill (mirrors the inlined _fill_private)
-                    tags = l1c._tags
-                    t2w = l1c._tag_to_way[set_]
-                    base = set_ * cways
-                    fw = victim_of.get(eix)
-                    if fw is None:
-                        fw = 0
-                        while tags[base + fw] >= 0:
-                            fw += 1
-                        idx = base + fw
-                        l1c._occ[set_] += 1
-                        l1c.valid_mv[idx] = True
-                        vtag = -1
-                    else:
-                        idx = base + fw
-                        vtag = tags[idx]
-                        vdirty = l1c._dirty[idx]
-                        del t2w[vtag]
-                        l1c.n_evictions += 1
-                        if vdirty:
-                            l1c.n_dirty_evictions += 1
-                    tags[idx] = line
-                    if pend:
-                        lastfill[(e_if, idx)] = q
-                    l1c._dirty[idx] = e_st
-                    l1c._last_used[idx] = tnow
-                    l1c._filled_at[idx] = tnow
-                    t2w[line] = fw
-                    l1c.tc_mv[idx] = tnow
-                    l1c.sbits_mv[idx] = cbit
-                    if tc_enabled:
-                        etf[e_if][idx] = line
-                    l1c.n_fills += 1
-                    ef = l1c._ever_filled
-                    if line not in ef:
-                        ef.add(line)
-                        l1c.n_cold_misses += 1
-                    if e_st:
-                        owners[line] = l1c.name
-                        sh = all_sharers.get(line)
-                        if sh is None:
-                            sh = all_sharers[line] = set()
-                        sh.add(l1c.name)
-                    if vtag >= 0:
-                        if vdirty:
-                            self._writeback_to_llc(vtag)
-                            l1c.n_writebacks += 1
-                        sh = all_sharers.get(vtag)
-                        if sh is not None:
-                            # like the scalar path: leave the emptied
-                            # sharer set in place for reuse
-                            sh.discard(l1c.name)
-                        if owners and owners.get(vtag) == l1c.name:
-                            del owners[vtag]
-
-                # pending-hit touches, in order, skipping slots a later
-                # in-window fill re-took (the refill stamp stands, as in
-                # the scalar order)
-                for q, line, f, _counts in pend:
-                    if q >= C:
-                        break
-                    # resolve to the fill preceding this position (a line
-                    # can fill more than once when evicted in-window)
-                    fs = fill_seq[line]
-                    slot = fs[0][1]
-                    for qq, ii in fs:
-                        if qq < q:
-                            slot = ii
-                        else:
-                            break
-                    if lastfill.get((f, slot), -1) < q:
-                        cinfo[f][0].last_flat[slot] = times[q]
-
-                extend(chunk)
-                t_last = int(times[C - 1])
-                if t_last > clock._now:
-                    clock._now = t_last
-                if nows_np is None:
-                    cursor += adv
-                i += C
-
-            if prof is not None:
-                _t1 = perf_counter_ns()
-                prof.apply_ns += _t1 - _tp
-                prof.batch_accesses += C
-                if C < m:
-                    prof.cuts += 1
-                _tp = _t1
-
-            if C == m:
-                if m == window and window < wmax:
-                    window <<= 1
-                continue
-            if window > wmin and C < (m >> 1):
-                window >>= 1
-            if hard or C == 0:
-                # the cut access is inherently scalar (or defensive
-                # progress): run a short scalar burst, then reclassify
-                _ib = i
-                run_end = i + self._BATCH_SCALAR_RUN
-                if run_end > n:
-                    run_end = n
-                if nows_np is not None:
-                    while i < run_end:
-                        kind = uniform if kseq is None else kseq[i]
-                        append(
-                            scalar_access(
-                                ctx, int(addrs_np[i]), kind, int(nows_np[i])
-                            )
-                        )
-                        i += 1
-                else:
-                    while i < run_end:
-                        kind = uniform if kseq is None else kseq[i]
-                        r = scalar_access(ctx, int(addrs_np[i]), kind, cursor)
-                        append(r)
-                        cursor += advance + r.latency
-                        i += 1
-                if prof is not None:
-                    prof.fallback_ns += perf_counter_ns() - _tp
-                    prof.scalar_accesses += i - _ib
-                if tc_enabled:
-                    stale = True
-        final_now = int(nows_np[n - 1]) if nows_np is not None else cursor
-        return BatchResult(results, final_now)
 
     def _remote_owner_transfer(self, line: int, owner: str) -> Tuple[int, str]:
         """Slow half of _coherence_on_access: a foreign private cache owns

@@ -114,9 +114,10 @@ class MemoryHierarchy:
         self.tc_config.validate()
         self.clock = clock if clock is not None else GlobalClock()
         #: wall-clock (``time.monotonic``) deadline armed by the kernel
-        #: watchdog: batched access runs check it cooperatively between
-        #: windows and raise :class:`SimulationTimeout`, so one huge
-        #: ``AccessRun`` cannot overshoot the budget by a whole batch
+        #: watchdog: batched access runs check it cooperatively every
+        #: ``_DEADLINE_CHECK_EVERY`` accesses and raise
+        #: :class:`SimulationTimeout`, so one huge ``AccessRun`` cannot
+        #: overshoot the budget by a whole batch
         self.batch_deadline: Optional[float] = None
         self.line_shift = config.line_bytes.bit_length() - 1
         self._tc_mask = (1 << self.tc_config.timestamp_bits) - 1
@@ -178,10 +179,10 @@ class MemoryHierarchy:
             Callable[[int, int, AccessKind, int, AccessResult], None]
         ] = []
         #: optional :class:`repro.obs.spans.PhaseAccumulator` recording
-        #: where batched-access *wall-clock* goes.  ``None`` keeps every
-        #: batch path on its pre-existing ``is None`` branch; an
-        #: installed :class:`~repro.obs.spans.ObsSession` points this at
-        #: its accumulator when the owning system is constructed.
+        #: where batched-access *wall-clock* goes.  ``None`` keeps
+        #: :meth:`access_batch` on its untimed branch; an installed
+        #: :class:`~repro.obs.spans.ObsSession` points this at its
+        #: accumulator when the owning system is constructed.
         self.kernel_profiler = None
 
     def _make_cache(
@@ -388,9 +389,13 @@ class MemoryHierarchy:
         time (one non-decreasing entry per address); the returned cursor
         is then the last issue time.  ``kinds`` is either a single
         :class:`AccessKind` applied to the whole run or one per address.
+        ``advance``, ``kinds`` and ``nows`` are checked before the first
+        access, so a batch they make invalid changes no cache state or
+        counter.
 
-        The fast engine overrides this with a vectorized implementation
-        that the differential fuzz checks against this loop.
+        Both engines run this one loop over their own :meth:`access`;
+        the differential fuzz checks the fast engine's against the
+        object engine's.
         """
         prof = self.kernel_profiler
         if prof is None:
@@ -399,8 +404,7 @@ class MemoryHierarchy:
         try:
             return self._access_batch_scalar(ctx, addrs, kinds, now, advance, nows)
         finally:
-            # On this path everything is scalar work — which, for the
-            # object engine, *is* the phase breakdown: 100% fallback.
+            # Every batched access is scalar work: 100% fallback.
             prof.fallback_ns += perf_counter_ns() - t0
             prof.scalar_accesses += len(addrs)
 
@@ -420,30 +424,36 @@ class MemoryHierarchy:
         results: List[AccessResult] = []
         append = results.append
         access = self.access
+        # The deadline is checked once per block, so the per-access loop
+        # keeps no index.
+        block = self._DEADLINE_CHECK_EVERY
         if nows is not None:
             if len(nows) != n:
                 raise SimulationError(
                     f"nows has {len(nows)} entries for {n} addresses"
                 )
-            prev: Optional[int] = None
-            for idx, (addr, kind, when) in enumerate(zip(addrs, kseq, nows)):
-                if idx % self._DEADLINE_CHECK_EVERY == 0:
-                    self._check_batch_deadline(idx, n)
-                when = int(when)
-                if prev is not None and when < prev:
+            times = [int(when) for when in nows]
+            for prev, when in zip(times, times[1:]):
+                if when < prev:
                     raise SimulationError(
                         f"nows must be non-decreasing ({when} after {prev})"
                     )
-                prev = when
-                append(access(ctx, int(addr), kind, when))
-            return BatchResult(results, now if prev is None else prev)
+            for start in range(0, n, block):
+                self._check_batch_deadline(start, n)
+                stop = start + block
+                for addr, kind, when in zip(
+                    addrs[start:stop], kseq[start:stop], times[start:stop]
+                ):
+                    append(access(ctx, int(addr), kind, when))
+            return BatchResult(results, times[-1] if times else now)
         cursor = now
-        for idx, (addr, kind) in enumerate(zip(addrs, kseq)):
-            if idx % self._DEADLINE_CHECK_EVERY == 0:
-                self._check_batch_deadline(idx, n)
-            result = access(ctx, int(addr), kind, cursor)
-            append(result)
-            cursor += advance + result.latency
+        for start in range(0, n, block):
+            self._check_batch_deadline(start, n)
+            stop = start + block
+            for addr, kind in zip(addrs[start:stop], kseq[start:stop]):
+                result = access(ctx, int(addr), kind, cursor)
+                append(result)
+                cursor += advance + result.latency
         return BatchResult(results, cursor)
 
     def _access_l1(

@@ -1,16 +1,16 @@
 """Wall-clock span instrumentation: where do the *host* cycles go.
 
-The PR 4 tracer records *simulated* time — right for security analysis,
-useless for answering "is the planner still the bottleneck".  This
-module adds the host-side view:
+The event tracer records *simulated* time — right for security
+analysis, useless for answering "where does the simulator spend its
+wall-clock".  This module adds the host-side view:
 
-* :class:`PhaseAccumulator` — plain-int nanosecond cells for the four
-  ``_access_batch_kernel`` phases (classify / plan / rehearse / apply)
-  plus the scalar-fallback bucket.  The kernel hoists one attribute
-  reference per batch and adds two subtractions per phase boundary;
-  when no profiler is installed the hot path keeps its pre-existing
-  ``is None`` branch and pays nothing (the <5% disabled-overhead gate
-  from PR 4 covers this, see ``bench_hierarchy_access_traced``).
+* :class:`PhaseAccumulator` — plain-int nanosecond cells for batched
+  accesses.  Both engines run ``access_batch`` as one scalar loop, so
+  only the ``fallback`` cell and ``scalar_accesses`` move; the
+  classify / plan / rehearse / apply cells and the window counts stay
+  in every payload and read 0.  ``access_batch`` reads one attribute
+  per batch; when no profiler is installed it takes its ``is None``
+  branch and pays nothing.
 * :class:`SpanProfiler` — nesting wall-clock spans (``with
   profiler.span("sweep.job")``) that carry counter deltas from an
   attached :class:`~repro.obs.counters.CounterRegistry`, and export as
@@ -46,19 +46,19 @@ __all__ = [
     "folded_to_lines",
 ]
 
-#: the kernel pipeline stages, in pipeline order (docs/internals.md §15),
-#: plus the scalar-fallback bucket that absorbs everything the kernel
-#: hands back to the reference loop.
+#: the phase cells of every kernel-phase payload; only ``fallback`` (the
+#: scalar ``access_batch`` loop) is ever non-zero
 KERNEL_PHASES = ("classify", "plan", "rehearse", "apply", "fallback")
 
 
 class PhaseAccumulator:
-    """Nanosecond + event tallies for the batched-access kernel.
+    """Nanosecond + event tallies for batched accesses.
 
-    All slots are plain ints so the kernel's ``prof.plan_ns += dt``
-    bumps never allocate.  ``fallback_ns`` also absorbs the object
-    engine's scalar :meth:`MemoryHierarchy.access_batch` loop — on that
-    engine *everything* is fallback, which is itself the measurement.
+    All slots are plain ints so the ``prof.fallback_ns += dt`` bumps
+    never allocate.  :meth:`MemoryHierarchy.access_batch` adds its
+    wall time to ``fallback_ns`` and its access count to
+    ``scalar_accesses``; the other cells keep the payload shape that
+    shard merges and the end-to-end benchmark read by name.
     """
 
     __slots__ = (
@@ -308,7 +308,7 @@ class ObsSession:
 
     A session is *installed* (module-global) rather than passed around
     because the things that report into it — ``TimeCacheSystem``
-    construction deep inside a sweep job, the batched kernel — are far
+    construction deep inside a sweep job, ``access_batch`` — are far
     from the code that decides observability is on.  Constructing a
     system while a session is installed auto-attaches the kernel phase
     accumulator; nothing else touches the hot paths.

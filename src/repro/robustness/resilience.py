@@ -36,14 +36,14 @@ class FailureRecord:
     """A job that exhausted its retries, with enough provenance to
     reproduce it in isolation.
 
-    The first four fields are the PR 1 core; the rest traces the
+    The first four fields are the core; the rest traces the
     quarantined job across subsystems: the simulation ``seed``, the
-    ``engine`` it ran under (PR 3), the fast engine's maximum
-    ``batch_window`` (PR 5 — bounds the vectorized stretch that was in
-    flight), the sha256 of the full config, the obs run-manifest
-    fingerprint of the sweep that quarantined it (PR 4), the worker-side
-    ``traceback``, and — once quarantined to disk — the path of the
-    standalone record file.
+    ``engine`` it ran under, a ``batch_window`` when the job's
+    provenance names one (the shipped sweeps name none: both engines
+    run batches one access at a time), the sha256 of the full config,
+    the obs run-manifest fingerprint of the sweep that quarantined it,
+    the worker-side ``traceback``, and — once quarantined to disk — the
+    path of the standalone record file.
     """
 
     label: str

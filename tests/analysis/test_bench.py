@@ -86,11 +86,8 @@ class TestOutputFiles:
             "single_config",
             "comparator",
             "hierarchy_access",
-            "hierarchy_access_batched",
+            "hierarchy_access_traced",
             "sweep_parallel",
-            "fill_kernel",
-            "evict_kernel",
-            "sbit_miss_kernel",
         }
 
     def test_unknown_name_rejected(self):
@@ -128,120 +125,6 @@ class TestRealWorkloads:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         result = bench_sweep_parallel(quick=True, jobs=1)
         assert result.skipped == "insufficient_cpus"
-
-
-class TestBatchedBench:
-    def test_batched_arm_runs_and_records_throughput(self):
-        result = run_benchmarks(
-            names=["hierarchy_access_batched"], quick=True
-        )["hierarchy_access_batched"]
-        assert result.median_s > 0
-        assert result.extra["accesses"] > 0
-        assert result.extra["accesses_per_s"] > 0
-        assert result.extra["scalar_median_s"] > 0
-        assert result.extra["batch_speedup"] > 0
-
-    def test_batched_arm_is_engine_aware(self):
-        results = run_benchmarks(
-            names=["hierarchy_access_batched"], quick=True, engine="fast"
-        )
-        assert list(results) == ["hierarchy_access_batched_fast"]
-        fast = results["hierarchy_access_batched_fast"]
-        # Quick mode on a loaded machine is too noisy to assert the
-        # full >1x batch speedup here — the committed-baseline gate
-        # owns the real perf bar; this only catches a catastrophically
-        # broken batch path.
-        assert fast.extra["batch_speedup"] > 0.3
-
-
-class TestKernelArms:
-    @pytest.mark.parametrize(
-        "name", ["fill_kernel", "evict_kernel", "sbit_miss_kernel"]
-    )
-    def test_kernel_arm_records_event_rate(self, name):
-        result = run_benchmarks(names=[name], quick=True)[name]
-        assert result.median_s > 0
-        assert result.extra["events"] > 0
-        assert result.extra["events_per_s"] > 0
-
-    @pytest.mark.parametrize("engine", ["object", "fast"])
-    def test_fill_kernel_records_phase_breakdown(self, engine):
-        results = run_benchmarks(names=["fill_kernel"], quick=True, engine=engine)
-        result = next(iter(results.values()))
-        assert result.extra["phase_total_s"] > 0
-        shares = [
-            result.extra[f"phase_share_{p}"]
-            for p in ("classify", "plan", "rehearse", "apply", "fallback")
-        ]
-        assert sum(shares) == pytest.approx(1.0, abs=0.01)
-        if engine == "fast":
-            assert result.extra["phase_windows"] > 0
-            # the kernel retires the batch; phase time lives in the pipeline
-            assert result.extra["phase_share_fallback"] < 0.5
-        else:
-            # the object engine's scalar loop is all fallback, by design
-            assert result.extra["phase_share_fallback"] == pytest.approx(1.0)
-
-    def test_render_shows_phase_breakdown(self):
-        from repro.analysis.bench import render_results
-
-        result = BenchResult(
-            "fill_kernel",
-            runs=[0.5],
-            extra={
-                "events": 100.0,
-                "events_per_s": 200.0,
-                "phase_total_s": 0.4,
-                "phase_share_plan": 0.25,
-                "phase_share_apply": 0.75,
-            },
-        )
-        out = render_results({"fill_kernel": result})
-        assert "phases (0.4000s)" in out
-        assert "plan 25%" in out
-        assert "apply 75%" in out
-
-    def test_kernel_arms_are_engine_aware(self):
-        results = run_benchmarks(
-            names=["sbit_miss_kernel"], quick=True, engine="fast"
-        )
-        assert list(results) == ["sbit_miss_kernel_fast"]
-        assert results["sbit_miss_kernel_fast"].extra["events_per_s"] > 0
-
-    def test_render_shows_event_rate(self):
-        from repro.analysis.bench import render_results
-
-        result = BenchResult(
-            "fill_kernel",
-            runs=[0.5],
-            extra={"events": 1000.0, "events_per_s": 2000.0},
-        )
-        out = render_results({"fill_kernel": result})
-        assert "2,000 events/s" in out
-
-    def test_render_flags_slow_batching(self):
-        from repro.analysis.bench import render_results
-
-        result = BenchResult(
-            "hierarchy_access_batched",
-            runs=[0.5],
-            extra={"accesses_per_s": 1.0, "batch_speedup": 0.82},
-        )
-        out = render_results({"hierarchy_access_batched": result})
-        assert "SLOWER" in out
-        assert "0.82x" in out
-        assert "benchmarks/perf/README.md" in out
-
-    def test_render_no_flag_when_batching_wins(self):
-        from repro.analysis.bench import render_results
-
-        result = BenchResult(
-            "hierarchy_access_batched_fast",
-            runs=[0.5],
-            extra={"accesses_per_s": 1.0, "batch_speedup": 2.4},
-        )
-        out = render_results({"hierarchy_access_batched_fast": result})
-        assert "SLOWER" not in out
 
 
 class TestEngineSelection:

@@ -59,7 +59,7 @@ def test_eviction_straddling_batch_matches_scalar(engine, tc_enabled):
     fills and evictions mid-batch; results and state must match the
     scalar loop exactly."""
     # 600 distinct lines, revisited, overflow every level of the scaled
-    # config's hierarchy, so the vectorized path repeatedly falls back.
+    # config's hierarchy.
     addrs = [(i * 37 % 600) * LINE for i in range(2000)]
     kinds = [LOAD if i % 5 else IFETCH for i in range(2000)]
     tc = {} if tc_enabled else {"enabled": False}
@@ -149,8 +149,8 @@ def test_store_heavy_and_mixed_kind_batches(engine):
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
 def test_small_batch_and_empty_batch(engine):
-    """Batches below the fast engine's vectorization threshold (and the
-    empty batch) still go through the API and match the scalar loop."""
+    """Small batches (and the empty batch) go through the API and match
+    the scalar loop."""
     system = TimeCacheSystem(_config(engine))
     empty = system.access_batch(0, [], LOAD, now=9)
     assert empty.results == [] and empty.now == 9
@@ -174,8 +174,7 @@ def test_advance_zero_charges_latency_only(engine):
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
 def test_batch_argument_validation(engine):
-    """Bad arguments raise SimulationError on both engines — including
-    batches large enough to take the fast engine's vectorized path."""
+    """Bad arguments raise SimulationError on both engines."""
     system = TimeCacheSystem(_config(engine))
     many = [i * LINE for i in range(64)]
     with pytest.raises(SimulationError, match="advance"):
@@ -188,6 +187,23 @@ def test_batch_argument_validation(engine):
         system.access_batch(0, many, LOAD, nows=[0, 1, 2])  # wrong length
     with pytest.raises(SimulationError, match="out of range"):
         system.access_batch(99, many, LOAD)
+
+
+@pytest.mark.parametrize("engine", ["object", "fast"])
+@pytest.mark.parametrize("n", [4, 40])
+def test_rejected_nows_batch_changes_nothing(engine, n):
+    """Issue times that go backwards only at the last access are still
+    rejected before the first access: no cache state or counter moves."""
+    system = TimeCacheSystem(_config(engine))
+    system.access_batch(0, [LINE], LOAD, now=0)  # non-empty starting state
+    before_stats = system.stats_snapshot()
+    before_state = _snapshot(system)
+    addrs = [i * LINE for i in range(n)]
+    nows = [100 + i for i in range(n - 1)] + [0]
+    with pytest.raises(SimulationError, match="non-decreasing"):
+        system.access_batch(0, addrs, LOAD, nows=nows)
+    assert system.stats_snapshot() == before_stats
+    assert _snapshot(system) == before_state
 
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
@@ -251,7 +267,7 @@ def test_expired_batch_deadline_raises_cooperatively(engine):
 
 
 # ---------------------------------------------------------------------------
-# Adversarial window shapes for the vectorized miss-resolution kernels
+# Adversarial stream shapes: miss storms, conflicts, stores after fills
 # ---------------------------------------------------------------------------
 
 
@@ -273,8 +289,8 @@ def _assert_batch_matches_scalar(engine, addrs, kinds, advance=1, tc=None):
 @pytest.mark.parametrize("engine", ["object", "fast"])
 @pytest.mark.parametrize("tc_enabled", [False, True])
 def test_all_miss_window_matches_scalar(engine, tc_enabled):
-    """A window of nothing but cold misses — no simple hit anywhere — must
-    retire through the fill kernels bit-identically to the scalar loop."""
+    """A batch of nothing but cold misses — no hit anywhere — must match
+    the scalar loop bit-identically."""
     addrs = [i * LINE for i in range(1500)]
     tc = {} if tc_enabled else {"enabled": False}
     _assert_batch_matches_scalar(engine, addrs, LOAD, tc=tc)
@@ -283,21 +299,17 @@ def test_all_miss_window_matches_scalar(engine, tc_enabled):
 @pytest.mark.parametrize("engine", ["object", "fast"])
 def test_same_set_conflict_storm(engine):
     """Every access maps to one cache set (stride covers any power-of-two
-    set count up to 64): chained same-set victim selections inside a
-    single window must pick the exact victims the in-order loop would."""
+    set count up to 64): chained same-set victim selections inside one
+    batch must pick the exact victims the in-order loop would."""
     addrs = [((i * 13 % 40) * 64) * LINE for i in range(1200)]
     kinds = [LOAD if i % 7 else IFETCH for i in range(1200)]
     _assert_batch_matches_scalar(engine, addrs, kinds)
 
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
-def test_window_boundary_evictions(engine, monkeypatch):
-    """With the adaptive window clamped tiny, evictions land on every
-    window boundary; re-entry state (etag mirrors, LRU stamps, s-bits)
-    must carry across boundaries exactly."""
-    from repro.memsys.fastengine import FastHierarchy
-
-    monkeypatch.setattr(FastHierarchy, "_BATCH_WINDOW_MAX", 32)
+def test_window_boundary_evictions(engine):
+    """A 700-line stride cycle evicts on nearly every access; LRU stamps
+    and s-bits must carry from one eviction to the next exactly."""
     addrs = [(i * 37 % 700) * LINE for i in range(1400)]
     _assert_batch_matches_scalar(engine, addrs, LOAD)
 
@@ -305,8 +317,8 @@ def test_window_boundary_evictions(engine, monkeypatch):
 @pytest.mark.parametrize("engine", ["object", "fast"])
 def test_stores_to_just_filled_lines(engine):
     """A store immediately following the load that filled its line (same
-    window) must hit the freshly filled slot and set the dirty bit, not
-    re-fill: the store path has to see in-window fills."""
+    batch) must hit the freshly filled slot and set the dirty bit, not
+    re-fill."""
     addrs, kinds = [], []
     for i in range(400):
         line = (i * 3 % 500) * LINE
@@ -317,12 +329,9 @@ def test_stores_to_just_filled_lines(engine):
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
 def test_replan_invalidation_rescans_new_hazards(engine):
-    """Regression: when a re-planned round invalidates a prior stale-miss
-    conversion (``bad``), the same schedule change can make an *earlier*
-    position newly stale — here the store at index 13 hits a line the
-    round-two schedule evicts at index 12.  The cut must cover the
-    earliest hazard of either kind, not just the invalidated conversion
-    (shrunk from a milc profile stream that raised KeyError in apply)."""
+    """A 32-access load/store/ifetch stream on the tiny config, shrunk
+    from a milc profile stream that once crashed a vectorized batch path
+    (KeyError); it must match the scalar loop."""
     import dataclasses
 
     from tests.conftest import tiny_config
@@ -353,10 +362,8 @@ def test_replan_invalidation_rescans_new_hazards(engine):
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
 def test_repeated_line_touches_last_write_wins(engine):
-    """Many touches of the same line inside one window: the replacement
-    stamp scatter uses duplicate indices, and numpy's last-write-wins
-    ordering must leave exactly the scalar loop's final stamp (regression
-    for the duplicate-index scatter contract the LRU plan relies on)."""
+    """Many touches of the same lines inside one batch must leave exactly
+    the scalar loop's final LRU and fill stamps."""
     addrs = []
     for i in range(50):
         addrs += [0, LINE * 3, 0, 0, LINE * 3]
@@ -374,10 +381,9 @@ def test_repeated_line_touches_last_write_wins(engine):
 def test_deadline_expiry_mid_kernel_leaves_consistent_state(
     engine, monkeypatch
 ):
-    """A ``batch_deadline`` that expires *between kernel windows* must
-    raise ``SimulationTimeout`` with the hierarchy at a state the scalar
-    loop could have produced: some exact prefix of the stream applied,
-    never a half-applied window."""
+    """A ``batch_deadline`` that expires mid-batch must raise
+    ``SimulationTimeout`` with the hierarchy at a state the scalar loop
+    could have produced: some exact prefix of the stream applied."""
     import repro.memsys.hierarchy as hier_mod
     from repro.common.errors import SimulationTimeout
 
@@ -386,8 +392,7 @@ def test_deadline_expiry_mid_kernel_leaves_consistent_state(
 
     # deterministic clock: the first deadline check passes, the second
     # one fails, so the run dies mid-batch no matter how fast the host
-    # is (the object engine checks every 1024 accesses, the fast engine
-    # between kernel windows)
+    # is (both engines check every 1024 accesses)
     ticks = iter(range(10_000))
     monkeypatch.setattr(hier_mod.time, "monotonic", lambda: next(ticks))
     system.hierarchy.batch_deadline = 0.5

@@ -250,19 +250,18 @@ def test_batched_path_matches_scalar(scenario, seed):
     assert obj_batched[2] == scalar[2], f"{scenario}: object batch state"
 
 
-#: adversarial stream shapes for the vectorized miss-resolution kernels:
-#: every entry is deliberately dominated by the events the batched fast
-#: path used to fall back to scalar for (fills, evictions, stores) —
+#: adversarial stream shapes: every entry is deliberately dominated by
+#: fills, evictions, or stores —
 #: name -> (config factory, contexts, switches, _run_trace overrides)
 STRESS_SCENARIOS = {
-    # pool far beyond LLC capacity: nearly every access misses and the
-    # fill/evict kernels run back to back through every level
+    # pool far beyond LLC capacity: nearly every access misses and
+    # fills/evictions run back to back through every level
     "eviction_heavy": (_base, 1, True, {"pool": 1500}),
     # every line lands in the same set (stride covers any power-of-two
     # set count up to 64): chained same-set victim selection
     "conflict_heavy": (_base, 1, False, {"pool": 48, "stride": 64}),
-    # mostly stores, two cores with switches: the batched store/dirty
-    # path plus store-probes on shared lines
+    # mostly stores, two cores with switches: the store/dirty path plus
+    # store-probes on shared lines
     "store_heavy": (
         lambda e, s: scaled_experiment_config(num_cores=2, seed=s, engine=e),
         2,
@@ -284,9 +283,9 @@ STRESS_SCENARIOS = {
 @pytest.mark.parametrize("scenario", sorted(STRESS_SCENARIOS))
 @pytest.mark.parametrize("seed", range(8))
 def test_kernel_stress_streams(scenario, seed):
-    """Eviction-heavy, conflict-heavy, and store-heavy streams hammer the
-    vectorized fill/evict/store kernels; the batched fast path must stay
-    bit-identical to the scalar loop and to the object engine."""
+    """Eviction-heavy, conflict-heavy, and store-heavy streams through
+    the batch API must stay bit-identical to the scalar loop and to the
+    object engine."""
     make_config, contexts, switches, kw = STRESS_SCENARIOS[scenario]
     scalar = _run_trace(
         make_config("fast", seed), seed, contexts, switches, **kw
@@ -342,8 +341,8 @@ def test_engines_emit_identical_event_streams(scenario, seed):
 @pytest.mark.parametrize("scenario", TRACED_SCENARIOS)
 @pytest.mark.parametrize("seed", range(3))
 def test_batched_traced_event_streams(scenario, seed):
-    """With a tracer attached the batched path (which then takes the
-    scalar reference route) must emit the identical event stream."""
+    """With a tracer attached the batched path must emit the identical
+    event stream."""
     make_config, contexts, switches = SCENARIOS[scenario]
     scalar = _run_trace(
         make_config("fast", seed), seed, contexts, switches, traced=True
@@ -408,10 +407,9 @@ def test_defense_engines_agree(defense, seed):
 @pytest.mark.parametrize("defense", defense_names())
 @pytest.mark.parametrize("seed", range(4))
 def test_defense_batched_matches_scalar(defense, seed):
-    """``access_batch`` under each defense — whether it runs the
-    in-kernel batched path (timecache, copy_on_access) or the announced
-    scalar fallback (selective_flush's listeners) — must match the
-    scalar loop on both engines."""
+    """``access_batch`` under each defense — with or without per-access
+    listeners (selective_flush) or an address remap (copy_on_access) —
+    must match the scalar loop on both engines."""
     scalar = _run_trace(_defense_config(defense, "fast", seed), seed, 2, True)
     batched = _run_trace(
         _defense_config(defense, "fast", seed), seed, 2, True, batched=True

@@ -24,13 +24,17 @@ from repro.robustness.supervisor import SupervisedSweepExecutor, SweepJob
 LABELS = ("alpha", "beta", "gamma")
 
 
+#: accesses each worker job sends through one ``access_batch`` call
+BATCH = 800
+
+
 def batched_job(seed):
-    """Picklable worker payload that drives the batched kernel, so the
+    """Picklable worker payload that drives ``access_batch``, so the
     shard carries kernel phases and sim counters."""
     config = scaled_experiment_config(l1_kib=4, llc_kib=64, engine="fast")
     line = config.hierarchy.line_bytes
     system = TimeCacheSystem(config)
-    addrs = [((i * 31 + seed) % 200) * line for i in range(800)]
+    addrs = [((i * 31 + seed) % 200) * line for i in range(BATCH)]
     out = system.hierarchy.access_batch(0, addrs, AccessKind.LOAD, now=0, advance=0)
     return {"seed": seed, "l1_hits": sum(1 for r in out.results if r.level == "L1")}
 
@@ -65,7 +69,8 @@ def test_jobs2_sweep_writes_one_shard_per_job(swept):
         assert shard["label"] == label
         assert shard["ok"] is True
         assert shard["pid"] > 0
-        assert shard["kernel_phases"]["windows"] > 0
+        assert shard["kernel_phases"]["scalar_accesses"] == BATCH
+        assert shard["kernel_phases"]["fallback_ns"] > 0
         assert any(k.startswith("sim.") for k in shard["counters"])
         # the job span wraps the whole attempt
         names = [s["name"] for s in shard["spans"]]
@@ -87,8 +92,11 @@ def test_merged_counters_totals_equal_sum_of_shards(swept):
     assert counters["totals"] == merge_counts(*shard_counts)
     assert set(counters["shards"]) == set(LABELS)
     # kernel phase totals are the shard sum too
-    windows = sum(load_shard(p)["kernel_phases"]["windows"] for p in list_shards(swept))
-    assert counters["kernel_phases"]["windows"] == windows
+    scalar = sum(
+        load_shard(p)["kernel_phases"]["scalar_accesses"]
+        for p in list_shards(swept)
+    )
+    assert counters["kernel_phases"]["scalar_accesses"] == scalar == 3 * BATCH
 
 
 def test_merged_trace_has_distinct_worker_process_tracks(swept):

@@ -118,14 +118,9 @@ def test_session_attaches_kernel_profiler_on_construction(engine):
         system.hierarchy.access_batch(0, addrs, AccessKind.LOAD, now=0, advance=0)
         payload = session.to_payload()
     phases = payload["kernel_phases"]
-    assert sum(phases[f"{p}_ns"] for p in KERNEL_PHASES) > 0
-    if engine == "fast":
-        assert phases["windows"] > 0
-        assert phases["batch_accesses"] + phases["scalar_accesses"] == len(addrs)
-    else:
-        # the object engine's scalar loop is all fallback, by design
-        assert phases["fallback_ns"] > 0
-        assert phases["scalar_accesses"] == len(addrs)
+    # both engines run the one scalar loop: every access is fallback
+    assert phases["fallback_ns"] > 0
+    assert phases["scalar_accesses"] == len(addrs)
     # finalize folded the system's stats into the counter tree
     assert any(k.startswith("sim.") for k in payload["counters"])
 
