@@ -82,6 +82,18 @@ EXIT_FATAL = 1
 EXIT_PARTIAL = 3
 
 
+def _count_flag(value: Optional[int], default: int, flag: str) -> int:
+    """A count flag's value: ``default`` when the flag was not given,
+    ConfigError (exit 1) when it is below 1."""
+    from repro.common.errors import ConfigError
+
+    if value is None:
+        return default
+    if value < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
 def _quarantine_dir_for(checkpoint_path: str) -> Path:
     """Where FailureRecords land for a resumable sweep: next to (and
     named after) its checkpoint file."""
@@ -430,9 +442,9 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
 
     console = args.console
     engines = tm.ENGINES if args.engine == "both" else (args.engine,)
-    seed_count = args.seeds or (1 if args.quick else 2)
+    seed_count = _count_flag(args.seeds, 1 if args.quick else 2, "--seeds")
     seeds = tuple(args.seed + i for i in range(seed_count))
-    n_boot = args.boot or (200 if args.quick else 500)
+    n_boot = _count_flag(args.boot, 200 if args.quick else 500, "--boot")
     try:
         outcome = tm.run_tournament(
             attacks=args.attacks or None,
@@ -514,9 +526,9 @@ def _cmd_compare_defenses(args: argparse.Namespace) -> int:
     console = args.console
     engines = tm.ENGINES if args.engine == "both" else (args.engine,)
     defenses = args.defenses or None
-    seed_count = args.seeds or 1
+    seed_count = _count_flag(args.seeds, 1, "--seeds")
     seeds = tuple(args.seed + i for i in range(seed_count))
-    n_boot = args.boot or (200 if args.quick else 500)
+    n_boot = _count_flag(args.boot, 200 if args.quick else 500, "--boot")
     try:
         outcome = dm.run_defense_matrix(
             attacks=args.attacks or None,

@@ -10,7 +10,7 @@ This module scores that game from two latency samples:
 
 * :func:`roc_auc` — the area under the ROC curve of the optimal
   single-threshold distinguisher, computed as the Mann-Whitney U
-  statistic with average-rank tie handling.  0.5 means the two
+  statistic with ties counting one half.  0.5 means the two
   populations are statistically identical (the attacker can only
   guess); 1.0 (or 0.0 — direction is arbitrary) means perfectly
   separable;
@@ -28,12 +28,13 @@ This module scores that game from two latency samples:
   leak") rests on an interval rather than a point estimate a single
   noisy seed could flip.
 
-Latencies are simulated cycle counts — small exact integers — so the
-mutual-information estimator treats each distinct value as one symbol
-(no binning heuristics), and all scores are bit-reproducible given the
-same samples and bootstrap seed.  Degenerate input (an empty class)
-raises :class:`~repro.common.errors.LeakageStatsError` rather than
-returning a number that looks meaningful.
+Latencies are simulated cycle counts — small exact integers — so each
+distinct value is one symbol (no binning heuristics): every score reads
+the pooled sample's class-by-symbol count table, and all scores are
+bit-reproducible given the same samples and bootstrap seed.  Degenerate
+input (an empty class) raises
+:class:`~repro.common.errors.LeakageStatsError` rather than returning a
+number that looks meaningful.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ from repro.common.errors import LeakageStatsError
 
 #: folded-AUC separation at or above which a channel counts as leaking
 LEAK_AUC_CUTOFF = 0.6
+
+#: resampled values per bootstrap block: one ``rng.integers`` call and
+#: one count table cover at most this many (or one replicate, if that
+#: is larger), so a cell's scratch memory does not grow with ``n_boot``
+BOOT_BLOCK_DRAWS = 8192
 
 
 def _as_populations(
@@ -65,36 +71,50 @@ def _as_populations(
     return neg, pos
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their group's average rank."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_values = values[order]
-    # Tie groups: a new group starts wherever the sorted value changes.
-    new_group = np.empty(values.size, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=new_group[1:])
-    group = np.cumsum(new_group) - 1
-    counts = np.bincount(group)
-    ends = np.cumsum(counts)
-    average = ends - (counts - 1) / 2.0  # mean of each group's rank span
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = average[group]
-    return ranks
+def _symbol_codes(neg: np.ndarray, pos: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Each pooled sample's symbol (index among the distinct values, in
+    ascending order), negatives first, and the number of symbols."""
+    symbols, codes = np.unique(np.concatenate([neg, pos]), return_inverse=True)
+    return codes, symbols.size
+
+
+def _count_table(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The 2 x K class-by-symbol counts: row 0 negatives, row 1 positives."""
+    codes, k = _symbol_codes(neg, pos)
+    return np.stack(
+        [
+            np.bincount(codes[: neg.size], minlength=k),
+            np.bincount(codes[neg.size:], minlength=k),
+        ]
+    )
+
+
+def _twice_u(neg_counts: np.ndarray, pos_counts: np.ndarray) -> np.ndarray:
+    """Twice the positives' Mann-Whitney U from per-symbol counts (last
+    axis): a positive beats every negative on a lower symbol and ties,
+    for half, each one on its own — ``2U = Σ pos · (2·below + neg)``."""
+    neg_below = np.cumsum(neg_counts, axis=-1) - neg_counts
+    return (pos_counts * (2 * neg_below + neg_counts)).sum(axis=-1)
+
+
+def _auc(twice_u: np.ndarray, n_neg: int, n_pos: int) -> np.ndarray:
+    # U is a half-integer, exact in float64, just as the positives'
+    # average-rank sum is; the division is the only rounding step.
+    return (twice_u / 2.0) / (n_neg * n_pos)
 
 
 def roc_auc(negatives: Sequence[float], positives: Sequence[float]) -> float:
     """P(positive sample > negative sample), ties counting one half.
 
-    The Mann-Whitney estimator of the ROC area: rank the pooled sample
-    (average ranks on ties), sum the positive ranks, subtract the
-    minimum possible rank sum.  Identical distributions score 0.5;
-    fully separated ones score 1.0 (positives higher) or 0.0 (lower).
+    The Mann-Whitney estimator of the ROC area, counted per symbol of
+    the pooled sample — the same number as ranking it (average ranks
+    on ties) and subtracting the minimum positive rank sum.  Identical
+    distributions score 0.5; fully separated ones score 1.0 (positives
+    higher) or 0.0 (lower).
     """
     neg, pos = _as_populations(negatives, positives, "roc_auc")
-    ranks = _average_ranks(np.concatenate([neg, pos]))
-    pos_rank_sum = float(ranks[neg.size:].sum())
-    u = pos_rank_sum - pos.size * (pos.size + 1) / 2.0
-    return u / (neg.size * pos.size)
+    counts = _count_table(neg, pos)
+    return float(_auc(_twice_u(counts[0], counts[1]), neg.size, pos.size))
 
 
 def auc_separation(
@@ -161,12 +181,7 @@ def mutual_information_bits(
     """
     neg, pos = _as_populations(negatives, positives, "mutual_information")
     total = neg.size + pos.size
-    symbols, inverse = np.unique(
-        np.concatenate([neg, pos]), return_inverse=True
-    )
-    joint = np.zeros((2, symbols.size), dtype=np.int64)
-    np.add.at(joint[0], inverse[: neg.size], 1)
-    np.add.at(joint[1], inverse[neg.size:], 1)
+    joint = _count_table(neg, pos)
     class_counts = joint.sum(axis=1)
     symbol_counts = joint.sum(axis=0)
     h_class = _entropy_bits(class_counts, total)
@@ -221,18 +236,44 @@ def bootstrap_auc(
     ``PCG64`` seeded explicitly, so the interval is a pure function of
     ``(samples, n_boot, seed, alpha)`` — the tournament's verdicts
     cannot drift between a local run and CI.
+
+    A replicate draws ``n`` indices below ``n`` (negatives), then ``m``
+    below ``m`` (positives), and is scored from its per-symbol counts.
+    Replicates go in blocks of at most :data:`BOOT_BLOCK_DRAWS` draws
+    (or one replicate), one ``rng.integers`` call per block with a
+    per-draw bound.  NumPy draws each bounded integer from one shared
+    32-bit stream, so a block consumes ``PCG64`` exactly as one call
+    per class and replicate would: the interval does not depend on the
+    block size.
     """
     neg, pos = _as_populations(negatives, positives, "bootstrap_auc")
     if n_boot < 1:
         raise LeakageStatsError(f"n_boot must be >= 1, got {n_boot}")
     if not 0.0 < alpha < 1.0:
         raise LeakageStatsError(f"alpha must be in (0, 1), got {alpha}")
+    n, m = neg.size, pos.size
+    codes, k = _symbol_codes(neg, pos)
+    per_replicate = n + m
+    block = max(1, BOOT_BLOCK_DRAWS // per_replicate)
+    # Per draw of a full block: its bound, where its class starts in the
+    # pooled sample, and the first count-table slot of its (replicate,
+    # class) row — replicate r's negatives count in row 2r, positives
+    # in row 2r + 1.
+    bounds = np.tile(np.repeat([n, m], [n, m]), block)
+    class_start = np.tile(np.repeat([0, n], [n, m]), block)
+    row_start = np.repeat(np.arange(2 * block) * k, np.tile([n, m], block))
     rng = np.random.Generator(np.random.PCG64(seed))
     replicates = np.empty(n_boot, dtype=np.float64)
-    for i in range(n_boot):
-        neg_resample = neg[rng.integers(0, neg.size, size=neg.size)]
-        pos_resample = pos[rng.integers(0, pos.size, size=pos.size)]
-        replicates[i] = auc_separation(neg_resample, pos_resample)
+    for first in range(0, n_boot, block):
+        reps = min(block, n_boot - first)
+        size = reps * per_replicate
+        draws = rng.integers(0, bounds[:size])
+        draws += class_start[:size]
+        slots = codes[draws]
+        slots += row_start[:size]
+        counts = np.bincount(slots, minlength=2 * reps * k).reshape(reps, 2, k)
+        auc = _auc(_twice_u(counts[:, 0], counts[:, 1]), n, m)
+        replicates[first:first + reps] = np.maximum(auc, 1.0 - auc)
     low, high = np.percentile(
         replicates, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)]
     )

@@ -2,6 +2,10 @@
 
 import json
 
+import pytest
+
+from repro.analysis import defense_matrix as dm
+from repro.analysis import tournament as tm
 from repro.analysis.cli import EXIT_FATAL, build_parser, main
 from repro.robustness import safeio
 
@@ -57,6 +61,38 @@ def test_tournament_rejects_unknown_attack(tmp_path, capsys):
         "--output", str(tmp_path / "S.json"), "--quiet",
     ]
     assert main(argv) == EXIT_FATAL
+
+
+#: each scoring command's sweep entry point, as (module, attribute)
+SWEEP_ENTRY = {
+    "tournament": (tm, "run_tournament"),
+    "compare-defenses": (dm, "run_defense_matrix"),
+}
+
+
+@pytest.mark.parametrize("flag", ["--boot", "--seeds"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", list(SWEEP_ENTRY))
+def test_count_flags_below_one_are_fatal_before_any_cell(
+    tmp_path, capsys, monkeypatch, command, flag, value
+):
+    """A count below 1 is a ConfigError (exit 1) before any cell runs,
+    not a silent fall-back to the default or a quarantined sweep."""
+    module, entry = SWEEP_ENTRY[command]
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{entry} ran despite {flag} {value}")
+
+    monkeypatch.setattr(module, entry, must_not_run)
+    argv = [
+        command, "--quick", flag, value, "--jobs", "1",
+        "--output", str(tmp_path / "out.json"),
+    ]
+    assert main(argv) == EXIT_FATAL
+    assert f"fatal: ConfigError: {flag} must be >= 1, got {value}" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_tournament_update_then_gate_passes(tmp_path, capsys):
