@@ -50,6 +50,9 @@ import numpy as np
 BENCH_SCHEMA = 1
 #: relative slowdown vs baseline that counts as a regression
 DEFAULT_THRESHOLD = 0.20
+#: plain/disabled pairs ``hierarchy_access_traced`` times; its
+#: disabled-tracer overhead is the median of their per-pair ratios
+DISABLED_OVERHEAD_PAIRS = 20
 #: workloads that take an ``engine=`` keyword and get a ``_fast`` suffix
 ENGINE_AWARE = (
     "single_config",
@@ -231,12 +234,15 @@ def bench_hierarchy_access_traced(
     Drives the ``hierarchy_access`` trace through three systems: no
     tracer at all, a *disabled* tracer (the production default — it
     attaches nothing, so the hot path must be untouched), and an
-    *enabled* tracer streaming JSONL to a temp file.  Repeats are
-    interleaved across the arms so clock drift and thermal noise hit
-    all three equally.  ``runs`` (the baseline-gated number) times the
-    disabled arm; ``extra`` records the three medians plus min-based
-    overhead ratios — ``overhead_disabled`` is locked under 5% by
-    ``tests/obs/test_bench_traced.py``.
+    *enabled* tracer streaming JSONL to a temp file.  The plain and
+    disabled arms run in back-to-back pairs, alternating which goes
+    first, so a change of host speed lands inside one pair rather than
+    on one arm; the enabled arm runs in the first rounds alongside
+    them.  ``runs`` (the baseline-gated number) times the disabled arm;
+    ``extra`` records the three medians and the overhead ratios —
+    ``overhead_disabled``, the median of the per-pair disabled/plain
+    ratios less one, is locked under 5% by
+    ``tests/obs/test_bench_traced.py`` and CI.
     """
     import dataclasses
     import tempfile
@@ -275,37 +281,46 @@ def bench_hierarchy_access_traced(
 
         return drive
 
-    repeats = 3 if quick else 5
+    def timed(drive: Callable[[], None], runs: List[float]) -> None:
+        start = time.perf_counter()
+        drive()
+        runs.append(time.perf_counter() - start)
+
+    enabled_repeats = 3 if quick else 5
+    plain_runs: List[float] = []
+    disabled_runs: List[float] = []
+    enabled_runs: List[float] = []
     with tempfile.TemporaryDirectory() as tmp:
         sink = JsonlSink(Path(tmp) / "bench_trace.jsonl")
         enabled_tracer = Tracer(sink)
-        arms = [
-            ("plain", build_drive(), []),
-            ("disabled", build_drive(Tracer(enabled=False)), []),
-            ("enabled", build_drive(enabled_tracer), []),
-        ]
-        for _, drive, _runs in arms:  # warm-up: fills + first misses
+        plain = build_drive()
+        disabled = build_drive(Tracer(enabled=False))
+        enabled = build_drive(enabled_tracer)
+        for drive in (plain, disabled, enabled):  # warm-up: fills + first misses
             drive()
-        for _ in range(repeats):
-            for _, drive, runs in arms:
-                start = time.perf_counter()
-                drive()
-                runs.append(time.perf_counter() - start)
+        for round_ in range(DISABLED_OVERHEAD_PAIRS):
+            pair = [(plain, plain_runs), (disabled, disabled_runs)]
+            if round_ % 2:
+                pair.reverse()
+            for drive, runs in pair:
+                timed(drive, runs)
+            if round_ < enabled_repeats:
+                timed(enabled, enabled_runs)
         events = float(sink.emitted)
         enabled_tracer.close()
-    plain_runs, disabled_runs, enabled_runs = (arm[2] for arm in arms)
+    plain_median = statistics.median(plain_runs)
+    pair_ratios = [d / p for p, d in zip(plain_runs, disabled_runs)]
     return BenchResult(
         name="hierarchy_access_traced",
         runs=disabled_runs,
         extra={
             "accesses": float(accesses),
-            "plain_median_s": statistics.median(plain_runs),
+            "pairs": float(DISABLED_OVERHEAD_PAIRS),
+            "plain_median_s": plain_median,
             "disabled_median_s": statistics.median(disabled_runs),
             "enabled_median_s": statistics.median(enabled_runs),
-            # min-over-min is the noise-robust overhead estimator: the
-            # fastest observed run is the one least disturbed by the OS
-            "overhead_disabled": min(disabled_runs) / min(plain_runs) - 1.0,
-            "overhead_enabled": min(enabled_runs) / min(plain_runs) - 1.0,
+            "overhead_disabled": statistics.median(pair_ratios) - 1.0,
+            "overhead_enabled": statistics.median(enabled_runs) / plain_median - 1.0,
             "events": events,
         },
     )

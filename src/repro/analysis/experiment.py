@@ -17,6 +17,7 @@ from typing import Callable, Dict, Optional
 from repro.common.config import SimConfig
 from repro.common.units import mpki
 from repro.os.kernel import Kernel, RunSummary
+from repro.workloads.generator import Tapes
 from repro.workloads.parsec import build_parsec_workload
 from repro.workloads.spec import build_spec_pair
 
@@ -162,13 +163,19 @@ def run_spec_pair_experiment(
     """One Table II SPEC row: the pair under baseline and TimeCache.
 
     Both configurations replay the identical deterministic instruction
-    streams (same seed), so the cycle ratio isolates the defense's cost.
-    ``budget`` arms the simulation watchdog for both runs.
+    streams (same seed): each program's op tape is emitted once, for
+    this experiment only, and both runs walk it, so the cycle ratio
+    isolates the defense's cost.  ``budget`` arms the simulation
+    watchdog for both runs.
     """
     from repro.workloads.mixes import pair_label
 
+    tapes: Tapes = {}
+
     def build(kernel: Kernel) -> None:
-        build_spec_pair(kernel, bench_a, bench_b, instructions, seed=seed)
+        build_spec_pair(
+            kernel, bench_a, bench_b, instructions, seed=seed, tapes=tapes
+        )
 
     base = _run_configured(config.baseline(), build, budget)
     defended = _run_configured(config, build, budget)
@@ -182,10 +189,14 @@ def run_parsec_experiment(
     seed: int = 0xFACE,
     budget: Optional[SimulationBudget] = None,
 ) -> ExperimentResult:
-    """One Table II PARSEC row: 2 threads on 2 cores, both configurations."""
+    """One Table II PARSEC row: 2 threads on 2 cores, both configurations
+    walking each thread's op tape, emitted once for this experiment."""
+    tapes: Tapes = {}
 
     def build(kernel: Kernel) -> None:
-        build_parsec_workload(kernel, bench, instructions_per_thread, seed=seed)
+        build_parsec_workload(
+            kernel, bench, instructions_per_thread, seed=seed, tapes=tapes
+        )
 
     base = _run_configured(config.baseline(), build, budget)
     defended = _run_configured(config, build, budget)

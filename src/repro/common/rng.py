@@ -81,6 +81,12 @@ class DeterministicRng:
 
         return randint, self._rng.random
 
+    @property
+    def getrandbits(self) -> Callable[[int], int]:
+        """The stream's bound ``Random.getrandbits``, for hot loops that
+        inline a fixed-range :meth:`bound_draws` ``randint``."""
+        return self._rng.getrandbits
+
     def choice(self, seq: Sequence[T]) -> T:
         return self._rng.choice(seq)
 

@@ -1,9 +1,10 @@
 """The hardware-context executor (blocking, TimingSimpleCPU-style).
 
 One :class:`HardwareContext` models one logical CPU (a core thread).  It
-runs at most one task's generator at a time, advancing a core-local cycle
-count by one cycle per instruction plus the full latency of every memory
-operation — the blocking model the paper's gem5 evaluation uses.
+runs at most one task's program at a time — a generator, or an open-loop
+program's :class:`~repro.cpu.program.OpTape` — advancing a core-local
+cycle count by one cycle per instruction plus the full latency of every
+memory operation — the blocking model the paper's gem5 evaluation uses.
 
 Scheduling decisions (who runs next, quantum expiry, context-switch cost)
 belong to the OS layer.  The kernel hands the executor a *slice* — an op
@@ -32,7 +33,14 @@ from repro.cpu.isa import (
     Store,
     YieldOp,
 )
-from repro.cpu.program import ProgramGen
+from repro.cpu.program import (
+    TAPE_COMPUTE,
+    TAPE_IFETCH,
+    TAPE_LOAD,
+    TAPE_STORE,
+    OpStream,
+    OpTape,
+)
 from repro.memsys.hierarchy import AccessKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.os imports us)
@@ -70,7 +78,7 @@ Translator = Callable[[int], int]
 
 
 class HardwareContext:
-    """One logical CPU executing one task generator at a time."""
+    """One logical CPU executing one task program at a time."""
 
     def __init__(self, ctx_id: int, system: TimeCacheSystem) -> None:
         self.ctx_id = ctx_id
@@ -84,7 +92,7 @@ class HardwareContext:
         self._stores = bound("stores")
         self._ifetches = bound("ifetches")
         self._flushes = bound("flushes")
-        self._gen: Optional[ProgramGen] = None
+        self._gen: Optional[OpStream] = None
         self._translate: Optional[Translator] = None
         self._tlb: Optional["Tlb"] = None
         self._pending_result: object = None
@@ -92,7 +100,7 @@ class HardwareContext:
     # ------------------------------------------------------------------
     def install(
         self,
-        gen: ProgramGen,
+        gen: OpStream,
         translate: Translator,
         tlb: Optional["Tlb"] = None,
         result: object = None,
@@ -142,13 +150,15 @@ class HardwareContext:
         translate = self._translate
         if gen is None or translate is None:
             raise ProgramError(f"ctx{self.ctx_id}: no task installed")
+        if until is None:
+            until = _NO_DEADLINE
+        if type(gen) is OpTape:
+            return self._walk_tape(gen, translate, max_ops, until)
         send = gen.send
         tlb = self._tlb
         system = self.system
         access = system.access
         ctx = self.ctx_id
-        if until is None:
-            until = _NO_DEADLINE
         now = self.local_time
         result = self._pending_result
         ops = instructions = loads = stores = ifetches = flushes = 0
@@ -275,3 +285,71 @@ class HardwareContext:
             if flushes:
                 self._flushes.add(flushes)
         return StepOutcome(event, wake_at, ops)
+
+    def _walk_tape(
+        self, tape: OpTape, translate: Translator, max_ops: int, until: float
+    ) -> StepOutcome:
+        """:meth:`step` over an op tape, reading ops by index.
+
+        The generator loop's rules, op for op: the same time per op, the
+        same bounds, one ``ops`` per op, TLB walks charged before the
+        access, counters written back once per call.  The tape never
+        reads a result, so none is kept for it.
+        """
+        kinds = tape.kinds
+        args = tape.args
+        start = pos = tape.pos
+        if pos >= len(kinds):  # walked past its exit, like a spent generator
+            return StepOutcome(StepEvent.EXITED, None, 1)
+        end = pos + max_ops
+        tlb = self._tlb
+        access = self.system.access
+        ctx = self.ctx_id
+        now = self.local_time
+        instructions = loads = stores = ifetches = 0
+        event = StepEvent.RUNNING
+        try:
+            while True:
+                code = kinds[pos]
+                arg = args[pos]
+                pos += 1
+                if code == TAPE_COMPUTE:
+                    now += arg
+                    instructions += arg
+                    if now >= until or pos >= end:
+                        break
+                    continue
+                if code == TAPE_LOAD:
+                    kind = _LOAD
+                    loads += 1
+                elif code == TAPE_IFETCH:
+                    kind = _IFETCH
+                    ifetches += 1
+                elif code == TAPE_STORE:
+                    kind = _STORE
+                    stores += 1
+                else:  # TAPE_EXIT
+                    instructions += 1
+                    event = StepEvent.EXITED
+                    break
+                if tlb is None:
+                    paddr = translate(arg)
+                else:
+                    paddr, walk = tlb.translate(arg, translate)
+                    now += walk
+                now += 1 + access(ctx, paddr, kind, now).latency
+                instructions += 1
+                if now >= until or pos >= end:
+                    break
+        finally:
+            tape.pos = pos
+            self.local_time = now
+            if instructions:
+                self._instructions.add(instructions)
+            if loads:
+                self._loads.add(loads)
+            if stores:
+                self._stores.add(stores)
+            if ifetches:
+                self._ifetches.add(ifetches)
+        return StepOutcome(event, None, pos - start)

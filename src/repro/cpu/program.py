@@ -1,35 +1,123 @@
-"""Program wrappers for generator-based simulated code.
+"""Programs: generator-based simulated code, and open-loop op tapes.
 
 A *program* is a zero-argument callable returning a generator that yields
 :mod:`repro.cpu.isa` operations and receives each operation's result via
 ``send``.  :class:`Program` names the callable; :func:`trace_program`
-turns a pre-computed operation list (a trace) into a program, which is
-how the workload generators feed the CPU.
+turns a pre-computed operation list (a trace) into a program.
+
+A program that never reads an op's result (an *open-loop* program: the
+SPEC and PARSEC workload streams, whose timing decides when they run but
+never what they issue) can instead be an :class:`OpTape`: its ops laid
+out once in two flat arrays and walked by index.  The CPU runs a tape
+without a ``send`` per op; everything else reads it as a generator that
+yields the same ops.  Attackers, victims and every other program whose
+control flow depends on results stay generators.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable, List, Optional
+from array import array
+from typing import Callable, Generator, Iterable, List, Optional, Union
 
-from repro.cpu.isa import Op
+from repro.common.errors import ProgramError
+from repro.cpu.isa import Compute, Exit, Ifetch, Load, Op, Store
+
+#: op tape kind codes, one byte per op; an access op's code indexes the
+#: ``"LSI"`` access codes :class:`~repro.cpu.isa.AccessRun` uses
+TAPE_LOAD, TAPE_STORE, TAPE_IFETCH, TAPE_COMPUTE, TAPE_EXIT = range(5)
+_TAPE_CODES = bytes(range(5))
+
+
+def _exit_op(arg: int) -> Exit:
+    return Exit()
+
+
+#: kind code -> the op its argument decodes to
+_DECODE = (Load, Store, Ifetch, Compute, _exit_op)
+
+
+class OpTape:
+    """An open-loop program's ops as two flat arrays, walked by index.
+
+    ``kinds[i]`` is op ``i``'s kind code (``TAPE_LOAD`` ... ``TAPE_EXIT``,
+    one byte) and ``args[i]`` its argument (int64): the virtual address of
+    a load, store or instruction fetch, the instruction count of a
+    compute burst, 0 for the exit — 9 bytes per op.  A tape ends with its
+    exit.  ``pos`` is the index of the next op; it stays on the tape
+    between the CPU's slices.
+
+    The tape also speaks the generator protocol: ``next`` and ``send``
+    (which ignores its value, as an open-loop program does) decode the
+    next op into the :mod:`~repro.cpu.isa` object a generator would have
+    yielded, and raise ``StopIteration`` past the exit.
+    """
+
+    __slots__ = ("kinds", "args", "pos")
+
+    def __init__(self, kinds: bytearray, args: array) -> None:
+        if args.typecode != "q" or len(kinds) != len(args):
+            raise ProgramError(
+                f"an op tape needs one int64 argument per kind code, got "
+                f"{len(kinds)} codes and {len(args)} {args.typecode!r} args"
+            )
+        if not kinds or kinds[-1] != TAPE_EXIT:
+            raise ProgramError("an op tape must end with its exit")
+        if kinds.translate(None, _TAPE_CODES):
+            raise ProgramError(f"op tape kind codes must be 0..{TAPE_EXIT}")
+        self.kinds = kinds
+        self.args = args
+        self.pos = 0
+
+    def rewound(self) -> "OpTape":
+        """A walker from the first op, sharing this tape's arrays."""
+        return OpTape(self.kinds, self.args)
+
+    def __iter__(self) -> "OpTape":
+        return self
+
+    def __next__(self) -> Op:
+        pos = self.pos
+        if pos >= len(self.kinds):
+            raise StopIteration
+        self.pos = pos + 1
+        return _DECODE[self.kinds[pos]](self.args[pos])
+
+    def send(self, value: object) -> Op:
+        return self.__next__()
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"OpTape({len(self.kinds)} ops, pos={self.pos})"
+
 
 #: what the CPU sends back into the generator after each op
 ProgramGen = Generator[Op, object, None]
+#: what a program's start returns: a generator or a tape
+OpStream = Union[ProgramGen, OpTape]
 
 
 class Program:
-    """A named generator factory, restartable for repeated runs."""
+    """A named generator (or tape) factory, restartable for repeated runs."""
 
-    def __init__(self, name: str, factory: Callable[[], ProgramGen]) -> None:
+    def __init__(self, name: str, factory: Callable[[], OpStream]) -> None:
         self.name = name
         self._factory = factory
 
-    def start(self) -> ProgramGen:
-        """Instantiate a fresh generator for one execution."""
+    def start(self) -> OpStream:
+        """Instantiate a fresh generator (or tape walker) for one execution."""
         return self._factory()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Program({self.name!r})"
+
+
+def tape_program(name: str, tape: OpTape) -> Program:
+    """A program walking ``tape`` from its first op on every start.
+
+    Starts share the tape's arrays, so one emitted tape serves every run
+    of the program (a baseline run and a TimeCache run of one
+    experiment).
+    """
+    return Program(name, tape.rewound)
 
 
 def trace_program(name: str, ops: Iterable[Op]) -> Program:

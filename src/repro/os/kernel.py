@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.config import SimConfig
-from repro.common.errors import SchedulerError, SimulationTimeout
+from repro.common.errors import ConfigError, SchedulerError, SimulationTimeout
 from repro.core.timecache import TimeCacheSystem
 from repro.cpu.cpu import HardwareContext, StepEvent
 from repro.os.process import Process, Task, TaskStatus
@@ -217,8 +217,13 @@ class Kernel:
         unlike ``max_steps`` (which truncates silently), exceeding either
         budget raises :class:`SimulationTimeout` so a sweep runner can
         record the failure and move on (checked every
-        ``stop_check_interval`` steps, like ``stop_when``).
+        ``stop_check_interval`` steps, like ``stop_when``).  An interval
+        below 1 is a :class:`ConfigError`, raised before the first step.
         """
+        if stop_check_interval < 1:
+            raise ConfigError(
+                f"stop_check_interval must be >= 1, got {stop_check_interval}"
+            )
         deadline = (
             time.monotonic() + wall_clock_budget_s
             if wall_clock_budget_s is not None

@@ -19,7 +19,7 @@ import enum
 from typing import Callable, List, Optional
 
 from repro.common.errors import SchedulerError
-from repro.cpu.program import Program, ProgramGen
+from repro.cpu.program import OpStream, Program
 from repro.os.vm import AddressSpace
 
 
@@ -72,7 +72,7 @@ class Task:
         self.status = TaskStatus.READY
         #: core-local wake time when SLEEPING
         self.wake_at: Optional[int] = None
-        self._gen: Optional[ProgramGen] = None
+        self._gen: Optional[OpStream] = None
         #: result of the task's last op, owed to its generator when the
         #: task was switched out right after that op
         self.pending_result: object = None
@@ -85,8 +85,9 @@ class Task:
     def name(self) -> str:
         return f"{self.process.name}/{self.program.name}#{self.tid}"
 
-    def generator(self) -> ProgramGen:
-        """The task's live generator, created on first schedule."""
+    def generator(self) -> OpStream:
+        """The task's live generator (or tape walker), created on first
+        schedule."""
         if self._gen is None:
             self._gen = self.program.start()
         return self._gen

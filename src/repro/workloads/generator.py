@@ -2,9 +2,16 @@
 
 :class:`WorkloadBuilder` lays out a process's address space (private
 data, private or shared benchmark text, shared libc, shared kernel text)
-on a :class:`~repro.os.kernel.Kernel` and produces a lazy generator
-program that emits the profile's instruction/memory mix until a target
-instruction count is reached.
+on a :class:`~repro.os.kernel.Kernel` and gives it a program that emits
+the profile's instruction/memory mix until a target instruction count is
+reached.
+
+The program never reads an op's result, so its whole stream is drawn up
+front: :func:`emit_profile_tape` writes it to an
+:class:`~repro.cpu.program.OpTape` (a kind byte and an int64 argument per
+op) that the CPU walks by index.  Builders given one ``tapes`` dict emit
+each program once and share its tape, which is how one experiment runs
+the same stream under the baseline and under TimeCache.
 
 Everything is deterministic given the seed, so a baseline run and a
 TimeCache run of the same experiment execute the *identical* operation
@@ -14,13 +21,22 @@ compare cycles over fixed work.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from array import array
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.rng import DeterministicRng
-from repro.cpu.isa import Compute, Exit, Ifetch, Load, Store
-from repro.cpu.program import Program, ProgramGen
+from repro.cpu.program import (
+    TAPE_COMPUTE,
+    TAPE_EXIT,
+    TAPE_IFETCH,
+    TAPE_LOAD,
+    TAPE_STORE,
+    OpTape,
+    Program,
+    tape_program,
+)
 from repro.os.kernel import Kernel
-from repro.workloads.profiles import BenchmarkProfile
+from repro.workloads.profiles import LIB_LINES, BenchmarkProfile
 
 #: virtual layout, common to every synthetic process
 CODE_BASE = 0x0400000
@@ -31,32 +47,59 @@ DATA_BASE = 0x8000000
 #: shared kernel text size, in lines (mapped into every process)
 KERNEL_LINES = 96
 
+#: op tapes by everything their emission depends on, shared between the
+#: builders one experiment creates for its configurations
+Tapes = Dict[tuple, OpTape]
+
 
 class WorkloadBuilder:
-    """Builds synthetic benchmark processes on a kernel."""
+    """Builds synthetic benchmark processes on a kernel.
 
-    def __init__(self, kernel: Kernel, seed: int = 0xBEEF) -> None:
+    ``tapes`` is a dict the caller owns: builders given the same one emit
+    each program's tape once and share it (see :meth:`shared_tape`).
+    """
+
+    def __init__(
+        self, kernel: Kernel, seed: int = 0xBEEF, tapes: Optional[Tapes] = None
+    ) -> None:
         self.kernel = kernel
         self.rng = DeterministicRng(seed)
         self.line_bytes = kernel.config.hierarchy.line_bytes
+        self.tapes: Tapes = {} if tapes is None else tapes
         # One shared kernel text for the whole machine, one shared libc.
         self._kernel_seg = kernel.phys.allocate_segment(
             "kernel.text", KERNEL_LINES * self.line_bytes, content_key="kernel"
         )
-        self._lib_segments: dict = {}
+        self._lib_seg = None
 
     # ------------------------------------------------------------------
-    def _lib_segment(self, lines: int):
-        """The shared libc segment, grown to the largest request seen.
+    def _lib_segment(self):
+        """The shared libc segment: ``LIB_LINES`` lines, allocated on
+        first use.
 
         All processes map the same physical libc; a benchmark's
-        ``shared_lib_lines`` selects how much of it the benchmark uses.
+        ``shared_lib_lines`` (validated to fit) selects how much of it
+        the benchmark uses.
         """
-        if "libc" not in self._lib_segments:
-            self._lib_segments["libc"] = self.kernel.phys.allocate_segment(
-                "libc.text", 512 * self.line_bytes, content_key="libc-2.31"
+        if self._lib_seg is None:
+            self._lib_seg = self.kernel.phys.allocate_segment(
+                "libc.text", LIB_LINES * self.line_bytes, content_key="libc-2.31"
             )
-        return self._lib_segments["libc"]
+        return self._lib_seg
+
+    def shared_tape(self, emit: Callable[..., OpTape], tag: str, *inputs) -> OpTape:
+        """``emit(*inputs, rng)``, with ``rng`` this builder's stream
+        forked by ``tag``.
+
+        The tape is kept in ``tapes``: a later call on a builder sharing
+        that dict, with the same emitter, seed, tag and (hashable)
+        inputs — the same stream — returns it instead of emitting again.
+        """
+        key = (emit, self.rng.seed, tag) + inputs
+        tape = self.tapes.get(key)
+        if tape is None:
+            tape = self.tapes[key] = emit(*inputs, self.rng.fork(tag))
+        return tape
 
     def build_process(
         self,
@@ -84,7 +127,7 @@ class WorkloadBuilder:
             content_key=f"bin-{profile.name}",
         )
         aspace.map_segment(code_seg, CODE_BASE)
-        aspace.map_segment(self._lib_segment(profile.shared_lib_lines), LIB_BASE)
+        aspace.map_segment(self._lib_segment(), LIB_BASE)
         aspace.map_segment(self._kernel_seg, KERNEL_BASE)
         data_seg = self.kernel.phys.allocate_segment(
             f"{name}.data", profile.data_lines * line_bytes
@@ -99,33 +142,43 @@ class WorkloadBuilder:
     def _make_program(
         self, profile: BenchmarkProfile, instructions: int, seed_tag: str
     ) -> Program:
-        """The lazy op stream implementing the profile's behavior."""
-        rng = self.rng.fork(seed_tag)
-        line_bytes = self.line_bytes
-
-        def factory() -> ProgramGen:
-            yield from _profile_ops(profile, instructions, rng, line_bytes)
-            yield Exit()
-
-        return Program(profile.name, factory)
+        """The program running the profile's op stream, from its tape."""
+        tape = self.shared_tape(
+            emit_profile_tape, seed_tag, profile, instructions, self.line_bytes
+        )
+        return tape_program(profile.name, tape)
 
 
-def _profile_ops(
+def emit_profile_tape(
     profile: BenchmarkProfile,
     instructions: int,
-    rng: DeterministicRng,
     line_bytes: int,
-) -> ProgramGen:
-    """The profile's operation mix (without the trailing ``Exit``).
+    rng: DeterministicRng,
+) -> OpTape:
+    """The profile's op stream, ``instructions`` retired then an exit.
 
-    Shared by the process programs and the reference-stream producers so
-    both draw the identical deterministic stream for a given rng state.
+    Draws from ``rng`` in a fixed order, so a given rng state always
+    yields the identical stream (the process programs and the
+    reference-stream producers rely on it).
     """
     randint, random = rng.bound_draws()
+    getrandbits = rng.getrandbits
+    kinds = bytearray()
+    args = array("q")
+    put_kind = kinds.append
+    put_arg = args.append
     hot_lines = max(1, int(profile.data_lines * profile.hot_set_fraction))
     ws_lines = profile.data_lines
     lib_lines = profile.shared_lib_lines
     code_lines = profile.code_lines
+    ifetch_every = profile.ifetch_every
+    syscall_every = profile.syscall_every
+    mem_ratio = profile.mem_ratio
+    stream_fraction = profile.stream_fraction
+    hot_fraction = profile.hot_fraction
+    write_ratio = profile.write_ratio
+    stream_accesses_per_line = profile.stream_accesses_per_line
+    syscall_kinds = bytes([TAPE_IFETCH] * 4)
     retired = 0
     stream_pos = randint(0, ws_lines - 1)
     stream_in_line = 0
@@ -136,7 +189,7 @@ def _profile_ops(
         # Instruction fetch stream: walk the code footprint, with
         # a slice of fetches landing in the shared library.
         since_ifetch += 1
-        if since_ifetch >= profile.ifetch_every:
+        if since_ifetch >= ifetch_every:
             since_ifetch = 0
             if random() < 0.15 and lib_lines > 0:
                 addr = LIB_BASE + randint(0, lib_lines - 1) * line_bytes
@@ -145,44 +198,51 @@ def _profile_ops(
                 if random() < 0.1:  # branch: jump somewhere
                     code_pos = randint(0, code_lines - 1)
                 addr = CODE_BASE + code_pos * line_bytes
-            yield Ifetch(addr)
+            put_kind(TAPE_IFETCH)
+            put_arg(addr)
             retired += 1
             continue
 
         # Occasional syscall: a burst through shared kernel text.
         since_syscall += 1
-        if since_syscall >= profile.syscall_every:
+        if since_syscall >= syscall_every:
             since_syscall = 0
-            start = randint(0, KERNEL_LINES - 5)
-            for k in range(4):
-                yield Ifetch(KERNEL_BASE + (start + k) * line_bytes)
+            addr = KERNEL_BASE + randint(0, KERNEL_LINES - 5) * line_bytes
+            kinds += syscall_kinds
+            args.extend(
+                (addr, addr + line_bytes, addr + 2 * line_bytes, addr + 3 * line_bytes)
+            )
             retired += 4
             continue
 
-        if random() < profile.mem_ratio:
+        if random() < mem_ratio:
             # Data access: streaming, hot, or cold.
-            r = random()
-            if r < profile.stream_fraction:
+            if random() < stream_fraction:
                 stream_in_line += 1
-                if stream_in_line >= profile.stream_accesses_per_line:
+                if stream_in_line >= stream_accesses_per_line:
                     stream_in_line = 0
                     stream_pos = (stream_pos + 1) % ws_lines
                 index = stream_pos
-            elif random() < profile.hot_fraction:
+            elif random() < hot_fraction:
                 index = randint(0, hot_lines - 1)
             else:
                 index = randint(0, ws_lines - 1)
-            addr = DATA_BASE + index * line_bytes
-            if random() < profile.write_ratio:
-                yield Store(addr)
-            else:
-                yield Load(addr)
+            put_kind(TAPE_STORE if random() < write_ratio else TAPE_LOAD)
+            put_arg(DATA_BASE + index * line_bytes)
             retired += 1
         else:
             # A run of ALU work between memory operations.
-            burst = randint(1, 4)
-            yield Compute(burst)
+            # randint(1, 4), inlined: the same rejection draws of 3 bits
+            burst = getrandbits(3)
+            while burst >= 4:
+                burst = getrandbits(3)
+            burst += 1
+            put_kind(TAPE_COMPUTE)
+            put_arg(burst)
             retired += burst
+    put_kind(TAPE_EXIT)
+    put_arg(0)
+    return OpTape(kinds, args)
 
 
 def profile_reference_stream(
@@ -209,16 +269,11 @@ def profile_reference_stream(
     # instruction budget and stop at the access target.
     budget = max(64, int(accesses * 4))
     while len(vaddrs) < accesses:
-        for op in _profile_ops(profile, budget, rng, line_bytes):
-            if isinstance(op, Load):
-                vaddrs.append(op.vaddr)
-                kinds.append("L")
-            elif isinstance(op, Store):
-                vaddrs.append(op.vaddr)
-                kinds.append("S")
-            elif isinstance(op, Ifetch):
-                vaddrs.append(op.vaddr)
-                kinds.append("I")
-            if len(vaddrs) >= accesses:
-                break
+        tape = emit_profile_tape(profile, budget, line_bytes, rng)
+        for code, vaddr in zip(tape.kinds, tape.args):
+            if code <= TAPE_IFETCH:
+                vaddrs.append(vaddr)
+                kinds.append("LSI"[code])
+                if len(vaddrs) >= accesses:
+                    break
     return vaddrs, "".join(kinds)

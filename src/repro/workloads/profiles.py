@@ -28,6 +28,10 @@ from typing import Dict
 
 from repro.common.errors import ConfigError
 
+#: shared libc text size, in lines: the one segment every process maps,
+#: so no profile's ``shared_lib_lines`` may exceed it
+LIB_LINES = 512
+
 
 @dataclass(frozen=True)
 class BenchmarkProfile:
@@ -63,6 +67,11 @@ class BenchmarkProfile:
     def validate(self) -> None:
         if self.data_lines <= 0 or self.code_lines <= 0:
             raise ConfigError(f"{self.name}: footprints must be positive")
+        if not 0 <= self.shared_lib_lines <= LIB_LINES:
+            raise ConfigError(
+                f"{self.name}: shared_lib_lines {self.shared_lib_lines} "
+                f"out of [0, {LIB_LINES}] (the shared libc segment's lines)"
+            )
         if not 0.0 <= self.stream_fraction <= 1.0:
             raise ConfigError(f"{self.name}: stream_fraction out of [0,1]")
         if not 0.0 <= self.hot_fraction <= 1.0:

@@ -8,11 +8,11 @@ pairs — the benchmark binary itself.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.os.kernel import Kernel
 from repro.os.process import Task
-from repro.workloads.generator import WorkloadBuilder
+from repro.workloads.generator import Tapes, WorkloadBuilder
 from repro.workloads.profiles import spec_profile
 
 
@@ -22,14 +22,17 @@ def build_spec_pair(
     bench_b: str,
     instructions: int,
     seed: int = 0xBEEF,
+    tapes: Optional[Tapes] = None,
 ) -> Tuple[Task, Task]:
     """Create the two processes of one Table II row on core 0.
 
     Both tasks execute ``instructions`` instructions; the run completes
     when both exit, and normalized execution time is taken over the
-    makespan (fixed work, variable time).
+    makespan (fixed work, variable time).  Builds given the same
+    ``tapes`` dict emit each program's tape once and share it
+    (:meth:`WorkloadBuilder.shared_tape`).
     """
-    builder = WorkloadBuilder(kernel, seed=seed)
+    builder = WorkloadBuilder(kernel, seed=seed, tapes=tapes)
     _, task_a = builder.build_process(
         spec_profile(bench_a), instance=0, instructions=instructions, affinity=0
     )

@@ -1,6 +1,9 @@
 """Integration tests for the kernel: dispatch, quanta, switches, sleep."""
 
+import pytest
+
 from repro.common import scaled_experiment_config
+from repro.common.errors import ConfigError
 from repro.cpu.isa import Compute, Exit, Load, Rdtsc, SleepOp, Store, YieldOp
 from repro.cpu.program import Program
 from repro.os.kernel import Kernel
@@ -164,6 +167,18 @@ def test_max_steps_bounds_runaway(config):
     kernel.submit(process.spawn(Program("f", forever), affinity=0))
     summary = kernel.run(max_steps=1000)
     assert summary.steps == 1000
+
+
+@pytest.mark.parametrize("interval", [0, -1])
+def test_stop_check_interval_below_one_is_rejected(config, interval):
+    """0 used to divide by zero; -1 silently made every slice one op."""
+    kernel = Kernel(config)
+    process = kernel.create_process("p")
+    task = process.spawn(simple_program("c", [Compute(10), Exit()]), affinity=0)
+    kernel.submit(task)
+    with pytest.raises(ConfigError, match="stop_check_interval"):
+        kernel.run(stop_check_interval=interval)
+    assert kernel.contexts[0].local_time == 0 and task.instructions == 0
 
 
 def test_switch_cost_charged_to_local_time():

@@ -1,15 +1,22 @@
 """Unit tests for benchmark profiles."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.os.kernel import Kernel
+from repro.workloads.generator import WorkloadBuilder
 from repro.workloads.profiles import (
+    LIB_LINES,
     PARSEC_PROFILES,
     SPEC_PROFILES,
     BenchmarkProfile,
     parsec_profile,
     spec_profile,
 )
+
+from tests.conftest import tiny_config
 
 
 def test_all_spec_profiles_valid():
@@ -99,3 +106,20 @@ class TestValidation:
             self.base(ifetch_every=0).validate()
         with pytest.raises(ConfigError):
             self.base(stream_accesses_per_line=0).validate()
+
+    def test_rejects_shared_lib_lines_outside_libc(self):
+        self.base(shared_lib_lines=0).validate()
+        self.base(shared_lib_lines=LIB_LINES).validate()
+        with pytest.raises(ConfigError):
+            self.base(shared_lib_lines=LIB_LINES + 1).validate()
+        with pytest.raises(ConfigError):
+            self.base(shared_lib_lines=-1).validate()
+
+
+def test_oversized_libc_footprint_fails_before_any_op_runs():
+    """600 libc lines used to build, then page-fault mid-run."""
+    kernel = Kernel(tiny_config())
+    profile = dataclasses.replace(spec_profile("perlbench"), shared_lib_lines=600)
+    with pytest.raises(ConfigError, match="shared_lib_lines"):
+        WorkloadBuilder(kernel).build_process(profile, 0, instructions=5_000)
+    assert kernel.tasks == [] and kernel.contexts[0].local_time == 0
