@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.common.config import SimConfig
+from repro.common.errors import ConfigError
 from repro.common.units import mpki
 from repro.os.kernel import Kernel, RunSummary
 from repro.workloads.generator import Tapes
@@ -28,11 +29,18 @@ class SimulationBudget:
 
     Exceeding either raises :class:`~repro.common.errors.SimulationTimeout`
     (a hard error the resilient sweep runner records), unlike the kernel's
-    ``max_steps`` which truncates silently.  ``None`` disables a limit.
+    ``max_steps`` which truncates silently.  ``None`` disables a limit;
+    a negative one is a :class:`~repro.common.errors.ConfigError`.
     """
 
     wall_clock_s: Optional[float] = None
     max_instructions: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        for name in ("wall_clock_s", "max_instructions"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,15 @@ memory operation — the blocking model the paper's gem5 evaluation uses.
 Scheduling decisions (who runs next, quantum expiry, context-switch cost)
 belong to the OS layer.  The kernel hands the executor a *slice* — an op
 budget and a time bound — and the executor reports how the slice ended
-so the kernel can react.
+so the kernel can react.  When every busy context walks an op tape, one
+call walks them all, handing off between them in the kernel's pick
+order, and returns only when the kernel has something to decide.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.errors import ProgramError
 from repro.common.stats import StatGroup
@@ -71,10 +73,15 @@ class StepOutcome(NamedTuple):
     wake_at: Optional[int] = None
     #: operations the step executed (a generator's end counts as one)
     ops: int = 1
+    #: the context whose op ended the step: the stepped one, or a peer
+    ctx: int = 0
 
 
 #: translates a task virtual address to a physical address
 Translator = Callable[[int], int]
+
+#: a context walked alongside the stepped one, and its own time bound
+Peer = Tuple["HardwareContext", Optional[int]]
 
 
 class HardwareContext:
@@ -136,16 +143,35 @@ class HardwareContext:
         return self.stats.get("instructions")
 
     # ------------------------------------------------------------------
-    def step(self, max_ops: int = 1, until: Optional[int] = None) -> StepOutcome:
+    def step(
+        self,
+        max_ops: int = 1,
+        until: Optional[int] = None,
+        peers: Sequence[Peer] = (),
+    ) -> StepOutcome:
         """Execute up to ``max_ops`` operations of the installed task.
 
         The step ends after the first op whose end time reaches
         ``until``, after a yield, sleep or exit, or once ``max_ops`` ops
-        ran; the outcome says how many did.  ``step()`` runs exactly one.
-        Every op issues at the same core-local time it would one call at
-        a time, and the instruction and access counters are added once
-        per call.
+        ran; the outcome says how many did.  ``step()`` runs exactly one;
+        a ``max_ops`` below 1 is a :class:`ProgramError`.  Every op issues
+        at the same core-local time it would one call at a time, and the
+        instruction and access counters are added once per call.
+
+        ``peers`` are other contexts walking op tapes, each with its own
+        ``until`` (``None``: no bound); this context must walk one too.
+        The step then runs all the tapes in the order one-op steps would
+        be picked — lowest local time first, lower ``ctx_id`` on a tie —
+        handing off once the running context's time reaches the next
+        one's turn, and ends when any of them reaches its own ``until``
+        or exits, or when ``max_ops`` ops ran in all.  The outcome's
+        ``ctx`` names the context whose op ended the step.
         """
+        if max_ops < 1:
+            raise ProgramError(
+                f"ctx{self.ctx_id}: a step runs at least one op, "
+                f"got max_ops={max_ops}"
+            )
         gen = self._gen
         translate = self._translate
         if gen is None or translate is None:
@@ -153,7 +179,9 @@ class HardwareContext:
         if until is None:
             until = _NO_DEADLINE
         if type(gen) is OpTape:
-            return self._walk_tape(gen, translate, max_ops, until)
+            return self._walk_tapes(max_ops, until, peers)
+        if peers:
+            raise ProgramError(f"ctx{self.ctx_id}: only an op tape walks with peers")
         send = gen.send
         tlb = self._tlb
         system = self.system
@@ -284,72 +312,132 @@ class HardwareContext:
                 self._ifetches.add(ifetches)
             if flushes:
                 self._flushes.add(flushes)
-        return StepOutcome(event, wake_at, ops)
+        return StepOutcome(event, wake_at, ops, ctx)
 
-    def _walk_tape(
-        self, tape: OpTape, translate: Translator, max_ops: int, until: float
+    def _walk_tapes(
+        self, max_ops: int, until: float, peers: Sequence[Peer]
     ) -> StepOutcome:
-        """:meth:`step` over an op tape, reading ops by index.
+        """:meth:`step` over op tapes — this context's and its peers' —
+        reading ops by index.
 
-        The generator loop's rules, op for op: the same time per op, the
-        same bounds, one ``ops`` per op, TLB walks charged before the
-        access, counters written back once per call.  The tape never
-        reads a result, so none is kept for it.
+        Between hand-offs each context keeps the generator loop's rules
+        op for op: the same time per op, one ``ops`` per op, TLB walks
+        charged before the access.  A context's index and local time are
+        kept at each hand-off and its counters added once per call, all
+        in ``finally`` blocks, so a raise leaves the state one-op steps
+        would.  The tapes never read a result, so none is kept for them.
         """
-        kinds = tape.kinds
-        args = tape.args
-        start = pos = tape.pos
-        if pos >= len(kinds):  # walked past its exit, like a spent generator
-            return StepOutcome(StepEvent.EXITED, None, 1)
-        end = pos + max_ops
-        tlb = self._tlb
+        walkers = [(self, until)]
+        if peers:
+            walkers.extend(
+                (hw, _NO_DEADLINE if bound is None else bound) for hw, bound in peers
+            )
+            # in ctx_id order: of two equal times, the first wins the tie
+            walkers.sort(key=lambda walker: walker[0].ctx_id)
+            if len({hw.ctx_id for hw, _ in walkers}) < len(walkers):
+                raise ProgramError("peers must be distinct contexts")
+        # per walker: what its run needs, and the other walkers' indices
+        hws = []
+        setups = []
+        times = []
+        counts = []  # instructions, loads, stores, ifetches
+        for k, (hw, bound) in enumerate(walkers):
+            tape = hw._gen
+            if type(tape) is not OpTape:
+                raise ProgramError(f"ctx{hw.ctx_id}: a peer must walk an op tape")
+            rivals = list(range(len(walkers)))
+            del rivals[k]
+            setups.append(
+                (hw.ctx_id, tape, tape.kinds, tape.args, hw._translate, hw._tlb,
+                 bound, rivals)
+            )
+            hws.append(hw)
+            times.append(hw.local_time)
+            counts.append([0, 0, 0, 0])
         access = self.system.access
-        ctx = self.ctx_id
-        now = self.local_time
-        instructions = loads = stores = ifetches = 0
+        k = hws.index(self)
+        left = max_ops
         event = StepEvent.RUNNING
         try:
             while True:
-                code = kinds[pos]
-                arg = args[pos]
-                pos += 1
-                if code == TAPE_COMPUTE:
-                    now += arg
-                    instructions += arg
-                    if now >= until or pos >= end:
-                        break
-                    continue
-                if code == TAPE_LOAD:
-                    kind = _LOAD
-                    loads += 1
-                elif code == TAPE_IFETCH:
-                    kind = _IFETCH
-                    ifetches += 1
-                elif code == TAPE_STORE:
-                    kind = _STORE
-                    stores += 1
-                else:  # TAPE_EXIT
-                    instructions += 1
+                ctx, tape, kinds, args, translate, tlb, bound, rivals = setups[k]
+                start = pos = tape.pos
+                if pos >= len(kinds):  # walked past its exit, like a spent generator
+                    left -= 1
                     event = StepEvent.EXITED
                     break
-                if tlb is None:
-                    paddr = translate(arg)
-                else:
-                    paddr, walk = tlb.translate(arg, translate)
-                    now += walk
-                now += 1 + access(ctx, paddr, kind, now).latency
-                instructions += 1
-                if now >= until or pos >= end:
+                now = times[k]
+                # Run until this context's own bound, or until the rival
+                # picked next — the lowest time, the lowest ctx_id on a
+                # tie — would be picked instead: once this context's
+                # time passes the rival's, or reaches it with the rival
+                # first in ctx_id order.
+                stop = bound
+                if rivals:
+                    rival = rivals[0]
+                    for j in rivals:
+                        if times[j] < times[rival]:
+                            rival = j
+                    turn = times[rival] + (rival > k)
+                    if turn < stop:
+                        stop = turn
+                end = pos + left
+                instructions = loads = stores = ifetches = 0
+                try:
+                    while True:
+                        code = kinds[pos]
+                        arg = args[pos]
+                        pos += 1
+                        if code == TAPE_COMPUTE:
+                            now += arg
+                            instructions += arg
+                            if now >= stop or pos >= end:
+                                break
+                            continue
+                        if code == TAPE_LOAD:
+                            kind = _LOAD
+                            loads += 1
+                        elif code == TAPE_IFETCH:
+                            kind = _IFETCH
+                            ifetches += 1
+                        elif code == TAPE_STORE:
+                            kind = _STORE
+                            stores += 1
+                        else:  # TAPE_EXIT
+                            instructions += 1
+                            event = StepEvent.EXITED
+                            break
+                        if tlb is None:
+                            paddr = translate(arg)
+                        else:
+                            paddr, walk = tlb.translate(arg, translate)
+                            now += walk
+                        now += 1 + access(ctx, paddr, kind, now).latency
+                        instructions += 1
+                        if now >= stop or pos >= end:
+                            break
+                finally:
+                    tape.pos = pos
+                    times[k] = now
+                    tally = counts[k]
+                    tally[0] += instructions
+                    tally[1] += loads
+                    tally[2] += stores
+                    tally[3] += ifetches
+                left -= pos - start
+                if event is not StepEvent.RUNNING or not left or now >= bound:
                     break
+                k = rival  # hand off
         finally:
-            tape.pos = pos
-            self.local_time = now
-            if instructions:
-                self._instructions.add(instructions)
-            if loads:
-                self._loads.add(loads)
-            if stores:
-                self._stores.add(stores)
-            if ifetches:
-                self._ifetches.add(ifetches)
-        return StepOutcome(event, None, pos - start)
+            for hw, now, tally in zip(hws, times, counts):
+                hw.local_time = now
+                instructions, loads, stores, ifetches = tally
+                if instructions:
+                    hw._instructions.add(instructions)
+                if loads:
+                    hw._loads.add(loads)
+                if stores:
+                    hw._stores.add(stores)
+                if ifetches:
+                    hw._ifetches.add(ifetches)
+        return StepOutcome(event, None, max_ops - left, ctx)

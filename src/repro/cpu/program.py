@@ -19,6 +19,8 @@ from __future__ import annotations
 from array import array
 from typing import Callable, Generator, Iterable, List, Optional, Union
 
+import numpy as np
+
 from repro.common.errors import ProgramError
 from repro.cpu.isa import Compute, Exit, Ifetch, Load, Op, Store
 
@@ -42,7 +44,8 @@ class OpTape:
     ``kinds[i]`` is op ``i``'s kind code (``TAPE_LOAD`` ... ``TAPE_EXIT``,
     one byte) and ``args[i]`` its argument (int64): the virtual address of
     a load, store or instruction fetch, the instruction count of a
-    compute burst, 0 for the exit — 9 bytes per op.  A tape ends with its
+    compute burst (at least 1, as :class:`~repro.cpu.isa.Compute`
+    requires), 0 for the exit — 9 bytes per op.  A tape ends with its
     exit.  ``pos`` is the index of the next op; it stays on the tape
     between the CPU's slices.
 
@@ -64,13 +67,25 @@ class OpTape:
             raise ProgramError("an op tape must end with its exit")
         if kinds.translate(None, _TAPE_CODES):
             raise ProgramError(f"op tape kind codes must be 0..{TAPE_EXIT}")
+        # whole-array passes, not one Python step per op
+        values = np.frombuffer(args, dtype=np.int64)
+        bad = (np.frombuffer(kinds, dtype=np.uint8) == TAPE_COMPUTE) & (values < 1)
+        if bad.any():
+            raise ProgramError(
+                f"op tape compute bursts must be >= 1, got {values[bad].min()}"
+            )
         self.kinds = kinds
         self.args = args
         self.pos = 0
 
     def rewound(self) -> "OpTape":
-        """A walker from the first op, sharing this tape's arrays."""
-        return OpTape(self.kinds, self.args)
+        """A walker from the first op, sharing this tape's arrays (checked
+        when this tape was built, so not again)."""
+        walker = object.__new__(OpTape)
+        walker.kinds = self.kinds
+        walker.args = self.args
+        walker.pos = 0
+        return walker
 
     def __iter__(self) -> "OpTape":
         return self

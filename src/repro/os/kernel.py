@@ -8,7 +8,10 @@ cores, the way a conservative discrete-event simulator would), enforcing
 the quantum, and performing context switches.  Each step runs a whole
 slice in one :meth:`~repro.cpu.cpu.HardwareContext.step` call: the ops
 the context would run back to back until the quantum expires, another
-context's time comes up, or the next stop check is due.
+context's time comes up, or the next stop check is due.  When every busy
+context walks an op tape, one call runs all of them, handing off between
+them in that same order, until one exits or reaches its quantum end, or
+the stop check is due.
 
 A context switch is where the paper's software support runs: the kernel
 calls :meth:`TimeCacheSystem.context_switch`, which saves the outgoing
@@ -22,12 +25,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.config import SimConfig
 from repro.common.errors import ConfigError, SchedulerError, SimulationTimeout
 from repro.core.timecache import TimeCacheSystem
-from repro.cpu.cpu import HardwareContext, StepEvent
+from repro.cpu.cpu import HardwareContext, Peer, StepEvent
+from repro.cpu.program import OpTape
 from repro.os.process import Process, Task, TaskStatus
 from repro.os.scheduler import RoundRobinScheduler
 from repro.os.tlb import Tlb
@@ -79,6 +83,8 @@ class Kernel:
             )
             for i in range(n_ctx)
         }
+        #: contexts whose running task walks an op tape
+        self._on_tape: Set[int] = set()
         self._dispatch_instr: Dict[int, int] = {i: 0 for i in range(n_ctx)}
         self._dispatch_time: Dict[int, int] = {i: 0 for i in range(n_ctx)}
         self.context_switches = 0
@@ -137,12 +143,15 @@ class Kernel:
             tlb = self._tlbs[ctx_id]
             if tlb is not None:
                 tlb.flush()  # CR3 write
+        stream = task.generator()
         hw.install(
-            task.generator(),
+            stream,
             task.translator(),
             self._tlbs[ctx_id],
             task.pending_result,
         )
+        if type(stream) is OpTape:
+            self._on_tape.add(ctx_id)
         self._current[ctx_id] = task
         self._slice_start[ctx_id] = hw.local_time
         self._dispatch_instr[ctx_id] = hw.instructions
@@ -158,6 +167,7 @@ class Kernel:
         task.cycles += hw.local_time - self._dispatch_time[ctx_id]
         task.pending_result = hw.uninstall()
         self._current[ctx_id] = None
+        self._on_tape.discard(ctx_id)
         return task
 
     # ------------------------------------------------------------------
@@ -190,6 +200,31 @@ class Kernel:
                 bound = now + 1
         return best, bound
 
+    def _quantum_bound(self, ctx_id: int) -> Optional[int]:
+        """The context's quantum end if tasks are queued or asleep behind
+        its running one (the count cannot change while it runs), else
+        ``None``: nobody to preempt for."""
+        if self.scheduler.pending(ctx_id) > 0:
+            return self._slice_start[ctx_id] + self.scheduler.quantum_cycles
+        return None
+
+    def _tape_peers(self, ctx_id: int) -> Optional[List[Peer]]:
+        """Every other busy context with its quantum bound, if each of
+        them walks an op tape; ``None`` if one runs a generator or waits
+        to be dispatched."""
+        peers: List[Peer] = []
+        for other, task in self._current.items():
+            if other == ctx_id:
+                continue
+            if task is None:
+                if self.scheduler.pending(other) > 0:
+                    return None
+            elif other in self._on_tape:
+                peers.append((self.contexts[other], self._quantum_bound(other)))
+            else:
+                return None
+        return peers
+
     def instructions_executed(self) -> int:
         """Instructions retired so far, including the running slices."""
         total = sum(t.instructions for t in self.tasks)
@@ -219,10 +254,19 @@ class Kernel:
         record the failure and move on (checked every
         ``stop_check_interval`` steps, like ``stop_when``).  An interval
         below 1 is a :class:`ConfigError`, raised before the first step.
+        A negative budget is one too; a budget of 0 is allowed.
         """
         if stop_check_interval < 1:
             raise ConfigError(
                 f"stop_check_interval must be >= 1, got {stop_check_interval}"
+            )
+        if wall_clock_budget_s is not None and wall_clock_budget_s < 0:
+            raise ConfigError(
+                f"wall_clock_budget_s must be >= 0, got {wall_clock_budget_s}"
+            )
+        if instruction_budget is not None and instruction_budget < 0:
+            raise ConfigError(
+                f"instruction_budget must be >= 0, got {instruction_budget}"
             )
         deadline = (
             time.monotonic() + wall_clock_budget_s
@@ -236,7 +280,7 @@ class Kernel:
             )
         # Arm the cooperative seam: a single kernel step may execute a
         # whole batched AccessRun, so the hierarchy re-checks the same
-        # deadline between its internal windows.
+        # deadline once per 1024-access block of the run.
         hierarchy = self.system.hierarchy
         hierarchy.batch_deadline = deadline
         try:
@@ -295,22 +339,28 @@ class Kernel:
             # One slice: every op this context runs before its quantum
             # expires (if anyone waits), another context's turn comes, or
             # the next stop check is due.
-            quantum_end = self._slice_start[ctx_id] + quantum
-            if until is None or quantum_end < until:
-                if self.scheduler.pending(ctx_id) > 0:
-                    until = quantum_end
-            outcome = hw.step(
-                min(
-                    stop_check_interval - steps % stop_check_interval,
-                    max_steps - steps,
-                ),
-                until,
+            budget = min(
+                stop_check_interval - steps % stop_check_interval,
+                max_steps - steps,
             )
+            peers = self._tape_peers(ctx_id) if ctx_id in self._on_tape else None
+            if peers is None:
+                quantum_end = self._slice_start[ctx_id] + quantum
+                if until is None or quantum_end < until:
+                    if self.scheduler.pending(ctx_id) > 0:
+                        until = quantum_end
+                outcome = hw.step(budget, until)
+            else:
+                # Every busy context walks a tape: one call runs their
+                # slices in turn, and names the context to decide for.
+                outcome = hw.step(budget, self._quantum_bound(ctx_id), peers)
+                ctx_id = outcome.ctx
+                hw = self.contexts[ctx_id]
             steps += outcome.ops
             event = outcome.event
             if event is StepEvent.RUNNING:
                 if (
-                    hw.local_time >= quantum_end
+                    hw.local_time >= self._slice_start[ctx_id] + quantum
                     and self.scheduler.pending(ctx_id) > 0
                 ):
                     preempted = self._undispatch(ctx_id)

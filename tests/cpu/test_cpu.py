@@ -158,6 +158,21 @@ def test_step_runs_a_slice_up_to_its_budget(ctx):
     assert ctx.instructions == 60
 
 
+@pytest.mark.parametrize("max_ops", [0, -5])
+def test_step_below_one_op_is_an_error(ctx, max_ops):
+    """Both used to run one op."""
+    started = []
+
+    def gen():
+        started.append(True)
+        yield Compute(10)
+
+    ctx.install(gen(), identity)
+    with pytest.raises(ProgramError, match="max_ops"):
+        ctx.step(max_ops=max_ops)
+    assert not started and ctx.local_time == 0 and ctx.instructions == 0
+
+
 def test_step_stops_after_the_op_that_reaches_until(ctx):
     def gen():
         while True:
@@ -181,9 +196,9 @@ def test_scheduling_ops_end_a_slice(ctx):
         yield Compute(1)  # never reached
 
     ctx.install(gen(), identity)
-    assert ctx.step(max_ops=10) == (StepEvent.YIELDED, None, 2)
-    assert ctx.step(max_ops=10) == (StepEvent.SLEEPING, ctx.local_time + 50, 2)
-    assert ctx.step(max_ops=10) == (StepEvent.EXITED, None, 2)
+    assert ctx.step(max_ops=10) == (StepEvent.YIELDED, None, 2, 0)
+    assert ctx.step(max_ops=10) == (StepEvent.SLEEPING, ctx.local_time + 50, 2, 0)
+    assert ctx.step(max_ops=10) == (StepEvent.EXITED, None, 2, 0)
     assert ctx.instructions == 6
 
 

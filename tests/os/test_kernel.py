@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common import scaled_experiment_config
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, SimulationTimeout
 from repro.cpu.isa import Compute, Exit, Load, Rdtsc, SleepOp, Store, YieldOp
 from repro.cpu.program import Program
 from repro.os.kernel import Kernel
@@ -179,6 +179,36 @@ def test_stop_check_interval_below_one_is_rejected(config, interval):
     with pytest.raises(ConfigError, match="stop_check_interval"):
         kernel.run(stop_check_interval=interval)
     assert kernel.contexts[0].local_time == 0 and task.instructions == 0
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [{"wall_clock_budget_s": -1.0}, {"instruction_budget": -1}],
+    ids=["wall_clock", "instructions"],
+)
+def test_negative_watchdog_budgets_are_rejected(config, budget):
+    """Both used to raise SimulationTimeout at the first stop check."""
+    kernel = Kernel(config)
+    process = kernel.create_process("p")
+    task = process.spawn(simple_program("c", [Compute(10), Exit()]), affinity=0)
+    kernel.submit(task)
+    with pytest.raises(ConfigError, match=next(iter(budget))):
+        kernel.run(**budget)
+    assert kernel.contexts[0].local_time == 0 and task.instructions == 0
+    assert kernel.system.hierarchy.batch_deadline is None
+
+
+def test_zero_instruction_budget_is_a_budget(config):
+    kernel = Kernel(config)
+    process = kernel.create_process("p")
+
+    def forever():
+        while True:
+            yield Compute(1)
+
+    kernel.submit(process.spawn(Program("f", forever), affinity=0))
+    with pytest.raises(SimulationTimeout, match="after 10 steps"):
+        kernel.run(stop_check_interval=10, instruction_budget=0)
 
 
 def test_switch_cost_charged_to_local_time():

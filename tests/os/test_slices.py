@@ -2,9 +2,10 @@
 
 ``Kernel.run(stop_check_interval=1)`` ends every slice after one op,
 which is the per-op loop; the default interval lets a slice run up to
-256 ops in one ``HardwareContext.step`` call.  Whatever a run leaves
-behind — its summary, every cache and engine counter, every trace event
-— must not depend on which of the two ran it.
+256 ops in one ``HardwareContext.step`` call, and lets one call walk
+every busy context's op tape in turn.  Whatever a run leaves behind —
+its summary, every cache and engine counter, every trace event — must
+not depend on which of the two ran it.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import dataclasses
 import pytest
 
 from repro.common import scaled_experiment_config
+from repro.cpu.cpu import HardwareContext
 from repro.cpu.isa import (
     AccessRun,
     Compute,
@@ -30,7 +32,9 @@ from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
 from repro.os.kernel import Kernel
 from repro.os.process import Process, Task
+from repro.workloads.generator import WorkloadBuilder
 from repro.workloads.parsec import build_parsec_workload
+from repro.workloads.profiles import spec_profile
 from repro.workloads.spec import build_spec_pair
 
 SHARED = 0x100000
@@ -141,6 +145,83 @@ def _attack_config(engine="fast", **changes):
 def test_attacker_scenario(engine):
     summary = assert_slices_equal_single_ops(_attack_config(engine), _scenario)
     assert summary.context_switches > 20
+
+
+# ----------------------------------------------------------------------
+# Tape contexts walked in one call
+# ----------------------------------------------------------------------
+@pytest.fixture
+def walks(monkeypatch):
+    """How many peers each ``HardwareContext.step`` call walked with."""
+    seen = []
+    step = HardwareContext.step
+
+    def counted(self, max_ops=1, until=None, peers=()):
+        seen.append(len(peers))
+        return step(self, max_ops, until, peers)
+
+    monkeypatch.setattr(HardwareContext, "step", counted)
+    return seen
+
+
+def _tape_tasks(placements, seed=7):
+    """SPEC-profile tape tasks: (benchmark, instructions, context) each."""
+
+    def build(kernel):
+        builder = WorkloadBuilder(kernel, seed=seed)
+        for instance, (bench, instructions, ctx) in enumerate(placements):
+            _, task = builder.build_process(
+                spec_profile(bench), instance, instructions, affinity=ctx
+            )
+            kernel.submit(task)
+
+    return build
+
+
+@pytest.mark.parametrize("engine", ["object", "fast"])
+def test_four_tape_cores(engine, walks):
+    """Four tapes of different lengths start tied (every core pays the
+    same dispatch cost), and the shorter ones exit while the others
+    walk on."""
+    config = scaled_experiment_config(num_cores=4, engine=engine)
+    build = _tape_tasks(
+        [("wrf", 4_000, 0), ("lbm", 1_500, 1), ("namd", 3_000, 2),
+         ("perlbench", 700, 3)]
+    )
+    assert_slices_equal_single_ops(config, build)
+    assert max(walks) == 3
+
+
+@pytest.mark.parametrize("engine", ["object", "fast"])
+def test_two_cores_time_slicing_tapes(engine, walks):
+    """Quantum ends and hand-offs between cores fall in the same walk."""
+    config = dataclasses.replace(
+        scaled_experiment_config(num_cores=2, engine=engine),
+        quantum_cycles=1_500,
+    )
+    build = _tape_tasks(
+        [("wrf", 3_000, 0), ("milc", 2_500, 0), ("lbm", 2_000, 1),
+         ("namd", 3_500, 1)]
+    )
+    summary = assert_slices_equal_single_ops(config, build)
+    assert summary.context_switches > 10
+    assert max(walks) == 1
+
+
+@pytest.mark.parametrize("engine", ["object", "fast"])
+def test_tape_core_beside_attacker_core(engine, walks):
+    """A generator on one core keeps the other core's tape on the
+    one-slice path; the results stay those of one-op steps."""
+
+    def build(kernel):
+        _tape_tasks([("wrf", 3_000, 0)])(kernel)
+        segment = kernel.phys.allocate_segment("shared", 64 * LINE)
+        process = kernel.create_process("attacker")
+        process.address_space.map_segment(segment, SHARED)
+        kernel.submit(process.spawn(Program("attacker", _attacker), affinity=1))
+
+    assert_slices_equal_single_ops(_attack_config(engine), build)
+    assert walks and max(walks) == 0
 
 
 def test_tlb_walks():

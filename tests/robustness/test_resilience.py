@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis.experiment import SimulationBudget
 from repro.analysis.runner import resilient_spec_pair_sweep
-from repro.common.errors import SimulationTimeout
+from repro.common.errors import ConfigError, SimulationTimeout
 from repro.robustness import supervisor
 from repro.robustness.resilience import Checkpoint, FailureRecord
 from repro.robustness.supervisor import SupervisedSweepExecutor, SweepJob
@@ -197,6 +197,16 @@ class TestSweepIntegration:
         (failure,) = outcome.failures
         assert failure.error_type == "SimulationTimeout"
         assert not outcome.results
+
+    @pytest.mark.parametrize(
+        "limits", [{"wall_clock_s": -1.0}, {"max_instructions": -1}]
+    )
+    def test_negative_budget_is_a_config_error(self, limits):
+        """A negative wall-clock budget used to spend three attempts
+        before the pair was recorded as a SimulationTimeout."""
+        with pytest.raises(ConfigError, match=next(iter(limits))):
+            SimulationBudget(**limits)
+        SimulationBudget(wall_clock_s=0.0, max_instructions=0)  # 0 is a budget
 
     def test_partial_results_with_one_failure(self, monkeypatch):
         import repro.analysis.runner as runner_mod

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from repro.analysis import experiment
 from repro.common import scaled_experiment_config
-from repro.common.errors import ProgramError
+from repro.common.errors import ProgramError, SimulationTimeout
 from repro.common.rng import DeterministicRng
 from repro.cpu.cpu import HardwareContext, StepEvent
 from repro.cpu.isa import Compute, Exit, Ifetch, Load, Store
 from repro.cpu.program import (
+    TAPE_COMPUTE,
     TAPE_EXIT,
     TAPE_LOAD,
     OpTape,
@@ -316,11 +317,40 @@ def test_tape_speaks_the_generator_protocol():
         (bytearray([TAPE_LOAD, TAPE_EXIT]), array("q", [64])),  # lengths
         (bytearray([TAPE_EXIT]), array("i", [0])),  # not int64
         (bytearray([9, TAPE_EXIT]), array("q", [0, 0])),  # unknown code
+        # compute bursts below 1, which Compute rejects
+        (bytearray([TAPE_COMPUTE, TAPE_EXIT]), array("q", [-500, 0])),
+        (bytearray([TAPE_LOAD, TAPE_COMPUTE, TAPE_EXIT]), array("q", [64, 0, 0])),
     ],
 )
 def test_malformed_tapes_are_rejected(kinds, args):
     with pytest.raises(ProgramError):
         OpTape(kinds, args)
+
+
+@pytest.mark.parametrize("max_ops", [0, -5])
+def test_stepping_a_tape_below_one_op_is_an_error(max_ops):
+    """Both used to run one op."""
+    kernel = Kernel(tiny_config())
+    hw = HardwareContext(0, kernel.system)
+    tape = OpTape(bytearray([TAPE_COMPUTE, TAPE_EXIT]), array("q", [7, 0]))
+    hw.install(tape, lambda vaddr: vaddr)
+    with pytest.raises(ProgramError, match="max_ops"):
+        hw.step(max_ops=max_ops)
+    assert (tape.pos, hw.local_time, hw.instructions) == (0, 0, 0)
+
+
+def test_peers_are_distinct_tape_contexts():
+    kernel = Kernel(tiny_config())
+    a, b = HardwareContext(0, kernel.system), HardwareContext(1, kernel.system)
+    a.install(_spec_tape(spec_profile("namd"), 200, seed=1), lambda v: v)
+    b.install(iter([Exit()]), lambda v: v)
+    with pytest.raises(ProgramError, match="op tape"):
+        a.step(10, peers=[(b, None)])  # a generator peer
+    with pytest.raises(ProgramError, match="op tape"):
+        b.step(10, peers=[(a, None)])  # a generator stepped with peers
+    with pytest.raises(ProgramError, match="distinct"):
+        a.step(10, peers=[(a, None)])
+    assert (a.local_time, a.instructions, a._gen.pos) == (0, 0, 0)
 
 
 def test_stepping_a_spent_tape_exits_like_a_spent_generator():
@@ -374,8 +404,10 @@ def _build_parsec(kernel, reference):
     return tasks
 
 
-def _observe(config, build, reference, interval):
-    """(summary, stats snapshot, trace events) of one run."""
+def _observe(config, build, reference, interval, instruction_budget=None):
+    """(summary, stats snapshot, trace events) of one run; with an
+    ``instruction_budget``, the run must time out, and the summary's
+    place holds the timeout's message."""
     tids, pids = Task._next_tid, Process._next_pid
     try:
         kernel = Kernel(config)
@@ -385,8 +417,18 @@ def _observe(config, build, reference, interval):
         assert all(
             isinstance(task.program.start(), OpTape) != reference for task in tasks
         )
-        summary = kernel.run(stop_check_interval=interval)
-        assert kernel.all_done() and ring.dropped == 0
+        if instruction_budget is None:
+            summary = kernel.run(stop_check_interval=interval)
+            assert kernel.all_done()
+        else:
+            with pytest.raises(SimulationTimeout) as timeout:
+                kernel.run(
+                    stop_check_interval=interval,
+                    instruction_budget=instruction_budget,
+                )
+            summary = str(timeout.value)
+            assert not kernel.all_done()
+        assert ring.dropped == 0
         events = [event.to_dict() for event in ring.events]
         return summary, kernel.system.stats_snapshot(), events
     finally:
@@ -397,21 +439,30 @@ def _observe(config, build, reference, interval):
 @pytest.mark.parametrize("interval", [1, 256])
 @pytest.mark.parametrize("tlb_entries", [0, 8])
 @pytest.mark.parametrize("engine", ["object", "fast"])
-@pytest.mark.parametrize("workload", ["spec", "parsec"])
+@pytest.mark.parametrize("workload", ["spec", "parsec", "parsec_budget"])
 def test_tape_runs_equal_reference_runs(workload, engine, tlb_entries, interval):
+    """``parsec_budget`` stops the PARSEC runs mid-run on an instruction
+    budget: the two-core tape walk must stop after the same step, in the
+    same state, as the reference generators."""
+    budget = None
     if workload == "spec":
         config = scaled_experiment_config(quantum_cycles=3_000, engine=engine)
         build = _build_spec
     else:
         config = scaled_experiment_config(num_cores=2, engine=engine)
         build = _build_parsec
+        if workload == "parsec_budget":
+            budget = PARSEC_PAIR[1]  # of the two threads' 2 x 6_000
     config = dataclasses.replace(config, tlb_entries=tlb_entries)
-    tape_run = _observe(config, build, reference=False, interval=interval)
-    reference_run = _observe(config, build, reference=True, interval=interval)
+    tape_run = _observe(config, build, False, interval, budget)
+    reference_run = _observe(config, build, True, interval, budget)
     assert tape_run[0] == reference_run[0]
     assert tape_run[1] == reference_run[1]
     assert tape_run[2] == reference_run[2]
-    assert tape_run[0].total_instructions > 0
+    if budget is None:
+        assert tape_run[0].total_instructions > 0
+    else:
+        assert f"instruction budget {budget} exceeded after" in tape_run[0]
 
 
 # ----------------------------------------------------------------------
