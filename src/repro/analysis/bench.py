@@ -38,7 +38,6 @@ comparison logic itself is strict and unit-tested.
 from __future__ import annotations
 
 import os
-import platform
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -46,6 +45,8 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
+
+from repro.obs.manifest import machine_metadata
 
 BENCH_SCHEMA = 1
 #: relative slowdown vs baseline that counts as a regression
@@ -94,19 +95,6 @@ class BenchResult:
         if meta is not None:
             payload["meta"] = dict(meta)
         return payload
-
-
-def machine_metadata() -> Dict:
-    """Where a measurement came from — medians are only comparable
-    against a baseline taken on similar hardware."""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "taken_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
 
 
 def _time_runs(fn: Callable[[], object], repeats: int) -> List[float]:

@@ -31,10 +31,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 import time
 
-from repro.analysis.bench import machine_metadata
 from repro.analysis.tournament import ATTACKS, ENGINES, tournament_jobs
 from repro.common.config import scaled_experiment_config
 from repro.defenses import defense_names, get_defense, is_control_defense
+from repro.obs.manifest import machine_metadata
 from repro.robustness import safeio
 from repro.robustness.resilience import Checkpoint, SweepOutcome
 from repro.robustness.supervisor import SupervisedSweepExecutor, SweepJob

@@ -44,10 +44,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.analysis.bench import machine_metadata
 from repro.common.config import SimConfig, scaled_experiment_config
 from repro.common.errors import LeakageStatsError
 from repro.defenses import defense_names, get_defense, is_control_defense
+from repro.obs.manifest import machine_metadata
 from repro.robustness import safeio
 from repro.robustness.resilience import Checkpoint, SweepOutcome
 from repro.robustness.supervisor import (

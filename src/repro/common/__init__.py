@@ -25,7 +25,7 @@ from repro.common.errors import (
     SimulationError,
 )
 from repro.common.rng import DeterministicRng
-from repro.common.stats import Counter, Histogram, RatioStat, StatGroup
+from repro.common.stats import Counter, StatGroup
 from repro.common.units import (
     KIB,
     MIB,
@@ -43,11 +43,9 @@ __all__ = [
     "DeterministicRng",
     "GlobalClock",
     "HierarchyConfig",
-    "Histogram",
     "KIB",
     "LatencyConfig",
     "MIB",
-    "RatioStat",
     "ReproError",
     "SchedulerError",
     "SimConfig",

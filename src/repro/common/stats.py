@@ -1,14 +1,16 @@
-"""Lightweight statistics primitives used across the simulator.
+"""Named counters: the one counter substrate of the simulator.
 
 Each simulated component owns a :class:`StatGroup`; the experiment harness
 (:mod:`repro.analysis`) reads the groups after a run to build the paper's
-tables and figures.  Everything is plain counters — there is no sampling
-and no loss of precision.
+tables and figures, and an observability session
+(:class:`~repro.obs.spans.ObsSession`) folds a finished system's
+snapshot into a ``StatGroup("sim")`` of its own.  Everything is plain
+counters — there is no sampling and no loss of precision.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict
 
 
 class Counter:
@@ -62,90 +64,12 @@ class _HotCounter(Counter):
             self._group = None
 
 
-class RatioStat:
-    """A numerator/denominator pair reported as a ratio (e.g. hit rate)."""
-
-    __slots__ = ("name", "numerator", "denominator")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.numerator = 0
-        self.denominator = 0
-
-    def record(self, hit: bool) -> None:
-        self.denominator += 1
-        if hit:
-            self.numerator += 1
-
-    @property
-    def ratio(self) -> float:
-        if self.denominator == 0:
-            return 0.0
-        return self.numerator / self.denominator
-
-    def reset(self) -> None:
-        self.numerator = 0
-        self.denominator = 0
-
-
-class Histogram:
-    """A fixed-bucket histogram for latency distributions.
-
-    Buckets are defined by their (inclusive) upper edges; one overflow
-    bucket catches everything beyond the last edge.  Attack analysis uses
-    this to classify accesses into hit/miss latency classes.
-    """
-
-    def __init__(self, name: str, edges: Iterable[int]) -> None:
-        self.name = name
-        self.edges: Tuple[int, ...] = tuple(sorted(edges))
-        if not self.edges:
-            raise ValueError("histogram needs at least one bucket edge")
-        self.counts: List[int] = [0] * (len(self.edges) + 1)
-        self.total = 0
-        self.sum = 0
-        self.min: Optional[int] = None
-        self.max: Optional[int] = None
-
-    def record(self, value: int) -> None:
-        self.total += 1
-        self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        for i, edge in enumerate(self.edges):
-            if value <= edge:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.total if self.total else 0.0
-
-    def fraction_at_or_below(self, edge: int) -> float:
-        """Fraction of samples in buckets whose edge is <= ``edge``."""
-        if self.total == 0:
-            return 0.0
-        covered = sum(
-            c for e, c in zip(self.edges, self.counts) if e <= edge
-        )
-        return covered / self.total
-
-    def reset(self) -> None:
-        self.counts = [0] * (len(self.edges) + 1)
-        self.total = 0
-        self.sum = 0
-        self.min = None
-        self.max = None
-
-
 class StatGroup:
-    """A named collection of counters/ratios/histograms.
+    """A named collection of counters.
 
-    Components create stats lazily through :meth:`counter` etc., so the
-    harness can snapshot whatever exists without a fixed schema.
+    Components create counters lazily through :meth:`counter` (or
+    :meth:`bound_counter` on hot paths), so the harness can snapshot
+    whatever exists without a fixed schema.
     """
 
     def __init__(self, name: str) -> None:
@@ -155,8 +79,6 @@ class StatGroup:
         #: snapshot() until their first add(), like lazy counters are
         #: invisible until the first counter() call
         self._pending_hot: Dict[str, _HotCounter] = {}
-        self._ratios: Dict[str, RatioStat] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         existing = self._counters.get(name)
@@ -186,16 +108,6 @@ class StatGroup:
         self._counters[counter.name] = counter
         self._pending_hot.pop(counter.name, None)
 
-    def ratio(self, name: str) -> RatioStat:
-        if name not in self._ratios:
-            self._ratios[name] = RatioStat(name)
-        return self._ratios[name]
-
-    def histogram(self, name: str, edges: Iterable[int]) -> Histogram:
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name, edges)
-        return self._histograms[name]
-
     def get(self, name: str) -> int:
         """Value of a counter, 0 if it was never created."""
         counter = self._counters.get(name)
@@ -211,10 +123,6 @@ class StatGroup:
     def reset(self) -> None:
         for c in self._counters.values():
             c.reset()
-        for r in self._ratios.values():
-            r.reset()
-        for h in self._histograms.values():
-            h.reset()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StatGroup({self.name}, {self.snapshot()})"

@@ -400,23 +400,3 @@ class Cache:
         """Cache-line-sized transfers for one save or restore."""
         bytes_needed = self.sbit_save_bytes()
         return (bytes_needed + transfer_bytes - 1) // transfer_bytes
-
-    # ------------------------------------------------------------------
-    # Observability (repro.obs)
-    # ------------------------------------------------------------------
-    def counters_into(self, registry, prefix=None, set_groups: int = 4) -> None:
-        """Fold this cache's counter tree into a ``CounterRegistry``.
-
-        Stat counters land as ``<prefix>.<counter>`` and a per-set-group
-        s-bit/occupancy census as ``<prefix>.set_group.<g>.*`` — the
-        dotted tree ``repro obs`` renders and merges.  ``FastCache``
-        implements the same method over the same arrays, so the tree is
-        engine-equivalent.
-        """
-        from repro.obs.counters import cache_sbit_census
-
-        name = prefix if prefix is not None else self.name
-        for key, value in self.stats.snapshot().items():
-            leaf = key.split(".", 1)[1] if "." in key else key
-            registry.slot(f"{name}.{leaf}").value += int(value)
-        cache_sbit_census(self, registry, f"{name}.", set_groups)

@@ -710,17 +710,6 @@ class FastCache:
         bytes_needed = self.sbit_save_bytes()
         return (bytes_needed + transfer_bytes - 1) // transfer_bytes
 
-    def counters_into(self, registry, prefix=None, set_groups: int = 4) -> None:
-        """Engine-equivalent twin of :meth:`Cache.counters_into`: same
-        dotted tree from the same positional arrays."""
-        from repro.obs.counters import cache_sbit_census
-
-        name = prefix if prefix is not None else self.name
-        for key, value in self.stats.snapshot().items():
-            leaf = key.split(".", 1)[1] if "." in key else key
-            registry.slot(f"{name}.{leaf}").value += int(value)
-        cache_sbit_census(self, registry, f"{name}.", set_groups)
-
 
 class _FastHierarchyStats(StatGroup):
     """Hierarchy StatGroup whose ``accesses`` counter is derived on read.

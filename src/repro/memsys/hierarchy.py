@@ -397,16 +397,22 @@ class MemoryHierarchy:
         the differential fuzz checks the fast engine's against the
         object engine's.
         """
+        results: List[AccessResult] = []
         prof = self.kernel_profiler
         if prof is None:
-            return self._access_batch_scalar(ctx, addrs, kinds, now, advance, nows)
+            return self._access_batch_scalar(
+                ctx, addrs, kinds, now, advance, nows, results
+            )
         t0 = perf_counter_ns()
         try:
-            return self._access_batch_scalar(ctx, addrs, kinds, now, advance, nows)
+            return self._access_batch_scalar(
+                ctx, addrs, kinds, now, advance, nows, results
+            )
         finally:
-            # Every batched access is scalar work: 100% fallback.
+            # Every batched access is scalar work: 100% fallback.  Only
+            # the accesses that ran count, so a rejected batch adds none.
             prof.fallback_ns += perf_counter_ns() - t0
-            prof.scalar_accesses += len(addrs)
+            prof.scalar_accesses += len(results)
 
     def _access_batch_scalar(
         self,
@@ -416,12 +422,14 @@ class MemoryHierarchy:
         now: int,
         advance: int,
         nows: Optional[Sequence[int]],
+        results: List[AccessResult],
     ) -> BatchResult:
+        """The batch loop; appends each access's result to ``results`` as
+        it runs."""
         n = len(addrs)
         kseq = _kind_sequence(kinds, n)
         if advance < 0:
             raise SimulationError(f"advance cannot be negative: {advance}")
-        results: List[AccessResult] = []
         append = results.append
         access = self.access
         # The deadline is checked once per block, so the per-access loop

@@ -8,8 +8,8 @@ without perturbing the hot paths it observes:
 
 * :mod:`~repro.obs.events`   — the typed simulator-time event record and
   its JSONL wire format;
-* :mod:`~repro.obs.sinks`    — where events go: a JSONL file, a bounded
-  in-memory ring buffer, or several sinks at once;
+* :mod:`~repro.obs.sinks`    — where events go: a JSONL file or a
+  bounded in-memory ring buffer;
 * :mod:`~repro.obs.tracer`   — the emission guard and the hook wiring
   onto a :class:`~repro.core.timecache.TimeCacheSystem` or a
   :class:`~repro.os.kernel.Kernel`.  A disabled tracer attaches nothing,
@@ -18,7 +18,14 @@ without perturbing the hot paths it observes:
 * :mod:`~repro.obs.sampler`  — periodic :class:`StatGroup` snapshots as
   a timeseries (windowed MPKA, first-access-miss rate over time);
 * :mod:`~repro.obs.perfetto` — Chrome trace-event / Perfetto export so
-  attack timelines render visually in ``chrome://tracing``;
+  attack timelines render visually in ``chrome://tracing``; the one
+  place trace-event records are assembled;
+* :mod:`~repro.obs.spans`    — host wall-clock spans, the kernel-phase
+  accumulator, and the per-process :class:`ObsSession`, whose counters
+  are a :class:`~repro.common.stats.StatGroup` filled from the finished
+  systems' ``stats_snapshot()`` plus an s-bit census;
+* :mod:`~repro.obs.shards`   — per-worker shards of a supervised sweep,
+  its heartbeat, and the merged trace and counters;
 * :mod:`~repro.obs.manifest` — per-run manifests: config hash, seed,
   engine, git SHA, machine metadata, and an artifact index;
 * :mod:`~repro.obs.console`  — the CLI's quiet-aware output helper.
@@ -28,13 +35,6 @@ enabling tracing during benchmarks.
 """
 
 from repro.obs.console import Console
-from repro.obs.counters import (
-    CounterRegistry,
-    CounterSlot,
-    merge_counts,
-    registry_from_snapshot,
-    to_openmetrics,
-)
 from repro.obs.events import (
     EVENT_KINDS,
     OBS_SCHEMA,
@@ -46,21 +46,20 @@ from repro.obs.events import (
 from repro.obs.manifest import RunManifest, config_fingerprint, load_manifest
 from repro.obs.perfetto import to_chrome_trace, write_chrome_trace
 from repro.obs.sampler import MetricsSample, MetricsSampler
-from repro.obs.sinks import JsonlSink, RingBufferSink, TeeSink
+from repro.obs.sinks import JsonlSink, RingBufferSink
 from repro.obs.spans import (
     ObsSession,
     PhaseAccumulator,
     SpanProfiler,
     current_session,
     install_session,
+    merge_counts,
     session_scope,
 )
 from repro.obs.tracer import Tracer
 
 __all__ = [
     "Console",
-    "CounterRegistry",
-    "CounterSlot",
     "EVENT_KINDS",
     "JsonlSink",
     "MetricsSample",
@@ -71,7 +70,6 @@ __all__ = [
     "RingBufferSink",
     "RunManifest",
     "SpanProfiler",
-    "TeeSink",
     "TraceEvent",
     "Tracer",
     "config_fingerprint",
@@ -82,9 +80,7 @@ __all__ = [
     "parse_event",
     "read_events",
     "read_events_tolerant",
-    "registry_from_snapshot",
     "session_scope",
     "to_chrome_trace",
-    "to_openmetrics",
     "write_chrome_trace",
 ]

@@ -67,13 +67,17 @@ def _git_info() -> Dict[str, Union[str, bool]]:
         return {"sha": "unknown", "dirty": False}
 
 
-def _machine_info() -> Dict:
+def machine_metadata() -> Dict:
+    """Where a run or measurement came from, and when (``taken_at``,
+    UTC) — medians and scores are only comparable against a baseline
+    taken on similar hardware."""
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
+        "taken_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
 
@@ -115,6 +119,7 @@ class RunManifest:
         extra: Optional[Dict] = None,
     ) -> "RunManifest":
         """Assemble a manifest for a finished run; hashes each artifact."""
+        machine = machine_metadata()
         return cls(
             command=command,
             config=config_to_dict(config),
@@ -122,8 +127,8 @@ class RunManifest:
             seed=config.seed if seed is None else seed,
             engine=config.hierarchy.engine,
             git=_git_info(),
-            machine=_machine_info(),
-            created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            machine=machine,
+            created_at=machine.pop("taken_at"),
             artifacts=[_artifact_entry(Path(p)) for p in artifacts],
             extra=dict(extra or {}),
         )

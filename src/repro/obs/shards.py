@@ -17,8 +17,9 @@ write-down and the put-back-together:
 * **merge** — :func:`merge_shards` folds every shard into one Chrome
   trace with a process track per worker (pid 1 is the supervisor,
   workers get pid 2.. in sorted-label order — deterministic given the
-  job labels) plus an aggregate counters document whose totals are the
-  key-wise sum of the shards.
+  job labels), its records built by :mod:`repro.obs.perfetto`, plus an
+  aggregate counters document whose totals are the key-wise sum of the
+  shards (:func:`merge_counts`).
 
 Cross-process time alignment: ``perf_counter_ns`` epochs differ per
 process, so each shard records a ``(wall_anchor_ns, perf_anchor_ns)``
@@ -28,14 +29,20 @@ the wall-clock axis and rebases onto the earliest anchor in the set.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.obs.counters import merge_counts
-from repro.obs.spans import KERNEL_PHASES, ObsSession, PhaseAccumulator, Span
+from repro.obs import perfetto
+from repro.obs.spans import (
+    KERNEL_PHASES,
+    ObsSession,
+    PhaseAccumulator,
+    Span,
+    SpanProfiler,
+    merge_counts,
+)
 from repro.robustness import safeio
 
 OBS_SHARD_SCHEMA = 1
@@ -87,7 +94,7 @@ def write_shard(
         "attempt": attempt,
         "ok": ok,
         "wall_anchor_ns": session.wall_anchor_ns,
-        "perf_anchor_ns": session.profiler.epoch_ns,
+        "perf_anchor_ns": session.perf_anchor_ns,
         **session.to_payload(),
     }
     path = shard_path(obs_dir, session.label)
@@ -156,9 +163,7 @@ def read_heartbeat(obs_dir: Union[str, Path]) -> Optional[Dict]:
 # ----------------------------------------------------------------------
 # Merge
 # ----------------------------------------------------------------------
-def _shard_slices(
-    shard: Dict, pid: int, base_wall_ns: int
-) -> List[Dict]:
+def _shard_slices(shard: Dict, pid: int, base_wall_ns: int) -> List[Dict]:
     """One shard's spans (tid 1) + synthetic kernel-phase lane (tid 2)."""
     wall = int(shard.get("wall_anchor_ns", 0))
     perf = int(shard.get("perf_anchor_ns", 0))
@@ -166,48 +171,33 @@ def _shard_slices(
     def to_us(t_ns: int) -> float:
         return (wall + (t_ns - perf) - base_wall_ns) / 1000.0
 
-    slices: List[Dict] = []
-    first_start: Optional[int] = None
-    for raw in shard.get("spans", []):
-        span = Span.from_payload(raw)
-        if first_start is None or span.start_ns < first_start:
-            first_start = span.start_ns
-        args: Dict = {"path": ";".join(span.path)}
-        if span.counters:
-            args["counters"] = dict(span.counters)
-        slices.append(
-            {
-                "ph": "X",
-                "pid": pid,
-                "tid": 1,
-                "cat": span.category,
-                "name": span.name,
-                "ts": to_us(span.start_ns),
-                "dur": span.duration_ns / 1000.0,
-                "args": args,
-            }
+    spans = [Span.from_payload(raw) for raw in shard.get("spans", [])]
+    slices = [
+        perfetto.complete_slice(
+            pid,
+            1,
+            span.category,
+            span.name,
+            to_us(span.start_ns),
+            span.duration_ns / 1000.0,
+            {"path": ";".join(span.path)},
         )
+        for span in spans
+    ]
     # The kernel phases are accumulators, not timestamped spans; render
     # them as a back-to-back lane so their relative weights are visible
     # in the same trace.  Laid out from the first span's start (or the
     # anchor when the shard recorded no spans).
     phases = shard.get("kernel_phases", {})
-    t = first_start if first_start is not None else perf
+    t = min((span.start_ns for span in spans), default=perf)
     for phase in KERNEL_PHASES:
         dur = int(phases.get(f"{phase}_ns", 0))
         if not dur:
             continue
         slices.append(
-            {
-                "ph": "X",
-                "pid": pid,
-                "tid": 2,
-                "cat": "kernel",
-                "name": f"kernel:{phase}",
-                "ts": to_us(t),
-                "dur": dur / 1000.0,
-                "args": {},
-            }
+            perfetto.complete_slice(
+                pid, 2, "kernel", f"kernel:{phase}", to_us(t), dur / 1000.0, {}
+            )
         )
         t += dur
     return slices
@@ -223,40 +213,32 @@ def merge_shards(
     assigned in sorted-label order starting at 2 (pid 1 is the
     supervisor track), so the merge is deterministic given the job
     labels; the real OS pid of each worker survives in the process-name
-    metadata.  ``supervisor_spans`` are ready-made trace slices (already
-    on the wall-clock axis, ``ts`` in ns) recorded by the supervisor —
-    job attempt windows, merge time.
+    metadata.  ``supervisor_spans`` are the supervisor's own records —
+    job attempt windows — on the wall-clock axis: ``name``, ``cat``,
+    ``ts`` and ``dur_ns`` in ns, and ``args``.
     """
-    shards: List[Dict] = []
-    for path in list_shards(obs_dir):
-        shards.append(load_shard(path))
-    shards.sort(key=lambda s: str(s.get("label", "")))
-
-    anchors = [
-        int(s.get("wall_anchor_ns", 0)) for s in shards
-    ] + [int(s["ts"]) for s in (supervisor_spans or [])]
+    shards = sorted(
+        (load_shard(path) for path in list_shards(obs_dir)),
+        key=lambda s: str(s.get("label", "")),
+    )
+    supervisor_spans = supervisor_spans or []
+    anchors = [int(s.get("wall_anchor_ns", 0)) for s in shards] + [
+        int(s["ts"]) for s in supervisor_spans
+    ]
     base_wall_ns = min(anchors) if anchors else 0
 
-    trace: List[Dict] = [
-        {
-            "ph": "M",
-            "pid": 1,
-            "name": "process_name",
-            "args": {"name": "supervisor"},
-        }
-    ]
-    for raw in supervisor_spans or []:
+    trace: List[Dict] = [perfetto.process_name(1, "supervisor")]
+    for raw in supervisor_spans:
         trace.append(
-            {
-                "ph": "X",
-                "pid": 1,
-                "tid": 1,
-                "cat": raw.get("cat", "sweep"),
-                "name": raw["name"],
-                "ts": (int(raw["ts"]) - base_wall_ns) / 1000.0,
-                "dur": int(raw.get("dur_ns", 0)) / 1000.0,
-                "args": dict(raw.get("args", {})),
-            }
+            perfetto.complete_slice(
+                1,
+                1,
+                raw.get("cat", "sweep"),
+                raw["name"],
+                (int(raw["ts"]) - base_wall_ns) / 1000.0,
+                int(raw.get("dur_ns", 0)) / 1000.0,
+                dict(raw.get("args", {})),
+            )
         )
 
     per_shard_counts: Dict[str, Dict[str, int]] = {}
@@ -265,42 +247,21 @@ def merge_shards(
         pid = index + 2
         label = str(shard.get("label", f"shard{index}"))
         trace.append(
-            {
-                "ph": "M",
-                "pid": pid,
-                "name": "process_name",
-                "args": {
-                    "name": f"worker:{label}",
-                    "os_pid": shard.get("pid", -1),
-                    "attempt": shard.get("attempt", 1),
-                },
-            }
+            perfetto.process_name(
+                pid,
+                f"worker:{label}",
+                os_pid=shard.get("pid", -1),
+                attempt=shard.get("attempt", 1),
+            )
         )
-        trace.append(
-            {
-                "ph": "M",
-                "pid": pid,
-                "tid": 1,
-                "name": "thread_name",
-                "args": {"name": "spans"},
-            }
-        )
-        trace.append(
-            {
-                "ph": "M",
-                "pid": pid,
-                "tid": 2,
-                "name": "thread_name",
-                "args": {"name": "kernel-phases"},
-            }
-        )
+        trace.append(perfetto.thread_name(pid, 1, "spans"))
+        trace.append(perfetto.thread_name(pid, 2, "kernel-phases"))
         trace.extend(_shard_slices(shard, pid, base_wall_ns))
         per_shard_counts[label] = {
             k: int(v) for k, v in shard.get("counters", {}).items()
         }
         phase_total.load(shard.get("kernel_phases", {}))
 
-    trace_payload = {"traceEvents": trace, "displayTimeUnit": "ms"}
     counters_payload = {
         "schema": OBS_SHARD_SCHEMA,
         "kind": "obs_counters",
@@ -308,7 +269,7 @@ def merge_shards(
         "totals": merge_counts(*per_shard_counts.values()),
         "kernel_phases": phase_total.to_payload(),
     }
-    return trace_payload, counters_payload
+    return perfetto.trace_payload(trace), counters_payload
 
 
 def write_merged(
@@ -316,14 +277,9 @@ def write_merged(
     supervisor_spans: Optional[List[Dict]] = None,
 ) -> Tuple[Path, Path]:
     """Merge and persist; returns (trace_path, counters_path)."""
-    trace_payload, counters_payload = merge_shards(
-        obs_dir, supervisor_spans
-    )
+    trace_payload, counters_payload = merge_shards(obs_dir, supervisor_spans)
     obs_dir = Path(obs_dir)
-    trace_path = obs_dir / MERGED_TRACE_NAME
-    trace_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(trace_path, "w") as handle:
-        json.dump(trace_payload, handle, sort_keys=True)
+    trace_path = perfetto.write_trace(trace_payload, obs_dir / MERGED_TRACE_NAME)
     counters_path = obs_dir / COUNTERS_NAME
     safeio.write_json_atomic(counters_payload, counters_path)
     return trace_path, counters_path
@@ -337,19 +293,12 @@ def merged_folded_stacks(obs_dir: Union[str, Path]) -> Dict[str, int]:
     flamegraph answers both "which job dominated" and "which kernel
     phase dominated".
     """
-    from repro.obs.spans import SpanProfiler
-
-    folded: Dict[str, int] = {}
+    shards = [load_shard(path) for path in list_shards(obs_dir)]
     phase_total = PhaseAccumulator()
-    for path in list_shards(obs_dir):
-        shard = load_shard(path)
-        profiler = SpanProfiler()
-        profiler.load(shard.get("spans", []))
-        for stack, ns in profiler.folded_stacks().items():
-            folded[stack] = folded.get(stack, 0) + ns
+    for shard in shards:
         phase_total.load(shard.get("kernel_phases", {}))
-    for phase, ns in phase_total.phase_ns().items():
-        if ns:
-            key = f"kernel;{phase}"
-            folded[key] = folded.get(key, 0) + ns
-    return dict(sorted(folded.items()))
+    kernel = {
+        f"kernel;{phase}": ns for phase, ns in phase_total.phase_ns().items() if ns
+    }
+    folded = [SpanProfiler().load(s.get("spans", [])).folded_stacks() for s in shards]
+    return merge_counts(*folded, kernel)

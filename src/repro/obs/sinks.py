@@ -5,8 +5,7 @@ A sink is anything with ``emit(event)`` and ``close()``.  The built-ins:
 * :class:`JsonlSink`       — append each event as one JSON line;
 * :class:`RingBufferSink`  — keep the last ``capacity`` events in
   memory, evicting the oldest (for always-on flight recording and for
-  tests that want the stream without filesystem traffic);
-* :class:`TeeSink`         — fan one stream out to several sinks.
+  tests that want the stream without filesystem traffic).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from pathlib import Path
-from typing import Deque, List, Protocol, Sequence, Union
+from typing import Deque, List, Protocol, Union
 
 from repro.obs.events import TraceEvent
 
@@ -97,17 +96,3 @@ class RingBufferSink:
     def close(self) -> None:
         pass
 
-
-class TeeSink:
-    """Duplicate every event to each of several sinks."""
-
-    def __init__(self, sinks: Sequence[Sink]) -> None:
-        self.sinks = list(sinks)
-
-    def emit(self, event: TraceEvent) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()

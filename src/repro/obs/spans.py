@@ -12,13 +12,14 @@ wall-clock".  This module adds the host-side view:
   per batch; when no profiler is installed it takes its ``is None``
   branch and pays nothing.
 * :class:`SpanProfiler` — nesting wall-clock spans (``with
-  profiler.span("sweep.job")``) that carry counter deltas from an
-  attached :class:`~repro.obs.counters.CounterRegistry`, and export as
-  Perfetto complete slices or folded stacks (``repro obs flame``).
-* :class:`ObsSession` — the per-process bundle (registry + profiler +
-  kernel phases) with a module-global install point, so worker
-  processes and ``TimeCacheSystem`` construction can find the active
-  session without threading it through every constructor.
+  profiler.span("sweep.job")``) that fold into flamegraph stacks
+  (``repro obs flame``); :mod:`repro.obs.shards` lays them out as
+  Perfetto slices.
+* :class:`ObsSession` — the per-process bundle (spans, kernel phases,
+  and a :class:`~repro.common.stats.StatGroup` of the finished systems'
+  counters) with a module-global install point, so worker processes and
+  ``TimeCacheSystem`` construction can find the active session without
+  threading it through every constructor.
 
 Times are ``time.perf_counter_ns`` nanoseconds end to end; exports
 convert to trace-format microseconds at the edge.
@@ -28,9 +29,20 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
-from repro.obs.counters import CounterRegistry
+import numpy as np
+
+from repro.common.stats import StatGroup
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.timecache import TimeCacheSystem
@@ -41,9 +53,11 @@ __all__ = [
     "PhaseAccumulator",
     "Span",
     "SpanProfiler",
+    "cache_sbit_census",
     "current_session",
     "install_session",
     "folded_to_lines",
+    "merge_counts",
 ]
 
 #: the phase cells of every kernel-phase payload; only ``fallback`` (the
@@ -56,7 +70,7 @@ class PhaseAccumulator:
 
     All slots are plain ints so the ``prof.fallback_ns += dt`` bumps
     never allocate.  :meth:`MemoryHierarchy.access_batch` adds its
-    wall time to ``fallback_ns`` and its access count to
+    wall time to ``fallback_ns`` and the number of accesses that ran to
     ``scalar_accesses``; the other cells keep the payload shape that
     shard merges and the end-to-end benchmark read by name.
     """
@@ -76,108 +90,31 @@ class PhaseAccumulator:
     )
 
     def __init__(self) -> None:
-        self.classify_ns = 0
-        self.plan_ns = 0
-        self.rehearse_ns = 0
-        self.apply_ns = 0
-        self.fallback_ns = 0
-        self.windows = 0
-        self.events = 0
-        self.cuts = 0
-        self.replans = 0
-        self.scalar_accesses = 0
-        self.batch_accesses = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def phase_ns(self) -> Dict[str, int]:
-        return {
-            "classify": self.classify_ns,
-            "plan": self.plan_ns,
-            "rehearse": self.rehearse_ns,
-            "apply": self.apply_ns,
-            "fallback": self.fallback_ns,
-        }
-
-    def total_ns(self) -> int:
-        return (
-            self.classify_ns
-            + self.plan_ns
-            + self.rehearse_ns
-            + self.apply_ns
-            + self.fallback_ns
-        )
-
-    def counts(self) -> Dict[str, int]:
-        return {
-            "windows": self.windows,
-            "events": self.events,
-            "cuts": self.cuts,
-            "replans": self.replans,
-            "scalar_accesses": self.scalar_accesses,
-            "batch_accesses": self.batch_accesses,
-        }
+        return {phase: getattr(self, f"{phase}_ns") for phase in KERNEL_PHASES}
 
     def to_payload(self) -> Dict[str, int]:
         """Flat JSON-safe dict; the shard merge sums these key-wise."""
-        out = {f"{k}_ns": v for k, v in self.phase_ns().items()}
-        out.update(self.counts())
-        return out
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def load(self, payload: Dict[str, int]) -> "PhaseAccumulator":
-        for phase in KERNEL_PHASES:
-            setattr(
-                self,
-                f"{phase}_ns",
-                getattr(self, f"{phase}_ns") + int(payload.get(f"{phase}_ns", 0)),
-            )
-        for key in (
-            "windows",
-            "events",
-            "cuts",
-            "replans",
-            "scalar_accesses",
-            "batch_accesses",
-        ):
-            setattr(self, key, getattr(self, key) + int(payload.get(key, 0)))
+        """Add a :meth:`to_payload` dict in (missing keys count 0)."""
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + int(payload.get(name, 0)))
         return self
 
-    def summary(self) -> Dict[str, object]:
-        """Human/bench-facing view: shares + per-phase event rates."""
-        total = self.total_ns()
-        phases = self.phase_ns()
-        shares = {
-            k: (v / total if total else 0.0) for k, v in phases.items()
-        }
-        out: Dict[str, object] = {
-            "total_ns": total,
-            "phase_ns": phases,
-            "phase_share": shares,
-        }
-        out.update(self.counts())
-        if self.plan_ns and self.events:
-            out["plan_events_per_s"] = self.events / (self.plan_ns / 1e9)
-        return out
 
-
-class Span:
+class Span(NamedTuple):
     """One completed wall-clock span."""
 
-    __slots__ = ("name", "category", "path", "start_ns", "end_ns", "counters")
-
-    def __init__(
-        self,
-        name: str,
-        category: str,
-        path: Tuple[str, ...],
-        start_ns: int,
-        end_ns: int,
-        counters: Dict[str, int],
-    ) -> None:
-        self.name = name
-        self.category = category
-        self.path = path
-        self.start_ns = start_ns
-        self.end_ns = end_ns
-        self.counters = counters
+    name: str
+    category: str
+    path: Tuple[str, ...]
+    start_ns: int
+    end_ns: int
 
     @property
     def duration_ns(self) -> int:
@@ -190,74 +127,44 @@ class Span:
             "path": list(self.path),
             "start_ns": self.start_ns,
             "end_ns": self.end_ns,
-            "counters": dict(self.counters),
         }
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "Span":
+        # Shards written before spans lost their counter deltas carry an
+        # empty "counters" field; it is ignored.
         return cls(
             name=payload["name"],
             category=payload.get("cat", "obs"),
             path=tuple(payload.get("path", (payload["name"],))),
             start_ns=int(payload["start_ns"]),
             end_ns=int(payload["end_ns"]),
-            counters=dict(payload.get("counters", {})),
         )
 
 
 class SpanProfiler:
-    """Record nesting wall-clock spans with counter deltas.
+    """Record nesting wall-clock spans.
 
     Spans are recorded on completion (parents close after children, so
     ``spans`` is in end-time order); the open-span stack gives each
     record its full root-down ``path`` for folded-stack export.
     """
 
-    def __init__(self, registry: Optional[CounterRegistry] = None) -> None:
-        self.registry = registry
+    def __init__(self) -> None:
         self.spans: List[Span] = []
         self._stack: List[str] = []
-        self.epoch_ns = time.perf_counter_ns()
 
     @contextmanager
     def span(self, name: str, category: str = "obs") -> Iterator[None]:
         self._stack.append(name)
         path = tuple(self._stack)
-        before = self.registry.snapshot() if self.registry is not None else None
         start = time.perf_counter_ns()
         try:
             yield
         finally:
             end = time.perf_counter_ns()
-            deltas = (
-                self.registry.diff(before) if before is not None else {}
-            )
             self._stack.pop()
-            self.spans.append(Span(name, category, path, start, end, deltas))
-
-    # ------------------------------------------------------------------
-    # Exports
-    # ------------------------------------------------------------------
-    def to_perfetto_slices(self, pid: int = 1, tid: int = 1) -> List[Dict]:
-        """Complete (``ph: "X"``) slices, microseconds from the epoch."""
-        slices: List[Dict] = []
-        for span in sorted(self.spans, key=lambda s: (s.start_ns, -s.end_ns)):
-            args: Dict = {}
-            if span.counters:
-                args["counters"] = dict(span.counters)
-            slices.append(
-                {
-                    "ph": "X",
-                    "pid": pid,
-                    "tid": tid,
-                    "cat": span.category,
-                    "name": span.name,
-                    "ts": (span.start_ns - self.epoch_ns) / 1000.0,
-                    "dur": span.duration_ns / 1000.0,
-                    "args": args,
-                }
-            )
-        return slices
+            self.spans.append(Span(name, category, path, start, end))
 
     def folded_stacks(self) -> Dict[str, int]:
         """Semicolon-joined stacks -> *self* nanoseconds.
@@ -301,6 +208,51 @@ def folded_to_lines(folded: Dict[str, int], unit_ns: int = 1000) -> List[str]:
 
 
 # ----------------------------------------------------------------------
+# Counters: the s-bit census and the shard-merge sum
+# ----------------------------------------------------------------------
+#: set groups per cache in the s-bit census
+CENSUS_SET_GROUPS = 4
+
+
+def cache_sbit_census(cache, counters: StatGroup) -> None:
+    """Add a cache's per-set-group s-bit and occupancy census to
+    ``counters``, as ``<cache>.set_group.<g>.sbits_set`` and
+    ``<cache>.set_group.<g>.valid_lines``.
+
+    Duck-typed over both engines: the object :class:`~repro.memsys.cache.Cache`
+    and the struct-of-arrays ``FastCache`` share the positional ``sbits``
+    bitmask and ``valid`` arrays plus ``contexts``/``ctx_column()``, so
+    the census is engine-equivalent.  It walks the arrays once, when a
+    finished system is absorbed, never on the access path.
+    """
+    sbits = cache.sbits
+    per_set = np.zeros(cache.num_sets, dtype=np.int64)
+    for ctx in cache.contexts:
+        col = np.int64(cache.ctx_column(ctx))
+        per_set += ((sbits >> col) & 1).sum(axis=1)
+    valid_per_set = cache.valid.sum(axis=1)
+    groups = min(CENSUS_SET_GROUPS, cache.num_sets)
+    bounds = [round(g * cache.num_sets / groups) for g in range(groups + 1)]
+    for g in range(groups):
+        lo, hi = bounds[g], bounds[g + 1]
+        prefix = f"{cache.name}.set_group.{g}."
+        counters.counter(prefix + "sbits_set").add(int(per_set[lo:hi].sum()))
+        counters.counter(prefix + "valid_lines").add(
+            int(valid_per_set[lo:hi].sum())
+        )
+
+
+def merge_counts(*counts: Mapping[str, int]) -> Dict[str, int]:
+    """Sum several count dicts key-wise, sorted by key (the shard-merge
+    primitive)."""
+    out: Dict[str, int] = {}
+    for mapping in counts:
+        for name, value in mapping.items():
+            out[name] = out.get(name, 0) + int(value)
+    return dict(sorted(out.items()))
+
+
+# ----------------------------------------------------------------------
 # The per-process session
 # ----------------------------------------------------------------------
 class ObsSession:
@@ -316,13 +268,15 @@ class ObsSession:
 
     def __init__(self, label: str = "main") -> None:
         self.label = label
-        self.counters = CounterRegistry()
-        self.profiler = SpanProfiler(self.counters)
+        #: the attached systems' counters, ``sim.<stats key>``; filled by
+        #: :meth:`finalize`
+        self.counters = StatGroup("sim")
+        self.profiler = SpanProfiler()
         # Wall/perf anchor pair, captured together: maps this process's
         # perf_counter_ns axis onto the wall clock, which is how the
         # shard merge aligns spans recorded in different processes.
         self.wall_anchor_ns = time.time_ns()
-        self.profiler.epoch_ns = time.perf_counter_ns()
+        self.perf_anchor_ns = time.perf_counter_ns()
         self.kernel_phases = PhaseAccumulator()
         self.meta: Dict[str, object] = {}
         self._systems: List["TimeCacheSystem"] = []
@@ -348,32 +302,15 @@ class ObsSession:
             self.absorb_stats(system)
         self._systems.clear()
 
-    def absorb_stats(self, system: "TimeCacheSystem", prefix: str = "sim.") -> None:
-        """Fold a finished system's engine-equivalent stats snapshot in,
-        plus each cache's per-set-group s-bit census (same dotted tree on
-        both engines — ``Cache``/``FastCache.counters_into``)."""
-        from repro.obs.counters import cache_sbit_census
-
-        snapshot = system.stats_snapshot()
-        for key in sorted(snapshot):
-            value = snapshot[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                continue
-            self.counters.slot(prefix + key).value += value
+    def absorb_stats(self, system: "TimeCacheSystem") -> None:
+        """Add a finished system's ``stats_snapshot()`` (identical on both
+        engines) to :attr:`counters`, plus each cache's s-bit census."""
+        counters = self.counters
+        for key, value in system.stats_snapshot().items():
+            counters.counter(key).add(value)
         hierarchy = system.hierarchy
-        caches = list(hierarchy.l1i) + list(hierarchy.l1d) + [hierarchy.llc]
-        for cache in caches:
-            cache_sbit_census(
-                cache, self.counters, f"{prefix}{cache.name}.", set_groups=4
-            )
-
-    def kernel_folded(self) -> Dict[str, int]:
-        """The kernel phase breakdown as a folded-stack fragment."""
-        return {
-            f"kernel;{phase}": ns
-            for phase, ns in self.kernel_phases.phase_ns().items()
-            if ns
-        }
+        for cache in [*hierarchy.l1i, *hierarchy.l1d, hierarchy.llc]:
+            cache_sbit_census(cache, counters)
 
     def to_payload(self) -> Dict:
         """The shard body (see :mod:`repro.obs.shards`)."""
@@ -383,7 +320,7 @@ class ObsSession:
             "counters": self.counters.snapshot(),
             "kernel_phases": self.kernel_phases.to_payload(),
             "spans": self.profiler.to_payload(),
-            "span_epoch_ns": self.profiler.epoch_ns,
+            "span_epoch_ns": self.perf_anchor_ns,
         }
         if self.meta:
             payload["meta"] = dict(self.meta)

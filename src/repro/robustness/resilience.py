@@ -38,12 +38,12 @@ class FailureRecord:
 
     The first four fields are the core; the rest traces the
     quarantined job across subsystems: the simulation ``seed``, the
-    ``engine`` it ran under, a ``batch_window`` when the job's
-    provenance names one (the shipped sweeps name none: both engines
-    run batches one access at a time), the sha256 of the full config,
-    the obs run-manifest fingerprint of the sweep that quarantined it,
-    the worker-side ``traceback``, and — once quarantined to disk — the
-    path of the standalone record file.
+    ``engine`` it ran under, the sha256 of the full config, the obs
+    run-manifest fingerprint of the sweep that quarantined it, the
+    worker-side ``traceback``, and — once quarantined to disk — the
+    path of the standalone record file.  Keys a stored record carries
+    beyond these, such as fields older versions wrote, are ignored on
+    load.
     """
 
     label: str
@@ -53,7 +53,6 @@ class FailureRecord:
     seed: Optional[int] = None
     engine: str = ""
     config_sha256: str = ""
-    batch_window: Optional[int] = None
     manifest_id: str = ""
     traceback: str = ""
     record_path: str = ""
@@ -67,7 +66,6 @@ class FailureRecord:
             "seed": self.seed,
             "engine": self.engine,
             "config_sha256": self.config_sha256,
-            "batch_window": self.batch_window,
             "manifest_id": self.manifest_id,
             "traceback": self.traceback,
             "record_path": self.record_path,
@@ -76,7 +74,6 @@ class FailureRecord:
     @staticmethod
     def from_dict(payload: Dict) -> "FailureRecord":
         seed = payload.get("seed")
-        window = payload.get("batch_window")
         return FailureRecord(
             label=payload["label"],
             attempts=int(payload["attempts"]),
@@ -85,7 +82,6 @@ class FailureRecord:
             seed=None if seed is None else int(seed),
             engine=payload.get("engine", ""),
             config_sha256=payload.get("config_sha256", ""),
-            batch_window=None if window is None else int(window),
             manifest_id=payload.get("manifest_id", ""),
             traceback=payload.get("traceback", ""),
             record_path=payload.get("record_path", ""),
@@ -102,8 +98,6 @@ class FailureRecord:
             self.engine = str(provenance.get("engine", ""))
         if not self.config_sha256:
             self.config_sha256 = str(provenance.get("config_sha256", ""))
-        if self.batch_window is None and provenance.get("batch_window"):
-            self.batch_window = int(provenance["batch_window"])
         if not self.manifest_id:
             self.manifest_id = str(provenance.get("manifest_id", ""))
         return self

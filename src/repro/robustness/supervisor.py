@@ -103,8 +103,8 @@ class SweepJob:
     args: Tuple = ()
     kwargs: Dict = field(default_factory=dict)
     #: optional provenance stamped onto a FailureRecord if this job is
-    #: quarantined (keys: seed, engine, config_sha256, batch_window,
-    #: manifest_id) — see FailureRecord.apply_provenance
+    #: quarantined (keys: seed, engine, config_sha256, manifest_id) —
+    #: see FailureRecord.apply_provenance
     provenance: Dict = field(default_factory=dict)
 
     def run(self) -> object:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.stats import Counter, Histogram, RatioStat, StatGroup
+from repro.common.stats import Counter, StatGroup
 
 
 class TestCounter:
@@ -26,51 +26,6 @@ class TestCounter:
         assert c.value == 0
 
 
-class TestRatioStat:
-    def test_ratio(self):
-        r = RatioStat("hits")
-        for hit in [True, True, False, True]:
-            r.record(hit)
-        assert r.ratio == 0.75
-
-    def test_empty_ratio_is_zero(self):
-        assert RatioStat("hits").ratio == 0.0
-
-
-class TestHistogram:
-    def test_bucketing(self):
-        h = Histogram("lat", edges=[10, 100])
-        for v in [5, 9, 50, 500]:
-            h.record(v)
-        assert h.counts == [2, 1, 1]
-        assert h.total == 4
-
-    def test_min_max_mean(self):
-        h = Histogram("lat", edges=[10])
-        for v in [2, 4, 6]:
-            h.record(v)
-        assert h.min == 2
-        assert h.max == 6
-        assert h.mean == 4.0
-
-    def test_fraction_at_or_below(self):
-        h = Histogram("lat", edges=[10, 100])
-        for v in [1, 2, 50, 500]:
-            h.record(v)
-        assert h.fraction_at_or_below(10) == 0.5
-        assert h.fraction_at_or_below(100) == 0.75
-
-    def test_needs_edges(self):
-        with pytest.raises(ValueError):
-            Histogram("lat", edges=[])
-
-    def test_reset(self):
-        h = Histogram("lat", edges=[10])
-        h.record(5)
-        h.reset()
-        assert h.total == 0 and h.min is None
-
-
 class TestStatGroup:
     def test_lazy_creation_and_get(self):
         g = StatGroup("cache")
@@ -90,9 +45,7 @@ class TestStatGroup:
     def test_reset_clears_everything(self):
         g = StatGroup("x")
         g.counter("a").add(1)
-        g.ratio("r").record(True)
-        g.histogram("h", [10]).record(5)
+        g.bound_counter("b").add(2)
         g.reset()
         assert g.get("a") == 0
-        assert g.ratio("r").denominator == 0
-        assert g.histogram("h", [10]).total == 0
+        assert g.get("b") == 0

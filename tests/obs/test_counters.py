@@ -1,74 +1,25 @@
-"""Hierarchical counter registry: slots, snapshots, merges, OpenMetrics."""
+"""The session's counters: a ``StatGroup`` of stats plus the s-bit census."""
 
+import numpy as np
 import pytest
 
-from repro.obs import (
-    CounterRegistry,
-    merge_counts,
-    registry_from_snapshot,
-    to_openmetrics,
-)
+from repro.common.config import scaled_experiment_config
+from repro.obs import ObsSession, merge_counts
+from repro.obs.spans import session_scope
+from repro.os.kernel import Kernel
+from repro.workloads.spec import build_spec_pair
 
-
-def test_slot_is_get_or_create_and_bumps():
-    reg = CounterRegistry()
-    slot = reg.slot("l1.set_group.0.sbit_miss")
-    assert slot.value == 0
-    slot.bump()
-    slot.bump(3)
-    assert reg.slot("l1.set_group.0.sbit_miss") is slot  # same object
-    assert slot.value == 4
-    assert len(reg) == 1
-    assert "l1.set_group.0.sbit_miss" in reg
-
-
-def test_bump_and_load_shorthand():
-    reg = CounterRegistry()
-    reg.bump("kernel.plan.events", 5)
-    reg.bump("kernel.plan.events")
-    reg.load({"kernel.windows": 2, "kernel.plan.events": 1})
-    assert reg.snapshot() == {"kernel.plan.events": 7, "kernel.windows": 2}
+ENGINES = ("object", "fast")
 
 
 def test_snapshot_is_sorted_and_detached():
-    reg = CounterRegistry()
-    reg.bump("b.two")
-    reg.bump("a.one")
-    snap = reg.snapshot()
-    assert list(snap) == ["a.one", "b.two"]
-    reg.bump("a.one")  # mutating the registry must not touch the snapshot
-    assert snap["a.one"] == 1
-
-
-def test_diff_reports_only_changed_counters():
-    reg = CounterRegistry()
-    reg.bump("x", 2)
-    reg.bump("y", 1)
-    before = reg.snapshot()
-    reg.bump("x", 3)
-    reg.bump("z")
-    delta = reg.diff(before)
-    assert delta == {"x": 3, "z": 1}  # y unchanged -> omitted
-
-
-def test_rollup_sums_by_prefix():
-    reg = CounterRegistry()
-    reg.bump("l1.0.miss", 2)
-    reg.bump("l1.1.miss", 3)
-    reg.bump("llc.0.miss", 5)
-    assert reg.rollup(1) == {"l1": 5, "llc": 5}
-
-
-def test_rollup_rejects_bad_depth():
-    with pytest.raises(ValueError):
-        CounterRegistry().rollup(0)
-
-
-def test_registry_from_snapshot_skips_non_ints():
-    reg = registry_from_snapshot(
-        {"a": 2, "flag": True, "ratio": 0.5, "name": "x"}, prefix="sim."
-    )
-    assert reg.snapshot() == {"sim.a": 2}
+    counters = ObsSession("t").counters
+    counters.counter("b.two").add()
+    counters.counter("a.one").add()
+    snap = counters.snapshot()
+    assert list(snap) == ["sim.a.one", "sim.b.two"]
+    counters.counter("a.one").add()  # mutating must not touch the snapshot
+    assert snap["sim.a.one"] == 1
 
 
 def test_merge_counts_sums_keywise_sorted():
@@ -77,25 +28,50 @@ def test_merge_counts_sums_keywise_sorted():
     assert list(merged) == ["a", "b", "c"]
 
 
-def test_openmetrics_export_shape():
-    text = to_openmetrics(
-        {"kernel.plan.events": 7, "3weird-name": 1},
-        namespace="repro",
-        labels={"engine": "fast"},
+@pytest.fixture(scope="module")
+def spec_pair_runs():
+    """One SPEC pair (lbm + wrf, TimeCache on) per engine, each under its
+    own session: ``{engine: (session, system)}``."""
+    runs = {}
+    for engine in ENGINES:
+        with session_scope(ObsSession(engine)) as session:
+            kernel = Kernel(scaled_experiment_config(engine=engine))
+            build_spec_pair(kernel, "lbm", "wrf", 3_000)
+            kernel.run()
+        session.finalize()
+        runs[engine] = (session, kernel.system)
+    return runs
+
+
+def test_session_counters_are_engine_equivalent(spec_pair_runs):
+    object_counts, fast_counts = (
+        spec_pair_runs[engine][0].counters.snapshot() for engine in ENGINES
     )
-    lines = text.splitlines()
-    assert lines[-1] == "# EOF"
-    assert any(line.startswith("# TYPE repro_") for line in lines)
-    assert 'engine="fast"' in text
-    assert "repro_kernel_plan_events_total" in text
-    # a metric name must not start with a digit
-    for line in lines:
-        if line.startswith("repro_"):
-            continue
-        if not line.startswith("#"):
-            assert not line[0].isdigit()
+    assert object_counts == fast_counts
+    assert "sim.LLC.set_group.3.sbits_set" in fast_counts
+    system = spec_pair_runs["fast"][1]
+    stats = {f"sim.{k}": v for k, v in system.stats_snapshot().items()}
+    assert {k: v for k, v in fast_counts.items() if ".set_group." not in k} == stats
 
 
-def test_openmetrics_without_labels():
-    text = to_openmetrics({"a.b": 1})
-    assert "repro_a_b_total 1" in text
+@pytest.mark.parametrize("engine", ENGINES)
+def test_sbit_census_sums_to_popcount_and_occupancy(spec_pair_runs, engine):
+    session, system = spec_pair_runs[engine]
+    counts = session.counters.snapshot()
+    hierarchy = system.hierarchy
+    sbits_seen = 0
+    for cache in [*hierarchy.l1i, *hierarchy.l1d, hierarchy.llc]:
+        prefix = f"sim.{cache.name}.set_group."
+
+        def total(leaf):
+            return sum(
+                v for k, v in counts.items()
+                if k.startswith(prefix) and k.endswith(leaf)
+            )
+
+        sbits = np.ascontiguousarray(cache.sbits, dtype=np.int64)
+        popcount = int(np.unpackbits(sbits.view(np.uint8)).sum())
+        assert total(".sbits_set") == popcount, cache.name
+        assert total(".valid_lines") == int(cache.valid.sum()), cache.name
+        sbits_seen += popcount
+    assert sbits_seen > 0

@@ -89,3 +89,45 @@ def test_instant_events_carry_scope():
     instants = [e for e in trace if e["ph"] == "i"]
     assert instants[0]["s"] == "t"
     assert instants[0]["name"] == "cache.evict"
+
+
+def test_chrome_trace_exact_payload(tmp_path):
+    """Pins the whole payload (and the written bytes): phase spans map to
+    ``B``/``E``, samples to ``C`` with their numeric args only, anything
+    else to a thread-scoped ``i``; contexts become ``hw-ctx`` threads,
+    and ``ctx=-1`` lands on tid 0."""
+    events = [
+        TraceEvent("phase.begin", ts=2, src="attack", ctx=1, args={"name": "prime"}),
+        TraceEvent("cache.fill", ts=5, src="L1D0", ctx=1, args={"set": 3, "way": 0}),
+        TraceEvent("phase.end", ts=9, src="attack", ctx=1, args={"name": "prime"}),
+        TraceEvent(
+            "metrics.sample", ts=10, src="sampler",
+            args={"accesses": 12, "llc_mpka": 83.5, "note": "x", "flag": True},
+        ),
+        TraceEvent("ctx.switch", ts=20, src="os", ctx=0,
+                   args={"outgoing": 1, "incoming": 0}),
+    ]
+    expected = {
+        "displayTimeUnit": "ms",
+        "traceEvents": [
+            {"ph": "M", "pid": 1, "name": "process_name",
+             "args": {"name": "timecache-sim"}},
+            {"ph": "B", "pid": 1, "tid": 1, "ts": 2, "cat": "attack",
+             "name": "prime"},
+            {"ph": "i", "s": "t", "pid": 1, "tid": 1, "ts": 5, "cat": "L1D0",
+             "name": "cache.fill", "args": {"set": 3, "way": 0}},
+            {"ph": "E", "pid": 1, "tid": 1, "ts": 9, "cat": "attack",
+             "name": "prime"},
+            {"ph": "C", "pid": 1, "tid": 0, "ts": 10, "cat": "sampler",
+             "name": "metrics", "args": {"accesses": 12, "llc_mpka": 83.5}},
+            {"ph": "i", "s": "t", "pid": 1, "tid": 0, "ts": 20, "cat": "os",
+             "name": "ctx.switch", "args": {"outgoing": 1, "incoming": 0}},
+            {"ph": "M", "pid": 1, "tid": 0, "name": "thread_name",
+             "args": {"name": "hw-ctx 0"}},
+            {"ph": "M", "pid": 1, "tid": 1, "name": "thread_name",
+             "args": {"name": "hw-ctx 1"}},
+        ],
+    }
+    assert to_chrome_trace(events) == expected
+    path = write_chrome_trace(events, tmp_path / "t.perfetto.json")
+    assert path.read_text() == json.dumps(expected, sort_keys=True)

@@ -19,6 +19,7 @@ from repro.obs.shards import (
     write_merged,
     write_shard,
 )
+from repro.robustness import safeio
 from repro.robustness.supervisor import SupervisedSweepExecutor, SweepJob
 
 LABELS = ("alpha", "beta", "gamma")
@@ -141,13 +142,13 @@ def test_merged_folded_stacks_cover_jobs_and_kernel(swept):
 def test_failed_attempt_still_writes_a_shard(tmp_path):
     session = ObsSession(label="boom")
     with session.span("job:boom", "sweep"):
-        session.counters.bump("work.units", 3)
+        session.counters.counter("work.units").add(3)
     path = write_shard(session, tmp_path, attempt=2, ok=False)
     assert path == shard_path(tmp_path, "boom")
     shard = load_shard(path)
     assert shard["ok"] is False
     assert shard["attempt"] == 2
-    assert shard["counters"]["work.units"] == 3
+    assert shard["counters"]["sim.work.units"] == 3
 
 
 def test_shard_label_sanitization(tmp_path):
@@ -177,3 +178,108 @@ def test_write_merged_with_no_shards_is_empty_but_valid(tmp_path):
     with open(counters_path) as handle:
         counters = json.load(handle)
     assert counters["totals"] == {}
+
+
+def _phases(fallback_ns=0, scalar_accesses=0):
+    payload = {f"{phase}_ns": 0 for phase in ("classify", "plan", "rehearse", "apply")}
+    payload.update(
+        fallback_ns=fallback_ns, windows=0, events=0, cuts=0, replans=0,
+        scalar_accesses=scalar_accesses, batch_accesses=0,
+    )
+    return payload
+
+
+def _span(name, path, start_ns, end_ns, cat="obs"):
+    # Spans as shards wrote them before they stopped carrying counter
+    # deltas: the empty ``counters`` field must still merge and fold.
+    return {"name": name, "cat": cat, "path": path, "start_ns": start_ns,
+            "end_ns": end_ns, "counters": {}}
+
+
+@pytest.fixture
+def fixed_shards(tmp_path):
+    """Two hand-written shards with fixed anchors (beta written first, so
+    the merge must sort by label) plus one supervisor span."""
+    shards = [
+        {"label": "beta", "pid": 4343, "attempt": 2, "ok": False,
+         "wall_anchor_ns": 2_000_000, "perf_anchor_ns": 100,
+         "span_epoch_ns": 100,
+         "counters": {"sim.LLC.misses": 4, "sim.x": 1},
+         "kernel_phases": _phases(),
+         "spans": [_span("job:beta", ["job:beta"], 100, 3_100, "sweep")]},
+        {"label": "alpha", "pid": 4242, "attempt": 1, "ok": True,
+         "wall_anchor_ns": 1_000_000, "perf_anchor_ns": 500,
+         "span_epoch_ns": 500,
+         "counters": {"sim.LLC.misses": 3, "sim.hierarchy.accesses": 10},
+         "kernel_phases": _phases(fallback_ns=4_000, scalar_accesses=8),
+         "spans": [
+             _span("inner", ["job:alpha", "inner"], 1_500, 2_500),
+             _span("job:alpha", ["job:alpha"], 1_000, 6_000, "sweep"),
+         ]},
+    ]
+    for shard in shards:
+        safeio.write_json_atomic(
+            {"schema": 1, "kind": "obs_shard", **shard},
+            shard_path(tmp_path, shard["label"]),
+        )
+    supervisor = [{"name": "job:alpha", "cat": "sweep", "ts": 999_000,
+                   "dur_ns": 7_000, "args": {"attempt": 1, "status": "ok"}}]
+    return tmp_path, supervisor
+
+
+def test_merge_shards_exact_payload(fixed_shards):
+    obs_dir, supervisor = fixed_shards
+    trace, counters = merge_shards(obs_dir, supervisor)
+    # base wall time is the earliest anchor: the supervisor span's 999_000
+    assert trace == {
+        "displayTimeUnit": "ms",
+        "traceEvents": [
+            {"ph": "M", "pid": 1, "name": "process_name",
+             "args": {"name": "supervisor"}},
+            {"ph": "X", "pid": 1, "tid": 1, "cat": "sweep", "name": "job:alpha",
+             "ts": 0.0, "dur": 7.0, "args": {"attempt": 1, "status": "ok"}},
+            {"ph": "M", "pid": 2, "name": "process_name",
+             "args": {"name": "worker:alpha", "os_pid": 4242, "attempt": 1}},
+            {"ph": "M", "pid": 2, "tid": 1, "name": "thread_name",
+             "args": {"name": "spans"}},
+            {"ph": "M", "pid": 2, "tid": 2, "name": "thread_name",
+             "args": {"name": "kernel-phases"}},
+            {"ph": "X", "pid": 2, "tid": 1, "cat": "obs", "name": "inner",
+             "ts": 2.0, "dur": 1.0, "args": {"path": "job:alpha;inner"}},
+            {"ph": "X", "pid": 2, "tid": 1, "cat": "sweep", "name": "job:alpha",
+             "ts": 1.5, "dur": 5.0, "args": {"path": "job:alpha"}},
+            {"ph": "X", "pid": 2, "tid": 2, "cat": "kernel",
+             "name": "kernel:fallback", "ts": 1.5, "dur": 4.0, "args": {}},
+            {"ph": "M", "pid": 3, "name": "process_name",
+             "args": {"name": "worker:beta", "os_pid": 4343, "attempt": 2}},
+            {"ph": "M", "pid": 3, "tid": 1, "name": "thread_name",
+             "args": {"name": "spans"}},
+            {"ph": "M", "pid": 3, "tid": 2, "name": "thread_name",
+             "args": {"name": "kernel-phases"}},
+            {"ph": "X", "pid": 3, "tid": 1, "cat": "sweep", "name": "job:beta",
+             "ts": 1001.0, "dur": 3.0, "args": {"path": "job:beta"}},
+        ],
+    }
+    assert counters == {
+        "schema": 1,
+        "kind": "obs_counters",
+        "shards": {
+            "alpha": {"sim.LLC.misses": 3, "sim.hierarchy.accesses": 10},
+            "beta": {"sim.LLC.misses": 4, "sim.x": 1},
+        },
+        "totals": {"sim.LLC.misses": 7, "sim.hierarchy.accesses": 10, "sim.x": 1},
+        "kernel_phases": _phases(fallback_ns=4_000, scalar_accesses=8),
+    }
+    trace_path, counters_path = write_merged(obs_dir, supervisor)
+    assert trace_path.read_text() == json.dumps(trace, sort_keys=True)
+    assert safeio.read_json_verified(counters_path) == safeio.seal(counters)
+
+
+def test_parent_format_shards_fold(fixed_shards):
+    obs_dir, _ = fixed_shards
+    assert merged_folded_stacks(obs_dir) == {
+        "job:alpha": 4_000,
+        "job:alpha;inner": 1_000,
+        "job:beta": 3_000,
+        "kernel;fallback": 4_000,
+    }

@@ -1,8 +1,8 @@
-"""Sink behavior: JSONL persistence, ring eviction order, tee fan-out."""
+"""Sink behavior: JSONL persistence and ring eviction order."""
 
 import pytest
 
-from repro.obs import JsonlSink, RingBufferSink, TeeSink, TraceEvent, read_events
+from repro.obs import JsonlSink, RingBufferSink, TraceEvent, read_events
 
 
 def _events(n):
@@ -57,15 +57,3 @@ def test_jsonl_close_flushes_and_fsyncs(tmp_path, monkeypatch):
     assert synced, "close() did not fsync"
     assert len(list(read_events(tmp_path / "t.jsonl"))) == 3
 
-
-def test_tee_duplicates_to_every_sink(tmp_path):
-    ring_a, ring_b = RingBufferSink(), RingBufferSink()
-    jsonl = JsonlSink(tmp_path / "t.jsonl")
-    tee = TeeSink([ring_a, ring_b, jsonl])
-    events = _events(3)
-    for event in events:
-        tee.emit(event)
-    tee.close()
-    assert ring_a.events == events
-    assert ring_b.events == events
-    assert list(read_events(jsonl.path)) == events

@@ -122,7 +122,6 @@ class TestQuarantine:
         assert failure.seed == 40
         assert failure.engine == "fast"
         assert failure.config_sha256 == "cafe" * 16
-        assert failure.batch_window == 4096
         assert failure.manifest_id == "deadbeef" * 8
         # the standalone record round-trips
         assert failure.record_path
@@ -207,13 +206,12 @@ class TestFailureRecordEnrichment:
         record = FailureRecord.from_dict(legacy)
         assert record.seed is None
         assert record.engine == ""
-        assert record.batch_window is None
         assert record.manifest_id == ""
         assert record.traceback == ""
         assert record.record_path == ""
         # and re-serialization emits the full enriched schema
         assert set(record.to_dict()) >= {
-            "seed", "engine", "config_sha256", "batch_window",
+            "seed", "engine", "config_sha256",
             "manifest_id", "traceback", "record_path",
         }
 
@@ -221,12 +219,13 @@ class TestFailureRecordEnrichment:
         record = FailureRecord(
             label="x", attempts=1, error_type="E", message="m", engine="object"
         )
+        # a key the record has no field for (an old batch_window) is ignored
         record.apply_provenance(
             {"seed": 5, "engine": "fast", "batch_window": 4096}
         )
         assert record.seed == 5
         assert record.engine == "object"  # existing value wins
-        assert record.batch_window == 4096
+        assert "batch_window" not in record.to_dict()
 
 
 class TestImportGraph:
@@ -260,3 +259,29 @@ class TestImportGraph:
         ).stdout.split("\n")
         assert out[0] == "[]"
         assert out[1] == "False"
+
+
+def test_resume_loads_checkpoint_whose_failure_carries_batch_window(tmp_path, capsys):
+    """Checkpoints written while failure records still had a
+    ``batch_window`` field keep resuming: the field is ignored, the
+    failed pair reruns and the table matches an uninterrupted run."""
+    from repro.analysis.cli import main
+    from repro.robustness import safeio
+
+    argv = ["--instructions", "2000", "table2", "--jobs", "1", "--quiet"]
+    ck = tmp_path / "ck.json"
+    assert main(argv + ["--pairs", "1", "--resume", str(ck)]) == 0
+    payload = json.loads(ck.read_text())
+    payload["failures"] = [{
+        "label": "2Xlbm", "attempts": 3, "error_type": "SimulationTimeout",
+        "message": "budget", "seed": 1, "engine": "fast",
+        "config_sha256": "", "batch_window": 4096, "manifest_id": "",
+        "traceback": "", "record_path": "",
+    }]
+    safeio.write_json_atomic(payload, ck)
+    capsys.readouterr()
+    assert main(argv + ["--pairs", "2", "--resume", str(ck)]) == 0
+    resumed = capsys.readouterr().out
+    assert main(argv + ["--pairs", "2", "--resume", str(tmp_path / "fresh.json")]) == 0
+    assert resumed == capsys.readouterr().out
+    assert json.loads(ck.read_text())["failures"] == []
