@@ -7,7 +7,8 @@
   in the same layout as the paper's Table II and Figures 7-10;
 * :mod:`repro.analysis.runner` — the sweep drivers the benchmark suite
   calls (SPEC pair sweeps, the PARSEC sweep, the LLC-size sensitivity
-  sweep).
+  sweep), and the job builders and result checkpoint the CLI's
+  resumable sweeps run through the supervised executor.
 """
 
 from repro.analysis.experiment import (
@@ -33,9 +34,10 @@ from repro.analysis.export import (
 from repro.analysis.figures import ascii_bars, figure7, figure9a, figure10
 from repro.analysis.runner import (
     llc_sensitivity_sweep,
+    parsec_jobs,
     parsec_sweep,
-    resilient_parsec_sweep,
-    resilient_spec_pair_sweep,
+    result_checkpoint,
+    spec_pair_jobs,
     spec_pair_sweep,
 )
 from repro.analysis.tables import (
@@ -49,8 +51,6 @@ __all__ = [
     "DefenseReport",
     "ExperimentResult",
     "LevelMpki",
-    "resilient_parsec_sweep",
-    "resilient_spec_pair_sweep",
     "ascii_bars",
     "compare_defenses",
     "comparison_to_dict",
@@ -64,11 +64,14 @@ __all__ = [
     "figure9a",
     "figure10",
     "llc_sensitivity_sweep",
+    "parsec_jobs",
     "parsec_sweep",
     "render_figure_series",
     "render_mpki_table",
     "render_table2",
+    "result_checkpoint",
     "run_parsec_experiment",
     "run_spec_pair_experiment",
+    "spec_pair_jobs",
     "spec_pair_sweep",
 ]

@@ -20,10 +20,12 @@ Usage (also available as ``python -m repro``):
 
 Each command prints the artifact in the paper's layout; ``--instructions``
 scales simulation length (longer = tighter match, slower).  ``table2``,
-``fig8``, ``fig9`` and ``export`` accept ``--resume CHECKPOINT.json`` to
-run under the resilient sweep runner: failures are retried then
-quarantined with provenance, completed experiments are checkpointed, and
-a rerun with the same file picks up where it left off.
+``fig8``, ``fig9``, ``export``, ``tournament`` and ``compare-defenses``
+run their cells through one supervised sweep executor: a failing cell
+is retried, then quarantined with provenance while the rest of the
+sweep finishes.  ``--resume CHECKPOINT.json`` names the checkpoint:
+completed cells are recorded there, a rerun with the same file picks up
+where it left off, and quarantine records land beside it.
 
 ``--jobs N`` fans the sweep commands out across ``N`` worker processes
 (default: one per CPU; ``--jobs 1`` runs every cell in this process).
@@ -52,12 +54,13 @@ import argparse
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.runner import (
     llc_sensitivity_sweep,
-    parsec_sweep,
-    spec_pair_sweep,
+    parsec_jobs,
+    result_checkpoint,
+    spec_pair_jobs,
 )
 from repro.analysis.tables import (
     render_figure_series,
@@ -68,6 +71,8 @@ from repro.analysis.tables import (
 from repro.common import scaled_experiment_config
 from repro.common.units import geometric_mean
 from repro.obs.console import Console
+from repro.robustness.resilience import SweepOutcome
+from repro.robustness.supervisor import SupervisedSweepExecutor, SweepJob
 from repro.workloads.mixes import (
     PAPER_TABLE2_PARSEC,
     PAPER_TABLE2_SPEC,
@@ -94,11 +99,37 @@ def _count_flag(value: Optional[int], default: int, flag: str) -> int:
     return value
 
 
-def _quarantine_dir_for(checkpoint_path: str) -> Path:
+def _quarantine_dir_for(checkpoint_path: Optional[str]) -> Optional[Path]:
     """Where FailureRecords land for a resumable sweep: next to (and
-    named after) its checkpoint file."""
+    named after) its checkpoint file; ``None`` without one."""
+    if checkpoint_path is None:
+        return None
     path = Path(checkpoint_path)
     return path.parent / (path.name + ".quarantine")
+
+
+def _run_sweep(
+    args: argparse.Namespace, sweep_jobs: Sequence[SweepJob]
+) -> Tuple[SweepOutcome, List, List[str], int]:
+    """Run a sweep command's cells through the supervised executor.
+
+    ``--jobs`` picks the mode, ``--resume`` names the checkpoint (its
+    quarantine records go beside it) and ``--obs-dir`` the telemetry
+    directory.  Returns the outcome, its results in job order, the
+    labels of the cells that produced none, and the exit status
+    (``EXIT_PARTIAL`` when any cell was quarantined, else ``EXIT_OK``).
+    """
+    executor = SupervisedSweepExecutor(
+        args.jobs,
+        checkpoint=result_checkpoint(args.resume),
+        quarantine_dir=_quarantine_dir_for(args.resume),
+        obs_dir=args.obs_dir,
+    )
+    outcome = executor.run(sweep_jobs)
+    status = _report_sweep_outcome(args.console, outcome)
+    labels = [job.label for job in sweep_jobs]
+    gaps = [label for label in labels if label not in outcome.results]
+    return outcome, outcome.ordered_results(labels), gaps, status
 
 
 def _cmd_micro(args: argparse.Namespace) -> int:
@@ -136,33 +167,11 @@ def _cmd_rsa(args: argparse.Namespace) -> int:
 
 def _cmd_table2(args: argparse.Namespace) -> int:
     pairs = (SPEC_SAME_PAIRS + SPEC_MIXED_PAIRS)[: args.pairs or None]
-    if args.resume:
-        from repro.analysis.runner import resilient_spec_pair_sweep
-        from repro.workloads.mixes import pair_label
-
-        outcome = resilient_spec_pair_sweep(
-            pairs=pairs,
-            instructions=args.instructions,
-            checkpoint_path=args.resume,
-            jobs=args.jobs,
-            engine=args.engine,
-            quarantine_dir=_quarantine_dir_for(args.resume),
-            obs_dir=args.obs_dir,
-        )
-        status = _report_sweep_outcome(args.console, outcome)
-        labels = [pair_label(a, b) for a, b in pairs]
-        results = outcome.ordered_results(labels)
-        if not results:
-            return EXIT_FATAL
-        gaps = [label for label in labels if label not in outcome.results]
-    else:
-        results = spec_pair_sweep(
-            pairs=pairs,
-            instructions=args.instructions,
-            jobs=args.jobs,
-            engine=args.engine,
-        )
-        status, gaps = EXIT_OK, []
+    _, results, gaps, status = _run_sweep(
+        args, spec_pair_jobs(pairs, args.instructions, engine=args.engine)
+    )
+    if not results:
+        return EXIT_FATAL
     args.console.result(
         render_table2(results, paper=PAPER_TABLE2_SPEC, gaps=gaps)
     )
@@ -174,7 +183,7 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _report_sweep_outcome(console: Console, outcome) -> int:
-    """Narrate a resilient sweep's outcome; the return value is the
+    """Narrate a supervised sweep's outcome; the return value is the
     command's exit status under the 0/3/1 contract (``EXIT_PARTIAL``
     when anything was quarantined, else ``EXIT_OK``)."""
     if outcome.resumed:
@@ -201,64 +210,22 @@ def _report_sweep_outcome(console: Console, outcome) -> int:
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
     pairs = SPEC_SAME_PAIRS[: args.pairs or 6]
-    if args.resume:
-        from repro.analysis.runner import resilient_spec_pair_sweep
-        from repro.workloads.mixes import pair_label
-
-        outcome = resilient_spec_pair_sweep(
-            pairs=pairs,
-            instructions=args.instructions,
-            checkpoint_path=args.resume,
-            jobs=args.jobs,
-            engine=args.engine,
-            quarantine_dir=_quarantine_dir_for(args.resume),
-            obs_dir=args.obs_dir,
-        )
-        status = _report_sweep_outcome(args.console, outcome)
-        labels = [pair_label(a, b) for a, b in pairs]
-        results = outcome.ordered_results(labels)
-        if not results:
-            return EXIT_FATAL
-        gaps = [label for label in labels if label not in outcome.results]
-    else:
-        results = spec_pair_sweep(
-            pairs=pairs,
-            instructions=args.instructions,
-            jobs=args.jobs,
-            engine=args.engine,
-        )
-        status, gaps = EXIT_OK, []
+    _, results, gaps, status = _run_sweep(
+        args, spec_pair_jobs(pairs, args.instructions, engine=args.engine)
+    )
+    if not results:
+        return EXIT_FATAL
     args.console.result(render_mpki_table(results, gaps=gaps))
     return status
 
 
 def _cmd_fig9(args: argparse.Namespace) -> int:
     benchmarks = PARSEC_BENCHMARKS[: args.pairs or None]
-    if args.resume:
-        from repro.analysis.runner import resilient_parsec_sweep
-
-        outcome = resilient_parsec_sweep(
-            benchmarks=benchmarks,
-            instructions_per_thread=args.instructions,
-            checkpoint_path=args.resume,
-            jobs=args.jobs,
-            engine=args.engine,
-            quarantine_dir=_quarantine_dir_for(args.resume),
-            obs_dir=args.obs_dir,
-        )
-        status = _report_sweep_outcome(args.console, outcome)
-        results = outcome.ordered_results(list(benchmarks))
-        if not results:
-            return EXIT_FATAL
-        gaps = [b for b in benchmarks if b not in outcome.results]
-    else:
-        results = parsec_sweep(
-            benchmarks=benchmarks,
-            instructions_per_thread=args.instructions,
-            jobs=args.jobs,
-            engine=args.engine,
-        )
-        status, gaps = EXIT_OK, []
+    _, results, gaps, status = _run_sweep(
+        args, parsec_jobs(benchmarks, args.instructions, engine=args.engine)
+    )
+    if not results:
+        return EXIT_FATAL
     args.console.result(
         render_table2(results, paper=PAPER_TABLE2_PARSEC, gaps=gaps)
     )
@@ -298,36 +265,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from repro.analysis.export import export_outcome, export_sweep
+    from repro.analysis.export import export_outcome
 
     pairs = (SPEC_SAME_PAIRS + SPEC_MIXED_PAIRS)[: args.pairs or 4]
-    if args.resume:
-        from repro.analysis.runner import resilient_spec_pair_sweep
-        from repro.workloads.mixes import pair_label
-
-        outcome = resilient_spec_pair_sweep(
-            pairs=pairs,
-            instructions=args.instructions,
-            checkpoint_path=args.resume,
-            jobs=args.jobs,
-            engine=args.engine,
-            quarantine_dir=_quarantine_dir_for(args.resume),
-            obs_dir=args.obs_dir,
-        )
-        status = _report_sweep_outcome(args.console, outcome)
-        labels = [pair_label(a, b) for a, b in pairs]
-        path = export_outcome(outcome, labels, args.output)
-        args.console.result(f"wrote {len(outcome.results)} results to {path}")
-        return status
-    results = spec_pair_sweep(
-        pairs=pairs,
-        instructions=args.instructions,
-        jobs=args.jobs,
-        engine=args.engine,
+    sweep_jobs = spec_pair_jobs(pairs, args.instructions, engine=args.engine)
+    outcome, results, _, status = _run_sweep(args, sweep_jobs)
+    path = export_outcome(
+        outcome, [job.label for job in sweep_jobs], args.output
     )
-    path = export_sweep(results, args.output)
     args.console.result(f"wrote {len(results)} results to {path}")
-    return 0
+    return status
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
@@ -454,7 +401,7 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             n_boot=n_boot,
             checkpoint_path=args.resume,
-            quarantine_dir=_quarantine_dir_for(args.resume) if args.resume else None,
+            quarantine_dir=_quarantine_dir_for(args.resume),
             obs_dir=args.obs_dir,
         )
     except ValueError as exc:  # unknown attack name
@@ -539,9 +486,7 @@ def _cmd_compare_defenses(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             n_boot=n_boot,
             checkpoint_path=args.resume,
-            quarantine_dir=_quarantine_dir_for(args.resume)
-            if args.resume
-            else None,
+            quarantine_dir=_quarantine_dir_for(args.resume),
             obs_dir=args.obs_dir,
         )
     except ValueError as exc:  # unknown attack name
@@ -829,6 +774,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulation engine: 'object' is the reference model, 'fast' "
         "the struct-of-arrays engine (identical results, ~5x throughput)",
     )
+    # Shared by the six commands that run their cells through
+    # SupervisedSweepExecutor.run(); fig10 runs a plain map() sweep.
+    resume_parent = argparse.ArgumentParser(add_help=False)
+    resume_parent.add_argument(
+        "--resume",
+        metavar="CHECKPOINT",
+        default=None,
+        help="checkpoint finished cells to (and resume from) this JSON "
+        "file; quarantined cells land in CHECKPOINT.quarantine/",
+    )
+    resume_parent.add_argument(
+        "--obs-dir",
+        metavar="DIR",
+        default=None,
+        help="write per-worker obs shards, a heartbeat, and a merged "
+        "Perfetto trace + counters JSON under DIR (see 'repro obs "
+        "top/flame'); needs --jobs >= 2, exits 1 at --jobs 1",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser(
         "micro", help="Section VI-A1 microbenchmark", parents=[quiet_parent]
@@ -842,30 +805,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("fig9", "Figure 9 PARSEC sweep"),
         ("fig10", "Figure 10 LLC sensitivity"),
     ):
+        resume = [] if name == "fig10" else [resume_parent]
         p = sub.add_parser(
-            name, help=help_text, parents=[jobs_parent, quiet_parent]
+            name, help=help_text, parents=[jobs_parent, *resume, quiet_parent]
         )
         p.add_argument(
             "--pairs", type=int, default=0, help="limit the workload count"
         )
-        if name in ("table2", "fig8", "fig9"):
-            p.add_argument(
-                "--resume",
-                metavar="CHECKPOINT",
-                default=None,
-                help="run resiliently, checkpointing to (and resuming "
-                "from) this JSON file; quarantined cells land in "
-                "CHECKPOINT.quarantine/ and the command exits 3",
-            )
-            p.add_argument(
-                "--obs-dir",
-                metavar="DIR",
-                default=None,
-                help="with --resume: write per-worker obs shards, a "
-                "heartbeat, and a merged Perfetto trace + counters JSON "
-                "under DIR (see 'repro obs top/flame'); needs --jobs >= 2, "
-                "exits 1 at --jobs 1",
-            )
     compare = sub.add_parser(
         "compare",
         help="TimeCache vs partitioning on one pair",
@@ -875,24 +821,10 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser(
         "export",
         help="run a sweep, write JSON results",
-        parents=[jobs_parent, quiet_parent],
+        parents=[jobs_parent, resume_parent, quiet_parent],
     )
     export.add_argument("--output", default="results.json")
     export.add_argument("--pairs", type=int, default=0)
-    export.add_argument(
-        "--resume",
-        metavar="CHECKPOINT",
-        default=None,
-        help="run resiliently, checkpointing to (and resuming from) "
-        "this JSON file",
-    )
-    export.add_argument(
-        "--obs-dir",
-        metavar="DIR",
-        default=None,
-        help="with --resume: write obs shards and a merged trace under "
-        "DIR; needs --jobs >= 2, exits 1 at --jobs 1",
-    )
     faults = sub.add_parser(
         "faults",
         help="fault-injection campaign against the defense",
@@ -995,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tournament",
         help="attack tournament: statistical leakage scorecard "
         "(SECURITY.json) with an enforcing --baseline gate",
-        parents=[quiet_parent],
+        parents=[resume_parent, quiet_parent],
     )
     tournament.add_argument(
         "--quick",
@@ -1062,25 +994,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write these scores as a new baseline (refused when "
         "any cell was quarantined)",
     )
-    tournament.add_argument(
-        "--resume",
-        metavar="CHECKPOINT",
-        default=None,
-        help="checkpoint scored cells to (and resume from) this JSON "
-        "file; quarantined cells land in CHECKPOINT.quarantine/",
-    )
-    tournament.add_argument(
-        "--obs-dir",
-        metavar="DIR",
-        default=None,
-        help="write per-worker obs shards and a merged Perfetto trace + "
-        "counters JSON under DIR; needs --jobs >= 2, exits 1 at --jobs 1",
-    )
     compare_defenses = sub.add_parser(
         "compare-defenses",
         help="defense zoo head-to-head: overhead vs leakage matrix over "
         "every registered defense (DEFENSE_MATRIX.json)",
-        parents=[quiet_parent],
+        parents=[resume_parent, quiet_parent],
     )
     compare_defenses.add_argument(
         "--quick",
@@ -1131,20 +1049,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default="DEFENSE_MATRIX.json",
         help="matrix artifact path (default DEFENSE_MATRIX.json)",
-    )
-    compare_defenses.add_argument(
-        "--resume",
-        metavar="CHECKPOINT",
-        default=None,
-        help="checkpoint scored cells to (and resume from) this JSON "
-        "file; quarantined cells land in CHECKPOINT.quarantine/",
-    )
-    compare_defenses.add_argument(
-        "--obs-dir",
-        metavar="DIR",
-        default=None,
-        help="write per-worker obs shards and a merged Perfetto trace + "
-        "counters JSON under DIR; needs --jobs >= 2, exits 1 at --jobs 1",
     )
     trace = sub.add_parser(
         "trace",

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.analysis.experiment import SingleRun, _collect_run
+from repro.analysis.experiment import SingleRun, _run_configured
 from repro.attacks.flush_reload import run_microbenchmark_attack
 from repro.common.config import SimConfig
 from repro.os.kernel import Kernel
+from repro.workloads.generator import Tapes
 from repro.workloads.spec import build_spec_pair
 
 
@@ -69,13 +70,6 @@ class DefenseComparison:
         return "\n".join(lines)
 
 
-def _run_workload(config: SimConfig, bench_a, bench_b, instructions, seed):
-    kernel = Kernel(config)
-    build_spec_pair(kernel, bench_a, bench_b, instructions, seed=seed)
-    summary = kernel.run()
-    return _collect_run(kernel, summary)
-
-
 def compare_defenses(
     config: SimConfig,
     bench_a: str = "perlbench",
@@ -94,9 +88,18 @@ def compare_defenses(
         ("timecache", config),
         ("partition", config.with_partitioning(domains=partition_domains)),
     ]
+    # The op tapes do not depend on the configuration: every run walks
+    # the ones the first emitted.
+    tapes: Tapes = {}
+
+    def build(kernel: Kernel) -> None:
+        build_spec_pair(
+            kernel, bench_a, bench_b, instructions, seed=seed, tapes=tapes
+        )
+
     reports: Dict[str, DefenseReport] = {}
     for name, cfg in configs:
-        run = _run_workload(cfg, bench_a, bench_b, instructions, seed)
+        run = _run_configured(cfg, build)
         attack = run_microbenchmark_attack(
             cfg, shared_lines=64, sleep_cycles=50_000
         )

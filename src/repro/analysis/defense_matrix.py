@@ -78,7 +78,16 @@ def run_overhead_cell(
     control, on identical geometry, and reports the simulated slowdown
     (deterministic) plus this run's wall throughput (weather).
     """
-    from repro.analysis.comparison import _run_workload
+    from repro.analysis.experiment import _run_configured
+    from repro.workloads.generator import Tapes
+    from repro.workloads.spec import build_spec_pair
+
+    tapes: Tapes = {}
+
+    def workload(kernel) -> None:
+        build_spec_pair(
+            kernel, OVERHEAD_BENCH, OVERHEAD_BENCH, instructions, seed=seed, tapes=tapes
+        )
 
     def build(name: str):
         base = scaled_experiment_config(
@@ -93,17 +102,9 @@ def run_overhead_cell(
         return config
 
     start = time.perf_counter()
-    run = _run_workload(
-        build(defense), OVERHEAD_BENCH, OVERHEAD_BENCH, instructions, seed
-    )
+    run = _run_configured(build(defense), workload)
     wall_s = time.perf_counter() - start
-    control = _run_workload(
-        build(_control_defense_name()),
-        OVERHEAD_BENCH,
-        OVERHEAD_BENCH,
-        instructions,
-        seed,
-    )
+    control = _run_configured(build(_control_defense_name()), workload)
     slowdown = (
         run.cycles / control.cycles if control.cycles else 1.0
     )
@@ -192,8 +193,8 @@ def run_defense_matrix(
 ) -> MatrixOutcome:
     """Run the full matrix under the supervised executor.
 
-    Cell results are plain dicts, so the checkpoint serialization is the
-    identity and a ``--resume`` run loads completed cells untouched.
+    Cell results are plain dicts, so the checkpoint keeps them as they
+    are and a ``--resume`` run loads completed cells untouched.
     """
     if defenses is None:
         defenses = defense_names()
@@ -207,15 +208,9 @@ def run_defense_matrix(
         n_boot=n_boot,
         overhead_instructions=overhead_instructions,
     )
-    checkpoint = None
-    if checkpoint_path is not None:
-        checkpoint = Checkpoint(
-            checkpoint_path, serialize=lambda c: c, deserialize=lambda c: c
-        )
-        checkpoint.load()
     executor = SupervisedSweepExecutor(
         jobs,
-        checkpoint=checkpoint,
+        checkpoint=None if checkpoint_path is None else Checkpoint(checkpoint_path),
         quarantine_dir=quarantine_dir,
         deadline_s=deadline_s,
         on_event=on_event,

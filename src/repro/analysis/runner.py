@@ -14,6 +14,13 @@ means one per CPU).  Each cell is a deterministic function of its
 arguments, so both modes produce identical results —
 `tests/analysis/test_parallel.py` locks that in byte-for-byte on the
 exported tables and checkpoints.
+
+The sweeps here use :meth:`~repro.robustness.supervisor.SweepExecutor.map`:
+no retries, and one failed cell raises.  The CLI's sweep commands run
+the same :func:`spec_pair_jobs` / :func:`parsec_jobs` cells through
+:meth:`~repro.robustness.supervisor.SweepExecutor.run` instead, with a
+:func:`result_checkpoint` to resume from, so a failed cell is retried
+and then quarantined.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from repro.analysis.experiment import (
 )
 from repro.common.config import SimConfig, scaled_experiment_config
 from repro.obs.manifest import config_fingerprint
-from repro.robustness.resilience import Checkpoint, SweepOutcome
+from repro.robustness.resilience import Checkpoint
 from repro.robustness.supervisor import SupervisedSweepExecutor, SweepJob
 from repro.workloads.mixes import (
     PARSEC_BENCHMARKS,
@@ -49,15 +56,21 @@ def _sweep_provenance(config: SimConfig, seed: int) -> Dict[str, object]:
     }
 
 
-def _spec_pair_jobs(
-    config: SimConfig,
-    pairs: Sequence[Tuple[str, str]],
-    instructions: int,
-    seed: int,
+def spec_pair_jobs(
+    pairs: Sequence[Tuple[str, str]] = tuple(SPEC_SAME_PAIRS + SPEC_MIXED_PAIRS),
+    instructions: int = 120_000,
+    llc_kib: int = 128,
+    seed: int = 0xBEEF,
+    engine: str = "object",
     budget: Optional[SimulationBudget] = None,
     label_prefix: str = "",
 ) -> List[SweepJob]:
-    """One job per SPEC pair."""
+    """One job per SPEC pair on the single-core experiment config: the
+    cells of Table II, Figure 7 and Figure 8.  ``budget`` arms each
+    cell's simulation watchdog."""
+    config = scaled_experiment_config(
+        num_cores=1, llc_kib=llc_kib, seed=seed, engine=engine
+    )
     provenance = _sweep_provenance(config, seed)
     return [
         SweepJob(
@@ -71,14 +84,19 @@ def _spec_pair_jobs(
     ]
 
 
-def _parsec_jobs(
-    config: SimConfig,
-    benchmarks: Sequence[str],
-    instructions_per_thread: int,
-    seed: int,
+def parsec_jobs(
+    benchmarks: Sequence[str] = tuple(PARSEC_BENCHMARKS),
+    instructions_per_thread: int = 1_000_000,
+    llc_kib: int = 128,
+    seed: int = 0xFACE,
+    engine: str = "object",
     budget: Optional[SimulationBudget] = None,
 ) -> List[SweepJob]:
-    """One job per PARSEC benchmark."""
+    """One job per PARSEC benchmark on the two-core experiment config:
+    the cells of Figure 9 and Table II's PARSEC rows."""
+    config = scaled_experiment_config(
+        num_cores=2, llc_kib=llc_kib, seed=seed, engine=engine
+    )
     provenance = _sweep_provenance(config, seed)
     return [
         SweepJob(
@@ -96,10 +114,25 @@ def _parsec_jobs(
     ]
 
 
+def result_checkpoint(
+    checkpoint_path: Optional[Union[str, Path]]
+) -> Optional[Checkpoint]:
+    """A checkpoint of :class:`ExperimentResult` cells at
+    ``checkpoint_path`` (``None`` for none), for
+    :meth:`SupervisedSweepExecutor.run` to resume from."""
+    if checkpoint_path is None:
+        return None
+    from repro.analysis.export import result_from_dict, result_to_dict
+
+    return Checkpoint(
+        checkpoint_path, serialize=result_to_dict, deserialize=result_from_dict
+    )
+
+
 def _map_sweep(
     sweep_jobs: Sequence[SweepJob], jobs: Optional[int], seed: int
 ) -> List:
-    """Run a plain (non-resilient) sweep: no retries, any failure raises
+    """Run a plain sweep: no retries, any failure raises
     :class:`~repro.common.errors.SweepExecutionError`."""
     return SupervisedSweepExecutor(jobs, retries=0, base_seed=seed).map(
         sweep_jobs
@@ -115,10 +148,9 @@ def spec_pair_sweep(
     engine: str = "object",
 ) -> List[ExperimentResult]:
     """The Table II / Figure 7 / Figure 8 sweep (single core, pairs)."""
-    config = scaled_experiment_config(
-        num_cores=1, llc_kib=llc_kib, seed=seed, engine=engine
+    return _map_sweep(
+        spec_pair_jobs(pairs, instructions, llc_kib, seed, engine), jobs, seed
     )
-    return _map_sweep(_spec_pair_jobs(config, pairs, instructions, seed), jobs, seed)
 
 
 def parsec_sweep(
@@ -130,11 +162,10 @@ def parsec_sweep(
     engine: str = "object",
 ) -> List[ExperimentResult]:
     """The Figure 9 / Table II PARSEC sweep (2 threads on 2 cores)."""
-    config = scaled_experiment_config(
-        num_cores=2, llc_kib=llc_kib, seed=seed, engine=engine
-    )
     return _map_sweep(
-        _parsec_jobs(config, benchmarks, instructions_per_thread, seed), jobs, seed
+        parsec_jobs(benchmarks, instructions_per_thread, llc_kib, seed, engine),
+        jobs,
+        seed,
     )
 
 
@@ -155,13 +186,8 @@ def llc_sensitivity_sweep(
     """
     all_jobs: List[SweepJob] = []
     for llc_kib in llc_sizes_kib:
-        config = scaled_experiment_config(
-            num_cores=1, llc_kib=llc_kib, seed=seed, engine=engine
-        )
-        all_jobs.extend(
-            _spec_pair_jobs(
-                config, pairs, instructions, seed, label_prefix=f"{llc_kib}KiB/"
-            )
+        all_jobs += spec_pair_jobs(
+            pairs, instructions, llc_kib, seed, engine, label_prefix=f"{llc_kib}KiB/"
         )
     flat = _map_sweep(all_jobs, jobs, seed)
     per_size = len(pairs)
@@ -169,104 +195,6 @@ def llc_sensitivity_sweep(
         llc_kib: flat[i * per_size : (i + 1) * per_size]
         for i, llc_kib in enumerate(llc_sizes_kib)
     }
-
-
-def _result_checkpoint(
-    checkpoint_path: Optional[Union[str, Path]]
-) -> Optional[Checkpoint]:
-    if checkpoint_path is None:
-        return None
-    from repro.analysis.export import result_from_dict, result_to_dict
-
-    return Checkpoint(
-        checkpoint_path, serialize=result_to_dict, deserialize=result_from_dict
-    )
-
-
-def resilient_spec_pair_sweep(
-    pairs: Sequence[Tuple[str, str]] = tuple(SPEC_SAME_PAIRS + SPEC_MIXED_PAIRS),
-    instructions: int = 120_000,
-    llc_kib: int = 128,
-    seed: int = 0xBEEF,
-    budget: Optional[SimulationBudget] = None,
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    retries: int = 2,
-    backoff_s: float = 0.5,
-    jobs: Optional[int] = 1,
-    engine: str = "object",
-    deadline_s: Optional[float] = None,
-    quarantine_dir: Optional[Union[str, Path]] = None,
-    manifest_id: str = "",
-    obs_dir: Optional[Union[str, Path]] = None,
-) -> SweepOutcome:
-    """:func:`spec_pair_sweep` with retries, checkpoint, and quarantine.
-
-    A pair that crashes or exceeds ``budget`` is retried with backoff and
-    ultimately becomes a ``FailureRecord`` instead of sinking the sweep;
-    poison pairs are quarantined with full provenance under
-    ``quarantine_dir``.  ``checkpoint_path`` enables resume — completed
-    pairs are loaded, not re-simulated, and previously failed pairs get a
-    fresh chance.  With ``jobs != 1`` each in-flight pair gets its own
-    heartbeat-monitored worker process, so a crashed worker is detected
-    and rescheduled and (with ``deadline_s``) a hung worker is killed at
-    the deadline; ``deadline_s`` does nothing at ``jobs == 1``, and
-    ``obs_dir`` needs ``jobs >= 2``.  Retry/checkpoint/resume semantics,
-    failure records, and the results themselves are identical at any
-    ``jobs``.
-    """
-    config = scaled_experiment_config(
-        num_cores=1, llc_kib=llc_kib, seed=seed, engine=engine
-    )
-    executor = SupervisedSweepExecutor(
-        jobs,
-        retries=retries,
-        backoff_s=backoff_s,
-        deadline_s=deadline_s,
-        checkpoint=_result_checkpoint(checkpoint_path),
-        base_seed=seed,
-        quarantine_dir=quarantine_dir,
-        manifest_id=manifest_id,
-        obs_dir=obs_dir,
-    )
-    return executor.run(_spec_pair_jobs(config, pairs, instructions, seed, budget))
-
-
-def resilient_parsec_sweep(
-    benchmarks: Sequence[str] = tuple(PARSEC_BENCHMARKS),
-    instructions_per_thread: int = 1_000_000,
-    llc_kib: int = 128,
-    seed: int = 0xFACE,
-    budget: Optional[SimulationBudget] = None,
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    retries: int = 2,
-    backoff_s: float = 0.5,
-    jobs: Optional[int] = 1,
-    engine: str = "object",
-    deadline_s: Optional[float] = None,
-    quarantine_dir: Optional[Union[str, Path]] = None,
-    manifest_id: str = "",
-    obs_dir: Optional[Union[str, Path]] = None,
-) -> SweepOutcome:
-    """:func:`parsec_sweep` with retries, checkpoint, and quarantine (see
-    :func:`resilient_spec_pair_sweep` for the failure and supervision
-    semantics)."""
-    config = scaled_experiment_config(
-        num_cores=2, llc_kib=llc_kib, seed=seed, engine=engine
-    )
-    executor = SupervisedSweepExecutor(
-        jobs,
-        retries=retries,
-        backoff_s=backoff_s,
-        deadline_s=deadline_s,
-        checkpoint=_result_checkpoint(checkpoint_path),
-        base_seed=seed,
-        quarantine_dir=quarantine_dir,
-        manifest_id=manifest_id,
-        obs_dir=obs_dir,
-    )
-    return executor.run(
-        _parsec_jobs(config, benchmarks, instructions_per_thread, seed, budget)
-    )
 
 
 def single_config(

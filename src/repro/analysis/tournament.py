@@ -457,7 +457,6 @@ def run_tournament(
     n_boot: int = 500,
     checkpoint_path: Optional[Union[str, Path]] = None,
     quarantine_dir: Optional[Union[str, Path]] = None,
-    tracer=None,
     deadline_s: Optional[float] = 120.0,
     on_event: Optional[Callable[[str, str], None]] = None,
     obs_dir: Optional[Union[str, Path]] = None,
@@ -467,7 +466,7 @@ def run_tournament(
     A checkpoint path makes the run resumable (completed cells are
     loaded, not re-run); a quarantine directory gives each poisoned cell
     a standalone failure record.  Cell results are plain dicts, so the
-    checkpoint serialization is the identity.
+    checkpoint keeps them as they are.
     """
     sweep_jobs = tournament_jobs(
         attacks,
@@ -477,24 +476,11 @@ def run_tournament(
         quick=quick,
         n_boot=n_boot,
     )
-    checkpoint = None
-    if checkpoint_path is not None:
-        checkpoint = Checkpoint(
-            checkpoint_path, serialize=lambda c: c, deserialize=lambda c: c
-        )
-        checkpoint.load()
-    if tracer is not None and tracer.enabled:
-        tracer.emit(
-            "tournament.begin",
-            src="tournament",
-            args={"cells": len(sweep_jobs), "quick": quick},
-        )
     executor = SupervisedSweepExecutor(
         jobs,
-        checkpoint=checkpoint,
+        checkpoint=None if checkpoint_path is None else Checkpoint(checkpoint_path),
         quarantine_dir=quarantine_dir,
         deadline_s=deadline_s,
-        tracer=tracer,
         on_event=on_event,
         obs_dir=obs_dir,
     )
@@ -505,26 +491,6 @@ def run_tournament(
         for label in labels
         if label in outcome.results
     }
-    if tracer is not None and tracer.enabled:
-        for label, cell in cells.items():
-            tracer.emit(
-                "tournament.cell",
-                src="tournament",
-                args={
-                    "label": label,
-                    "separation": cell["separation"],
-                    "mi_bits": cell["mi_bits"],
-                    "leak": cell["leak"],
-                },
-            )
-        tracer.emit(
-            "tournament.end",
-            src="tournament",
-            args={
-                "scored": len(cells),
-                "quarantined": len(outcome.failures),
-            },
-        )
     return TournamentOutcome(cells=cells, sweep=outcome, labels=labels)
 
 

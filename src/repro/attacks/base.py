@@ -206,13 +206,6 @@ class SharedArrayScenario:
     def run(self, **kwargs: object) -> None:
         self.kernel.run(**kwargs)
 
-    def run_until_victim_exits(self, max_steps: int = 20_000_000) -> None:
-        """Run until the victim finishes (looping attackers stop then)."""
-        self.kernel.run(
-            max_steps=max_steps,
-            stop_when=lambda k: k.task_done(self.victim_task),
-        )
-
     def phase(self, name: str) -> ContextManager[None]:
         """An attack-phase span (flush, wait, probe) in simulated time.
 

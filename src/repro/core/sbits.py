@@ -52,14 +52,6 @@ class SavedCachingContext:
             },
         )
 
-    def total_bytes(self) -> int:
-        """Kernel memory the snapshot occupies (1 bit per slot, rounded
-        up per cache) — the Section VI-D space cost."""
-        total = 0
-        for array in self.sbits_by_cache.values():
-            total += (array.size + 7) // 8
-        return total
-
 
 class TaskCachingState:
     """Mutable per-task TimeCache state owned by the OS layer.

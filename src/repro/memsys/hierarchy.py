@@ -212,10 +212,6 @@ class MemoryHierarchy:
             )
         self._partition_domains = domains
 
-    @property
-    def partitioning_enabled(self) -> bool:
-        return self._partition_domains > 0
-
     def set_domain(self, ctx: int, domain: int) -> None:
         """Program the security domain of a hardware context (the MSR
         write an Apparition/Catalyst-style kernel performs per switch)."""

@@ -54,11 +54,6 @@ EVENT_KINDS = frozenset(
         "sweep.job_resumed",
         "sweep.heartbeat",
         "sweep.end",
-        # attack tournament (host-side): matrix boundaries + one event
-        # per scored cell carrying the separation/MI verdict
-        "tournament.begin",
-        "tournament.cell",
-        "tournament.end",
     }
 )
 

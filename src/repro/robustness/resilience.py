@@ -129,6 +129,10 @@ class SweepOutcome:
         return [self.results[lab] for lab in labels if lab in self.results]
 
 
+def _identity(value):
+    return value
+
+
 class Checkpoint:
     """JSON persistence for a sweep in progress.
 
@@ -137,13 +141,16 @@ class Checkpoint:
 
         {"schema": 1, "kind": "sweep_checkpoint",
          "completed": {label: <payload>}, "failures": [<record>, ...]}
+
+    Both hooks default to the identity, for results that are already
+    JSON-ready dicts.
     """
 
     def __init__(
         self,
         path: Union[str, Path],
-        serialize: Callable[[object], Dict],
-        deserialize: Callable[[Dict], object],
+        serialize: Callable[[object], Dict] = _identity,
+        deserialize: Callable[[Dict], object] = _identity,
     ) -> None:
         self.path = Path(path)
         self.serialize = serialize

@@ -29,8 +29,8 @@ Both modes share one settle path, so the contract does not depend on
   ``jobs`` 1 and N write the same bytes;
 * a job failing ``retries + 1`` attempts becomes an enriched
   :class:`~repro.robustness.resilience.FailureRecord` (seed, engine,
-  config hash, batch window, manifest id, traceback), written as a
-  standalone record under ``quarantine_dir``, and the sweep continues;
+  config hash, manifest id, traceback), written as a standalone record
+  under ``quarantine_dir``, and the sweep continues;
 * progress reaches ``on_event`` and the ``sweep.*`` trace events.
 """
 

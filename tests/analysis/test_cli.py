@@ -63,6 +63,8 @@ def test_export_command(tmp_path, capsys):
 
     payload = load_json(target)
     assert summarize_json(payload)["count"] == 1
+    # Without --resume the document is still a sweep outcome.
+    assert payload["failures"] == payload["resumed"] == payload["gaps"] == []
 
 
 def test_table2_with_explicit_jobs(capsys):

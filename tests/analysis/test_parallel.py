@@ -21,7 +21,8 @@ from repro.analysis.export import (
 )
 from repro.analysis.runner import (
     llc_sensitivity_sweep,
-    resilient_spec_pair_sweep,
+    result_checkpoint,
+    spec_pair_jobs,
     spec_pair_sweep,
 )
 from repro.common.config import scaled_experiment_config
@@ -42,6 +43,19 @@ INSTRUCTIONS = 2_000
 
 def _sweep_bytes(results) -> bytes:
     return json.dumps(sweep_to_dict(results), sort_keys=True).encode()
+
+
+def _run_pairs(
+    pairs, jobs, checkpoint_path=None, budget=None, engine="object", **options
+):
+    """The CLI sweep commands' path: SPEC-pair cells through
+    ``SupervisedSweepExecutor.run()`` with a result checkpoint."""
+    executor = SupervisedSweepExecutor(
+        jobs, checkpoint=result_checkpoint(checkpoint_path), **options
+    )
+    return executor.run(
+        spec_pair_jobs(pairs, INSTRUCTIONS, engine=engine, budget=budget)
+    )
 
 
 class TestSerialParallelEquivalence:
@@ -72,26 +86,20 @@ class TestSerialParallelEquivalence:
         records = {}
         for jobs in (1, 2):
             path = tmp_path / f"ck{jobs}.json"
-            outcome = resilient_spec_pair_sweep(
-                pairs=PAIRS,
-                instructions=INSTRUCTIONS,
-                checkpoint_path=path,
-                jobs=jobs,
-            )
+            outcome = _run_pairs(PAIRS, jobs, checkpoint_path=path)
             assert outcome.complete
             paths[jobs] = path.read_bytes()
             # A pair that times out on its budget is quarantined the
             # same way in both modes.
             qdir = tmp_path / f"q{jobs}"
-            timed_out = resilient_spec_pair_sweep(
-                pairs=[("specrand", "specrand")],
-                instructions=INSTRUCTIONS,
+            timed_out = _run_pairs(
+                [("specrand", "specrand")],
+                jobs,
                 budget=SimulationBudget(max_instructions=100),
+                engine="fast",
                 retries=0,
                 quarantine_dir=qdir,
                 manifest_id="m123",
-                engine="fast",
-                jobs=jobs,
             )
             (record,) = timed_out.failures
             assert (qdir / "2Xspecrand.failure.json").exists()
@@ -112,9 +120,7 @@ class TestSerialParallelEquivalence:
         labels = [pair_label(a, b) for a, b in PAIRS]
         blobs = {}
         for jobs in (1, 2):
-            outcome = resilient_spec_pair_sweep(
-                pairs=PAIRS, instructions=INSTRUCTIONS, jobs=jobs
-            )
+            outcome = _run_pairs(PAIRS, jobs)
             target = tmp_path / f"out{jobs}.json"
             export_outcome(outcome, labels, target)
             blobs[jobs] = target.read_bytes()
@@ -127,9 +133,7 @@ class TestResume:
         behind) resumes under --jobs 2: completed cells load, missing
         cells re-run, and the final file matches an uninterrupted run."""
         path = tmp_path / "ck.json"
-        outcome = resilient_spec_pair_sweep(
-            pairs=PAIRS, instructions=INSTRUCTIONS, checkpoint_path=path, jobs=2
-        )
+        outcome = _run_pairs(PAIRS, 2, checkpoint_path=path)
         assert outcome.complete
         full = path.read_bytes()
 
@@ -145,21 +149,15 @@ class TestResume:
         path.write_text(json.dumps(safeio.seal(payload)))
         safeio.backup_path(path).unlink()
 
-        resumed = resilient_spec_pair_sweep(
-            pairs=PAIRS, instructions=INSTRUCTIONS, checkpoint_path=path, jobs=2
-        )
+        resumed = _run_pairs(PAIRS, 2, checkpoint_path=path)
         assert resumed.complete
         assert resumed.resumed == [pair_label(*PAIRS[0])]
         assert path.read_bytes() == full
 
     def test_fully_complete_checkpoint_runs_nothing(self, tmp_path):
         path = tmp_path / "ck.json"
-        resilient_spec_pair_sweep(
-            pairs=PAIRS, instructions=INSTRUCTIONS, checkpoint_path=path, jobs=2
-        )
-        again = resilient_spec_pair_sweep(
-            pairs=PAIRS, instructions=INSTRUCTIONS, checkpoint_path=path, jobs=2
-        )
+        _run_pairs(PAIRS, 2, checkpoint_path=path)
+        again = _run_pairs(PAIRS, 2, checkpoint_path=path)
         assert sorted(again.resumed) == sorted(pair_label(a, b) for a, b in PAIRS)
 
 

@@ -179,19 +179,42 @@ def test_obs_dir_help_names_the_jobs_requirement(command):
 
 
 def test_obs_dir_at_jobs_1_exits_1_and_writes_nothing(tmp_path, capsys):
+    """Every supervised sweep command refuses --obs-dir at --jobs 1,
+    whether or not it also resumes from a checkpoint."""
+    obs_dir = tmp_path / "obs"
+    for command in ("table2", "fig8", "fig9", "export"):
+        for resume in (["--resume", str(tmp_path / "ck.json")], []):
+            rc = main(
+                [
+                    "--instructions", "2000",
+                    command, "--pairs", "1",
+                    *resume,
+                    "--jobs", "1",
+                    "--obs-dir", str(obs_dir),
+                ]
+            )
+            assert rc == 1, (command, resume)
+            assert "ConfigError" in capsys.readouterr().err
+            assert not obs_dir.exists()
+            assert not (tmp_path / "ck.json").exists()
+
+
+def test_obs_dir_without_resume_writes_shards(tmp_path, capsys):
+    from repro.obs.shards import list_shards
+
     obs_dir = tmp_path / "obs"
     rc = main(
         [
             "--instructions", "2000",
-            "table2", "--pairs", "1",
-            "--resume", str(tmp_path / "ck.json"),
-            "--jobs", "1",
+            "table2", "--pairs", "1", "--jobs", "2", "--quiet",
             "--obs-dir", str(obs_dir),
         ]
     )
-    assert rc == 1
-    assert "ConfigError" in capsys.readouterr().err
-    assert not obs_dir.exists()
+    assert rc == 0
+    assert "2Xspecrand" in capsys.readouterr().out
+    assert (obs_dir / "merged_trace.json").exists()
+    assert (obs_dir / "counters.json").exists()
+    assert len(list_shards(obs_dir)) == 1
 
 
 def test_obs_top_once_without_heartbeat(tmp_path, capsys):

@@ -153,37 +153,21 @@ class TestAcceptanceResume:
         # 2. a chaos-interrupted parallel run: worker killed on its
         # first attempt (supervisor reschedules), checkpoint then
         # corrupted on disk after the run (as a kill mid-write would)
-        from repro.analysis.runner import resilient_spec_pair_sweep
+        from repro.analysis.runner import result_checkpoint, spec_pair_jobs
+        from repro.robustness.supervisor import SupervisedSweepExecutor
 
         # the same first-two pairs `table2 --pairs 2` sweeps
         pairs = [("specrand", "specrand"), ("lbm", "lbm")]
         ck = tmp_path / "chaos.json"
-        import repro.analysis.runner as runner_mod
-        from repro.robustness.supervisor import SupervisedSweepExecutor
-
-        original = SupervisedSweepExecutor.__init__
-
-        def sabotaged_init(self, *args, **kwargs):
-            kwargs.setdefault("backoff_s", 0.01)
-            original(self, *args, **kwargs)
-            self.sabotage_for = (
-                lambda label, attempt: ("kill", 9)
-                if label == "2Xspecrand" and attempt == 1
-                else None
-            )
-
-        SupervisedSweepExecutor.__init__ = sabotaged_init
-        try:
-            outcome = resilient_spec_pair_sweep(
-                pairs=pairs,
-                instructions=2_000,
-                checkpoint_path=ck,
-                jobs=2,
-            )
-        finally:
-            SupervisedSweepExecutor.__init__ = original
+        outcome = SupervisedSweepExecutor(
+            2,
+            backoff_s=0.01,
+            checkpoint=result_checkpoint(ck),
+            sabotage_for=lambda label, attempt: ("kill", 9)
+            if label == "2Xspecrand" and attempt == 1
+            else None,
+        ).run(spec_pair_jobs(pairs, 2_000))
         assert outcome.complete  # the kill was rescheduled, not fatal
-        assert runner_mod is not None
         # corrupt the published checkpoint: torn tail
         ck.write_bytes(ck.read_bytes()[:30])
 
@@ -202,7 +186,8 @@ class TestExitContract:
         self, tmp_path, capsys, monkeypatch
     ):
         """A sweep with a quarantined cell exits EXIT_PARTIAL, renders a
-        gap marker, and names the FailureRecord file."""
+        gap marker, and names the FailureRecord file — with or without
+        ``--resume`` (without one the record has no file to name)."""
         import repro.analysis.runner as runner_mod
 
         real_pair = runner_mod.run_spec_pair_experiment
@@ -216,15 +201,19 @@ class TestExitContract:
             runner_mod, "run_spec_pair_experiment", poisoned_pair
         )
         ck = tmp_path / "ck.json"
-        code = main(
-            [
-                "--instructions", "2000",
-                "table2", "--pairs", "2",
-                "--resume", str(ck), "--jobs", "1",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == EXIT_PARTIAL
-        assert "[quarantined]" in captured.out
-        assert "geomean*" in captured.out
-        assert "quarantined 1 job(s)" in captured.err
+        for resume, record in (
+            (["--resume", str(ck)], str(ck) + ".quarantine"),
+            ([], "no record file"),
+        ):
+            code = main(
+                [
+                    "--instructions", "2000",
+                    "table2", "--pairs", "2",
+                    *resume, "--jobs", "1",
+                ]
+            )
+            captured = capsys.readouterr()
+            assert code == EXIT_PARTIAL
+            assert "[quarantined]" in captured.out
+            assert "geomean*" in captured.out
+            assert f"quarantined 1 job(s): 2Xlbm ({record}" in captured.err

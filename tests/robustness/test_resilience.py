@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.analysis.experiment import SimulationBudget
-from repro.analysis.runner import resilient_spec_pair_sweep
+from repro.analysis.runner import result_checkpoint, spec_pair_jobs
 from repro.common.errors import ConfigError, SimulationTimeout
 from repro.robustness import supervisor
 from repro.robustness.resilience import Checkpoint, FailureRecord
@@ -161,21 +161,26 @@ class TestCheckpoint:
         assert FailureRecord.from_dict(record.to_dict()) == record
 
 
+def run_pairs(pairs, checkpoint_path=None, budget=None, **options):
+    """SPEC-pair cells through the in-process executor, as the CLI's
+    sweep commands run them."""
+    executor = SupervisedSweepExecutor(
+        1, checkpoint=result_checkpoint(checkpoint_path), **options
+    )
+    return executor.run(spec_pair_jobs(pairs, 4_000, budget=budget))
+
+
 class TestSweepIntegration:
     def test_resilient_sweep_returns_results(self, tmp_path):
-        outcome = resilient_spec_pair_sweep(
-            pairs=[("specrand", "specrand")],
-            instructions=4_000,
-            checkpoint_path=tmp_path / "sweep.json",
+        outcome = run_pairs(
+            [("specrand", "specrand")], checkpoint_path=tmp_path / "sweep.json"
         )
         assert outcome.complete
         (result,) = outcome.results.values()
         assert result.baseline.cycles > 0
         # Resume: nothing re-runs, the result round-trips the serializer.
-        again = resilient_spec_pair_sweep(
-            pairs=[("specrand", "specrand")],
-            instructions=4_000,
-            checkpoint_path=tmp_path / "sweep.json",
+        again = run_pairs(
+            [("specrand", "specrand")], checkpoint_path=tmp_path / "sweep.json"
         )
         assert again.resumed == [result.label]
         restored = again.results[result.label]
@@ -188,12 +193,7 @@ class TestSweepIntegration:
         """One forced timeout must not sink the sweep: the other pair
         completes and the timeout is recorded."""
         tight = SimulationBudget(max_instructions=100)
-        outcome = resilient_spec_pair_sweep(
-            pairs=[("specrand", "specrand")],
-            instructions=4_000,
-            budget=tight,
-            retries=0,
-        )
+        outcome = run_pairs([("specrand", "specrand")], budget=tight, retries=0)
         (failure,) = outcome.failures
         assert failure.error_type == "SimulationTimeout"
         assert not outcome.results
@@ -221,10 +221,8 @@ class TestSweepIntegration:
         monkeypatch.setattr(
             runner_mod, "run_spec_pair_experiment", sabotaged
         )
-        outcome = resilient_spec_pair_sweep(
-            pairs=[("specrand", "specrand"), ("lbm", "lbm")],
-            instructions=4_000,
-            retries=0,
+        outcome = run_pairs(
+            [("specrand", "specrand"), ("lbm", "lbm")], retries=0
         )
         assert len(outcome.results) == 1
         (failure,) = outcome.failures

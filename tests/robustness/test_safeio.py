@@ -11,10 +11,11 @@ import json
 
 import pytest
 
-from repro.analysis.runner import resilient_spec_pair_sweep
+from repro.analysis.runner import result_checkpoint, spec_pair_jobs
 from repro.common.errors import CheckpointCorruptionError
 from repro.robustness import safeio
 from repro.robustness.resilience import CHECKPOINT_SCHEMA
+from repro.robustness.supervisor import SupervisedSweepExecutor
 from repro.workloads.mixes import pair_label
 
 PAYLOAD = {"schema": 1, "kind": "thing", "values": [1, 2, 3]}
@@ -167,6 +168,13 @@ PAIRS = [("wrf", "wrf"), ("milc", "milc")]
 INSTRUCTIONS = 2_000
 
 
+def _resumable_sweep(path):
+    """The CLI's ``table2 --resume PATH --jobs 1`` cells, in process."""
+    return SupervisedSweepExecutor(1, checkpoint=result_checkpoint(path)).run(
+        spec_pair_jobs(PAIRS, INSTRUCTIONS)
+    )
+
+
 class TestCheckpointRecovery:
     """The acceptance bar: a sweep resumed over every corruption variant
     ends byte-identical to one that was never interrupted."""
@@ -174,12 +182,7 @@ class TestCheckpointRecovery:
     @pytest.fixture(scope="class")
     def uninterrupted(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("ref") / "ck.json"
-        outcome = resilient_spec_pair_sweep(
-            pairs=PAIRS,
-            instructions=INSTRUCTIONS,
-            checkpoint_path=path,
-            jobs=1,
-        )
+        outcome = _resumable_sweep(path)
         assert outcome.complete
         return path.read_bytes()
 
@@ -187,12 +190,7 @@ class TestCheckpointRecovery:
         """A checkpoint whose backup holds the one-cell generation (what
         an incremental writer leaves after the second cell's publish)."""
         path = tmp_path / "ck.json"
-        outcome = resilient_spec_pair_sweep(
-            pairs=PAIRS,
-            instructions=INSTRUCTIONS,
-            checkpoint_path=path,
-            jobs=1,
-        )
+        outcome = _resumable_sweep(path)
         assert outcome.complete
         bak = json.loads(safeio.backup_path(path).read_text())
         assert list(bak["completed"]) == [pair_label(*PAIRS[0])]
@@ -219,12 +217,7 @@ class TestCheckpointRecovery:
             tmp = path.with_suffix(path.suffix + safeio.TMP_SUFFIX)
             tmp.write_bytes(path.read_bytes()[:10])
             path.unlink()
-        resumed = resilient_spec_pair_sweep(
-            pairs=PAIRS,
-            instructions=INSTRUCTIONS,
-            checkpoint_path=path,
-            jobs=1,
-        )
+        resumed = _resumable_sweep(path)
         assert resumed.complete
         # Healed from the one-cell backup: the first pair resumed, the
         # second re-ran, and the final bytes match the clean run exactly.
