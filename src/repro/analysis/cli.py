@@ -166,7 +166,8 @@ def _cmd_rsa(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
-    pairs = (SPEC_SAME_PAIRS + SPEC_MIXED_PAIRS)[: args.pairs or None]
+    pairs = SPEC_SAME_PAIRS + SPEC_MIXED_PAIRS
+    pairs = pairs[: _count_flag(args.pairs, len(pairs), "--pairs")]
     _, results, gaps, status = _run_sweep(
         args, spec_pair_jobs(pairs, args.instructions, engine=args.engine)
     )
@@ -209,7 +210,7 @@ def _report_sweep_outcome(console: Console, outcome) -> int:
 
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
-    pairs = SPEC_SAME_PAIRS[: args.pairs or 6]
+    pairs = SPEC_SAME_PAIRS[: _count_flag(args.pairs, 6, "--pairs")]
     _, results, gaps, status = _run_sweep(
         args, spec_pair_jobs(pairs, args.instructions, engine=args.engine)
     )
@@ -220,7 +221,9 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig9(args: argparse.Namespace) -> int:
-    benchmarks = PARSEC_BENCHMARKS[: args.pairs or None]
+    benchmarks = PARSEC_BENCHMARKS[
+        : _count_flag(args.pairs, len(PARSEC_BENCHMARKS), "--pairs")
+    ]
     _, results, gaps, status = _run_sweep(
         args, parsec_jobs(benchmarks, args.instructions, engine=args.engine)
     )
@@ -267,7 +270,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from repro.analysis.export import export_outcome
 
-    pairs = (SPEC_SAME_PAIRS + SPEC_MIXED_PAIRS)[: args.pairs or 4]
+    pairs = (SPEC_SAME_PAIRS + SPEC_MIXED_PAIRS)[
+        : _count_flag(args.pairs, 4, "--pairs")
+    ]
     sweep_jobs = spec_pair_jobs(pairs, args.instructions, engine=args.engine)
     outcome, results, _, status = _run_sweep(args, sweep_jobs)
     path = export_outcome(
@@ -740,8 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--instructions",
         type=int,
-        default=150_000,
-        help="instructions per simulated process/thread",
+        default=None,
+        help="instructions per simulated process/thread (default: 150000)",
     )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
@@ -803,15 +808,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("table2", "Table II / Figure 7 SPEC sweep"),
         ("fig8", "Figure 8 first-access MPKI per level"),
         ("fig9", "Figure 9 PARSEC sweep"),
-        ("fig10", "Figure 10 LLC sensitivity"),
     ):
-        resume = [] if name == "fig10" else [resume_parent]
         p = sub.add_parser(
-            name, help=help_text, parents=[jobs_parent, *resume, quiet_parent]
+            name, help=help_text, parents=[jobs_parent, resume_parent, quiet_parent]
         )
         p.add_argument(
-            "--pairs", type=int, default=0, help="limit the workload count"
+            "--pairs", type=int, default=None, help="limit the workload count"
         )
+    sub.add_parser(
+        "fig10",
+        help="Figure 10 LLC sensitivity",
+        parents=[jobs_parent, quiet_parent],
+    )
     compare = sub.add_parser(
         "compare",
         help="TimeCache vs partitioning on one pair",
@@ -824,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[jobs_parent, resume_parent, quiet_parent],
     )
     export.add_argument("--output", default="results.json")
-    export.add_argument("--pairs", type=int, default=0)
+    export.add_argument("--pairs", type=int, default=None)
     faults = sub.add_parser(
         "faults",
         help="fault-injection campaign against the defense",
@@ -1162,6 +1170,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args.console = Console(quiet=args.quiet)
     args.argv = list(argv) if argv is not None else sys.argv[1:]
     try:
+        args.instructions = _count_flag(
+            args.instructions, 150_000, "--instructions"
+        )
         return _COMMANDS[args.command](args)
     except ReproError as error:
         # Fatal under the exit contract: nothing usable was produced.

@@ -220,7 +220,7 @@ def hot_cold_reference_trace(
     ``hot_fraction`` of the accesses land on ``hot_lines`` distinct
     lines, the rest on a ``pool_lines``-line cold pool — the
     cache-friendly regime real workload phases spend most of their time
-    in.  The batched-replay sweeps replay it through ``access_batch``.
+    in.  :func:`batched_replay_run` replays it through ``access_batch``.
 
     The trace comes back as an ``array('q')``, which indexes and
     iterates as plain Python ints.
@@ -259,9 +259,9 @@ def batched_replay_run(
     :class:`~repro.core.timecache.TimeCacheSystem` via
     :func:`repro.cpu.tracing.replay_ops` (``batch=False`` replays the
     identical stream scalar).  Deterministic in its arguments and
-    module-level, so sweeps can fan cells across worker processes; scalar
-    and batched runs of the same cell must produce identical summaries
-    — the equivalence tests lock that in across ``--jobs N``.
+    module-level, so a sweep can fan cells across worker processes (the
+    chaos campaign's probe jobs do); scalar and batched runs of the same
+    cell must produce identical summaries.
     """
     import dataclasses
 
@@ -297,30 +297,6 @@ def batched_replay_run(
         "final_now": now,
         "stats": system.stats_snapshot(),
     }
-
-
-def batched_replay_sweep(
-    cells: int = 4,
-    accesses: int = 8_000,
-    engine: str = "fast",
-    batch: bool = True,
-    jobs: Optional[int] = 1,
-    seed: int = 7,
-) -> List[Dict[str, object]]:
-    """A sweep of independent batched-replay cells (one seed per cell).
-
-    The result list is identical at any ``jobs``, like the other
-    sweeps.
-    """
-    sweep_jobs = [
-        SweepJob(
-            label=f"replay{i}",
-            fn=batched_replay_run,
-            args=(accesses, engine, batch, seed + i),
-        )
-        for i in range(cells)
-    ]
-    return _map_sweep(sweep_jobs, jobs, seed)
 
 
 def write_run_manifest(

@@ -98,9 +98,7 @@ def _collect_flush_reload(
     from repro.attacks.flush_reload import run_microbenchmark_attack
 
     lines = 32 if quick else 64
-    kwargs = dict(
-        shared_lines=lines, sleep_cycles=60_000, batched=True
-    )
+    kwargs = dict(shared_lines=lines, sleep_cycles=60_000)
     pos = run_microbenchmark_attack(
         config, victim_repetitions=2, **kwargs
     ).latencies

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import ContextManager, List, Optional, Sequence
+from typing import ContextManager, List, Optional
 
 from repro.common.config import SimConfig
-from repro.cpu.isa import AccessRun
-from repro.cpu.program import Program, ProgramGen
+from repro.cpu.program import Program
 from repro.obs.tracer import Tracer
 from repro.os.kernel import Kernel
 from repro.os.process import Process, Task
@@ -36,23 +35,6 @@ def hit_threshold(config: SimConfig) -> int:
     lat = config.hierarchy.latency
     slowest_hit = lat.l1_hit + lat.l2_hit + lat.remote_transfer
     return (slowest_hit + lat.dram) // 2
-
-
-def timed_probe_run(
-    vaddrs: Sequence[int], latencies: List[int]
-) -> ProgramGen:
-    """Probe a run of lines as one batched :class:`AccessRun`.
-
-    The batched analogue of a per-line rdtsc-fenced probe loop: the
-    hierarchy sees the identical load sequence, but the probe latencies
-    come from the run's per-access results instead of counter deltas.
-    The recorded values match the scalar probe stanza exactly — that
-    stanza's ``t1 - t0 - 3`` window retains one residual issue cycle on
-    top of the pure access latency, so one is added here too, keeping
-    hit/miss classification identical across the two probe styles.
-    """
-    results = yield AccessRun(list(vaddrs))
-    latencies.extend(r.latency + 1 for r in results)
 
 
 #: folded-AUC separation above which :meth:`AttackOutcome.verdict` calls

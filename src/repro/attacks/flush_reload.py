@@ -18,11 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set
 
-from repro.attacks.base import (
-    AttackOutcome,
-    SharedArrayScenario,
-    timed_probe_run,
-)
+from repro.attacks.base import AttackOutcome, SharedArrayScenario
 from repro.attacks.victim import secret_indexed_victim, writer_victim
 from repro.common.config import SimConfig
 from repro.cpu.isa import Exit, Fence, Flush, Load, Rdtsc, SleepOp
@@ -48,16 +44,13 @@ def run_microbenchmark_attack(
     sleep_cycles: int = 200_000,
     tracer: Optional[Tracer] = None,
     sample_every: int = 0,
-    batched: bool = False,
 ) -> AttackOutcome:
     """The Section VI-A1 parent/child microbenchmark.
 
     Returns the parent's probe outcome; ``AttackOutcome.probe_hits`` is
-    the number of successful (hit-latency) reloads.  With a ``tracer``
-    the flush/wait/probe phases are emitted as simulated-time spans.
-    ``batched=True`` issues the probe sweep as one :class:`AccessRun`
-    instead of per-line rdtsc stanzas — same traffic, same recorded
-    latencies, one batched operation.
+    the number of successful (hit-latency) reloads, each reload timed on
+    its own by an rdtsc-fenced stanza.  With a ``tracer`` the
+    flush/wait/probe phases are emitted as simulated-time spans.
     """
     scenario = SharedArrayScenario(
         config,
@@ -74,14 +67,8 @@ def run_microbenchmark_attack(
         with scenario.phase("wait"):
             yield SleepOp(sleep_cycles)
         with scenario.phase("probe"):
-            if batched:
-                yield from timed_probe_run(
-                    [scenario.line_vaddr(i) for i in range(shared_lines)],
-                    latencies,
-                )
-            else:
-                for i in range(shared_lines):
-                    yield from _timed_probe(scenario.line_vaddr(i), latencies)
+            for i in range(shared_lines):
+                yield from _timed_probe(scenario.line_vaddr(i), latencies)
         yield Exit()
 
     victim = writer_victim(
@@ -103,7 +90,6 @@ def run_spy_flush_reload(
     wait_cycles: int = 30_000,
     tracer: Optional[Tracer] = None,
     sample_every: int = 0,
-    batched: bool = False,
 ) -> AttackOutcome:
     """A spy recovering the victim's secret line set.
 
@@ -111,8 +97,7 @@ def run_spy_flush_reload(
     let the victim run, then probes.  ``extra['recovered']`` holds the
     set of line indices the spy believes the victim touched; in the
     baseline it equals ``set(secret_indices)``, under TimeCache it must
-    be empty.  ``batched=True`` probes each round with one
-    :class:`AccessRun` instead of per-line rdtsc stanzas.
+    be empty.
     """
     scenario = SharedArrayScenario(
         config,
@@ -131,23 +116,11 @@ def run_spy_flush_reload(
             with scenario.phase("wait"):
                 yield SleepOp(wait_cycles)
             with scenario.phase("probe"):
-                if batched:
+                for i in range(shared_lines):
                     before = len(latencies)
-                    yield from timed_probe_run(
-                        [scenario.line_vaddr(i) for i in range(shared_lines)],
-                        latencies,
-                    )
-                    for i in range(shared_lines):
-                        if scenario.classify(latencies[before + i]):
-                            recovered.add(i)
-                else:
-                    for i in range(shared_lines):
-                        before = len(latencies)
-                        yield from _timed_probe(
-                            scenario.line_vaddr(i), latencies
-                        )
-                        if scenario.classify(latencies[before]):
-                            recovered.add(i)
+                    yield from _timed_probe(scenario.line_vaddr(i), latencies)
+                    if scenario.classify(latencies[before]):
+                        recovered.add(i)
         yield Exit()
 
     victim = secret_indexed_victim(

@@ -11,7 +11,6 @@ under gem5's TimingSimpleCPU.
 
 from repro.cpu.cpu import HardwareContext, StepEvent, StepOutcome
 from repro.cpu.isa import (
-    AccessRun,
     Compute,
     Exit,
     Fence,
@@ -27,7 +26,6 @@ from repro.cpu.isa import (
 from repro.cpu.program import Program, trace_program
 
 __all__ = [
-    "AccessRun",
     "Compute",
     "Exit",
     "Fence",

@@ -23,7 +23,6 @@ from repro.common.errors import ProgramError
 from repro.common.stats import StatGroup
 from repro.core.timecache import TimeCacheSystem
 from repro.cpu.isa import (
-    AccessRun,
     Compute,
     Exit,
     Fence,
@@ -49,8 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (repro.os imports us)
     from repro.os.tlb import Tlb
 
 _LOAD, _STORE, _IFETCH = AccessKind.LOAD, AccessKind.STORE, AccessKind.IFETCH
-#: AccessRun kind code -> access kind
-_KIND_OF_CODE = {"L": _LOAD, "S": _STORE, "I": _IFETCH}
 
 #: the time bound of a slice nothing else is waiting on
 _NO_DEADLINE = float("inf")
@@ -219,7 +216,7 @@ class HardwareContext:
                 elif cls is Store:
                     kind = _STORE
                     stores += 1
-                else:  # timing, ordering, flush, batched runs, scheduling
+                else:  # timing, ordering, flush, scheduling
                     if cls is Rdtsc:
                         now += 1
                         instructions += 1
@@ -238,33 +235,6 @@ class HardwareContext:
                         now += 1 + result.latency
                         instructions += 1
                         flushes += 1
-                    elif cls is AccessRun:
-                        if tlb is None:
-                            paddrs = [translate(v) for v in op.vaddrs]
-                        else:
-                            paddrs = []
-                            for vaddr in op.vaddrs:
-                                paddr, walk = tlb.translate(vaddr, translate)
-                                now += walk
-                                paddrs.append(paddr)
-                        codes = op.kinds
-                        if len(codes) == 1:
-                            run_kinds = _KIND_OF_CODE[codes]
-                            codes *= len(paddrs)
-                        else:
-                            run_kinds = [_KIND_OF_CODE[c] for c in codes]
-                        batch = system.access_batch(
-                            ctx, paddrs, run_kinds, now=now, advance=1
-                        )
-                        # batch.now is exactly now + sum(1 + latency) over
-                        # the run — the clock a Load/Store/Ifetch sequence
-                        # reaches.
-                        now = batch.now
-                        instructions += len(paddrs)
-                        loads += codes.count("L")
-                        stores += codes.count("S")
-                        ifetches += codes.count("I")
-                        result = batch.results
                     elif cls is YieldOp:
                         now += 1
                         instructions += 1

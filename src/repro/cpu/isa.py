@@ -59,43 +59,6 @@ class Ifetch(Op):
         return f"Ifetch({self.vaddr:#x})"
 
 
-#: kind codes an :class:`AccessRun` accepts, matching the trace format
-ACCESS_RUN_CODES = frozenset("LSI")
-
-
-class AccessRun(Op):
-    """A run of back-to-back memory accesses executed as one batch.
-
-    ``kinds`` is a string of per-access codes — ``L`` (load), ``S``
-    (store), ``I`` (instruction fetch) — either a single code applied to
-    every address or one code per address.  The CPU executes the whole
-    run atomically through ``access_batch`` with the same per-operation
-    timing as the equivalent ``Load``/``Store``/``Ifetch`` sequence, and
-    the program receives the list of per-access results instead of a
-    single result.
-    """
-
-    __slots__ = ("vaddrs", "kinds")
-
-    def __init__(self, vaddrs, kinds: str = "L") -> None:
-        self.vaddrs = [int(v) for v in vaddrs]
-        if not self.vaddrs:
-            raise ValueError("AccessRun needs at least one address")
-        kinds = str(kinds)
-        if len(kinds) not in (1, len(self.vaddrs)):
-            raise ValueError(
-                f"AccessRun kinds has {len(kinds)} codes for "
-                f"{len(self.vaddrs)} addresses"
-            )
-        bad = set(kinds) - ACCESS_RUN_CODES
-        if bad:
-            raise ValueError(f"AccessRun kind codes must be L/S/I, got {bad}")
-        self.kinds = kinds
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"AccessRun({len(self.vaddrs)} accesses, kinds={self.kinds!r})"
-
-
 class Flush(Op):
     """clflush: evict the line from every cache level."""
 

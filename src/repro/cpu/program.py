@@ -24,8 +24,7 @@ import numpy as np
 from repro.common.errors import ProgramError
 from repro.cpu.isa import Compute, Exit, Ifetch, Load, Op, Store
 
-#: op tape kind codes, one byte per op; an access op's code indexes the
-#: ``"LSI"`` access codes :class:`~repro.cpu.isa.AccessRun` uses
+#: op tape kind codes, one byte per op; ``_DECODE`` maps each to its op
 TAPE_LOAD, TAPE_STORE, TAPE_IFETCH, TAPE_COMPUTE, TAPE_EXIT = range(5)
 _TAPE_CODES = bytes(range(5))
 

@@ -11,7 +11,6 @@ Format::
     L <vaddr-hex>     load
     S <vaddr-hex>     store
     I <vaddr-hex>     instruction fetch
-    R <kinds> <vaddr-hex>...   batched access run (kinds: L/S/I codes)
     F <vaddr-hex>     clflush
     C <count>         compute burst
     T                 rdtsc
@@ -34,7 +33,6 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 from repro.common.errors import ProgramError
 from repro.core.timecache import TimeCacheSystem
 from repro.cpu.isa import (
-    AccessRun,
     Compute,
     Exit,
     Fence,
@@ -50,12 +48,11 @@ from repro.cpu.isa import (
 from repro.cpu.program import Program, ProgramGen
 from repro.memsys.hierarchy import AccessKind, AccessResult
 
-_KIND_OF_CODE = {
-    "L": AccessKind.LOAD,
-    "S": AccessKind.STORE,
-    "I": AccessKind.IFETCH,
+_KIND_OF_TYPE = {
+    Load: AccessKind.LOAD,
+    Store: AccessKind.STORE,
+    Ifetch: AccessKind.IFETCH,
 }
-_CODE_OF_TYPE = {Load: "L", Store: "S", Ifetch: "I"}
 
 
 def format_op(op: Op) -> str:
@@ -66,9 +63,6 @@ def format_op(op: Op) -> str:
         return f"S {op.vaddr:x}"
     if isinstance(op, Ifetch):
         return f"I {op.vaddr:x}"
-    if isinstance(op, AccessRun):
-        addrs = " ".join(f"{v:x}" for v in op.vaddrs)
-        return f"R {op.kinds} {addrs}"
     if isinstance(op, Flush):
         return f"F {op.vaddr:x}"
     if isinstance(op, Compute):
@@ -99,10 +93,6 @@ def parse_op(line: str) -> Op:
             return Store(int(parts[1], 16))
         if kind == "I":
             return Ifetch(int(parts[1], 16))
-        if kind == "R":
-            return AccessRun(
-                [int(p, 16) for p in parts[2:]], kinds=parts[1]
-            )
         if kind == "F":
             return Flush(int(parts[1], 16))
         if kind == "C":
@@ -200,14 +190,14 @@ def replay_ops(
     on hardware context ``ctx`` with the blocking time rule (one issue
     cycle plus the full latency of every memory access; compute bursts
     cost their instruction count).  With ``batch=True`` consecutive
-    load/store/ifetch operations — and ``AccessRun`` payloads — are
-    coalesced through :meth:`TimeCacheSystem.access_batch`;
-    ``batch=False`` replays strictly scalar.  Both modes produce
-    identical results, timing, and final cache state (the engine
-    equivalence fuzz locks this in).  Flushes, computes, fences, and the
-    other non-access operations are batch boundaries.  Sleeps advance
-    the replay cursor by their full duration (there is no scheduler to
-    block on); ``Exit`` stops the replay.
+    load/store/ifetch operations are coalesced through
+    :meth:`TimeCacheSystem.access_batch`; ``batch=False`` replays
+    strictly scalar.  Both modes produce identical results, timing, and
+    final cache state (the engine equivalence fuzz locks this in).
+    Flushes, computes, fences, and the other non-access operations are
+    batch boundaries.  Sleeps advance the replay cursor by their full
+    duration (there is no scheduler to block on); ``Exit`` stops the
+    replay.
 
     Returns ``(results, now)``: one :class:`AccessResult` per memory
     access in stream order, and the final cursor value.
@@ -216,30 +206,19 @@ def replay_ops(
         translate = lambda v: v  # noqa: E731 - identity mapping
     results: List[AccessResult] = []
     pending_addrs: List[int] = []
-    pending_kinds: List[str] = []
+    pending_kinds: List[AccessKind] = []
 
     def drain(cursor: int) -> int:
         if not pending_addrs:
             return cursor
-        codes = set(pending_kinds)
-        kinds = (
-            _KIND_OF_CODE[pending_kinds[0]]
-            if len(codes) == 1
-            else [_KIND_OF_CODE[c] for c in pending_kinds]
-        )
         if batch:
             outcome = system.access_batch(
-                ctx, pending_addrs, kinds, now=cursor, advance=1
+                ctx, pending_addrs, pending_kinds, now=cursor, advance=1
             )
             results.extend(outcome.results)
             cursor = outcome.now
         else:
-            kind_seq = (
-                [kinds] * len(pending_addrs)
-                if isinstance(kinds, AccessKind)
-                else kinds
-            )
-            for addr, kind in zip(pending_addrs, kind_seq):
+            for addr, kind in zip(pending_addrs, pending_kinds):
                 result = system.access(ctx, addr, kind, cursor)
                 results.append(result)
                 cursor += 1 + result.latency
@@ -248,16 +227,10 @@ def replay_ops(
         return cursor
 
     for op in ops:
-        code = _CODE_OF_TYPE.get(type(op))
-        if code is not None:
+        kind = _KIND_OF_TYPE.get(type(op))
+        if kind is not None:
             pending_addrs.append(translate(op.vaddr))
-            pending_kinds.append(code)
-            continue
-        if isinstance(op, AccessRun):
-            pending_addrs.extend(translate(v) for v in op.vaddrs)
-            pending_kinds.extend(
-                op.kinds * len(op.vaddrs) if len(op.kinds) == 1 else op.kinds
-            )
+            pending_kinds.append(kind)
             continue
         now = drain(now)
         if isinstance(op, Flush):

@@ -21,7 +21,6 @@ against.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass, replace
 from time import perf_counter_ns
 from typing import (
@@ -37,7 +36,7 @@ from typing import (
 
 from repro.common.clock import GlobalClock
 from repro.common.config import HierarchyConfig, TimeCacheConfig
-from repro.common.errors import SimulationError, SimulationTimeout
+from repro.common.errors import SimulationError
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
 from repro.memsys.cache import Cache
@@ -113,12 +112,6 @@ class MemoryHierarchy:
         self.tc_config = timecache if timecache is not None else TimeCacheConfig()
         self.tc_config.validate()
         self.clock = clock if clock is not None else GlobalClock()
-        #: wall-clock (``time.monotonic``) deadline armed by the kernel
-        #: watchdog: batched access runs check it cooperatively every
-        #: ``_DEADLINE_CHECK_EVERY`` accesses and raise
-        #: :class:`SimulationTimeout`, so one huge ``AccessRun`` cannot
-        #: overshoot the budget by a whole batch
-        self.batch_deadline: Optional[float] = None
         self.line_shift = config.line_bytes.bit_length() - 1
         self._tc_mask = (1 << self.tc_config.timestamp_bits) - 1
         lat = config.latency
@@ -268,18 +261,24 @@ class MemoryHierarchy:
                     flushed += 1
         return flushed
 
-    def _flush_line_everywhere(self, line: int) -> None:
-        dirty = False
+    def _flush_line_everywhere(self, line: int) -> bool:
+        """Invalidate ``line`` in every private cache, then the LLC; drop
+        its directory entry and write it back if any copy was dirty.
+        Returns whether any level held it."""
+        was_cached = dirty = False
         for cache in self.private_caches():
             evicted = cache.invalidate(line)
             if evicted is not None:
+                was_cached = True
                 dirty = dirty or evicted.dirty
         llc_line = self.llc.invalidate(line)
         if llc_line is not None:
+            was_cached = True
             dirty = dirty or llc_line.dirty
         self.directory.drop_line(line)
         if dirty:
             self.dram.writeback(line)
+        return was_cached
 
     # ------------------------------------------------------------------
     # Topology helpers
@@ -337,8 +336,6 @@ class MemoryHierarchy:
         core = self.core_of_ctx(ctx)
         l1 = self.l1i[core] if kind is AccessKind.IFETCH else self.l1d[core]
         is_write = kind is AccessKind.STORE
-        if is_write and kind is AccessKind.IFETCH:
-            raise SimulationError("instruction fetches cannot write")
         self.clock.advance_to(now)
         if self.pre_access_listeners:
             for listener in self.pre_access_listeners:
@@ -349,19 +346,6 @@ class MemoryHierarchy:
             for listener in self.post_access_listeners:
                 listener(ctx, line, kind, now, result)
         return result
-
-    #: scalar batched accesses between cooperative deadline checks
-    _DEADLINE_CHECK_EVERY = 1024
-
-    def _check_batch_deadline(self, done: int, total: int) -> None:
-        """Raise :class:`SimulationTimeout` if the armed wall-clock
-        deadline has passed (no-op when none is armed)."""
-        deadline = self.batch_deadline
-        if deadline is not None and time.monotonic() > deadline:
-            raise SimulationTimeout(
-                f"wall-clock budget exceeded inside a batched access run "
-                f"({done}/{total} accesses executed)"
-            )
 
     def access_batch(
         self,
@@ -428,9 +412,6 @@ class MemoryHierarchy:
             raise SimulationError(f"advance cannot be negative: {advance}")
         append = results.append
         access = self.access
-        # The deadline is checked once per block, so the per-access loop
-        # keeps no index.
-        block = self._DEADLINE_CHECK_EVERY
         if nows is not None:
             if len(nows) != n:
                 raise SimulationError(
@@ -442,22 +423,14 @@ class MemoryHierarchy:
                     raise SimulationError(
                         f"nows must be non-decreasing ({when} after {prev})"
                     )
-            for start in range(0, n, block):
-                self._check_batch_deadline(start, n)
-                stop = start + block
-                for addr, kind, when in zip(
-                    addrs[start:stop], kseq[start:stop], times[start:stop]
-                ):
-                    append(access(ctx, int(addr), kind, when))
+            for addr, kind, when in zip(addrs, kseq, times):
+                append(access(ctx, int(addr), kind, when))
             return BatchResult(results, times[-1] if times else now)
         cursor = now
-        for start in range(0, n, block):
-            self._check_batch_deadline(start, n)
-            stop = start + block
-            for addr, kind in zip(addrs[start:stop], kseq[start:stop]):
-                result = access(ctx, int(addr), kind, cursor)
-                append(result)
-                cursor += advance + result.latency
+        for addr, kind in zip(addrs, kseq):
+            result = access(ctx, int(addr), kind, cursor)
+            append(result)
+            cursor += advance + result.latency
         return BatchResult(results, cursor)
 
     def _access_l1(
@@ -722,22 +695,8 @@ class MemoryHierarchy:
         ``constant_time_flush`` is set — the Section VII-C mitigation,
         which makes flush+flush attacks blind.
         """
-        line = self.line_addr(addr)
         self.clock.advance_to(now)
-        was_cached = False
-        dirty = False
-        for cache in self.private_caches():
-            evicted = cache.invalidate(line)
-            if evicted is not None:
-                was_cached = True
-                dirty = dirty or evicted.dirty
-        llc_line = self.llc.invalidate(line)
-        if llc_line is not None:
-            was_cached = True
-            dirty = dirty or llc_line.dirty
-        self.directory.drop_line(line)
-        if dirty:
-            self.dram.writeback(line)
+        was_cached = self._flush_line_everywhere(self.line_addr(addr))
         self.stats.counter("flushes").add()
         if self.tc_config.constant_time_flush:
             latency = self.latency.flush_cached

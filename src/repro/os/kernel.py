@@ -252,7 +252,9 @@ class Kernel:
         unlike ``max_steps`` (which truncates silently), exceeding either
         budget raises :class:`SimulationTimeout` so a sweep runner can
         record the failure and move on (checked every
-        ``stop_check_interval`` steps, like ``stop_when``).  An interval
+        ``stop_check_interval`` steps, like ``stop_when``; an op makes at
+        most one memory access, so a budget overshoots by at most one
+        interval's ops).  An interval
         below 1 is a :class:`ConfigError`, raised before the first step.
         A negative budget is one too; a budget of 0 is allowed.
         """
@@ -273,33 +275,6 @@ class Kernel:
             if wall_clock_budget_s is not None
             else None
         )
-        if deadline is None:
-            return self._run_loop(
-                max_steps, stop_when, stop_check_interval,
-                deadline, wall_clock_budget_s, instruction_budget,
-            )
-        # Arm the cooperative seam: a single kernel step may execute a
-        # whole batched AccessRun, so the hierarchy re-checks the same
-        # deadline once per 1024-access block of the run.
-        hierarchy = self.system.hierarchy
-        hierarchy.batch_deadline = deadline
-        try:
-            return self._run_loop(
-                max_steps, stop_when, stop_check_interval,
-                deadline, wall_clock_budget_s, instruction_budget,
-            )
-        finally:
-            hierarchy.batch_deadline = None
-
-    def _run_loop(
-        self,
-        max_steps: int,
-        stop_when: Optional[Callable[["Kernel"], bool]],
-        stop_check_interval: int,
-        deadline: Optional[float],
-        wall_clock_budget_s: Optional[float],
-        instruction_budget: Optional[int],
-    ) -> RunSummary:
         quantum = self.scheduler.quantum_cycles
         steps = 0
         while steps < max_steps:

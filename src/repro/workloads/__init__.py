@@ -19,10 +19,7 @@ See :mod:`repro.workloads.profiles` for the per-benchmark parameters and
 :mod:`repro.workloads.mixes` for the exact Table II pair list.
 """
 
-from repro.workloads.generator import (
-    WorkloadBuilder,
-    profile_reference_stream,
-)
+from repro.workloads.generator import WorkloadBuilder
 from repro.workloads.mixes import (
     PARSEC_BENCHMARKS,
     SPEC_MIXED_PAIRS,
@@ -46,5 +43,4 @@ __all__ = [
     "WorkloadBuilder",
     "build_parsec_workload",
     "build_spec_pair",
-    "profile_reference_stream",
 ]

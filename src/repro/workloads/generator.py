@@ -22,7 +22,7 @@ compare cycles over fixed work.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.common.rng import DeterministicRng
 from repro.cpu.program import (
@@ -158,8 +158,7 @@ def emit_profile_tape(
     """The profile's op stream, ``instructions`` retired then an exit.
 
     Draws from ``rng`` in a fixed order, so a given rng state always
-    yields the identical stream (the process programs and the
-    reference-stream producers rely on it).
+    yields the identical stream.
     """
     randint, random = rng.bound_draws()
     getrandbits = rng.getrandbits
@@ -243,37 +242,3 @@ def emit_profile_tape(
     put_kind(TAPE_EXIT)
     put_arg(0)
     return OpTape(kinds, args)
-
-
-def profile_reference_stream(
-    profile: BenchmarkProfile,
-    accesses: int,
-    seed: int = 0xBEEF,
-    line_bytes: int = 64,
-) -> Tuple[List[int], str]:
-    """A profile's bare memory-reference stream as ``(vaddrs, kinds)``.
-
-    Strips the compute bursts out of the operation mix, leaving the
-    load/store/ifetch sequence with the profile's address distributions
-    intact — the shape the batched access drivers consume directly
-    (``kinds`` is a code string, one ``L``/``S``/``I`` per address).
-    No kernel is needed; virtual addresses use the standard layout
-    bases, so the stream can be replayed raw against a hierarchy or
-    wrapped into :class:`~repro.cpu.isa.AccessRun` chunks.
-    """
-    profile.validate()
-    rng = DeterministicRng(seed).fork(f"stream-{profile.name}")
-    vaddrs: List[int] = []
-    kinds: List[str] = []
-    # Memory ops are ~mem_ratio of retired instructions; oversize the
-    # instruction budget and stop at the access target.
-    budget = max(64, int(accesses * 4))
-    while len(vaddrs) < accesses:
-        tape = emit_profile_tape(profile, budget, line_bytes, rng)
-        for code, vaddr in zip(tape.kinds, tape.args):
-            if code <= TAPE_IFETCH:
-                vaddrs.append(vaddr)
-                kinds.append("LSI"[code])
-                if len(vaddrs) >= accesses:
-                    break
-    return vaddrs, "".join(kinds)

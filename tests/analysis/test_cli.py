@@ -9,8 +9,38 @@ def test_parser_lists_all_commands():
     parser = build_parser()
     # every documented command parses
     for command in ("micro", "rsa", "table2", "fig8", "fig9", "fig10"):
-        args = parser.parse_args([command] if command in ("micro", "rsa") else [command, "--pairs", "1"])
+        flags = [] if command in ("micro", "rsa", "fig10") else ["--pairs", "1"]
+        args = parser.parse_args([command, *flags])
         assert args.command == command
+
+
+@pytest.mark.parametrize("command", ["table2", "fig8", "fig9", "export"])
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_pairs_below_one_is_a_config_error(capsys, command, pairs):
+    """``--pairs -1`` used to drop the last pair and exit 0."""
+    assert main(["--instructions", "3000", command, "--pairs", pairs]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"fatal: ConfigError: --pairs must be >= 1, got {pairs}" in err
+
+
+@pytest.mark.parametrize("instructions", ["0", "-5"])
+def test_instructions_below_one_is_a_config_error(capsys, instructions):
+    """``--instructions -5 fig9`` used to render a table of empty programs."""
+    assert main(["--instructions", instructions, "fig9"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (
+        f"fatal: ConfigError: --instructions must be >= 1, got {instructions}"
+        in err
+    )
+
+
+def test_fig10_takes_no_pairs():
+    """fig10 sweeps a fixed set of pairs; it used to accept and ignore
+    ``--pairs``."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["fig10", "--pairs", "1"])
 
 
 def test_requires_a_command():

@@ -130,10 +130,21 @@ class TestBatchedReplay:
         assert run["final_now"] > 800  # every access costs >= 1 cycle
 
     def test_sweep_parallel_equals_serial(self):
-        from repro.analysis.runner import batched_replay_sweep
+        from repro.analysis.runner import batched_replay_run
+        from repro.robustness.supervisor import SupervisedSweepExecutor, SweepJob
 
-        serial = batched_replay_sweep(cells=3, accesses=1_000, jobs=1)
-        parallel = batched_replay_sweep(cells=3, accesses=1_000, jobs=2)
+        sweep_jobs = [
+            SweepJob(
+                label=f"replay{i}",
+                fn=batched_replay_run,
+                args=(1_000, "fast", True, 7 + i),
+            )
+            for i in range(3)
+        ]
+        serial, parallel = (
+            SupervisedSweepExecutor(jobs, retries=0, base_seed=7).map(sweep_jobs)
+            for jobs in (1, 2)
+        )
         assert serial == parallel
         # distinct seeds -> the cells are genuinely different traces
         assert serial[0] != serial[1]

@@ -75,46 +75,3 @@ class TestSpy:
             rounds=2,
         )
         assert outcome.extra["recovered"] == set()
-
-
-class TestBatchedProbes:
-    """``batched=True`` sweeps the probe array with one AccessRun; the
-    recorded latencies and verdicts must be byte-identical to the
-    per-line rdtsc stanzas."""
-
-    def test_microbenchmark_batched_equals_scalar(self):
-        for enabled in (False, True):
-            scalar = run_microbenchmark_attack(
-                tiny_config(enabled=enabled),
-                shared_lines=32,
-                sleep_cycles=50_000,
-            )
-            batched = run_microbenchmark_attack(
-                tiny_config(enabled=enabled),
-                shared_lines=32,
-                sleep_cycles=50_000,
-                batched=True,
-            )
-            assert batched.latencies == scalar.latencies
-            assert batched.probe_hits == scalar.probe_hits
-            assert batched.probe_total == scalar.probe_total
-
-    def test_spy_batched_equals_scalar(self):
-        secret = (3, 11, 17)
-        for enabled in (False, True):
-            scalar = run_spy_flush_reload(
-                tiny_config(enabled=enabled),
-                secret_indices=secret,
-                shared_lines=32,
-                rounds=3,
-            )
-            batched = run_spy_flush_reload(
-                tiny_config(enabled=enabled),
-                secret_indices=secret,
-                shared_lines=32,
-                rounds=3,
-                batched=True,
-            )
-            assert batched.latencies == scalar.latencies
-            assert batched.extra["recovered"] == scalar.extra["recovered"]
-            assert batched.probe_hits == scalar.probe_hits

@@ -1,14 +1,11 @@
-"""Tests for the AccessRun op, its trace format, and ``replay_ops``."""
+"""Tests for ``replay_ops``: batched and scalar replay of an op stream."""
 
 import dataclasses
 
 import pytest
 
-from repro.common.errors import ProgramError
 from repro.core.timecache import TimeCacheSystem
-from repro.cpu.cpu import HardwareContext, StepEvent
 from repro.cpu.isa import (
-    AccessRun,
     Compute,
     Exit,
     Fence,
@@ -19,11 +16,10 @@ from repro.cpu.isa import (
     SleepOp,
     Store,
 )
-from repro.cpu.tracing import format_op, parse_op, replay_ops
+from repro.cpu.tracing import replay_ops
 
 from tests.conftest import tiny_config
 
-identity = lambda vaddr: vaddr  # noqa: E731 - trivial translator
 LINE = 64
 
 
@@ -32,88 +28,6 @@ def _engine_config(engine):
     return dataclasses.replace(
         cfg, hierarchy=dataclasses.replace(cfg.hierarchy, engine=engine)
     )
-
-
-class TestAccessRunOp:
-    def test_uniform_and_per_access_kinds(self):
-        run = AccessRun([0x40, 0x80, 0xC0])
-        assert run.kinds == "L"
-        run = AccessRun([0x40, 0x80, 0xC0], kinds="LSI")
-        assert run.kinds == "LSI"
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
-            AccessRun([])
-        with pytest.raises(ValueError, match="codes for"):
-            AccessRun([0x40, 0x80], kinds="LSI")
-        with pytest.raises(ValueError, match="L/S/I"):
-            AccessRun([0x40], kinds="Q")
-
-    def test_trace_roundtrip(self):
-        for run in (
-            AccessRun([0x1000, 0x2040, 0x3080]),
-            AccessRun([0x1000, 0x2040, 0x3080], kinds="SIL"),
-            AccessRun([0xBEEF00], kinds="S"),
-        ):
-            line = format_op(run)
-            parsed = parse_op(line)
-            assert isinstance(parsed, AccessRun)
-            assert parsed.vaddrs == run.vaddrs
-            assert parsed.kinds == run.kinds
-
-    def test_parse_rejects_bad_runs(self):
-        for bad in ("R", "R L", "R Q 1000", "R LS 1000"):
-            with pytest.raises((ProgramError, ValueError)):
-                parse_op(bad)
-
-
-class TestAccessRunExecution:
-    def _drive(self, ops, engine):
-        ctx = HardwareContext(0, TimeCacheSystem(_engine_config(engine)))
-        received = []
-
-        def gen():
-            for op in ops:
-                result = yield op
-                received.append(result)
-            yield Exit()
-
-        ctx.install(gen(), identity)
-        while ctx.step().event is not StepEvent.EXITED:
-            pass
-        return ctx, received
-
-    @pytest.mark.parametrize("engine", ["object", "fast"])
-    def test_run_equals_scalar_sequence(self, engine):
-        """One AccessRun must leave the CPU in exactly the state the
-        equivalent scalar op sequence does: local_time, per-kind
-        counters, and per-access results."""
-        addrs = [(i * 7 % 40) * LINE for i in range(60)]
-        kinds = "".join("LSI"[i % 3] for i in range(60))
-        scalar_ops = [
-            {"L": Load, "S": Store, "I": Ifetch}[code](addr)
-            for addr, code in zip(addrs, kinds)
-        ]
-        run_ctx, run_recv = self._drive([AccessRun(addrs, kinds)], engine)
-        seq_ctx, seq_recv = self._drive(scalar_ops, engine)
-        assert run_ctx.local_time == seq_ctx.local_time
-        for counter in ("instructions", "loads", "stores", "ifetches"):
-            assert run_ctx.stats.get(counter) == seq_ctx.stats.get(counter), (
-                counter
-            )
-        batch_results = run_recv[0]
-        assert [(r.latency, r.level) for r in batch_results] == [
-            (r.latency, r.level) for r in seq_recv
-        ]
-
-    def test_fast_and_object_engines_agree_on_runs(self):
-        addrs = [(i * 13 % 50) * LINE for i in range(80)]
-        fast_ctx, fast_recv = self._drive([AccessRun(addrs)], "fast")
-        obj_ctx, obj_recv = self._drive([AccessRun(addrs)], "object")
-        assert fast_ctx.local_time == obj_ctx.local_time
-        assert [(r.latency, r.level) for r in fast_recv[0]] == [
-            (r.latency, r.level) for r in obj_recv[0]
-        ]
 
 
 class TestReplayOps:
@@ -133,7 +47,7 @@ class TestReplayOps:
         stream[60:60] = [Compute(40)]
         stream[100:100] = [Rdtsc(), Fence()]
         stream[150:150] = [SleepOp(500)]
-        stream.append(AccessRun([i * LINE for i in range(48)], kinds="L"))
+        stream.extend(Load(i * LINE) for i in range(48))
         return stream
 
     @pytest.mark.parametrize("engine", ["object", "fast"])
@@ -172,32 +86,3 @@ class TestReplayOps:
             system, [Load(0x40)], translate=lambda v: v + 0x1000
         )
         assert 0x1040 // LINE in system.hierarchy.llc.resident_line_addrs()
-
-
-class TestProfileReferenceStream:
-    def test_deterministic_and_well_formed(self):
-        from repro.workloads.generator import profile_reference_stream
-        from repro.workloads.profiles import spec_profile
-
-        profile = spec_profile("namd")
-        vaddrs, kinds = profile_reference_stream(profile, 500, seed=11)
-        again_v, again_k = profile_reference_stream(profile, 500, seed=11)
-        assert (vaddrs, kinds) == (again_v, again_k)
-        assert len(vaddrs) == len(kinds) == 500
-        assert set(kinds) <= set("LSI")
-        other_v, _ = profile_reference_stream(profile, 500, seed=12)
-        assert other_v != vaddrs
-
-    def test_stream_replays_through_access_batch(self):
-        from repro.workloads.generator import profile_reference_stream
-        from repro.workloads.profiles import spec_profile
-
-        vaddrs, kinds = profile_reference_stream(spec_profile("milc"), 300)
-        results = {}
-        for engine in ("object", "fast"):
-            system = TimeCacheSystem(_engine_config(engine))
-            out = replay_ops(system, [AccessRun(vaddrs, kinds)])
-            results[engine] = [
-                (r.latency, r.level, r.first_access) for r in out[0]
-            ]
-        assert results["object"] == results["fast"]

@@ -242,30 +242,6 @@ def test_fast_and_object_batches_agree_with_listeners():
     assert outs["object"].now == outs["fast"].now
 
 
-@pytest.mark.parametrize("engine", ["object", "fast"])
-def test_expired_batch_deadline_raises_cooperatively(engine):
-    """An armed (and already expired) ``batch_deadline`` interrupts a
-    batched run on both engines instead of letting it finish — the seam
-    the kernel watchdog arms so one huge AccessRun cannot overshoot its
-    wall-clock budget (satellite of the supervision PR)."""
-    import time
-
-    from repro.common.errors import SimulationTimeout
-
-    system = TimeCacheSystem(_config(engine))
-    hierarchy = system.hierarchy
-    addrs = [i * LINE for i in range(256)]
-    hierarchy.batch_deadline = time.monotonic() - 1.0
-    with pytest.raises(SimulationTimeout, match="batched access run"):
-        system.access_batch(0, addrs, LOAD)
-    with pytest.raises(SimulationTimeout):
-        system.access_batch(0, addrs, LOAD, nows=list(range(256)))
-    # disarming restores normal execution on the same hierarchy
-    hierarchy.batch_deadline = None
-    out = system.access_batch(0, addrs, LOAD)
-    assert len(out.results) == len(addrs)
-
-
 # ---------------------------------------------------------------------------
 # Adversarial stream shapes: miss storms, conflicts, stores after fills
 # ---------------------------------------------------------------------------
@@ -375,51 +351,3 @@ def test_repeated_line_touches_last_write_wins(engine):
         ):
             assert cb.last_flat.tolist() == cs.last_flat.tolist(), cb.name
             assert cb.filled_flat.tolist() == cs.filled_flat.tolist(), cb.name
-
-
-@pytest.mark.parametrize("engine", ["object", "fast"])
-def test_deadline_expiry_mid_kernel_leaves_consistent_state(
-    engine, monkeypatch
-):
-    """A ``batch_deadline`` that expires mid-batch must raise
-    ``SimulationTimeout`` with the hierarchy at a state the scalar loop
-    could have produced: some exact prefix of the stream applied."""
-    import repro.memsys.hierarchy as hier_mod
-    from repro.common.errors import SimulationTimeout
-
-    addrs = [(i * 37 % 600) * LINE for i in range(1200)]
-    system = TimeCacheSystem(_config(engine))
-
-    # deterministic clock: the first deadline check passes, the second
-    # one fails, so the run dies mid-batch no matter how fast the host
-    # is (both engines check every 1024 accesses)
-    ticks = iter(range(10_000))
-    monkeypatch.setattr(hier_mod.time, "monotonic", lambda: next(ticks))
-    system.hierarchy.batch_deadline = 0.5
-    with pytest.raises(SimulationTimeout, match="batched access run"):
-        system.access_batch(0, addrs, LOAD, now=0, advance=1)
-    monkeypatch.undo()
-    state = _snapshot(system)
-
-    # the surviving state must equal the scalar replay of some prefix
-    scalar = TimeCacheSystem(_config(engine))
-    prefixes = [_snapshot(scalar)]
-    cursor = 0
-    for addr in addrs:
-        cursor += 1 + scalar.access(0, addr, LOAD, cursor).latency
-        prefixes.append(_snapshot(scalar))
-    assert state in prefixes
-
-
-@pytest.mark.parametrize("engine", ["object", "fast"])
-def test_unarmed_deadline_costs_nothing_and_changes_nothing(engine):
-    """With no deadline armed (the default), batched results are
-    untouched by the seam."""
-    addrs = [(i * 7 % 80) * LINE for i in range(300)]
-    armed = TimeCacheSystem(_config(engine))
-    assert armed.hierarchy.batch_deadline is None
-    plain = TimeCacheSystem(_config(engine))
-    a = armed.access_batch(0, addrs, LOAD)
-    b = plain.access_batch(0, addrs, LOAD)
-    assert _observe(a.results) == _observe(b.results)
-    assert _snapshot(armed) == _snapshot(plain)

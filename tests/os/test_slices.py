@@ -15,7 +15,6 @@ import pytest
 from repro.common import scaled_experiment_config
 from repro.cpu.cpu import HardwareContext
 from repro.cpu.isa import (
-    AccessRun,
     Compute,
     Exit,
     Fence,
@@ -96,8 +95,10 @@ def _attacker():
         t0 = yield Rdtsc()
         yield Load(lines[round_ % 8])
         t1 = yield Rdtsc()
-        results = yield AccessRun(lines, kinds="LSLILSLI" if round_ % 2 else "L")
-        slow = sum(r.latency for r in results)
+        kinds = (Load, Store, Load, Ifetch) * 2 if round_ % 2 else (Load,) * 8
+        slow = 0
+        for kind, line in zip(kinds, lines):
+            slow += (yield kind(line)).latency
         if (t1 - t0) + slow > 400:
             yield Compute(1 + round_ % 5)
         else:

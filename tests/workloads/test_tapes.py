@@ -42,7 +42,6 @@ from repro.workloads.generator import (
     KERNEL_LINES,
     LIB_BASE,
     emit_profile_tape,
-    profile_reference_stream,
 )
 from repro.workloads.parsec import (
     SHARED_DATA_FRACTION,
@@ -194,23 +193,6 @@ def _reference_thread_program(profile, thread_id, instructions, line_bytes, rng)
     return Program(f"{profile.name}.t{thread_id}", factory)
 
 
-def _reference_stream_via_generator(profile, accesses, seed, line_bytes=64):
-    """``profile_reference_stream`` over the reference generator."""
-    rng = DeterministicRng(seed).fork(f"stream-{profile.name}")
-    vaddrs, kinds = [], []
-    budget = max(64, int(accesses * 4))
-    codes = {Load: "L", Store: "S", Ifetch: "I"}
-    while len(vaddrs) < accesses:
-        for op in _reference_profile_ops(profile, budget, rng, line_bytes):
-            code = codes.get(type(op))
-            if code is not None:
-                vaddrs.append(op.vaddr)
-                kinds.append(code)
-            if len(vaddrs) >= accesses:
-                break
-    return vaddrs, "".join(kinds)
-
-
 def _as_tuples(ops):
     return [
         (type(op).__name__, getattr(op, "vaddr", getattr(op, "instructions", None)))
@@ -288,14 +270,6 @@ def test_tapes_match_reference_over_seeds_and_lengths(
     assert _decoded(
         _parsec_tape(profile, thread_id, instructions, seed)
     ) == _parsec_reference(profile, thread_id, instructions, seed)
-
-
-@pytest.mark.parametrize("name", ["milc", "wrf", "lbm"])
-def test_reference_stream_matches_reference_generator(name):
-    profile = spec_profile(name)
-    assert profile_reference_stream(
-        profile, 700, seed=11
-    ) == _reference_stream_via_generator(profile, 700, seed=11)
 
 
 def test_tape_speaks_the_generator_protocol():
