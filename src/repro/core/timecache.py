@@ -115,6 +115,16 @@ class TimeCacheSystem:
             addr += self._addr_offset(ctx)
         return self.hierarchy.access(ctx, addr, kind, when)
 
+    @property
+    def access_port(self) -> Callable[[int, int, AccessKind, int], AccessResult]:
+        """What to call for :meth:`access` with an explicit ``now``: the
+        engine's own ``access`` while this facade adds nothing to it (no
+        address remap installed), else :meth:`access`.  Read it once per
+        run of accesses, not per access."""
+        if self._addr_offset is None:
+            return self.hierarchy.access
+        return self.access
+
     def access_batch(
         self,
         ctx: int,

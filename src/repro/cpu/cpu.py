@@ -12,11 +12,17 @@ budget and a time bound — and the executor reports how the slice ended
 so the kernel can react.  When every busy context walks an op tape, one
 call walks them all, handing off between them in the kernel's pick
 order, and returns only when the kernel has something to decide.
+
+A tape walked without a TLB is translated when it is installed, so each
+of its memory ops costs one Python call: the engine's ``access``, or the
+facade's when a defense remaps addresses there
+(:attr:`~repro.core.timecache.TimeCacheSystem.access_port`).
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.errors import ProgramError
@@ -46,8 +52,12 @@ from repro.memsys.hierarchy import AccessKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.os imports us)
     from repro.os.tlb import Tlb
+    from repro.os.vm import AddressSpace
 
 _LOAD, _STORE, _IFETCH = AccessKind.LOAD, AccessKind.STORE, AccessKind.IFETCH
+
+#: the access each tape code below ``TAPE_COMPUTE`` issues, by code
+_TAPE_ACCESS = (_LOAD, _STORE, _IFETCH)
 
 #: the time bound of a slice nothing else is waiting on
 _NO_DEADLINE = float("inf")
@@ -100,6 +110,12 @@ class HardwareContext:
         self._translate: Optional[Translator] = None
         self._tlb: Optional["Tlb"] = None
         self._pending_result: object = None
+        #: a tape walked without a TLB: its arguments with every address
+        #: physical, the space they came from (None: the translator) and
+        #: that space's generation then
+        self._paddrs: Optional[array] = None
+        self._space: Optional["AddressSpace"] = None
+        self._generation = 0
 
     # ------------------------------------------------------------------
     def install(
@@ -108,6 +124,7 @@ class HardwareContext:
         translate: Translator,
         tlb: Optional["Tlb"] = None,
         result: object = None,
+        space: Optional["AddressSpace"] = None,
     ) -> None:
         """Bind a task's generator and address translation to this context.
 
@@ -115,11 +132,27 @@ class HardwareContext:
         cycles are charged to local time before the access issues.
         ``result`` is what the generator receives for the op it yielded
         last (``None`` for a fresh generator).
+
+        An op tape without a ``tlb`` is translated here, once: by
+        ``space``, the address space ``translate`` belongs to, whose
+        :meth:`~repro.os.vm.AddressSpace.physical_args` the walk fetches
+        again whenever the mapping has changed, or else op by op through
+        ``translate``.  A page fault on any of the tape's addresses
+        raises here, before any op runs.
         """
+        paddrs = None
+        if type(gen) is OpTape and tlb is None:
+            if space is None:
+                paddrs = _translated(gen, translate)
+            else:
+                paddrs = space.physical_args(gen)
+                self._generation = space.generation
         self._gen = gen
         self._translate = translate
         self._tlb = tlb
         self._pending_result = result
+        self._paddrs = paddrs
+        self._space = space if paddrs is not None else None
 
     def uninstall(self) -> object:
         """Unbind the task; returns the result its last op is still owed,
@@ -129,6 +162,8 @@ class HardwareContext:
         self._translate = None
         self._tlb = None
         self._pending_result = None
+        self._paddrs = None
+        self._space = None
         return result
 
     @property
@@ -292,10 +327,16 @@ class HardwareContext:
 
         Between hand-offs each context keeps the generator loop's rules
         op for op: the same time per op, one ``ops`` per op, TLB walks
-        charged before the access.  A context's index and local time are
-        kept at each hand-off and its counters added once per call, all
-        in ``finally`` blocks, so a raise leaves the state one-op steps
-        would.  The tapes never read a result, so none is kept for them.
+        charged before the access.  Without a TLB a memory op reads its
+        physical address off the tape and makes one call, the engine's
+        ``access`` (the facade's under an address remap).  The running
+        context's index, time and compute-burst instructions live in
+        locals, the others' in flat lists, swapped at each hand-off; the
+        counters are taken once per call from the kind codes each context
+        walked, in a ``finally``, so a raise leaves the state one-op
+        steps would: the raising access counts as its op's load, store
+        or ifetch but retires no instruction.  The tapes never read a
+        result, so none is kept for them.
         """
         walkers = [(self, until)]
         if peers:
@@ -306,102 +347,117 @@ class HardwareContext:
             walkers.sort(key=lambda walker: walker[0].ctx_id)
             if len({hw.ctx_id for hw, _ in walkers}) < len(walkers):
                 raise ProgramError("peers must be distinct contexts")
-        # per walker: what its run needs, and the other walkers' indices
+        # per walker: what its runs read, then its next op, its local time
+        # and the instructions its compute bursts retired in this call
         hws = []
         setups = []
+        positions = []
         times = []
-        counts = []  # instructions, loads, stores, ifetches
-        for k, (hw, bound) in enumerate(walkers):
+        bursts = []
+        for hw, bound in walkers:
             tape = hw._gen
             if type(tape) is not OpTape:
                 raise ProgramError(f"ctx{hw.ctx_id}: a peer must walk an op tape")
-            rivals = list(range(len(walkers)))
-            del rivals[k]
-            setups.append(
-                (hw.ctx_id, tape, tape.kinds, tape.args, hw._translate, hw._tlb,
-                 bound, rivals)
-            )
+            args = hw._paddrs
+            space = hw._space
+            if space is not None and space.generation != hw._generation:
+                # the mapping changed since the tape was translated
+                args = hw._paddrs = space.physical_args(tape)
+                hw._generation = space.generation
+            if args is None:  # the TLB translates each access
+                args = tape.args
+            setups.append((hw.ctx_id, tape.kinds, args, hw._tlb, hw._translate, bound))
             hws.append(hw)
+            positions.append(tape.pos)
             times.append(hw.local_time)
-            counts.append([0, 0, 0, 0])
-        access = self.system.access
+            bursts.append(0)
+        firsts = positions[:]
+        walking = len(walkers)
+        access = self.system.access_port
+        access_kinds = _TAPE_ACCESS
+        compute = TAPE_COMPUTE
         k = hws.index(self)
+        ctx, kinds, args, tlb, translate, bound = setups[k]
+        pos = positions[k]
+        now = times[k]
+        burst = 0
         left = max_ops
         event = StepEvent.RUNNING
+        raised = False
         try:
             while True:
-                ctx, tape, kinds, args, translate, tlb, bound, rivals = setups[k]
-                start = pos = tape.pos
                 if pos >= len(kinds):  # walked past its exit, like a spent generator
                     left -= 1
                     event = StepEvent.EXITED
                     break
-                now = times[k]
                 # Run until this context's own bound, or until the rival
                 # picked next — the lowest time, the lowest ctx_id on a
                 # tie — would be picked instead: once this context's
                 # time passes the rival's, or reaches it with the rival
                 # first in ctx_id order.
                 stop = bound
-                if rivals:
-                    rival = rivals[0]
-                    for j in rivals:
-                        if times[j] < times[rival]:
-                            rival = j
+                if walking > 1:
+                    if walking == 2:
+                        rival = 1 - k
+                    else:
+                        rival = 1 if k == 0 else 0
+                        for j in range(rival + 1, walking):
+                            if j != k and times[j] < times[rival]:
+                                rival = j
                     turn = times[rival] + (rival > k)
                     if turn < stop:
                         stop = turn
+                start = pos
                 end = pos + left
-                instructions = loads = stores = ifetches = 0
-                try:
-                    while True:
-                        code = kinds[pos]
-                        arg = args[pos]
-                        pos += 1
-                        if code == TAPE_COMPUTE:
-                            now += arg
-                            instructions += arg
-                            if now >= stop or pos >= end:
-                                break
-                            continue
-                        if code == TAPE_LOAD:
-                            kind = _LOAD
-                            loads += 1
-                        elif code == TAPE_IFETCH:
-                            kind = _IFETCH
-                            ifetches += 1
-                        elif code == TAPE_STORE:
-                            kind = _STORE
-                            stores += 1
-                        else:  # TAPE_EXIT
-                            instructions += 1
-                            event = StepEvent.EXITED
-                            break
-                        if tlb is None:
-                            paddr = translate(arg)
-                        else:
-                            paddr, walk = tlb.translate(arg, translate)
+                while True:
+                    code = kinds[pos]
+                    arg = args[pos]
+                    pos += 1
+                    if code < compute:
+                        if tlb is not None:
+                            arg, walk = tlb.translate(arg, translate)
                             now += walk
-                        now += 1 + access(ctx, paddr, kind, now).latency
-                        instructions += 1
-                        if now >= stop or pos >= end:
-                            break
-                finally:
-                    tape.pos = pos
-                    times[k] = now
-                    tally = counts[k]
-                    tally[0] += instructions
-                    tally[1] += loads
-                    tally[2] += stores
-                    tally[3] += ifetches
+                        now += 1 + access(ctx, arg, access_kinds[code], now).latency
+                    elif code == compute:
+                        now += arg
+                        burst += arg
+                    else:  # TAPE_EXIT
+                        event = StepEvent.EXITED
+                        break
+                    if now >= stop or pos >= end:
+                        break
                 left -= pos - start
                 if event is not StepEvent.RUNNING or not left or now >= bound:
                     break
-                k = rival  # hand off
+                # hand off
+                positions[k] = pos
+                times[k] = now
+                bursts[k] = burst
+                k = rival
+                ctx, kinds, args, tlb, translate, bound = setups[k]
+                pos = positions[k]
+                now = times[k]
+                burst = bursts[k]
+        except BaseException:
+            raised = True  # inside the access of the op before ``pos``
+            raise
         finally:
-            for hw, now, tally in zip(hws, times, counts):
-                hw.local_time = now
-                instructions, loads, stores, ifetches = tally
+            positions[k] = pos
+            times[k] = now
+            bursts[k] = burst
+            for j, hw in enumerate(hws):
+                first = firsts[j]
+                last = hw._gen.pos = positions[j]
+                hw.local_time = times[j]
+                if last == first:
+                    continue
+                walked = setups[j][1]
+                loads = walked.count(TAPE_LOAD, first, last)
+                stores = walked.count(TAPE_STORE, first, last)
+                ifetches = walked.count(TAPE_IFETCH, first, last)
+                # the exit is the tape's last op and retires one instruction
+                instructions = bursts[j] + loads + stores + ifetches
+                instructions += (last == len(walked)) - (raised and j == k)
                 if instructions:
                     hw._instructions.add(instructions)
                 if loads:
@@ -411,3 +467,13 @@ class HardwareContext:
                 if ifetches:
                     hw._ifetches.add(ifetches)
         return StepOutcome(event, None, max_ops - left, ctx)
+
+
+def _translated(tape: OpTape, translate: Translator) -> array:
+    """``tape.args`` with each load, store and ifetch address put through
+    ``translate`` (a copy; the tape is not changed)."""
+    args = tape.args[:]
+    for i, code in enumerate(tape.kinds):
+        if code < TAPE_COMPUTE:
+            args[i] = translate(args[i])
+    return args

@@ -12,12 +12,18 @@ out once in two flat arrays and walked by index.  The CPU runs a tape
 without a ``send`` per op; everything else reads it as a generator that
 yields the same ops.  Attackers, victims and every other program whose
 control flow depends on results stay generators.
+
+The walk reads a tape's addresses already translated: the task's address
+space fills :attr:`OpTape.translations` with one physical copy of the
+arguments per page layout (:meth:`repro.os.vm.AddressSpace.physical_args`),
+shared by every walker of the tape, so the baseline and TimeCache runs of
+one experiment translate each tape once.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Generator, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -46,7 +52,9 @@ class OpTape:
     compute burst (at least 1, as :class:`~repro.cpu.isa.Compute`
     requires), 0 for the exit — 9 bytes per op.  A tape ends with its
     exit.  ``pos`` is the index of the next op; it stays on the tape
-    between the CPU's slices.
+    between the CPU's slices.  ``translations`` holds what address spaces
+    computed from the arrays (the physical arguments per page layout),
+    shared, like the arrays, by every walker of the tape.
 
     The tape also speaks the generator protocol: ``next`` and ``send``
     (which ignores its value, as an open-loop program does) decode the
@@ -54,7 +62,7 @@ class OpTape:
     yielded, and raise ``StopIteration`` past the exit.
     """
 
-    __slots__ = ("kinds", "args", "pos")
+    __slots__ = ("kinds", "args", "pos", "translations")
 
     def __init__(self, kinds: bytearray, args: array) -> None:
         if args.typecode != "q" or len(kinds) != len(args):
@@ -76,14 +84,16 @@ class OpTape:
         self.kinds = kinds
         self.args = args
         self.pos = 0
+        self.translations: Dict[int, Any] = {}
 
     def rewound(self) -> "OpTape":
         """A walker from the first op, sharing this tape's arrays (checked
-        when this tape was built, so not again)."""
+        when this tape was built, so not again) and translations."""
         walker = object.__new__(OpTape)
         walker.kinds = self.kinds
         walker.args = self.args
         walker.pos = 0
+        walker.translations = self.translations
         return walker
 
     def __iter__(self) -> "OpTape":

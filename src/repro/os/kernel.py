@@ -108,15 +108,10 @@ class Kernel:
 
         child_name = name if name is not None else f"{parent.name}.child"
         child = Process(child_name, AddressSpace(child_name, self.phys))
-        parent_space = parent.address_space
-        child_space = child.address_space
         # Mirror the parent's mappings page by page, COW-protected on
         # both sides for data; the model marks only the child COW and
         # leaves the parent in place (single-writer approximation).
-        for vpage, ppage in parent_space._vpage_to_ppage.items():
-            child_space._vpage_to_ppage[vpage] = ppage
-            child_space._cow_pages[vpage] = True
-        child_space._segments.update(parent_space._segments)
+        child.address_space.mirror_cow(parent.address_space)
         return child
 
     def submit(self, task: Task) -> None:
@@ -133,6 +128,17 @@ class Kernel:
         task = self.scheduler.next_task(ctx_id, hw.local_time)
         if task is None:
             return None
+        tlb = self._tlbs[ctx_id]
+        stream = task.generator()
+        # Installed before the switch: a page fault on an op tape's
+        # addresses raises here, before anything is charged or counted.
+        hw.install(
+            stream,
+            task.translator(),
+            tlb,
+            task.pending_result,
+            task.process.address_space,
+        )
         if self._resident[ctx_id] != task.tid:
             cost = self.system.context_switch(
                 self._resident[ctx_id], task.tid, ctx_id, now=hw.local_time
@@ -140,16 +146,8 @@ class Kernel:
             hw.local_time += self.config.context_switch_cycles + cost.total
             self._resident[ctx_id] = task.tid
             self.context_switches += 1
-            tlb = self._tlbs[ctx_id]
             if tlb is not None:
                 tlb.flush()  # CR3 write
-        stream = task.generator()
-        hw.install(
-            stream,
-            task.translator(),
-            self._tlbs[ctx_id],
-            task.pending_result,
-        )
         if type(stream) is OpTape:
             self._on_tape.add(ctx_id)
         self._current[ctx_id] = task

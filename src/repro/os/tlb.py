@@ -46,6 +46,9 @@ class Tlb:
         self._page_mask = page_bytes - 1
         self._map: "OrderedDict[int, int]" = OrderedDict()
         self.stats = StatGroup("tlb")
+        self._hits = self.stats.bound_counter("hits")
+        self._misses = self.stats.bound_counter("misses")
+        self._flushes = self.stats.bound_counter("flushes")
 
     def translate(
         self, vaddr: int, walker: Callable[[int], int]
@@ -60,9 +63,9 @@ class Tlb:
         ppage = self._map.get(vpage)
         if ppage is not None:
             self._map.move_to_end(vpage)
-            self.stats.counter("hits").add()
+            self._hits.add()
             return (ppage << self._page_shift) | offset, 0
-        self.stats.counter("misses").add()
+        self._misses.add()
         paddr = walker(vaddr)
         ppage = paddr >> self._page_shift
         self._map[vpage] = ppage
@@ -73,7 +76,7 @@ class Tlb:
     def flush(self) -> None:
         """CR3 write: drop every cached translation."""
         self._map.clear()
-        self.stats.counter("flushes").add()
+        self._flushes.add()
 
     @property
     def occupancy(self) -> int:

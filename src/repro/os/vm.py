@@ -14,13 +14,23 @@ forked/COW pages).  This module provides that sharing:
 Caches are physically indexed/tagged in :mod:`repro.memsys`, so two
 processes touching the same segment touch the same cache lines — the
 precondition of every attack in the paper.
+
+An op tape's addresses are translated in bulk, not one access at a time:
+:meth:`AddressSpace.physical_args` gives the tape's arguments with every
+load, store and ifetch address made physical, computed with NumPy once
+per page layout and kept on the tape.  ``generation`` counts the
+mapping's changes, so a walker knows when to fetch them again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from array import array
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.common.errors import SimulationError
+from repro.cpu.program import TAPE_COMPUTE, OpTape
 
 
 class Segment:
@@ -112,6 +122,25 @@ class PhysicalMemory:
         return (self._next_page - 1) * self.page_bytes
 
 
+class _TapePages:
+    """One tape's memory-op pages at one page size, and its physical
+    arguments for each layout of those pages seen so far."""
+
+    __slots__ = ("vpages", "by_layout")
+
+    def __init__(self, tape: OpTape, shift: int) -> None:
+        memory = np.frombuffer(tape.kinds, dtype=np.uint8) < TAPE_COMPUTE
+        vpages = np.frombuffer(tape.args, dtype=np.int64)[memory]
+        vpages >>= shift
+        vpages.sort()
+        first = np.ones(len(vpages), dtype=bool)
+        np.not_equal(vpages[1:], vpages[:-1], out=first[1:])
+        #: the distinct virtual pages, ascending
+        self.vpages = vpages[first]
+        #: physical page per entry of ``vpages`` -> the physical args
+        self.by_layout: Dict[Tuple[int, ...], array] = {}
+
+
 class AddressSpace:
     """Page-granular virtual→physical mapping for one process."""
 
@@ -123,6 +152,8 @@ class AddressSpace:
         self._vpage_to_ppage: Dict[int, int] = {}
         self._cow_pages: Dict[int, bool] = {}  # vpage -> is COW-protected
         self._segments: Dict[str, int] = {}  # segment name -> vaddr base
+        #: bumped by every change to the mapping
+        self.generation = 0
 
     # ------------------------------------------------------------------
     def map_segment(self, segment: Segment, vaddr: int) -> None:
@@ -132,6 +163,7 @@ class AddressSpace:
                 f"{self.name}: segment base {vaddr:#x} not page aligned"
             )
         base_vpage = vaddr >> self._page_shift
+        self.generation += 1
         for i in range(segment.num_pages):
             vpage = base_vpage + i
             if vpage in self._vpage_to_ppage:
@@ -148,6 +180,15 @@ class AddressSpace:
         for i in range(segment.num_pages):
             self._cow_pages[base_vpage + i] = True
 
+    def mirror_cow(self, parent: "AddressSpace") -> None:
+        """Map every page of ``parent`` here too, copy-on-write on this
+        side only (a fork's child; the parent keeps writing in place)."""
+        self.generation += 1
+        for vpage, ppage in parent._vpage_to_ppage.items():
+            self._vpage_to_ppage[vpage] = ppage
+            self._cow_pages[vpage] = True
+        self._segments.update(parent._segments)
+
     def segment_base(self, name: str) -> int:
         try:
             return self._segments[name]
@@ -163,10 +204,52 @@ class AddressSpace:
         try:
             ppage = self._vpage_to_ppage[vpage]
         except KeyError:
-            raise SimulationError(
-                f"{self.name}: page fault at {vaddr:#x} (unmapped)"
-            ) from None
+            raise self._page_fault(vaddr) from None
         return (ppage << self._page_shift) | (vaddr & (self.page_bytes - 1))
+
+    def _page_fault(self, vaddr: int) -> SimulationError:
+        return SimulationError(f"{self.name}: page fault at {vaddr:#x} (unmapped)")
+
+    def physical_args(self, tape: OpTape) -> array:
+        """``tape.args`` with every load, store and ifetch address
+        translated as :meth:`translate` would translate it now.
+
+        The tape keeps one such array per page layout — the physical
+        pages its virtual pages map to — shared by its walkers and by
+        every space mapping those pages alike, as the baseline and
+        TimeCache runs of one experiment do.  If any of the tape's
+        addresses is unmapped, this raises the error :meth:`translate`
+        gives for the first such address in op order.
+        """
+        shift = self._page_shift
+        pages = tape.translations.get(shift)
+        if pages is None:
+            pages = tape.translations[shift] = _TapePages(tape, shift)
+        layout = tuple(map(self._vpage_to_ppage.get, pages.vpages.tolist()))
+        args = pages.by_layout.get(layout)
+        if args is None:
+            if None in layout:
+                table = self._vpage_to_ppage
+                for code, vaddr in zip(tape.kinds, tape.args):
+                    if code < TAPE_COMPUTE and vaddr >> shift not in table:
+                        raise self._page_fault(vaddr)
+            args = pages.by_layout[layout] = self._translated(tape, pages, layout)
+        return args
+
+    def _translated(
+        self, tape: OpTape, pages: _TapePages, layout: Tuple[int, ...]
+    ) -> array:
+        args = tape.args[:]  # a copy, translated in place
+        view = np.frombuffer(args, dtype=np.int64)
+        memory = np.frombuffer(tape.kinds, dtype=np.uint8) < TAPE_COMPUTE
+        vaddrs = view[memory]
+        ppages = np.searchsorted(pages.vpages, vaddrs >> self._page_shift)
+        np.take(np.array(layout, dtype=np.int64), ppages, out=ppages)
+        ppages <<= self._page_shift
+        vaddrs &= self.page_bytes - 1
+        vaddrs |= ppages
+        view[memory] = vaddrs
+        return args
 
     def write_fault(self, vaddr: int) -> bool:
         """Handle a store to a COW page: break sharing with a fresh page.
@@ -178,6 +261,7 @@ class AddressSpace:
         vpage = vaddr >> self._page_shift
         if not self._cow_pages.get(vpage, False):
             return False
+        self.generation += 1
         self._vpage_to_ppage[vpage] = self.phys.allocate_private_page()
         self._cow_pages[vpage] = False
         return True

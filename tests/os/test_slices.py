@@ -245,6 +245,23 @@ def test_defense_hooks(defense):
     assert_slices_equal_single_ops(config, _scenario)
 
 
+@pytest.mark.parametrize("defense", ["copy_on_access", "selective_flush"])
+def test_defense_hooks_on_tapes(defense):
+    """Two cores each time-slicing two tapes, walked in one call: under
+    copy_on_access every walker's access goes through the facade's
+    remap, and selective_flush's listener sees every one."""
+    config = dataclasses.replace(
+        scaled_experiment_config(num_cores=2, engine="fast"),
+        quantum_cycles=1_500,
+    ).with_defense(defense)
+    build = _tape_tasks(
+        [("wrf", 2_000, 0), ("milc", 1_500, 0), ("lbm", 1_500, 1),
+         ("namd", 2_000, 1)]
+    )
+    summary = assert_slices_equal_single_ops(config, build)
+    assert summary.context_switches > 6
+
+
 def test_program_ending_without_exit():
     """A generator that just returns ends with StopIteration, which
     counts as one step, as an ``Exit`` op would."""

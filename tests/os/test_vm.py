@@ -1,8 +1,18 @@
 """Unit tests for physical memory, segments, and address spaces."""
 
+from array import array
+
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.cpu.program import (
+    TAPE_COMPUTE,
+    TAPE_EXIT,
+    TAPE_IFETCH,
+    TAPE_LOAD,
+    TAPE_STORE,
+    OpTape,
+)
 from repro.os.vm import AddressSpace, PhysicalMemory
 
 
@@ -137,3 +147,71 @@ class TestAddressSpace:
         aspace.map_segment(seg, 0x30000)
         assert aspace.is_mapped(0x30FFF)
         assert not aspace.is_mapped(0x31000)
+
+
+class TestPhysicalArgs:
+    """An op tape's arguments with every memory op's address physical,
+    one array per page layout, kept on the tape."""
+
+    def tape(self, *ops):
+        kinds = bytearray(code for code, _ in ops) + bytearray([TAPE_EXIT])
+        return OpTape(kinds, array("q", [arg for _, arg in ops] + [0]))
+
+    def test_each_address_translated_as_translate_would(self, phys):
+        seg = phys.allocate_segment("data", 3 * 4096)
+        lib = phys.allocate_segment("lib", 4096)
+        aspace = AddressSpace("p", phys)
+        aspace.map_segment(seg, 0x30000)
+        aspace.map_segment(lib, 0x80000)
+        tape = self.tape(
+            (TAPE_LOAD, 0x32FFF), (TAPE_COMPUTE, 0x30000), (TAPE_STORE, 0x30008),
+            (TAPE_IFETCH, 0x80040), (TAPE_COMPUTE, 2), (TAPE_LOAD, 0x31000),
+        )
+        args = aspace.physical_args(tape)
+        translate = aspace.translate
+        assert list(args) == [
+            translate(0x32FFF), 0x30000, translate(0x30008), translate(0x80040),
+            2, translate(0x31000), 0,
+        ]
+        assert args.typecode == "q" and args is not tape.args
+
+    def test_one_array_per_layout(self, phys):
+        seg = phys.allocate_segment("data", 4096)
+        tape = self.tape((TAPE_LOAD, 0x10040), (TAPE_STORE, 0x10080))
+        a, b = AddressSpace("a", phys), AddressSpace("b", phys)
+        a.map_segment(seg, 0x10000)
+        b.map_segment_cow(seg, 0x10000)
+        # the same pages mapped alike: one array, for every walker
+        assert b.physical_args(tape.rewound()) is a.physical_args(tape)
+        b.write_fault(0x10000)
+        private = b.physical_args(tape)
+        assert list(private)[:2] == [b.translate(0x10040), b.translate(0x10080)]
+        assert private is not a.physical_args(tape)
+
+    def test_an_unmapped_address_faults_as_translate_does(self, phys):
+        seg = phys.allocate_segment("data", 4096)
+        aspace = AddressSpace("p", phys)
+        aspace.map_segment(seg, 0x50000)
+        tape = self.tape(
+            (TAPE_LOAD, 0x50000), (TAPE_COMPUTE, 0x10000), (TAPE_LOAD, 0x90010),
+            (TAPE_LOAD, 0x10000),
+        )
+        with pytest.raises(SimulationError) as expected:
+            aspace.translate(0x90010)  # first in op order, not lowest page
+        with pytest.raises(SimulationError) as fault:
+            aspace.physical_args(tape)
+        assert str(fault.value) == str(expected.value)
+
+    def test_every_mapping_change_moves_the_generation(self, phys):
+        seg = phys.allocate_segment("data", 4096)
+        parent, child = AddressSpace("parent", phys), AddressSpace("child", phys)
+        seen = [child.generation]
+        parent.map_segment(seg, 0x10000)
+        child.mirror_cow(parent)
+        seen.append(child.generation)
+        assert not child.write_fault(0x20000)  # unmapped: no change
+        seen.append(child.generation)
+        assert child.write_fault(0x10000)
+        seen.append(child.generation)
+        assert seen[0] < seen[1] == seen[2] < seen[3]
+        assert child.translate(0x10000) != parent.translate(0x10000)

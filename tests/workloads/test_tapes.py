@@ -17,23 +17,29 @@ from hypothesis import strategies as st
 
 from repro.analysis import experiment
 from repro.common import scaled_experiment_config
-from repro.common.errors import ProgramError, SimulationTimeout
+from repro.common.errors import ProgramError, SimulationError, SimulationTimeout
 from repro.common.rng import DeterministicRng
+from repro.core.timecache import TimeCacheSystem
 from repro.cpu.cpu import HardwareContext, StepEvent
 from repro.cpu.isa import Compute, Exit, Ifetch, Load, Store
 from repro.cpu.program import (
     TAPE_COMPUTE,
     TAPE_EXIT,
+    TAPE_IFETCH,
     TAPE_LOAD,
+    TAPE_STORE,
     OpTape,
     Program,
     tape_program,
+    trace_program,
 )
 from repro.cpu.tracing import record_program
+from repro.memsys.fastengine import FastHierarchy
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
 from repro.os.kernel import Kernel
 from repro.os.process import Process, Task
+from repro.os.vm import AddressSpace
 from repro.workloads import generator, parsec
 from repro.workloads.generator import (
     CODE_BASE,
@@ -413,14 +419,30 @@ def _observe(config, build, reference, interval, instruction_budget=None):
 @pytest.mark.parametrize("interval", [1, 256])
 @pytest.mark.parametrize("tlb_entries", [0, 8])
 @pytest.mark.parametrize("engine", ["object", "fast"])
-@pytest.mark.parametrize("workload", ["spec", "parsec", "parsec_budget"])
+@pytest.mark.parametrize(
+    "workload",
+    [
+        "spec",
+        "spec+copy_on_access",
+        "spec+selective_flush",
+        "parsec",
+        "parsec_budget",
+    ],
+)
 def test_tape_runs_equal_reference_runs(workload, engine, tlb_entries, interval):
     """``parsec_budget`` stops the PARSEC runs mid-run on an instruction
     budget: the two-core tape walk must stop after the same step, in the
-    same state, as the reference generators."""
+    same state, as the reference generators.  ``spec+<defense>`` runs
+    the SPEC pair under a defense: ``copy_on_access`` remaps addresses
+    at the facade, so the walk must call the facade's ``access`` and not
+    the engine's; ``selective_flush`` records touched lines in a
+    post-access listener."""
+    workload, _, defense = workload.partition("+")
     budget = None
     if workload == "spec":
         config = scaled_experiment_config(quantum_cycles=3_000, engine=engine)
+        if defense:
+            config = config.with_defense(defense)
         build = _build_spec
     else:
         config = scaled_experiment_config(num_cores=2, engine=engine)
@@ -437,6 +459,186 @@ def test_tape_runs_equal_reference_runs(workload, engine, tlb_entries, interval)
         assert tape_run[0].total_instructions > 0
     else:
         assert f"instruction budget {budget} exceeded after" in tape_run[0]
+
+
+class _AccessFault(Exception):
+    """What the pre-access listener below raises."""
+
+
+def _stopped_by_a_raising_access(config, build, reference, interval, nth):
+    """Per context, its local time and counters, and per task the ops
+    its program gave up, after a pre-access listener raised inside the
+    ``nth`` access of the run."""
+    tids, pids = Task._next_tid, Process._next_pid
+    try:
+        kernel = Kernel(config)
+        tasks = build(kernel, reference)
+        taken = {task.name: 0 for task in tasks}
+        if reference:
+            for task in tasks:
+                factory = task.program._factory
+
+                def counted(factory=factory, name=task.name):
+                    for op in factory():
+                        taken[name] += 1
+                        yield op
+
+                task.program = Program(task.program.name, counted)
+        seen = []
+
+        def listener(ctx, line, kind, now):
+            seen.append(line)
+            if len(seen) == nth:
+                raise _AccessFault(f"access {nth}")
+
+        kernel.system.hierarchy.pre_access_listeners.append(listener)
+        with pytest.raises(_AccessFault):
+            kernel.run(stop_check_interval=interval)
+        if not reference:
+            taken = {task.name: task.generator().pos for task in tasks}
+        contexts = [(hw.local_time, hw.stats.snapshot()) for hw in kernel.contexts]
+        return contexts, taken, kernel.system.stats_snapshot()
+    finally:
+        Task._next_tid, Process._next_pid = tids, pids
+
+
+@pytest.mark.parametrize("tlb_entries", [0, 8])
+@pytest.mark.parametrize("workload", ["spec", "parsec"])
+def test_a_raising_access_leaves_what_the_reference_leaves(workload, tlb_entries):
+    """A raise inside an access stops the walk where the generator loop
+    stops: the op counts as its load, store or ifetch and is taken off
+    the tape, but retires no instruction and adds no latency; the TLB
+    walk before it stays charged.  The counters are taken once per walk,
+    so this pins what they must come to."""
+    if workload == "spec":
+        config = scaled_experiment_config(quantum_cycles=3_000, engine="fast")
+        build, nth = _build_spec, 2_000
+    else:
+        config = scaled_experiment_config(num_cores=2, engine="fast")
+        build, nth = _build_parsec, 1_500
+    config = dataclasses.replace(config, tlb_entries=tlb_entries)
+    reference = _stopped_by_a_raising_access(config, build, True, 256, nth)
+    for interval in (1, 256):
+        tape = _stopped_by_a_raising_access(config, build, False, interval, nth)
+        assert tape == reference
+    contexts, _, _ = reference
+    accesses = sum(
+        stats.get(f"ctx{i}.{kind}", 0)
+        for i, (_, stats) in enumerate(contexts)
+        for kind in ("loads", "stores", "ifetches")
+    )
+    assert accesses == nth  # the raising one included
+
+
+# ----------------------------------------------------------------------
+# Physical tapes: translated at dispatch, fetched again on a remap
+# ----------------------------------------------------------------------
+_TAPE_CODE = {
+    Load: TAPE_LOAD,
+    Store: TAPE_STORE,
+    Ifetch: TAPE_IFETCH,
+    Compute: TAPE_COMPUTE,
+    Exit: TAPE_EXIT,
+}
+
+
+def _tape_of(ops):
+    kinds = bytearray(_TAPE_CODE[type(op)] for op in ops)
+    args = array(
+        "q", [getattr(op, "vaddr", getattr(op, "instructions", 0)) for op in ops]
+    )
+    return OpTape(kinds, args)
+
+
+def test_an_unmapped_tape_address_faults_at_dispatch():
+    """The whole tape is translated when its task is dispatched, so a
+    fault on its third memory op raises there, with the error
+    ``translate`` gives for the first unmapped address in op order (not
+    the lowest unmapped page), before any op runs or anything counts."""
+    kernel = Kernel(tiny_config())
+    process = kernel.create_process("p")
+    segment = kernel.phys.allocate_segment("data", 2 * 4096)
+    process.address_space.map_segment(segment, 0x10000)
+    first_unmapped, lower_unmapped = 0x90_018, 0x50_000
+    tape = _tape_of(
+        [Load(0x10000), Compute(3), Store(0x11040), Ifetch(first_unmapped),
+         Load(0x10008), Load(lower_unmapped), Exit()]
+    )
+    task = process.spawn(tape_program("p", tape), affinity=0)
+    kernel.submit(task)
+    untouched = kernel.system.stats_snapshot()
+    with pytest.raises(SimulationError) as fault:
+        kernel.run()
+    with pytest.raises(SimulationError) as expected:
+        process.address_space.translate(first_unmapped)
+    assert str(fault.value) == str(expected.value)
+    assert f"{first_unmapped:#x}" in str(fault.value)
+    hw = kernel.contexts[0]
+    assert (task.generator().pos, hw.local_time, hw.stats.snapshot()) == (0, 0, {})
+    assert kernel.context_switches == 0
+    assert kernel.system.stats_snapshot() == untouched
+
+
+def test_a_tape_installed_with_a_translator_is_translated_through_it():
+    kernel = Kernel(tiny_config())
+    issued = []
+    kernel.system.hierarchy.pre_access_listeners.append(
+        lambda ctx, line, kind, now: issued.append(line)
+    )
+    hw = HardwareContext(0, kernel.system)
+    tape = _tape_of([Load(0x40), Compute(2), Store(0x1000), Exit()])
+    hw.install(tape, lambda vaddr: vaddr + 0x20_0000)
+    assert hw.step(max_ops=10).event is StepEvent.EXITED
+    assert issued == [0x20_0040 >> 6, 0x20_1000 >> 6]
+    assert list(tape.args) == [0x40, 2, 0x1000, 0]  # the tape is unchanged
+
+    def fault(vaddr):
+        raise SimulationError(f"no page at {vaddr:#x}")
+
+    with pytest.raises(SimulationError, match="0x40"):
+        hw.install(tape.rewound(), fault)
+
+
+def _remapped_between_runs(as_tape):
+    """(both summaries, counters, trace events) of a task whose COW page
+    goes private between two ``Kernel.run`` calls while it stays
+    dispatched."""
+    shared = 0x40_0000
+    ops = []
+    for i in range(300):
+        line = shared + (i * 7 % 32) * 64
+        ops += [Load(line) if i % 4 else Store(line), Compute(1 + i % 3)]
+    ops.append(Exit())
+    tids, pids = Task._next_tid, Process._next_pid
+    try:
+        kernel = Kernel(scaled_experiment_config(engine="fast"))
+        ring = RingBufferSink(capacity=1 << 20)
+        Tracer(ring).attach_kernel(kernel)
+        segment = kernel.phys.allocate_segment("shared", 4096)
+        process = kernel.create_process("p")
+        process.address_space.map_segment_cow(segment, shared)
+        program = (
+            tape_program("p", _tape_of(ops)) if as_tape else trace_program("p", ops)
+        )
+        kernel.submit(process.spawn(program, affinity=0))
+        first = kernel.run(max_steps=200)
+        assert kernel._current[0] is not None  # still dispatched
+        assert process.address_space.write_fault(shared)  # a fresh page
+        second = kernel.run()
+        assert kernel.all_done() and ring.dropped == 0
+        events = [event.to_dict() for event in ring.events]
+        return first, second, kernel.system.stats_snapshot(), events
+    finally:
+        Task._next_tid, Process._next_pid = tids, pids
+
+
+def test_a_remap_between_runs_reaches_the_next_walk():
+    """The generator loop translates every access, so the access after a
+    COW break reaches the new page; a tape translated at dispatch must
+    be translated again by the next walk (the space's ``generation``)."""
+    tape_run = _remapped_between_runs(as_tape=True)
+    assert tape_run == _remapped_between_runs(as_tape=False)
+    assert tape_run[2]["LLC.cold_misses"] == 2 * 32  # both pages' 32 lines
 
 
 # ----------------------------------------------------------------------
@@ -463,6 +665,36 @@ def test_spec_experiment_emits_each_program_once(monkeypatch):
     assert len(calls) == 4  # nothing carried over between experiments
     assert first.baseline.stats == second.baseline.stats
     assert first.timecache.cycles == second.timecache.cycles
+
+
+@pytest.mark.parametrize("defense", ["", "copy_on_access"])
+def test_spec_experiment_makes_one_engine_call_per_memory_op(monkeypatch, defense):
+    """Without a TLB the walk reads translated addresses off the tape and
+    calls the engine's ``access`` itself, once per memory op: no
+    per-op ``translate``, and no facade call unless a defense remaps
+    addresses there."""
+    tapes = []
+    emit = generator.emit_profile_tape
+
+    def kept(*args):
+        tapes.append(emit(*args))
+        return tapes[-1]
+
+    monkeypatch.setattr(generator, "emit_profile_tape", kept)
+    translations = _count_calls(monkeypatch, AddressSpace, "translate")
+    facade = _count_calls(monkeypatch, TimeCacheSystem, "access")
+    engine = _count_calls(monkeypatch, FastHierarchy, "access")
+    config = scaled_experiment_config(engine="fast")
+    if defense:
+        config = config.with_defense(defense)
+    experiment.run_spec_pair_experiment(config, "wrf", "lbm", 2_000)
+    memory_ops = sum(
+        len(tape.kinds) - tape.kinds.count(TAPE_COMPUTE) - 1 for tape in tapes
+    )
+    assert len(tapes) == 2 and memory_ops > 1_000
+    assert len(engine) == 2 * memory_ops  # baseline and TimeCache runs
+    assert translations == []
+    assert len(facade) == (len(engine) if defense else 0)
 
 
 def test_parsec_experiment_emits_each_thread_once(monkeypatch):
