@@ -8,7 +8,7 @@ substrate is a behavioral Python model, not the authors' gem5 testbed).
 Scale knobs (environment):
 
 * ``REPRO_BENCH_INSTRUCTIONS``  — instructions per SPEC process
-  (default 250000; the checked-in EXPERIMENTS.md numbers used 400000).
+  (default 250000, the scale the checked-in EXPERIMENTS.md numbers used).
 * ``REPRO_PARSEC_INSTRUCTIONS`` — instructions per PARSEC thread
   (default 800000).
 

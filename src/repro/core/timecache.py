@@ -30,12 +30,25 @@ from repro.core.context import ContextSwitchEngine, SwitchCost
 from repro.core.sbits import TaskCachingState
 from repro.memsys.hierarchy import (
     AccessKind,
+    AccessPorts,
     AccessResult,
     BatchResult,
     KindsArg,
     MemoryHierarchy,
+    Port,
 )
 from repro.obs.spans import current_session
+
+
+def _remapped(port: Port, offset: Callable[[int], int], ctx: int) -> Port:
+    """``port`` behind an address remap: each access adds ``ctx``'s
+    offset, read per access (the tenant on a context changes at
+    switches)."""
+
+    def remapped(addr: int, now: int) -> AccessResult:
+        return port(addr + offset(ctx), now)
+
+    return remapped
 
 
 class TimeCacheSystem:
@@ -115,15 +128,23 @@ class TimeCacheSystem:
             addr += self._addr_offset(ctx)
         return self.hierarchy.access(ctx, addr, kind, when)
 
-    @property
-    def access_port(self) -> Callable[[int, int, AccessKind, int], AccessResult]:
-        """What to call for :meth:`access` with an explicit ``now``: the
-        engine's own ``access`` while this facade adds nothing to it (no
-        address remap installed), else :meth:`access`.  Read it once per
-        run of accesses, not per access."""
-        if self._addr_offset is None:
-            return self.hierarchy.access
-        return self.access
+    def access_ports(self, ctx: int) -> AccessPorts:
+        """Context ``ctx``'s load, store and ifetch ports: each
+        ``port(addr, now)`` is :meth:`access` for that kind with an
+        explicit ``now``.  Fetch them once per context, not per access.
+
+        They are the engine's own ports
+        (:meth:`~repro.memsys.hierarchy.MemoryHierarchy.ports`) while this
+        facade adds nothing to an access.  Under an address remap
+        (``copy_on_access``'s ``_addr_offset``, installed when the
+        defense attaches, during construction) each port adds the
+        context's offset of the moment and calls the engine's port.
+        """
+        ports = self.hierarchy.ports(ctx)
+        offset = self._addr_offset
+        if offset is None:
+            return ports
+        return AccessPorts(*(_remapped(port, offset, ctx) for port in ports))
 
     def access_batch(
         self,

@@ -13,10 +13,12 @@ so the kernel can react.  When every busy context walks an op tape, one
 call walks them all, handing off between them in the kernel's pick
 order, and returns only when the kernel has something to decide.
 
-A tape walked without a TLB is translated when it is installed, so each
-of its memory ops costs one Python call: the engine's ``access``, or the
-facade's when a defense remaps addresses there
-(:attr:`~repro.core.timecache.TimeCacheSystem.access_port`).
+Every memory op is one call to one of the context's *ports*: its load,
+store and ifetch accessors, fetched once from
+:meth:`~repro.core.timecache.TimeCacheSystem.access_ports` — the
+engine's own, or the facade's when a defense remaps addresses there.  A
+tape walked without a TLB is translated when it is installed, so that
+call is the only one its memory op makes.
 """
 
 from __future__ import annotations
@@ -48,16 +50,15 @@ from repro.cpu.program import (
     OpStream,
     OpTape,
 )
-from repro.memsys.hierarchy import AccessKind
+from repro.memsys.hierarchy import AccessKind, Port
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.os imports us)
     from repro.os.tlb import Tlb
     from repro.os.vm import AddressSpace
 
-_LOAD, _STORE, _IFETCH = AccessKind.LOAD, AccessKind.STORE, AccessKind.IFETCH
-
-#: the access each tape code below ``TAPE_COMPUTE`` issues, by code
-_TAPE_ACCESS = (_LOAD, _STORE, _IFETCH)
+#: the access each tape code below ``TAPE_COMPUTE`` issues, by code; a
+#: context's ports are kept in this order
+_TAPE_ACCESS = (AccessKind.LOAD, AccessKind.STORE, AccessKind.IFETCH)
 
 #: the time bound of a slice nothing else is waiting on
 _NO_DEADLINE = float("inf")
@@ -116,6 +117,9 @@ class HardwareContext:
         self._paddrs: Optional[array] = None
         self._space: Optional["AddressSpace"] = None
         self._generation = 0
+        #: this context's ports, indexed by tape kind code
+        #: (:data:`_TAPE_ACCESS`); fetched by the first step
+        self._ports: Optional[Tuple[Port, ...]] = None
 
     # ------------------------------------------------------------------
     def install(
@@ -165,6 +169,15 @@ class HardwareContext:
         self._paddrs = None
         self._space = None
         return result
+
+    def _access_ports(self) -> Tuple[Port, ...]:
+        """This context's ports by tape kind code, fetched from the
+        system once, by the first step: ``install`` accepts a task on a
+        context the hierarchy does not have, as it always did, and only
+        stepping it raises."""
+        ports = self.system.access_ports(self.ctx_id)
+        self._ports = tuple(ports.of(kind) for kind in _TAPE_ACCESS)
+        return self._ports
 
     @property
     def busy(self) -> bool:
@@ -217,7 +230,10 @@ class HardwareContext:
         send = gen.send
         tlb = self._tlb
         system = self.system
-        access = system.access
+        ports = self._ports or self._access_ports()
+        load = ports[TAPE_LOAD]
+        store = ports[TAPE_STORE]
+        ifetch = ports[TAPE_IFETCH]
         ctx = self.ctx_id
         now = self.local_time
         result = self._pending_result
@@ -235,7 +251,7 @@ class HardwareContext:
                 ops += 1
                 cls = type(op)
                 if cls is Load:
-                    kind = _LOAD
+                    port = load
                     loads += 1
                 elif cls is Compute:
                     count = op.instructions
@@ -246,10 +262,10 @@ class HardwareContext:
                         break
                     continue
                 elif cls is Ifetch:
-                    kind = _IFETCH
+                    port = ifetch
                     ifetches += 1
                 elif cls is Store:
-                    kind = _STORE
+                    port = store
                     stores += 1
                 else:  # timing, ordering, flush, scheduling
                     if cls is Rdtsc:
@@ -299,7 +315,7 @@ class HardwareContext:
                 else:
                     paddr, walk = tlb.translate(op.vaddr, translate)
                     now += walk
-                result = access(ctx, paddr, kind, now)
+                result = port(paddr, now)
                 now += 1 + result.latency
                 instructions += 1
                 if now >= until or ops >= max_ops:
@@ -328,8 +344,8 @@ class HardwareContext:
         Between hand-offs each context keeps the generator loop's rules
         op for op: the same time per op, one ``ops`` per op, TLB walks
         charged before the access.  Without a TLB a memory op reads its
-        physical address off the tape and makes one call, the engine's
-        ``access`` (the facade's under an address remap).  The running
+        physical address off the tape and makes one call, to the port
+        its kind code indexes in the context's ports.  The running
         context's index, time and compute-burst instructions live in
         locals, the others' in flat lists, swapped at each hand-off; the
         counters are taken once per call from the kind codes each context
@@ -366,18 +382,19 @@ class HardwareContext:
                 hw._generation = space.generation
             if args is None:  # the TLB translates each access
                 args = tape.args
-            setups.append((hw.ctx_id, tape.kinds, args, hw._tlb, hw._translate, bound))
+            ports = hw._ports or hw._access_ports()
+            setups.append(
+                (hw.ctx_id, tape.kinds, args, hw._tlb, hw._translate, bound, ports)
+            )
             hws.append(hw)
             positions.append(tape.pos)
             times.append(hw.local_time)
             bursts.append(0)
         firsts = positions[:]
         walking = len(walkers)
-        access = self.system.access_port
-        access_kinds = _TAPE_ACCESS
         compute = TAPE_COMPUTE
         k = hws.index(self)
-        ctx, kinds, args, tlb, translate, bound = setups[k]
+        ctx, kinds, args, tlb, translate, bound, ports = setups[k]
         pos = positions[k]
         now = times[k]
         burst = 0
@@ -417,7 +434,7 @@ class HardwareContext:
                         if tlb is not None:
                             arg, walk = tlb.translate(arg, translate)
                             now += walk
-                        now += 1 + access(ctx, arg, access_kinds[code], now).latency
+                        now += 1 + ports[code](arg, now).latency
                     elif code == compute:
                         now += arg
                         burst += arg
@@ -434,7 +451,7 @@ class HardwareContext:
                 times[k] = now
                 bursts[k] = burst
                 k = rival
-                ctx, kinds, args, tlb, translate, bound = setups[k]
+                ctx, kinds, args, tlb, translate, bound, ports = setups[k]
                 pos = positions[k]
                 now = times[k]
                 burst = bursts[k]

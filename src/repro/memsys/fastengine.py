@@ -59,7 +59,12 @@ from repro.common.config import CacheConfig
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import DeterministicRng
 from repro.common.stats import Counter, StatGroup
-from repro.memsys.hierarchy import AccessKind, AccessResult, MemoryHierarchy
+from repro.memsys.hierarchy import (
+    AccessKind,
+    AccessResult,
+    MemoryHierarchy,
+    Port,
+)
 from repro.memsys.line import LineState
 
 _IFETCH = AccessKind.IFETCH
@@ -755,24 +760,20 @@ class FastHierarchy(MemoryHierarchy):
     """The memory hierarchy driven through :class:`FastCache` levels.
 
     Reuses the reference topology construction (identical rng fork names,
-    so random replacement draws match) and all cold paths — partitioning
-    flushes, clflush, inclusion checks — which run unchanged against the
-    engine-generic cache surface.  Only the per-access path is overridden,
-    with the reference semantics inlined over struct-of-arrays state.
+    so random replacement draws match), the ``access`` dispatcher, the
+    ``access_batch`` loop and all cold paths — partitioning flushes,
+    clflush, inclusion checks — which run unchanged against the
+    engine-generic cache surface.  Only :meth:`_bind`, which builds each
+    context's per-kind port, is overridden, with the reference semantics
+    inlined over struct-of-arrays state.
     """
 
     def __init__(self, config, timecache=None, clock=None, rng=None) -> None:
         super().__init__(config, timecache=timecache, clock=clock, rng=rng)
-        threads = config.threads_per_core
-        contexts = range(config.num_cores * threads)
-        self._l1i_of_ctx = [self.l1i[ctx // threads] for ctx in contexts]
-        self._l1d_of_ctx = [self.l1d[ctx // threads] for ctx in contexts]
+        contexts = range(config.num_cores * config.threads_per_core)
         self._sctx_of = [self._llc_sbit_ctx(ctx) for ctx in contexts]
         self._private_list = self.l1i + self.l1d
-        self._tc_enabled = self.tc_config.enabled
-        self._llc_guard = self.tc_config.enabled or self.tc_config.ftm_mode
         self._dram_first = self.tc_config.dram_latency_on_first_access
-        self._prefetch_on = config.next_line_prefetch
         #: interned AccessResult instances keyed by (latency, level,
         #: first) — the value set is tiny and the dataclass is frozen, so
         #: sharing instances is safe and skips ~0.5us of construction.
@@ -782,81 +783,6 @@ class FastHierarchy(MemoryHierarchy):
         self.n_accesses = 0
         self.stats = _FastHierarchyStats(self)
         self.c_accesses = self.stats.bound_counter("accesses")
-        llc = self.llc
-        #: per-context L1 hot entries: the cache plus every per-access
-        #: attribute (masks, slot lists, memoryviews, this context's
-        #: s-bit) resolved once, so the hot path does one list index and
-        #: one tuple unpack instead of a dozen attribute/dict loads.
-        #: Everything captured is set once and mutated only in place.
-        #: The two pre-interned results cover the dominant outcomes (pure
-        #: L1 hit, clean LLC hit) without building a lookup key.
-        interned = self._intern_result
-
-        def l1_entry(l1: FastCache, ctx: int):
-            return (
-                l1,
-                l1.name,
-                l1._set_mask,
-                l1._tag_to_way,
-                l1.ways,
-                l1.hit_latency,
-                l1._ctx_bit_of[ctx],
-                l1.sbits_mv,
-                l1.tc_mv,
-                l1.valid_mv,
-                l1._tags,
-                l1.tags_mv,
-                l1._dirty,
-                l1._last_used,
-                l1._filled_at,
-                l1._occ,
-                l1._victim_stamps,
-                l1._ever_filled,
-                interned(l1.hit_latency, "L1"),
-                interned(l1.hit_latency + llc.hit_latency, "LLC"),
-                range(1, l1.ways),
-            )
-
-        self._hot_l1i = [
-            l1_entry(self._l1i_of_ctx[ctx], ctx) for ctx in contexts
-        ]
-        self._hot_l1d = [
-            l1_entry(self._l1d_of_ctx[ctx], ctx) for ctx in contexts
-        ]
-        #: LLC hot state, unpacked only on the L1-miss path; lbit_of maps
-        #: each hardware context to its LLC s-bit (via the SMT sibling
-        #: representative when llc_sbits_per_core collapses threads)
-        self._hot_llc = (
-            llc._set_mask,
-            llc._tag_to_way,
-            llc.ways,
-            llc.hit_latency,
-            llc.sbits_mv,
-            llc._last_used,
-            [llc._ctx_bit_of[self._sctx_of[ctx]] for ctx in contexts],
-        )
-        #: invariant hot state, unpacked once per access (one attribute
-        #: load instead of a dozen); everything here is set once and
-        #: never rebound (the listener lists mutate only in place)
-        self._hot = (
-            self.line_shift,
-            self._tc_mask,
-            self._hot_l1i,
-            self._hot_l1d,
-            self._sctx_of,
-            self._results,
-            self.directory._owner,
-            self.directory._sharers,
-            self.dram,
-            llc,
-            self.clock,
-            self._tc_enabled,
-            self._llc_guard,
-            self._prefetch_on,
-            self.pre_access_listeners,
-            self.post_access_listeners,
-            self._hot_llc,
-        )
 
     def _make_cache(
         self, config, hw_contexts, hit_latency, rng, max_sharers=0
@@ -876,234 +802,263 @@ class FastHierarchy(MemoryHierarchy):
         return result
 
     # ------------------------------------------------------------------
-    # The access protocol, inlined
+    # The access protocol, inlined into one port per context and kind
     # ------------------------------------------------------------------
-    def access(self, ctx: int, addr: int, kind: AccessKind, now: int) -> AccessResult:
-        (
-            line_shift,
-            tc_mask,
-            hot_l1i,
-            hot_l1d,
-            sctx_of,
-            results,
-            owners,
-            all_sharers,
-            dram,
-            llc,
-            clock,
-            tc_enabled,
-            llc_guard,
-            prefetch_on,
-            pre_listeners,
-            post_listeners,
-            hot_llc,
-        ) = self._hot
-        if ctx < 0:
-            raise SimulationError(f"hardware context {ctx} out of range")
-        try:
-            (
-                l1,
-                l1name,
-                set_mask,
-                t2w_of_set,
-                ways,
-                hit_latency,
-                bit,
-                sbits_mv,
-                tc_mv,
-                valid_mv,
-                tags,
-                tags_mv,
-                dirty,
-                last_used,
-                filled_at,
-                occ,
-                victim_stamps,
-                ever_filled,
-                hit_result,
-                llc_hit_result,
-                upper_ways,
-            ) = (hot_l1i if kind is _IFETCH else hot_l1d)[ctx]
-        except IndexError:
-            raise SimulationError(
-                f"hardware context {ctx} out of range"
-            ) from None
+    def _bind(self, ctx: int, kind: AccessKind) -> Port:
+        """The fast engine's port for ``(ctx, kind)``: the reference
+        access path inlined over struct-of-arrays state.
+
+        Everything an access reads that is fixed for the pair — the L1
+        (the L1I for an ifetch) and the LLC, with their masks, slot
+        arrays and memoryviews and this context's s-bit in each, the
+        directory maps, the clock, the listener lists, the interned
+        results of a pure L1 hit and a clean LLC hit — is resolved here,
+        once, into closure cells.
+        Each is set once and mutated only in place (see
+        :meth:`MemoryHierarchy.ports`); a cache's ``event_listener`` is
+        the exception and is read per access, because attaching a
+        listener rebinds it.  A port serves one kind, so only a store
+        port walks the other private caches, and it looks the line up
+        in each one's tag map before invalidating it there.
+        """
+        l1 = (self.l1i if kind is _IFETCH else self.l1d)[
+            ctx // self.config.threads_per_core
+        ]
+        llc = self.llc
         is_write = kind is _STORE
-        line = addr >> line_shift
-        if now > clock._now:
-            clock._now = now
-        if pre_listeners:
-            for listener in pre_listeners:
-                listener(ctx, line, kind, now)
-        set_idx = line & set_mask
-        t2w = t2w_of_set[set_idx]
-        if line in t2w:
-            way = t2w[line]
-            idx = set_idx * ways + way
-            if tc_enabled and not (sbits_mv[idx] & bit):
-                l1.n_first_access_misses += 1
-                below, level = self._probe_llc(line, ctx, now)
-                if l1.event_listener is None and l1.max_sharers == 0:
-                    sbits_mv[idx] |= bit
-                else:
-                    l1.set_sbit(set_idx, way, ctx)
-                latency = hit_latency + below
-                key = (latency, level, True)
-                result = results.get(key)
-                if result is None:
-                    result = AccessResult(latency, level, True)
-                    results[key] = result
-            else:
-                l1.n_hits += 1
-                result = hit_result
-            last_used[idx] = now
-            if is_write:
-                # Store upgrade: dirty the slot, invalidate other private
-                # copies, take ownership (the inlined _store_upgrade).
-                dirty[idx] = True
-                self._invalidate_other_private(l1, line)
-                owners[line] = l1name
-                sharers = all_sharers.get(line)
-                if sharers is None:
-                    sharers = all_sharers[line] = set()
-                sharers.add(l1name)
-        else:
-            l1.n_misses += 1
-            first = False
-            result = None
-            # -------- LLC (the inlined _access_llc) --------
-            (
-                llc_set_mask,
-                llc_t2w_of_set,
-                llc_ways,
-                llc_hit_lat,
-                llc_sbits_mv,
-                llc_last_used,
-                lbit_of,
-            ) = hot_llc
-            lset = line & llc_set_mask
-            lway = llc_t2w_of_set[lset].get(line)
-            if lway is not None:
-                lidx = lset * llc_ways + lway
-                owner = owners.get(line) if owners else None
-                if owner is not None and owner != l1name:
-                    extra, level = self._remote_owner_transfer(line, owner)
-                else:
-                    extra = 0
-                    level = ""
-                if is_write:
-                    self._invalidate_other_private(l1, line)
-                lbit = lbit_of[ctx]
-                if llc_guard and not (llc_sbits_mv[lidx] & lbit):
-                    first = True
-                    llc.n_first_access_misses += 1
-                    dram_latency = dram.access(line)
-                    below = llc_hit_lat + (
-                        dram_latency if dram_latency > extra else extra
-                    )
-                    level = "DRAM"
-                    if llc.event_listener is None and llc.max_sharers == 0:
-                        llc_sbits_mv[lidx] |= lbit
+        line_shift = self.line_shift
+        tc_mask = self._tc_mask
+        clock = self.clock
+        pre_listeners = self.pre_access_listeners
+        post_listeners = self.post_access_listeners
+        results = self._results
+        owners = self.directory._owner
+        all_sharers = self.directory._sharers
+        dram = self.dram
+        tc_enabled = self.tc_config.enabled
+        llc_guard = self._llc_first_access_guard
+        prefetch_on = self.config.next_line_prefetch
+        sctx = self._sctx_of[ctx]
+        l1name = l1.name
+        set_mask = l1._set_mask
+        t2w_of_set = l1._tag_to_way
+        ways = l1.ways
+        upper_ways = range(1, ways)
+        hit_latency = l1.hit_latency
+        bit = l1._ctx_bit_of[ctx]
+        sbits_mv = l1.sbits_mv
+        tc_mv = l1.tc_mv
+        valid_mv = l1.valid_mv
+        tags = l1._tags
+        dirty = l1._dirty
+        last_used = l1._last_used
+        filled_at = l1._filled_at
+        occ = l1._occ
+        victim_stamps = l1._victim_stamps
+        ever_filled = l1._ever_filled
+        hit_result = self._intern_result(hit_latency, "L1")
+        llc_hit_result = self._intern_result(
+            hit_latency + llc.hit_latency, "LLC"
+        )
+        llc_set_mask = llc._set_mask
+        llc_t2w_of_set = llc._tag_to_way
+        llc_ways = llc.ways
+        llc_hit_lat = llc.hit_latency
+        llc_sbits_mv = llc.sbits_mv
+        llc_last_used = llc._last_used
+        llc_dirty = llc._dirty
+        lbit = llc._ctx_bit_of[sctx]
+        # a store's other private caches, with their tag maps and set masks
+        others = [
+            (cache, cache._tag_to_way, cache._set_mask)
+            for cache in self._private_list
+            if is_write and cache is not l1
+        ]
+        invalidate_private = self._invalidate_private
+        probe_llc = self._probe_llc
+        remote_owner_transfer = self._remote_owner_transfer
+        llc_miss = self._llc_miss
+        fill_private = self._fill_private
+        prefetch_next_line = self._prefetch_next_line
+
+        def port(addr: int, now: int) -> AccessResult:
+            line = addr >> line_shift
+            if now > clock._now:
+                clock._now = now
+            if pre_listeners:
+                for listener in pre_listeners:
+                    listener(ctx, line, kind, now)
+            set_idx = line & set_mask
+            t2w = t2w_of_set[set_idx]
+            if line in t2w:
+                way = t2w[line]
+                idx = set_idx * ways + way
+                if tc_enabled and not (sbits_mv[idx] & bit):
+                    l1.n_first_access_misses += 1
+                    below, level = probe_llc(line, ctx, now)
+                    if l1.event_listener is None and l1.max_sharers == 0:
+                        sbits_mv[idx] |= bit
                     else:
-                        llc.set_sbit(lset, lway, sctx_of[ctx])
+                        l1.set_sbit(set_idx, way, ctx)
+                    latency = hit_latency + below
+                    key = (latency, level, True)
+                    result = results.get(key)
+                    if result is None:
+                        result = results[key] = AccessResult(latency, level, True)
                 else:
-                    llc.n_hits += 1
-                    below = llc_hit_lat + extra
-                    if level == "":
-                        level = "LLC"
-                        if not extra:
-                            result = llc_hit_result
-                llc_last_used[lidx] = now
+                    l1.n_hits += 1
+                    result = hit_result
+                last_used[idx] = now
                 if is_write:
-                    owners[line] = l1name
-                sharers = all_sharers.get(line)
-                if sharers is None:
-                    sharers = all_sharers[line] = set()
-                sharers.add(l1name)
-            else:
-                below, level = self._llc_miss(
-                    l1, line, ctx, sctx_of[ctx], is_write, now
-                )
-            # -------- L1 fill (the inlined _fill_private) --------
-            if l1.event_listener is not None:
-                self._fill_private(l1, line, ctx, is_write, now)
-            else:
-                base = set_idx * ways
-                vtag = -1
-                if occ[set_idx] < ways:
-                    way = 0
-                    while tags[base + way] >= 0:
-                        way += 1
-                    idx = base + way
-                    occ[set_idx] += 1
-                    valid_mv[idx] = True
-                else:
-                    if victim_stamps is None:
-                        way = l1._set_rngs[set_idx].randint(0, ways - 1)
-                    else:
-                        way = 0
-                        best = victim_stamps[base]
-                        for w in upper_ways:
-                            stamp = victim_stamps[base + w]
-                            if stamp < best:
-                                best = stamp
-                                way = w
-                    idx = base + way
-                    vtag = tags[idx]
-                    vdirty = dirty[idx]
-                    del t2w[vtag]
-                    l1.n_evictions += 1
-                    if vdirty:
-                        l1.n_dirty_evictions += 1
-                    # No s-bit/valid clears here: the slot is refilled
-                    # just below, which overwrites sbits and leaves valid
-                    # True — the same final state the evict-then-install
-                    # pair of the reference engine produces.
-                tnow = now & tc_mask
-                tags[idx] = line
-                dirty[idx] = is_write
-                last_used[idx] = tnow
-                filled_at[idx] = tnow
-                t2w[line] = way
-                tc_mv[idx] = tnow
-                sbits_mv[idx] = bit
-                l1.n_fills += 1
-                if line not in ever_filled:
-                    ever_filled.add(line)
-                    l1.n_cold_misses += 1
-                if is_write:
-                    self._invalidate_other_private(l1, line)
+                    # Store upgrade: dirty the slot, invalidate other private
+                    # copies, take ownership (the inlined _store_upgrade).
+                    dirty[idx] = True
+                    for other, other_sets, other_mask in others:
+                        if line in other_sets[line & other_mask]:
+                            invalidate_private(other, line)
                     owners[line] = l1name
                     sharers = all_sharers.get(line)
                     if sharers is None:
                         sharers = all_sharers[line] = set()
                     sharers.add(l1name)
-                if vtag >= 0:
-                    if vdirty:
-                        self._writeback_to_llc(vtag)
-                        l1.n_writebacks += 1
-                    sharers = all_sharers.get(vtag)
-                    if sharers is not None:
-                        # Unlike Directory.remove_sharer, leave the emptied
-                        # set in place: every public reader treats empty and
-                        # absent identically, and the next fill of this line
-                        # reuses the set instead of reallocating one.
-                        sharers.discard(l1name)
-                    if owners and owners.get(vtag) == l1name:
-                        del owners[vtag]
-            if prefetch_on:
-                self._prefetch_next_line(l1, line + 1, ctx, now)
-            if result is None:
-                latency = hit_latency + below
-                key = (latency, level, first)
-                result = results.get(key)
+            else:
+                l1.n_misses += 1
+                first = False
+                result = None
+                # -------- LLC (the inlined _access_llc) --------
+                lset = line & llc_set_mask
+                lway = llc_t2w_of_set[lset].get(line)
+                if lway is not None:
+                    lidx = lset * llc_ways + lway
+                    owner = owners.get(line) if owners else None
+                    if owner is not None and owner != l1name:
+                        extra, level = remote_owner_transfer(line, owner)
+                    else:
+                        extra = 0
+                        level = ""
+                    if is_write:
+                        for other, other_sets, other_mask in others:
+                            if line in other_sets[line & other_mask]:
+                                invalidate_private(other, line)
+                    if llc_guard and not (llc_sbits_mv[lidx] & lbit):
+                        first = True
+                        llc.n_first_access_misses += 1
+                        dram_latency = dram.access(line)
+                        below = llc_hit_lat + (
+                            dram_latency if dram_latency > extra else extra
+                        )
+                        level = "DRAM"
+                        if llc.event_listener is None and llc.max_sharers == 0:
+                            llc_sbits_mv[lidx] |= lbit
+                        else:
+                            llc.set_sbit(lset, lway, sctx)
+                    else:
+                        llc.n_hits += 1
+                        below = llc_hit_lat + extra
+                        if level == "":
+                            level = "LLC"
+                            if not extra:
+                                result = llc_hit_result
+                    llc_last_used[lidx] = now
+                    if is_write:
+                        owners[line] = l1name
+                    sharers = all_sharers.get(line)
+                    if sharers is None:
+                        sharers = all_sharers[line] = set()
+                    sharers.add(l1name)
+                else:
+                    below, level = llc_miss(l1, line, ctx, sctx, is_write, now)
+                # -------- L1 fill (the inlined _fill_private) --------
+                if l1.event_listener is not None:
+                    fill_private(l1, line, ctx, is_write, now)
+                else:
+                    base = set_idx * ways
+                    vtag = -1
+                    if occ[set_idx] < ways:
+                        way = 0
+                        while tags[base + way] >= 0:
+                            way += 1
+                        idx = base + way
+                        occ[set_idx] += 1
+                        valid_mv[idx] = True
+                    else:
+                        if victim_stamps is None:
+                            way = l1._set_rngs[set_idx].randint(0, ways - 1)
+                        else:
+                            way = 0
+                            best = victim_stamps[base]
+                            for w in upper_ways:
+                                stamp = victim_stamps[base + w]
+                                if stamp < best:
+                                    best = stamp
+                                    way = w
+                        idx = base + way
+                        vtag = tags[idx]
+                        vdirty = dirty[idx]
+                        del t2w[vtag]
+                        l1.n_evictions += 1
+                        if vdirty:
+                            l1.n_dirty_evictions += 1
+                        # No s-bit/valid clears here: the slot is refilled
+                        # just below, which overwrites sbits and leaves valid
+                        # True — the same final state the evict-then-install
+                        # pair of the reference engine produces.
+                    tnow = now & tc_mask
+                    tags[idx] = line
+                    dirty[idx] = is_write
+                    last_used[idx] = tnow
+                    filled_at[idx] = tnow
+                    t2w[line] = way
+                    tc_mv[idx] = tnow
+                    sbits_mv[idx] = bit
+                    l1.n_fills += 1
+                    if line not in ever_filled:
+                        ever_filled.add(line)
+                        l1.n_cold_misses += 1
+                    if is_write:
+                        for other, other_sets, other_mask in others:
+                            if line in other_sets[line & other_mask]:
+                                invalidate_private(other, line)
+                        owners[line] = l1name
+                        sharers = all_sharers.get(line)
+                        if sharers is None:
+                            sharers = all_sharers[line] = set()
+                        sharers.add(l1name)
+                    if vtag >= 0:
+                        if vdirty:
+                            # the inlined _writeback_to_llc
+                            vset = vtag & llc_set_mask
+                            vway = llc_t2w_of_set[vset].get(vtag)
+                            if vway is None:
+                                raise SimulationError(
+                                    f"writeback of line {vtag:#x} but LLC "
+                                    "does not hold it"
+                                )
+                            llc_dirty[vset * llc_ways + vway] = True
+                            l1.n_writebacks += 1
+                        sharers = all_sharers.get(vtag)
+                        if sharers is not None:
+                            # Unlike Directory.remove_sharer, leave the emptied
+                            # set in place: every public reader treats empty and
+                            # absent identically, and the next fill of this line
+                            # reuses the set instead of reallocating one.
+                            sharers.discard(l1name)
+                        if owners and owners.get(vtag) == l1name:
+                            del owners[vtag]
+                if prefetch_on:
+                    prefetch_next_line(l1, line + 1, ctx, now)
                 if result is None:
-                    result = AccessResult(latency, level, first)
-                    results[key] = result
-        if post_listeners:
-            for listener in post_listeners:
-                listener(ctx, line, kind, now, result)
-        return result
+                    latency = hit_latency + below
+                    key = (latency, level, first)
+                    result = results.get(key)
+                    if result is None:
+                        result = results[key] = AccessResult(latency, level, first)
+            if post_listeners:
+                for listener in post_listeners:
+                    listener(ctx, line, kind, now, result)
+            return result
+
+        return port
 
     def _remote_owner_transfer(self, line: int, owner: str) -> Tuple[int, str]:
         """Slow half of _coherence_on_access: a foreign private cache owns
@@ -1215,13 +1170,18 @@ class FastHierarchy(MemoryHierarchy):
 
     def _invalidate_other_private(self, requester: FastCache, line: int) -> None:
         for cache in self._private_list:
-            if cache is requester:
-                continue
-            evicted = cache.invalidate(line)
-            if evicted is not None:
-                if evicted.dirty:
-                    self._writeback_to_llc(line)
-                self.directory.remove_sharer(line, cache.name)
+            if cache is not requester:
+                self._invalidate_private(cache, line)
+
+    def _invalidate_private(self, cache: FastCache, line: int) -> None:
+        """Invalidate ``line`` in one private cache: a dirty copy is
+        written back to the LLC, and the cache leaves the line's
+        sharers."""
+        evicted = cache.invalidate(line)
+        if evicted is not None:
+            if evicted.dirty:
+                self._writeback_to_llc(line)
+            self.directory.remove_sharer(line, cache.name)
 
     def _writeback_to_llc(self, line: int) -> None:
         llc = self.llc

@@ -84,6 +84,34 @@ class BatchResult(NamedTuple):
 #: what callers may pass as the ``kinds`` argument of ``access_batch``
 KindsArg = Union[AccessKind, Sequence[AccessKind]]
 
+#: one context's accessor for one access kind: ``port(addr, now)``
+Port = Callable[[int, int], AccessResult]
+
+_LOAD, _STORE, _IFETCH = AccessKind.LOAD, AccessKind.STORE, AccessKind.IFETCH
+
+
+class AccessPorts(NamedTuple):
+    """One hardware context's accessors, one per access kind.
+
+    ``port(addr, now)`` is the access :meth:`MemoryHierarchy.access`
+    makes for that context and kind, with everything fixed for the
+    pair already resolved (:meth:`MemoryHierarchy.ports`).
+    """
+
+    load: Port
+    store: Port
+    ifetch: Port
+
+    def of(self, kind: AccessKind) -> Port:
+        """The port for ``kind`` (a kind that is neither a store nor an
+        ifetch is served as a load, as :meth:`MemoryHierarchy.access`
+        always served it)."""
+        if kind is _STORE:
+            return self.store
+        if kind is _IFETCH:
+            return self.ifetch
+        return self.load
+
 
 def _kind_sequence(kinds: KindsArg, n: int) -> List[AccessKind]:
     """Normalize the ``kinds`` argument to one AccessKind per address."""
@@ -164,13 +192,16 @@ class MemoryHierarchy:
         #: observation hooks (repro.robustness).  Pre-listeners run before
         #: an access mutates any state, post-listeners after it completes;
         #: both receive the *line* address.  Empty lists cost nothing on
-        #: the hot path.
+        #: the hot path.  The ports capture these lists: attach and detach
+        #: by mutating them, never by rebinding them.
         self.pre_access_listeners: List[
             Callable[[int, int, AccessKind, int], None]
         ] = []
         self.post_access_listeners: List[
             Callable[[int, int, AccessKind, int, AccessResult], None]
         ] = []
+        #: each hardware context's ports, bound on first request
+        self._ports: List[Optional[AccessPorts]] = [None] * len(all_ctxs)
         #: optional :class:`repro.obs.spans.PhaseAccumulator` recording
         #: where batched-access *wall-clock* goes.  ``None`` keeps
         #: :meth:`access_batch` on its untimed branch; an installed
@@ -331,21 +362,69 @@ class MemoryHierarchy:
         ``now`` is the issuing core's local cycle count; fills are
         timestamped with it (truncated to the Tc width).  Returns the
         total observed latency and where the data came from.
+
+        This is the one dispatcher over :meth:`ports`; a caller making
+        many accesses for one context binds its ports once instead.
         """
-        line = self.line_addr(addr)
+        return self.ports(ctx).of(kind)(addr, now)
+
+    def ports(self, ctx: int) -> AccessPorts:
+        """Hardware context ``ctx``'s load, store and ifetch ports.
+
+        Each port is ``port(addr, now)``, the :meth:`access` of that
+        context and kind, built by the engine's :meth:`_bind` on the
+        first request and kept for the hierarchy's lifetime.  A context
+        out of range raises :class:`SimulationError`.
+
+        A port captures what is fixed for its context and kind — the
+        L1, the LLC, the directory maps, the listener lists, the
+        counter handles, the context's s-bits — as closure cells.
+        That is sound only because each of those is set once, at
+        construction, and from then on mutated only in place: observers
+        attach by appending to the listener lists, ``stats.reset()``
+        zeroes counters without replacing them, and nothing rebinds a
+        cache or its arrays.  Anything that rebound one of them would be
+        missed by every port already bound.
+        """
+        bound = self._ports
+        if not 0 <= ctx < len(bound):
+            raise SimulationError(f"hardware context {ctx} out of range")
+        ports = bound[ctx]
+        if ports is None:
+            ports = bound[ctx] = AccessPorts(
+                self._bind(ctx, _LOAD),
+                self._bind(ctx, _STORE),
+                self._bind(ctx, _IFETCH),
+            )
+        return ports
+
+    def _bind(self, ctx: int, kind: AccessKind) -> Port:
+        """The reference engine's port: the access path with the L1, the
+        write flag and the hooks of ``(ctx, kind)`` resolved once."""
         core = self.core_of_ctx(ctx)
-        l1 = self.l1i[core] if kind is AccessKind.IFETCH else self.l1d[core]
-        is_write = kind is AccessKind.STORE
-        self.clock.advance_to(now)
-        if self.pre_access_listeners:
-            for listener in self.pre_access_listeners:
-                listener(ctx, line, kind, now)
-        result = self._access_l1(l1, line, ctx, is_write, now)
-        self.c_accesses.add()
-        if self.post_access_listeners:
-            for listener in self.post_access_listeners:
-                listener(ctx, line, kind, now, result)
-        return result
+        l1 = self.l1i[core] if kind is _IFETCH else self.l1d[core]
+        is_write = kind is _STORE
+        line_shift = self.line_shift
+        clock = self.clock
+        pre_listeners = self.pre_access_listeners
+        post_listeners = self.post_access_listeners
+        access_l1 = self._access_l1
+        accesses = self.c_accesses
+
+        def port(addr: int, now: int) -> AccessResult:
+            line = addr >> line_shift
+            clock.advance_to(now)
+            if pre_listeners:
+                for listener in pre_listeners:
+                    listener(ctx, line, kind, now)
+            result = access_l1(l1, line, ctx, is_write, now)
+            accesses.add()
+            if post_listeners:
+                for listener in post_listeners:
+                    listener(ctx, line, kind, now, result)
+            return result
+
+        return port
 
     def access_batch(
         self,
@@ -373,9 +452,10 @@ class MemoryHierarchy:
         access, so a batch they make invalid changes no cache state or
         counter.
 
-        Both engines run this one loop over their own :meth:`access`;
-        the differential fuzz checks the fast engine's against the
-        object engine's.
+        Both engines run this one loop over their own ports, bound once
+        per batch after those checks (an empty batch binds nothing); the
+        differential fuzz checks the fast engine's against the object
+        engine's.
         """
         results: List[AccessResult] = []
         prof = self.kernel_profiler
@@ -410,8 +490,7 @@ class MemoryHierarchy:
         kseq = _kind_sequence(kinds, n)
         if advance < 0:
             raise SimulationError(f"advance cannot be negative: {advance}")
-        append = results.append
-        access = self.access
+        times = None
         if nows is not None:
             if len(nows) != n:
                 raise SimulationError(
@@ -423,12 +502,28 @@ class MemoryHierarchy:
                     raise SimulationError(
                         f"nows must be non-decreasing ({when} after {prev})"
                     )
+        if not n:
+            return BatchResult(results, now)
+        load, store, ifetch = self.ports(ctx)
+        is_store, is_ifetch = _STORE, _IFETCH
+        append = results.append
+        if times is not None:
             for addr, kind, when in zip(addrs, kseq, times):
-                append(access(ctx, int(addr), kind, when))
-            return BatchResult(results, times[-1] if times else now)
+                port = (
+                    store if kind is is_store
+                    else ifetch if kind is is_ifetch
+                    else load
+                )
+                append(port(int(addr), when))
+            return BatchResult(results, times[-1])
         cursor = now
         for addr, kind in zip(addrs, kseq):
-            result = access(ctx, int(addr), kind, cursor)
+            port = (
+                store if kind is is_store
+                else ifetch if kind is is_ifetch
+                else load
+            )
+            result = port(int(addr), cursor)
             append(result)
             cursor += advance + result.latency
         return BatchResult(results, cursor)

@@ -9,7 +9,8 @@ Ten scenarios x twenty seeds = 200 random traces, covering the defense on
 and off, context switches, multi-core stores and coherence, SMT sibling
 contexts, FTM comparison mode, prefetch, the fifo/random replacement
 policies, limited-pointer sharer eviction, the DRAM-latency-on-first-access
-hardening, and narrow-timestamp rollover.
+hardening, and narrow-timestamp rollover.  Each trace also runs through
+every context's ports, on each engine, and must match its ``access`` run.
 """
 
 import dataclasses
@@ -17,9 +18,10 @@ import dataclasses
 import pytest
 
 from repro.common.config import scaled_experiment_config
+from repro.common.errors import SimulationError
 from repro.common.rng import DeterministicRng
 from repro.core import TimeCacheSystem
-from repro.memsys import AccessKind
+from repro.memsys import AccessKind, BatchResult
 
 SEEDS = range(20)
 
@@ -117,6 +119,7 @@ def _run_trace(
     batched=False,
     kinds=KINDS,
     stride=1,
+    ported=False,
 ):
     """Drive one system with a seeded random trace; return observables.
 
@@ -130,8 +133,13 @@ def _run_trace(
     chunks (pinned issue times via ``nows``), with context switches as
     batch boundaries — the split sizes come from a separate rng so the
     trace itself is unchanged.
+
+    With ``ported`` each scalar access calls the port of its kind from
+    the context's ports (``TimeCacheSystem.access_ports``, fetched once
+    per context) instead of ``access``.
     """
     system = TimeCacheSystem(config)
+    ports_of = {}
     tracer = ring = None
     if traced:
         from repro.obs import RingBufferSink, Tracer
@@ -175,7 +183,12 @@ def _run_trace(
             pending_ctx = ctx
             pending.append((addr, kind, now))
         else:
-            result = system.access(ctx, addr, kind, now)
+            if ported:
+                if ctx not in ports_of:
+                    ports_of[ctx] = system.access_ports(ctx)
+                result = ports_of[ctx].of(kind)(addr, now)
+            else:
+                result = system.access(ctx, addr, kind, now)
             events.append((result.latency, result.level, result.first_access))
         if switches and i % 97 == 96:
             flush_pending()
@@ -226,6 +239,11 @@ def test_engines_agree(scenario, seed):
     assert obj[0] == fast[0], f"{scenario}: access/switch streams diverge"
     assert obj[1] == fast[1], f"{scenario}: stats snapshots diverge"
     assert obj[2] == fast[2], f"{scenario}: final cache state diverges"
+    for engine, accessed in (("object", obj), ("fast", fast)):
+        ported = _run_trace(
+            make_config(engine, seed), seed, contexts, switches, ported=True
+        )
+        assert ported[:3] == accessed[:3], f"{scenario}: {engine} ports diverge"
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -336,6 +354,16 @@ def test_engines_emit_identical_event_streams(scenario, seed):
     assert obj[0] == fast[0], f"{scenario}: access/switch streams diverge"
     assert obj[1] == fast[1], f"{scenario}: stats snapshots diverge"
     assert obj[2] == fast[2], f"{scenario}: final cache state diverges"
+    for engine, accessed in (("object", obj), ("fast", fast)):
+        ported = _run_trace(
+            make_config(engine, seed),
+            seed,
+            contexts,
+            switches,
+            traced=True,
+            ported=True,
+        )
+        assert ported == accessed, f"{scenario}: {engine} traced ports diverge"
 
 
 @pytest.mark.parametrize("scenario", TRACED_SCENARIOS)
@@ -402,6 +430,11 @@ def test_defense_engines_agree(defense, seed):
     assert obj[0] == fast[0], f"{defense}: access/switch streams diverge"
     assert obj[1] == fast[1], f"{defense}: stats snapshots diverge"
     assert obj[2] == fast[2], f"{defense}: final cache state diverges"
+    for engine, accessed in (("object", obj), ("fast", fast)):
+        ported = _run_trace(
+            _defense_config(defense, engine, seed), seed, 2, True, ported=True
+        )
+        assert ported[:3] == accessed[:3], f"{defense}: {engine} ports diverge"
 
 
 @pytest.mark.parametrize("defense", defense_names())
@@ -440,3 +473,38 @@ def test_defense_traced_event_streams(defense, seed):
     assert obj[0] == fast[0], f"{defense}: access/switch streams diverge"
     assert obj[1] == fast[1], f"{defense}: stats snapshots diverge"
     assert obj[2] == fast[2], f"{defense}: final cache state diverges"
+
+
+# ---------------------------------------------------------------------------
+# contexts out of range: the same error from every entry point
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("engine", ["object", "fast"])
+def test_out_of_range_contexts_raise_from_every_entry_point(engine):
+    """Context -1 and context N (one past the last) raise the same
+    :class:`SimulationError` from ``access``, ``ports`` and
+    ``access_batch``, at the hierarchy and at the facade, and change
+    nothing; -1 never wraps around to the last context's ports, even
+    once those are bound.  An empty batch issues nothing, so it checks
+    no context, as it never did."""
+    config = scaled_experiment_config(num_cores=2, engine=engine)
+    system = TimeCacheSystem(config)
+    hierarchy = system.hierarchy
+    last = config.hierarchy.num_cores * config.hierarchy.threads_per_core - 1
+    assert hierarchy.ports(last) is system.access_ports(last)
+    before = system.stats_snapshot()
+    for ctx in (-1, last + 1):
+        calls = (
+            lambda: hierarchy.access(ctx, 0x1000, AccessKind.LOAD, 0),
+            lambda: hierarchy.ports(ctx),
+            lambda: hierarchy.access_batch(ctx, [0x1000]),
+            lambda: system.access(ctx, 0x1000, AccessKind.STORE, 0),
+            lambda: system.access_ports(ctx),
+            lambda: system.access_batch(ctx, [0x1000], nows=[0]),
+        )
+        for call in calls:
+            with pytest.raises(SimulationError) as raised:
+                call()
+            assert str(raised.value) == f"hardware context {ctx} out of range"
+        assert hierarchy.access_batch(ctx, [], now=7) == BatchResult([], 7)
+        assert system.access_batch(ctx, [], nows=[], now=7) == BatchResult([], 7)
+    assert system.stats_snapshot() == before

@@ -60,10 +60,10 @@ class TestTlbOnContext:
         issues; a hit charges nothing."""
         system = TimeCacheSystem(tiny_config())
         issued = []
-        access = system.access
-        system.access = lambda ctx, addr, kind, now: (
-            issued.append((addr, now)) or access(ctx, addr, kind, now)
+        system.hierarchy.pre_access_listeners.append(
+            lambda ctx, line, kind, now: issued.append((line, now))
         )
+        line_of = system.hierarchy.line_addr
         ctx = HardwareContext(0, system)
         tlb = Tlb(entries=4, walk_cycles=25)
 
@@ -73,10 +73,10 @@ class TestTlbOnContext:
 
         ctx.install(prog(), lambda vaddr: vaddr + 0x1000_0000, tlb)
         ctx.step()
-        assert issued == [(0x1000_5000, 25)]
+        assert issued == [(line_of(0x1000_5000), 25)]
         issue_time = ctx.local_time
         ctx.step()
-        assert issued[1] == (0x1000_5010, issue_time)
+        assert issued[1] == (line_of(0x1000_5010), issue_time)
         assert (tlb.stats.get("misses"), tlb.stats.get("hits")) == (1, 1)
 
 

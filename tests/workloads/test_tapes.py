@@ -34,7 +34,9 @@ from repro.cpu.program import (
     trace_program,
 )
 from repro.cpu.tracing import record_program
+from repro.defenses.builtin import CopyOnAccessDefense
 from repro.memsys.fastengine import FastHierarchy
+from repro.memsys.hierarchy import MemoryHierarchy
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
 from repro.os.kernel import Kernel
@@ -670,9 +672,9 @@ def test_spec_experiment_emits_each_program_once(monkeypatch):
 @pytest.mark.parametrize("defense", ["", "copy_on_access"])
 def test_spec_experiment_makes_one_engine_call_per_memory_op(monkeypatch, defense):
     """Without a TLB the walk reads translated addresses off the tape and
-    calls the engine's ``access`` itself, once per memory op: no
-    per-op ``translate``, and no facade call unless a defense remaps
-    addresses there."""
+    calls the engine's port for the op's kind itself, once per memory
+    op: no per-op ``translate``, no ``access`` dispatcher, and no facade
+    call but the ``copy_on_access`` remap in front of the port."""
     tapes = []
     emit = generator.emit_profile_tape
 
@@ -680,10 +682,38 @@ def test_spec_experiment_makes_one_engine_call_per_memory_op(monkeypatch, defens
         tapes.append(emit(*args))
         return tapes[-1]
 
+    ported = []  # one entry per engine port call
+    bind = FastHierarchy._bind
+
+    def counted_bind(hierarchy, ctx, kind):
+        port = bind(hierarchy, ctx, kind)
+
+        def counted(addr, now):
+            ported.append(kind)
+            return port(addr, now)
+
+        return counted
+
+    remaps = []  # one entry per remap of an address at the facade
+    attach = CopyOnAccessDefense.attach
+
+    def counted_attach(defense_, system):
+        state = attach(defense_, system)
+        offset = system._addr_offset
+
+        def counted_offset(ctx):
+            remaps.append(ctx)
+            return offset(ctx)
+
+        system._addr_offset = counted_offset
+        return state
+
     monkeypatch.setattr(generator, "emit_profile_tape", kept)
+    monkeypatch.setattr(FastHierarchy, "_bind", counted_bind)
+    monkeypatch.setattr(CopyOnAccessDefense, "attach", counted_attach)
     translations = _count_calls(monkeypatch, AddressSpace, "translate")
     facade = _count_calls(monkeypatch, TimeCacheSystem, "access")
-    engine = _count_calls(monkeypatch, FastHierarchy, "access")
+    dispatcher = _count_calls(monkeypatch, MemoryHierarchy, "access")
     config = scaled_experiment_config(engine="fast")
     if defense:
         config = config.with_defense(defense)
@@ -692,9 +722,9 @@ def test_spec_experiment_makes_one_engine_call_per_memory_op(monkeypatch, defens
         len(tape.kinds) - tape.kinds.count(TAPE_COMPUTE) - 1 for tape in tapes
     )
     assert len(tapes) == 2 and memory_ops > 1_000
-    assert len(engine) == 2 * memory_ops  # baseline and TimeCache runs
-    assert translations == []
-    assert len(facade) == (len(engine) if defense else 0)
+    assert len(ported) == 2 * memory_ops  # baseline and TimeCache runs
+    assert translations == [] and dispatcher == [] and facade == []
+    assert len(remaps) == (len(ported) if defense else 0)
 
 
 def test_parsec_experiment_emits_each_thread_once(monkeypatch):
