@@ -285,7 +285,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.robustness import run_fault_campaign
 
-    per_model = 3 if args.quick else args.injections
+    injections = _count_flag(args.injections, 30, "--injections")
+    per_model = 3 if args.quick else injections
     matrix = run_fault_campaign(per_model=per_model, seed=args.seed)
     args.console.result(matrix.render())
     args.console.result(
@@ -305,17 +306,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.robustness.chaos import DEFAULT_QUICK_COUNTS, run_chaos_campaign
 
     console = args.console
+    jobs = _count_flag(args.jobs, 2, "--jobs")
     counts = None
     if args.injections is not None:
         from repro.robustness.chaos import CHAOS_MODELS
 
-        counts = {model: args.injections for model in CHAOS_MODELS}
+        injections = _count_flag(args.injections, 0, "--injections")
+        counts = {model: injections for model in CHAOS_MODELS}
     elif args.quick:
         counts = dict(DEFAULT_QUICK_COUNTS)
     scorecard = run_chaos_campaign(
         seed=args.seed,
         counts=counts,
-        jobs=args.jobs or 2,
+        jobs=jobs,
         workdir=args.workdir,
     )
     console.result(scorecard.render())
@@ -841,8 +844,8 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--injections",
         type=int,
-        default=30,
-        help="seeded injections per fault model",
+        default=None,
+        help="seeded injections per fault model (default 30)",
     )
     faults.add_argument(
         "--quick",

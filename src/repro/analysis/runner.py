@@ -21,6 +21,11 @@ the same :func:`spec_pair_jobs` / :func:`parsec_jobs` cells through
 :meth:`~repro.robustness.supervisor.SweepExecutor.run` instead, with a
 :func:`result_checkpoint` to resume from, so a failed cell is retried
 and then quarantined.
+
+:func:`batched_replay_run` is one cell of a different kind: no CPU or
+OS, just the :func:`hot_cold_reference_trace` address array replayed
+as loads through one ``access_batch`` call, the workload that times the
+memory system on its own.
 """
 
 from __future__ import annotations
@@ -222,6 +227,15 @@ def hot_cold_reference_trace(
     cache-friendly regime real workload phases spend most of their time
     in.  :func:`batched_replay_run` replays it through ``access_batch``.
 
+    Each access draws ``rng.random()`` and then
+    ``rng.randint(0, hot_lines - 1)`` or ``rng.randint(0, pool_lines - 1)``
+    from ``DeterministicRng(seed)``; the two fixed-range draws are
+    :meth:`~repro.common.rng.DeterministicRng.bound_draws`' rejection
+    loop inlined over ``getrandbits``, so the trace is the one those
+    calls make, draw for draw.  ``hot_lines < 1`` or
+    ``pool_lines < hot_lines`` raises :class:`ValueError` before any
+    draw.
+
     The trace comes back as an ``array('q')``, which indexes and
     iterates as plain Python ints.
     """
@@ -229,20 +243,35 @@ def hot_cold_reference_trace(
 
     from repro.common.rng import DeterministicRng
 
+    if hot_lines < 1 or pool_lines < hot_lines:
+        raise ValueError(
+            f"need 1 <= hot_lines <= pool_lines, got hot_lines={hot_lines}, "
+            f"pool_lines={pool_lines}"
+        )
     rng = DeterministicRng(seed)
+    randint, random = rng.bound_draws()
+    getrandbits = rng.getrandbits
     base = 0x10000
     # The hot set is one consecutive block (a hot buffer): consecutive
     # lines round-robin across cache sets, so the block spreads evenly
     # instead of gambling on random set collisions that would turn the
     # hot set itself into a thrashing workload.
-    start = rng.randint(0, pool_lines - hot_lines)
+    start = randint(0, pool_lines - hot_lines)
     hots = [base + (start + i) * line_bytes for i in range(hot_lines)]
+    hot_bits, pool_bits = hot_lines.bit_length(), pool_lines.bit_length()
     trace = array("q")
+    append = trace.append
     for _ in range(accesses):
-        if rng.random() < hot_fraction:
-            trace.append(hots[rng.randint(0, hot_lines - 1)])
+        if random() < hot_fraction:
+            r = getrandbits(hot_bits)
+            while r >= hot_lines:
+                r = getrandbits(hot_bits)
+            append(hots[r])
         else:
-            trace.append(base + rng.randint(0, pool_lines - 1) * line_bytes)
+            r = getrandbits(pool_bits)
+            while r >= pool_lines:
+                r = getrandbits(pool_bits)
+            append(base + r * line_bytes)
     return trace
 
 
@@ -255,19 +284,23 @@ def batched_replay_run(
 ) -> Dict[str, object]:
     """One batched-replay cell: the hot/cold trace through one system.
 
-    Drives :func:`hot_cold_reference_trace` into a campaign-sized
-    :class:`~repro.core.timecache.TimeCacheSystem` via
-    :func:`repro.cpu.tracing.replay_ops` (``batch=False`` replays the
-    identical stream scalar).  Deterministic in its arguments and
-    module-level, so a sweep can fan cells across worker processes (the
-    chaos campaign's probe jobs do); scalar and batched runs of the same
-    cell must produce identical summaries.
+    Replays :func:`hot_cold_reference_trace` as loads by context 0 of a
+    campaign-sized :class:`~repro.core.timecache.TimeCacheSystem`, from
+    cycle 0 under the blocking time rule (one issue cycle plus the full
+    latency of each access).  ``batch=True`` hands the address array to
+    one :meth:`~repro.core.timecache.TimeCacheSystem.access_batch` call;
+    ``batch=False`` is the reference, one
+    :meth:`~repro.core.timecache.TimeCacheSystem.access` per address.
+    Both give what :func:`repro.cpu.tracing.replay_ops` gives for the
+    same addresses as ``Load`` ops, and identical summaries.
+
+    Deterministic in its arguments and module-level, so a sweep can fan
+    cells across worker processes (the chaos campaign's probe jobs do).
     """
     import dataclasses
 
     from repro.core.timecache import TimeCacheSystem
-    from repro.cpu.isa import Load
-    from repro.cpu.tracing import replay_ops
+    from repro.memsys.hierarchy import AccessKind
     from repro.robustness.campaign import campaign_config
 
     config = campaign_config(seed=seed)
@@ -283,17 +316,29 @@ def batched_replay_run(
         line_bytes=config.hierarchy.line_bytes,
         seed=seed,
     )
-    results, now = replay_ops(
-        system, (Load(addr) for addr in trace), batch=batch
-    )
+    load = AccessKind.LOAD
+    if batch:
+        results, now = system.access_batch(0, trace, load, now=0, advance=1)
+    else:
+        results, now = [], 0
+        access, append = system.access, results.append
+        for addr in trace:
+            result = access(0, addr, load, now)
+            append(result)
+            now += 1 + result.latency
     levels: Dict[str, int] = {}
+    first_accesses = total_latency = 0
     for result in results:
-        levels[result.level] = levels.get(result.level, 0) + 1
+        level = result.level
+        levels[level] = levels.get(level, 0) + 1
+        if result.first_access:
+            first_accesses += 1
+        total_latency += result.latency
     return {
         "accesses": len(results),
         "levels": levels,
-        "first_accesses": sum(1 for r in results if r.first_access),
-        "total_latency": sum(r.latency for r in results),
+        "first_accesses": first_accesses,
+        "total_latency": total_latency,
         "final_now": now,
         "stats": system.stats_snapshot(),
     }

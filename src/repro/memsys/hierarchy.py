@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from itertools import repeat
 from time import perf_counter_ns
 from typing import (
     Callable,
     Dict,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -111,18 +113,6 @@ class AccessPorts(NamedTuple):
         if kind is _IFETCH:
             return self.ifetch
         return self.load
-
-
-def _kind_sequence(kinds: KindsArg, n: int) -> List[AccessKind]:
-    """Normalize the ``kinds`` argument to one AccessKind per address."""
-    if isinstance(kinds, AccessKind):
-        return [kinds] * n
-    seq = list(kinds)
-    if len(seq) != n:
-        raise SimulationError(
-            f"kinds has {len(seq)} entries for {n} addresses"
-        )
-    return seq
 
 
 class MemoryHierarchy:
@@ -485,9 +475,16 @@ class MemoryHierarchy:
         results: List[AccessResult],
     ) -> BatchResult:
         """The batch loop; appends each access's result to ``results`` as
-        it runs."""
+        it runs.  It walks (address, port) pairs: a single kind repeats
+        its one port, a kind per address resolves each through
+        :meth:`AccessPorts.of`."""
         n = len(addrs)
-        kseq = _kind_sequence(kinds, n)
+        if not isinstance(kinds, AccessKind):
+            kinds = list(kinds)
+            if len(kinds) != n:
+                raise SimulationError(
+                    f"kinds has {len(kinds)} entries for {n} addresses"
+                )
         if advance < 0:
             raise SimulationError(f"advance cannot be negative: {advance}")
         times = None
@@ -504,25 +501,19 @@ class MemoryHierarchy:
                     )
         if not n:
             return BatchResult(results, now)
-        load, store, ifetch = self.ports(ctx)
-        is_store, is_ifetch = _STORE, _IFETCH
+        ports = self.ports(ctx)
+        port_of: Iterator[Port] = (
+            repeat(ports.of(kinds))
+            if isinstance(kinds, AccessKind)
+            else map(ports.of, kinds)
+        )
         append = results.append
         if times is not None:
-            for addr, kind, when in zip(addrs, kseq, times):
-                port = (
-                    store if kind is is_store
-                    else ifetch if kind is is_ifetch
-                    else load
-                )
+            for addr, port, when in zip(addrs, port_of, times):
                 append(port(int(addr), when))
             return BatchResult(results, times[-1])
         cursor = now
-        for addr, kind in zip(addrs, kseq):
-            port = (
-                store if kind is is_store
-                else ifetch if kind is is_ifetch
-                else load
-            )
+        for addr, port in zip(addrs, port_of):
             result = port(int(addr), cursor)
             append(result)
             cursor += advance + result.latency

@@ -1,9 +1,21 @@
 """Tests for the sweep drivers and attack scaffolding helpers."""
 
+import dataclasses
+
 import pytest
 
-from repro.analysis.runner import llc_sensitivity_sweep, single_config
+from repro.analysis.runner import (
+    batched_replay_run,
+    hot_cold_reference_trace,
+    llc_sensitivity_sweep,
+    single_config,
+)
 from repro.attacks.base import AttackOutcome, hit_threshold
+from repro.common.rng import DeterministicRng
+from repro.core.timecache import TimeCacheSystem
+from repro.cpu import isa
+from repro.cpu.tracing import replay_ops
+from repro.robustness.campaign import campaign_config
 
 from tests.conftest import tiny_config
 
@@ -148,3 +160,106 @@ class TestBatchedReplay:
         assert serial == parallel
         # distinct seeds -> the cells are genuinely different traces
         assert serial[0] != serial[1]
+
+
+def _draw_by_draw_trace(
+    accesses, hot_lines, hot_fraction, pool_lines, line_bytes, seed
+):
+    """The hot/cold trace as first written: one ``rng.random()`` and one
+    ``rng.randint`` call per access."""
+    rng = DeterministicRng(seed)
+    base = 0x10000
+    start = rng.randint(0, pool_lines - hot_lines)
+    hots = [base + (start + i) * line_bytes for i in range(hot_lines)]
+    trace = []
+    for _ in range(accesses):
+        if rng.random() < hot_fraction:
+            trace.append(hots[rng.randint(0, hot_lines - 1)])
+        else:
+            trace.append(base + rng.randint(0, pool_lines - 1) * line_bytes)
+    return trace
+
+
+class TestHotColdTrace:
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    @pytest.mark.parametrize("hot_fraction", [0.995, 0.9])
+    @pytest.mark.parametrize(
+        "hot_lines,pool_lines",
+        [(8, 256), (1, 1), (1, 7), (3, 100), (5, 5), (6, 33)],
+    )
+    def test_equals_the_draw_by_draw_reference(
+        self, seed, hot_fraction, hot_lines, pool_lines
+    ):
+        args = (3_000, hot_lines, hot_fraction, pool_lines, 64, seed)
+        trace = hot_cold_reference_trace(*args)
+        assert trace.typecode == "q"
+        assert list(trace) == _draw_by_draw_trace(*args)
+
+    @pytest.mark.parametrize(
+        "hot_lines,pool_lines", [(0, 256), (-1, 256), (9, 8), (1, 0)]
+    )
+    @pytest.mark.parametrize("hot_fraction", [0.0, 1.0])
+    def test_rejects_an_empty_hot_set_or_a_smaller_pool(
+        self, monkeypatch, hot_lines, pool_lines, hot_fraction
+    ):
+        """An empty hot set used to fail only at its first hot draw (or
+        never, at ``hot_fraction=0``); it now fails before any draw."""
+
+        def no_draws(self):
+            raise AssertionError("drew before checking its arguments")
+
+        monkeypatch.setattr(DeterministicRng, "bound_draws", no_draws)
+        with pytest.raises(ValueError, match="hot_lines"):
+            hot_cold_reference_trace(
+                100, hot_lines, hot_fraction, pool_lines, seed=3
+            )
+
+
+def _replay_ops_summary(accesses, engine, batch, seed, hot_fraction):
+    """``batched_replay_run``'s summary, computed as it first was: the
+    trace wrapped in ``Load`` ops for ``replay_ops``, summed in three
+    passes."""
+    config = campaign_config(seed=seed)
+    config = dataclasses.replace(
+        config, hierarchy=dataclasses.replace(config.hierarchy, engine=engine)
+    )
+    system = TimeCacheSystem(config)
+    trace = hot_cold_reference_trace(
+        accesses,
+        hot_fraction=hot_fraction,
+        line_bytes=config.hierarchy.line_bytes,
+        seed=seed,
+    )
+    results, now = replay_ops(
+        system, [isa.Load(addr) for addr in trace], batch=batch
+    )
+    levels = {}
+    for result in results:
+        levels[result.level] = levels.get(result.level, 0) + 1
+    return {
+        "accesses": len(results),
+        "levels": levels,
+        "first_accesses": sum(1 for r in results if r.first_access),
+        "total_latency": sum(r.latency for r in results),
+        "final_now": now,
+        "stats": system.stats_snapshot(),
+    }
+
+
+@pytest.mark.parametrize("engine", ["object", "fast"])
+@pytest.mark.parametrize("batch", [True, False])
+@pytest.mark.parametrize("seed,hot_fraction", [(3, 0.995), (4, 0.9)])
+def test_replay_run_equals_replay_ops_over_loads(
+    monkeypatch, engine, batch, seed, hot_fraction
+):
+    """The address array replays exactly as ``Load`` ops through
+    ``replay_ops`` do, without building a single ``Load``."""
+    expected = _replay_ops_summary(1_500, engine, batch, seed, hot_fraction)
+
+    def no_load(vaddr):
+        raise AssertionError(f"built Load({vaddr:#x})")
+
+    monkeypatch.setattr(isa, "Load", no_load)
+    run = batched_replay_run(1_500, engine, batch, seed, hot_fraction)
+    assert run == expected
+    assert list(run["levels"]) == list(expected["levels"])

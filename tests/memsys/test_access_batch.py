@@ -189,6 +189,55 @@ def test_batch_argument_validation(engine):
         system.access_batch(99, many, LOAD)
 
 
+def _batch_outcome(engine, addrs, kinds, nows):
+    system = TimeCacheSystem(_config(engine))
+    system.access_batch(0, [LINE, 5 * LINE], STORE, now=0)  # warm state
+    out = system.access_batch(0, addrs, kinds, now=50, advance=1, nows=nows)
+    return (
+        _observe(out.results),
+        out.now,
+        _snapshot(system),
+        system.stats_snapshot(),
+    )
+
+
+@pytest.mark.parametrize("engine", ["object", "fast"])
+@pytest.mark.parametrize("kind", [LOAD, STORE, IFETCH])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_single_kind_equals_the_same_kind_per_address(engine, kind, pinned):
+    """A single kind binds one port for the whole batch; a list naming
+    that kind at every address resolves the same port per access.  Both
+    give the same results, cursor, cache state and stats."""
+    addrs = [(i * 7 % 90) * LINE for i in range(300)]
+    nows = [50 + 4 * i for i in range(300)] if pinned else None
+    single = _batch_outcome(engine, addrs, kind, nows)
+    assert single == _batch_outcome(engine, addrs, [kind] * 300, nows)
+
+
+@pytest.mark.parametrize("engine", ["object", "fast"])
+def test_a_non_access_kind_entry_is_served_as_a_load(engine):
+    """``access`` serves any kind that is neither a store nor an ifetch
+    as a load; per-address kinds in a batch keep that rule."""
+    addrs = [(i * 5 % 60) * LINE for i in range(120)]
+    kinds = [(LOAD, STORE, None, IFETCH, "store")[i % 5] for i in range(120)]
+    as_loads = [LOAD if k is None or k == "store" else k for k in kinds]
+    got = _batch_outcome(engine, addrs, kinds, None)
+    assert got == _batch_outcome(engine, addrs, as_loads, None)
+
+
+@pytest.mark.parametrize("engine", ["object", "fast"])
+def test_short_kinds_list_raises_before_any_access(engine):
+    system = TimeCacheSystem(_config(engine))
+    system.access_batch(0, [LINE], LOAD, now=0)  # non-empty starting state
+    before_stats = system.stats_snapshot()
+    before_state = _snapshot(system)
+    addrs = [i * LINE for i in range(40)]
+    with pytest.raises(SimulationError, match="kinds has 39 entries for 40"):
+        system.access_batch(0, addrs, [STORE] * 39, now=5)
+    assert system.stats_snapshot() == before_stats
+    assert _snapshot(system) == before_state
+
+
 @pytest.mark.parametrize("engine", ["object", "fast"])
 @pytest.mark.parametrize("n", [4, 40])
 def test_rejected_nows_batch_changes_nothing(engine, n):

@@ -132,6 +132,39 @@ class TestChaosCli:
         err = capsys.readouterr().err
         assert "ConfigError" in err and "jobs >= 2" in err
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_injections_below_one_is_a_config_error(
+        self, tmp_path, capsys, value
+    ):
+        """``--injections 0`` used to run no injection, print "0 silent"
+        and exit 0: a zero-silent gate that checked nothing."""
+        workdir = tmp_path / "w"
+        code = main(["chaos", "--injections", value, "--workdir", str(workdir)])
+        assert code == EXIT_FATAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"fatal: ConfigError: --injections must be >= 1, got {value}" in err
+        assert not workdir.exists()  # no injection started
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_jobs_below_one_is_a_config_error(self, tmp_path, capsys, value):
+        """``--jobs 0`` used to run at 2 jobs and ``--jobs -1`` to fail
+        naming ``jobs=1``; both now name the value given."""
+        workdir = tmp_path / "w"
+        code = main(
+            [
+                "chaos",
+                "--injections", "1",
+                "--jobs", value,
+                "--workdir", str(workdir),
+            ]
+        )
+        assert code == EXIT_FATAL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"fatal: ConfigError: --jobs must be >= 1, got {value}" in err
+        assert not workdir.exists()
+
 
 PAIRS_ARGS = ["--instructions", "2000", "table2", "--pairs", "2", "--quiet"]
 

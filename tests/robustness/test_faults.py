@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.cli import main
 from repro.common.errors import FaultInjectionError, InvariantViolation
 from repro.common.rng import DeterministicRng
 from repro.core.timecache import TimeCacheSystem
@@ -169,3 +170,19 @@ def test_checker_and_injector_compose_without_interference():
     checker = InvariantChecker(system).attach()
     _drive(system, DeterministicRng(31), rounds=6)
     checker.scan_all()
+
+
+class TestFaultsCli:
+    def test_injections_run_per_model(self, capsys):
+        assert main(["faults", "--injections", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "\n4 injections: 4 detected or benign, 0 silent" in out
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_injections_below_one_is_a_config_error(self, capsys, value):
+        """``--injections 0`` used to print "0 injections … 0 silent" and
+        exit 0: a zero-silent gate that checked nothing."""
+        assert main(["faults", "--injections", value]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"fatal: ConfigError: --injections must be >= 1, got {value}" in err
