@@ -28,7 +28,8 @@ completed cells are recorded there, a rerun with the same file picks up
 where it left off, and quarantine records land beside it.
 
 ``--jobs N`` fans the sweep commands out across ``N`` worker processes
-(default: one per CPU; ``--jobs 1`` runs every cell in this process).
+(default: one per CPU; ``--jobs 1`` runs every cell in this process;
+below 1, on any command, exits 1 before anything runs).
 Results are identical either way — see docs/internals.md §9.  Options
 that act inside worker processes (``--obs-dir``, and ``chaos``'s
 kill/hang injections) need ``--jobs 2`` or more and exit 1 at
@@ -87,7 +88,9 @@ EXIT_FATAL = 1
 EXIT_PARTIAL = 3
 
 
-def _count_flag(value: Optional[int], default: int, flag: str) -> int:
+def _count_flag(
+    value: Optional[int], default: Optional[int], flag: str
+) -> Optional[int]:
     """A count flag's value: ``default`` when the flag was not given,
     ConfigError (exit 1) when it is below 1."""
     from repro.common.errors import ConfigError
@@ -285,8 +288,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.robustness import run_fault_campaign
 
-    injections = _count_flag(args.injections, 30, "--injections")
-    per_model = 3 if args.quick else injections
+    per_model = _count_flag(
+        args.injections, 3 if args.quick else 30, "--injections"
+    )
     matrix = run_fault_campaign(per_model=per_model, seed=args.seed)
     args.console.result(matrix.render())
     args.console.result(
@@ -850,7 +854,8 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: 3 injections per model",
+        help="CI smoke mode: 3 injections per model (an explicit "
+        "--injections wins)",
     )
     chaos = sub.add_parser(
         "chaos",
@@ -1176,6 +1181,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.instructions = _count_flag(
             args.instructions, 150_000, "--instructions"
         )
+        if hasattr(args, "jobs"):  # omitted: the command's own default
+            args.jobs = _count_flag(args.jobs, None, "--jobs")
         return _COMMANDS[args.command](args)
     except ReproError as error:
         # Fatal under the exit contract: nothing usable was produced.

@@ -11,7 +11,8 @@ belong to the OS layer.  The kernel hands the executor a *slice* — an op
 budget and a time bound — and the executor reports how the slice ended
 so the kernel can react.  When every busy context walks an op tape, one
 call walks them all, handing off between them in the kernel's pick
-order, and returns only when the kernel has something to decide.
+order only where the order of their memory accesses changes cores, and
+returns only when the kernel has something to decide.
 
 Every memory op is one call to one of the context's *ports*: its load,
 store and ifetch accessors, fetched once from
@@ -44,6 +45,7 @@ from repro.cpu.isa import (
 )
 from repro.cpu.program import (
     TAPE_COMPUTE,
+    TAPE_EXIT,
     TAPE_IFETCH,
     TAPE_LOAD,
     TAPE_STORE,
@@ -208,9 +210,12 @@ class HardwareContext:
         The step then runs all the tapes in the order one-op steps would
         be picked — lowest local time first, lower ``ctx_id`` on a tie —
         handing off once the running context's time reaches the next
-        one's turn, and ends when any of them reaches its own ``until``
-        or exits, or when ``max_ops`` ops ran in all.  The outcome's
-        ``ctx`` names the context whose op ended the step.
+        one's turn and its compute ops up to its next access have run
+        ahead, and ends when any of them reaches its own ``until`` or
+        exits, or when ``max_ops`` ops ran in all.  It may end before
+        ``max_ops``: it leaves the state the outcome's ``ops`` one-op
+        steps leave, never more.  The outcome's ``ctx`` names the
+        context whose op ended the step.
         """
         if max_ops < 1:
             raise ProgramError(
@@ -353,6 +358,20 @@ class HardwareContext:
         steps would: the raising access counts as its op's load, store
         or ifetch but retires no instruction.  The tapes never read a
         result, so none is kept for them.
+
+        A compute op touches nothing another context sees, so before a
+        hand-off the running context runs its next compute ops ahead of
+        the rival's turn: up to its next access or its exit, short of
+        the op that would reach its own bound, and with one op of the
+        budget left for the rival.  They are charged to the budget as
+        they run.  The call can then end before their turn comes: at
+        every return the ``finally`` first puts back each other
+        context's ops run ahead to a key — issue time, then ``ctx_id``
+        — after that of the op that ended the call, and refunds them.
+        Only a context's latest run-ahead can reach past that op: after
+        an earlier one the context ran its next op in turn, and that op,
+        like every op run in turn, came before the op that ended the
+        call.
         """
         walkers = [(self, until)]
         if peers:
@@ -391,6 +410,9 @@ class HardwareContext:
             times.append(hw.local_time)
             bursts.append(0)
         firsts = positions[:]
+        # per walker: the index and time its latest run-ahead started at
+        aheads = positions[:]
+        ahead_times = times[:]
         walking = len(walkers)
         compute = TAPE_COMPUTE
         k = hws.index(self)
@@ -406,6 +428,7 @@ class HardwareContext:
                 if pos >= len(kinds):  # walked past its exit, like a spent generator
                     left -= 1
                     event = StepEvent.EXITED
+                    code = TAPE_EXIT  # issued now, like the exit
                     break
                 # Run until this context's own bound, or until the rival
                 # picked next — the lowest time, the lowest ctx_id on a
@@ -431,6 +454,7 @@ class HardwareContext:
                     arg = args[pos]
                     pos += 1
                     if code < compute:
+                        issued = now
                         if tlb is not None:
                             arg, walk = tlb.translate(arg, translate)
                             now += walk
@@ -446,6 +470,20 @@ class HardwareContext:
                 left -= pos - start
                 if event is not StepEvent.RUNNING or not left or now >= bound:
                     break
+                # Run the next compute ops ahead: nothing another core
+                # does can see them.  Stop at an access or the exit,
+                # before the op that would reach the own bound, and with
+                # one op of budget left for the rival.
+                aheads[k] = pos
+                ahead_times[k] = now
+                while left > 1 and kinds[pos] == compute:
+                    ahead = args[pos]
+                    if now + ahead >= bound:
+                        break
+                    now += ahead
+                    burst += ahead
+                    pos += 1
+                    left -= 1
                 # hand off
                 positions[k] = pos
                 times[k] = now
@@ -462,6 +500,28 @@ class HardwareContext:
             positions[k] = pos
             times[k] = now
             bursts[k] = burst
+            if walking > 1:
+                # Put back, and refund, each other walker's ops run
+                # ahead to a key — issue time, then ctx_id — after the
+                # key of the op that ended the call.
+                if code == compute:
+                    issued = now - arg
+                elif code > compute:
+                    issued = now
+                for j in range(walking):
+                    mark = aheads[j]
+                    last = positions[j]
+                    if j == k or mark == last:
+                        continue
+                    walked_args = setups[j][2]
+                    t = ahead_times[j]
+                    while mark < last and (t < issued or t == issued and j < k):
+                        t += walked_args[mark]
+                        mark += 1
+                    left += last - mark
+                    bursts[j] -= times[j] - t
+                    positions[j] = mark
+                    times[j] = t
             for j, hw in enumerate(hws):
                 first = firsts[j]
                 last = hw._gen.pos = positions[j]

@@ -8,10 +8,10 @@ cores, the way a conservative discrete-event simulator would), enforcing
 the quantum, and performing context switches.  Each step runs a whole
 slice in one :meth:`~repro.cpu.cpu.HardwareContext.step` call: the ops
 the context would run back to back until the quantum expires, another
-context's time comes up, or the next stop check is due.  When every busy
-context walks an op tape, one call runs all of them, handing off between
-them in that same order, until one exits or reaches its quantum end, or
-the stop check is due.
+context's time comes up, or, in a run something watches, the next stop
+check is due.  When every busy context walks an op tape, one call runs
+all of them, handing off between them in that same order, until one
+exits or reaches its quantum end, or the stop check is due.
 
 A context switch is where the paper's software support runs: the kernel
 calls :meth:`TimeCacheSystem.context_switch`, which saves the outgoing
@@ -255,6 +255,13 @@ class Kernel:
         interval's ops).  An interval
         below 1 is a :class:`ConfigError`, raised before the first step.
         A negative budget is one too; a budget of 0 is allowed.
+
+        A run with ``stop_when`` or either budget is *watched*: its
+        slices end at every ``stop_check_interval`` step boundary, so
+        the checks see the machine after exactly those step counts.  An
+        unwatched run has nothing to check, and a slice ends only where
+        the kernel must decide: an exit, a yield or sleep, a quantum end
+        with tasks waiting, another context's turn, or ``max_steps``.
         """
         if stop_check_interval < 1:
             raise ConfigError(
@@ -273,10 +280,15 @@ class Kernel:
             if wall_clock_budget_s is not None
             else None
         )
+        watched = (
+            stop_when is not None
+            or deadline is not None
+            or instruction_budget is not None
+        )
         quantum = self.scheduler.quantum_cycles
         steps = 0
         while steps < max_steps:
-            if steps % stop_check_interval == 0:
+            if watched and steps % stop_check_interval == 0:
                 if stop_when is not None and stop_when(self):
                     break
                 if deadline is not None and time.monotonic() > deadline:
@@ -311,11 +323,12 @@ class Kernel:
                     continue
             # One slice: every op this context runs before its quantum
             # expires (if anyone waits), another context's turn comes, or
-            # the next stop check is due.
-            budget = min(
-                stop_check_interval - steps % stop_check_interval,
-                max_steps - steps,
-            )
+            # the next stop check is due (in a watched run).
+            budget = max_steps - steps
+            if watched:
+                budget = min(
+                    budget, stop_check_interval - steps % stop_check_interval
+                )
             peers = self._tape_peers(ctx_id) if ctx_id in self._on_tape else None
             if peers is None:
                 quantum_end = self._slice_start[ctx_id] + quantum

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis import cli
 from repro.analysis.cli import build_parser, main
+from repro.common.errors import ReproError
 
 
 def test_parser_lists_all_commands():
@@ -34,6 +36,46 @@ def test_instructions_below_one_is_a_config_error(capsys, instructions):
         f"fatal: ConfigError: --instructions must be >= 1, got {instructions}"
         in err
     )
+
+
+JOBS_COMMANDS = [
+    "table2",
+    "fig8",
+    "fig9",
+    "fig10",
+    "export",
+    "bench",
+    "tournament",
+    "compare-defenses",
+]
+
+
+@pytest.mark.parametrize("command", JOBS_COMMANDS)
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_config_error(capsys, command, jobs):
+    """``--jobs 0`` and ``--jobs -1`` used to run every cell serially
+    and exit 0: the executor floors a worker count at 1."""
+    assert main(["--instructions", "3000", command, "--jobs", jobs]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"fatal: ConfigError: --jobs must be >= 1, got {jobs}" in err
+
+
+def test_an_omitted_jobs_flag_means_one_worker_per_cpu(monkeypatch):
+    """No ``--jobs``: the executor gets ``None``, which it resolves to
+    one worker per CPU."""
+    seen = []
+
+    class Stop(ReproError):
+        pass
+
+    def executor(jobs, **kwargs):
+        seen.append(jobs)
+        raise Stop("recorded")
+
+    monkeypatch.setattr(cli, "SupervisedSweepExecutor", executor)
+    assert main(["--instructions", "3000", "table2", "--pairs", "1"]) == 1
+    assert seen == [None]
 
 
 def test_fig10_takes_no_pairs():

@@ -178,6 +178,19 @@ class TestFaultsCli:
         out = capsys.readouterr().out
         assert "\n4 injections: 4 detected or benign, 0 silent" in out
 
+    def test_quick_runs_three_per_model(self, capsys):
+        assert main(["faults", "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert "\n12 injections: 12 detected or benign, 0 silent" in out
+
+    def test_an_explicit_injections_count_wins_over_quick(self, capsys):
+        """``--quick --injections 1`` used to run 3 per model, as
+        ``--quick`` alone does; ``chaos`` lets the explicit count win
+        too."""
+        assert main(["faults", "--quick", "--injections", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "\n4 injections: 4 detected or benign, 0 silent" in out
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_injections_below_one_is_a_config_error(self, capsys, value):
         """``--injections 0`` used to print "0 injections … 0 silent" and

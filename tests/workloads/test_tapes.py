@@ -386,6 +386,21 @@ def _build_parsec(kernel, reference):
     return tasks
 
 
+def _never(kernel):
+    return False
+
+
+def _watch(interval):
+    """``Kernel.run`` arguments for a run at ``interval``: interval 1
+    is the one-op run, watched by a ``stop_when`` that never fires so
+    that every slice is one op; at 256, the default, nothing but a
+    budget is watched."""
+    return {
+        "stop_check_interval": interval,
+        "stop_when": _never if interval == 1 else None,
+    }
+
+
 def _observe(config, build, reference, interval, instruction_budget=None):
     """(summary, stats snapshot, trace events) of one run; with an
     ``instruction_budget``, the run must time out, and the summary's
@@ -400,14 +415,11 @@ def _observe(config, build, reference, interval, instruction_budget=None):
             isinstance(task.program.start(), OpTape) != reference for task in tasks
         )
         if instruction_budget is None:
-            summary = kernel.run(stop_check_interval=interval)
+            summary = kernel.run(**_watch(interval))
             assert kernel.all_done()
         else:
             with pytest.raises(SimulationTimeout) as timeout:
-                kernel.run(
-                    stop_check_interval=interval,
-                    instruction_budget=instruction_budget,
-                )
+                kernel.run(**_watch(interval), instruction_budget=instruction_budget)
             summary = str(timeout.value)
             assert not kernel.all_done()
         assert ring.dropped == 0
@@ -495,7 +507,7 @@ def _stopped_by_a_raising_access(config, build, reference, interval, nth):
 
         kernel.system.hierarchy.pre_access_listeners.append(listener)
         with pytest.raises(_AccessFault):
-            kernel.run(stop_check_interval=interval)
+            kernel.run(**_watch(interval))
         if not reference:
             taken = {task.name: task.generator().pos for task in tasks}
         contexts = [(hw.local_time, hw.stats.snapshot()) for hw in kernel.contexts]
