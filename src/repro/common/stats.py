@@ -34,36 +34,6 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class _HotCounter(Counter):
-    """A pre-bound counter handle for hot paths.
-
-    ``StatGroup.counter(name)`` costs a dict lookup (and on the first call
-    a string-keyed insert) per record; at millions of cache accesses per
-    run that dominates.  A hot counter is fetched **once** at component
-    construction time and incremented with plain attribute arithmetic.
-
-    To keep ``snapshot()`` byte-identical with the lazy protocol — where a
-    counter appears only once something created it — the handle registers
-    itself in its group on the *first* increment and then drops the back
-    reference, so the steady-state ``add()`` is one ``None`` check away
-    from a bare ``self.value += amount``.
-    """
-
-    __slots__ = ("_group",)
-
-    def __init__(self, name: str, group: "StatGroup") -> None:
-        super().__init__(name)
-        self._group = group
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        self.value += amount
-        if self._group is not None:
-            self._group._adopt(self)
-            self._group = None
-
-
 class StatGroup:
     """A named collection of counters.
 
@@ -74,54 +44,45 @@ class StatGroup:
 
     def __init__(self, name: str) -> None:
         self.name = name
+        #: counters created by counter(): reported from creation on
         self._counters: Dict[str, Counter] = {}
-        #: hot counters handed out but not yet incremented — invisible to
-        #: snapshot() until their first add(), like lazy counters are
-        #: invisible until the first counter() call
-        self._pending_hot: Dict[str, _HotCounter] = {}
+        #: counters only handed out by bound_counter(): reported while
+        #: nonzero, like a lazy counter nothing has created yet
+        self._bound: Dict[str, Counter] = {}
 
     def counter(self, name: str) -> Counter:
         existing = self._counters.get(name)
-        if existing is not None:
-            return existing
-        # Adopt a pending hot counter so explicit counter() calls keep
-        # their create-at-zero semantics and both handles stay one object.
-        hot = self._pending_hot.pop(name, None)
-        created = hot if hot is not None else Counter(name)
-        self._counters[name] = created
-        return created
+        if existing is None:
+            # A bound counter of this name becomes a created one: both
+            # handles stay one object, reported from now on even at zero.
+            existing = self._bound.pop(name, None) or Counter(name)
+            self._counters[name] = existing
+        return existing
 
     def bound_counter(self, name: str) -> Counter:
-        """A counter handle for hot paths: fetch once, then ``add()`` with
-        no per-call dict or string work.  Snapshot visibility matches the
-        lazy protocol — the counter appears on first increment."""
-        existing = self._counters.get(name)
-        if existing is not None:
-            return existing
-        pending = self._pending_hot.get(name)
-        if pending is None:
-            pending = _HotCounter(name, self)
-            self._pending_hot[name] = pending
-        return pending
-
-    def _adopt(self, counter: "_HotCounter") -> None:
-        self._counters[counter.name] = counter
-        self._pending_hot.pop(counter.name, None)
+        """A counter handle for hot paths: fetch once, then bump it with
+        no per-call dict or string work — ``add()``, or plain
+        ``counter.value += 1``.  It is reported once its value is
+        nonzero (so again not after :meth:`reset`), unless
+        :meth:`counter` also creates it."""
+        existing = self._counters.get(name) or self._bound.get(name)
+        if existing is None:
+            existing = self._bound[name] = Counter(name)
+        return existing
 
     def get(self, name: str) -> int:
         """Value of a counter, 0 if it was never created."""
-        counter = self._counters.get(name)
+        counter = self._counters.get(name) or self._bound.get(name)
         return counter.value if counter else 0
 
     def snapshot(self) -> Dict[str, int]:
-        """All counter values keyed as ``group.counter``."""
-        return {
-            f"{self.name}.{name}": c.value
-            for name, c in sorted(self._counters.items())
-        }
+        """All reported counter values keyed as ``group.counter``."""
+        items = {name: c.value for name, c in self._bound.items() if c.value}
+        items.update((name, c.value) for name, c in self._counters.items())
+        return {f"{self.name}.{name}": items[name] for name in sorted(items)}
 
     def reset(self) -> None:
-        for c in self._counters.values():
+        for c in (*self._counters.values(), *self._bound.values()):
             c.reset()
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -29,22 +29,63 @@ from repro.memsys.cacheset import CacheSet
 from repro.memsys.line import CacheLine, LineState
 from repro.memsys.replacement import make_replacement_policy
 
+#: a cache event listener: ``(event, set_idx, way, ctx)``
+EventListener = Callable[[str, int, int, int], None]
 
-class Cache:
-    """One level of the hierarchy (L1I, L1D, or LLC).
+
+class CacheBase:
+    """What every cache level has, whichever engine stores its lines.
 
     ``hw_contexts`` lists the global hardware-context ids that share this
     cache; each gets one s-bit column.  A private L1 of a non-SMT core has
     exactly one context; the shared LLC has one per core thread.
+
+    The base holds the geometry and the context columns, the Tc, s-bit
+    and valid arrays with the context-switch operations over them, the
+    event-listener chain and the ``c_*`` counters of ``stats``.  A
+    subclass stores the lines themselves and implements lookup, fill,
+    eviction, invalidation and the slot accessors the hierarchy uses:
+    :class:`Cache` with ``CacheLine`` objects, the fast engine's
+    :class:`~repro.memsys.fastengine.FastCache` with flat arrays.
     """
+
+    __slots__ = (
+        "config",
+        "name",
+        "hit_latency",
+        "line_bytes",
+        "num_sets",
+        "ways",
+        "max_sharers",
+        "_set_mask",
+        "_ctx_to_col",
+        "tc",
+        "sbits",
+        "valid",
+        "stats",
+        "c_accesses",
+        "c_hits",
+        "c_misses",
+        "c_first_access_misses",
+        "c_fills",
+        "c_evictions",
+        "c_dirty_evictions",
+        "c_cold_misses",
+        "c_invalidations",
+        "c_writebacks",
+        "c_back_invalidations",
+        "_ever_filled",
+        "event_listener",
+        "_event_listeners",
+    )
 
     def __init__(
         self,
         config: CacheConfig,
         hw_contexts: Sequence[int],
         hit_latency: int,
-        rng: Optional[DeterministicRng] = None,
-        max_sharers: int = 0,
+        max_sharers: int,
+        stats: StatGroup,
     ) -> None:
         config.validate()
         if not hw_contexts:
@@ -63,14 +104,6 @@ class Cache:
         }
         if len(self._ctx_to_col) != len(hw_contexts):
             raise SimulationError(f"{config.name}: duplicate hardware contexts")
-        self.sets: List[CacheSet] = [
-            CacheSet(
-                i,
-                config.ways,
-                make_replacement_policy(config.replacement, config.ways, rng),
-            )
-            for i in range(self.num_sets)
-        ]
         #: truncated fill timestamp per slot (TimeCache's Tc array)
         self.tc = np.zeros((self.num_sets, self.ways), dtype=np.int64)
         #: per-slot s-bit bitmask, one bit per context column
@@ -86,24 +119,21 @@ class Cache:
         #: Overflow evicts another sharer's visibility — always safe:
         #: the evicted sharer re-pays a first access, never gains a hit.
         self.max_sharers = max_sharers
-        self.stats = StatGroup(config.name)
+        self.stats = stats
         # Hot counters, bound once so the access path never pays a
         # per-record dict lookup (see StatGroup.bound_counter).
-        self.c_accesses = self.stats.bound_counter("accesses")
-        self.c_hits = self.stats.bound_counter("hits")
-        self.c_misses = self.stats.bound_counter("misses")
-        self.c_first_access_misses = self.stats.bound_counter(
-            "first_access_misses"
-        )
-        self.c_fills = self.stats.bound_counter("fills")
-        self.c_evictions = self.stats.bound_counter("evictions")
-        self.c_dirty_evictions = self.stats.bound_counter("dirty_evictions")
-        self.c_cold_misses = self.stats.bound_counter("cold_misses")
-        self.c_invalidations = self.stats.bound_counter("invalidations")
-        self.c_writebacks = self.stats.bound_counter("writebacks")
-        self.c_back_invalidations = self.stats.bound_counter(
-            "back_invalidations"
-        )
+        bound = stats.bound_counter
+        self.c_accesses = bound("accesses")
+        self.c_hits = bound("hits")
+        self.c_misses = bound("misses")
+        self.c_first_access_misses = bound("first_access_misses")
+        self.c_fills = bound("fills")
+        self.c_evictions = bound("evictions")
+        self.c_dirty_evictions = bound("dirty_evictions")
+        self.c_cold_misses = bound("cold_misses")
+        self.c_invalidations = bound("invalidations")
+        self.c_writebacks = bound("writebacks")
+        self.c_back_invalidations = bound("back_invalidations")
         #: line addresses ever filled, to classify cold (compulsory)
         #: misses — reported separately so scaled (short) runs can report
         #: demand MPKI comparably to the paper's 1e9-instruction runs
@@ -116,16 +146,16 @@ class Cache:
         #: from these events; the obs tracer turns them into its event
         #: stream.  Direct assignment (single observer) still works;
         #: ``add_event_listener`` composes several without clobbering.
-        self.event_listener: Optional[Callable[[str, int, int, int], None]] = None
-        self._event_listeners: List[Callable[[str, int, int, int], None]] = []
+        #: Any listener sends the fast engine's ports down the
+        #: event-emitting reference routes: tracing is honest but costs.
+        self.event_listener: Optional[EventListener] = None
+        self._event_listeners: List[EventListener] = []
 
     def _notify(self, event: str, set_idx: int, way: int, ctx: int = -1) -> None:
         if self.event_listener is not None:
             self.event_listener(event, set_idx, way, ctx)
 
-    def add_event_listener(
-        self, listener: Callable[[str, int, int, int], None]
-    ) -> None:
+    def add_event_listener(self, listener: EventListener) -> None:
         """Register a listener without displacing existing observers.
 
         A single listener is installed directly (the hot paths keep their
@@ -139,9 +169,7 @@ class Cache:
         self._event_listeners.append(listener)
         self._rebind_listeners()
 
-    def remove_event_listener(
-        self, listener: Callable[[str, int, int, int], None]
-    ) -> None:
+    def remove_event_listener(self, listener: EventListener) -> None:
         self._event_listeners.remove(listener)
         self._rebind_listeners()
 
@@ -169,7 +197,7 @@ class Cache:
         return line_addr & self._set_mask
 
     def tag(self, line_addr: int) -> int:
-        return line_addr >> 0  # full line address as tag (simple, unambiguous)
+        return line_addr  # full line address as tag (simple, unambiguous)
 
     def ctx_column(self, ctx: int) -> int:
         try:
@@ -187,22 +215,8 @@ class Cache:
         return list(self._ctx_to_col)
 
     # ------------------------------------------------------------------
-    # Lookup / fill / evict
+    # S-bits of one slot
     # ------------------------------------------------------------------
-    def lookup(self, line_addr: int) -> Optional[Tuple[int, int]]:
-        """(set, way) of a resident line, or ``None`` on a miss."""
-        set_idx = self.set_index(line_addr)
-        way = self.sets[set_idx].lookup(self.tag(line_addr))
-        if way is None:
-            return None
-        return set_idx, way
-
-    def line_at(self, set_idx: int, way: int) -> Optional[CacheLine]:
-        return self.sets[set_idx].lines[way]
-
-    def touch(self, set_idx: int, way: int, now: int) -> None:
-        self.sets[set_idx].touch(way, now)
-
     def sbit_is_set(self, set_idx: int, way: int, ctx: int) -> bool:
         return bool(self.sbits[set_idx, way] & self.ctx_bit(ctx))
 
@@ -222,6 +236,109 @@ class Cache:
         self.sbits[set_idx, way] = current | bit
         self._notify("sbit_set", set_idx, way, ctx)
 
+    # ------------------------------------------------------------------
+    # Context-switch support (used by repro.core.context)
+    # ------------------------------------------------------------------
+    def save_sbits(self, ctx: int) -> np.ndarray:
+        """Snapshot the s-bit column of ``ctx`` as a (sets, ways) bool array.
+
+        This is the software "save" half of the paper's context-switch
+        protocol; it is *positional* (per slot, not per tag), exactly like
+        the hardware array it models.
+        """
+        col = self.ctx_column(ctx)
+        return ((self.sbits >> col) & 1).astype(bool)
+
+    def restore_sbits(self, ctx: int, saved: Optional[np.ndarray]) -> None:
+        """Load a saved s-bit column for ``ctx`` (or all-zero for ``None``).
+
+        The restored bits are *stale*; the caller must follow up with the
+        timestamp comparator to clear bits whose slot was refilled since
+        the save (Tc > Ts).
+        """
+        col = self.ctx_column(ctx)
+        bit = np.int64(1) << col
+        self.sbits &= ~bit
+        if saved is not None:
+            if saved.shape != (self.num_sets, self.ways):
+                raise SimulationError(
+                    f"{self.name}: saved s-bit shape {saved.shape} != "
+                    f"{(self.num_sets, self.ways)}"
+                )
+            # Valid bits gate the restore: a slot whose line was evicted
+            # while the task was away gets no s-bit back (it could never
+            # grant a hit anyway — the tag is gone — but keeping it out
+            # of the array preserves "s-bit set => line valid").
+            self.sbits |= (saved & self.valid).astype(np.int64) << col
+        self.stats.counter("sbit_restores").add()
+
+    def clear_sbits_where(self, ctx: int, mask: np.ndarray) -> int:
+        """Clear ctx's s-bits wherever ``mask`` is True; returns #cleared."""
+        col = self.ctx_column(ctx)
+        bit = np.int64(1) << col
+        before = int(np.count_nonzero(self.sbits & bit))
+        self.sbits[mask] &= ~bit
+        after = int(np.count_nonzero(self.sbits & bit))
+        return before - after
+
+    def clear_all_sbits(self, ctx: int) -> None:
+        """Clear every s-bit of ``ctx`` (rollover fallback, new process)."""
+        bit = np.int64(1) << self.ctx_column(ctx)
+        self.sbits &= ~bit
+
+    def sbit_save_bytes(self) -> int:
+        """Bytes needed to save one context's s-bit column (Section VI-D)."""
+        return (self.config.num_lines + 7) // 8
+
+    def sbit_save_transfers(self, transfer_bytes: int = 64) -> int:
+        """Cache-line-sized transfers for one save or restore."""
+        bytes_needed = self.sbit_save_bytes()
+        return (bytes_needed + transfer_bytes - 1) // transfer_bytes
+
+
+class Cache(CacheBase):
+    """One level of the hierarchy (L1I, L1D, or LLC): the reference
+    engine's, holding a :class:`CacheSet` of ``CacheLine`` objects per
+    set and a :class:`~repro.common.stats.StatGroup` whose every counter
+    the access path bumps."""
+
+    def __init__(
+        self,
+        config: CacheConfig,
+        hw_contexts: Sequence[int],
+        hit_latency: int,
+        rng: Optional[DeterministicRng] = None,
+        max_sharers: int = 0,
+    ) -> None:
+        super().__init__(
+            config, hw_contexts, hit_latency, max_sharers, StatGroup(config.name)
+        )
+        self.sets: List[CacheSet] = [
+            CacheSet(
+                i,
+                config.ways,
+                make_replacement_policy(config.replacement, config.ways, rng),
+            )
+            for i in range(self.num_sets)
+        ]
+
+    # ------------------------------------------------------------------
+    # Lookup / fill / evict
+    # ------------------------------------------------------------------
+    def lookup(self, line_addr: int) -> Optional[Tuple[int, int]]:
+        """(set, way) of a resident line, or ``None`` on a miss."""
+        set_idx = self.set_index(line_addr)
+        way = self.sets[set_idx].lookup(self.tag(line_addr))
+        if way is None:
+            return None
+        return set_idx, way
+
+    def line_at(self, set_idx: int, way: int) -> Optional[CacheLine]:
+        return self.sets[set_idx].lines[way]
+
+    def touch(self, set_idx: int, way: int, now: int) -> None:
+        self.sets[set_idx].touch(way, now)
+
     def fill(
         self,
         line_addr: int,
@@ -230,7 +347,7 @@ class Cache:
         state: LineState,
         dirty: bool = False,
         allowed_ways: Optional[range] = None,
-    ) -> Tuple[CacheLine, Optional[CacheLine]]:
+    ) -> Optional[CacheLine]:
         """Install ``line_addr``, evicting a victim if the set is full.
 
         On the fill, the slot's Tc is set to the (already truncated)
@@ -240,9 +357,8 @@ class Cache:
         ``allowed_ways`` restricts both free-way selection and victim
         choice (CAT-style way masking for the partitioning baseline).
 
-        Returns ``(new_line, evicted_line_or_None)``; the caller (the
-        hierarchy) is responsible for writeback and back-invalidation of
-        the evicted line.
+        Returns the evicted line or ``None``; the caller (the hierarchy)
+        is responsible for writeback and back-invalidation of it.
         """
         set_idx = self.set_index(line_addr)
         cset = self.sets[set_idx]
@@ -266,7 +382,7 @@ class Cache:
         if line_addr not in self._ever_filled:
             self._ever_filled.add(line_addr)
             self.c_cold_misses.add()
-        return line, victim
+        return victim
 
     def _evict(self, set_idx: int, way: int) -> CacheLine:
         line = self.sets[set_idx].remove(way)
@@ -341,62 +457,3 @@ class Cache:
                 if line is not None:
                     tags.append(line.tag)
         return tags
-
-    # ------------------------------------------------------------------
-    # Context-switch support (used by repro.core.context)
-    # ------------------------------------------------------------------
-    def save_sbits(self, ctx: int) -> np.ndarray:
-        """Snapshot the s-bit column of ``ctx`` as a (sets, ways) bool array.
-
-        This is the software "save" half of the paper's context-switch
-        protocol; it is *positional* (per slot, not per tag), exactly like
-        the hardware array it models.
-        """
-        col = self.ctx_column(ctx)
-        return ((self.sbits >> col) & 1).astype(bool)
-
-    def restore_sbits(self, ctx: int, saved: Optional[np.ndarray]) -> None:
-        """Load a saved s-bit column for ``ctx`` (or all-zero for ``None``).
-
-        The restored bits are *stale*; the caller must follow up with the
-        timestamp comparator to clear bits whose slot was refilled since
-        the save (Tc > Ts).
-        """
-        col = self.ctx_column(ctx)
-        bit = np.int64(1) << col
-        self.sbits &= ~bit
-        if saved is not None:
-            if saved.shape != (self.num_sets, self.ways):
-                raise SimulationError(
-                    f"{self.name}: saved s-bit shape {saved.shape} != "
-                    f"{(self.num_sets, self.ways)}"
-                )
-            # Valid bits gate the restore: a slot whose line was evicted
-            # while the task was away gets no s-bit back (it could never
-            # grant a hit anyway — the tag is gone — but keeping it out
-            # of the array preserves "s-bit set => line valid").
-            self.sbits |= (saved & self.valid).astype(np.int64) << col
-        self.stats.counter("sbit_restores").add()
-
-    def clear_sbits_where(self, ctx: int, mask: np.ndarray) -> int:
-        """Clear ctx's s-bits wherever ``mask`` is True; returns #cleared."""
-        col = self.ctx_column(ctx)
-        bit = np.int64(1) << col
-        before = int(np.count_nonzero(self.sbits & bit))
-        self.sbits[mask] &= ~bit
-        after = int(np.count_nonzero(self.sbits & bit))
-        return before - after
-
-    def clear_all_sbits(self, ctx: int) -> None:
-        """Clear every s-bit of ``ctx`` (rollover fallback, new process)."""
-        bit = np.int64(1) << self.ctx_column(ctx)
-        self.sbits &= ~bit
-
-    def sbit_save_bytes(self) -> int:
-        """Bytes needed to save one context's s-bit column (Section VI-D)."""
-        return (self.config.num_lines + 7) // 8
-
-    def sbit_save_transfers(self, transfer_bytes: int = 64) -> int:
-        """Cache-line-sized transfers for one save or restore."""
-        bytes_needed = self.sbit_save_bytes()
-        return (bytes_needed + transfer_bytes - 1) // transfer_bytes

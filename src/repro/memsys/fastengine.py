@@ -3,29 +3,37 @@
 The reference model (:mod:`repro.memsys.cache`, :mod:`.hierarchy`) spends
 most of every access allocating and chasing Python objects: a
 :class:`~repro.memsys.line.CacheLine` per way, a ``CacheSet`` per set, a
-``StatGroup`` dict lookup per counter bump, and a frozen dataclass per
-result.  This module provides a second, **semantics-identical** engine
-that keeps the same per-slot state in struct-of-arrays form:
+counter method call per bump, and a frozen dataclass per result.  This
+module provides a second, **semantics-identical** engine that keeps the
+same per-slot state in struct-of-arrays form:
 
-* ``tags`` / ``dirty`` / ``last_used`` / ``filled_at`` — numpy arrays
-  shaped ``(num_sets, ways)`` with flat views, wrapped in memoryviews
-  for the scalar paths (a memoryview scalar read costs about half a
-  numpy scalar index);
-* ``tc`` / ``sbits`` / ``valid`` — **canonical numpy arrays with the
-  exact dtype and shape of the object engine's**, because the
+* ``tags`` / ``dirty`` / ``last_used`` / ``filled_at`` — flat numpy
+  arrays indexed ``set * ways + way``, wrapped in memoryviews for the
+  scalar paths (a memoryview scalar read costs about half a numpy
+  scalar index);
+* ``tc`` / ``sbits`` / ``valid`` — the canonical numpy arrays of the
+  shared :class:`~repro.memsys.cache.CacheBase`, because the
   context-switch comparator, the fault injector, and the invariant
   checker all read and mutate them in place (``cache.tc[s, w] = ...``
   must keep working against either engine);
 * per-slot s-bits packed as per-way int64 context bitmasks — one bit per
   hardware context column, the same convention as the object engine;
-* statistics as bare integer attributes (``n_hits`` etc.) snapshotted on
-  demand through a ``StatGroup``-compatible adapter.
+* the object engine's ``c_*`` counters in a ``StatGroup``, bumped inline
+  as ``cache.c_hits.value += 1``; only the ``accesses`` counters are
+  derived on read (:class:`AccessCount`).
+
+Only the access path is the fast engine's own: the ports of
+:meth:`FastHierarchy._bind`, the LLC probe they call, and the cache
+methods over the arrays.  Everything else — the counters, the listener
+chain, the context-switch array operations, and every cold path of the
+hierarchy — is the reference code, inherited.
 
 Equivalence is not aspirational: ``tests/memsys/test_engine_equivalence``
 differentially fuzzes both engines over random traces (TimeCache on/off,
-context switches, multi-core stores, fault hooks) and asserts identical
-``AccessResult`` streams, stat snapshots, and final s-bit/Tc state.  The
-contract requires mirroring some subtle reference behaviors exactly:
+context switches, multi-core stores, fault hooks, counter resets) and
+asserts identical ``AccessResult`` streams, stat snapshots, and final
+s-bit/Tc state.  The contract requires mirroring some subtle reference
+behaviors exactly:
 
 * ``fill`` stamps ``last_used = filled_at = tc_now`` with the *truncated*
   timestamp while ``touch`` uses the full cycle count — LRU order mixes
@@ -43,22 +51,15 @@ objects and stay object-engine-only; configuring them with
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.config import CacheConfig
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import DeterministicRng
-from repro.common.stats import Counter, StatGroup
+from repro.common.stats import StatGroup
+from repro.memsys.cache import CacheBase
 from repro.memsys.hierarchy import (
     AccessKind,
     AccessResult,
@@ -69,25 +70,63 @@ from repro.memsys.line import LineState
 
 _IFETCH = AccessKind.IFETCH
 _STORE = AccessKind.STORE
-#: counter name -> FastCache attribute.  "accesses" is NOT here: every
-#: access outcome bumps exactly one of hits/misses/first_access_misses
-#: (plus ``n_accesses`` for the one probe outcome that bumps neither), so
-#: the access count is derived on read instead of bumped on every access.
-_STAT_FIELDS: Dict[str, str] = {
-    "back_invalidations": "n_back_invalidations",
-    "cold_misses": "n_cold_misses",
-    "dirty_evictions": "n_dirty_evictions",
-    "evictions": "n_evictions",
-    "fills": "n_fills",
-    "first_access_misses": "n_first_access_misses",
-    "hits": "n_hits",
-    "invalidations": "n_invalidations",
-    "misses": "n_misses",
-    "prefetches": "n_prefetches",
-    "sbit_restores": "n_sbit_restores",
-    "sharer_evictions": "n_sharer_evictions",
-    "writebacks": "n_writebacks",
-}
+
+#: the outcome counters: each access records exactly one of them at its
+#: L1, and at the LLC when it gets there (bar one probe outcome)
+_OUTCOMES = ("hits", "misses", "first_access_misses")
+
+
+class AccessCount(StatGroup):
+    """A ``StatGroup`` whose ``accesses`` counter also counts every
+    outcome — hit, miss or first-access miss — of ``caches``.
+
+    The fast ports bump no ``accesses`` counter: a fast cache's group
+    counts its own outcomes, and the fast hierarchy's counts its private
+    caches'.  A bump of ``accesses`` itself still counts; the one LLC
+    probe outcome that records no outcome counter makes one.
+
+    The outcomes are folded into the counter whenever the group is read,
+    so it reports and resets like any bound counter.  A cache's
+    :meth:`reset` retires its outcomes rather than dropping them, so
+    resetting a cache leaves its hierarchy's count alone.
+    """
+
+    def __init__(self, name: str, caches: Sequence[CacheBase]) -> None:
+        super().__init__(name)
+        self._caches = caches
+        self._accesses = self.bound_counter("accesses")
+        #: the caches' outcomes already folded into ``accesses``
+        self._folded = 0
+        #: this group's own outcome counts that reset() zeroed
+        self._retired = 0
+
+    def _outcomes(self) -> int:
+        """Every outcome ``caches`` recorded since they were built."""
+        return sum(
+            c.stats._retired
+            + c.c_hits.value
+            + c.c_misses.value
+            + c.c_first_access_misses.value
+            for c in self._caches
+        )
+
+    def _fold(self) -> None:
+        outcomes = self._outcomes()
+        self._accesses.value += outcomes - self._folded
+        self._folded = outcomes
+
+    def get(self, name: str) -> int:
+        self._fold()
+        return super().get(name)
+
+    def snapshot(self) -> Dict[str, int]:
+        self._fold()
+        return super().snapshot()
+
+    def reset(self) -> None:
+        self._retired += sum(StatGroup.get(self, n) for n in _OUTCOMES)
+        super().reset()
+        self._folded = self._outcomes()
 
 
 class EvictedLine(NamedTuple):
@@ -101,169 +140,24 @@ class EvictedLine(NamedTuple):
     dirty: bool
 
 
-class _FieldCounter:
-    """A ``Counter``-shaped handle that reads/writes a FastCache field."""
-
-    __slots__ = ("name", "_cache", "_attr")
-
-    def __init__(self, cache: "FastCache", name: str, attr: str) -> None:
-        self.name = name
-        self._cache = cache
-        self._attr = attr
-
-    @property
-    def value(self) -> int:
-        return getattr(self._cache, self._attr)
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        setattr(
-            self._cache, self._attr, getattr(self._cache, self._attr) + amount
-        )
-
-    def reset(self) -> None:
-        setattr(self._cache, self._attr, 0)
-
-
-class _AccessesCounter:
-    """Counter handle for the derived ``accesses`` total.
-
-    ``value`` sums the outcome counters; ``add`` lands in the
-    ``n_accesses`` adjustment slot (also bumped by the one probe outcome
-    that records no hit/miss/first counter).
-    """
-
-    __slots__ = ("name", "_cache")
-
-    def __init__(self, cache: "FastCache") -> None:
-        self.name = "accesses"
-        self._cache = cache
-
-    @property
-    def value(self) -> int:
-        c = self._cache
-        return c.n_hits + c.n_misses + c.n_first_access_misses + c.n_accesses
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counter accesses cannot decrease")
-        self._cache.n_accesses += amount
-
-    def reset(self) -> None:
-        self._cache.n_accesses = 0
-
-
-class FastStats:
-    """``StatGroup``-compatible view over a FastCache's bare counters.
-
-    Counter presence in :meth:`snapshot` mirrors the lazy/bound-counter
-    protocol of the object engine: a counter appears once it has been
-    incremented.  Unknown counter names are supported through a side
-    table so external instrumentation keeps working.
-    """
-
-    __slots__ = ("name", "_cache", "_extra")
-
-    def __init__(self, cache: "FastCache") -> None:
-        self.name = cache.name
-        self._cache = cache
-        self._extra: Dict[str, _FieldCounter] = {}
-
-    def counter(self, name: str):
-        if name == "accesses":
-            return _AccessesCounter(self._cache)
-        attr = _STAT_FIELDS.get(name)
-        if attr is not None:
-            return _FieldCounter(self._cache, name, attr)
-        counter = self._extra.get(name)
-        if counter is None:
-            counter = Counter(name)
-            self._extra[name] = counter
-        return counter
-
-    def get(self, name: str) -> int:
-        cache = self._cache
-        if name == "accesses":
-            return (
-                cache.n_hits
-                + cache.n_misses
-                + cache.n_first_access_misses
-                + cache.n_accesses
-            )
-        attr = _STAT_FIELDS.get(name)
-        if attr is not None:
-            return getattr(cache, attr)
-        counter = self._extra.get(name)
-        return counter.value if counter is not None else 0
-
-    def snapshot(self) -> Dict[str, int]:
-        items: Dict[str, int] = {}
-        cache = self._cache
-        accesses = (
-            cache.n_hits
-            + cache.n_misses
-            + cache.n_first_access_misses
-            + cache.n_accesses
-        )
-        if accesses:
-            items["accesses"] = accesses
-        for key, attr in _STAT_FIELDS.items():
-            value = getattr(cache, attr)
-            if value:
-                items[key] = value
-        for key, counter in self._extra.items():
-            items[key] = counter.value
-        prefix = self.name
-        return {f"{prefix}.{key}": items[key] for key in sorted(items)}
-
-    def reset(self) -> None:
-        self._cache.n_accesses = 0
-        for attr in _STAT_FIELDS.values():
-            setattr(self._cache, attr, 0)
-        for counter in self._extra.values():
-            counter.reset()
-
-
-class FastCache:
+class FastCache(CacheBase):
     """Struct-of-arrays drop-in for :class:`repro.memsys.cache.Cache`.
 
-    Implements the same public surface the hierarchy, the context-switch
-    engine, the fault models, and the invariant checker use — lookup,
-    fill/evict/invalidate, s-bit save/restore/clear, slot accessors —
-    with identical observable behavior.  ``fill`` returns only the
-    displaced :class:`EvictedLine` (or None); there is no CacheLine
-    object to hand back.
+    Stores its lines in flat arrays and implements the line-level half
+    of the cache surface over them — lookup, fill/evict/invalidate, the
+    slot accessors — with identical observable behavior; the rest is
+    the shared :class:`~repro.memsys.cache.CacheBase`.  ``fill`` and
+    ``invalidate`` hand back an :class:`EvictedLine`, since there are no
+    CacheLine objects.  ``stats`` is an :class:`AccessCount`.
     """
 
     __slots__ = (
-        "config",
-        "name",
-        "hit_latency",
-        "line_bytes",
-        "num_sets",
-        "ways",
-        "max_sharers",
-        "_set_mask",
-        "_ctx_to_col",
-        "_ctx_bit_of",
-        "tc",
-        "sbits",
-        "valid",
-        "tc_flat",
-        "sbits_flat",
-        "valid_flat",
         "tc_mv",
         "sbits_mv",
         "valid_mv",
-        "tags_np",
         "tags_flat",
-        "tags_mv",
-        "dirty_np",
         "dirty_flat",
-        "last_np",
         "last_flat",
-        "filled_np",
         "filled_flat",
         "_tags",
         "_dirty",
@@ -271,27 +165,8 @@ class FastCache:
         "_filled_at",
         "_tag_to_way",
         "_occ",
-        "_policy",
         "_victim_stamps",
         "_set_rngs",
-        "_ever_filled",
-        "event_listener",
-        "_event_listeners",
-        "stats",
-        "n_accesses",
-        "n_hits",
-        "n_misses",
-        "n_first_access_misses",
-        "n_fills",
-        "n_evictions",
-        "n_dirty_evictions",
-        "n_cold_misses",
-        "n_invalidations",
-        "n_writebacks",
-        "n_back_invalidations",
-        "n_prefetches",
-        "n_sharer_evictions",
-        "n_sbit_restores",
     )
 
     def __init__(
@@ -302,74 +177,45 @@ class FastCache:
         rng: Optional[DeterministicRng] = None,
         max_sharers: int = 0,
     ) -> None:
-        config.validate()
-        if not hw_contexts:
-            raise SimulationError(f"{config.name}: needs >= 1 hardware context")
-        if max_sharers < 0:
-            raise SimulationError(f"{config.name}: max_sharers cannot be negative")
+        super().__init__(
+            config,
+            hw_contexts,
+            hit_latency,
+            max_sharers,
+            AccessCount(config.name, [self]),
+        )
         policy = config.replacement.lower()
         if policy not in ("lru", "fifo", "random"):
             raise ConfigError(
                 f"{config.name}: the fast engine supports lru/fifo/random "
                 f"replacement, not {config.replacement!r}; use engine='object'"
             )
-        self.config = config
-        self.name = config.name
-        self.hit_latency = hit_latency
-        self.line_bytes = config.line_bytes
-        self.num_sets = config.num_sets
-        self.ways = config.ways
-        self._set_mask = self.num_sets - 1
-        self._ctx_to_col: Dict[int, int] = {
-            ctx: i for i, ctx in enumerate(hw_contexts)
-        }
-        if len(self._ctx_to_col) != len(hw_contexts):
-            raise SimulationError(f"{config.name}: duplicate hardware contexts")
-        self._ctx_bit_of: Dict[int, int] = {
-            ctx: 1 << col for ctx, col in self._ctx_to_col.items()
-        }
-        self.max_sharers = max_sharers
-        # Canonical TimeCache metadata: same dtype/shape as the object
-        # engine, mutated in place by the comparator and the fault models.
-        self.tc = np.zeros((self.num_sets, self.ways), dtype=np.int64)
-        self.sbits = np.zeros((self.num_sets, self.ways), dtype=np.int64)
-        self.valid = np.zeros((self.num_sets, self.ways), dtype=bool)
-        # Flat views share memory with the 2-D arrays; scalar indexing on
-        # a 1-D view is the cheapest numpy access the hot path gets.
-        self.tc_flat = self.tc.reshape(-1)
-        self.sbits_flat = self.sbits.reshape(-1)
-        self.valid_flat = self.valid.reshape(-1)
-        # Memoryviews over the same buffers: scalar reads/writes through a
-        # memoryview cost roughly half a numpy scalar index, and every
-        # external in-place numpy mutation (comparator, fault models)
-        # remains visible through them.
-        self.tc_mv = memoryview(self.tc_flat)
-        self.sbits_mv = memoryview(self.sbits_flat)
-        self.valid_mv = memoryview(self.valid_flat)
-        # Architectural slot state: numpy arrays (set * ways + way flat
+        size = self.num_sets * self.ways
+        # Memoryviews over flat views of the canonical Tc/s-bit/valid
+        # arrays: scalar reads/writes through a memoryview cost roughly
+        # half a numpy scalar index, and every external in-place numpy
+        # mutation (comparator, fault models) remains visible through
+        # them.
+        self.tc_mv = memoryview(self.tc.reshape(-1))
+        self.sbits_mv = memoryview(self.sbits.reshape(-1))
+        self.valid_mv = memoryview(self.valid.reshape(-1))
+        # Architectural slot state: flat numpy arrays (set * ways + way
         # order) with memoryview aliases for the scalar paths.  MESI-lite
         # keeps line state in lockstep with the dirty flag (MODIFIED iff
         # dirty, else SHARED), so the fast engine stores only the dirty
-        # bit; ``state_at`` derives the enum on demand.  ``_tags`` IS
-        # ``tags_mv`` — one buffer, no mirror to keep in lockstep.
-        self.tags_np = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
-        self.tags_flat = self.tags_np.reshape(-1)
-        self.tags_mv = memoryview(self.tags_flat)
-        self._tags: memoryview = self.tags_mv
-        self.dirty_np = np.zeros((self.num_sets, self.ways), dtype=bool)
-        self.dirty_flat = self.dirty_np.reshape(-1)
+        # bit.  A tag of -1 marks an empty way.
+        self.tags_flat = np.full(size, -1, dtype=np.int64)
+        self._tags: memoryview = memoryview(self.tags_flat)
+        self.dirty_flat = np.zeros(size, dtype=bool)
         self._dirty: memoryview = memoryview(self.dirty_flat)
-        self.last_np = np.zeros((self.num_sets, self.ways), dtype=np.int64)
-        self.last_flat = self.last_np.reshape(-1)
+        self.last_flat = np.zeros(size, dtype=np.int64)
         self._last_used: memoryview = memoryview(self.last_flat)
-        self.filled_np = np.zeros((self.num_sets, self.ways), dtype=np.int64)
-        self.filled_flat = self.filled_np.reshape(-1)
+        self.filled_flat = np.zeros(size, dtype=np.int64)
         self._filled_at: memoryview = memoryview(self.filled_flat)
         self._tag_to_way: List[Dict[int, int]] = [
             {} for _ in range(self.num_sets)
         ]
         self._occ: List[int] = [0] * self.num_sets
-        self._policy = policy
         # Victim-scan stamp source, aliasing the recency lists (which are
         # mutated in place, never rebound): last_used for LRU, filled_at
         # for FIFO, None for random.
@@ -391,48 +237,6 @@ class FastCache:
                 ]
         else:
             self._set_rngs = []
-        self._ever_filled: set = set()
-        self.event_listener: Optional[Callable[[str, int, int, int], None]] = None
-        self._event_listeners: List[Callable[[str, int, int, int], None]] = []
-        self.stats = FastStats(self)
-        self.n_accesses = 0
-        self.n_hits = 0
-        self.n_misses = 0
-        self.n_first_access_misses = 0
-        self.n_fills = 0
-        self.n_evictions = 0
-        self.n_dirty_evictions = 0
-        self.n_cold_misses = 0
-        self.n_invalidations = 0
-        self.n_writebacks = 0
-        self.n_back_invalidations = 0
-        self.n_prefetches = 0
-        self.n_sharer_evictions = 0
-        self.n_sbit_restores = 0
-
-    # ------------------------------------------------------------------
-    # Addressing helpers (object-engine API)
-    # ------------------------------------------------------------------
-    def set_index(self, line_addr: int) -> int:
-        return line_addr & self._set_mask
-
-    def tag(self, line_addr: int) -> int:
-        return line_addr
-
-    def ctx_column(self, ctx: int) -> int:
-        try:
-            return self._ctx_to_col[ctx]
-        except KeyError:
-            raise SimulationError(
-                f"{self.name}: hardware context {ctx} does not share this cache"
-            ) from None
-
-    def ctx_bit(self, ctx: int) -> int:
-        return 1 << self.ctx_column(ctx)
-
-    @property
-    def contexts(self) -> List[int]:
-        return list(self._ctx_to_col)
 
     # ------------------------------------------------------------------
     # Lookup / fill / evict
@@ -446,62 +250,6 @@ class FastCache:
 
     def touch(self, set_idx: int, way: int, now: int) -> None:
         self._last_used[set_idx * self.ways + way] = now
-
-    def sbit_is_set(self, set_idx: int, way: int, ctx: int) -> bool:
-        return bool(self.sbits_mv[set_idx * self.ways + way] & self.ctx_bit(ctx))
-
-    def set_sbit(self, set_idx: int, way: int, ctx: int) -> None:
-        bit = self._ctx_bit_of.get(ctx)
-        if bit is None:
-            self.ctx_column(ctx)  # raises the object engine's error
-        idx = set_idx * self.ways + way
-        current = self.sbits_mv[idx]
-        if (
-            self.max_sharers
-            and not current & bit
-            and bin(current).count("1") >= self.max_sharers
-        ):
-            lowest = current & -current
-            current &= ~lowest
-            self.n_sharer_evictions += 1
-        self.sbits_mv[idx] = current | bit
-        if self.event_listener is not None:
-            self.event_listener("sbit_set", set_idx, way, ctx)
-
-    def add_event_listener(
-        self, listener: Callable[[str, int, int, int], None]
-    ) -> None:
-        """Register a listener without displacing existing observers (the
-        same chaining contract as the object engine's Cache).  Note that
-        any non-None ``event_listener`` makes the hot paths fall back to
-        the event-emitting slow routes — tracing is honest but costs."""
-        if self.event_listener is not None and not self._event_listeners:
-            self._event_listeners.append(self.event_listener)
-        self._event_listeners.append(listener)
-        self._rebind_listeners()
-
-    def remove_event_listener(
-        self, listener: Callable[[str, int, int, int], None]
-    ) -> None:
-        self._event_listeners.remove(listener)
-        self._rebind_listeners()
-
-    def _rebind_listeners(self) -> None:
-        listeners = self._event_listeners
-        if not listeners:
-            self.event_listener = None
-        elif len(listeners) == 1:
-            self.event_listener = listeners[0]
-        else:
-            chain = tuple(listeners)
-
-            def fanout(
-                event: str, set_idx: int, way: int, ctx: int, _chain=chain
-            ) -> None:
-                for fn in _chain:
-                    fn(event, set_idx, way, ctx)
-
-            self.event_listener = fanout
 
     def _victim_way(self, set_idx: int) -> int:
         """Full set: pick the way to evict, mirroring the policies'
@@ -551,8 +299,7 @@ class FastCache:
         """Install ``line_addr``; returns the displaced line or None.
 
         Same semantics as the object engine's fill (fill rule, Tc stamp,
-        victim choice) — but returns only the victim, since there is no
-        CacheLine object to return for the installed slot.
+        victim choice).
         """
         set_idx = line_addr & self._set_mask
         ways = self.ways
@@ -585,14 +332,14 @@ class FastCache:
         self._tag_to_way[set_idx][line_addr] = way
         self._occ[set_idx] += 1
         self.tc_mv[idx] = tc_now
-        self.sbits_mv[idx] = self._ctx_bit_of[ctx]
+        self.sbits_mv[idx] = 1 << self._ctx_to_col[ctx]
         self.valid_mv[idx] = True
         if self.event_listener is not None:
             self.event_listener("fill", set_idx, way, ctx)
-        self.n_fills += 1
+        self.c_fills.value += 1
         if line_addr not in self._ever_filled:
             self._ever_filled.add(line_addr)
-            self.n_cold_misses += 1
+            self.c_cold_misses.value += 1
         return victim
 
     def _evict(self, set_idx: int, way: int) -> EvictedLine:
@@ -608,9 +355,9 @@ class FastCache:
         self.valid_mv[idx] = False
         if self.event_listener is not None:
             self.event_listener("evict", set_idx, way, -1)
-        self.n_evictions += 1
+        self.c_evictions.value += 1
         if was_dirty:
-            self.n_dirty_evictions += 1
+            self.c_dirty_evictions.value += 1
         return EvictedLine(tag, was_dirty)
 
     def invalidate(self, line_addr: int) -> Optional[EvictedLine]:
@@ -627,7 +374,7 @@ class FastCache:
         self.valid_mv[idx] = False
         if self.event_listener is not None:
             self.event_listener("invalidate", set_idx, way, -1)
-        self.n_invalidations += 1
+        self.c_invalidations.value += 1
         return EvictedLine(line_addr, was_dirty)
 
     def resident(self, line_addr: int) -> bool:
@@ -676,112 +423,32 @@ class FastCache:
                     tags_out.append(tag)
         return tags_out
 
-    # ------------------------------------------------------------------
-    # Context-switch support (identical array code to the object engine)
-    # ------------------------------------------------------------------
-    def save_sbits(self, ctx: int) -> np.ndarray:
-        col = self.ctx_column(ctx)
-        return ((self.sbits >> col) & 1).astype(bool)
-
-    def restore_sbits(self, ctx: int, saved: Optional[np.ndarray]) -> None:
-        col = self.ctx_column(ctx)
-        bit = np.int64(1) << col
-        self.sbits &= ~bit
-        if saved is not None:
-            if saved.shape != (self.num_sets, self.ways):
-                raise SimulationError(
-                    f"{self.name}: saved s-bit shape {saved.shape} != "
-                    f"{(self.num_sets, self.ways)}"
-                )
-            self.sbits |= (saved & self.valid).astype(np.int64) << col
-        self.n_sbit_restores += 1
-
-    def clear_sbits_where(self, ctx: int, mask: np.ndarray) -> int:
-        col = self.ctx_column(ctx)
-        bit = np.int64(1) << col
-        before = int(np.count_nonzero(self.sbits & bit))
-        self.sbits[mask] &= ~bit
-        after = int(np.count_nonzero(self.sbits & bit))
-        return before - after
-
-    def clear_all_sbits(self, ctx: int) -> None:
-        bit = np.int64(1) << self.ctx_column(ctx)
-        self.sbits &= ~bit
-
-    def sbit_save_bytes(self) -> int:
-        return (self.config.num_lines + 7) // 8
-
-    def sbit_save_transfers(self, transfer_bytes: int = 64) -> int:
-        bytes_needed = self.sbit_save_bytes()
-        return (bytes_needed + transfer_bytes - 1) // transfer_bytes
-
-
-class _FastHierarchyStats(StatGroup):
-    """Hierarchy StatGroup whose ``accesses`` counter is derived on read.
-
-    Every hierarchy access bumps exactly one private-cache outcome
-    counter (hit, miss, or first-access miss), so the hierarchy access
-    total is their sum — no per-access bump needed.  The hierarchy's
-    ``n_accesses`` is an adjustment slot for external ``add()`` calls
-    (and for rebasing after a reset)."""
-
-    def __init__(self, hier: "FastHierarchy") -> None:
-        super().__init__("hierarchy")
-        self._hier = hier
-
-    def _sync(self) -> None:
-        hier = self._hier
-        total = hier.n_accesses
-        for cache in hier._private_list:
-            total += cache.n_hits + cache.n_misses + cache.n_first_access_misses
-        if total or "accesses" in self._counters:
-            self.counter("accesses").value = total
-
-    def get(self, name: str) -> int:
-        self._sync()
-        return super().get(name)
-
-    def snapshot(self) -> Dict[str, int]:
-        self._sync()
-        return super().snapshot()
-
-    def reset(self) -> None:
-        super().reset()
-        # Rebase so the derived total reads zero while the (unreset)
-        # cache counters keep counting from here.
-        hier = self._hier
-        hier.n_accesses = -sum(
-            c.n_hits + c.n_misses + c.n_first_access_misses
-            for c in hier._private_list
-        )
-
 
 class FastHierarchy(MemoryHierarchy):
     """The memory hierarchy driven through :class:`FastCache` levels.
 
     Reuses the reference topology construction (identical rng fork names,
     so random replacement draws match), the ``access`` dispatcher, the
-    ``access_batch`` loop and all cold paths — partitioning flushes,
-    clflush, inclusion checks — which run unchanged against the
-    engine-generic cache surface.  Only :meth:`_bind`, which builds each
-    context's per-kind port, is overridden, with the reference semantics
-    inlined over struct-of-arrays state.
+    ``access_batch`` loop and every cold path — fills while a listener
+    is attached, prefetches, LLC misses and evictions, coherence,
+    partitioning flushes, clflush, inclusion checks — which run
+    unchanged against the engine-generic cache surface.  It overrides
+    only :meth:`_bind`, which builds each context's per-kind port with
+    the reference semantics inlined over struct-of-arrays state, and
+    :meth:`_probe_llc`, the other path its ports take on every first
+    access.
     """
 
     def __init__(self, config, timecache=None, clock=None, rng=None) -> None:
         super().__init__(config, timecache=timecache, clock=clock, rng=rng)
         contexts = range(config.num_cores * config.threads_per_core)
         self._sctx_of = [self._llc_sbit_ctx(ctx) for ctx in contexts]
-        self._private_list = self.l1i + self.l1d
         self._dram_first = self.tc_config.dram_latency_on_first_access
         #: interned AccessResult instances keyed by (latency, level,
         #: first) — the value set is tiny and the dataclass is frozen, so
         #: sharing instances is safe and skips ~0.5us of construction.
         self._results: Dict[Tuple[int, str, bool], AccessResult] = {}
-        #: adjustment slot for the derived hierarchy "accesses" counter
-        #: (external add()s and reset rebasing; see _FastHierarchyStats)
-        self.n_accesses = 0
-        self.stats = _FastHierarchyStats(self)
+        self.stats = AccessCount("hierarchy", self.private_caches())
         self.c_accesses = self.stats.bound_counter("accesses")
 
     def _make_cache(
@@ -817,9 +484,12 @@ class FastHierarchy(MemoryHierarchy):
         Each is set once and mutated only in place (see
         :meth:`MemoryHierarchy.ports`); a cache's ``event_listener`` is
         the exception and is read per access, because attaching a
-        listener rebinds it.  A port serves one kind, so only a store
-        port walks the other private caches, and it looks the line up
-        in each one's tag map before invalidating it there.
+        listener rebinds it.  Counters are bumped through their cache
+        (``l1.c_hits.value += 1``), not bound as cells of their own:
+        CPython copies every free variable into the frame on each call.
+        A port serves one kind, so only a store port walks the other
+        private caches, and it looks the line up in each one's tag map
+        before invalidating it there.
         """
         l1 = (self.l1i if kind is _IFETCH else self.l1d)[
             ctx // self.config.threads_per_core
@@ -845,7 +515,7 @@ class FastHierarchy(MemoryHierarchy):
         ways = l1.ways
         upper_ways = range(1, ways)
         hit_latency = l1.hit_latency
-        bit = l1._ctx_bit_of[ctx]
+        bit = l1.ctx_bit(ctx)
         sbits_mv = l1.sbits_mv
         tc_mv = l1.tc_mv
         valid_mv = l1.valid_mv
@@ -867,11 +537,11 @@ class FastHierarchy(MemoryHierarchy):
         llc_sbits_mv = llc.sbits_mv
         llc_last_used = llc._last_used
         llc_dirty = llc._dirty
-        lbit = llc._ctx_bit_of[sctx]
+        lbit = llc.ctx_bit(sctx)
         # a store's other private caches, with their tag maps and set masks
         others = [
             (cache, cache._tag_to_way, cache._set_mask)
-            for cache in self._private_list
+            for cache in self.private_caches()
             if is_write and cache is not l1
         ]
         invalidate_private = self._invalidate_private
@@ -894,7 +564,7 @@ class FastHierarchy(MemoryHierarchy):
                 way = t2w[line]
                 idx = set_idx * ways + way
                 if tc_enabled and not (sbits_mv[idx] & bit):
-                    l1.n_first_access_misses += 1
+                    l1.c_first_access_misses.value += 1
                     below, level = probe_llc(line, ctx, now)
                     if l1.event_listener is None and l1.max_sharers == 0:
                         sbits_mv[idx] |= bit
@@ -906,7 +576,7 @@ class FastHierarchy(MemoryHierarchy):
                     if result is None:
                         result = results[key] = AccessResult(latency, level, True)
                 else:
-                    l1.n_hits += 1
+                    l1.c_hits.value += 1
                     result = hit_result
                 last_used[idx] = now
                 if is_write:
@@ -922,7 +592,7 @@ class FastHierarchy(MemoryHierarchy):
                         sharers = all_sharers[line] = set()
                     sharers.add(l1name)
             else:
-                l1.n_misses += 1
+                l1.c_misses.value += 1
                 first = False
                 result = None
                 # -------- LLC (the inlined _access_llc) --------
@@ -942,7 +612,7 @@ class FastHierarchy(MemoryHierarchy):
                                 invalidate_private(other, line)
                     if llc_guard and not (llc_sbits_mv[lidx] & lbit):
                         first = True
-                        llc.n_first_access_misses += 1
+                        llc.c_first_access_misses.value += 1
                         dram_latency = dram.access(line)
                         below = llc_hit_lat + (
                             dram_latency if dram_latency > extra else extra
@@ -953,7 +623,7 @@ class FastHierarchy(MemoryHierarchy):
                         else:
                             llc.set_sbit(lset, lway, sctx)
                     else:
-                        llc.n_hits += 1
+                        llc.c_hits.value += 1
                         below = llc_hit_lat + extra
                         if level == "":
                             level = "LLC"
@@ -996,9 +666,9 @@ class FastHierarchy(MemoryHierarchy):
                         vtag = tags[idx]
                         vdirty = dirty[idx]
                         del t2w[vtag]
-                        l1.n_evictions += 1
+                        l1.c_evictions.value += 1
                         if vdirty:
-                            l1.n_dirty_evictions += 1
+                            l1.c_dirty_evictions.value += 1
                         # No s-bit/valid clears here: the slot is refilled
                         # just below, which overwrites sbits and leaves valid
                         # True — the same final state the evict-then-install
@@ -1011,10 +681,10 @@ class FastHierarchy(MemoryHierarchy):
                     t2w[line] = way
                     tc_mv[idx] = tnow
                     sbits_mv[idx] = bit
-                    l1.n_fills += 1
+                    l1.c_fills.value += 1
                     if line not in ever_filled:
                         ever_filled.add(line)
-                        l1.n_cold_misses += 1
+                        l1.c_cold_misses.value += 1
                     if is_write:
                         for other, other_sets, other_mask in others:
                             if line in other_sets[line & other_mask]:
@@ -1035,7 +705,7 @@ class FastHierarchy(MemoryHierarchy):
                                     "does not hold it"
                                 )
                             llc_dirty[vset * llc_ways + vway] = True
-                            l1.n_writebacks += 1
+                            l1.c_writebacks.value += 1
                         sharers = all_sharers.get(vtag)
                         if sharers is not None:
                             # Unlike Directory.remove_sharer, leave the emptied
@@ -1060,45 +730,6 @@ class FastHierarchy(MemoryHierarchy):
 
         return port
 
-    def _remote_owner_transfer(self, line: int, owner: str) -> Tuple[int, str]:
-        """Slow half of _coherence_on_access: a foreign private cache owns
-        the line; pull it out if dirty (cache-to-cache transfer)."""
-        extra = 0
-        level = ""
-        owner_cache = self._private_by_name(owner)
-        pos = owner_cache.lookup(line)
-        if pos is not None:
-            set_idx, way = pos
-            if owner_cache.is_dirty(set_idx, way):
-                extra += self.latency.remote_transfer
-                level = "remote"
-                owner_cache.downgrade(set_idx, way)
-                self._writeback_to_llc(line)
-        self.directory.clear_owner(line)
-        return extra, level
-
-    def _llc_miss(
-        self, l1: FastCache, line: int, ctx: int, sctx: int, is_write: bool, now: int
-    ) -> Tuple[int, str]:
-        llc = self.llc
-        llc.n_misses += 1
-        dram_latency = self.dram.access(line)
-        victim = llc.fill(
-            line,
-            sctx,
-            now & self._tc_mask,
-            LineState.SHARED,
-            allowed_ways=self._llc_allowed_ways(ctx),
-        )
-        wb = 0
-        if victim is not None:
-            wb = self._handle_llc_eviction(victim)
-        if is_write:
-            self.directory.set_owner(line, l1.name)
-        else:
-            self.directory.add_sharer(line, l1.name)
-        return llc.hit_latency + dram_latency + wb, "DRAM"
-
     def _probe_llc(self, line: int, ctx: int, now: int) -> Tuple[int, str]:
         llc = self.llc
         set_idx = line & llc._set_mask
@@ -1110,109 +741,18 @@ class FastHierarchy(MemoryHierarchy):
         idx = set_idx * llc.ways + way
         llc._last_used[idx] = now
         sctx = self._sctx_of[ctx]
-        sbit = llc.sbits_mv[idx] & llc._ctx_bit_of[sctx]
-        if sbit:
+        bit = 1 << llc._ctx_to_col[sctx]
+        if llc.sbits_mv[idx] & bit:
             if not self._dram_first:
-                llc.n_hits += 1
+                llc.c_hits.value += 1
                 return llc.hit_latency, "LLC"
             # Hidden-latency probe: the one outcome that records no
-            # hit/first counter, so the derived access count needs the
-            # explicit adjustment bump.
-            llc.n_accesses += 1
+            # outcome counter, so it counts its access itself.
+            llc.c_accesses.value += 1
         else:
-            llc.n_first_access_misses += 1
+            llc.c_first_access_misses.value += 1
             if llc.event_listener is None and llc.max_sharers == 0:
-                llc.sbits_mv[idx] |= llc._ctx_bit_of[sctx]
+                llc.sbits_mv[idx] |= bit
             else:
                 llc.set_sbit(set_idx, way, sctx)
         return llc.hit_latency + self.dram.access(line), "DRAM"
-
-    # ------------------------------------------------------------------
-    # Fills, evictions, coherence
-    # ------------------------------------------------------------------
-    def _fill_private(
-        self, l1: FastCache, line: int, ctx: int, is_write: bool, now: int
-    ) -> None:
-        state = LineState.MODIFIED if is_write else LineState.SHARED
-        victim = l1.fill(
-            line, ctx, now & self._tc_mask, state, dirty=is_write
-        )
-        if is_write:
-            self._invalidate_other_private(l1, line)
-            self.directory.set_owner(line, l1.name)
-        if victim is not None:
-            self._handle_private_eviction(l1, victim)
-
-    def _prefetch_next_line(
-        self, l1: FastCache, line: int, ctx: int, now: int
-    ) -> None:
-        if l1._tag_to_way[line & l1._set_mask].get(line) is not None:
-            return
-        l1.n_prefetches += 1
-        llc = self.llc
-        if llc._tag_to_way[line & llc._set_mask].get(line) is None:
-            self.dram.access(line)  # background fetch; latency hidden
-            victim = llc.fill(
-                line,
-                self._sctx_of[ctx],
-                now & self._tc_mask,
-                LineState.SHARED,
-                allowed_ways=self._llc_allowed_ways(ctx),
-            )
-            if victim is not None:
-                self._handle_llc_eviction(victim)
-            self.directory.add_sharer(line, l1.name)
-        else:
-            self.directory.add_sharer(line, l1.name)
-        victim = l1.fill(line, ctx, now & self._tc_mask, LineState.SHARED)
-        if victim is not None:
-            self._handle_private_eviction(l1, victim)
-
-    def _invalidate_other_private(self, requester: FastCache, line: int) -> None:
-        for cache in self._private_list:
-            if cache is not requester:
-                self._invalidate_private(cache, line)
-
-    def _invalidate_private(self, cache: FastCache, line: int) -> None:
-        """Invalidate ``line`` in one private cache: a dirty copy is
-        written back to the LLC, and the cache leaves the line's
-        sharers."""
-        evicted = cache.invalidate(line)
-        if evicted is not None:
-            if evicted.dirty:
-                self._writeback_to_llc(line)
-            self.directory.remove_sharer(line, cache.name)
-
-    def _writeback_to_llc(self, line: int) -> None:
-        llc = self.llc
-        set_idx = line & llc._set_mask
-        way = llc._tag_to_way[set_idx].get(line)
-        if way is None:
-            raise SimulationError(
-                f"writeback of line {line:#x} but LLC does not hold it"
-            )
-        idx = set_idx * llc.ways + way
-        llc._dirty[idx] = True
-
-    def _handle_private_eviction(self, l1: FastCache, victim: EvictedLine) -> None:
-        line = victim.tag
-        if victim.dirty:
-            self._writeback_to_llc(line)
-            l1.n_writebacks += 1
-        self.directory.remove_sharer(line, l1.name)
-
-    def _handle_llc_eviction(self, victim: EvictedLine) -> int:
-        line = victim.tag
-        dirty = victim.dirty
-        for cache_name in self.directory.drop_line(line):
-            cache = self._private_name_map[cache_name]
-            evicted = cache.invalidate(line)
-            if evicted is not None and evicted.dirty:
-                dirty = True
-        llc = self.llc
-        llc.n_back_invalidations += 1
-        if dirty:
-            self.dram.writeback(line)
-            llc.n_writebacks += 1
-            return self.latency.writeback
-        return 0

@@ -41,7 +41,7 @@ from repro.common.config import HierarchyConfig, TimeCacheConfig
 from repro.common.errors import SimulationError
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
-from repro.memsys.cache import Cache
+from repro.memsys.cache import Cache, CacheBase
 from repro.memsys.coherence import Directory
 from repro.memsys.dram import Dram
 from repro.memsys.line import CacheLine, LineState
@@ -138,8 +138,8 @@ class MemoryHierarchy:
 
         threads = config.threads_per_core
         all_ctxs = list(range(config.num_cores * threads))
-        self.l1i: List[Cache] = []
-        self.l1d: List[Cache] = []
+        self.l1i: List[CacheBase] = []
+        self.l1d: List[CacheBase] = []
         for core in range(config.num_cores):
             ctxs = all_ctxs[core * threads : (core + 1) * threads]
             self.l1i.append(
@@ -167,11 +167,11 @@ class MemoryHierarchy:
             rng.fork("llc"),
             max_sharers=self.tc_config.max_sharers,
         )
-        self.dram = Dram(lat.dram, line_bytes=config.line_bytes)
+        self.dram = Dram(lat.dram)
         self.directory = Directory()
         self.stats = StatGroup("hierarchy")
         self.c_accesses = self.stats.bound_counter("accesses")
-        self._private_name_map: Dict[str, Cache] = {
+        self._private_name_map: Dict[str, CacheBase] = {
             cache.name: cache for cache in self.private_caches()
         }
         #: CAT-style partitioning state: security domain per hw context
@@ -206,7 +206,7 @@ class MemoryHierarchy:
         hit_latency: int,
         rng: DeterministicRng,
         max_sharers: int = 0,
-    ) -> Cache:
+    ) -> CacheBase:
         """Cache factory; the fast engine overrides this single seam to
         substitute its struct-of-arrays implementation while reusing the
         topology/rng-fork wiring above (fork names are part of the
@@ -234,22 +234,16 @@ class MemoryHierarchy:
         self._domain_of_ctx[ctx] = domain
 
     def _llc_allowed_ways(self, ctx: int) -> Optional[range]:
+        """The LLC ways a fill by ``ctx`` may use: its domain's, or
+        ``None`` (every way) when partitioning is off."""
         if not self._partition_domains:
             return None
-        domain = self._domain_of_ctx.get(ctx, 0)
-        per_domain = self.llc.ways // self._partition_domains
-        start = domain * per_domain
-        # the last domain absorbs any remainder ways
-        end = (
-            self.llc.ways
-            if domain == self._partition_domains - 1
-            else start + per_domain
-        )
-        return range(start, end)
+        return self.domain_ways(self._domain_of_ctx.get(ctx, 0))
 
     def domain_ways(self, domain: int) -> range:
         per_domain = self.llc.ways // max(1, self._partition_domains)
         start = domain * per_domain
+        # the last domain absorbs any remainder ways
         end = (
             self.llc.ways
             if domain == self._partition_domains - 1
@@ -313,10 +307,10 @@ class MemoryHierarchy:
     def line_addr(self, addr: int) -> int:
         return addr >> self.line_shift
 
-    def private_caches(self) -> List[Cache]:
+    def private_caches(self) -> List[CacheBase]:
         return self.l1i + self.l1d
 
-    def all_caches(self) -> List[Cache]:
+    def all_caches(self) -> List[CacheBase]:
         return self.private_caches() + [self.llc]
 
     def _truncate(self, now: int) -> int:
@@ -520,7 +514,7 @@ class MemoryHierarchy:
         return BatchResult(results, cursor)
 
     def _access_l1(
-        self, l1: Cache, line: int, ctx: int, is_write: bool, now: int
+        self, l1: CacheBase, line: int, ctx: int, is_write: bool, now: int
     ) -> AccessResult:
         l1.c_accesses.add()
         pos = l1.lookup(line)
@@ -551,7 +545,7 @@ class MemoryHierarchy:
         return AccessResult(l1.hit_latency + below, level, llc_first)
 
     def _prefetch_next_line(
-        self, l1: Cache, line: int, ctx: int, now: int
+        self, l1: CacheBase, line: int, ctx: int, now: int
     ) -> None:
         """Next-line prefetch on a demand miss (off the critical path).
 
@@ -565,7 +559,7 @@ class MemoryHierarchy:
         llc = self.llc
         if llc.lookup(line) is None:
             self.dram.access(line)  # background fetch; latency hidden
-            _, victim = llc.fill(
+            victim = llc.fill(
                 line,
                 self._llc_sbit_ctx(ctx),
                 self._truncate(now),
@@ -577,12 +571,12 @@ class MemoryHierarchy:
             self.directory.add_sharer(line, l1.name)
         else:
             self.directory.add_sharer(line, l1.name)
-        _, victim = l1.fill(line, ctx, self._truncate(now), LineState.SHARED)
+        victim = l1.fill(line, ctx, self._truncate(now), LineState.SHARED)
         if victim is not None:
             self._handle_private_eviction(l1, victim)
 
     def _access_llc(
-        self, l1: Cache, line: int, ctx: int, is_write: bool, now: int
+        self, l1: CacheBase, line: int, ctx: int, is_write: bool, now: int
     ) -> Tuple[int, str, bool]:
         """L1-miss path: get the line from LLC (or DRAM through it).
 
@@ -620,12 +614,28 @@ class MemoryHierarchy:
                 self.directory.add_sharer(line, l1.name)
             return latency, level, first
 
-        llc.c_misses.add()
+        below, level = self._llc_miss(l1, line, ctx, sctx, is_write, now)
+        return below, level, False
+
+    def _llc_miss(
+        self,
+        l1: CacheBase,
+        line: int,
+        ctx: int,
+        sctx: int,
+        is_write: bool,
+        now: int,
+    ) -> Tuple[int, str]:
+        """L1 and LLC both miss: fetch from DRAM and fill the LLC for
+        ``sctx`` (the context its s-bits track), back-invalidating the
+        LLC victim.  Returns (latency below L1, service level)."""
+        llc = self.llc
+        llc.c_misses.value += 1
         dram_latency = self.dram.access(line)
-        _, victim = llc.fill(
+        victim = llc.fill(
             line,
             sctx,
-            self._truncate(now),
+            now & self._tc_mask,
             LineState.SHARED,
             allowed_ways=self._llc_allowed_ways(ctx),
         )
@@ -636,7 +646,7 @@ class MemoryHierarchy:
             self.directory.set_owner(line, l1.name)
         else:
             self.directory.add_sharer(line, l1.name)
-        return llc.hit_latency + dram_latency + wb, "DRAM", False
+        return llc.hit_latency + dram_latency + wb, "DRAM"
 
     def _probe_llc(self, line: int, ctx: int, now: int) -> Tuple[int, str]:
         """First-access probe below an L1 that holds the line.
@@ -672,10 +682,10 @@ class MemoryHierarchy:
     # Fills, evictions, coherence
     # ------------------------------------------------------------------
     def _fill_private(
-        self, l1: Cache, line: int, ctx: int, is_write: bool, now: int
+        self, l1: CacheBase, line: int, ctx: int, is_write: bool, now: int
     ) -> None:
         state = LineState.MODIFIED if is_write else LineState.SHARED
-        new_line, victim = l1.fill(line, ctx, self._truncate(now), state, dirty=is_write)
+        victim = l1.fill(line, ctx, self._truncate(now), state, dirty=is_write)
         if is_write:
             self._invalidate_other_private(l1, line)
             self.directory.set_owner(line, l1.name)
@@ -683,7 +693,7 @@ class MemoryHierarchy:
             self._handle_private_eviction(l1, victim)
 
     def _store_upgrade(
-        self, l1: Cache, line: int, set_idx: int, way: int, now: int
+        self, l1: CacheBase, line: int, set_idx: int, way: int, now: int
     ) -> int:
         """A store hit: dirty the line, invalidate other private copies."""
         l1.mark_dirty(set_idx, way)
@@ -691,18 +701,23 @@ class MemoryHierarchy:
         self.directory.set_owner(line, l1.name)
         return 0
 
-    def _invalidate_other_private(self, requester: Cache, line: int) -> None:
+    def _invalidate_other_private(self, requester: CacheBase, line: int) -> None:
         for cache in self.private_caches():
-            if cache.name == requester.name:
-                continue
-            evicted = cache.invalidate(line)
-            if evicted is not None:
-                if evicted.dirty:
-                    self._writeback_to_llc(line)
-                self.directory.remove_sharer(line, cache.name)
+            if cache is not requester:
+                self._invalidate_private(cache, line)
+
+    def _invalidate_private(self, cache: CacheBase, line: int) -> None:
+        """Invalidate ``line`` in one private cache: a dirty copy is
+        written back to the LLC, and the cache leaves the line's
+        sharers."""
+        evicted = cache.invalidate(line)
+        if evicted is not None:
+            if evicted.dirty:
+                self._writeback_to_llc(line)
+            self.directory.remove_sharer(line, cache.name)
 
     def _coherence_on_access(
-        self, requester_l1: Cache, line: int, is_write: bool, now: int
+        self, requester_l1: CacheBase, line: int, is_write: bool, now: int
     ) -> Tuple[int, str]:
         """Handle a remote modified copy on an LLC hit.
 
@@ -714,21 +729,30 @@ class MemoryHierarchy:
         level = ""
         owner = self.directory.owner(line)
         if owner and owner != requester_l1.name:
-            owner_cache = self._private_by_name(owner)
-            pos = owner_cache.lookup(line)
-            if pos is not None:
-                set_idx, way = pos
-                if owner_cache.is_dirty(set_idx, way):
-                    extra += self.latency.remote_transfer
-                    level = "remote"
-                    owner_cache.downgrade(set_idx, way)
-                    self._writeback_to_llc(line)
-            self.directory.clear_owner(line)
+            extra, level = self._remote_owner_transfer(line, owner)
         if is_write:
             self._invalidate_other_private(requester_l1, line)
         return extra, level
 
-    def _private_by_name(self, name: str) -> Cache:
+    def _remote_owner_transfer(self, line: int, owner: str) -> Tuple[int, str]:
+        """Another private cache owns ``line``: pull it out if dirty (a
+        cache-to-cache transfer, downgrading the owner to SHARED) and
+        clear the ownership.  Returns (extra latency, level or "")."""
+        extra = 0
+        level = ""
+        owner_cache = self._private_by_name(owner)
+        pos = owner_cache.lookup(line)
+        if pos is not None:
+            set_idx, way = pos
+            if owner_cache.is_dirty(set_idx, way):
+                extra += self.latency.remote_transfer
+                level = "remote"
+                owner_cache.downgrade(set_idx, way)
+                self._writeback_to_llc(line)
+        self.directory.clear_owner(line)
+        return extra, level
+
+    def _private_by_name(self, name: str) -> CacheBase:
         try:
             return self._private_name_map[name]
         except KeyError:
@@ -743,7 +767,7 @@ class MemoryHierarchy:
         set_idx, way = pos
         self.llc.mark_dirty(set_idx, way)
 
-    def _handle_private_eviction(self, l1: Cache, victim: CacheLine) -> None:
+    def _handle_private_eviction(self, l1: CacheBase, victim: CacheLine) -> None:
         line = victim.tag
         if victim.dirty:
             self._writeback_to_llc(line)
@@ -795,7 +819,7 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Introspection used by tests and the analysis harness
     # ------------------------------------------------------------------
-    def caches_for_ctx(self, ctx: int) -> List[Cache]:
+    def caches_for_ctx(self, ctx: int) -> List[CacheBase]:
         """Every cache the context's accesses can touch (L1I, L1D, LLC)."""
         core = self.core_of_ctx(ctx)
         return [self.l1i[core], self.l1d[core], self.llc]

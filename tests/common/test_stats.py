@@ -49,3 +49,18 @@ class TestStatGroup:
         g.reset()
         assert g.get("a") == 0
         assert g.get("b") == 0
+
+    def test_bound_counter_reported_while_nonzero(self):
+        g = StatGroup("x")
+        b = g.bound_counter("b")
+        assert g.snapshot() == {}
+        b.value += 2
+        assert g.snapshot() == {"x.b": 2}
+        g.reset()
+        assert g.snapshot() == {}
+        assert g.get("b") == 0
+        # counter() still creates its counter at zero, and a bound
+        # counter it fetches stays one object, reported from then on
+        g.counter("a")
+        assert g.counter("b") is b
+        assert g.snapshot() == {"x.a": 0, "x.b": 0}

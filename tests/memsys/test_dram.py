@@ -19,22 +19,7 @@ def test_counts_accesses_and_writebacks():
     assert dram.stats.get("writebacks") == 1
 
 
-def test_row_hit_discount():
-    dram = Dram(latency=200, row_bytes=4096, row_hit_discount=50, line_bytes=64)
-    first = dram.access(0)
-    second = dram.access(1)  # same 4KB row (64 lines per row)
-    other = dram.access(100)  # different row
-    assert first == 200
-    assert second == 150
-    assert other == 200
-    assert dram.stats.get("row_hits") == 1
-
-
 def test_rejects_bad_latency():
     with pytest.raises(ValueError):
         Dram(latency=0)
 
-
-def test_rejects_bad_discount():
-    with pytest.raises(ValueError):
-        Dram(latency=100, row_hit_discount=100)

@@ -11,6 +11,8 @@ contexts, FTM comparison mode, prefetch, the fifo/random replacement
 policies, limited-pointer sharer eviction, the DRAM-latency-on-first-access
 hardening, and narrow-timestamp rollover.  Each trace also runs through
 every context's ports, on each engine, and must match its ``access`` run.
+A reset arm zeroes every cache's, the hierarchy's and DRAM's counters
+mid-trace, in both orders, and the snapshots must still agree.
 """
 
 import dataclasses
@@ -120,6 +122,7 @@ def _run_trace(
     kinds=KINDS,
     stride=1,
     ported=False,
+    resets=(),
 ):
     """Drive one system with a seeded random trace; return observables.
 
@@ -137,6 +140,10 @@ def _run_trace(
     With ``ported`` each scalar access calls the port of its kind from
     the context's ports (``TimeCacheSystem.access_ports``, fetched once
     per context) instead of ``access``.
+
+    At each access index in ``resets`` every cache's, the hierarchy's
+    and DRAM's ``stats.reset()`` runs just before the access: the
+    hierarchy last at the first index, first at the next, and so on.
     """
     system = TimeCacheSystem(config)
     ports_of = {}
@@ -172,7 +179,14 @@ def _run_trace(
         pending.clear()
         limit = split_rng.randint(1, 120)
 
+    hierarchy = system.hierarchy
+    groups = [c.stats for c in hierarchy.all_caches()] + [hierarchy.stats]
     for i in range(n):
+        if i in resets:
+            for group in groups:
+                group.reset()
+            hierarchy.dram.stats.reset()
+            groups.reverse()
         now += rng.randint(1, 50)
         ctx = rng.randint(0, contexts - 1) if contexts > 1 else 0
         addr = (rng.randint(0, pool - 1) * stride) << 6
@@ -244,6 +258,28 @@ def test_engines_agree(scenario, seed):
             make_config(engine, seed), seed, contexts, switches, ported=True
         )
         assert ported[:3] == accessed[:3], f"{scenario}: {engine} ports diverge"
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("seed", range(5))
+def test_engines_agree_after_stats_reset(scenario, seed):
+    """Counters reset mid-trace — then more accesses and context
+    switches — read the same on both engines: a zeroed counter is
+    reported by neither, and a reset cache leaves the hierarchy's
+    access count alone whichever is reset first."""
+    make_config, contexts, switches = SCENARIOS[scenario]
+    resets = (150, 330)
+    obj = _run_trace(
+        make_config("object", seed), seed, contexts, switches, resets=resets
+    )
+    fast = _run_trace(
+        make_config("fast", seed), seed, contexts, switches, resets=resets
+    )
+    plain = _run_trace(make_config("fast", seed), seed, contexts, switches)
+    assert obj[0] == fast[0] == plain[0], f"{scenario}: streams diverge"
+    assert obj[1] == fast[1], f"{scenario}: stats snapshots diverge"
+    assert obj[2] == fast[2], f"{scenario}: final cache state diverges"
+    assert fast[1] != plain[1], f"{scenario}: the resets zeroed nothing"
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
