@@ -109,7 +109,7 @@ class TimeCacheConfig:
     #: width of the per-line Tc timestamp (paper: 32)
     timestamp_bits: int = 32
     #: cycles per context switch spent on the s-bit DMA save+restore
-    #: (paper: 1.08 us on a Xeon; converted at the configured clock)
+    #: (paper: 1.08 us on a Xeon; converted at the 2 GHz gem5 clock)
     sbit_dma_cycles: int = 2160
     #: use the gate-level bit-serial comparator (slow, faithful) instead of
     #: the vectorized functional equivalent.  Both are property-tested to
@@ -153,11 +153,6 @@ class HierarchyConfig:
 
     num_cores: int = 1
     threads_per_core: int = 1
-    #: next-line prefetch into the L1s on demand-miss fills.  Prefetches
-    #: run on behalf of the requesting hardware context and set only its
-    #: s-bit, so they never extend another context's visibility — the
-    #: first-access discipline is preserved (tested).
-    next_line_prefetch: bool = False
     #: which simulation engine services accesses:
     #: * ``"object"`` — the reference model (CacheLine objects, one
     #:   CacheSet per set); every feature, every replacement policy.
@@ -238,16 +233,10 @@ class SimConfig:
     #: ``timecache``/``partition`` blocks alone decide the machine —
     #: every pre-zoo construction site keeps its exact behavior.
     defense: str = ""
-    clock_ghz: float = 2.0
     #: scheduler quantum, in cycles
     quantum_cycles: int = 50_000
     #: fixed (non-s-bit) cost of a context switch, in cycles
     context_switch_cycles: int = 400
-    #: per-context TLB entries (0 disables translation-cost modeling;
-    #: the paper's evaluation, and the calibrated defaults, run without)
-    tlb_entries: int = 0
-    #: page-table walk cost charged on a TLB miss, in cycles
-    tlb_walk_cycles: int = 30
     seed: int = 0xC0FFEE
 
     def validate(self) -> None:
@@ -263,14 +252,10 @@ class SimConfig:
             self.hierarchy.llc.ways < self.partition.domains
         ):
             raise ConfigError("fewer LLC ways than partition domains")
-        if self.clock_ghz <= 0:
-            raise ConfigError("clock_ghz must be positive")
         if self.quantum_cycles <= 0:
             raise ConfigError("quantum_cycles must be positive")
         if self.context_switch_cycles < 0:
             raise ConfigError("context_switch_cycles cannot be negative")
-        if self.tlb_entries < 0 or self.tlb_walk_cycles < 0:
-            raise ConfigError("TLB parameters cannot be negative")
 
     def with_defense(self, name: str) -> "SimConfig":
         """Reshape into the named registered defense's machine (and stamp
@@ -313,7 +298,6 @@ def paper_table1_gem5_config() -> SimConfig:
             l1d=CacheConfig("L1D", 32 * KIB, ways=4),
             llc=CacheConfig("LLC", 2 * MIB, ways=16),
         ),
-        clock_ghz=2.0,
     )
     cfg.validate()
     return cfg
@@ -335,8 +319,8 @@ def scaled_experiment_config(
     instructions; the workload generators shrink their footprints by the
     same factor, preserving miss behavior.
 
-    ``sbit_dma_cycles`` defaults to the paper's 1.08 us at the configured
-    2 GHz clock, scaled down with the LLC size (the DMA moves the s-bit
+    ``sbit_dma_cycles`` defaults to the paper's 1.08 us at gem5's 2 GHz
+    clock, scaled down with the LLC size (the DMA moves the s-bit
     array, whose size is proportional to the number of lines).
     """
     if sbit_dma_cycles is None:
@@ -352,7 +336,6 @@ def scaled_experiment_config(
             llc=CacheConfig("LLC", llc_kib * KIB, ways=8),
         ),
         timecache=TimeCacheConfig(sbit_dma_cycles=sbit_dma_cycles),
-        clock_ghz=2.0,
         quantum_cycles=quantum_cycles,
         seed=seed,
     )

@@ -17,9 +17,9 @@ returns only when the kernel has something to decide.
 Every memory op is one call to one of the context's *ports*: its load,
 store and ifetch accessors, fetched once from
 :meth:`~repro.core.timecache.TimeCacheSystem.access_ports` — the
-engine's own, or the facade's when a defense remaps addresses there.  A
-tape walked without a TLB is translated when it is installed, so that
-call is the only one its memory op makes.
+engine's own, or the facade's when a defense remaps addresses there.  An
+op tape is translated when it is installed, so that call is the only one
+its memory op makes.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from repro.cpu.program import (
 from repro.memsys.hierarchy import AccessKind, Port
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (repro.os imports us)
-    from repro.os.tlb import Tlb
     from repro.os.vm import AddressSpace
 
 #: the access each tape code below ``TAPE_COMPUTE`` issues, by code; a
@@ -111,11 +110,10 @@ class HardwareContext:
         self._flushes = bound("flushes")
         self._gen: Optional[OpStream] = None
         self._translate: Optional[Translator] = None
-        self._tlb: Optional["Tlb"] = None
         self._pending_result: object = None
-        #: a tape walked without a TLB: its arguments with every address
-        #: physical, the space they came from (None: the translator) and
-        #: that space's generation then
+        #: an op tape's arguments with every address physical, the space
+        #: they came from (None: the translator) and that space's
+        #: generation then
         self._paddrs: Optional[array] = None
         self._space: Optional["AddressSpace"] = None
         self._generation = 0
@@ -128,26 +126,23 @@ class HardwareContext:
         self,
         gen: OpStream,
         translate: Translator,
-        tlb: Optional["Tlb"] = None,
         result: object = None,
         space: Optional["AddressSpace"] = None,
     ) -> None:
         """Bind a task's generator and address translation to this context.
 
-        With a ``tlb``, translations go through it and each page walk's
-        cycles are charged to local time before the access issues.
         ``result`` is what the generator receives for the op it yielded
         last (``None`` for a fresh generator).
 
-        An op tape without a ``tlb`` is translated here, once: by
-        ``space``, the address space ``translate`` belongs to, whose
+        An op tape is translated here, once: by ``space``, the address
+        space ``translate`` belongs to, whose
         :meth:`~repro.os.vm.AddressSpace.physical_args` the walk fetches
         again whenever the mapping has changed, or else op by op through
         ``translate``.  A page fault on any of the tape's addresses
         raises here, before any op runs.
         """
         paddrs = None
-        if type(gen) is OpTape and tlb is None:
+        if type(gen) is OpTape:
             if space is None:
                 paddrs = _translated(gen, translate)
             else:
@@ -155,7 +150,6 @@ class HardwareContext:
                 self._generation = space.generation
         self._gen = gen
         self._translate = translate
-        self._tlb = tlb
         self._pending_result = result
         self._paddrs = paddrs
         self._space = space if paddrs is not None else None
@@ -166,7 +160,6 @@ class HardwareContext:
         result = self._pending_result
         self._gen = None
         self._translate = None
-        self._tlb = None
         self._pending_result = None
         self._paddrs = None
         self._space = None
@@ -233,7 +226,6 @@ class HardwareContext:
         if peers:
             raise ProgramError(f"ctx{self.ctx_id}: only an op tape walks with peers")
         send = gen.send
-        tlb = self._tlb
         system = self.system
         ports = self._ports or self._access_ports()
         load = ports[TAPE_LOAD]
@@ -282,12 +274,7 @@ class HardwareContext:
                         instructions += 1
                         result = None
                     elif cls is Flush:
-                        if tlb is None:
-                            paddr = translate(op.vaddr)
-                        else:
-                            paddr, walk = tlb.translate(op.vaddr, translate)
-                            now += walk
-                        result = system.flush(ctx, paddr, now)
+                        result = system.flush(ctx, translate(op.vaddr), now)
                         now += 1 + result.latency
                         instructions += 1
                         flushes += 1
@@ -315,12 +302,7 @@ class HardwareContext:
                         break
                     continue
                 # Load, Ifetch, Store
-                if tlb is None:
-                    paddr = translate(op.vaddr)
-                else:
-                    paddr, walk = tlb.translate(op.vaddr, translate)
-                    now += walk
-                result = port(paddr, now)
+                result = port(translate(op.vaddr), now)
                 now += 1 + result.latency
                 instructions += 1
                 if now >= until or ops >= max_ops:
@@ -347,10 +329,9 @@ class HardwareContext:
         reading ops by index.
 
         Between hand-offs each context keeps the generator loop's rules
-        op for op: the same time per op, one ``ops`` per op, TLB walks
-        charged before the access.  Without a TLB a memory op reads its
-        physical address off the tape and makes one call, to the port
-        its kind code indexes in the context's ports.  The running
+        op for op: the same time per op, one ``ops`` per op.  A memory op
+        reads its physical address off the tape and makes one call, to
+        the port its kind code indexes in the context's ports.  The running
         context's index, time and compute-burst instructions live in
         locals, the others' in flat lists, swapped at each hand-off; the
         counters are taken once per call from the kind codes each context
@@ -399,12 +380,8 @@ class HardwareContext:
                 # the mapping changed since the tape was translated
                 args = hw._paddrs = space.physical_args(tape)
                 hw._generation = space.generation
-            if args is None:  # the TLB translates each access
-                args = tape.args
             ports = hw._ports or hw._access_ports()
-            setups.append(
-                (hw.ctx_id, tape.kinds, args, hw._tlb, hw._translate, bound, ports)
-            )
+            setups.append((hw.ctx_id, tape.kinds, args, bound, ports))
             hws.append(hw)
             positions.append(tape.pos)
             times.append(hw.local_time)
@@ -416,7 +393,7 @@ class HardwareContext:
         walking = len(walkers)
         compute = TAPE_COMPUTE
         k = hws.index(self)
-        ctx, kinds, args, tlb, translate, bound, ports = setups[k]
+        ctx, kinds, args, bound, ports = setups[k]
         pos = positions[k]
         now = times[k]
         burst = 0
@@ -455,9 +432,6 @@ class HardwareContext:
                     pos += 1
                     if code < compute:
                         issued = now
-                        if tlb is not None:
-                            arg, walk = tlb.translate(arg, translate)
-                            now += walk
                         now += 1 + ports[code](arg, now).latency
                     elif code == compute:
                         now += arg
@@ -489,7 +463,7 @@ class HardwareContext:
                 times[k] = now
                 bursts[k] = burst
                 k = rival
-                ctx, kinds, args, tlb, translate, bound, ports = setups[k]
+                ctx, kinds, args, bound, ports = setups[k]
                 pos = positions[k]
                 now = times[k]
                 burst = bursts[k]

@@ -430,13 +430,15 @@ class FastHierarchy(MemoryHierarchy):
     Reuses the reference topology construction (identical rng fork names,
     so random replacement draws match), the ``access`` dispatcher, the
     ``access_batch`` loop and every cold path — fills while a listener
-    is attached, prefetches, LLC misses and evictions, coherence,
-    partitioning flushes, clflush, inclusion checks — which run
-    unchanged against the engine-generic cache surface.  It overrides
-    only :meth:`_bind`, which builds each context's per-kind port with
-    the reference semantics inlined over struct-of-arrays state, and
+    is attached, LLC misses and evictions, coherence, partitioning
+    flushes, clflush, inclusion checks — which run unchanged against the
+    engine-generic cache surface.  It overrides only :meth:`_bind`,
+    which builds each context's per-kind port with the reference
+    semantics inlined over struct-of-arrays state, and
     :meth:`_probe_llc`, the other path its ports take on every first
-    access.
+    access.  A tape walk calls those ports directly: every op tape is
+    translated to physical addresses when it is installed, so each of
+    its memory ops is one port call.
     """
 
     def __init__(self, config, timecache=None, clock=None, rng=None) -> None:
@@ -507,7 +509,6 @@ class FastHierarchy(MemoryHierarchy):
         dram = self.dram
         tc_enabled = self.tc_config.enabled
         llc_guard = self._llc_first_access_guard
-        prefetch_on = self.config.next_line_prefetch
         sctx = self._sctx_of[ctx]
         l1name = l1.name
         set_mask = l1._set_mask
@@ -549,7 +550,6 @@ class FastHierarchy(MemoryHierarchy):
         remote_owner_transfer = self._remote_owner_transfer
         llc_miss = self._llc_miss
         fill_private = self._fill_private
-        prefetch_next_line = self._prefetch_next_line
 
         def port(addr: int, now: int) -> AccessResult:
             line = addr >> line_shift
@@ -715,8 +715,6 @@ class FastHierarchy(MemoryHierarchy):
                             sharers.discard(l1name)
                         if owners and owners.get(vtag) == l1name:
                             del owners[vtag]
-                if prefetch_on:
-                    prefetch_next_line(l1, line + 1, ctx, now)
                 if result is None:
                     latency = hit_latency + below
                     key = (latency, level, first)

@@ -277,23 +277,31 @@ class MemoryHierarchy:
         return flushed
 
     def _flush_line_everywhere(self, line: int) -> bool:
-        """Invalidate ``line`` in every private cache, then the LLC; drop
-        its directory entry and write it back if any copy was dirty.
-        Returns whether any level held it."""
-        was_cached = dirty = False
-        for cache in self.private_caches():
-            evicted = cache.invalidate(line)
-            if evicted is not None:
-                was_cached = True
-                dirty = dirty or evicted.dirty
+        """Invalidate ``line`` in every private cache that holds it, then
+        the LLC, and write it back if any copy was dirty.  Returns
+        whether the LLC held it: by inclusion, whether any level did."""
+        dirty = self._invalidate_holders(line)
         llc_line = self.llc.invalidate(line)
-        if llc_line is not None:
-            was_cached = True
-            dirty = dirty or llc_line.dirty
-        self.directory.drop_line(line)
-        if dirty:
+        if llc_line is None:
+            return False
+        if dirty or llc_line.dirty:
             self.dram.writeback(line)
-        return was_cached
+        return True
+
+    def _invalidate_holders(self, line: int) -> bool:
+        """Drop ``line``'s directory entry and invalidate it in each
+        private cache the entry listed, in :meth:`private_caches` order
+        (so the events do not depend on string hashing).  Returns
+        whether any of those copies was dirty."""
+        dirty = False
+        holders = self.directory.drop_line(line)
+        if holders:
+            for name, cache in self._private_name_map.items():
+                if name in holders:
+                    evicted = cache.invalidate(line)
+                    if evicted is not None and evicted.dirty:
+                        dirty = True
+        return dirty
 
     # ------------------------------------------------------------------
     # Topology helpers
@@ -540,40 +548,7 @@ class MemoryHierarchy:
         l1.c_misses.add()
         below, level, llc_first = self._access_llc(l1, line, ctx, is_write, now)
         self._fill_private(l1, line, ctx, is_write, now)
-        if self.config.next_line_prefetch:
-            self._prefetch_next_line(l1, line + 1, ctx, now)
         return AccessResult(l1.hit_latency + below, level, llc_first)
-
-    def _prefetch_next_line(
-        self, l1: CacheBase, line: int, ctx: int, now: int
-    ) -> None:
-        """Next-line prefetch on a demand miss (off the critical path).
-
-        The prefetch is issued on behalf of ``ctx``: fills set only its
-        s-bit, exactly like a demand fill, so prefetching never weakens
-        the first-access discipline for anyone else.
-        """
-        if l1.lookup(line) is not None:
-            return
-        l1.stats.counter("prefetches").add()
-        llc = self.llc
-        if llc.lookup(line) is None:
-            self.dram.access(line)  # background fetch; latency hidden
-            victim = llc.fill(
-                line,
-                self._llc_sbit_ctx(ctx),
-                self._truncate(now),
-                LineState.SHARED,
-                allowed_ways=self._llc_allowed_ways(ctx),
-            )
-            if victim is not None:
-                self._handle_llc_eviction(victim)
-            self.directory.add_sharer(line, l1.name)
-        else:
-            self.directory.add_sharer(line, l1.name)
-        victim = l1.fill(line, ctx, self._truncate(now), LineState.SHARED)
-        if victim is not None:
-            self._handle_private_eviction(l1, victim)
 
     def _access_llc(
         self, l1: CacheBase, line: int, ctx: int, is_write: bool, now: int
@@ -775,19 +750,15 @@ class MemoryHierarchy:
         self.directory.remove_sharer(line, l1.name)
 
     def _handle_llc_eviction(self, victim: CacheLine) -> int:
-        """Back-invalidate an evicted LLC line from every private cache.
+        """Back-invalidate an evicted LLC line from every private cache
+        that holds it.
 
         Returns the extra latency charged to the access that caused the
         eviction (dirty writeback cost only; back-invalidations are
         metadata operations off the critical path).
         """
         line = victim.tag
-        dirty = victim.dirty
-        for cache_name in self.directory.drop_line(line):
-            cache = self._private_by_name(cache_name)
-            evicted = cache.invalidate(line)
-            if evicted is not None and evicted.dirty:
-                dirty = True
+        dirty = self._invalidate_holders(line) or victim.dirty
         self.llc.c_back_invalidations.add()
         if dirty:
             self.dram.writeback(line)
@@ -825,12 +796,19 @@ class MemoryHierarchy:
         return [self.l1i[core], self.l1d[core], self.llc]
 
     def check_inclusion(self) -> None:
-        """Raise if any private line is missing from the LLC (test hook)."""
+        """Raise if any private line is missing from the LLC, or is not
+        listed among the line's directory sharers (test hook): clflush
+        and LLC eviction invalidate only the caches the directory lists."""
         for cache in self.private_caches():
             for line in cache.resident_line_addrs():
                 if not self.llc.resident(line):
                     raise SimulationError(
                         f"{cache.name} holds {line:#x} but LLC does not"
+                    )
+                if cache.name not in self.directory.sharers(line):
+                    raise SimulationError(
+                        f"{cache.name} holds {line:#x} but the directory "
+                        "does not list it"
                     )
 
     def total_first_access_misses(self) -> int:

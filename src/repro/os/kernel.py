@@ -11,7 +11,10 @@ the context would run back to back until the quantum expires, another
 context's time comes up, or, in a run something watches, the next stop
 check is due.  When every busy context walks an op tape, one call runs
 all of them, handing off between them in that same order, until one
-exits or reaches its quantum end, or the stop check is due.
+exits or reaches its quantum end, or the stop check is due.  Every op
+tape is translated to physical addresses once, when the kernel installs
+it on a context at dispatch; a generator's addresses are translated op
+by op.
 
 A context switch is where the paper's software support runs: the kernel
 calls :meth:`TimeCacheSystem.context_switch`, which saves the outgoing
@@ -34,7 +37,6 @@ from repro.cpu.cpu import HardwareContext, Peer, StepEvent
 from repro.cpu.program import OpTape
 from repro.os.process import Process, Task, TaskStatus
 from repro.os.scheduler import RoundRobinScheduler
-from repro.os.tlb import Tlb
 from repro.os.vm import PhysicalMemory
 
 
@@ -75,14 +77,6 @@ class Kernel:
         #: task whose s-bits are live on each hw context (CR3 analogue)
         self._resident: Dict[int, Optional[int]] = {i: None for i in range(n_ctx)}
         self._slice_start: Dict[int, int] = {i: 0 for i in range(n_ctx)}
-        self._tlbs: Dict[int, Optional[Tlb]] = {
-            i: (
-                Tlb(config.tlb_entries, config.tlb_walk_cycles)
-                if config.tlb_entries
-                else None
-            )
-            for i in range(n_ctx)
-        }
         #: contexts whose running task walks an op tape
         self._on_tape: Set[int] = set()
         self._dispatch_instr: Dict[int, int] = {i: 0 for i in range(n_ctx)}
@@ -128,14 +122,12 @@ class Kernel:
         task = self.scheduler.next_task(ctx_id, hw.local_time)
         if task is None:
             return None
-        tlb = self._tlbs[ctx_id]
         stream = task.generator()
         # Installed before the switch: a page fault on an op tape's
         # addresses raises here, before anything is charged or counted.
         hw.install(
             stream,
             task.translator(),
-            tlb,
             task.pending_result,
             task.process.address_space,
         )
@@ -146,8 +138,6 @@ class Kernel:
             hw.local_time += self.config.context_switch_cycles + cost.total
             self._resident[ctx_id] = task.tid
             self.context_switches += 1
-            if tlb is not None:
-                tlb.flush()  # CR3 write
         if type(stream) is OpTape:
             self._on_tape.add(ctx_id)
         self._current[ctx_id] = task

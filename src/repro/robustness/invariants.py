@@ -26,10 +26,11 @@ and equal to the value stamped at fill time; evictions and invalidations
 must leave the slot's s-bits all-clear.
 
 The checker observes the simulator through the narrow hook points the
-core layers expose (``Cache.event_listener``, the hierarchy's access
-listeners, ``TimeCacheSystem.switch_listeners``) — no monkeypatching —
-and raises :class:`~repro.common.errors.InvariantViolation` with full
-diagnostic context on the first breach.  Against the fault models in
+core layers expose (each cache's event-listener chain, the hierarchy's
+access listeners, ``TimeCacheSystem.switch_listeners``), alongside any
+other observer such as a tracer — no monkeypatching — and raises
+:class:`~repro.common.errors.InvariantViolation` with full diagnostic
+context on the first breach.  Against the fault models in
 :mod:`repro.robustness.faults`, every injected fault is therefore either
 *detected* here or *provably benign* (it can only cost extra first-access
 misses, never grant visibility).
@@ -51,7 +52,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from repro.common.errors import ConfigError, InvariantViolation
 from repro.core.timecache import TimeCacheSystem
-from repro.memsys.cache import Cache
+from repro.memsys.cache import Cache, EventListener
 from repro.memsys.hierarchy import AccessKind, AccessResult
 
 Slot = Tuple[int, int]
@@ -84,6 +85,8 @@ class InvariantChecker:
         self._rightful: Dict[str, Dict[Slot, Set[int]]] = {}
         #: per cache: slot -> the Tc stamped at fill time
         self._expected_tc: Dict[str, Dict[Slot, int]] = {}
+        #: per cache: the event listener this checker added to its chain
+        self._listeners: Dict[str, EventListener] = {}
         self._pre: Optional[dict] = None
         self.scans = 0
         self.checked_accesses = 0
@@ -101,7 +104,8 @@ class InvariantChecker:
             self._rightful[cache.name] = {}
             self._expected_tc[cache.name] = {}
             self._bootstrap(cache)
-            cache.event_listener = self._listener_for(cache)
+            listener = self._listeners[cache.name] = self._listener_for(cache)
+            cache.add_event_listener(listener)
         if self.check_on_access:
             self.hierarchy.pre_access_listeners.append(self._pre_access)
             self.hierarchy.post_access_listeners.append(self._post_access)
@@ -113,7 +117,7 @@ class InvariantChecker:
         if not self._attached:
             return
         for cache in self.hierarchy.all_caches():
-            cache.event_listener = None
+            cache.remove_event_listener(self._listeners.pop(cache.name))
         if self.check_on_access:
             self.hierarchy.pre_access_listeners.remove(self._pre_access)
             self.hierarchy.post_access_listeners.remove(self._post_access)

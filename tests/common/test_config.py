@@ -112,7 +112,6 @@ class TestSimConfig:
 class TestCanonicalConfigs:
     def test_paper_gem5_config_matches_table1(self):
         cfg = paper_table1_gem5_config()
-        assert cfg.clock_ghz == 2.0
         assert cfg.hierarchy.l1i.size_bytes == 32 * KIB
         assert cfg.hierarchy.l1d.size_bytes == 32 * KIB
         assert cfg.hierarchy.llc.size_bytes == 2 * MIB

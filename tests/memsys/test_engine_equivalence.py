@@ -7,10 +7,12 @@ state (s-bits, Tc, valid bits, resident tags per cache) agree exactly.
 
 Ten scenarios x twenty seeds = 200 random traces, covering the defense on
 and off, context switches, multi-core stores and coherence, SMT sibling
-contexts, FTM comparison mode, prefetch, the fifo/random replacement
-policies, limited-pointer sharer eviction, the DRAM-latency-on-first-access
+contexts, FTM comparison mode, the fifo/random replacement policies,
+limited-pointer sharer eviction, the DRAM-latency-on-first-access
 hardening, and narrow-timestamp rollover.  Each trace also runs through
 every context's ports, on each engine, and must match its ``access`` run.
+Every trace ends with the inclusion check: each private line is in the
+LLC and listed among the line's directory sharers.
 A reset arm zeroes every cache's, the hierarchy's and DRAM's counters
 mid-trace, in both orders, and the snapshots must still agree.
 """
@@ -81,13 +83,7 @@ SCENARIOS = {
         2,
         True,
     ),
-    "prefetch_fifo": (
-        lambda e, s: _with_replacement(
-            _replace_hierarchy(_base(e, s), next_line_prefetch=True), "fifo"
-        ),
-        1,
-        False,
-    ),
+    "fifo": (lambda e, s: _with_replacement(_base(e, s), "fifo"), 1, False),
     "random_max_sharers": (
         lambda e, s: _with_replacement(
             scaled_experiment_config(num_cores=2, seed=s, engine=e), "random"
@@ -221,6 +217,7 @@ def _run_trace(
                 )
             )
     flush_pending()
+    hierarchy.check_inclusion()
     final = {}
     for cache in system.hierarchy.all_caches():
         final[cache.name] = (

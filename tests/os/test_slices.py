@@ -51,7 +51,6 @@ from repro.obs.tracer import Tracer
 from repro.os import kernel as kernel_module
 from repro.os.kernel import Kernel
 from repro.os.process import Process, Task
-from repro.os.tlb import Tlb
 from repro.workloads.generator import WorkloadBuilder
 from repro.workloads.parsec import build_parsec_workload
 from repro.workloads.profiles import spec_profile
@@ -310,18 +309,6 @@ def test_tape_core_beside_attacker_core(engine, walks):
     assert walks and max(walks) == 0
 
 
-def test_tlb_walks():
-    config = _attack_config(tlb_entries=8, tlb_walk_cycles=30)
-    assert_slices_equal_single_ops(config, _scenario)
-    spec = dataclasses.replace(
-        scaled_experiment_config(quantum_cycles=3_000, engine="fast"),
-        tlb_entries=8,
-    )
-    assert_slices_equal_single_ops(
-        spec, lambda k: build_spec_pair(k, "wrf", "lbm", 4_000, seed=9)
-    )
-
-
 @pytest.mark.parametrize("defense", ["copy_on_access", "selective_flush"])
 def test_defense_hooks(defense):
     """copy_on_access remaps addresses at the facade; selective_flush
@@ -415,17 +402,16 @@ _TIED_TAPES = (
 )
 
 
-def _two_tapes(max_ops, bounds, tlb, one_op):
+def _two_tapes(max_ops, bounds, one_op):
     """(event, ops, ctx) and each context's (local time, counters, tape
     index) after one two-tape walk of ``max_ops`` ops under ``bounds``
     (each context's ``until``), or after as many one-op steps, each on
     the context the kernel would pick, stopped early where the walk
-    must stop.  With ``tlb``, each context's first access to a page
-    walks its page table for 30 cycles before it issues."""
+    must stop."""
     system = TimeCacheSystem(scaled_experiment_config(num_cores=2, engine="fast"))
     hws = [HardwareContext(i, system) for i in range(2)]
     for hw, tape in zip(hws, _TIED_TAPES):
-        hw.install(tape.rewound(), lambda vaddr: vaddr, Tlb(4) if tlb else None)
+        hw.install(tape.rewound(), lambda vaddr: vaddr)
     if one_op:
         ops = 0
         while ops < max_ops:
@@ -445,21 +431,17 @@ def _two_tapes(max_ops, bounds, tlb, one_op):
     return outcome, seen, system.stats_snapshot()
 
 
-@pytest.mark.parametrize("tlb", [False, True])
 @pytest.mark.parametrize("bounds", [(None, None), (3, None), (None, 3), (9, 6)])
-def test_a_walk_at_every_budget_leaves_what_one_op_steps_leave(bounds, tlb):
+def test_a_walk_at_every_budget_leaves_what_one_op_steps_leave(bounds):
     """A walk may return before its budget is spent (ops run ahead past
     the op that ended it are put back and refunded), never after, and
-    always in the state the same number of one-op steps leave.  An
-    access's key is its time before its page walk: with a TLB, core 0's
-    load at 4 walks to 34, and core 1's op run ahead at 4 is still put
-    back when the budget cuts there."""
+    always in the state the same number of one-op steps leave."""
     total = sum(len(tape.kinds) for tape in _TIED_TAPES)
     for max_ops in range(1, total + 2):
-        walked = _two_tapes(max_ops, bounds, tlb, one_op=False)
+        walked = _two_tapes(max_ops, bounds, one_op=False)
         ops = walked[0][1]
         assert 1 <= ops <= max_ops
-        assert walked == _two_tapes(ops, bounds, tlb, one_op=True)
+        assert walked == _two_tapes(ops, bounds, one_op=True)
 
 
 # ----------------------------------------------------------------------

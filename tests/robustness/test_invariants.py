@@ -1,10 +1,14 @@
 """The invariant checker: silent on healthy runs, loud on corruption."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import ConfigError, InvariantViolation
 from repro.common.rng import DeterministicRng
 from repro.core.timecache import TimeCacheSystem
+from repro.obs.sinks import RingBufferSink
+from repro.obs.tracer import Tracer
 from repro.robustness.campaign import _drive, campaign_config
 from repro.robustness.invariants import InvariantChecker
 
@@ -136,6 +140,54 @@ def test_detach_restores_hooks(system):
     # A second detach is a no-op, and the system still runs clean.
     checker.detach()
     system.load(0, 0x1000, now=10)
+
+
+@pytest.mark.parametrize("detach_first", ["checker", "tracer"])
+@pytest.mark.parametrize("attach_first", ["checker", "tracer"])
+@pytest.mark.parametrize("engine", ["object", "fast"])
+def test_checker_and_tracer_share_the_cache_listeners(
+    engine, attach_first, detach_first
+):
+    """The checker joins each cache's listener chain beside a tracer:
+    whichever attaches or detaches first, the tracer sees every fill
+    while it is attached, and once both have detached no cache keeps a
+    listener."""
+    config = tiny_config(num_cores=1)
+    config = dataclasses.replace(
+        config, hierarchy=dataclasses.replace(config.hierarchy, engine=engine)
+    )
+    system = TimeCacheSystem(config)
+    caches = system.hierarchy.all_caches()
+    checker = InvariantChecker(system)
+    ring = RingBufferSink()
+    tracer = Tracer(ring)
+    attach = {"checker": checker.attach, "tracer": lambda: tracer.attach(system)}
+    detach = {"checker": checker.detach, "tracer": tracer.detach}
+    other = {"checker": "tracer", "tracer": "checker"}
+    attach[attach_first]()
+    attach[other[attach_first]]()
+    lines = iter(range(0x1000, 0x100000, 64))
+
+    def fresh_loads(count):
+        """Loads of lines not seen before, each filling the L1D and the
+        LLC; returns (fills counted, fills traced) meanwhile."""
+        fills = sum(cache.stats.get("fills") for cache in caches)
+        traced = len(ring.events)
+        for _ in range(count):
+            system.load(0, next(lines), now=system.clock.now + 10)
+        fills = sum(cache.stats.get("fills") for cache in caches) - fills
+        new_events = ring.events[traced:]
+        return fills, sum(event.kind == "cache.fill" for event in new_events)
+
+    fills, traced = fresh_loads(40)
+    assert fills >= 80 and traced == fills
+    detach[detach_first]()
+    fills, traced = fresh_loads(40)
+    assert traced == (fills if detach_first == "checker" else 0)
+    detach[other[detach_first]]()
+    assert all(cache.event_listener is None for cache in caches)
+    fresh_loads(4)
+    assert all(cache.event_listener is None for cache in caches)
 
 
 def test_bootstrap_adopts_preexisting_state(system):

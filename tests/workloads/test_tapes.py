@@ -8,7 +8,6 @@ must leave the summary, every counter and every trace event a run of
 the reference generators leaves.
 """
 
-import dataclasses
 from array import array
 
 import pytest
@@ -431,7 +430,6 @@ def _observe(config, build, reference, interval, instruction_budget=None):
 
 
 @pytest.mark.parametrize("interval", [1, 256])
-@pytest.mark.parametrize("tlb_entries", [0, 8])
 @pytest.mark.parametrize("engine", ["object", "fast"])
 @pytest.mark.parametrize(
     "workload",
@@ -443,7 +441,7 @@ def _observe(config, build, reference, interval, instruction_budget=None):
         "parsec_budget",
     ],
 )
-def test_tape_runs_equal_reference_runs(workload, engine, tlb_entries, interval):
+def test_tape_runs_equal_reference_runs(workload, engine, interval):
     """``parsec_budget`` stops the PARSEC runs mid-run on an instruction
     budget: the two-core tape walk must stop after the same step, in the
     same state, as the reference generators.  ``spec+<defense>`` runs
@@ -463,7 +461,6 @@ def test_tape_runs_equal_reference_runs(workload, engine, tlb_entries, interval)
         build = _build_parsec
         if workload == "parsec_budget":
             budget = PARSEC_PAIR[1]  # of the two threads' 2 x 6_000
-    config = dataclasses.replace(config, tlb_entries=tlb_entries)
     tape_run = _observe(config, build, False, interval, budget)
     reference_run = _observe(config, build, True, interval, budget)
     assert tape_run[0] == reference_run[0]
@@ -516,21 +513,19 @@ def _stopped_by_a_raising_access(config, build, reference, interval, nth):
         Task._next_tid, Process._next_pid = tids, pids
 
 
-@pytest.mark.parametrize("tlb_entries", [0, 8])
 @pytest.mark.parametrize("workload", ["spec", "parsec"])
-def test_a_raising_access_leaves_what_the_reference_leaves(workload, tlb_entries):
+def test_a_raising_access_leaves_what_the_reference_leaves(workload):
     """A raise inside an access stops the walk where the generator loop
     stops: the op counts as its load, store or ifetch and is taken off
-    the tape, but retires no instruction and adds no latency; the TLB
-    walk before it stays charged.  The counters are taken once per walk,
-    so this pins what they must come to."""
+    the tape, but retires no instruction and adds no latency.  The
+    counters are taken once per walk, so this pins what they must come
+    to."""
     if workload == "spec":
         config = scaled_experiment_config(quantum_cycles=3_000, engine="fast")
         build, nth = _build_spec, 2_000
     else:
         config = scaled_experiment_config(num_cores=2, engine="fast")
         build, nth = _build_parsec, 1_500
-    config = dataclasses.replace(config, tlb_entries=tlb_entries)
     reference = _stopped_by_a_raising_access(config, build, True, 256, nth)
     for interval in (1, 256):
         tape = _stopped_by_a_raising_access(config, build, False, interval, nth)
@@ -683,10 +678,10 @@ def test_spec_experiment_emits_each_program_once(monkeypatch):
 
 @pytest.mark.parametrize("defense", ["", "copy_on_access"])
 def test_spec_experiment_makes_one_engine_call_per_memory_op(monkeypatch, defense):
-    """Without a TLB the walk reads translated addresses off the tape and
-    calls the engine's port for the op's kind itself, once per memory
-    op: no per-op ``translate``, no ``access`` dispatcher, and no facade
-    call but the ``copy_on_access`` remap in front of the port."""
+    """The walk reads translated addresses off the tape and calls the
+    engine's port for the op's kind itself, once per memory op: no
+    per-op ``translate``, no ``access`` dispatcher, and no facade call
+    but the ``copy_on_access`` remap in front of the port."""
     tapes = []
     emit = generator.emit_profile_tape
 
