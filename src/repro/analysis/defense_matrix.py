@@ -97,9 +97,7 @@ def run_overhead_cell(
             seed=seed,
             engine=engine,
         )
-        config = get_defense(name).configure(base)
-        get_defense(name).check_engine(config)
-        return config
+        return get_defense(name).configure(base)
 
     start = time.perf_counter()
     run = _run_configured(build(defense), workload)

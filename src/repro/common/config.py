@@ -61,13 +61,12 @@ class LatencyConfig:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Geometry and policy of a single cache level."""
+    """Geometry of a single cache level (replacement is always LRU)."""
 
     name: str
     size_bytes: int
     ways: int
     line_bytes: int = 64
-    replacement: str = "lru"  # lru | fifo | random | tree-plru
 
     def validate(self) -> None:
         if self.line_bytes <= 0 or not is_power_of_two(self.line_bytes):
@@ -155,11 +154,12 @@ class HierarchyConfig:
     threads_per_core: int = 1
     #: which simulation engine services accesses:
     #: * ``"object"`` — the reference model (CacheLine objects, one
-    #:   CacheSet per set); every feature, every replacement policy.
+    #:   CacheSet per set).
     #: * ``"fast"``   — struct-of-arrays hot path
     #:   (:mod:`repro.memsys.fastengine`), semantics-identical and
     #:   differentially fuzzed against the object engine, ~an order of
-    #:   magnitude faster; supports the lru/fifo/random policies.
+    #:   magnitude faster.
+    #: Every configuration runs on both.
     engine: str = "object"
     l1i: CacheConfig = field(
         default_factory=lambda: CacheConfig("L1I", 32 * KIB, ways=4)

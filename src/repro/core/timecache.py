@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.common.clock import GlobalClock
 from repro.common.config import SimConfig
-from repro.common.rng import DeterministicRng
 from repro.core.context import ContextSwitchEngine, SwitchCost
 from repro.core.sbits import TaskCachingState
 from repro.memsys.hierarchy import (
@@ -58,7 +57,6 @@ class TimeCacheSystem:
         config.validate()
         self.config = config
         self.clock = GlobalClock()
-        self.rng = DeterministicRng(config.seed)
         if config.hierarchy.engine == "fast":
             from repro.memsys.fastengine import FastHierarchy
 
@@ -66,10 +64,7 @@ class TimeCacheSystem:
         else:
             hierarchy_cls = MemoryHierarchy
         self.hierarchy = hierarchy_cls(
-            config.hierarchy,
-            timecache=config.timecache,
-            clock=self.clock,
-            rng=self.rng.fork("hierarchy"),
+            config.hierarchy, timecache=config.timecache, clock=self.clock
         )
         if config.partition.enabled:
             self.hierarchy.enable_partitioning(config.partition.domains)
@@ -89,7 +84,6 @@ class TimeCacheSystem:
             from repro.defenses import get_defense
 
             self.defense = get_defense(config.defense)
-            self.defense.check_engine(config)
             self.defense_state = self.defense.attach(self)
         self._task_state: Dict[int, TaskCachingState] = {}
         #: partitioning baseline: security domain per task id (assigned

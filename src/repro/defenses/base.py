@@ -22,16 +22,9 @@ defended system is *bit-identical* to what it was before the protocol
 existed.  The protocol earns its keep with the siblings: FASE-style
 selective flushing and CACHEBAR-style copy-on-access need only the hooks.
 
-Engine capability
------------------
-
-Each defense declares ``fast_engine``: True (the default) when it runs
-on the fast engine, False when :meth:`Defense.check_engine` must reject
-``engine='fast'`` with a typed :class:`~repro.common.errors.ConfigError`
-naming the object-engine fallback, the same way the fast engine rejects
-tree-plru replacement.  Per-access listeners need no declaration: both
-engines run every batched access through their scalar ``access``, which
-calls them.
+Every defense runs on both engines: both call the per-access listeners
+from every access, batched or not, and the address remap sits at the
+facade, above either engine.
 """
 
 from __future__ import annotations
@@ -40,7 +33,6 @@ import dataclasses
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.common.config import SimConfig
-from repro.common.errors import ConfigError
 from repro.core.context import SwitchCost
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -63,9 +55,6 @@ class Defense:
     #: control cells to the *sanity* direction (the attack must keep
     #: leaking) instead of the defense-regression direction
     is_control: bool = False
-    #: False when this defense cannot run on the fast engine (see the
-    #: module docstring)
-    fast_engine: bool = True
 
     # ------------------------------------------------------------------
     # config transform
@@ -78,19 +67,6 @@ class Defense:
         as needed.  Must be pure (frozen-dataclass ``replace``).
         """
         return dataclasses.replace(config, defense=self.name)
-
-    # ------------------------------------------------------------------
-    # engine capability (satellite: typed, never silent)
-    # ------------------------------------------------------------------
-    def check_engine(self, config: SimConfig) -> None:
-        """Raise :class:`ConfigError` when this defense cannot run on the
-        configured engine, naming the fallback — mirroring the fast
-        engine's tree-plru rejection."""
-        if config.hierarchy.engine == "fast" and not self.fast_engine:
-            raise ConfigError(
-                f"defense {self.name!r} does not support engine='fast'; "
-                f"fall back to engine='object' (the reference model)"
-            )
 
     # ------------------------------------------------------------------
     # runtime hooks

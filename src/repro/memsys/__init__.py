@@ -4,11 +4,16 @@ This package is the reproduction's stand-in for gem5's memory system.  It
 models a blocking (TimingSimpleCPU-style) multi-level cache hierarchy:
 private L1I/L1D per core, a shared inclusive LLC, and a DRAM backend, with
 MESI-lite coherence between private caches through an LLC directory.
+Every cache level replaces its LRU line.
 
-The TimeCache defense (:mod:`repro.core`) hooks this substrate through the
-:class:`repro.core.policy.TimeCachePolicy` object that
-:class:`~repro.memsys.hierarchy.MemoryHierarchy` consults on every access,
-fill, eviction, invalidation, and flush.
+The TimeCache defense (:mod:`repro.core`) hooks this substrate in two
+places.  :class:`~repro.memsys.hierarchy.MemoryHierarchy` reads its
+:class:`~repro.common.config.TimeCacheConfig` on the access path (the
+s-bit check on every hit, the first-access probe, the fill rule and the
+Section VII hardening options), and
+:class:`repro.core.context.ContextSwitchEngine` operates on each cache's
+s-bit and Tc arrays at context switches (save, restore and the
+timestamp comparator).
 """
 
 from repro.memsys.cache import Cache
@@ -22,14 +27,7 @@ from repro.memsys.hierarchy import (
     BatchResult,
     MemoryHierarchy,
 )
-from repro.memsys.line import CacheLine, LineState
-from repro.memsys.replacement import (
-    FifoPolicy,
-    LruPolicy,
-    RandomPolicy,
-    TreePlruPolicy,
-    make_replacement_policy,
-)
+from repro.memsys.line import CacheLine
 
 __all__ = [
     "AccessKind",
@@ -42,11 +40,5 @@ __all__ = [
     "Dram",
     "FastCache",
     "FastHierarchy",
-    "FifoPolicy",
-    "LineState",
-    "LruPolicy",
     "MemoryHierarchy",
-    "RandomPolicy",
-    "TreePlruPolicy",
-    "make_replacement_policy",
 ]

@@ -23,11 +23,9 @@ import numpy as np
 
 from repro.common.config import CacheConfig
 from repro.common.errors import SimulationError
-from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
 from repro.memsys.cacheset import CacheSet
-from repro.memsys.line import CacheLine, LineState
-from repro.memsys.replacement import make_replacement_policy
+from repro.memsys.line import CacheLine
 
 #: a cache event listener: ``(event, set_idx, way, ctx)``
 EventListener = Callable[[str, int, int, int], None]
@@ -307,19 +305,13 @@ class Cache(CacheBase):
         config: CacheConfig,
         hw_contexts: Sequence[int],
         hit_latency: int,
-        rng: Optional[DeterministicRng] = None,
         max_sharers: int = 0,
     ) -> None:
         super().__init__(
             config, hw_contexts, hit_latency, max_sharers, StatGroup(config.name)
         )
         self.sets: List[CacheSet] = [
-            CacheSet(
-                i,
-                config.ways,
-                make_replacement_policy(config.replacement, config.ways, rng),
-            )
-            for i in range(self.num_sets)
+            CacheSet(i, config.ways) for i in range(self.num_sets)
         ]
 
     # ------------------------------------------------------------------
@@ -344,7 +336,6 @@ class Cache(CacheBase):
         line_addr: int,
         ctx: int,
         tc_now: int,
-        state: LineState,
         dirty: bool = False,
         allowed_ways: Optional[range] = None,
     ) -> Optional[CacheLine]:
@@ -354,6 +345,7 @@ class Cache(CacheBase):
         ``tc_now`` and the s-bit of the filling context is set while all
         other contexts' s-bits are cleared — the paper's fill rule.
 
+        The victim is the set's LRU line (:meth:`CacheSet.choose_victim`);
         ``allowed_ways`` restricts both free-way selection and victim
         choice (CAT-style way masking for the partitioning baseline).
 
@@ -364,15 +356,12 @@ class Cache(CacheBase):
         cset = self.sets[set_idx]
         victim: Optional[CacheLine] = None
         if allowed_ways is None:
-            way = cset.free_way()
-            if way is None:
-                way = cset.choose_victim(tc_now)
-                victim = self._evict(set_idx, way)
+            way = cset.choose_victim()
         else:
-            way = cset.choose_victim_in(allowed_ways, tc_now)
-            if cset.lines[way] is not None:
-                victim = self._evict(set_idx, way)
-        line = cset.install(way, self.tag(line_addr), tc_now, state)
+            way = cset.choose_victim_in(allowed_ways)
+        if cset.lines[way] is not None:
+            victim = self._evict(set_idx, way)
+        line = cset.install(way, self.tag(line_addr), tc_now)
         line.dirty = dirty
         self.tc[set_idx, way] = tc_now
         self.sbits[set_idx, way] = self.ctx_bit(ctx)
@@ -433,19 +422,17 @@ class Cache(CacheBase):
         if line is None:
             raise SimulationError(f"{self.name}: mark_dirty on empty slot")
         line.dirty = True
-        line.state = LineState.MODIFIED
 
     def is_dirty(self, set_idx: int, way: int) -> bool:
         line = self.sets[set_idx].lines[way]
         return line is not None and line.dirty
 
     def downgrade(self, set_idx: int, way: int) -> None:
-        """MODIFIED -> SHARED after a cache-to-cache transfer."""
+        """Clean the line after a cache-to-cache transfer."""
         line = self.sets[set_idx].lines[way]
         if line is None:
             raise SimulationError(f"{self.name}: downgrade on empty slot")
         line.dirty = False
-        line.state = LineState.SHARED
 
     def resident_tags_in_ways(self, ways: Sequence[int]) -> List[int]:
         """Resident tags restricted to ``ways``, set-major then way order

@@ -5,23 +5,24 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.common.errors import SimulationError
-from repro.memsys.line import CacheLine, LineState
-from repro.memsys.replacement import ReplacementPolicy
+from repro.memsys.line import CacheLine
 
 
 class CacheSet:
-    """Ways plus a tag index and the set's replacement policy state.
+    """Ways plus a tag index; replacement is LRU.
 
     The set stores only architectural line state; TimeCache metadata is
     held in the enclosing cache's flat arrays, indexed by (set, way).
+    LRU is the only replacement rule: the Section VII-A LRU attack
+    (:mod:`repro.attacks.lru_attack`) observes it, since the victim's
+    touch of a line changes which way :meth:`choose_victim` returns.
     """
 
-    __slots__ = ("index", "lines", "policy", "_tag_to_way")
+    __slots__ = ("index", "lines", "_tag_to_way")
 
-    def __init__(self, index: int, ways: int, policy: ReplacementPolicy) -> None:
+    def __init__(self, index: int, ways: int) -> None:
         self.index = index
         self.lines: List[Optional[CacheLine]] = [None] * ways
-        self.policy = policy
         self._tag_to_way: Dict[int, int] = {}
 
     def lookup(self, tag: int) -> Optional[int]:
@@ -33,28 +34,17 @@ class CacheSet:
         if line is None:
             raise SimulationError(f"touch on empty way {way}")
         line.touch(now)
-        self.policy.on_access(way, now)
 
-    def free_way(self) -> Optional[int]:
-        for way, line in enumerate(self.lines):
-            if line is None:
-                return way
-        return None
+    def choose_victim(self) -> int:
+        """Way to fill: a free way if any, else the LRU line."""
+        return self.choose_victim_in(range(len(self.lines)))
 
-    def choose_victim(self, now: int) -> int:
-        """Way to fill: a free way if any, else the policy's victim."""
-        free = self.free_way()
-        if free is not None:
-            return free
-        return self.policy.victim(self.lines, now)
-
-    def choose_victim_in(self, allowed_ways: range, now: int) -> int:
+    def choose_victim_in(self, allowed_ways: range) -> int:
         """Way to fill within ``allowed_ways`` (CAT-style way masking).
 
         A free allowed way wins; otherwise the least-recently-used line
-        *within the allowed ways* is evicted, regardless of the set's
-        global policy — which is how way masking constrains hardware
-        replacement."""
+        *within the allowed ways* is evicted, the lowest way on a tie —
+        which is how way masking constrains hardware replacement."""
         for way in allowed_ways:
             if self.lines[way] is None:
                 return way
@@ -70,7 +60,7 @@ class CacheSet:
             raise SimulationError("empty allowed-way mask")
         return best_way
 
-    def install(self, way: int, tag: int, now: int, state: LineState) -> CacheLine:
+    def install(self, way: int, tag: int, now: int) -> CacheLine:
         """Place a new line in ``way``; the way must already be empty."""
         if self.lines[way] is not None:
             raise SimulationError(
@@ -78,10 +68,9 @@ class CacheSet:
             )
         if tag in self._tag_to_way:
             raise SimulationError(f"duplicate tag {tag:#x} in set {self.index}")
-        line = CacheLine(tag, now, state)
+        line = CacheLine(tag, now)
         self.lines[way] = line
         self._tag_to_way[tag] = way
-        self.policy.on_fill(way, now)
         return line
 
     def remove(self, way: int) -> CacheLine:
@@ -91,7 +80,6 @@ class CacheSet:
             raise SimulationError(f"remove from empty way {way}")
         self.lines[way] = None
         del self._tag_to_way[line.tag]
-        self.policy.on_invalidate(way)
         return line
 
     @property

@@ -18,9 +18,7 @@ this sufficient — any line in a private cache is also in the LLC.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
-
-from repro.common.stats import StatGroup
+from typing import Dict, Set
 
 
 class Directory:
@@ -29,7 +27,6 @@ class Directory:
     def __init__(self) -> None:
         self._sharers: Dict[int, Set[str]] = {}
         self._owner: Dict[int, str] = {}  # private cache holding line dirty
-        self.stats = StatGroup("directory")
 
     def sharers(self, line_addr: int) -> Set[str]:
         return set(self._sharers.get(line_addr, ()))
@@ -61,14 +58,7 @@ class Directory:
     def clear_owner(self, line_addr: int) -> None:
         self._owner.pop(line_addr, None)
 
-    def others(self, line_addr: int, cache_id: str) -> List[str]:
-        """Sharers of the line other than ``cache_id``."""
-        return [s for s in self._sharers.get(line_addr, ()) if s != cache_id]
-
     def drop_line(self, line_addr: int) -> Set[str]:
         """Forget a line entirely (LLC eviction/flush); returns old sharers."""
         self._owner.pop(line_addr, None)
         return self._sharers.pop(line_addr, set())
-
-    def tracked_lines(self) -> Iterable[int]:
-        return self._sharers.keys()

@@ -7,10 +7,9 @@ counter method call per bump, and a frozen dataclass per result.  This
 module provides a second, **semantics-identical** engine that keeps the
 same per-slot state in struct-of-arrays form:
 
-* ``tags`` / ``dirty`` / ``last_used`` / ``filled_at`` — flat numpy
-  arrays indexed ``set * ways + way``, wrapped in memoryviews for the
-  scalar paths (a memoryview scalar read costs about half a numpy
-  scalar index);
+* ``tags`` / ``dirty`` / ``last_used`` — flat numpy arrays indexed
+  ``set * ways + way``, wrapped in memoryviews for the scalar paths (a
+  memoryview scalar read costs about half a numpy scalar index);
 * ``tc`` / ``sbits`` / ``valid`` — the canonical numpy arrays of the
   shared :class:`~repro.memsys.cache.CacheBase`, because the
   context-switch comparator, the fault injector, and the invariant
@@ -35,18 +34,11 @@ asserts identical ``AccessResult`` streams, stat snapshots, and final
 s-bit/Tc state.  The contract requires mirroring some subtle reference
 behaviors exactly:
 
-* ``fill`` stamps ``last_used = filled_at = tc_now`` with the *truncated*
+* ``fill`` stamps ``last_used = tc_now`` with the *truncated*
   timestamp while ``touch`` uses the full cycle count — LRU order mixes
   the two, so the fast engine stores exactly the same mixed values;
-* victim selection tie-breaks on the lowest way index via a strictly-less
-  scan, and a free way (first empty index) always wins;
-* the random policy draws from the same :class:`DeterministicRng` fork in
-  the same global order.
-
-Supported replacement policies: ``lru``, ``fifo``, ``random``.  The
-``tree-plru`` and ``srrip`` policies keep per-way state inside policy
-objects and stay object-engine-only; configuring them with
-``engine="fast"`` raises :class:`~repro.common.errors.ConfigError`.
+* LRU victim selection tie-breaks on the lowest way index via a
+  strictly-less scan, and a free way (first empty index) always wins.
 """
 
 from __future__ import annotations
@@ -56,8 +48,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.config import CacheConfig
-from repro.common.errors import ConfigError, SimulationError
-from repro.common.rng import DeterministicRng
+from repro.common.errors import SimulationError
 from repro.common.stats import StatGroup
 from repro.memsys.cache import CacheBase
 from repro.memsys.hierarchy import (
@@ -66,7 +57,6 @@ from repro.memsys.hierarchy import (
     MemoryHierarchy,
     Port,
 )
-from repro.memsys.line import LineState
 
 _IFETCH = AccessKind.IFETCH
 _STORE = AccessKind.STORE
@@ -158,15 +148,11 @@ class FastCache(CacheBase):
         "tags_flat",
         "dirty_flat",
         "last_flat",
-        "filled_flat",
         "_tags",
         "_dirty",
         "_last_used",
-        "_filled_at",
         "_tag_to_way",
         "_occ",
-        "_victim_stamps",
-        "_set_rngs",
     )
 
     def __init__(
@@ -174,7 +160,6 @@ class FastCache(CacheBase):
         config: CacheConfig,
         hw_contexts: Sequence[int],
         hit_latency: int,
-        rng: Optional[DeterministicRng] = None,
         max_sharers: int = 0,
     ) -> None:
         super().__init__(
@@ -184,12 +169,6 @@ class FastCache(CacheBase):
             max_sharers,
             AccessCount(config.name, [self]),
         )
-        policy = config.replacement.lower()
-        if policy not in ("lru", "fifo", "random"):
-            raise ConfigError(
-                f"{config.name}: the fast engine supports lru/fifo/random "
-                f"replacement, not {config.replacement!r}; use engine='object'"
-            )
         size = self.num_sets * self.ways
         # Memoryviews over flat views of the canonical Tc/s-bit/valid
         # arrays: scalar reads/writes through a memoryview cost roughly
@@ -200,43 +179,19 @@ class FastCache(CacheBase):
         self.sbits_mv = memoryview(self.sbits.reshape(-1))
         self.valid_mv = memoryview(self.valid.reshape(-1))
         # Architectural slot state: flat numpy arrays (set * ways + way
-        # order) with memoryview aliases for the scalar paths.  MESI-lite
-        # keeps line state in lockstep with the dirty flag (MODIFIED iff
-        # dirty, else SHARED), so the fast engine stores only the dirty
-        # bit.  A tag of -1 marks an empty way.
+        # order) with memoryview aliases for the scalar paths, the same
+        # tag, dirty bit and LRU stamp a CacheLine holds.  A tag of -1
+        # marks an empty way.
         self.tags_flat = np.full(size, -1, dtype=np.int64)
         self._tags: memoryview = memoryview(self.tags_flat)
         self.dirty_flat = np.zeros(size, dtype=bool)
         self._dirty: memoryview = memoryview(self.dirty_flat)
         self.last_flat = np.zeros(size, dtype=np.int64)
         self._last_used: memoryview = memoryview(self.last_flat)
-        self.filled_flat = np.zeros(size, dtype=np.int64)
-        self._filled_at: memoryview = memoryview(self.filled_flat)
         self._tag_to_way: List[Dict[int, int]] = [
             {} for _ in range(self.num_sets)
         ]
         self._occ: List[int] = [0] * self.num_sets
-        # Victim-scan stamp source, aliasing the recency lists (which are
-        # mutated in place, never rebound): last_used for LRU, filled_at
-        # for FIFO, None for random.
-        if policy == "lru":
-            self._victim_stamps: Optional[memoryview] = self._last_used
-        elif policy == "fifo":
-            self._victim_stamps = self._filled_at
-        else:
-            self._victim_stamps = None
-        # The object engine hands ONE shared rng to every set's random
-        # policy (or a per-set default when rng is None); mirror both so
-        # the draw sequence is identical.
-        if policy == "random":
-            if rng is not None:
-                self._set_rngs = [rng] * self.num_sets
-            else:
-                self._set_rngs = [
-                    DeterministicRng(self.ways) for _ in range(self.num_sets)
-                ]
-        else:
-            self._set_rngs = []
 
     # ------------------------------------------------------------------
     # Lookup / fill / evict
@@ -252,12 +207,10 @@ class FastCache(CacheBase):
         self._last_used[set_idx * self.ways + way] = now
 
     def _victim_way(self, set_idx: int) -> int:
-        """Full set: pick the way to evict, mirroring the policies'
-        strictly-less / first-index tie-break scans exactly."""
+        """Full set: the LRU way, by the reference's strictly-less /
+        lowest-way tie-break scan."""
         base = set_idx * self.ways
-        stamps = self._victim_stamps
-        if stamps is None:
-            return self._set_rngs[set_idx].randint(0, self.ways - 1)
+        stamps = self._last_used
         best_way = 0
         best = stamps[base]
         for way in range(1, self.ways):
@@ -269,7 +222,7 @@ class FastCache(CacheBase):
 
     def _victim_way_in(self, set_idx: int, allowed_ways) -> int:
         """CAT-masked victim: free allowed way, else LRU within the mask
-        (always LRU regardless of policy, like ``choose_victim_in``)."""
+        (like ``choose_victim_in``)."""
         base = set_idx * self.ways
         tags = self._tags
         for way in allowed_ways:
@@ -292,7 +245,6 @@ class FastCache(CacheBase):
         line_addr: int,
         ctx: int,
         tc_now: int,
-        state: LineState,
         dirty: bool = False,
         allowed_ways=None,
     ) -> Optional[EvictedLine]:
@@ -325,10 +277,9 @@ class FastCache(CacheBase):
         idx = base + way
         tags[idx] = line_addr
         self._dirty[idx] = dirty
-        # CacheLine.__init__ stamps both recency fields with the
+        # CacheLine.__init__ stamps the recency field with the
         # (truncated) fill time; touch() later overwrites with full time.
         self._last_used[idx] = tc_now
-        self._filled_at[idx] = tc_now
         self._tag_to_way[set_idx][line_addr] = way
         self._occ[set_idx] += 1
         self.tc_mv[idx] = tc_now
@@ -427,22 +378,21 @@ class FastCache(CacheBase):
 class FastHierarchy(MemoryHierarchy):
     """The memory hierarchy driven through :class:`FastCache` levels.
 
-    Reuses the reference topology construction (identical rng fork names,
-    so random replacement draws match), the ``access`` dispatcher, the
-    ``access_batch`` loop and every cold path — fills while a listener
-    is attached, LLC misses and evictions, coherence, partitioning
-    flushes, clflush, inclusion checks — which run unchanged against the
-    engine-generic cache surface.  It overrides only :meth:`_bind`,
-    which builds each context's per-kind port with the reference
-    semantics inlined over struct-of-arrays state, and
+    Reuses the reference topology construction, the ``access``
+    dispatcher, the ``access_batch`` loop and every cold path — fills
+    while a listener is attached, LLC misses and evictions, coherence,
+    partitioning flushes, clflush, inclusion checks — which run
+    unchanged against the engine-generic cache surface.  It overrides
+    only :meth:`_bind`, which builds each context's per-kind port with
+    the reference semantics inlined over struct-of-arrays state, and
     :meth:`_probe_llc`, the other path its ports take on every first
     access.  A tape walk calls those ports directly: every op tape is
     translated to physical addresses when it is installed, so each of
     its memory ops is one port call.
     """
 
-    def __init__(self, config, timecache=None, clock=None, rng=None) -> None:
-        super().__init__(config, timecache=timecache, clock=clock, rng=rng)
+    def __init__(self, config, timecache=None, clock=None) -> None:
+        super().__init__(config, timecache=timecache, clock=clock)
         contexts = range(config.num_cores * config.threads_per_core)
         self._sctx_of = [self._llc_sbit_ctx(ctx) for ctx in contexts]
         self._dram_first = self.tc_config.dram_latency_on_first_access
@@ -454,11 +404,9 @@ class FastHierarchy(MemoryHierarchy):
         self.c_accesses = self.stats.bound_counter("accesses")
 
     def _make_cache(
-        self, config, hw_contexts, hit_latency, rng, max_sharers=0
+        self, config, hw_contexts, hit_latency, max_sharers=0
     ) -> FastCache:
-        return FastCache(
-            config, hw_contexts, hit_latency, rng, max_sharers=max_sharers
-        )
+        return FastCache(config, hw_contexts, hit_latency, max_sharers=max_sharers)
 
     def _intern_result(
         self, latency: int, level: str, first: bool = False
@@ -523,9 +471,7 @@ class FastHierarchy(MemoryHierarchy):
         tags = l1._tags
         dirty = l1._dirty
         last_used = l1._last_used
-        filled_at = l1._filled_at
         occ = l1._occ
-        victim_stamps = l1._victim_stamps
         ever_filled = l1._ever_filled
         hit_result = self._intern_result(hit_latency, "L1")
         llc_hit_result = self._intern_result(
@@ -652,16 +598,13 @@ class FastHierarchy(MemoryHierarchy):
                         occ[set_idx] += 1
                         valid_mv[idx] = True
                     else:
-                        if victim_stamps is None:
-                            way = l1._set_rngs[set_idx].randint(0, ways - 1)
-                        else:
-                            way = 0
-                            best = victim_stamps[base]
-                            for w in upper_ways:
-                                stamp = victim_stamps[base + w]
-                                if stamp < best:
-                                    best = stamp
-                                    way = w
+                        way = 0
+                        best = last_used[base]
+                        for w in upper_ways:
+                            stamp = last_used[base + w]
+                            if stamp < best:
+                                best = stamp
+                                way = w
                         idx = base + way
                         vtag = tags[idx]
                         vdirty = dirty[idx]
@@ -677,7 +620,6 @@ class FastHierarchy(MemoryHierarchy):
                     tags[idx] = line
                     dirty[idx] = is_write
                     last_used[idx] = tnow
-                    filled_at[idx] = tnow
                     t2w[line] = way
                     tc_mv[idx] = tnow
                     sbits_mv[idx] = bit
@@ -709,7 +651,7 @@ class FastHierarchy(MemoryHierarchy):
                         sharers = all_sharers.get(vtag)
                         if sharers is not None:
                             # Unlike Directory.remove_sharer, leave the emptied
-                            # set in place: every public reader treats empty and
+                            # set in place: every reader treats empty and
                             # absent identically, and the next fill of this line
                             # reuses the set instead of reallocating one.
                             sharers.discard(l1name)

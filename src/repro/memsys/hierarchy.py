@@ -39,12 +39,11 @@ from typing import (
 from repro.common.clock import GlobalClock
 from repro.common.config import HierarchyConfig, TimeCacheConfig
 from repro.common.errors import SimulationError
-from repro.common.rng import DeterministicRng
 from repro.common.stats import StatGroup
 from repro.memsys.cache import Cache, CacheBase
 from repro.memsys.coherence import Directory
 from repro.memsys.dram import Dram
-from repro.memsys.line import CacheLine, LineState
+from repro.memsys.line import CacheLine
 
 
 class AccessKind(enum.Enum):
@@ -123,7 +122,6 @@ class MemoryHierarchy:
         config: HierarchyConfig,
         timecache: Optional[TimeCacheConfig] = None,
         clock: Optional[GlobalClock] = None,
-        rng: Optional[DeterministicRng] = None,
     ) -> None:
         config.validate()
         self.config = config
@@ -134,7 +132,6 @@ class MemoryHierarchy:
         self._tc_mask = (1 << self.tc_config.timestamp_bits) - 1
         lat = config.latency
         self.latency = lat
-        rng = rng if rng is not None else DeterministicRng()
 
         threads = config.threads_per_core
         all_ctxs = list(range(config.num_cores * threads))
@@ -147,7 +144,6 @@ class MemoryHierarchy:
                     replace(config.l1i, name=f"L1I{core}"),
                     ctxs,
                     lat.l1_hit,
-                    rng.fork(f"l1i{core}"),
                     max_sharers=self.tc_config.max_sharers,
                 )
             )
@@ -156,7 +152,6 @@ class MemoryHierarchy:
                     replace(config.l1d, name=f"L1D{core}"),
                     ctxs,
                     lat.l1_hit,
-                    rng.fork(f"l1d{core}"),
                     max_sharers=self.tc_config.max_sharers,
                 )
             )
@@ -164,7 +159,6 @@ class MemoryHierarchy:
             config.llc,
             all_ctxs,
             lat.l2_hit,
-            rng.fork("llc"),
             max_sharers=self.tc_config.max_sharers,
         )
         self.dram = Dram(lat.dram)
@@ -204,16 +198,12 @@ class MemoryHierarchy:
         config,
         hw_contexts,
         hit_latency: int,
-        rng: DeterministicRng,
         max_sharers: int = 0,
     ) -> CacheBase:
         """Cache factory; the fast engine overrides this single seam to
         substitute its struct-of-arrays implementation while reusing the
-        topology/rng-fork wiring above (fork names are part of the
-        deterministic contract between the engines)."""
-        return Cache(
-            config, hw_contexts, hit_latency, rng, max_sharers=max_sharers
-        )
+        topology wiring above."""
+        return Cache(config, hw_contexts, hit_latency, max_sharers=max_sharers)
 
     # ------------------------------------------------------------------
     # CAT-style way partitioning (the comparison baseline)
@@ -611,7 +601,6 @@ class MemoryHierarchy:
             line,
             sctx,
             now & self._tc_mask,
-            LineState.SHARED,
             allowed_ways=self._llc_allowed_ways(ctx),
         )
         wb = 0
@@ -659,8 +648,7 @@ class MemoryHierarchy:
     def _fill_private(
         self, l1: CacheBase, line: int, ctx: int, is_write: bool, now: int
     ) -> None:
-        state = LineState.MODIFIED if is_write else LineState.SHARED
-        victim = l1.fill(line, ctx, self._truncate(now), state, dirty=is_write)
+        victim = l1.fill(line, ctx, self._truncate(now), dirty=is_write)
         if is_write:
             self._invalidate_other_private(l1, line)
             self.directory.set_owner(line, l1.name)
@@ -697,8 +685,8 @@ class MemoryHierarchy:
         """Handle a remote modified copy on an LLC hit.
 
         Returns (extra latency, level label or "").  A load pulls the dirty
-        line out of the owner's L1 (cache-to-cache transfer, downgrading
-        the owner to SHARED); a write invalidates every other private copy.
+        line out of the owner's L1 (cache-to-cache transfer, leaving the
+        owner a clean copy); a write invalidates every other private copy.
         """
         extra = 0
         level = ""
@@ -711,7 +699,7 @@ class MemoryHierarchy:
 
     def _remote_owner_transfer(self, line: int, owner: str) -> Tuple[int, str]:
         """Another private cache owns ``line``: pull it out if dirty (a
-        cache-to-cache transfer, downgrading the owner to SHARED) and
+        cache-to-cache transfer, leaving the owner a clean copy) and
         clear the ownership.  Returns (extra latency, level or "")."""
         extra = 0
         level = ""

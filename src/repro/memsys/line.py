@@ -1,9 +1,9 @@
 """Cache line state.
 
 A :class:`CacheLine` carries the *architectural* state of one line slot:
-tag, validity, dirtiness, and MESI-lite coherence state.  The TimeCache
-metadata (fill timestamp ``Tc`` and the per-hardware-context ``s-bits``)
-deliberately lives in flat arrays owned by the enclosing
+tag, dirtiness, and the LRU recency stamp.  The TimeCache metadata (fill
+timestamp ``Tc`` and the per-hardware-context ``s-bits``) deliberately
+lives in flat arrays owned by the enclosing
 :class:`~repro.memsys.cache.Cache`, mirroring the paper's hardware layout:
 a *separate* transposed SRAM array beside the data array (Figure 3), which
 the bit-serial comparator scans in parallel across all lines.
@@ -11,42 +11,20 @@ the bit-serial comparator scans in parallel across all lines.
 
 from __future__ import annotations
 
-import enum
-
-
-class LineState(enum.Enum):
-    """MESI-lite coherence state of a line in a private cache.
-
-    The shared LLC tracks presence through the directory instead; its lines
-    simply use ``SHARED``/``MODIFIED`` to track dirtiness relative to DRAM.
-    """
-
-    MODIFIED = "M"
-    EXCLUSIVE = "E"
-    SHARED = "S"
-    INVALID = "I"
-
 
 class CacheLine:
-    """One way of one set: tag plus architectural state bits."""
+    """One way of one set: tag, dirty bit and LRU recency stamp."""
 
-    __slots__ = ("tag", "dirty", "state", "last_used", "filled_at")
+    __slots__ = ("tag", "dirty", "last_used")
 
-    def __init__(self, tag: int, now: int, state: LineState) -> None:
+    def __init__(self, tag: int, now: int) -> None:
         self.tag = tag
         self.dirty = False
-        self.state = state
-        #: recency stamp for the LRU policy
+        #: recency stamp for LRU replacement
         self.last_used = now
-        #: insertion stamp for the FIFO policy (distinct from TimeCache's
-        #: truncated Tc, which lives in the cache's timestamp array)
-        self.filled_at = now
 
     def touch(self, now: int) -> None:
         self.last_used = now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CacheLine(tag={self.tag:#x}, state={self.state.value}, "
-            f"dirty={self.dirty})"
-        )
+        return f"CacheLine(tag={self.tag:#x}, dirty={self.dirty})"

@@ -83,36 +83,30 @@ class TestPartitionGeometry:
 def test_choose_victim_in_rejects_empty_range():
     from repro.common.errors import SimulationError
     from repro.memsys.cacheset import CacheSet
-    from repro.memsys.line import LineState
-    from repro.memsys.replacement import LruPolicy
 
-    cset = CacheSet(0, ways=4, policy=LruPolicy(4))
+    cset = CacheSet(0, ways=4)
     for way in range(4):
-        cset.install(way, tag=way, now=way, state=LineState.SHARED)
+        cset.install(way, tag=way, now=way)
     with pytest.raises(SimulationError):
-        cset.choose_victim_in(range(0, 0), now=10)
+        cset.choose_victim_in(range(0, 0))
 
 
 def test_choose_victim_in_prefers_free_allowed_way():
     from repro.memsys.cacheset import CacheSet
-    from repro.memsys.line import LineState
-    from repro.memsys.replacement import LruPolicy
 
-    cset = CacheSet(0, ways=4, policy=LruPolicy(4))
-    cset.install(0, tag=9, now=0, state=LineState.SHARED)
-    assert cset.choose_victim_in(range(0, 2), now=1) == 1  # the free one
+    cset = CacheSet(0, ways=4)
+    cset.install(0, tag=9, now=0)
+    assert cset.choose_victim_in(range(0, 2)) == 1  # the free one
 
 
 def test_choose_victim_in_lru_within_allowed():
     from repro.memsys.cacheset import CacheSet
-    from repro.memsys.line import LineState
-    from repro.memsys.replacement import LruPolicy
 
-    cset = CacheSet(0, ways=4, policy=LruPolicy(4))
+    cset = CacheSet(0, ways=4)
     for way, touch in zip(range(4), [5, 1, 9, 0]):
-        cset.install(way, tag=way, now=touch, state=LineState.SHARED)
+        cset.install(way, tag=way, now=touch)
     # globally way 3 is LRU (touch 0), but outside the allowed range
-    assert cset.choose_victim_in(range(0, 2), now=10) == 1
+    assert cset.choose_victim_in(range(0, 2)) == 1
 
 
 class TestBatchedReplay:

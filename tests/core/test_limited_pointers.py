@@ -11,7 +11,6 @@ import pytest
 from repro.common.config import CacheConfig
 from repro.core.timecache import TimeCacheSystem
 from repro.memsys.cache import Cache
-from repro.memsys.line import LineState
 
 from tests.conftest import tiny_config
 
@@ -27,7 +26,7 @@ class TestCacheLevel:
 
     def test_unlimited_by_default(self):
         cache = self.make(0)
-        cache.fill(0x10, ctx=0, tc_now=1, state=LineState.SHARED)
+        cache.fill(0x10, ctx=0, tc_now=1)
         s, w = cache.lookup(0x10)
         for ctx in (1, 2, 3):
             cache.set_sbit(s, w, ctx)
@@ -35,7 +34,7 @@ class TestCacheLevel:
 
     def test_overflow_evicts_oldest_sharer(self):
         cache = self.make(2)
-        cache.fill(0x10, ctx=0, tc_now=1, state=LineState.SHARED)
+        cache.fill(0x10, ctx=0, tc_now=1)
         s, w = cache.lookup(0x10)
         cache.set_sbit(s, w, 1)  # sharers: {0, 1} == cap
         cache.set_sbit(s, w, 2)  # overflow: ctx 0 loses visibility
@@ -46,7 +45,7 @@ class TestCacheLevel:
 
     def test_resetting_existing_sharer_never_overflows(self):
         cache = self.make(2)
-        cache.fill(0x10, ctx=0, tc_now=1, state=LineState.SHARED)
+        cache.fill(0x10, ctx=0, tc_now=1)
         s, w = cache.lookup(0x10)
         cache.set_sbit(s, w, 1)
         cache.set_sbit(s, w, 1)  # idempotent
@@ -55,7 +54,7 @@ class TestCacheLevel:
 
     def test_cap_one_means_single_owner(self):
         cache = self.make(1)
-        cache.fill(0x10, ctx=0, tc_now=1, state=LineState.SHARED)
+        cache.fill(0x10, ctx=0, tc_now=1)
         s, w = cache.lookup(0x10)
         cache.set_sbit(s, w, 3)
         assert not cache.sbit_is_set(s, w, 0)

