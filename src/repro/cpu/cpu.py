@@ -331,14 +331,17 @@ class HardwareContext:
         Between hand-offs each context keeps the generator loop's rules
         op for op: the same time per op, one ``ops`` per op.  A memory op
         reads its physical address off the tape and makes one call, to
-        the port its kind code indexes in the context's ports.  The running
-        context's index, time and compute-burst instructions live in
-        locals, the others' in flat lists, swapped at each hand-off; the
-        counters are taken once per call from the kind codes each context
-        walked, in a ``finally``, so a raise leaves the state one-op
-        steps would: the raising access counts as its op's load, store
-        or ifetch but retires no instruction.  The tapes never read a
-        result, so none is kept for them.
+        the port its kind code indexes in the context's ports.  The
+        running context's ops come from one ``range`` over the budget
+        left, so an op pays only the time-bound check; ``pos`` names the
+        next op at every way out of it.  The running context's index,
+        time and compute-burst instructions live in locals, the others'
+        in flat lists, swapped at each hand-off; the counters are taken
+        once per call from the kind codes each context walked, in a
+        ``finally``, so a raise leaves the state one-op steps would: the
+        raising access counts as its op's load, store or ifetch but
+        retires no instruction.  The tapes never read a result, so none
+        is kept for them.
 
         A compute op touches nothing another context sees, so before a
         hand-off the running context runs its next compute ops ahead of
@@ -424,12 +427,12 @@ class HardwareContext:
                     turn = times[rival] + (rival > k)
                     if turn < stop:
                         stop = turn
+                # At most ``left`` ops; ``pos`` is the op running, then
+                # the last one run, so the next op is one past it.
                 start = pos
-                end = pos + left
-                while True:
+                for pos in range(pos, pos + left):
                     code = kinds[pos]
                     arg = args[pos]
-                    pos += 1
                     if code < compute:
                         issued = now
                         now += 1 + ports[code](arg, now).latency
@@ -439,8 +442,9 @@ class HardwareContext:
                     else:  # TAPE_EXIT
                         event = StepEvent.EXITED
                         break
-                    if now >= stop or pos >= end:
+                    if now >= stop:
                         break
+                pos += 1
                 left -= pos - start
                 if event is not StepEvent.RUNNING or not left or now >= bound:
                     break
@@ -468,7 +472,10 @@ class HardwareContext:
                 now = times[k]
                 burst = bursts[k]
         except BaseException:
-            raised = True  # inside the access of the op before ``pos``
+            # inside the access of the op at ``pos``: it is spent, as it
+            # is for a one-op step
+            raised = True
+            pos += 1
             raise
         finally:
             positions[k] = pos

@@ -7,14 +7,17 @@ counter method call per bump, and a frozen dataclass per result.  This
 module provides a second, **semantics-identical** engine that keeps the
 same per-slot state in struct-of-arrays form:
 
-* ``tags`` / ``dirty`` / ``last_used`` — flat numpy arrays indexed
-  ``set * ways + way``, wrapped in memoryviews for the scalar paths (a
-  memoryview scalar read costs about half a numpy scalar index);
+* ``_tags`` / ``_dirty`` / ``_last_used`` — flat Python lists indexed
+  ``set * ways + way`` (a list element read or write is the cheapest
+  indexed access the interpreter has), and one ``_slot_of`` dict from
+  each resident line to its slot, so finding a line is one dict probe
+  with no set arithmetic;
 * ``tc`` / ``sbits`` / ``valid`` — the canonical numpy arrays of the
   shared :class:`~repro.memsys.cache.CacheBase`, because the
   context-switch comparator, the fault injector, and the invariant
   checker all read and mutate them in place (``cache.tc[s, w] = ...``
-  must keep working against either engine);
+  must keep working against either engine); the access path reads and
+  writes them through flat memoryviews;
 * per-slot s-bits packed as per-way int64 context bitmasks — one bit per
   hardware context column, the same convention as the object engine;
 * the object engine's ``c_*`` counters in a ``StatGroup``, bumped inline
@@ -37,15 +40,17 @@ behaviors exactly:
 * ``fill`` stamps ``last_used = tc_now`` with the *truncated*
   timestamp while ``touch`` uses the full cycle count — LRU order mixes
   the two, so the fast engine stores exactly the same mixed values;
-* LRU victim selection tie-breaks on the lowest way index via a
-  strictly-less scan, and a free way (first empty index) always wins.
+* LRU victim selection picks the lowest way among the oldest stamps
+  (the reference's strictly-less scan: ``stamps.index(min(stamps))``),
+  and a free way (first empty index) always wins;
+* ``resident_line_addrs`` lists sets in ascending order and each set's
+  lines in fill order, as the reference's per-set tag maps do.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.common.config import CacheConfig
 from repro.common.errors import SimulationError
@@ -68,37 +73,38 @@ _OUTCOMES = ("hits", "misses", "first_access_misses")
 
 class AccessCount(StatGroup):
     """A ``StatGroup`` whose ``accesses`` counter also counts every
-    outcome — hit, miss or first-access miss — of ``caches``.
+    outcome — hit, miss or first-access miss — recorded in this group or
+    in one of ``parts``.
 
     The fast ports bump no ``accesses`` counter: a fast cache's group
     counts its own outcomes, and the fast hierarchy's counts its private
-    caches'.  A bump of ``accesses`` itself still counts; the one LLC
-    probe outcome that records no outcome counter makes one.
+    caches' groups'.  A bump of ``accesses`` itself still counts; the
+    one LLC probe outcome that records no outcome counter makes one.
 
     The outcomes are folded into the counter whenever the group is read,
-    so it reports and resets like any bound counter.  A cache's
+    so it reports and resets like any bound counter.  A group's
     :meth:`reset` retires its outcomes rather than dropping them, so
-    resetting a cache leaves its hierarchy's count alone.
+    resetting a cache leaves its hierarchy's count alone.  A group holds
+    only counters and its ``parts``, never a cache, so a cache and its
+    group form no reference cycle.
     """
 
-    def __init__(self, name: str, caches: Sequence[CacheBase]) -> None:
+    def __init__(self, name: str, parts: Sequence["AccessCount"] = ()) -> None:
         super().__init__(name)
-        self._caches = caches
+        self._parts = tuple(parts)
         self._accesses = self.bound_counter("accesses")
-        #: the caches' outcomes already folded into ``accesses``
+        self._outcome_counters = tuple(self.bound_counter(n) for n in _OUTCOMES)
+        #: the outcomes already folded into ``accesses``
         self._folded = 0
         #: this group's own outcome counts that reset() zeroed
         self._retired = 0
 
+    def _own_outcomes(self) -> int:
+        """Every outcome this group recorded since it was built."""
+        return self._retired + sum(c.value for c in self._outcome_counters)
+
     def _outcomes(self) -> int:
-        """Every outcome ``caches`` recorded since they were built."""
-        return sum(
-            c.stats._retired
-            + c.c_hits.value
-            + c.c_misses.value
-            + c.c_first_access_misses.value
-            for c in self._caches
-        )
+        return self._own_outcomes() + sum(p._own_outcomes() for p in self._parts)
 
     def _fold(self) -> None:
         outcomes = self._outcomes()
@@ -114,7 +120,7 @@ class AccessCount(StatGroup):
         return super().snapshot()
 
     def reset(self) -> None:
-        self._retired += sum(StatGroup.get(self, n) for n in _OUTCOMES)
+        self._retired += sum(c.value for c in self._outcome_counters)
         super().reset()
         self._folded = self._outcomes()
 
@@ -133,7 +139,7 @@ class EvictedLine(NamedTuple):
 class FastCache(CacheBase):
     """Struct-of-arrays drop-in for :class:`repro.memsys.cache.Cache`.
 
-    Stores its lines in flat arrays and implements the line-level half
+    Stores its lines in flat lists and implements the line-level half
     of the cache surface over them — lookup, fill/evict/invalidate, the
     slot accessors — with identical observable behavior; the rest is
     the shared :class:`~repro.memsys.cache.CacheBase`.  ``fill`` and
@@ -145,13 +151,10 @@ class FastCache(CacheBase):
         "tc_mv",
         "sbits_mv",
         "valid_mv",
-        "tags_flat",
-        "dirty_flat",
-        "last_flat",
         "_tags",
         "_dirty",
         "_last_used",
-        "_tag_to_way",
+        "_slot_of",
         "_occ",
     )
 
@@ -163,11 +166,7 @@ class FastCache(CacheBase):
         max_sharers: int = 0,
     ) -> None:
         super().__init__(
-            config,
-            hw_contexts,
-            hit_latency,
-            max_sharers,
-            AccessCount(config.name, [self]),
+            config, hw_contexts, hit_latency, max_sharers, AccessCount(config.name)
         )
         size = self.num_sets * self.ways
         # Memoryviews over flat views of the canonical Tc/s-bit/valid
@@ -178,47 +177,34 @@ class FastCache(CacheBase):
         self.tc_mv = memoryview(self.tc.reshape(-1))
         self.sbits_mv = memoryview(self.sbits.reshape(-1))
         self.valid_mv = memoryview(self.valid.reshape(-1))
-        # Architectural slot state: flat numpy arrays (set * ways + way
-        # order) with memoryview aliases for the scalar paths, the same
+        # Architectural slot state, in set * ways + way order: the same
         # tag, dirty bit and LRU stamp a CacheLine holds.  A tag of -1
         # marks an empty way.
-        self.tags_flat = np.full(size, -1, dtype=np.int64)
-        self._tags: memoryview = memoryview(self.tags_flat)
-        self.dirty_flat = np.zeros(size, dtype=bool)
-        self._dirty: memoryview = memoryview(self.dirty_flat)
-        self.last_flat = np.zeros(size, dtype=np.int64)
-        self._last_used: memoryview = memoryview(self.last_flat)
-        self._tag_to_way: List[Dict[int, int]] = [
-            {} for _ in range(self.num_sets)
-        ]
+        self._tags: List[int] = [-1] * size
+        self._dirty: List[bool] = [False] * size
+        self._last_used: List[int] = [0] * size
+        #: each resident line's slot, in fill order
+        self._slot_of: Dict[int, int] = {}
         self._occ: List[int] = [0] * self.num_sets
 
     # ------------------------------------------------------------------
     # Lookup / fill / evict
     # ------------------------------------------------------------------
     def lookup(self, line_addr: int) -> Optional[Tuple[int, int]]:
-        set_idx = line_addr & self._set_mask
-        way = self._tag_to_way[set_idx].get(line_addr)
-        if way is None:
+        idx = self._slot_of.get(line_addr)
+        if idx is None:
             return None
-        return set_idx, way
+        return divmod(idx, self.ways)
 
     def touch(self, set_idx: int, way: int, now: int) -> None:
         self._last_used[set_idx * self.ways + way] = now
 
     def _victim_way(self, set_idx: int) -> int:
-        """Full set: the LRU way, by the reference's strictly-less /
-        lowest-way tie-break scan."""
+        """Full set: the LRU way, the lowest of the oldest stamps (the
+        reference's strictly-less scan)."""
         base = set_idx * self.ways
-        stamps = self._last_used
-        best_way = 0
-        best = stamps[base]
-        for way in range(1, self.ways):
-            stamp = stamps[base + way]
-            if stamp < best:
-                best = stamp
-                best_way = way
-        return best_way
+        stamps = self._last_used[base : base + self.ways]
+        return stamps.index(min(stamps))
 
     def _victim_way_in(self, set_idx: int, allowed_ways) -> int:
         """CAT-masked victim: free allowed way, else LRU within the mask
@@ -260,9 +246,7 @@ class FastCache(CacheBase):
         victim: Optional[EvictedLine] = None
         if allowed_ways is None:
             if self._occ[set_idx] < ways:
-                way = 0
-                while tags[base + way] >= 0:
-                    way += 1
+                way = tags.index(-1, base, base + ways) - base
             else:
                 way = self._victim_way(set_idx)
                 victim = self._evict(set_idx, way)
@@ -270,7 +254,7 @@ class FastCache(CacheBase):
             way = self._victim_way_in(set_idx, allowed_ways)
             if tags[base + way] >= 0:
                 victim = self._evict(set_idx, way)
-        if line_addr in self._tag_to_way[set_idx]:
+        if line_addr in self._slot_of:
             raise SimulationError(
                 f"duplicate tag {line_addr:#x} in set {set_idx}"
             )
@@ -280,7 +264,7 @@ class FastCache(CacheBase):
         # CacheLine.__init__ stamps the recency field with the
         # (truncated) fill time; touch() later overwrites with full time.
         self._last_used[idx] = tc_now
-        self._tag_to_way[set_idx][line_addr] = way
+        self._slot_of[line_addr] = idx
         self._occ[set_idx] += 1
         self.tc_mv[idx] = tc_now
         self.sbits_mv[idx] = 1 << self._ctx_to_col[ctx]
@@ -300,7 +284,7 @@ class FastCache(CacheBase):
             raise SimulationError(f"remove from empty way {way}")
         was_dirty = self._dirty[idx]
         self._tags[idx] = -1
-        del self._tag_to_way[set_idx][tag]
+        del self._slot_of[tag]
         self._occ[set_idx] -= 1
         self.sbits_mv[idx] = 0
         self.valid_mv[idx] = False
@@ -312,14 +296,12 @@ class FastCache(CacheBase):
         return EvictedLine(tag, was_dirty)
 
     def invalidate(self, line_addr: int) -> Optional[EvictedLine]:
-        set_idx = line_addr & self._set_mask
-        way = self._tag_to_way[set_idx].get(line_addr)
-        if way is None:
+        idx = self._slot_of.pop(line_addr, None)
+        if idx is None:
             return None
-        idx = set_idx * self.ways + way
+        set_idx, way = divmod(idx, self.ways)
         was_dirty = self._dirty[idx]
         self._tags[idx] = -1
-        del self._tag_to_way[set_idx][line_addr]
         self._occ[set_idx] -= 1
         self.sbits_mv[idx] = 0
         self.valid_mv[idx] = False
@@ -329,20 +311,17 @@ class FastCache(CacheBase):
         return EvictedLine(line_addr, was_dirty)
 
     def resident(self, line_addr: int) -> bool:
-        return (
-            self._tag_to_way[line_addr & self._set_mask].get(line_addr)
-            is not None
-        )
+        return line_addr in self._slot_of
 
     def resident_line_addrs(self) -> List[int]:
-        addrs: List[int] = []
-        for mapping in self._tag_to_way:
-            addrs.extend(mapping)
-        return addrs
+        # _slot_of is in fill order: a stable sort by set keeps it
+        # within each set, as the reference's per-set tag maps do
+        set_mask = self._set_mask
+        return sorted(self._slot_of, key=lambda line: line & set_mask)
 
     @property
     def occupancy(self) -> int:
-        return sum(self._occ)
+        return len(self._slot_of)
 
     # ------------------------------------------------------------------
     # Engine-generic slot accessors (see Cache for the contract)
@@ -400,7 +379,9 @@ class FastHierarchy(MemoryHierarchy):
         #: first) — the value set is tiny and the dataclass is frozen, so
         #: sharing instances is safe and skips ~0.5us of construction.
         self._results: Dict[Tuple[int, str, bool], AccessResult] = {}
-        self.stats = AccessCount("hierarchy", self.private_caches())
+        self.stats = AccessCount(
+            "hierarchy", [cache.stats for cache in self.private_caches()]
+        )
         self.c_accesses = self.stats.bound_counter("accesses")
 
     def _make_cache(
@@ -427,24 +408,30 @@ class FastHierarchy(MemoryHierarchy):
 
         Everything an access reads that is fixed for the pair — the L1
         (the L1I for an ifetch) and the LLC, with their masks, slot
-        arrays and memoryviews and this context's s-bit in each, the
-        directory maps, the clock, the listener lists, the interned
-        results of a pure L1 hit and a clean LLC hit — is resolved here,
-        once, into closure cells.
+        maps, slot lists and memoryviews and this context's s-bit in
+        each, the directory maps, the clock, the listener lists, the
+        interned results of a pure L1 hit and a clean LLC hit — is
+        resolved here, once, into closure cells.
         Each is set once and mutated only in place (see
         :meth:`MemoryHierarchy.ports`); a cache's ``event_listener`` is
         the exception and is read per access, because attaching a
         listener rebinds it.  Counters are bumped through their cache
         (``l1.c_hits.value += 1``), not bound as cells of their own:
         CPython copies every free variable into the frame on each call.
-        A port serves one kind, so only a store port walks the other
-        private caches, and it looks the line up in each one's tag map
-        before invalidating it there.
+        The hierarchy's own methods — the LLC miss and probe, fills
+        while a listener is attached, invalidations, owner transfers —
+        are reached through a weak proxy, never bound: the hierarchy
+        keeps its ports, so a port holding the hierarchy would make a
+        reference cycle and leave a finished run to the cyclic
+        collector.  A port serves one kind, so only a store port walks
+        the other private caches, and it looks the line up in each
+        one's slot map before invalidating it there.
         """
         l1 = (self.l1i if kind is _IFETCH else self.l1d)[
             ctx // self.config.threads_per_core
         ]
         llc = self.llc
+        hier = weakref.proxy(self)
         is_write = kind is _STORE
         line_shift = self.line_shift
         tc_mask = self._tc_mask
@@ -460,9 +447,8 @@ class FastHierarchy(MemoryHierarchy):
         sctx = self._sctx_of[ctx]
         l1name = l1.name
         set_mask = l1._set_mask
-        t2w_of_set = l1._tag_to_way
+        slot_of = l1._slot_of
         ways = l1.ways
-        upper_ways = range(1, ways)
         hit_latency = l1.hit_latency
         bit = l1.ctx_bit(ctx)
         sbits_mv = l1.sbits_mv
@@ -477,25 +463,18 @@ class FastHierarchy(MemoryHierarchy):
         llc_hit_result = self._intern_result(
             hit_latency + llc.hit_latency, "LLC"
         )
-        llc_set_mask = llc._set_mask
-        llc_t2w_of_set = llc._tag_to_way
-        llc_ways = llc.ways
+        llc_slot_of = llc._slot_of
         llc_hit_lat = llc.hit_latency
         llc_sbits_mv = llc.sbits_mv
         llc_last_used = llc._last_used
         llc_dirty = llc._dirty
         lbit = llc.ctx_bit(sctx)
-        # a store's other private caches, with their tag maps and set masks
+        # a store's other private caches, with their slot maps
         others = [
-            (cache, cache._tag_to_way, cache._set_mask)
+            (cache, cache._slot_of)
             for cache in self.private_caches()
             if is_write and cache is not l1
         ]
-        invalidate_private = self._invalidate_private
-        probe_llc = self._probe_llc
-        remote_owner_transfer = self._remote_owner_transfer
-        llc_miss = self._llc_miss
-        fill_private = self._fill_private
 
         def port(addr: int, now: int) -> AccessResult:
             line = addr >> line_shift
@@ -504,18 +483,15 @@ class FastHierarchy(MemoryHierarchy):
             if pre_listeners:
                 for listener in pre_listeners:
                     listener(ctx, line, kind, now)
-            set_idx = line & set_mask
-            t2w = t2w_of_set[set_idx]
-            if line in t2w:
-                way = t2w[line]
-                idx = set_idx * ways + way
+            idx = slot_of.get(line)
+            if idx is not None:
                 if tc_enabled and not (sbits_mv[idx] & bit):
                     l1.c_first_access_misses.value += 1
-                    below, level = probe_llc(line, ctx, now)
+                    below, level = hier._probe_llc(line, ctx, now)
                     if l1.event_listener is None and l1.max_sharers == 0:
                         sbits_mv[idx] |= bit
                     else:
-                        l1.set_sbit(set_idx, way, ctx)
+                        l1.set_sbit(*divmod(idx, ways), ctx)
                     latency = hit_latency + below
                     key = (latency, level, True)
                     result = results.get(key)
@@ -529,9 +505,9 @@ class FastHierarchy(MemoryHierarchy):
                     # Store upgrade: dirty the slot, invalidate other private
                     # copies, take ownership (the inlined _store_upgrade).
                     dirty[idx] = True
-                    for other, other_sets, other_mask in others:
-                        if line in other_sets[line & other_mask]:
-                            invalidate_private(other, line)
+                    for other, other_slots in others:
+                        if line in other_slots:
+                            hier._invalidate_private(other, line)
                     owners[line] = l1name
                     sharers = all_sharers.get(line)
                     if sharers is None:
@@ -542,20 +518,18 @@ class FastHierarchy(MemoryHierarchy):
                 first = False
                 result = None
                 # -------- LLC (the inlined _access_llc) --------
-                lset = line & llc_set_mask
-                lway = llc_t2w_of_set[lset].get(line)
-                if lway is not None:
-                    lidx = lset * llc_ways + lway
+                lidx = llc_slot_of.get(line)
+                if lidx is not None:
                     owner = owners.get(line) if owners else None
                     if owner is not None and owner != l1name:
-                        extra, level = remote_owner_transfer(line, owner)
+                        extra, level = hier._remote_owner_transfer(line, owner)
                     else:
                         extra = 0
                         level = ""
                     if is_write:
-                        for other, other_sets, other_mask in others:
-                            if line in other_sets[line & other_mask]:
-                                invalidate_private(other, line)
+                        for other, other_slots in others:
+                            if line in other_slots:
+                                hier._invalidate_private(other, line)
                     if llc_guard and not (llc_sbits_mv[lidx] & lbit):
                         first = True
                         llc.c_first_access_misses.value += 1
@@ -567,7 +541,7 @@ class FastHierarchy(MemoryHierarchy):
                         if llc.event_listener is None and llc.max_sharers == 0:
                             llc_sbits_mv[lidx] |= lbit
                         else:
-                            llc.set_sbit(lset, lway, sctx)
+                            llc.set_sbit(*divmod(lidx, llc.ways), sctx)
                     else:
                         llc.c_hits.value += 1
                         below = llc_hit_lat + extra
@@ -583,32 +557,24 @@ class FastHierarchy(MemoryHierarchy):
                         sharers = all_sharers[line] = set()
                     sharers.add(l1name)
                 else:
-                    below, level = llc_miss(l1, line, ctx, sctx, is_write, now)
+                    below, level = hier._llc_miss(l1, line, ctx, sctx, is_write, now)
                 # -------- L1 fill (the inlined _fill_private) --------
                 if l1.event_listener is not None:
-                    fill_private(l1, line, ctx, is_write, now)
+                    hier._fill_private(l1, line, ctx, is_write, now)
                 else:
+                    set_idx = line & set_mask
                     base = set_idx * ways
                     vtag = -1
                     if occ[set_idx] < ways:
-                        way = 0
-                        while tags[base + way] >= 0:
-                            way += 1
-                        idx = base + way
+                        idx = tags.index(-1, base, base + ways)
                         occ[set_idx] += 1
                         valid_mv[idx] = True
                     else:
-                        way = 0
-                        best = last_used[base]
-                        for w in upper_ways:
-                            stamp = last_used[base + w]
-                            if stamp < best:
-                                best = stamp
-                                way = w
-                        idx = base + way
+                        stamps = last_used[base : base + ways]
+                        idx = base + stamps.index(min(stamps))
                         vtag = tags[idx]
                         vdirty = dirty[idx]
-                        del t2w[vtag]
+                        del slot_of[vtag]
                         l1.c_evictions.value += 1
                         if vdirty:
                             l1.c_dirty_evictions.value += 1
@@ -620,7 +586,7 @@ class FastHierarchy(MemoryHierarchy):
                     tags[idx] = line
                     dirty[idx] = is_write
                     last_used[idx] = tnow
-                    t2w[line] = way
+                    slot_of[line] = idx
                     tc_mv[idx] = tnow
                     sbits_mv[idx] = bit
                     l1.c_fills.value += 1
@@ -628,9 +594,9 @@ class FastHierarchy(MemoryHierarchy):
                         ever_filled.add(line)
                         l1.c_cold_misses.value += 1
                     if is_write:
-                        for other, other_sets, other_mask in others:
-                            if line in other_sets[line & other_mask]:
-                                invalidate_private(other, line)
+                        for other, other_slots in others:
+                            if line in other_slots:
+                                hier._invalidate_private(other, line)
                         owners[line] = l1name
                         sharers = all_sharers.get(line)
                         if sharers is None:
@@ -639,14 +605,13 @@ class FastHierarchy(MemoryHierarchy):
                     if vtag >= 0:
                         if vdirty:
                             # the inlined _writeback_to_llc
-                            vset = vtag & llc_set_mask
-                            vway = llc_t2w_of_set[vset].get(vtag)
-                            if vway is None:
+                            vidx = llc_slot_of.get(vtag)
+                            if vidx is None:
                                 raise SimulationError(
                                     f"writeback of line {vtag:#x} but LLC "
                                     "does not hold it"
                                 )
-                            llc_dirty[vset * llc_ways + vway] = True
+                            llc_dirty[vidx] = True
                             l1.c_writebacks.value += 1
                         sharers = all_sharers.get(vtag)
                         if sharers is not None:
@@ -672,13 +637,11 @@ class FastHierarchy(MemoryHierarchy):
 
     def _probe_llc(self, line: int, ctx: int, now: int) -> Tuple[int, str]:
         llc = self.llc
-        set_idx = line & llc._set_mask
-        way = llc._tag_to_way[set_idx].get(line)
-        if way is None:
+        idx = llc._slot_of.get(line)
+        if idx is None:
             raise SimulationError(
                 f"inclusion violated: line {line:#x} in an L1 but not in LLC"
             )
-        idx = set_idx * llc.ways + way
         llc._last_used[idx] = now
         sctx = self._sctx_of[ctx]
         bit = 1 << llc._ctx_to_col[sctx]
@@ -694,5 +657,5 @@ class FastHierarchy(MemoryHierarchy):
             if llc.event_listener is None and llc.max_sharers == 0:
                 llc.sbits_mv[idx] |= bit
             else:
-                llc.set_sbit(set_idx, way, sctx)
+                llc.set_sbit(*divmod(idx, llc.ways), sctx)
         return llc.hit_latency + self.dram.access(line), "DRAM"

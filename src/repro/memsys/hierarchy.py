@@ -21,6 +21,7 @@ against.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, replace
 from itertools import repeat
 from time import perf_counter_ns
@@ -382,7 +383,9 @@ class MemoryHierarchy:
 
     def _bind(self, ctx: int, kind: AccessKind) -> Port:
         """The reference engine's port: the access path with the L1, the
-        write flag and the hooks of ``(ctx, kind)`` resolved once."""
+        write flag and the hooks of ``(ctx, kind)`` resolved once.  It
+        reaches the hierarchy through a weak proxy: the hierarchy keeps
+        its ports, and a port holding it would make a reference cycle."""
         core = self.core_of_ctx(ctx)
         l1 = self.l1i[core] if kind is _IFETCH else self.l1d[core]
         is_write = kind is _STORE
@@ -390,7 +393,7 @@ class MemoryHierarchy:
         clock = self.clock
         pre_listeners = self.pre_access_listeners
         post_listeners = self.post_access_listeners
-        access_l1 = self._access_l1
+        hier = weakref.proxy(self)
         accesses = self.c_accesses
 
         def port(addr: int, now: int) -> AccessResult:
@@ -399,7 +402,7 @@ class MemoryHierarchy:
             if pre_listeners:
                 for listener in pre_listeners:
                     listener(ctx, line, kind, now)
-            result = access_l1(l1, line, ctx, is_write, now)
+            result = hier._access_l1(l1, line, ctx, is_write, now)
             accesses.add()
             if post_listeners:
                 for listener in post_listeners:

@@ -16,7 +16,7 @@ first-access misses at the shared LLC but not at the private L1s.
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.common.errors import SchedulerError
 from repro.cpu.program import OpStream, Program
@@ -40,16 +40,14 @@ class Process:
         Process._next_pid += 1
         self.name = name
         self.address_space = address_space
-        self.tasks: List["Task"] = []
 
     def spawn(
         self, program: Program, affinity: Optional[int] = None
     ) -> "Task":
         """Create a task running ``program``, optionally pinned to a
-        hardware context."""
-        task = Task(self, program, affinity)
-        self.tasks.append(task)
-        return task
+        hardware context.  The task refers to its process, never the
+        other way round, so neither keeps the other alive in a cycle."""
+        return Task(self, program, affinity)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Process(pid={self.pid}, name={self.name!r})"

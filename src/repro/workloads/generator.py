@@ -158,7 +158,10 @@ def emit_profile_tape(
     """The profile's op stream, ``instructions`` retired then an exit.
 
     Draws from ``rng`` in a fixed order, so a given rng state always
-    yields the identical stream.
+    yields the identical stream.  Each fixed-range draw in the loop is
+    :meth:`~repro.common.rng.DeterministicRng.bound_draws`' ``randint``
+    inlined: the same rejection loop over ``getrandbits``, with the
+    range and its bit width hoisted out of the loop.
     """
     randint, random = rng.bound_draws()
     getrandbits = rng.getrandbits
@@ -178,6 +181,13 @@ def emit_profile_tape(
     write_ratio = profile.write_ratio
     stream_accesses_per_line = profile.stream_accesses_per_line
     syscall_kinds = bytes([TAPE_IFETCH] * 4)
+    # randint(0, n - 1) for each fixed n below: n, and its bit width
+    lib_bits = lib_lines.bit_length()
+    code_bits = code_lines.bit_length()
+    syscall_lines = KERNEL_LINES - 4
+    syscall_bits = syscall_lines.bit_length()
+    hot_bits = hot_lines.bit_length()
+    ws_bits = ws_lines.bit_length()
     retired = 0
     stream_pos = randint(0, ws_lines - 1)
     stream_in_line = 0
@@ -191,11 +201,16 @@ def emit_profile_tape(
         if since_ifetch >= ifetch_every:
             since_ifetch = 0
             if random() < 0.15 and lib_lines > 0:
-                addr = LIB_BASE + randint(0, lib_lines - 1) * line_bytes
+                r = getrandbits(lib_bits)
+                while r >= lib_lines:
+                    r = getrandbits(lib_bits)
+                addr = LIB_BASE + r * line_bytes
             else:
                 code_pos = (code_pos + 1) % code_lines
                 if random() < 0.1:  # branch: jump somewhere
-                    code_pos = randint(0, code_lines - 1)
+                    code_pos = getrandbits(code_bits)
+                    while code_pos >= code_lines:
+                        code_pos = getrandbits(code_bits)
                 addr = CODE_BASE + code_pos * line_bytes
             put_kind(TAPE_IFETCH)
             put_arg(addr)
@@ -206,7 +221,10 @@ def emit_profile_tape(
         since_syscall += 1
         if since_syscall >= syscall_every:
             since_syscall = 0
-            addr = KERNEL_BASE + randint(0, KERNEL_LINES - 5) * line_bytes
+            r = getrandbits(syscall_bits)
+            while r >= syscall_lines:
+                r = getrandbits(syscall_bits)
+            addr = KERNEL_BASE + r * line_bytes
             kinds += syscall_kinds
             args.extend(
                 (addr, addr + line_bytes, addr + 2 * line_bytes, addr + 3 * line_bytes)
@@ -223,9 +241,13 @@ def emit_profile_tape(
                     stream_pos = (stream_pos + 1) % ws_lines
                 index = stream_pos
             elif random() < hot_fraction:
-                index = randint(0, hot_lines - 1)
+                index = getrandbits(hot_bits)
+                while index >= hot_lines:
+                    index = getrandbits(hot_bits)
             else:
-                index = randint(0, ws_lines - 1)
+                index = getrandbits(ws_bits)
+                while index >= ws_lines:
+                    index = getrandbits(ws_bits)
             put_kind(TAPE_STORE if random() < write_ratio else TAPE_LOAD)
             put_arg(DATA_BASE + index * line_bytes)
             retired += 1

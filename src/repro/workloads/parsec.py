@@ -50,7 +50,12 @@ def emit_thread_tape(
     rng: DeterministicRng,
 ) -> OpTape:
     """One PARSEC thread's op stream: private partition + shared
-    read-mostly region, ``instructions`` retired then an exit."""
+    read-mostly region, ``instructions`` retired then an exit.
+
+    Each fixed-range draw is
+    :meth:`~repro.common.rng.DeterministicRng.bound_draws`' ``randint``
+    inlined, as in :func:`~repro.workloads.generator.emit_profile_tape`.
+    """
     ws = profile.data_lines
     shared_lines = max(1, int(ws * SHARED_DATA_FRACTION))
     private_lines = max(1, (ws - shared_lines) // 2)
@@ -65,8 +70,14 @@ def emit_thread_tape(
     write_ratio = profile.write_ratio
     stream_accesses_per_line = profile.stream_accesses_per_line
 
-    randint, random = rng.bound_draws()
+    _, random = rng.bound_draws()
     getrandbits = rng.getrandbits
+    # randint(0, n - 1) for each fixed n below: n, and its bit width
+    lib_bits = lib_lines.bit_length()
+    kernel_bits = KERNEL_LINES.bit_length()
+    shared_bits = shared_lines.bit_length()
+    hot_bits = hot_lines.bit_length()
+    private_bits = private_lines.bit_length()
     kinds = bytearray()
     args = array("q")
     put_kind = kinds.append
@@ -82,9 +93,15 @@ def emit_thread_tape(
             since_ifetch = 0
             r = random()
             if r < 0.1 and lib_lines > 0:
-                addr = LIB_BASE + randint(0, lib_lines - 1) * line_bytes
+                line = getrandbits(lib_bits)
+                while line >= lib_lines:
+                    line = getrandbits(lib_bits)
+                addr = LIB_BASE + line * line_bytes
             elif r < 0.13:
-                addr = KERNEL_BASE + randint(0, KERNEL_LINES - 1) * line_bytes
+                line = getrandbits(kernel_bits)
+                while line >= KERNEL_LINES:
+                    line = getrandbits(kernel_bits)
+                addr = KERNEL_BASE + line * line_bytes
             else:
                 code_pos = (code_pos + 1) % code_lines
                 addr = CODE_BASE + code_pos * line_bytes
@@ -95,8 +112,11 @@ def emit_thread_tape(
         if random() < mem_ratio:
             if random() < 0.08:
                 # read the shared input region (cross-thread sharing)
+                line = getrandbits(shared_bits)
+                while line >= shared_lines:
+                    line = getrandbits(shared_bits)
                 put_kind(TAPE_LOAD)
-                put_arg(DATA_BASE + randint(0, shared_lines - 1) * line_bytes)
+                put_arg(DATA_BASE + line * line_bytes)
             else:
                 if random() < stream_fraction:
                     stream_in_line += 1
@@ -105,9 +125,15 @@ def emit_thread_tape(
                         stream_pos = (stream_pos + 1) % private_lines
                     index = private_base_line + stream_pos
                 elif random() < hot_fraction:
-                    index = private_base_line + randint(0, hot_lines - 1)
+                    line = getrandbits(hot_bits)
+                    while line >= hot_lines:
+                        line = getrandbits(hot_bits)
+                    index = private_base_line + line
                 else:
-                    index = private_base_line + randint(0, private_lines - 1)
+                    line = getrandbits(private_bits)
+                    while line >= private_lines:
+                        line = getrandbits(private_bits)
+                    index = private_base_line + line
                 put_kind(TAPE_STORE if random() < write_ratio else TAPE_LOAD)
                 put_arg(DATA_BASE + index * line_bytes)
             retired += 1

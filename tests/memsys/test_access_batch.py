@@ -398,4 +398,4 @@ def test_repeated_line_touches_last_write_wins(engine):
         for cb, cs in zip(
             batched.hierarchy.all_caches(), scalar.hierarchy.all_caches()
         ):
-            assert cb.last_flat.tolist() == cs.last_flat.tolist(), cb.name
+            assert cb._last_used == cs._last_used, cb.name

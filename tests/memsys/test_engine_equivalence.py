@@ -13,7 +13,10 @@ DRAM-latency-on-first-access hardening, and narrow-timestamp rollover.
 Each trace also runs through every context's ports, on each engine, and
 must match its ``access`` run.
 Every trace ends with the inclusion check: each private line is in the
-LLC and listed among the line's directory sharers.
+LLC and listed among the line's directory sharers.  On the fast engine
+it ends with the slot-state check too: each cache's line-to-slot map
+names exactly its occupied slots, and its per-set occupancy counts them.
+The resident lines of each cache must agree in order, not only as sets.
 A reset arm zeroes every cache's, the hierarchy's and DRAM's counters
 mid-trace, in both orders, and the snapshots must still agree.
 """
@@ -22,11 +25,14 @@ import dataclasses
 
 import pytest
 
-from repro.common.config import scaled_experiment_config
+from repro.common.config import CacheConfig, scaled_experiment_config
 from repro.common.errors import SimulationError
 from repro.common.rng import DeterministicRng
+from repro.common.units import KIB
 from repro.core import TimeCacheSystem
 from repro.memsys import AccessKind, BatchResult
+from repro.memsys.cache import Cache
+from repro.memsys.fastengine import FastCache
 
 SEEDS = range(20)
 
@@ -91,6 +97,25 @@ SCENARIOS = {
         True,
     ),
 }
+
+
+def _check_slots(cache):
+    """A fast cache's slot state is self-consistent: ``_slot_of[line] ==
+    idx`` exactly when ``_tags[idx] == line``, each slot in its line's
+    set; ``_occ`` counts each set's occupied ways; valid bits mirror
+    the occupied slots."""
+    ways = cache.ways
+    tags = cache._tags
+    occupied = {tag: idx for idx, tag in enumerate(tags) if tag >= 0}
+    assert cache._slot_of == occupied, cache.name
+    for line, idx in occupied.items():
+        assert idx // ways == line & cache._set_mask, cache.name
+    assert cache._occ == [
+        sum(tag >= 0 for tag in tags[base : base + ways])
+        for base in range(0, len(tags), ways)
+    ], cache.name
+    assert sum(cache._occ) == len(occupied), f"{cache.name}: duplicate tags"
+    assert cache.valid.reshape(-1).tolist() == [tag >= 0 for tag in tags]
 
 
 def _run_trace(
@@ -207,11 +232,13 @@ def _run_trace(
     hierarchy.check_inclusion()
     final = {}
     for cache in system.hierarchy.all_caches():
+        if isinstance(cache, FastCache):
+            _check_slots(cache)
         final[cache.name] = (
             cache.sbits.tolist(),
             cache.tc.tolist(),
             cache.valid.tolist(),
-            sorted(cache.resident_line_addrs()),
+            cache.resident_line_addrs(),
         )
     # A fast port leaves a line's emptied sharer set in place, where the
     # reference deletes it; every reader treats the two alike.
@@ -490,6 +517,64 @@ def test_defense_traced_event_streams(defense, seed):
     assert obj[0] == fast[0], f"{defense}: access/switch streams diverge"
     assert obj[1] == fast[1], f"{defense}: stats snapshots diverge"
     assert obj[2] == fast[2], f"{defense}: final cache state diverges"
+
+
+# ---------------------------------------------------------------------------
+# resident-line order and LRU ties, cache by cache
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("seed", range(5))
+def test_resident_line_order_agrees_through_churn(seed):
+    """Both engines list a cache's resident lines in one order — sets
+    ascending, each set's lines in fill order — through a seeded churn
+    of fills (evicting once a set is full), LRU touches and
+    invalidations: the order a private-cache flush invalidates in, and
+    its listeners see.  Each step's displaced line agrees too."""
+    config = CacheConfig("L1D", 1 * KIB, ways=4)
+    obj = Cache(config, [0], 1)
+    fast = FastCache(config, [0], 1)
+    rng = DeterministicRng(seed)
+    for now in range(1, 600):
+        line = rng.randint(0, 47)
+        action = rng.randint(0, 3)
+        if action == 0:
+            out = [cache.invalidate(line) for cache in (obj, fast)]
+        elif obj.resident(line):
+            for cache in (obj, fast):
+                cache.touch(*cache.lookup(line), now)
+            out = [None, None]
+        else:
+            dirty = action == 1
+            out = [cache.fill(line, 0, now & 0xFF, dirty) for cache in (obj, fast)]
+        old, new = out
+        assert (old is None) == (new is None), now
+        if old is not None:
+            assert (old.tag, old.dirty) == (new.tag, new.dirty), now
+        assert obj.resident_line_addrs() == fast.resident_line_addrs(), now
+    _check_slots(fast)
+
+
+@pytest.mark.parametrize("engine", ["object", "fast"])
+def test_tied_lru_stamps_evict_the_lowest_way(engine):
+    """An 8-bit Tc truncates fill stamps, so fills 256 cycles apart
+    stamp alike.  A full set whose two oldest ways tie evicts the lower
+    of them, then the other: the strictly-less, lowest-way rule."""
+    system = TimeCacheSystem(_base(engine, 0).with_timecache(timestamp_bits=8))
+    hierarchy = system.hierarchy
+    l1d = hierarchy.l1d[0]
+    lines = [k * l1d.num_sets for k in range(6)]  # all in set 0
+
+    def load(line, now):
+        system.access(0, line << hierarchy.line_shift, AccessKind.LOAD, now)
+
+    # truncated fill stamps 200, 150, 100, 100 in ways 0..3
+    for line, now in zip(lines, (200, 256 + 150, 512 + 100, 768 + 100)):
+        load(line, now)
+    assert [l1d.lookup(line) for line in lines[:4]] == [(0, w) for w in range(4)]
+    load(lines[4], 1024 + 250)
+    assert l1d.lookup(lines[4]) == (0, 2) and not l1d.resident(lines[2])
+    load(lines[5], 1280 + 250)
+    assert l1d.lookup(lines[5]) == (0, 3) and not l1d.resident(lines[3])
+    assert [l1d.resident(line) for line in lines[:2]] == [True, True]
 
 
 # ---------------------------------------------------------------------------
