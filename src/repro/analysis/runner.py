@@ -25,7 +25,7 @@ and then quarantined.
 :func:`batched_replay_run` is one cell of a different kind: no CPU or
 OS, just the :func:`hot_cold_reference_trace` address array replayed
 as loads through one ``access_batch`` call, the workload that times the
-memory system on its own.
+memory system on its own; the summary is one pass over the results.
 """
 
 from __future__ import annotations
@@ -292,7 +292,11 @@ def batched_replay_run(
     ``batch=False`` is the reference, one
     :meth:`~repro.core.timecache.TimeCacheSystem.access` per address.
     Both give what :func:`repro.cpu.tracing.replay_ops` gives for the
-    same addresses as ``Load`` ops, and identical summaries.
+    same addresses as ``Load`` ops, and identical summaries.  The
+    summary is one pass over the results.  It stays a Python loop: a
+    :class:`collections.Counter` over ``attrgetter`` tuples of the same
+    fields runs no bytecode per result but builds and hashes a tuple
+    for each, and takes about twice the loop's time on CPython 3.11.
 
     Deterministic in its arguments and module-level, so a sweep can fan
     cells across worker processes (the chaos campaign's probe jobs do).

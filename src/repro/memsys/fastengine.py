@@ -25,10 +25,12 @@ same per-slot state in struct-of-arrays form:
   derived on read (:class:`AccessCount`).
 
 Only the access path is the fast engine's own: the ports of
-:meth:`FastHierarchy._bind`, the LLC probe they call, and the cache
-methods over the arrays.  Everything else — the counters, the listener
-chain, the context-switch array operations, and every cold path of the
-hierarchy — is the reference code, inherited.
+:meth:`FastHierarchy._bind`, the LLC probe they call, the batch loop
+that serves plain L1 hits without a port call, and the cache methods
+over the arrays.  Everything else — the counters, the listener chain,
+the context-switch array operations, ``access_batch``'s argument
+checks, and every cold path of the hierarchy — is the reference code,
+inherited.
 
 Equivalence is not aspirational: ``tests/memsys/test_engine_equivalence``
 differentially fuzzes both engines over random traces (TimeCache on/off,
@@ -50,6 +52,7 @@ behaviors exactly:
 from __future__ import annotations
 
 import weakref
+from operator import index
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.config import CacheConfig
@@ -59,6 +62,8 @@ from repro.memsys.cache import CacheBase
 from repro.memsys.hierarchy import (
     AccessKind,
     AccessResult,
+    BatchResult,
+    KindsArg,
     MemoryHierarchy,
     Port,
 )
@@ -358,16 +363,18 @@ class FastHierarchy(MemoryHierarchy):
     """The memory hierarchy driven through :class:`FastCache` levels.
 
     Reuses the reference topology construction, the ``access``
-    dispatcher, the ``access_batch`` loop and every cold path — fills
-    while a listener is attached, LLC misses and evictions, coherence,
-    partitioning flushes, clflush, inclusion checks — which run
-    unchanged against the engine-generic cache surface.  It overrides
-    only :meth:`_bind`, which builds each context's per-kind port with
-    the reference semantics inlined over struct-of-arrays state, and
-    :meth:`_probe_llc`, the other path its ports take on every first
-    access.  A tape walk calls those ports directly: every op tape is
-    translated to physical addresses when it is installed, so each of
-    its memory ops is one port call.
+    dispatcher, ``access_batch`` with its argument checks, and every
+    cold path — fills while a listener is attached, LLC misses and
+    evictions, coherence, partitioning flushes, clflush, inclusion
+    checks — which run unchanged against the engine-generic cache
+    surface.  It overrides only :meth:`_bind`, which builds each
+    context's per-kind port with the reference semantics inlined over
+    struct-of-arrays state, :meth:`_probe_llc`, the other path its ports
+    take on every first access, and :meth:`_batch_loop`, which serves a
+    batch's plain L1 hits without calling a port.  A tape walk calls
+    the ports directly: every op tape is translated to physical
+    addresses when it is installed, so each of its memory ops is one
+    port call.
     """
 
     def __init__(self, config, timecache=None, clock=None) -> None:
@@ -634,6 +641,82 @@ class FastHierarchy(MemoryHierarchy):
             return result
 
         return port
+
+    def _batch_loop(
+        self,
+        ctx: int,
+        addrs: Sequence[int],
+        kinds: KindsArg,
+        now: int,
+        advance: int,
+        times: Optional[List[int]],
+        results: List[AccessResult],
+    ) -> BatchResult:
+        """The batch loop, with plain L1 hits served inline.
+
+        In a single-kind load or ifetch batch in ``advance`` mode with
+        no pre- or post-access listener attached, an access whose line
+        sits in the context's L1 with its s-bit set (any resident line
+        while TimeCache is off) takes the port's hit branch here: stamp
+        the slot with the full issue cycle, count the hit, append the
+        interned L1-hit result, advance the cursor by ``advance`` plus
+        the hit latency.  Every other access — a miss, a first access —
+        calls the port as the reference loop does, and so does every
+        access of a store, per-address-kinds or ``nows`` batch.
+
+        The hits are counted, and the clock moved to the last issue
+        time, once on the way out, a raising port included: the port
+        sets the clock to its own, later issue time first, and nothing
+        it does reads the hit count.  So at every exit the counters, the
+        LRU stamps, the clock and ``results`` read what one ``access``
+        per address leaves.
+        """
+        if (
+            times is not None
+            or not isinstance(kinds, AccessKind)
+            or kinds is _STORE
+            or self.pre_access_listeners
+            or self.post_access_listeners
+        ):
+            return super()._batch_loop(
+                ctx, addrs, kinds, now, advance, times, results
+            )
+        port = self.ports(ctx).of(kinds)
+        l1 = (self.l1i if kinds is _IFETCH else self.l1d)[
+            ctx // self.config.threads_per_core
+        ]
+        slot_of = l1._slot_of
+        last_used = l1._last_used
+        sbits_mv = l1.sbits_mv
+        bit = l1.ctx_bit(ctx)
+        any_hit = not self.tc_config.enabled  # no s-bit to check
+        line_shift = self.line_shift
+        hit_result = self._intern_result(l1.hit_latency, "L1")
+        hit_step = advance + l1.hit_latency
+        append = results.append
+        cursor = now
+        ported = 0  # results that a port call returned
+        try:
+            for addr in map(index, addrs):
+                idx = slot_of.get(addr >> line_shift)
+                if idx is not None and (any_hit or sbits_mv[idx] & bit):
+                    last_used[idx] = cursor
+                    append(hit_result)
+                    cursor += hit_step
+                else:
+                    result = port(addr, cursor)
+                    append(result)
+                    ported += 1
+                    cursor += advance + result.latency
+        finally:
+            # every other result is a plain hit this loop served
+            l1.c_hits.value += len(results) - ported
+            if results:
+                last_issue = cursor - advance - results[-1].latency
+                clock = self.clock
+                if last_issue > clock._now:
+                    clock._now = last_issue
+        return BatchResult(results, cursor)
 
     def _probe_llc(self, line: int, ctx: int, now: int) -> Tuple[int, str]:
         llc = self.llc

@@ -24,6 +24,7 @@ import enum
 import weakref
 from dataclasses import dataclass, replace
 from itertools import repeat
+from operator import index
 from time import perf_counter_ns
 from typing import (
     Callable,
@@ -90,6 +91,15 @@ KindsArg = Union[AccessKind, Sequence[AccessKind]]
 Port = Callable[[int, int], AccessResult]
 
 _LOAD, _STORE, _IFETCH = AccessKind.LOAD, AccessKind.STORE, AccessKind.IFETCH
+
+
+def _integer(name: str, value: int) -> int:
+    """``value`` as an int, or :class:`SimulationError` if it is not an
+    integer (a float or a string is not silently truncated)."""
+    try:
+        return index(value)
+    except TypeError:
+        raise SimulationError(f"{name} must be an integer, got {value!r}") from None
 
 
 class AccessPorts(NamedTuple):
@@ -402,8 +412,11 @@ class MemoryHierarchy:
             if pre_listeners:
                 for listener in pre_listeners:
                     listener(ctx, line, kind, now)
-            result = hier._access_l1(l1, line, ctx, is_write, now)
+            # An access counts once it reaches its L1, as the L1 counts
+            # it, even if it raises below: the fast engine derives this
+            # count from the L1 outcomes, so both engines agree.
             accesses.add()
+            result = hier._access_l1(l1, line, ctx, is_write, now)
             if post_listeners:
                 for listener in post_listeners:
                     listener(ctx, line, kind, now, result)
@@ -420,59 +433,64 @@ class MemoryHierarchy:
         advance: int = 1,
         nows: Optional[Sequence[int]] = None,
     ) -> BatchResult:
-        """Execute a run of same-context accesses; the scalar reference.
+        """Execute a run of same-context accesses.
 
-        The semantics are *defined* as exactly this loop over
-        :meth:`access`: each access issues at the current cycle cursor,
-        then the cursor moves by ``advance`` plus the observed latency —
-        the blocking TimingSimpleCPU rule (``advance=1`` matches the CPU
-        model's one cycle per retired op; ``advance=0`` charges latency
-        only, which is what the throughput benchmarks drive).
+        The semantics are *defined* as a loop over :meth:`access`: each
+        access issues at the current cycle cursor, then the cursor moves
+        by ``advance`` plus the observed latency — the blocking
+        TimingSimpleCPU rule (``advance=1`` matches the CPU model's one
+        cycle per retired op; ``advance=0`` charges latency only, which
+        is what the throughput benchmarks drive).
 
         Alternatively ``nows`` pins every access to an explicit issue
         time (one non-decreasing entry per address); the returned cursor
         is then the last issue time.  ``kinds`` is either a single
         :class:`AccessKind` applied to the whole run or one per address.
-        ``advance``, ``kinds`` and ``nows`` are checked before the first
-        access, so a batch they make invalid changes no cache state or
+        ``now``, ``advance``, ``kinds`` and ``nows`` are checked before
+        the first access, so a batch they make invalid — a ``now`` or
+        ``advance`` that is not an integer, a negative ``advance``, a
+        ``kinds`` or ``nows`` of the wrong length, a decreasing ``nows``
+        — raises :class:`SimulationError` and changes no cache state or
         counter.
 
-        Both engines run this one loop over their own ports, bound once
-        per batch after those checks (an empty batch binds nothing); the
-        differential fuzz checks the fast engine's against the object
-        engine's.
+        Then :meth:`_batch_loop` runs the accesses over the context's
+        ports, bound once per batch (an empty batch binds nothing).  The
+        object engine's loop calls a port per access; the fast engine's
+        serves the plain L1 hits of a single-kind load or ifetch batch
+        itself.  Either way a batch leaves what its accesses leave one
+        by one, and the differential fuzz holds both engines to that.
         """
+        kinds, now, advance, times = self._batch_args(
+            addrs, kinds, now, advance, nows
+        )
         results: List[AccessResult] = []
+        if not len(addrs):
+            return BatchResult(results, now)
         prof = self.kernel_profiler
         if prof is None:
-            return self._access_batch_scalar(
-                ctx, addrs, kinds, now, advance, nows, results
-            )
+            return self._batch_loop(ctx, addrs, kinds, now, advance, times, results)
         t0 = perf_counter_ns()
         try:
-            return self._access_batch_scalar(
-                ctx, addrs, kinds, now, advance, nows, results
-            )
+            return self._batch_loop(ctx, addrs, kinds, now, advance, times, results)
         finally:
             # Every batched access is scalar work: 100% fallback.  Only
-            # the accesses that ran count, so a rejected batch adds none.
+            # the accesses that ran count.
             prof.fallback_ns += perf_counter_ns() - t0
             prof.scalar_accesses += len(results)
 
-    def _access_batch_scalar(
-        self,
-        ctx: int,
+    @staticmethod
+    def _batch_args(
         addrs: Sequence[int],
         kinds: KindsArg,
         now: int,
         advance: int,
         nows: Optional[Sequence[int]],
-        results: List[AccessResult],
-    ) -> BatchResult:
-        """The batch loop; appends each access's result to ``results`` as
-        it runs.  It walks (address, port) pairs: a single kind repeats
-        its one port, a kind per address resolves each through
-        :meth:`AccessPorts.of`."""
+    ) -> Tuple[KindsArg, int, int, Optional[List[int]]]:
+        """Check a batch's arguments before any access runs.  Returns
+        ``kinds`` (one kind, or a list of one per address), ``now`` and
+        ``advance`` as ints, and ``nows`` as a list of ints or ``None``."""
+        now = _integer("now", now)
+        advance = _integer("advance", advance)
         n = len(addrs)
         if not isinstance(kinds, AccessKind):
             kinds = list(kinds)
@@ -494,8 +512,25 @@ class MemoryHierarchy:
                     raise SimulationError(
                         f"nows must be non-decreasing ({when} after {prev})"
                     )
-        if not n:
-            return BatchResult(results, now)
+        return kinds, now, advance, times
+
+    def _batch_loop(
+        self,
+        ctx: int,
+        addrs: Sequence[int],
+        kinds: KindsArg,
+        now: int,
+        advance: int,
+        times: Optional[List[int]],
+        results: List[AccessResult],
+    ) -> BatchResult:
+        """The batch loop over checked, non-empty arguments; appends each
+        access's result to ``results`` as it runs.  It walks (address,
+        port) pairs: a single kind repeats its one port, a kind per
+        address resolves each through :meth:`AccessPorts.of`.  Each
+        address goes through :func:`operator.index`, so one that is not
+        an integer raises :class:`TypeError` at its access, as
+        :meth:`access` does, instead of being truncated."""
         ports = self.ports(ctx)
         port_of: Iterator[Port] = (
             repeat(ports.of(kinds))
@@ -505,11 +540,11 @@ class MemoryHierarchy:
         append = results.append
         if times is not None:
             for addr, port, when in zip(addrs, port_of, times):
-                append(port(int(addr), when))
+                append(port(index(addr), when))
             return BatchResult(results, times[-1])
         cursor = now
         for addr, port in zip(addrs, port_of):
-            result = port(int(addr), cursor)
+            result = port(index(addr), cursor)
             append(result)
             cursor += advance + result.latency
         return BatchResult(results, cursor)

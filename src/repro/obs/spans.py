@@ -5,12 +5,13 @@ analysis, useless for answering "where does the simulator spend its
 wall-clock".  This module adds the host-side view:
 
 * :class:`PhaseAccumulator` — plain-int nanosecond cells for batched
-  accesses.  Both engines run ``access_batch`` as one scalar loop, so
-  only the ``fallback`` cell and ``scalar_accesses`` move; the
-  classify / plan / rehearse / apply cells and the window counts stay
-  in every payload and read 0.  ``access_batch`` reads one attribute
-  per batch; when no profiler is installed it takes its ``is None``
-  branch and pays nothing.
+  accesses.  Neither engine has a vectorized ``access_batch``: each
+  runs a scalar loop (the fast engine's serves plain L1 hits without a
+  port call), so only the ``fallback`` cell and ``scalar_accesses``
+  move; the classify / plan / rehearse / apply cells and the window
+  counts stay in every payload and read 0.  ``access_batch`` reads one
+  attribute per batch; when no profiler is installed it takes its
+  ``is None`` branch and pays nothing.
 * :class:`SpanProfiler` — nesting wall-clock spans (``with
   profiler.span("sweep.job")``) that fold into flamegraph stacks
   (``repro obs flame``); :mod:`repro.obs.shards` lays them out as
@@ -60,8 +61,8 @@ __all__ = [
     "merge_counts",
 ]
 
-#: the phase cells of every kernel-phase payload; only ``fallback`` (the
-#: scalar ``access_batch`` loop) is ever non-zero
+#: the phase cells of every kernel-phase payload; only ``fallback`` (an
+#: engine's scalar ``access_batch`` loop) is ever non-zero
 KERNEL_PHASES = ("classify", "plan", "rehearse", "apply", "fallback")
 
 

@@ -189,6 +189,54 @@ def test_batch_argument_validation(engine):
         system.access_batch(99, many, LOAD)
 
 
+@pytest.mark.parametrize("engine", ["object", "fast"])
+@pytest.mark.parametrize(
+    "bad", [{"advance": 1.5}, {"advance": "1"}, {"now": 1.5}, {"now": "0"}]
+)
+def test_a_non_integer_advance_or_now_is_rejected_before_any_access(
+    engine, bad
+):
+    """A float or string ``advance`` or ``now`` used to pass the checks
+    and raise TypeError inside the accesses (a float ``advance`` only
+    after filling a line and counting accesses).  It is now rejected
+    before the ports are bound, and nothing moves."""
+    system = TimeCacheSystem(
+        scaled_experiment_config(num_cores=2, seed=3, engine=engine)
+    )
+    system.access_batch(0, [LINE], LOAD, now=0)  # non-empty starting state
+    before_stats = system.stats_snapshot()
+    before_state = _snapshot(system)
+    args = {"now": 0, "advance": 1, **bad}
+    name = next(iter(bad))
+    for ctx in (0, 1):
+        with pytest.raises(SimulationError, match=f"{name} must be an integer"):
+            system.access_batch(ctx, [0x1000, 0x1000, 0x2000, 0x3000], LOAD, **args)
+    assert system.hierarchy._ports[1] is None  # never bound
+    assert system.stats_snapshot() == before_stats
+    assert _snapshot(system) == before_state
+    assert system.clock.now == 0
+
+
+@pytest.mark.parametrize("engine", ["object", "fast"])
+@pytest.mark.parametrize("per_address", [False, True])
+def test_a_non_integer_address_raises_at_its_access(engine, per_address):
+    """``access`` raises TypeError on a float address, and so does a
+    batch, at that address, after the accesses before it ran: it no
+    longer truncates the address and carries on."""
+    addrs = [LINE, 2 * LINE, LINE, 2.5 * LINE, 3 * LINE]
+    kinds = [LOAD] * len(addrs) if per_address else LOAD
+    batched = TimeCacheSystem(_config(engine))
+    single = TimeCacheSystem(_config(engine))
+    with pytest.raises(TypeError):
+        batched.access_batch(0, addrs, kinds, now=0)
+    with pytest.raises(TypeError):
+        _run_scalar(single, 0, addrs, [LOAD] * len(addrs), 0)
+    assert batched.stats_snapshot() == single.stats_snapshot()
+    assert batched.stats_snapshot()["hierarchy.accesses"] == 3
+    assert _snapshot(batched) == _snapshot(single)
+    assert batched.clock.now == single.clock.now
+
+
 def _batch_outcome(engine, addrs, kinds, nows):
     system = TimeCacheSystem(_config(engine))
     system.access_batch(0, [LINE, 5 * LINE], STORE, now=0)  # warm state

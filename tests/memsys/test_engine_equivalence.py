@@ -18,7 +18,9 @@ it ends with the slot-state check too: each cache's line-to-slot map
 names exactly its occupied slots, and its per-set occupancy counts them.
 The resident lines of each cache must agree in order, not only as sets.
 A reset arm zeroes every cache's, the hierarchy's and DRAM's counters
-mid-trace, in both orders, and the snapshots must still agree.
+mid-trace, in both orders, and the snapshots must still agree.  An
+access that raises below its L1 counts alike on both engines, through
+``access``, a tape walk and a batch.
 """
 
 import dataclasses
@@ -610,3 +612,57 @@ def test_out_of_range_contexts_raise_from_every_entry_point(engine):
         assert hierarchy.access_batch(ctx, [], now=7) == BatchResult([], 7)
         assert system.access_batch(ctx, [], nows=[], now=7) == BatchResult([], 7)
     assert system.stats_snapshot() == before
+
+
+# ---------------------------------------------------------------------------
+# an access that raises below its L1: counted alike through every path
+# ---------------------------------------------------------------------------
+def _walk_one_load(system, addr, now):
+    """Context 0 walks a one-load op tape from local time ``now``."""
+    from array import array
+
+    from repro.cpu.cpu import HardwareContext
+    from repro.cpu.program import TAPE_EXIT, TAPE_LOAD, OpTape
+
+    hw = HardwareContext(0, system)
+    hw.install(
+        OpTape(bytearray([TAPE_LOAD, TAPE_EXIT]), array("q", [addr, 0])),
+        lambda vaddr: vaddr,
+    )
+    hw.local_time = now
+    hw.step()
+
+
+DRIVERS = {
+    "access": lambda system, addr, now: system.hierarchy.access(
+        0, addr, AccessKind.LOAD, now
+    ),
+    "tape": _walk_one_load,
+    "batch": lambda system, addr, now: system.access_batch(
+        0, [addr], AccessKind.LOAD, now=now
+    ),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_a_raising_access_counts_alike_on_both_engines(driver):
+    """A line's LLC copy is invalidated behind its L1 copy and the L1's
+    s-bits are cleared, so the next access is a first access whose probe
+    raises "inclusion violated".  It reached its L1, so both engines
+    count it in ``hierarchy.accesses`` as the L1 does — through
+    ``access``, a tape walk or a batch — and leave the same counters and
+    clock."""
+    seen = {}
+    for engine in ("object", "fast"):
+        system = TimeCacheSystem(scaled_experiment_config(engine=engine))
+        hierarchy = system.hierarchy
+        hierarchy.access(0, 0x1000, AccessKind.LOAD, 0)
+        hierarchy.llc.invalidate(0x1000 >> hierarchy.line_shift)
+        hierarchy.l1d[0].sbits[:] = 0
+        with pytest.raises(SimulationError, match="inclusion violated"):
+            DRIVERS[driver](system, 0x1000, 100)
+        stats = system.stats_snapshot()
+        assert stats["hierarchy.accesses"] == stats["L1D0.accesses"] == 2
+        seen[engine] = stats, hierarchy.clock.now
+    assert seen["object"] == seen["fast"]
+    assert seen["fast"][1] == 100

@@ -87,7 +87,7 @@ def test_session_attaches_kernel_profiler_on_construction(engine):
         system.hierarchy.access_batch(0, addrs, AccessKind.LOAD, now=0, advance=0)
         payload = session.to_payload()
     phases = payload["kernel_phases"]
-    # both engines run the one scalar loop: every access is fallback
+    # neither engine has a vectorized batch: every access is fallback
     assert phases["fallback_ns"] > 0
     assert phases["scalar_accesses"] == len(addrs)
     # finalize folded the system's stats into the counter tree
