@@ -30,6 +30,9 @@ from repro.os.kernel import Kernel
 from repro.workloads.generator import WorkloadBuilder
 from repro.workloads.profiles import spec_profile
 
+#: the workload builder's seed, for recording and replaying alike
+SEED = 11
+
 
 def replay(config, trace_path, label, tracer=None):
     """Replay the trace as TWO processes time-sliced on one core — the
@@ -39,7 +42,7 @@ def replay(config, trace_path, label, tracer=None):
     kernel = Kernel(config)
     if tracer is not None:
         tracer.attach_kernel(kernel)
-    builder = WorkloadBuilder(kernel, seed=11)
+    builder = WorkloadBuilder(kernel, seed=SEED)
     tasks = []
     for instance in range(2):
         process, _layout_task = builder.build_process(
@@ -74,7 +77,7 @@ def main() -> None:
 
     # 1. record
     kernel = Kernel(scaled_experiment_config())
-    builder = WorkloadBuilder(kernel, seed=11)
+    builder = WorkloadBuilder(kernel, seed=SEED)
     _, task = builder.build_process(
         spec_profile("perlbench"), 0, instructions=40_000
     )
@@ -116,6 +119,7 @@ def main() -> None:
         manifest_path,
         command=["examples/trace_workflow.py"],
         config=base_cfg,
+        seed=SEED,
         artifacts=[out, obs_path, perfetto],
         extra={"rows": len(rows)},
     )

@@ -116,9 +116,7 @@ def bench_single_config(quick: bool = False, engine: str = "object") -> BenchRes
     from repro.common.config import scaled_experiment_config
 
     instructions = 4_000 if quick else 40_000
-    config = scaled_experiment_config(
-        num_cores=1, llc_kib=32, seed=0xBEEF, engine=engine
-    )
+    config = scaled_experiment_config(num_cores=1, llc_kib=32, engine=engine)
     runs = _time_runs(
         lambda: run_spec_pair_experiment(
             config, "wrf", "wrf", instructions=instructions, seed=0xBEEF
@@ -181,7 +179,7 @@ def bench_hierarchy_access(
     from repro.robustness.campaign import campaign_config
 
     accesses = 20_000 if quick else 100_000
-    config = campaign_config(seed=7)
+    config = campaign_config()
     if engine != config.hierarchy.engine:
         config = dataclasses.replace(
             config,
@@ -243,7 +241,7 @@ def bench_hierarchy_access_traced(
     from repro.robustness.campaign import campaign_config
 
     accesses = 20_000 if quick else 100_000
-    config = campaign_config(seed=7)
+    config = campaign_config()
     if engine != config.hierarchy.engine:
         config = dataclasses.replace(
             config,

@@ -436,7 +436,7 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
     write_run_manifest(
         Path(str(args.output) + ".manifest.json"),
         command=["repro"] + args.argv,
-        config=tm.cell_config("flush_reload", "timecache", engines[0], seeds[0]),
+        config=tm.cell_config("flush_reload", "timecache", engines[0]),
         seed=seeds[0],
         artifacts=[Path(args.output)],
         extra={"cells": len(outcome.cells), "gaps": len(outcome.sweep.failures)},
@@ -525,7 +525,6 @@ def _cmd_compare_defenses(args: argparse.Namespace) -> int:
             (args.attacks or list(tm.ATTACKS))[0],
             (defenses or defense_names())[0],
             engines[0],
-            seeds[0],
         ),
         seed=seeds[0],
         artifacts=[Path(args.output)],
@@ -543,7 +542,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import JsonlSink, Tracer, read_events, write_chrome_trace
 
     console = args.console
-    config = scaled_experiment_config(seed=args.seed, engine=args.engine)
+    config = scaled_experiment_config(engine=args.engine)
     if args.baseline:
         config = config.baseline()
     out_dir = Path(args.output_dir)
@@ -567,6 +566,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         manifest_path,
         command=["repro"] + args.argv,
         config=config,
+        seed=args.seed,
         artifacts=[trace_path, perfetto_path],
         extra={
             "events": sink.emitted,

@@ -94,7 +94,6 @@ def run_overhead_cell(
             num_cores=1,
             llc_kib=32,
             quantum_cycles=60_000,
-            seed=seed,
             engine=engine,
         )
         return get_defense(name).configure(base)

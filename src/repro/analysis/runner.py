@@ -73,9 +73,7 @@ def spec_pair_jobs(
     """One job per SPEC pair on the single-core experiment config: the
     cells of Table II, Figure 7 and Figure 8.  ``budget`` arms each
     cell's simulation watchdog."""
-    config = scaled_experiment_config(
-        num_cores=1, llc_kib=llc_kib, seed=seed, engine=engine
-    )
+    config = scaled_experiment_config(num_cores=1, llc_kib=llc_kib, engine=engine)
     provenance = _sweep_provenance(config, seed)
     return [
         SweepJob(
@@ -99,9 +97,7 @@ def parsec_jobs(
 ) -> List[SweepJob]:
     """One job per PARSEC benchmark on the two-core experiment config:
     the cells of Figure 9 and Table II's PARSEC rows."""
-    config = scaled_experiment_config(
-        num_cores=2, llc_kib=llc_kib, seed=seed, engine=engine
-    )
+    config = scaled_experiment_config(num_cores=2, llc_kib=llc_kib, engine=engine)
     provenance = _sweep_provenance(config, seed)
     return [
         SweepJob(
@@ -291,9 +287,9 @@ def batched_replay_run(
     one :meth:`~repro.core.timecache.TimeCacheSystem.access_batch` call;
     ``batch=False`` is the reference, one
     :meth:`~repro.core.timecache.TimeCacheSystem.access` per address.
-    Both give what :func:`repro.cpu.tracing.replay_ops` gives for the
-    same addresses as ``Load`` ops, and identical summaries.  The
-    summary is one pass over the results.  It stays a Python loop: a
+    Both give what a hardware context gives for the same addresses as
+    ``Load`` ops, and identical summaries.  The summary is one pass
+    over the results.  It stays a Python loop: a
     :class:`collections.Counter` over ``attrgetter`` tuples of the same
     fields runs no bytecode per result but builds and hashes a tuple
     for each, and takes about twice the loop's time on CPython 3.11.
@@ -307,7 +303,7 @@ def batched_replay_run(
     from repro.memsys.hierarchy import AccessKind
     from repro.robustness.campaign import campaign_config
 
-    config = campaign_config(seed=seed)
+    config = campaign_config()
     if engine != config.hierarchy.engine:
         config = dataclasses.replace(
             config,
@@ -322,7 +318,7 @@ def batched_replay_run(
     )
     load = AccessKind.LOAD
     if batch:
-        results, now = system.access_batch(0, trace, load, now=0, advance=1)
+        results, now = system.access_batch(0, trace, load, now=0)
     else:
         results, now = [], 0
         access, append = system.access, results.append
@@ -353,7 +349,7 @@ def write_run_manifest(
     *,
     command: Sequence[str],
     config: SimConfig,
-    seed: Optional[int] = None,
+    seed: int,
     artifacts: Sequence[Union[str, Path]] = (),
     extra: Optional[Dict[str, object]] = None,
 ):

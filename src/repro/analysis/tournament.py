@@ -318,9 +318,7 @@ def cell_label(attack: str, defense: str, engine: str) -> str:
     return f"{attack}|{defense}|{engine}"
 
 
-def cell_config(
-    attack: str, defense: str, engine: str, seed: int
-) -> SimConfig:
+def cell_config(attack: str, defense: str, engine: str) -> SimConfig:
     """The scaled-down machine one cell runs on.
 
     Small caches and a short quantum keep a cell in the milliseconds
@@ -333,7 +331,6 @@ def cell_config(
         num_cores=spec.cores,
         llc_kib=32,
         quantum_cycles=60_000,
-        seed=seed,
         engine=engine,
     )
     if spec.smt:
@@ -368,7 +365,7 @@ def run_tournament_cell(
     neg: List[int] = []
     pos: List[int] = []
     for seed in seeds:
-        config = cell_config(attack, defense, engine, seed)
+        config = cell_config(attack, defense, engine)
         seed_neg, seed_pos = spec.collect(config, seed, quick)
         neg.extend(seed_neg)
         pos.extend(seed_pos)

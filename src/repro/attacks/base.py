@@ -94,21 +94,6 @@ class AttackOutcome:
         """Statistical leak verdict: does :meth:`leak_auc` clear ``cutoff``?"""
         return self.leak_auc() > cutoff
 
-    @property
-    def leaked(self) -> bool:
-        """Removed alias for :meth:`verdict` (deprecation completed).
-
-        Historically ``probe_hits > 0``, then a deprecated forward to the
-        statistical verdict.  The deprecation cycle is over: accessing it
-        raises so stale callers fail loudly instead of silently using the
-        old single-threshold semantics.
-        """
-        raise AttributeError(
-            "AttackOutcome.leaked was removed after its deprecation "
-            "cycle; use AttackOutcome.verdict() (statistical AUC "
-            "verdict) or AttackOutcome.leak_auc() instead"
-        )
-
 
 class SharedArrayScenario:
     """An attacker and a victim process sharing one mapped segment.

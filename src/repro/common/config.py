@@ -237,7 +237,6 @@ class SimConfig:
     quantum_cycles: int = 50_000
     #: fixed (non-s-bit) cost of a context switch, in cycles
     context_switch_cycles: int = 400
-    seed: int = 0xC0FFEE
 
     def validate(self) -> None:
         self.hierarchy.validate()
@@ -308,7 +307,6 @@ def scaled_experiment_config(
     llc_kib: int = 128,
     l1_kib: int = 4,
     quantum_cycles: int = 400_000,
-    seed: int = 0xC0FFEE,
     sbit_dma_cycles: Optional[int] = None,
     engine: str = "object",
 ) -> SimConfig:
@@ -337,7 +335,6 @@ def scaled_experiment_config(
         ),
         timecache=TimeCacheConfig(sbit_dma_cycles=sbit_dma_cycles),
         quantum_cycles=quantum_cycles,
-        seed=seed,
     )
     cfg.validate()
     return cfg

@@ -32,7 +32,6 @@ from repro.memsys.hierarchy import (
     AccessPorts,
     AccessResult,
     BatchResult,
-    KindsArg,
     MemoryHierarchy,
     Port,
 )
@@ -144,14 +143,12 @@ class TimeCacheSystem:
         self,
         ctx: int,
         addrs,
-        kinds: KindsArg = AccessKind.LOAD,
+        kind: AccessKind = AccessKind.LOAD,
         now: Optional[int] = None,
-        advance: int = 1,
-        nows=None,
     ) -> BatchResult:
-        """A run of same-context accesses in one call.
+        """A run of same-context accesses of one kind in one call.
 
-        Semantically identical to calling :meth:`access` in a loop with
+        Semantically identical to calling :meth:`access` in a loop under
         the blocking-CPU time rule (see
         :meth:`~repro.memsys.hierarchy.MemoryHierarchy.access_batch`).
         ``now`` defaults to the global clock.  Context switches and
@@ -161,11 +158,12 @@ class TimeCacheSystem:
         if self._addr_offset is not None:
             offset = self._addr_offset(ctx)
             if offset:
-                # One context per batch, so the remap is a constant shift.
-                addrs = [int(addr) + offset for addr in addrs]
-        return self.hierarchy.access_batch(
-            ctx, addrs, kinds, now=when, advance=advance, nows=nows
-        )
+                # One context per batch, so the remap is a constant
+                # shift.  It converts nothing: the engine's loop checks
+                # each address with ``operator.index`` at its access, so
+                # a non-integer one raises there, as through ``access``.
+                addrs = [addr + offset for addr in addrs]
+        return self.hierarchy.access_batch(ctx, addrs, kind, when)
 
     def load(self, ctx: int, addr: int, now: Optional[int] = None) -> AccessResult:
         return self.access(ctx, addr, AccessKind.LOAD, now)

@@ -111,12 +111,8 @@ class HardwareContext:
         self._gen: Optional[OpStream] = None
         self._translate: Optional[Translator] = None
         self._pending_result: object = None
-        #: an op tape's arguments with every address physical, the space
-        #: they came from (None: the translator) and that space's
-        #: generation then
+        #: an op tape's arguments with every address physical
         self._paddrs: Optional[array] = None
-        self._space: Optional["AddressSpace"] = None
-        self._generation = 0
         #: this context's ports, indexed by tape kind code
         #: (:data:`_TAPE_ACCESS`); fetched by the first step
         self._ports: Optional[Tuple[Port, ...]] = None
@@ -134,12 +130,13 @@ class HardwareContext:
         ``result`` is what the generator receives for the op it yielded
         last (``None`` for a fresh generator).
 
-        An op tape is translated here, once: by ``space``, the address
-        space ``translate`` belongs to, whose
-        :meth:`~repro.os.vm.AddressSpace.physical_args` the walk fetches
-        again whenever the mapping has changed, or else op by op through
-        ``translate``.  A page fault on any of the tape's addresses
-        raises here, before any op runs.
+        An op tape is translated here, once: by
+        :meth:`~repro.os.vm.AddressSpace.physical_args` of ``space``, the
+        address space ``translate`` belongs to, or else op by op through
+        ``translate``.  A mapping never changes a page it already maps,
+        so the translation holds for as long as the tape runs.  A page
+        fault on any of the tape's addresses raises here, before any op
+        runs.
         """
         paddrs = None
         if type(gen) is OpTape:
@@ -147,12 +144,10 @@ class HardwareContext:
                 paddrs = _translated(gen, translate)
             else:
                 paddrs = space.physical_args(gen)
-                self._generation = space.generation
         self._gen = gen
         self._translate = translate
         self._pending_result = result
         self._paddrs = paddrs
-        self._space = space if paddrs is not None else None
 
     def uninstall(self) -> object:
         """Unbind the task; returns the result its last op is still owed,
@@ -162,7 +157,6 @@ class HardwareContext:
         self._translate = None
         self._pending_result = None
         self._paddrs = None
-        self._space = None
         return result
 
     def _access_ports(self) -> Tuple[Port, ...]:
@@ -377,14 +371,8 @@ class HardwareContext:
             tape = hw._gen
             if type(tape) is not OpTape:
                 raise ProgramError(f"ctx{hw.ctx_id}: a peer must walk an op tape")
-            args = hw._paddrs
-            space = hw._space
-            if space is not None and space.generation != hw._generation:
-                # the mapping changed since the tape was translated
-                args = hw._paddrs = space.physical_args(tape)
-                hw._generation = space.generation
             ports = hw._ports or hw._access_ports()
-            setups.append((hw.ctx_id, tape.kinds, args, bound, ports))
+            setups.append((hw.ctx_id, tape.kinds, hw._paddrs, bound, ports))
             hws.append(hw)
             positions.append(tape.pos)
             times.append(hw.local_time)

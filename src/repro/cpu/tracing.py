@@ -19,19 +19,16 @@ Format::
     Z <cycles>        sleep
     X                 exit
 
-:func:`replay_ops` replays a memory-op stream straight into a
-:class:`~repro.core.timecache.TimeCacheSystem` (no CPU/OS layers),
-either scalar or coalesced through the batched access path — the two
-modes produce identical results by construction.
+A loaded trace runs as a program (:func:`trace_file_program`), through
+the same CPU and OS layers as any other workload.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, List, Union
 
 from repro.common.errors import ProgramError
-from repro.core.timecache import TimeCacheSystem
 from repro.cpu.isa import (
     Compute,
     Exit,
@@ -46,13 +43,6 @@ from repro.cpu.isa import (
     YieldOp,
 )
 from repro.cpu.program import Program, ProgramGen
-from repro.memsys.hierarchy import AccessKind, AccessResult
-
-_KIND_OF_TYPE = {
-    Load: AccessKind.LOAD,
-    Store: AccessKind.STORE,
-    Ifetch: AccessKind.IFETCH,
-}
 
 
 def format_op(op: Op) -> str:
@@ -165,86 +155,3 @@ def trace_file_program(name: str, path: Union[str, Path]) -> Program:
             yield op
 
     return Program(name, factory)
-
-
-def iter_trace_ops(lines: Iterable[str]) -> Iterator[Op]:
-    """Streaming parser for very large traces (no materialization)."""
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield parse_op(line)
-
-
-def replay_ops(
-    system: TimeCacheSystem,
-    ops: Iterable[Op],
-    ctx: int = 0,
-    translate: Optional[Callable[[int], int]] = None,
-    batch: bool = True,
-    now: int = 0,
-) -> Tuple[List[AccessResult], int]:
-    """Replay an operation stream straight into ``system``.
-
-    The CPU and OS layers are bypassed: operations execute back-to-back
-    on hardware context ``ctx`` with the blocking time rule (one issue
-    cycle plus the full latency of every memory access; compute bursts
-    cost their instruction count).  With ``batch=True`` consecutive
-    load/store/ifetch operations are coalesced through
-    :meth:`TimeCacheSystem.access_batch`; ``batch=False`` replays
-    strictly scalar.  Both modes produce identical results, timing, and
-    final cache state (the engine equivalence fuzz locks this in).
-    Flushes, computes, fences, and the other non-access operations are
-    batch boundaries.  Sleeps advance the replay cursor by their full
-    duration (there is no scheduler to block on); ``Exit`` stops the
-    replay.
-
-    Returns ``(results, now)``: one :class:`AccessResult` per memory
-    access in stream order, and the final cursor value.
-    """
-    if translate is None:
-        translate = lambda v: v  # noqa: E731 - identity mapping
-    results: List[AccessResult] = []
-    pending_addrs: List[int] = []
-    pending_kinds: List[AccessKind] = []
-
-    def drain(cursor: int) -> int:
-        if not pending_addrs:
-            return cursor
-        if batch:
-            outcome = system.access_batch(
-                ctx, pending_addrs, pending_kinds, now=cursor, advance=1
-            )
-            results.extend(outcome.results)
-            cursor = outcome.now
-        else:
-            for addr, kind in zip(pending_addrs, pending_kinds):
-                result = system.access(ctx, addr, kind, cursor)
-                results.append(result)
-                cursor += 1 + result.latency
-        pending_addrs.clear()
-        pending_kinds.clear()
-        return cursor
-
-    for op in ops:
-        kind = _KIND_OF_TYPE.get(type(op))
-        if kind is not None:
-            pending_addrs.append(translate(op.vaddr))
-            pending_kinds.append(kind)
-            continue
-        now = drain(now)
-        if isinstance(op, Flush):
-            result = system.flush(ctx, translate(op.vaddr), now)
-            now += 1 + result.latency
-        elif isinstance(op, Compute):
-            now += op.instructions
-        elif isinstance(op, (Rdtsc, Fence, YieldOp)):
-            now += 1
-        elif isinstance(op, SleepOp):
-            now += 1 + op.cycles
-        elif isinstance(op, Exit):
-            break
-        else:
-            raise ProgramError(f"cannot replay {op!r}")
-    now = drain(now)
-    return results, now

@@ -28,8 +28,8 @@ Only the access path is the fast engine's own: the ports of
 :meth:`FastHierarchy._bind`, the LLC probe they call, the batch loop
 that serves plain L1 hits without a port call, and the cache methods
 over the arrays.  Everything else — the counters, the listener chain,
-the context-switch array operations, ``access_batch``'s argument
-checks, and every cold path of the hierarchy — is the reference code,
+the context-switch array operations, ``access_batch``'s ``now`` check,
+and every cold path of the hierarchy — is the reference code,
 inherited.
 
 Equivalence is not aspirational: ``tests/memsys/test_engine_equivalence``
@@ -63,7 +63,6 @@ from repro.memsys.hierarchy import (
     AccessKind,
     AccessResult,
     BatchResult,
-    KindsArg,
     MemoryHierarchy,
     Port,
 )
@@ -363,7 +362,7 @@ class FastHierarchy(MemoryHierarchy):
     """The memory hierarchy driven through :class:`FastCache` levels.
 
     Reuses the reference topology construction, the ``access``
-    dispatcher, ``access_batch`` with its argument checks, and every
+    dispatcher, ``access_batch`` with its ``now`` check, and every
     cold path — fills while a listener is attached, LLC misses and
     evictions, coherence, partitioning flushes, clflush, inclusion
     checks — which run unchanged against the engine-generic cache
@@ -646,23 +645,20 @@ class FastHierarchy(MemoryHierarchy):
         self,
         ctx: int,
         addrs: Sequence[int],
-        kinds: KindsArg,
+        kind: AccessKind,
         now: int,
-        advance: int,
-        times: Optional[List[int]],
         results: List[AccessResult],
     ) -> BatchResult:
         """The batch loop, with plain L1 hits served inline.
 
-        In a single-kind load or ifetch batch in ``advance`` mode with
-        no pre- or post-access listener attached, an access whose line
-        sits in the context's L1 with its s-bit set (any resident line
-        while TimeCache is off) takes the port's hit branch here: stamp
-        the slot with the full issue cycle, count the hit, append the
-        interned L1-hit result, advance the cursor by ``advance`` plus
-        the hit latency.  Every other access — a miss, a first access —
-        calls the port as the reference loop does, and so does every
-        access of a store, per-address-kinds or ``nows`` batch.
+        In a load or ifetch batch with no pre- or post-access listener
+        attached, an access whose line sits in the context's L1 with its
+        s-bit set (any resident line while TimeCache is off) takes the
+        port's hit branch here: stamp the slot with the full issue cycle,
+        count the hit, append the interned L1-hit result, move the cursor
+        by one cycle plus the hit latency.  Every other access — a miss,
+        a first access — calls the port as the reference loop does, and
+        so does every access of a store batch.
 
         The hits are counted, and the clock moved to the last issue
         time, once on the way out, a raising port included: the port
@@ -672,17 +668,13 @@ class FastHierarchy(MemoryHierarchy):
         per address leaves.
         """
         if (
-            times is not None
-            or not isinstance(kinds, AccessKind)
-            or kinds is _STORE
+            kind is _STORE
             or self.pre_access_listeners
             or self.post_access_listeners
         ):
-            return super()._batch_loop(
-                ctx, addrs, kinds, now, advance, times, results
-            )
-        port = self.ports(ctx).of(kinds)
-        l1 = (self.l1i if kinds is _IFETCH else self.l1d)[
+            return super()._batch_loop(ctx, addrs, kind, now, results)
+        port = self.ports(ctx).of(kind)
+        l1 = (self.l1i if kind is _IFETCH else self.l1d)[
             ctx // self.config.threads_per_core
         ]
         slot_of = l1._slot_of
@@ -692,7 +684,7 @@ class FastHierarchy(MemoryHierarchy):
         any_hit = not self.tc_config.enabled  # no s-bit to check
         line_shift = self.line_shift
         hit_result = self._intern_result(l1.hit_latency, "L1")
-        hit_step = advance + l1.hit_latency
+        hit_step = 1 + l1.hit_latency
         append = results.append
         cursor = now
         ported = 0  # results that a port call returned
@@ -707,12 +699,12 @@ class FastHierarchy(MemoryHierarchy):
                     result = port(addr, cursor)
                     append(result)
                     ported += 1
-                    cursor += advance + result.latency
+                    cursor += 1 + result.latency
         finally:
             # every other result is a plain hit this loop served
             l1.c_hits.value += len(results) - ported
             if results:
-                last_issue = cursor - advance - results[-1].latency
+                last_issue = cursor - 1 - results[-1].latency
                 clock = self.clock
                 if last_issue > clock._now:
                     clock._now = last_issue

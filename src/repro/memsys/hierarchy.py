@@ -23,20 +23,9 @@ from __future__ import annotations
 import enum
 import weakref
 from dataclasses import dataclass, replace
-from itertools import repeat
 from operator import index
 from time import perf_counter_ns
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.clock import GlobalClock
 from repro.common.config import HierarchyConfig, TimeCacheConfig
@@ -77,29 +66,17 @@ class BatchResult(NamedTuple):
     ``results`` holds one :class:`AccessResult` per access, in issue
     order; ``now`` is the cycle cursor after the last access — the value
     a caller passes as ``now`` to the next batch to continue the same
-    stream (in ``nows`` mode it is simply the last issue time).
+    stream.
     """
 
     results: List[AccessResult]
     now: int
 
 
-#: what callers may pass as the ``kinds`` argument of ``access_batch``
-KindsArg = Union[AccessKind, Sequence[AccessKind]]
-
 #: one context's accessor for one access kind: ``port(addr, now)``
 Port = Callable[[int, int], AccessResult]
 
 _LOAD, _STORE, _IFETCH = AccessKind.LOAD, AccessKind.STORE, AccessKind.IFETCH
-
-
-def _integer(name: str, value: int) -> int:
-    """``value`` as an int, or :class:`SimulationError` if it is not an
-    integer (a float or a string is not silently truncated)."""
-    try:
-        return index(value)
-    except TypeError:
-        raise SimulationError(f"{name} must be an integer, got {value!r}") from None
 
 
 class AccessPorts(NamedTuple):
@@ -428,125 +405,67 @@ class MemoryHierarchy:
         self,
         ctx: int,
         addrs: Sequence[int],
-        kinds: KindsArg = AccessKind.LOAD,
+        kind: AccessKind = AccessKind.LOAD,
         now: int = 0,
-        advance: int = 1,
-        nows: Optional[Sequence[int]] = None,
     ) -> BatchResult:
-        """Execute a run of same-context accesses.
+        """Execute a run of same-context accesses of one kind.
 
         The semantics are *defined* as a loop over :meth:`access`: each
-        access issues at the current cycle cursor, then the cursor moves
-        by ``advance`` plus the observed latency — the blocking
-        TimingSimpleCPU rule (``advance=1`` matches the CPU model's one
-        cycle per retired op; ``advance=0`` charges latency only, which
-        is what the throughput benchmarks drive).
+        access issues at the cycle cursor, which starts at ``now``, and
+        the cursor then moves by one cycle plus the observed latency —
+        the blocking TimingSimpleCPU rule the CPU model retires every
+        memory op by.  ``kind`` is served as :meth:`access` serves it.
+        A ``now`` that is not an integer raises
+        :class:`SimulationError` before the first access, so it changes
+        no cache state or counter.
 
-        Alternatively ``nows`` pins every access to an explicit issue
-        time (one non-decreasing entry per address); the returned cursor
-        is then the last issue time.  ``kinds`` is either a single
-        :class:`AccessKind` applied to the whole run or one per address.
-        ``now``, ``advance``, ``kinds`` and ``nows`` are checked before
-        the first access, so a batch they make invalid — a ``now`` or
-        ``advance`` that is not an integer, a negative ``advance``, a
-        ``kinds`` or ``nows`` of the wrong length, a decreasing ``nows``
-        — raises :class:`SimulationError` and changes no cache state or
-        counter.
-
-        Then :meth:`_batch_loop` runs the accesses over the context's
-        ports, bound once per batch (an empty batch binds nothing).  The
-        object engine's loop calls a port per access; the fast engine's
-        serves the plain L1 hits of a single-kind load or ifetch batch
-        itself.  Either way a batch leaves what its accesses leave one
-        by one, and the differential fuzz holds both engines to that.
+        Then :meth:`_batch_loop` runs the accesses through the context's
+        port for ``kind``, bound once per batch (an empty batch binds
+        nothing).  The object engine's loop calls the port per access;
+        the fast engine's serves the plain L1 hits of a load or ifetch
+        batch itself.  Either way a batch leaves what its accesses leave
+        one by one, and the differential fuzz holds both engines to
+        that.
         """
-        kinds, now, advance, times = self._batch_args(
-            addrs, kinds, now, advance, nows
-        )
+        try:
+            now = index(now)
+        except TypeError:
+            raise SimulationError(f"now must be an integer, got {now!r}") from None
         results: List[AccessResult] = []
         if not len(addrs):
             return BatchResult(results, now)
         prof = self.kernel_profiler
         if prof is None:
-            return self._batch_loop(ctx, addrs, kinds, now, advance, times, results)
+            return self._batch_loop(ctx, addrs, kind, now, results)
         t0 = perf_counter_ns()
         try:
-            return self._batch_loop(ctx, addrs, kinds, now, advance, times, results)
+            return self._batch_loop(ctx, addrs, kind, now, results)
         finally:
             # Every batched access is scalar work: 100% fallback.  Only
             # the accesses that ran count.
             prof.fallback_ns += perf_counter_ns() - t0
             prof.scalar_accesses += len(results)
 
-    @staticmethod
-    def _batch_args(
-        addrs: Sequence[int],
-        kinds: KindsArg,
-        now: int,
-        advance: int,
-        nows: Optional[Sequence[int]],
-    ) -> Tuple[KindsArg, int, int, Optional[List[int]]]:
-        """Check a batch's arguments before any access runs.  Returns
-        ``kinds`` (one kind, or a list of one per address), ``now`` and
-        ``advance`` as ints, and ``nows`` as a list of ints or ``None``."""
-        now = _integer("now", now)
-        advance = _integer("advance", advance)
-        n = len(addrs)
-        if not isinstance(kinds, AccessKind):
-            kinds = list(kinds)
-            if len(kinds) != n:
-                raise SimulationError(
-                    f"kinds has {len(kinds)} entries for {n} addresses"
-                )
-        if advance < 0:
-            raise SimulationError(f"advance cannot be negative: {advance}")
-        times = None
-        if nows is not None:
-            if len(nows) != n:
-                raise SimulationError(
-                    f"nows has {len(nows)} entries for {n} addresses"
-                )
-            times = [int(when) for when in nows]
-            for prev, when in zip(times, times[1:]):
-                if when < prev:
-                    raise SimulationError(
-                        f"nows must be non-decreasing ({when} after {prev})"
-                    )
-        return kinds, now, advance, times
-
     def _batch_loop(
         self,
         ctx: int,
         addrs: Sequence[int],
-        kinds: KindsArg,
+        kind: AccessKind,
         now: int,
-        advance: int,
-        times: Optional[List[int]],
         results: List[AccessResult],
     ) -> BatchResult:
-        """The batch loop over checked, non-empty arguments; appends each
-        access's result to ``results`` as it runs.  It walks (address,
-        port) pairs: a single kind repeats its one port, a kind per
-        address resolves each through :meth:`AccessPorts.of`.  Each
-        address goes through :func:`operator.index`, so one that is not
-        an integer raises :class:`TypeError` at its access, as
-        :meth:`access` does, instead of being truncated."""
-        ports = self.ports(ctx)
-        port_of: Iterator[Port] = (
-            repeat(ports.of(kinds))
-            if isinstance(kinds, AccessKind)
-            else map(ports.of, kinds)
-        )
+        """The batch loop over a checked, non-empty batch; appends each
+        access's result to ``results`` as it runs.  Each address goes
+        through :func:`operator.index`, so one that is not an integer
+        raises :class:`TypeError` at its access, as :meth:`access` does,
+        instead of being truncated."""
+        port = self.ports(ctx).of(kind)
         append = results.append
-        if times is not None:
-            for addr, port, when in zip(addrs, port_of, times):
-                append(port(index(addr), when))
-            return BatchResult(results, times[-1])
         cursor = now
-        for addr, port in zip(addrs, port_of):
-            result = port(index(addr), cursor)
+        for addr in map(index, addrs):
+            result = port(addr, cursor)
             append(result)
-            cursor += advance + result.latency
+            cursor += 1 + result.latency
         return BatchResult(results, cursor)
 
     def _access_l1(

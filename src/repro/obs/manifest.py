@@ -114,7 +114,7 @@ class RunManifest:
         *,
         command: Union[str, List[str]],
         config: SimConfig,
-        seed: Optional[int] = None,
+        seed: int,
         artifacts: Sequence[Union[str, Path]] = (),
         extra: Optional[Dict] = None,
     ) -> "RunManifest":
@@ -124,7 +124,7 @@ class RunManifest:
             command=command,
             config=config_to_dict(config),
             config_sha256=config_fingerprint(config),
-            seed=config.seed if seed is None else seed,
+            seed=seed,
             engine=config.hierarchy.engine,
             git=_git_info(),
             machine=machine,

@@ -6,7 +6,7 @@ This package provides exactly the substrate the paper assumes:
 
 * :mod:`repro.os.vm` — physical memory, page-granular address spaces,
   shared segments (shared libraries, kernel text, memory-mapped files)
-  and deduplication/COW-style page sharing;
+  and content-deduplicated page sharing;
 * :mod:`repro.os.process` — processes and tasks (threads) carrying their
   address space and TimeCache caching state;
 * :mod:`repro.os.scheduler` — per-hardware-context round-robin run queues

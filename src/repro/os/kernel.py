@@ -92,22 +92,6 @@ class Kernel:
 
         return Process(name, AddressSpace(name, self.phys))
 
-    def fork_process(self, parent: Process, name: Optional[str] = None) -> Process:
-        """Unix-style fork: the child shares every parent page copy-on-
-        write.  Until a write breaks sharing, parent and child touch the
-        same physical lines — exactly the sharing the paper's intro says
-        TimeCache makes safe to exploit for memory savings.
-        """
-        from repro.os.vm import AddressSpace
-
-        child_name = name if name is not None else f"{parent.name}.child"
-        child = Process(child_name, AddressSpace(child_name, self.phys))
-        # Mirror the parent's mappings page by page, COW-protected on
-        # both sides for data; the model marks only the child COW and
-        # leaves the parent in place (single-writer approximation).
-        child.address_space.mirror_cow(parent.address_space)
-        return child
-
     def submit(self, task: Task) -> None:
         """Admit a task to its (affinity) run queue."""
         ctx = self.scheduler.admit(task)

@@ -1,15 +1,14 @@
 """Virtual memory: physical pages, segments, and address spaces.
 
 The reuse attacks the paper targets exist *because* distinct processes
-map the same physical memory (shared libraries, deduplicated pages,
-forked/COW pages).  This module provides that sharing:
+map the same physical memory (shared libraries, deduplicated pages).
+This module provides that sharing:
 
 * :class:`PhysicalMemory` — a bump allocator of physical pages plus
   content-hash based deduplication;
 * :class:`Segment` — a named run of physical pages (e.g. the text of
   ``libgcrypt``), mappable into many address spaces;
-* :class:`AddressSpace` — a page-granular virtual→physical mapping with
-  copy-on-write support.
+* :class:`AddressSpace` — a page-granular virtual→physical mapping.
 
 Caches are physically indexed/tagged in :mod:`repro.memsys`, so two
 processes touching the same segment touch the same cache lines — the
@@ -18,8 +17,9 @@ precondition of every attack in the paper.
 An op tape's addresses are translated in bulk, not one access at a time:
 :meth:`AddressSpace.physical_args` gives the tape's arguments with every
 load, store and ifetch address made physical, computed with NumPy once
-per page layout and kept on the tape.  ``generation`` counts the
-mapping's changes, so a walker knows when to fetch them again.
+per page layout and kept on the tape.  A mapping only grows —
+:meth:`AddressSpace.map_segment` refuses a page that is already mapped —
+so the arguments a tape was installed with never go stale.
 """
 
 from __future__ import annotations
@@ -105,12 +105,6 @@ class PhysicalMemory:
         self._segments[name] = segment
         return segment
 
-    def allocate_private_page(self) -> int:
-        """One fresh physical page (COW break target); returns page number."""
-        page = self._next_page
-        self._next_page += 1
-        return page
-
     def segment(self, name: str) -> Segment:
         try:
             return self._segments[name]
@@ -150,10 +144,7 @@ class AddressSpace:
         self.page_bytes = phys.page_bytes
         self._page_shift = phys.page_bytes.bit_length() - 1
         self._vpage_to_ppage: Dict[int, int] = {}
-        self._cow_pages: Dict[int, bool] = {}  # vpage -> is COW-protected
         self._segments: Dict[str, int] = {}  # segment name -> vaddr base
-        #: bumped by every change to the mapping
-        self.generation = 0
 
     # ------------------------------------------------------------------
     def map_segment(self, segment: Segment, vaddr: int) -> None:
@@ -163,7 +154,6 @@ class AddressSpace:
                 f"{self.name}: segment base {vaddr:#x} not page aligned"
             )
         base_vpage = vaddr >> self._page_shift
-        self.generation += 1
         for i in range(segment.num_pages):
             vpage = base_vpage + i
             if vpage in self._vpage_to_ppage:
@@ -172,22 +162,6 @@ class AddressSpace:
                 )
             self._vpage_to_ppage[vpage] = segment.phys_page(i)
         self._segments[segment.name] = vaddr
-
-    def map_segment_cow(self, segment: Segment, vaddr: int) -> None:
-        """Map a segment copy-on-write (fork-style sharing)."""
-        self.map_segment(segment, vaddr)
-        base_vpage = vaddr >> self._page_shift
-        for i in range(segment.num_pages):
-            self._cow_pages[base_vpage + i] = True
-
-    def mirror_cow(self, parent: "AddressSpace") -> None:
-        """Map every page of ``parent`` here too, copy-on-write on this
-        side only (a fork's child; the parent keeps writing in place)."""
-        self.generation += 1
-        for vpage, ppage in parent._vpage_to_ppage.items():
-            self._vpage_to_ppage[vpage] = ppage
-            self._cow_pages[vpage] = True
-        self._segments.update(parent._segments)
 
     def segment_base(self, name: str) -> int:
         try:
@@ -250,21 +224,6 @@ class AddressSpace:
         vaddrs |= ppages
         view[memory] = vaddrs
         return args
-
-    def write_fault(self, vaddr: int) -> bool:
-        """Handle a store to a COW page: break sharing with a fresh page.
-
-        Returns True if a COW break happened (the caller can charge a
-        fault cost).  After the break the page is private, so subsequent
-        stores hit distinct physical lines from the original sharer's.
-        """
-        vpage = vaddr >> self._page_shift
-        if not self._cow_pages.get(vpage, False):
-            return False
-        self.generation += 1
-        self._vpage_to_ppage[vpage] = self.phys.allocate_private_page()
-        self._cow_pages[vpage] = False
-        return True
 
     def is_mapped(self, vaddr: int) -> bool:
         return (vaddr >> self._page_shift) in self._vpage_to_ppage

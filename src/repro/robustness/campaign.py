@@ -59,7 +59,7 @@ ROUNDS = 8
 ACCESSES_PER_ROUND = 40
 
 
-def campaign_config(seed: int = 0) -> SimConfig:
+def campaign_config() -> SimConfig:
     """The tiny single-core machine every injection run simulates."""
     cfg = SimConfig(
         hierarchy=HierarchyConfig(
@@ -74,7 +74,6 @@ def campaign_config(seed: int = 0) -> SimConfig:
             timestamp_bits=16,  # epochs short enough to roll over in-run
             sbit_dma_cycles=20,
         ),
-        seed=seed,
     )
     cfg.validate()
     return cfg
@@ -179,7 +178,7 @@ def run_single_injection(
 ) -> InjectionOutcome:
     """One simulation, one fault, one verdict."""
     rng = DeterministicRng(seed)
-    system = TimeCacheSystem(campaign_config(seed=seed))
+    system = TimeCacheSystem(campaign_config())
     injector = FaultInjector(
         system,
         model_cls(),
@@ -228,7 +227,7 @@ def run_injection_uncaught(model_name: str, seed: int) -> str:
             f"unknown fault model {model_name!r}; known: {sorted(by_name)}"
         ) from None
     rng = DeterministicRng(seed)
-    system = TimeCacheSystem(campaign_config(seed=seed))
+    system = TimeCacheSystem(campaign_config())
     FaultInjector(
         system,
         model_cls(),

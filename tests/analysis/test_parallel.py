@@ -235,7 +235,7 @@ class TestExecutorContract:
         assert resolve_jobs(None) >= 1
 
     def test_ordered_reassembly(self):
-        config = scaled_experiment_config(num_cores=1, llc_kib=32, seed=1)
+        config = scaled_experiment_config(num_cores=1, llc_kib=32)
         jobs = [
             SweepJob(
                 pair_label(a, b),

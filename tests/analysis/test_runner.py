@@ -9,12 +9,13 @@ from repro.analysis.runner import (
     hot_cold_reference_trace,
     llc_sensitivity_sweep,
     single_config,
+    spec_pair_jobs,
 )
 from repro.attacks.base import AttackOutcome, hit_threshold
 from repro.common.rng import DeterministicRng
 from repro.core.timecache import TimeCacheSystem
 from repro.cpu import isa
-from repro.cpu.tracing import replay_ops
+from repro.cpu.cpu import HardwareContext, StepEvent
 from repro.robustness.campaign import campaign_config
 
 from tests.conftest import tiny_config
@@ -25,6 +26,18 @@ def test_single_config_valid():
     cfg.validate()
     assert cfg.hierarchy.num_cores == 2
     assert cfg.hierarchy.llc.size_bytes == 64 * 1024
+
+
+def test_jobs_of_two_seeds_share_one_config_hash():
+    """The seed steers the workload, not the machine: the jobs of two
+    seeds stamp their own seeds and one ``config_sha256``."""
+    stamps = [
+        job.provenance
+        for seed in (1, 2)
+        for job in spec_pair_jobs(pairs=[("wrf", "wrf")], seed=seed)
+    ]
+    assert [stamp["seed"] for stamp in stamps] == [1, 2]
+    assert len({stamp["config_sha256"] for stamp in stamps}) == 1
 
 
 def test_llc_sweep_structure():
@@ -209,11 +222,11 @@ class TestHotColdTrace:
             )
 
 
-def _replay_ops_summary(accesses, engine, batch, seed, hot_fraction):
-    """``batched_replay_run``'s summary, computed as it first was: the
-    trace wrapped in ``Load`` ops for ``replay_ops``, summed in three
-    passes."""
-    config = campaign_config(seed=seed)
+def _hardware_context_summary(accesses, engine, seed, hot_fraction):
+    """``batched_replay_run``'s summary, computed from the trace run as
+    ``Load`` ops by a hardware context — the CPU model's blocking rule —
+    and summed in three passes."""
+    config = campaign_config()
     config = dataclasses.replace(
         config, hierarchy=dataclasses.replace(config.hierarchy, engine=engine)
     )
@@ -224,9 +237,17 @@ def _replay_ops_summary(accesses, engine, batch, seed, hot_fraction):
         line_bytes=config.hierarchy.line_bytes,
         seed=seed,
     )
-    results, now = replay_ops(
-        system, [isa.Load(addr) for addr in trace], batch=batch
-    )
+    loads = [isa.Load(addr) for addr in trace]
+    results = []
+
+    def program():
+        for op in loads:
+            results.append((yield op))
+
+    hw = HardwareContext(0, system)
+    hw.install(program(), lambda vaddr: vaddr)
+    assert hw.step(max_ops=len(loads) + 1).event is StepEvent.EXITED
+    now = hw.local_time
     levels = {}
     for result in results:
         levels[result.level] = levels.get(result.level, 0) + 1
@@ -243,12 +264,12 @@ def _replay_ops_summary(accesses, engine, batch, seed, hot_fraction):
 @pytest.mark.parametrize("engine", ["object", "fast"])
 @pytest.mark.parametrize("batch", [True, False])
 @pytest.mark.parametrize("seed,hot_fraction", [(3, 0.995), (4, 0.9)])
-def test_replay_run_equals_replay_ops_over_loads(
+def test_replay_run_equals_a_cpu_run_over_loads(
     monkeypatch, engine, batch, seed, hot_fraction
 ):
-    """The address array replays exactly as ``Load`` ops through
-    ``replay_ops`` do, without building a single ``Load``."""
-    expected = _replay_ops_summary(1_500, engine, batch, seed, hot_fraction)
+    """The address array replays exactly as ``Load`` ops run by a
+    hardware context do, without building a single ``Load``."""
+    expected = _hardware_context_summary(1_500, engine, seed, hot_fraction)
 
     def no_load(vaddr):
         raise AssertionError(f"built Load({vaddr:#x})")

@@ -51,22 +51,11 @@ def test_control_arm_detects_separation_without_hits():
 
 
 # ----------------------------------------------------------------------
-# removed alias (deprecation cycle completed)
+# removed alias
 # ----------------------------------------------------------------------
-def test_leaked_raises_pointing_at_verdict():
-    # ``leaked`` went through a DeprecationWarning cycle and is now
-    # removed; the error must name both replacements so stale callers
-    # know where to go.
-    outcome = AttackOutcome(7, 8)
-    with pytest.raises(AttributeError, match=r"verdict\(\)") as excinfo:
-        outcome.leaked
-    assert "leak_auc()" in str(excinfo.value)
-    assert "removed" in str(excinfo.value)
-
-
 def test_leaked_raises_even_on_clean_outcomes():
-    # The raise must not depend on the outcome's contents — any access
-    # is a stale caller.
+    # ``leaked`` is gone: a stale caller gets an AttributeError, never
+    # the old single-threshold answer, whatever the outcome holds.
     with pytest.raises(AttributeError):
         AttackOutcome(0, 0).leaked
 

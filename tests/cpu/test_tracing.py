@@ -20,7 +20,6 @@ from repro.cpu.isa import (
 from repro.cpu.program import Program, trace_program
 from repro.cpu.tracing import (
     format_op,
-    iter_trace_ops,
     load_trace,
     parse_op,
     record_program,
@@ -105,12 +104,6 @@ def test_trace_file_program_restartable(tmp_path):
     program = trace_file_program("replay", path)
     assert len(list(program.start())) == 2
     assert len(list(program.start())) == 2
-
-
-def test_streaming_parser():
-    lines = ["L 10", "# comment", "C 3", "X"]
-    ops = list(iter_trace_ops(lines))
-    assert len(ops) == 3
 
 
 def test_recorded_workload_replays_identically(tmp_path):

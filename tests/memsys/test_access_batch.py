@@ -3,14 +3,19 @@
 The differential fuzz in ``test_engine_equivalence.py`` covers random
 traces; here we pin down the *deliberately awkward* cases — partial
 batches that straddle flushes, capacity evictions, and context switches —
-plus the argument-validation contract, on both engines.
+plus the argument-validation contract, on both engines.  A batch issues
+one kind, so a mixed-kind stream runs as consecutive single-kind
+batches, each from the cursor the one before it left.
 """
+
+from itertools import groupby
 
 import pytest
 
 from repro.common.config import scaled_experiment_config
 from repro.common.errors import SimulationError
 from repro.core import TimeCacheSystem
+from repro.defenses import get_defense
 from repro.memsys import AccessKind
 
 LINE = 64
@@ -20,7 +25,7 @@ IFETCH = AccessKind.IFETCH
 
 
 def _config(engine, **tc):
-    cfg = scaled_experiment_config(seed=3, engine=engine)
+    cfg = scaled_experiment_config(engine=engine)
     if tc:
         cfg = cfg.with_timecache(**tc)
     return cfg
@@ -42,33 +47,47 @@ def _observe(results):
     return [(r.latency, r.level, r.first_access) for r in results]
 
 
-def _run_scalar(system, ctx, addrs, kinds, now, advance=1):
+def _run_scalar(system, ctx, addrs, kinds, now):
     out = []
     cursor = now
     for addr, kind in zip(addrs, kinds):
         result = system.access(ctx, addr, kind, cursor)
-        cursor += advance + result.latency
+        cursor += 1 + result.latency
         out.append(result)
     return out, cursor
+
+
+def _run_batches(system, ctx, addrs, kinds, now):
+    """A mixed-kind stream as one batch per run of equal kinds, each from
+    the cursor the batch before it returned."""
+    out = []
+    start = 0
+    for kind, run in groupby(kinds):
+        end = start + len(list(run))
+        batch = system.access_batch(ctx, addrs[start:end], kind, now=now)
+        out += batch.results
+        now = batch.now
+        start = end
+    return out, now
 
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
 @pytest.mark.parametrize("tc_enabled", [False, True])
 def test_eviction_straddling_batch_matches_scalar(engine, tc_enabled):
-    """One big batch touching far more lines than the caches hold forces
-    fills and evictions mid-batch; results and state must match the
-    scalar loop exactly."""
+    """Batches touching far more lines than the caches hold force fills
+    and evictions mid-batch; results and state must match the scalar
+    loop exactly."""
     # 600 distinct lines, revisited, overflow every level of the scaled
     # config's hierarchy.
     addrs = [(i * 37 % 600) * LINE for i in range(2000)]
     kinds = [LOAD if i % 5 else IFETCH for i in range(2000)]
     tc = {} if tc_enabled else {"enabled": False}
     batched = TimeCacheSystem(_config(engine, **tc))
-    outcome = batched.access_batch(0, addrs, kinds, now=0, advance=1)
+    results, now = _run_batches(batched, 0, addrs, kinds, 0)
     scalar = TimeCacheSystem(_config(engine, **tc))
     expected, cursor = _run_scalar(scalar, 0, addrs, kinds, 0)
-    assert _observe(outcome.results) == _observe(expected)
-    assert outcome.now == cursor
+    assert _observe(results) == _observe(expected)
+    assert now == cursor
     assert _snapshot(batched) == _snapshot(scalar)
     assert batched.stats_snapshot() == scalar.stats_snapshot()
 
@@ -81,12 +100,12 @@ def test_flush_boundary_between_batches(engine):
     batched = TimeCacheSystem(_config(engine))
     scalar = TimeCacheSystem(_config(engine))
 
-    first = batched.access_batch(0, addrs, LOAD, now=0, advance=1)
+    first = batched.access_batch(0, addrs, LOAD, now=0)
     ref_first, cursor = _run_scalar(scalar, 0, addrs, [LOAD] * 48, 0)
     for addr in addrs[::3]:
         batched.flush(0, addr, first.now)
         scalar.flush(0, addr, cursor)
-    second = batched.access_batch(0, addrs, LOAD, now=first.now, advance=1)
+    second = batched.access_batch(0, addrs, LOAD, now=first.now)
     ref_second, _ = _run_scalar(scalar, 0, addrs, [LOAD] * 48, cursor)
 
     assert _observe(first.results) == _observe(ref_first)
@@ -107,7 +126,7 @@ def test_context_switch_between_batches(engine):
     batched = TimeCacheSystem(_config(engine))
     scalar = TimeCacheSystem(_config(engine))
 
-    b1 = batched.access_batch(0, addrs, LOAD, now=0, advance=1)
+    b1 = batched.access_batch(0, addrs, LOAD, now=0)
     _, cursor = _run_scalar(scalar, 0, addrs, [LOAD] * 40, 0)
     cost_b = batched.context_switch(0, 1, 0, b1.now)
     cost_s = scalar.context_switch(0, 1, 0, cursor)
@@ -115,7 +134,7 @@ def test_context_switch_between_batches(engine):
         cost_s.dma_cycles,
         cost_s.comparator_cycles,
     )
-    b2 = batched.access_batch(0, addrs, LOAD, now=b1.now, advance=1)
+    b2 = batched.access_batch(0, addrs, LOAD, now=b1.now)
     ref2, _ = _run_scalar(scalar, 0, addrs, [LOAD] * 40, cursor)
     assert _observe(b2.results) == _observe(ref2)
     # New task, no saved s-bits: every re-access is a first access again.
@@ -130,7 +149,7 @@ def test_store_heavy_and_mixed_kind_batches(engine):
     loop."""
     addrs = [(i % 37) * LINE for i in range(150)]
     stores = TimeCacheSystem(_config(engine))
-    out = stores.access_batch(0, addrs, STORE, now=5, advance=1)
+    out = stores.access_batch(0, addrs, STORE, now=5)
     ref_sys = TimeCacheSystem(_config(engine))
     ref, cursor = _run_scalar(ref_sys, 0, addrs, [STORE] * 150, 5)
     assert _observe(out.results) == _observe(ref)
@@ -139,11 +158,11 @@ def test_store_heavy_and_mixed_kind_batches(engine):
 
     kinds = [(LOAD, STORE, IFETCH)[i % 3] for i in range(150)]
     mixed = TimeCacheSystem(_config(engine))
-    out2 = mixed.access_batch(0, addrs, kinds, now=5, advance=1)
+    out2, now2 = _run_batches(mixed, 0, addrs, kinds, 5)
     ref_sys2 = TimeCacheSystem(_config(engine))
     ref2, cursor2 = _run_scalar(ref_sys2, 0, addrs, kinds, 5)
-    assert _observe(out2.results) == _observe(ref2)
-    assert out2.now == cursor2
+    assert _observe(out2) == _observe(ref2)
+    assert now2 == cursor2
     assert _snapshot(mixed) == _snapshot(ref_sys2)
 
 
@@ -156,7 +175,7 @@ def test_small_batch_and_empty_batch(engine):
     assert empty.results == [] and empty.now == 9
 
     addrs = [i * LINE for i in range(5)]
-    out = system.access_batch(0, addrs, LOAD, now=9, advance=1)
+    out = system.access_batch(0, addrs, LOAD, now=9)
     ref_sys = TimeCacheSystem(_config(engine))
     _run_scalar(ref_sys, 0, [], [], 0)
     ref, cursor = _run_scalar(ref_sys, 0, addrs, [LOAD] * 5, 9)
@@ -165,52 +184,28 @@ def test_small_batch_and_empty_batch(engine):
 
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
-def test_advance_zero_charges_latency_only(engine):
-    system = TimeCacheSystem(_config(engine))
-    addrs = [i * LINE for i in range(40)]
-    out = system.access_batch(0, addrs, LOAD, now=0, advance=0)
-    assert out.now == sum(r.latency for r in out.results)
-
-
-@pytest.mark.parametrize("engine", ["object", "fast"])
 def test_batch_argument_validation(engine):
     """Bad arguments raise SimulationError on both engines."""
     system = TimeCacheSystem(_config(engine))
     many = [i * LINE for i in range(64)]
-    with pytest.raises(SimulationError, match="advance"):
-        system.access_batch(0, many, LOAD, advance=-1)
-    with pytest.raises(SimulationError):
-        system.access_batch(0, many, [LOAD, STORE])  # wrong kinds length
-    with pytest.raises(SimulationError, match="non-decreasing"):
-        system.access_batch(0, many, LOAD, nows=list(range(63, -1, -1)))
-    with pytest.raises(SimulationError):
-        system.access_batch(0, many, LOAD, nows=[0, 1, 2])  # wrong length
+    with pytest.raises(SimulationError, match="now must be an integer"):
+        system.access_batch(0, many, LOAD, now=0.5)
     with pytest.raises(SimulationError, match="out of range"):
         system.access_batch(99, many, LOAD)
 
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
-@pytest.mark.parametrize(
-    "bad", [{"advance": 1.5}, {"advance": "1"}, {"now": 1.5}, {"now": "0"}]
-)
-def test_a_non_integer_advance_or_now_is_rejected_before_any_access(
-    engine, bad
-):
-    """A float or string ``advance`` or ``now`` used to pass the checks
-    and raise TypeError inside the accesses (a float ``advance`` only
-    after filling a line and counting accesses).  It is now rejected
-    before the ports are bound, and nothing moves."""
-    system = TimeCacheSystem(
-        scaled_experiment_config(num_cores=2, seed=3, engine=engine)
-    )
+@pytest.mark.parametrize("now", [1.5, "0"])
+def test_a_non_integer_now_is_rejected_before_any_access(engine, now):
+    """A float or string ``now`` is rejected before the ports are bound,
+    and nothing moves."""
+    system = TimeCacheSystem(scaled_experiment_config(num_cores=2, engine=engine))
     system.access_batch(0, [LINE], LOAD, now=0)  # non-empty starting state
     before_stats = system.stats_snapshot()
     before_state = _snapshot(system)
-    args = {"now": 0, "advance": 1, **bad}
-    name = next(iter(bad))
     for ctx in (0, 1):
-        with pytest.raises(SimulationError, match=f"{name} must be an integer"):
-            system.access_batch(ctx, [0x1000, 0x1000, 0x2000, 0x3000], LOAD, **args)
+        with pytest.raises(SimulationError, match="now must be an integer"):
+            system.access_batch(ctx, [0x1000, 0x1000, 0x2000, 0x3000], LOAD, now=now)
     assert system.hierarchy._ports[1] is None  # never bound
     assert system.stats_snapshot() == before_stats
     assert _snapshot(system) == before_state
@@ -218,17 +213,21 @@ def test_a_non_integer_advance_or_now_is_rejected_before_any_access(
 
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
-@pytest.mark.parametrize("per_address", [False, True])
-def test_a_non_integer_address_raises_at_its_access(engine, per_address):
+@pytest.mark.parametrize("remapped", [False, True])
+def test_a_non_integer_address_raises_at_its_access(engine, remapped):
     """``access`` raises TypeError on a float address, and so does a
-    batch, at that address, after the accesses before it ran: it no
-    longer truncates the address and carries on."""
+    batch, at that address, after the accesses before it ran: it does
+    not truncate the address and carry on.  That holds under
+    ``copy_on_access`` too, whose remap shifts every address of a batch
+    at the facade."""
     addrs = [LINE, 2 * LINE, LINE, 2.5 * LINE, 3 * LINE]
-    kinds = [LOAD] * len(addrs) if per_address else LOAD
-    batched = TimeCacheSystem(_config(engine))
-    single = TimeCacheSystem(_config(engine))
+    config = _config(engine)
+    if remapped:
+        config = get_defense("copy_on_access").configure(config)
+    batched = TimeCacheSystem(config)
+    single = TimeCacheSystem(config)
     with pytest.raises(TypeError):
-        batched.access_batch(0, addrs, kinds, now=0)
+        batched.access_batch(0, addrs, LOAD, now=0)
     with pytest.raises(TypeError):
         _run_scalar(single, 0, addrs, [LOAD] * len(addrs), 0)
     assert batched.stats_snapshot() == single.stats_snapshot()
@@ -237,13 +236,20 @@ def test_a_non_integer_address_raises_at_its_access(engine, per_address):
     assert batched.clock.now == single.clock.now
 
 
-def _batch_outcome(engine, addrs, kinds, nows):
-    system = TimeCacheSystem(_config(engine))
+def _batch_outcome(engine, addrs, kind, tc_on, one_by_one=False):
+    """A batch of ``kind`` from cycle 50 on a warmed system — or, with
+    ``one_by_one``, the same accesses through ``access`` — and what it
+    leaves."""
+    system = TimeCacheSystem(_config(engine, enabled=tc_on))
     system.access_batch(0, [LINE, 5 * LINE], STORE, now=0)  # warm state
-    out = system.access_batch(0, addrs, kinds, now=50, advance=1, nows=nows)
+    if one_by_one:
+        results, now = _run_scalar(system, 0, addrs, [kind] * len(addrs), 50)
+    else:
+        out = system.access_batch(0, addrs, kind, now=50)
+        results, now = out.results, out.now
     return (
-        _observe(out.results),
-        out.now,
+        _observe(results),
+        now,
         _snapshot(system),
         system.stats_snapshot(),
     )
@@ -251,72 +257,25 @@ def _batch_outcome(engine, addrs, kinds, nows):
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
 @pytest.mark.parametrize("kind", [LOAD, STORE, IFETCH])
-@pytest.mark.parametrize("pinned", [False, True])
-def test_single_kind_equals_the_same_kind_per_address(engine, kind, pinned):
-    """A single kind binds one port for the whole batch; a list naming
-    that kind at every address resolves the same port per access.  Both
-    give the same results, cursor, cache state and stats."""
+@pytest.mark.parametrize("tc_on", [False, True])
+def test_single_kind_equals_the_same_kind_per_address(engine, kind, tc_on):
+    """A batch binds one port for its kind; the same kind issued address
+    by address through ``access`` resolves it per access.  Both give the
+    same results, cursor, cache state and stats, for every kind, with
+    TimeCache on and off."""
     addrs = [(i * 7 % 90) * LINE for i in range(300)]
-    nows = [50 + 4 * i for i in range(300)] if pinned else None
-    single = _batch_outcome(engine, addrs, kind, nows)
-    assert single == _batch_outcome(engine, addrs, [kind] * 300, nows)
+    batch = _batch_outcome(engine, addrs, kind, tc_on)
+    assert batch == _batch_outcome(engine, addrs, kind, tc_on, one_by_one=True)
 
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
 def test_a_non_access_kind_entry_is_served_as_a_load(engine):
     """``access`` serves any kind that is neither a store nor an ifetch
-    as a load; per-address kinds in a batch keep that rule."""
+    as a load; a batch of such a kind keeps that rule."""
     addrs = [(i * 5 % 60) * LINE for i in range(120)]
-    kinds = [(LOAD, STORE, None, IFETCH, "store")[i % 5] for i in range(120)]
-    as_loads = [LOAD if k is None or k == "store" else k for k in kinds]
-    got = _batch_outcome(engine, addrs, kinds, None)
-    assert got == _batch_outcome(engine, addrs, as_loads, None)
-
-
-@pytest.mark.parametrize("engine", ["object", "fast"])
-def test_short_kinds_list_raises_before_any_access(engine):
-    system = TimeCacheSystem(_config(engine))
-    system.access_batch(0, [LINE], LOAD, now=0)  # non-empty starting state
-    before_stats = system.stats_snapshot()
-    before_state = _snapshot(system)
-    addrs = [i * LINE for i in range(40)]
-    with pytest.raises(SimulationError, match="kinds has 39 entries for 40"):
-        system.access_batch(0, addrs, [STORE] * 39, now=5)
-    assert system.stats_snapshot() == before_stats
-    assert _snapshot(system) == before_state
-
-
-@pytest.mark.parametrize("engine", ["object", "fast"])
-@pytest.mark.parametrize("n", [4, 40])
-def test_rejected_nows_batch_changes_nothing(engine, n):
-    """Issue times that go backwards only at the last access are still
-    rejected before the first access: no cache state or counter moves."""
-    system = TimeCacheSystem(_config(engine))
-    system.access_batch(0, [LINE], LOAD, now=0)  # non-empty starting state
-    before_stats = system.stats_snapshot()
-    before_state = _snapshot(system)
-    addrs = [i * LINE for i in range(n)]
-    nows = [100 + i for i in range(n - 1)] + [0]
-    with pytest.raises(SimulationError, match="non-decreasing"):
-        system.access_batch(0, addrs, LOAD, nows=nows)
-    assert system.stats_snapshot() == before_stats
-    assert _snapshot(system) == before_state
-
-
-@pytest.mark.parametrize("engine", ["object", "fast"])
-def test_nows_pins_issue_times(engine):
-    """Explicit per-access issue times: results match issuing each access
-    scalar at the same pinned time, and the returned now is the last
-    pinned time."""
-    addrs = [(i % 50) * LINE for i in range(200)]
-    nows = [i * 3 for i in range(200)]
-    system = TimeCacheSystem(_config(engine))
-    out = system.access_batch(0, addrs, LOAD, nows=nows)
-    ref_sys = TimeCacheSystem(_config(engine))
-    ref = [ref_sys.access(0, a, LOAD, t) for a, t in zip(addrs, nows)]
-    assert _observe(out.results) == _observe(ref)
-    assert out.now == nows[-1]
-    assert _snapshot(system) == _snapshot(ref_sys)
+    as_loads = _batch_outcome(engine, addrs, LOAD, True)
+    for kind in (None, "store"):
+        assert _batch_outcome(engine, addrs, kind, True) == as_loads
 
 
 def test_fast_and_object_batches_agree_with_listeners():
@@ -333,7 +292,7 @@ def test_fast_and_object_batches_agree_with_listeners():
             )
         )
         addrs = [(i * 11 % 90) * LINE for i in range(120)]
-        outs[engine] = system.access_batch(0, addrs, LOAD, now=0, advance=1)
+        outs[engine] = system.access_batch(0, addrs, LOAD, now=0)
     assert seen["object"] == seen["fast"]
     assert _observe(outs["object"].results) == _observe(outs["fast"].results)
     assert outs["object"].now == outs["fast"].now
@@ -344,16 +303,18 @@ def test_fast_and_object_batches_agree_with_listeners():
 # ---------------------------------------------------------------------------
 
 
-def _assert_batch_matches_scalar(engine, addrs, kinds, advance=1, tc=None):
+def _assert_batch_matches_scalar(engine, addrs, kinds, tc=None):
+    """``kinds`` is one kind, run as one batch, or one per address, run
+    as single-kind batches."""
     tc = tc or {}
     batched = TimeCacheSystem(_config(engine, **tc))
-    outcome = batched.access_batch(0, addrs, kinds, now=0, advance=advance)
-    scalar = TimeCacheSystem(_config(engine, **tc))
     if isinstance(kinds, AccessKind):
         kinds = [kinds] * len(addrs)
-    expected, cursor = _run_scalar(scalar, 0, addrs, kinds, 0, advance)
-    assert _observe(outcome.results) == _observe(expected)
-    assert outcome.now == cursor
+    results, now = _run_batches(batched, 0, addrs, kinds, 0)
+    scalar = TimeCacheSystem(_config(engine, **tc))
+    expected, cursor = _run_scalar(scalar, 0, addrs, kinds, 0)
+    assert _observe(results) == _observe(expected)
+    assert now == cursor
     assert _snapshot(batched) == _snapshot(scalar)
     assert batched.stats_snapshot() == scalar.stats_snapshot()
     return batched, scalar
@@ -424,11 +385,11 @@ def test_replan_invalidation_rescans_new_hazards(engine):
         cfg, hierarchy=dataclasses.replace(cfg.hierarchy, engine=engine)
     )
     batched = TimeCacheSystem(cfg)
-    outcome = batched.access_batch(0, addrs, kinds, now=0, advance=1)
+    results, now = _run_batches(batched, 0, addrs, kinds, 0)
     scalar = TimeCacheSystem(cfg)
-    expected, cursor = _run_scalar(scalar, 0, addrs, kinds, 0, 1)
-    assert _observe(outcome.results) == _observe(expected)
-    assert outcome.now == cursor
+    expected, cursor = _run_scalar(scalar, 0, addrs, kinds, 0)
+    assert _observe(results) == _observe(expected)
+    assert now == cursor
     assert _snapshot(batched) == _snapshot(scalar)
     assert batched.stats_snapshot() == scalar.stats_snapshot()
 

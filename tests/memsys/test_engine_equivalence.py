@@ -11,7 +11,12 @@ and off, context switches, multi-core stores and coherence, SMT sibling
 contexts, FTM comparison mode, limited-pointer sharer eviction, the
 DRAM-latency-on-first-access hardening, and narrow-timestamp rollover.
 Each trace also runs through every context's ports, on each engine, and
-must match its ``access`` run.
+must match its ``access`` run.  The batched arm cuts a trace into
+same-context, single-kind chunks issued under the blocking CPU's rule,
+each through one ``access_batch``, and holds them to a scalar twin that
+sends the identical (ctx, addr, kind, issue time) stream through
+``access``; on the fast engine the batches' plain L1 hits are served by
+its batch loop without a port call.
 Every trace ends with the inclusion check: each private line is in the
 LLC and listed among the line's directory sharers.  On the fast engine
 it ends with the slot-state check too: each cache's line-to-slot map
@@ -35,6 +40,7 @@ from repro.core import TimeCacheSystem
 from repro.memsys import AccessKind, BatchResult
 from repro.memsys.cache import Cache
 from repro.memsys.fastengine import FastCache
+from repro.memsys.hierarchy import AccessPorts
 
 SEEDS = range(20)
 
@@ -55,7 +61,7 @@ def _replace_hierarchy(cfg, **changes):
 
 # name -> (config factory taking engine + seed, contexts, switches?)
 def _base(engine, seed):
-    return scaled_experiment_config(seed=seed, engine=engine)
+    return scaled_experiment_config(engine=engine)
 
 
 SCENARIOS = {
@@ -63,7 +69,7 @@ SCENARIOS = {
     "tc_on": (_base, 1, False),
     "tc_on_switches": (_base, 1, True),
     "two_cores_stores": (
-        lambda e, s: scaled_experiment_config(num_cores=2, seed=s, engine=e),
+        lambda e, s: scaled_experiment_config(num_cores=2, engine=e),
         2,
         True,
     ),
@@ -74,14 +80,14 @@ SCENARIOS = {
     ),
     "ftm_mode": (
         lambda e, s: scaled_experiment_config(
-            num_cores=2, seed=s, engine=e
+            num_cores=2, engine=e
         ).with_timecache(enabled=False, ftm_mode=True),
         2,
         True,
     ),
     "max_sharers": (
         lambda e, s: scaled_experiment_config(
-            num_cores=2, seed=s, engine=e
+            num_cores=2, engine=e
         ).with_timecache(max_sharers=1),
         2,
         True,
@@ -128,7 +134,7 @@ def _run_trace(
     n=500,
     pool=192,
     traced=False,
-    batched=False,
+    chunks=None,
     kinds=KINDS,
     stride=1,
     ported=False,
@@ -141,11 +147,17 @@ def _run_trace(
     engine the listener forces every access through the event-emitting
     slow routes, so this also fuzzes those against the object model.
 
-    With ``batched`` the *identical* (ctx, addr, kind, now) stream is
-    issued through ``access_batch`` in randomly sized same-context
-    chunks (pinned issue times via ``nows``), with context switches as
-    batch boundaries — the split sizes come from a separate rng so the
-    trace itself is unchanged.
+    With ``chunks`` the same draws are cut into same-context,
+    single-kind chunks of random size — drawn from a separate rng, so
+    the draws are unchanged — ended early by a context switch or a
+    counter reset.  A chunk's first access issues its drawn gap after
+    the previous chunk's cursor, each next one a cycle plus the latency
+    after the one before, as the blocking CPU issues them.
+    ``chunks="batch"`` issues each chunk through one ``access_batch``;
+    ``chunks="access"`` is its scalar twin, the identical (ctx, addr,
+    kind, issue time) stream through ``access``.  A batch run counts
+    the context ports' calls, and returns as a fifth observable the
+    accesses its batches served without one (``None`` otherwise).
 
     With ``ported`` each scalar access calls the port of its kind from
     the context's ports (``TimeCacheSystem.access_ports``, fetched once
@@ -156,6 +168,7 @@ def _run_trace(
     hierarchy last at the first index, first at the next, and so on.
     """
     system = TimeCacheSystem(config)
+    hierarchy = system.hierarchy
     ports_of = {}
     tracer = ring = None
     if traced:
@@ -164,49 +177,70 @@ def _run_trace(
         ring = RingBufferSink()
         tracer = Tracer(ring)
         tracer.attach(system)
+    port_calls = []
+    if chunks == "batch":
+
+        def counted(port):
+            def call(addr, now):
+                port_calls.append(addr)
+                return port(addr, now)
+
+            return call
+
+        for ctx in range(contexts):
+            hierarchy._ports[ctx] = AccessPorts(*map(counted, hierarchy.ports(ctx)))
     rng = DeterministicRng(seed * 7919 + 13)
     events = []
     now = 0
     task_of_ctx = {ctx: ctx for ctx in range(contexts)}
     next_task = contexts
     split_rng = DeterministicRng(seed * 104_729 + 7)
-    pending = []  # same-context (addr, kind, now) accesses not yet issued
-    pending_ctx = None
+    pending = []  # one chunk's addresses, not yet issued
+    pending_ctx = pending_kind = start = None
     limit = split_rng.randint(1, 120)
+    batched = 0  # results the batches returned
 
     def flush_pending():
-        nonlocal limit
+        nonlocal limit, now, batched
         if not pending:
             return
-        outcome = system.access_batch(
-            pending_ctx,
-            [p[0] for p in pending],
-            [p[1] for p in pending],
-            nows=[p[2] for p in pending],
-        )
-        for result in outcome.results:
+        if chunks == "batch":
+            outcome = system.access_batch(pending_ctx, pending, pending_kind, start)
+            results, now = outcome.results, outcome.now
+            batched += len(results)
+        else:
+            results, now = [], start
+            for addr in pending:
+                result = system.access(pending_ctx, addr, pending_kind, now)
+                results.append(result)
+                now += 1 + result.latency
+        for result in results:
             events.append((result.latency, result.level, result.first_access))
         pending.clear()
         limit = split_rng.randint(1, 120)
 
-    hierarchy = system.hierarchy
     groups = [c.stats for c in hierarchy.all_caches()] + [hierarchy.stats]
     for i in range(n):
         if i in resets:
+            flush_pending()
             for group in groups:
                 group.reset()
             hierarchy.dram.stats.reset()
             groups.reverse()
-        now += rng.randint(1, 50)
+        gap = rng.randint(1, 50)
         ctx = rng.randint(0, contexts - 1) if contexts > 1 else 0
         addr = (rng.randint(0, pool - 1) * stride) << 6
         kind = kinds[rng.randint(0, len(kinds) - 1)]
-        if batched:
-            if pending and (pending_ctx != ctx or len(pending) >= limit):
+        if chunks:
+            if pending and (
+                (ctx, kind) != (pending_ctx, pending_kind) or len(pending) >= limit
+            ):
                 flush_pending()
-            pending_ctx = ctx
-            pending.append((addr, kind, now))
+            if not pending:
+                pending_ctx, pending_kind, start = ctx, kind, now + gap
+            pending.append(addr)
         else:
+            now += gap
             if ported:
                 if ctx not in ports_of:
                     ports_of[ctx] = system.access_ports(ctx)
@@ -257,7 +291,8 @@ def _run_trace(
             for e in ring.events
         ]
         assert ring.dropped == 0
-    return events, system.stats_snapshot(), final, trace
+    inline = batched - len(port_calls) if chunks == "batch" else None
+    return events, system.stats_snapshot(), final, trace, inline
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -302,19 +337,28 @@ def test_engines_agree_after_stats_reset(scenario, seed):
     assert fast[1] != plain[1], f"{scenario}: the resets zeroed nothing"
 
 
+#: a TimeCache-on and a TimeCache-off scenario whose batches must give
+#: the fast engine's batch loop plain L1 hits to serve without a port
+INLINE_SCENARIOS = ("tc_on", "baseline_off")
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("seed", range(10))
 def test_batched_path_matches_scalar(scenario, seed):
     """``access_batch`` must be bit-identical to the scalar loop — access
     results, switch costs, stats, and final s-bits/Tc — on both engines,
-    with batches split at random sizes and every context switch."""
+    with single-kind batches split at random sizes and every context
+    switch.  The fast engine's batch loop serves plain L1 hits without a
+    port call; the object engine's calls a port per access."""
     make_config, contexts, switches = SCENARIOS[scenario]
-    scalar = _run_trace(make_config("fast", seed), seed, contexts, switches)
+    scalar = _run_trace(
+        make_config("fast", seed), seed, contexts, switches, chunks="access"
+    )
     batched = _run_trace(
-        make_config("fast", seed), seed, contexts, switches, batched=True
+        make_config("fast", seed), seed, contexts, switches, chunks="batch"
     )
     obj_batched = _run_trace(
-        make_config("object", seed), seed, contexts, switches, batched=True
+        make_config("object", seed), seed, contexts, switches, chunks="batch"
     )
     assert batched[0] == scalar[0], f"{scenario}: batched results diverge"
     assert batched[1] == scalar[1], f"{scenario}: batched stats diverge"
@@ -322,6 +366,9 @@ def test_batched_path_matches_scalar(scenario, seed):
     assert obj_batched[0] == scalar[0], f"{scenario}: object batch diverges"
     assert obj_batched[1] == scalar[1], f"{scenario}: object batch stats"
     assert obj_batched[2] == scalar[2], f"{scenario}: object batch state"
+    assert obj_batched[4] == 0, f"{scenario}: object batch skipped a port"
+    if scenario in INLINE_SCENARIOS:
+        assert batched[4] > 0, f"{scenario}: no plain hit served inline"
 
 
 #: adversarial stream shapes: every entry is deliberately dominated by
@@ -337,7 +384,7 @@ STRESS_SCENARIOS = {
     # mostly stores, two cores with switches: the store/dirty path plus
     # store-probes on shared lines
     "store_heavy": (
-        lambda e, s: scaled_experiment_config(num_cores=2, seed=s, engine=e),
+        lambda e, s: scaled_experiment_config(num_cores=2, engine=e),
         2,
         True,
         {
@@ -362,17 +409,17 @@ def test_kernel_stress_streams(scenario, seed):
     object engine."""
     make_config, contexts, switches, kw = STRESS_SCENARIOS[scenario]
     scalar = _run_trace(
-        make_config("fast", seed), seed, contexts, switches, **kw
+        make_config("fast", seed), seed, contexts, switches, chunks="access", **kw
     )
     batched = _run_trace(
-        make_config("fast", seed), seed, contexts, switches, batched=True, **kw
+        make_config("fast", seed), seed, contexts, switches, chunks="batch", **kw
     )
     obj_batched = _run_trace(
         make_config("object", seed),
         seed,
         contexts,
         switches,
-        batched=True,
+        chunks="batch",
         **kw,
     )
     assert batched[0] == scalar[0], f"{scenario}: batched results diverge"
@@ -429,7 +476,12 @@ def test_batched_traced_event_streams(scenario, seed):
     event stream."""
     make_config, contexts, switches = SCENARIOS[scenario]
     scalar = _run_trace(
-        make_config("fast", seed), seed, contexts, switches, traced=True
+        make_config("fast", seed),
+        seed,
+        contexts,
+        switches,
+        traced=True,
+        chunks="access",
     )
     batched = _run_trace(
         make_config("fast", seed),
@@ -437,7 +489,7 @@ def test_batched_traced_event_streams(scenario, seed):
         contexts,
         switches,
         traced=True,
-        batched=True,
+        chunks="batch",
     )
     assert batched[3] == scalar[3], f"{scenario}: traced streams diverge"
     assert batched[0] == scalar[0], f"{scenario}: batched results diverge"
@@ -457,7 +509,7 @@ def _defense_config(name, engine, seed):
     from repro.defenses import get_defense
 
     return get_defense(name).configure(
-        scaled_experiment_config(num_cores=2, seed=seed, engine=engine)
+        scaled_experiment_config(num_cores=2, engine=engine)
     )
 
 
@@ -489,12 +541,14 @@ def test_defense_batched_matches_scalar(defense, seed):
     """``access_batch`` under each defense — with or without per-access
     listeners (selective_flush) or an address remap (copy_on_access) —
     must match the scalar loop on both engines."""
-    scalar = _run_trace(_defense_config(defense, "fast", seed), seed, 2, True)
+    scalar = _run_trace(
+        _defense_config(defense, "fast", seed), seed, 2, True, chunks="access"
+    )
     batched = _run_trace(
-        _defense_config(defense, "fast", seed), seed, 2, True, batched=True
+        _defense_config(defense, "fast", seed), seed, 2, True, chunks="batch"
     )
     obj_batched = _run_trace(
-        _defense_config(defense, "object", seed), seed, 2, True, batched=True
+        _defense_config(defense, "object", seed), seed, 2, True, chunks="batch"
     )
     assert batched[0] == scalar[0], f"{defense}: batched results diverge"
     assert batched[1] == scalar[1], f"{defense}: batched stats diverge"
@@ -603,14 +657,14 @@ def test_out_of_range_contexts_raise_from_every_entry_point(engine):
             lambda: hierarchy.access_batch(ctx, [0x1000]),
             lambda: system.access(ctx, 0x1000, AccessKind.STORE, 0),
             lambda: system.access_ports(ctx),
-            lambda: system.access_batch(ctx, [0x1000], nows=[0]),
+            lambda: system.access_batch(ctx, [0x1000], AccessKind.IFETCH, now=0),
         )
         for call in calls:
             with pytest.raises(SimulationError) as raised:
                 call()
             assert str(raised.value) == f"hardware context {ctx} out of range"
         assert hierarchy.access_batch(ctx, [], now=7) == BatchResult([], 7)
-        assert system.access_batch(ctx, [], nows=[], now=7) == BatchResult([], 7)
+        assert system.access_batch(ctx, [], AccessKind.STORE, 7) == BatchResult([], 7)
     assert system.stats_snapshot() == before
 
 

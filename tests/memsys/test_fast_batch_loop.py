@@ -37,7 +37,7 @@ T0 = 70_000
 
 
 def _config(engine, tc_on, threads_per_core=1):
-    cfg = scaled_experiment_config(seed=3, engine=engine).with_timecache(
+    cfg = scaled_experiment_config(engine=engine).with_timecache(
         enabled=tc_on, timestamp_bits=16
     )
     return dataclasses.replace(
@@ -91,7 +91,7 @@ def _observe(results):
 
 
 def _one_by_one(system, ctx, addrs, kind, now, results=None):
-    """One ``access`` per address under the batch time rule (advance 1).
+    """One ``access`` per address under the batch time rule.
     Appends to ``results`` as it goes, so a raise leaves the results of
     the accesses before it there; returns the results and the cursor."""
     results = [] if results is None else results
@@ -105,7 +105,7 @@ def _one_by_one(system, ctx, addrs, kind, now, results=None):
 def _batch_matches(batched, single, ctx, addrs, now, kind=LOAD):
     """Run ``addrs`` as one batch and one by one; assert they agree and
     return the batch's results and cursor."""
-    out = batched.access_batch(ctx, addrs, kind, now=now, advance=1)
+    out = batched.access_batch(ctx, addrs, kind, now=now)
     expected, cursor = _one_by_one(single, ctx, addrs, kind, now)
     assert _observe(out.results) == _observe(expected)
     assert out.now == cursor
@@ -233,7 +233,7 @@ def test_a_port_raising_mid_batch_leaves_what_access_leaves(
         make_fault(system, victim)
     results, expected = [], []
     with pytest.raises(SimulationError, match=match):
-        batched.hierarchy._batch_loop(0, addrs, LOAD, out.now, 1, None, results)
+        batched.hierarchy._batch_loop(0, addrs, LOAD, out.now, results)
     with pytest.raises(SimulationError, match=match):
         _one_by_one(single, 0, addrs, LOAD, out.now, expected)
     assert _observe(results) == _observe(expected)
@@ -280,8 +280,8 @@ def test_address_containers_and_the_batches_that_take_the_port(
 ):
     """A list, an ``array('q')`` and a NumPy int64 array of addresses
     batch alike.  The fast engine calls the port only for what is not a
-    plain L1 hit; a per-address ``kinds`` batch and a ``nows`` batch
-    call it at every access, on either engine."""
+    plain L1 hit, and for every access of a store batch; the object
+    engine calls it at every access."""
     wrap = {
         "list": list,
         "array": lambda a: array("q", a),
@@ -308,15 +308,5 @@ def test_address_containers_and_the_batches_that_take_the_port(
     assert all(type(addr) is int for addr in calls)  # not NumPy scalars
 
     calls.clear()
-    kinds = batched.access_batch(0, wrap(addrs), [LOAD] * n, now=out.now)
-    expected, cursor = _one_by_one(single, 0, addrs, LOAD, out.now)
-    assert (_observe(kinds.results), kinds.now) == (_observe(expected), cursor)
+    _batch_matches(batched, single, 0, wrap(addrs), out.now, STORE)
     assert len(calls) == n
-
-    calls.clear()
-    nows = [cursor + 300 * i for i in range(n)]
-    pinned = batched.access_batch(0, wrap(addrs), LOAD, nows=nows)
-    expected = [single.access(0, a, LOAD, t) for a, t in zip(addrs, nows)]
-    assert _observe(pinned.results) == _observe(expected)
-    assert len(calls) == n
-    assert _state(batched) == _state(single)

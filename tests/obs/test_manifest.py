@@ -9,9 +9,9 @@ from repro.obs import RunManifest, config_fingerprint, load_manifest
 
 
 def test_config_fingerprint_tracks_config_identity():
-    a = scaled_experiment_config(seed=1)
-    b = scaled_experiment_config(seed=1)
-    c = scaled_experiment_config(seed=2)
+    a = scaled_experiment_config(llc_kib=64)
+    b = scaled_experiment_config(llc_kib=64)
+    c = scaled_experiment_config(llc_kib=128)
     assert config_fingerprint(a) == config_fingerprint(b)
     assert config_fingerprint(a) != config_fingerprint(c)
 
@@ -21,12 +21,12 @@ def test_manifest_fingerprint_is_deterministic(tmp_path):
     the volatile fields (timestamp, git, machine) may differ."""
     artifact = tmp_path / "out.json"
     artifact.write_text('{"x": 1}\n')
-    config = scaled_experiment_config(seed=9)
+    config = scaled_experiment_config()
     first = RunManifest.build(
-        command=["repro", "trace"], config=config, artifacts=[artifact]
+        command=["repro", "trace"], config=config, seed=9, artifacts=[artifact]
     )
     second = RunManifest.build(
-        command=["repro", "trace"], config=config, artifacts=[artifact]
+        command=["repro", "trace"], config=config, seed=9, artifacts=[artifact]
     )
     second.created_at = "1999-01-01T00:00:00Z"
     second.git = {"sha": "something-else", "dirty": True}
@@ -39,18 +39,20 @@ def test_manifest_fingerprint_sees_artifact_content(tmp_path):
     config = scaled_experiment_config()
     artifact.write_text("one")
     first = RunManifest.build(
-        command="trace", config=config, artifacts=[artifact]
+        command="trace", config=config, seed=0, artifacts=[artifact]
     )
     artifact.write_text("two")
     second = RunManifest.build(
-        command="trace", config=config, artifacts=[artifact]
+        command="trace", config=config, seed=0, artifacts=[artifact]
     )
     assert first.fingerprint() != second.fingerprint()
 
 
 def test_manifest_defaults_come_from_config():
-    config = scaled_experiment_config(seed=42, engine="fast")
-    manifest = RunManifest.build(command="x", config=config)
+    """The engine and the config hash come from the config; the seed is
+    the caller's."""
+    config = scaled_experiment_config(engine="fast")
+    manifest = RunManifest.build(command="x", config=config, seed=42)
     assert manifest.seed == 42
     assert manifest.engine == "fast"
     assert manifest.config_sha256 == config_fingerprint(config)
@@ -61,7 +63,8 @@ def test_manifest_write_load_round_trip(tmp_path):
     artifact.write_text("[]\n")
     manifest = RunManifest.build(
         command=["repro", "export"],
-        config=scaled_experiment_config(seed=3),
+        config=scaled_experiment_config(),
+        seed=3,
         artifacts=[artifact],
         extra={"rows": 0},
     )

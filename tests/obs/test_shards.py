@@ -36,7 +36,7 @@ def batched_job(seed):
     line = config.hierarchy.line_bytes
     system = TimeCacheSystem(config)
     addrs = [((i * 31 + seed) % 200) * line for i in range(BATCH)]
-    out = system.hierarchy.access_batch(0, addrs, AccessKind.LOAD, now=0, advance=0)
+    out = system.hierarchy.access_batch(0, addrs, AccessKind.LOAD, now=0)
     return {"seed": seed, "l1_hits": sum(1 for r in out.results if r.level == "L1")}
 
 

@@ -84,7 +84,7 @@ def test_session_attaches_kernel_profiler_on_construction(engine):
     with session_scope(ObsSession("t")) as session:
         system = TimeCacheSystem(config)
         assert system.hierarchy.kernel_profiler is session.kernel_phases
-        system.hierarchy.access_batch(0, addrs, AccessKind.LOAD, now=0, advance=0)
+        system.hierarchy.access_batch(0, addrs, AccessKind.LOAD, now=0)
         payload = session.to_payload()
     phases = payload["kernel_phases"]
     # neither engine has a vectorized batch: every access is fallback
@@ -103,9 +103,9 @@ def test_rejected_batch_counts_no_accesses(engine):
     with session_scope(ObsSession("t")) as session:
         hierarchy = TimeCacheSystem(config).hierarchy
         with pytest.raises(SimulationError):
-            hierarchy.access_batch(0, [0, line, 2 * line], nows=[10, 5, 20])
+            hierarchy.access_batch(0, [0, line, 2 * line], now=1.5)
         assert session.kernel_phases.scalar_accesses == 0
-        hierarchy.access_batch(0, [0, line], nows=[30, 40])
+        hierarchy.access_batch(0, [0, line], now=30)
     assert hierarchy.stats.get("accesses") == 2
     assert session.kernel_phases.scalar_accesses == 2
 
@@ -126,9 +126,7 @@ def test_profiler_does_not_change_results():
         system = TimeCacheSystem(config)
         if profiled:
             system.hierarchy.kernel_profiler = PhaseAccumulator()
-        out = system.hierarchy.access_batch(
-            0, addrs, AccessKind.LOAD, now=0, advance=1
-        )
+        out = system.hierarchy.access_batch(0, addrs, AccessKind.LOAD, now=0)
         return out.now, [r.latency for r in out.results]
 
     assert run(False) == run(True)

@@ -114,25 +114,6 @@ class TestAddressSpace:
         assert a.shares_page_with(b, 0x10000)
         assert not a.shares_page_with(b, 0x90000)
 
-    def test_cow_break_gives_private_page(self, phys):
-        seg = phys.allocate_segment("data", 4096)
-        parent = AddressSpace("parent", phys)
-        child = AddressSpace("child", phys)
-        parent.map_segment(seg, 0x10000)
-        child.map_segment_cow(seg, 0x10000)
-        assert parent.translate(0x10000) == child.translate(0x10000)
-        assert child.write_fault(0x10010)  # COW break
-        assert parent.translate(0x10000) != child.translate(0x10000)
-        assert not child.write_fault(0x10010)  # already private
-
-    def test_write_fault_on_non_cow_page_is_noop(self, phys):
-        seg = phys.allocate_segment("data", 4096)
-        aspace = AddressSpace("p", phys)
-        aspace.map_segment(seg, 0x10000)
-        before = aspace.translate(0x10000)
-        assert not aspace.write_fault(0x10000)
-        assert aspace.translate(0x10000) == before
-
     def test_segment_base_lookup(self, phys):
         seg = phys.allocate_segment("a", 4096)
         aspace = AddressSpace("p", phys)
@@ -177,15 +158,16 @@ class TestPhysicalArgs:
 
     def test_one_array_per_layout(self, phys):
         seg = phys.allocate_segment("data", 4096)
+        other = phys.allocate_segment("other", 4096)
         tape = self.tape((TAPE_LOAD, 0x10040), (TAPE_STORE, 0x10080))
-        a, b = AddressSpace("a", phys), AddressSpace("b", phys)
+        a, b, c = (AddressSpace(name, phys) for name in "abc")
         a.map_segment(seg, 0x10000)
-        b.map_segment_cow(seg, 0x10000)
+        b.map_segment(seg, 0x10000)
+        c.map_segment(other, 0x10000)
         # the same pages mapped alike: one array, for every walker
         assert b.physical_args(tape.rewound()) is a.physical_args(tape)
-        b.write_fault(0x10000)
-        private = b.physical_args(tape)
-        assert list(private)[:2] == [b.translate(0x10040), b.translate(0x10080)]
+        private = c.physical_args(tape)
+        assert list(private)[:2] == [c.translate(0x10040), c.translate(0x10080)]
         assert private is not a.physical_args(tape)
 
     def test_an_unmapped_address_faults_as_translate_does(self, phys):
@@ -201,17 +183,3 @@ class TestPhysicalArgs:
         with pytest.raises(SimulationError) as fault:
             aspace.physical_args(tape)
         assert str(fault.value) == str(expected.value)
-
-    def test_every_mapping_change_moves_the_generation(self, phys):
-        seg = phys.allocate_segment("data", 4096)
-        parent, child = AddressSpace("parent", phys), AddressSpace("child", phys)
-        seen = [child.generation]
-        parent.map_segment(seg, 0x10000)
-        child.mirror_cow(parent)
-        seen.append(child.generation)
-        assert not child.write_fault(0x20000)  # unmapped: no change
-        seen.append(child.generation)
-        assert child.write_fault(0x10000)
-        seen.append(child.generation)
-        assert seen[0] < seen[1] == seen[2] < seen[3]
-        assert child.translate(0x10000) != parent.translate(0x10000)

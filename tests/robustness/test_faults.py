@@ -23,8 +23,8 @@ from repro.robustness.faults import (
 from repro.robustness.invariants import InvariantChecker
 
 
-def _fresh(seed=3):
-    return TimeCacheSystem(campaign_config(seed=seed))
+def _fresh():
+    return TimeCacheSystem(campaign_config())
 
 
 class TestInjector:
@@ -58,7 +58,7 @@ class TestInjector:
     def test_same_seed_same_fault(self):
         events = []
         for _ in range(2):
-            system = _fresh(seed=9)
+            system = _fresh()
             injector = FaultInjector(
                 system, SBitCorruption(), DeterministicRng(41), at_switch=2
             ).attach()
@@ -77,7 +77,7 @@ class TestInjector:
 class TestModels:
     @pytest.mark.parametrize("model_cls", ALL_FAULT_MODELS)
     def test_every_model_produces_an_event(self, model_cls):
-        system = _fresh(seed=17)
+        system = _fresh()
         injector = FaultInjector(
             system, model_cls(), DeterministicRng(17), at_switch=3
         ).attach()
@@ -90,7 +90,7 @@ class TestModels:
         assert event.mode
 
     def test_dropped_clear_filter_self_disarms(self):
-        system = _fresh(seed=23)
+        system = _fresh()
         FaultInjector(
             system, DroppedComparatorClear(), DeterministicRng(23), at_switch=2
         ).attach()
@@ -100,7 +100,7 @@ class TestModels:
 
     def test_switch_filters_self_disarm(self):
         for _ in range(3):  # whatever mode the rng picks, it is one-shot
-            system = _fresh(seed=29)
+            system = _fresh()
             FaultInjector(
                 system, SwitchStateLoss(), DeterministicRng(29), at_switch=2
             ).attach()
@@ -163,7 +163,7 @@ class TestCampaign:
 def test_checker_and_injector_compose_without_interference():
     """An attached injector that never fires must leave a checked run
     perfectly clean."""
-    system = _fresh(seed=31)
+    system = _fresh()
     FaultInjector(
         system, SBitCorruption(), DeterministicRng(31), at_switch=10_000
     ).attach()

@@ -41,7 +41,7 @@ def test_clean_run_raises_nothing(checked):
 
 
 def test_clean_campaign_machine_raises_nothing():
-    system = TimeCacheSystem(campaign_config(seed=11))
+    system = TimeCacheSystem(campaign_config())
     checker = InvariantChecker(system).attach()
     _drive(system, DeterministicRng(11))
     checker.scan_all()

@@ -30,7 +30,6 @@ from repro.cpu.program import (
     OpTape,
     Program,
     tape_program,
-    trace_program,
 )
 from repro.cpu.tracing import record_program
 from repro.defenses.builtin import CopyOnAccessDefense
@@ -606,48 +605,6 @@ def test_a_tape_installed_with_a_translator_is_translated_through_it():
 
     with pytest.raises(SimulationError, match="0x40"):
         hw.install(tape.rewound(), fault)
-
-
-def _remapped_between_runs(as_tape):
-    """(both summaries, counters, trace events) of a task whose COW page
-    goes private between two ``Kernel.run`` calls while it stays
-    dispatched."""
-    shared = 0x40_0000
-    ops = []
-    for i in range(300):
-        line = shared + (i * 7 % 32) * 64
-        ops += [Load(line) if i % 4 else Store(line), Compute(1 + i % 3)]
-    ops.append(Exit())
-    tids, pids = Task._next_tid, Process._next_pid
-    try:
-        kernel = Kernel(scaled_experiment_config(engine="fast"))
-        ring = RingBufferSink(capacity=1 << 20)
-        Tracer(ring).attach_kernel(kernel)
-        segment = kernel.phys.allocate_segment("shared", 4096)
-        process = kernel.create_process("p")
-        process.address_space.map_segment_cow(segment, shared)
-        program = (
-            tape_program("p", _tape_of(ops)) if as_tape else trace_program("p", ops)
-        )
-        kernel.submit(process.spawn(program, affinity=0))
-        first = kernel.run(max_steps=200)
-        assert kernel._current[0] is not None  # still dispatched
-        assert process.address_space.write_fault(shared)  # a fresh page
-        second = kernel.run()
-        assert kernel.all_done() and ring.dropped == 0
-        events = [event.to_dict() for event in ring.events]
-        return first, second, kernel.system.stats_snapshot(), events
-    finally:
-        Task._next_tid, Process._next_pid = tids, pids
-
-
-def test_a_remap_between_runs_reaches_the_next_walk():
-    """The generator loop translates every access, so the access after a
-    COW break reaches the new page; a tape translated at dispatch must
-    be translated again by the next walk (the space's ``generation``)."""
-    tape_run = _remapped_between_runs(as_tape=True)
-    assert tape_run == _remapped_between_runs(as_tape=False)
-    assert tape_run[2]["LLC.cold_misses"] == 2 * 32  # both pages' 32 lines
 
 
 # ----------------------------------------------------------------------
