@@ -9,37 +9,73 @@ PLcache at ~12%, versus TimeCache's 1.13%.
 This benchmark runs the same workload pair and the same microbenchmark
 attack under the undefended baseline, TimeCache, and the CAT+flush
 baseline, asserting the paper's ordering: both defenses are secure, and
-TimeCache is the cheaper one.
+TimeCache is the cheaper one.  Every arm is a registered defense chosen
+with ``config.with_defense``: its cost is the tournament's overhead cell
+run on this suite's pair and 128 KiB LLC, its security the reuse
+microbenchmark's hits under it.
 """
 
 from benchmarks.conftest import bench_instructions, run_once
-from repro.analysis.comparison import compare_defenses
+from repro.analysis.tournament import run_overhead_cell
+from repro.attacks.flush_reload import run_microbenchmark_attack
 from repro.common import scaled_experiment_config
+from repro.workloads.mixes import pair_label
+
+#: the defended arms, each against the ``baseline`` control
+ARMS = ("timecache", "partition_flush")
+
+
+def _compare(bench, instructions):
+    """Each arm's overhead cell and the microbenchmark's probe hits
+    under the control and under each arm."""
+    config = scaled_experiment_config(num_cores=1, quantum_cycles=60_000)
+    cells = {
+        arm: run_overhead_cell(
+            arm, "object", instructions, 0xBEEF, bench=bench, llc_kib=128
+        )
+        for arm in ARMS
+    }
+    hits = {
+        arm: run_microbenchmark_attack(
+            config.with_defense(arm), shared_lines=64, sleep_cycles=50_000
+        ).probe_hits
+        for arm in ("baseline",) + ARMS
+    }
+    return cells, hits
+
+
+def _render(bench, cells, hits):
+    rows = [("baseline", 1.0, cells[ARMS[0]]["control_llc_mpki"])]
+    rows += [(arm, cells[arm]["slowdown"], cells[arm]["llc_mpki"]) for arm in ARMS]
+    lines = [
+        f"defense comparison — {pair_label(bench, bench)}",
+        f"{'defense':<16} {'norm. time':>10} {'LLC MPKI':>9} {'attack':>14}",
+    ]
+    lines.append("-" * len(lines[-1]))
+    for name, norm, mpki in rows:
+        if name == "baseline":
+            attack = f"{hits[name]} hits"
+        else:
+            attack = "leaks" if hits[name] else "blocked"
+        lines.append(f"{name:<16} {norm:>10.4f} {mpki:>9.4f} {attack:>14}")
+    return "\n".join(lines)
 
 
 def test_timecache_cheaper_than_partitioning(benchmark):
-    config = scaled_experiment_config(num_cores=1, quantum_cycles=60_000)
-    comparison = run_once(
-        benchmark,
-        compare_defenses,
-        config,
-        bench_a="perlbench",
-        bench_b="perlbench",
-        instructions=max(80_000, bench_instructions() // 2),
-    )
-    print("\n[VIII] " + comparison.render())
+    instructions = max(80_000, bench_instructions() // 2)
+    cells, hits = run_once(benchmark, _compare, "perlbench", instructions)
+    print("\n[VIII] " + _render("perlbench", cells, hits))
+    tc, part = (cells[arm]["slowdown"] - 1.0 for arm in ARMS)
     print(
-        f"\n[VIII] overhead: timecache "
-        f"{comparison.overhead('timecache'):.4f} vs partition "
-        f"{comparison.overhead('partition'):.4f} "
-        f"(paper: 1.13% vs 4-12%)"
+        f"\n[VIII] overhead: timecache {tc:.4f} vs partition_flush "
+        f"{part:.4f} (paper: 1.13% vs 4-12%)"
     )
     # both defenses block the reuse attack...
-    assert comparison.reports["baseline"].attack_hits > 0
-    assert comparison.reports["timecache"].secure
-    assert comparison.reports["partition"].secure
+    assert hits["baseline"] > 0
+    assert hits["timecache"] == 0
+    assert hits["partition_flush"] == 0
     # ...and TimeCache wins on cost (the paper's headline comparison)
-    assert comparison.overhead("timecache") < comparison.overhead("partition")
+    assert tc < part
 
 
 def test_ftm_threat_model_matrix(benchmark):
@@ -47,15 +83,8 @@ def test_ftm_threat_model_matrix(benchmark):
     mechanisms in TimeCache, is stronger than that of FTM.'  The matrix:
     FTM blocks the cross-core channel but not time-sliced same-core
     processes; TimeCache blocks both."""
-    import dataclasses
-
-    from repro.attacks.flush_reload import run_microbenchmark_attack
-    from repro.common.config import TimeCacheConfig
-
     base = scaled_experiment_config(num_cores=1)
-    ftm_cfg = dataclasses.replace(
-        base, timecache=TimeCacheConfig(enabled=False, ftm_mode=True)
-    )
+    ftm_cfg = base.with_defense("ftm")
 
     def run():
         ftm_same_core = run_microbenchmark_attack(
@@ -108,22 +137,15 @@ def test_constant_time_algorithm_cost(benchmark):
 def test_partitioning_loses_effective_cache(benchmark):
     """The static cost: even between switches, each domain runs in half
     the LLC, so miss rates rise on cache-hungry workloads."""
-    config = scaled_experiment_config(num_cores=1, quantum_cycles=60_000)
-    comparison = run_once(
-        benchmark,
-        compare_defenses,
-        config,
-        bench_a="wrf",
-        bench_b="wrf",
-        instructions=max(80_000, bench_instructions() // 2),
-    )
-    print("\n[VIII] " + comparison.render())
-    base_mpki = comparison.reports["baseline"].run.llc_mpki
-    part_mpki = comparison.reports["partition"].run.llc_mpki
-    tc_mpki = comparison.reports["timecache"].run.llc_mpki
+    instructions = max(80_000, bench_instructions() // 2)
+    cells, hits = run_once(benchmark, _compare, "wrf", instructions)
+    print("\n[VIII] " + _render("wrf", cells, hits))
+    base_mpki = cells["partition_flush"]["control_llc_mpki"]
+    part_mpki = cells["partition_flush"]["llc_mpki"]
+    tc_mpki = cells["timecache"]["llc_mpki"]
     print(
         f"[VIII] LLC MPKI: baseline {base_mpki:.3f}, timecache "
-        f"{tc_mpki:.3f}, partition {part_mpki:.3f}"
+        f"{tc_mpki:.3f}, partition_flush {part_mpki:.3f}"
     )
     assert part_mpki > base_mpki
     assert part_mpki > tc_mpki

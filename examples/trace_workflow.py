@@ -7,7 +7,7 @@ This is the downstream-user loop for regression experiments:
 1. record a synthetic benchmark's operation stream to a trace file
    (text, diffable, one op per line);
 2. replay the *identical* stream under the undefended baseline, under
-   TimeCache, and under the partitioning baseline — the TimeCache
+   TimeCache, and under the ``partition_flush`` defense — the TimeCache
    replay runs with an obs Tracer attached, leaving a simulator-time
    event stream (fills, first accesses, context switches) beside the
    results;
@@ -93,7 +93,7 @@ def main() -> None:
     rows = [
         replay(base_cfg.baseline(), trace_path, "baseline"),
         replay(base_cfg, trace_path, "timecache", tracer=tracer),
-        replay(base_cfg.with_partitioning(domains=2), trace_path, "partition"),
+        replay(base_cfg.with_defense("partition_flush"), trace_path, "partition"),
     ]
     tracer.close()
     base_cycles = rows[0]["cycles"]

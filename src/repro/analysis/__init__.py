@@ -17,13 +17,7 @@ from repro.analysis.experiment import (
     run_parsec_experiment,
     run_spec_pair_experiment,
 )
-from repro.analysis.comparison import (
-    DefenseComparison,
-    DefenseReport,
-    compare_defenses,
-)
 from repro.analysis.export import (
-    comparison_to_dict,
     export_sweep,
     load_json,
     result_to_dict,
@@ -47,13 +41,9 @@ from repro.analysis.tables import (
 )
 
 __all__ = [
-    "DefenseComparison",
-    "DefenseReport",
     "ExperimentResult",
     "LevelMpki",
     "ascii_bars",
-    "compare_defenses",
-    "comparison_to_dict",
     "export_sweep",
     "load_json",
     "result_to_dict",

@@ -20,8 +20,8 @@ Usage (also available as ``python -m repro``):
 
 Each command prints the artifact in the paper's layout; ``--instructions``
 scales simulation length (longer = tighter match, slower).  ``table2``,
-``fig8``, ``fig9``, ``export``, ``tournament`` and ``compare-defenses``
-run their cells through one supervised sweep executor: a failing cell
+``fig8``, ``fig9``, ``export`` and ``tournament`` run their cells
+through one supervised sweep executor: a failing cell
 is retried, then quarantined with provenance while the rest of the
 sweep finishes.  ``--resume CHECKPOINT.json`` names the checkpoint:
 completed cells are recorded there, a rerun with the same file picks up
@@ -257,19 +257,6 @@ def _cmd_fig10(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.analysis.comparison import compare_defenses
-
-    comparison = compare_defenses(
-        scaled_experiment_config(num_cores=1, quantum_cycles=60_000),
-        bench_a=args.bench,
-        bench_b=args.bench,
-        instructions=args.instructions,
-    )
-    args.console.result(comparison.render())
-    return 0
-
-
 def _cmd_export(args: argparse.Namespace) -> int:
     from repro.analysis.export import export_outcome
 
@@ -389,29 +376,36 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_tournament(args: argparse.Namespace) -> int:
-    """Attack tournament: every attack × every registered defense ×
-    engine, scored as a statistical distinguishability game
-    (AUC/CI/MI), written
-    to a SECURITY.json scorecard.  ``--baseline`` gates enforcing-ly:
-    unlike the perf gate, leakage scores are simulated-deterministic, so
-    any drift is a code change.  Exit contract: 1 on gate failure or
-    nothing scored, 3 when cells were quarantined, else 0."""
+    """Attack tournament: every attack × every defense (``--defenses``,
+    default the gated axis) × engine, scored as a statistical
+    distinguishability game (AUC/CI/MI), plus one SPEC-pair overhead
+    cell per (defense, engine), all written to a SECURITY.json
+    scorecard and rendered as one overhead-vs-leakage matrix.
+    ``--baseline`` gates the leakage cells enforcing-ly: unlike the perf
+    gate, leakage scores are simulated-deterministic, so any drift is a
+    code change.  Exit contract: 1 on gate failure or nothing scored, 3
+    when cells were quarantined, else 0."""
     from repro.analysis import tournament as tm
     from repro.analysis.runner import write_run_manifest
 
     console = args.console
     engines = tm.ENGINES if args.engine == "both" else (args.engine,)
+    defenses = tuple(args.defenses or tm.DEFENSES)
+    attacks = list(args.attacks or tm.ATTACKS)
     seed_count = _count_flag(args.seeds, 1 if args.quick else 2, "--seeds")
     seeds = tuple(args.seed + i for i in range(seed_count))
     n_boot = _count_flag(args.boot, 200 if args.quick else 500, "--boot")
+    overhead_instructions = 8_000 if args.quick else 60_000
     try:
         outcome = tm.run_tournament(
-            attacks=args.attacks or None,
+            attacks=attacks,
             engines=engines,
+            defenses=defenses,
             seeds=seeds,
             quick=args.quick,
             jobs=args.jobs,
             n_boot=n_boot,
+            overhead_instructions=overhead_instructions,
             checkpoint_path=args.resume,
             quarantine_dir=_quarantine_dir_for(args.resume),
             obs_dir=args.obs_dir,
@@ -423,20 +417,22 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
     if not outcome.cells:
         return EXIT_FATAL
     console.result(tm.render_scorecard(outcome))
+    console.result(tm.render_matrix(outcome, attacks, defenses, engines))
     params = {
         "quick": args.quick,
         "seeds": list(seeds),
         "n_boot": n_boot,
         "engines": list(engines),
-        "defenses": list(tm.DEFENSES),
-        "attacks": list(args.attacks or tm.ATTACKS),
+        "defenses": list(defenses),
+        "attacks": attacks,
+        "overhead_instructions": overhead_instructions,
     }
     path = tm.write_scorecard(outcome, args.output, params=params)
     console.info(f"wrote {path}")
     write_run_manifest(
         Path(str(args.output) + ".manifest.json"),
         command=["repro"] + args.argv,
-        config=tm.cell_config("flush_reload", "timecache", engines[0]),
+        config=tm.cell_config(attacks[0], defenses[0], engines[0]),
         seed=seeds[0],
         artifacts=[Path(args.output)],
         extra={"cells": len(outcome.cells), "gaps": len(outcome.sweep.failures)},
@@ -468,68 +464,6 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
             f"security gate passed vs {args.baseline} "
             f"(tolerance {args.tolerance:.2f})"
         )
-    return status
-
-
-def _cmd_compare_defenses(args: argparse.Namespace) -> int:
-    """The defense zoo head-to-head: every attack × every registered
-    defense × engine for leakage, plus a SPEC-pair overhead cell per
-    (defense, engine), joined into one DEFENSE_MATRIX.json artifact.
-    Exit contract: 1 when nothing was scored, 3 when cells were
-    quarantined, else 0."""
-    from repro.analysis import defense_matrix as dm
-    from repro.analysis import tournament as tm
-    from repro.analysis.runner import write_run_manifest
-    from repro.defenses import defense_names
-
-    console = args.console
-    engines = tm.ENGINES if args.engine == "both" else (args.engine,)
-    defenses = args.defenses or None
-    seed_count = _count_flag(args.seeds, 1, "--seeds")
-    seeds = tuple(args.seed + i for i in range(seed_count))
-    n_boot = _count_flag(args.boot, 200 if args.quick else 500, "--boot")
-    try:
-        outcome = dm.run_defense_matrix(
-            attacks=args.attacks or None,
-            engines=engines,
-            defenses=defenses,
-            seeds=seeds,
-            quick=args.quick,
-            jobs=args.jobs,
-            n_boot=n_boot,
-            checkpoint_path=args.resume,
-            quarantine_dir=_quarantine_dir_for(args.resume),
-            obs_dir=args.obs_dir,
-        )
-    except ValueError as exc:  # unknown attack name
-        console.error(str(exc))
-        return EXIT_FATAL
-    status = _report_sweep_outcome(console, outcome.sweep)
-    if not outcome.cells:
-        return EXIT_FATAL
-    console.result(dm.render_matrix(outcome))
-    params = {
-        "quick": args.quick,
-        "seeds": list(seeds),
-        "n_boot": n_boot,
-        "engines": list(engines),
-        "defenses": list(defenses or defense_names()),
-        "attacks": list(args.attacks or tm.ATTACKS),
-    }
-    path = dm.write_matrix(outcome, args.output, params=params)
-    console.info(f"wrote {path}")
-    write_run_manifest(
-        Path(str(args.output) + ".manifest.json"),
-        command=["repro"] + args.argv,
-        config=tm.cell_config(
-            (args.attacks or list(tm.ATTACKS))[0],
-            (defenses or defense_names())[0],
-            engines[0],
-        ),
-        seed=seeds[0],
-        artifacts=[Path(args.output)],
-        extra={"cells": len(outcome.cells), "gaps": len(outcome.sweep.failures)},
-    )
     return status
 
 
@@ -770,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=argparse.SUPPRESS,
     )
     # Shared by every sweep-shaped command (anything embarrassingly
-    # parallel); micro/rsa/compare/faults run single simulations.
+    # parallel); micro/rsa/faults run single simulations.
     jobs_parent = argparse.ArgumentParser(add_help=False)
     jobs_parent.add_argument(
         "--jobs",
@@ -786,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulation engine: 'object' is the reference model, 'fast' "
         "the struct-of-arrays engine (identical results, ~5x throughput)",
     )
-    # Shared by the six commands that run their cells through
+    # Shared by the five commands that run their cells through
     # SupervisedSweepExecutor.run(); fig10 runs a plain map() sweep.
     resume_parent = argparse.ArgumentParser(add_help=False)
     resume_parent.add_argument(
@@ -827,12 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Figure 10 LLC sensitivity",
         parents=[jobs_parent, quiet_parent],
     )
-    compare = sub.add_parser(
-        "compare",
-        help="TimeCache vs partitioning on one pair",
-        parents=[quiet_parent],
-    )
-    compare.add_argument("--bench", default="perlbench")
     export = sub.add_parser(
         "export",
         help="run a sweep, write JSON results",
@@ -941,14 +869,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tournament = sub.add_parser(
         "tournament",
-        help="attack tournament: statistical leakage scorecard "
-        "(SECURITY.json) with an enforcing --baseline gate",
+        help="attack tournament: statistical leakage scorecard and "
+        "overhead-vs-leakage matrix (SECURITY.json) with an enforcing "
+        "--baseline gate",
         parents=[resume_parent, quiet_parent],
     )
     tournament.add_argument(
         "--quick",
         action="store_true",
-        help="CI mode: fewer rounds/seeds/bootstrap replicates",
+        help="CI mode: fewer rounds/seeds/bootstrap replicates, shorter "
+        "overhead runs",
     )
     tournament.add_argument(
         "--jobs",
@@ -968,6 +898,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="NAME",
         help="score just this attack (repeatable; default: all)",
+    )
+    tournament.add_argument(
+        "--defenses",
+        action="append",
+        metavar="NAME",
+        help="score just this registered defense (repeatable; default: "
+        "the gated axis timecache, baseline, selective_flush, "
+        "copy_on_access)",
     )
     tournament.add_argument(
         "--seeds",
@@ -1009,62 +947,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write these scores as a new baseline (refused when "
         "any cell was quarantined)",
-    )
-    compare_defenses = sub.add_parser(
-        "compare-defenses",
-        help="defense zoo head-to-head: overhead vs leakage matrix over "
-        "every registered defense (DEFENSE_MATRIX.json)",
-        parents=[resume_parent, quiet_parent],
-    )
-    compare_defenses.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI mode: fewer rounds/replicates, shorter overhead runs",
-    )
-    compare_defenses.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="supervised worker processes for the cell matrix "
-        "(default: one per CPU; 1 = run every cell in this process)",
-    )
-    compare_defenses.add_argument(
-        "--engine",
-        choices=("object", "fast", "both"),
-        default="both",
-        help="which engine(s) to score (default: both)",
-    )
-    compare_defenses.add_argument(
-        "--attacks",
-        action="append",
-        metavar="NAME",
-        help="score just this attack (repeatable; default: all)",
-    )
-    compare_defenses.add_argument(
-        "--defenses",
-        action="append",
-        metavar="NAME",
-        help="score just this defense (repeatable; default: every "
-        "registered defense)",
-    )
-    compare_defenses.add_argument(
-        "--seeds",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pool latencies over N seeds starting at --seed (default 1)",
-    )
-    compare_defenses.add_argument(
-        "--boot",
-        type=int,
-        default=None,
-        metavar="N",
-        help="bootstrap replicates per cell (default: 200 quick, 500 full)",
-    )
-    compare_defenses.add_argument(
-        "--output",
-        default="DEFENSE_MATRIX.json",
-        help="matrix artifact path (default DEFENSE_MATRIX.json)",
     )
     trace = sub.add_parser(
         "trace",
@@ -1159,13 +1041,11 @@ _COMMANDS = {
     "fig8": _cmd_fig8,
     "fig9": _cmd_fig9,
     "fig10": _cmd_fig10,
-    "compare": _cmd_compare,
     "export": _cmd_export,
     "faults": _cmd_faults,
     "chaos": _cmd_chaos,
     "bench": _cmd_bench,
     "tournament": _cmd_tournament,
-    "compare-defenses": _cmd_compare_defenses,
     "trace": _cmd_trace,
     "obs": _cmd_obs,
 }

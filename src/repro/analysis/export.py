@@ -1,15 +1,15 @@
 """Structured (JSON) export of experiment results.
 
 Downstream users want machine-readable output, not just the paper-layout
-text tables: this module serializes :class:`ExperimentResult` sweeps and
-:class:`DefenseComparison` reports into plain dict/JSON form with a
-stable schema, and can write a whole artifact bundle to a directory.
+text tables: this module serializes :class:`ExperimentResult` sweeps into plain
+dict/JSON form with a stable schema, and can write a whole artifact
+bundle to a directory.
 
 Schema (version 1)::
 
     {
       "schema": 1,
-      "kind": "spec_sweep" | "parsec_sweep" | "llc_sweep" | "comparison",
+      "kind": "spec_sweep" | "parsec_sweep" | "llc_sweep",
       "results": [ {label, normalized_time, overhead, baseline: {...},
                     timecache: {...}}, ... ]
     }
@@ -20,7 +20,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Mapping, Sequence, Union
 
-from repro.analysis.comparison import DefenseComparison
 from repro.analysis.experiment import ExperimentResult, LevelMpki, SingleRun
 from repro.robustness.resilience import SweepOutcome
 
@@ -131,25 +130,6 @@ def export_outcome(
 ) -> Path:
     """One-call export of a resilient sweep outcome."""
     return save_json(outcome_to_dict(outcome, labels, kind=kind), path)
-
-
-def comparison_to_dict(comparison: DefenseComparison) -> Dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "comparison",
-        "workload": comparison.workload,
-        "defenses": {
-            name: {
-                "normalized_time": comparison.normalized_time(name),
-                "overhead": comparison.overhead(name),
-                "secure": report.secure,
-                "attack_hits": report.attack_hits,
-                "attack_probes": report.attack_probes,
-                "run": run_to_dict(report.run),
-            }
-            for name, report in comparison.reports.items()
-        },
-    }
 
 
 def save_json(payload: Mapping, path: Union[str, Path]) -> Path:

@@ -11,20 +11,27 @@ the attacker's probe-latency distribution distinguishes the two
 interval, plus mutual information in bits per probe).
 
 A *cell* is one ``(attack, defense, engine)`` triple; the full matrix is
-every attack module × every registered defense (:mod:`repro.defenses`)
-× {object, fast}.  Cells run
+every attack module × every defense of :data:`DEFENSES` (or of any
+other registered defenses named, :mod:`repro.defenses`) × {object,
+fast}.  With ``overhead_instructions`` set, one *overhead cell* per
+(defense, engine) joins them: the same SPEC pair run under the defense
+and under the control, whose simulated slowdown answers what a defense
+costs for what it blocks (Section VIII's argument; ``repro tournament``
+always runs them and renders both halves as one matrix).  Cells run
 as :class:`~repro.robustness.supervisor.SweepJob`\\ s under the supervised
-executor (PR 6), so a hung or crashing attack is killed, retried, and at
+executor, so a hung or crashing attack is killed, retried, and at
 worst quarantined without taking the tournament down, and the
 checkpoint/``--resume`` path makes an interrupted tournament cheap to
-finish.  The scorecard (``SECURITY.json``) and the committed baseline
-(``benchmarks/security/BASELINE.json``) are crash-safe safeio documents.
+finish.  The scorecard (``SECURITY.json``, both kinds of cell) and the
+committed baseline (``benchmarks/security/BASELINE.json``, leakage cells
+only) are crash-safe safeio documents.
 
 Because probe latencies are *simulated* cycle counts, every score is a
 pure function of (config, seeds, bootstrap seed) — identical on any
-host.  That is what lets CI enforce the security gate strictly, where
-the perf gate must stay warn-only on noisy runners: a separation change
-is a code change, never runner weather.
+host, as is every field of an overhead cell but its wall-clock ones
+(``wall_s``, ``acc_per_s``).  That is what lets CI enforce the security
+gate strictly, where the perf gate must stay warn-only on noisy
+runners: a separation change is a code change, never runner weather.
 
 Gate semantics (:func:`compare_to_security_baseline`):
 
@@ -40,6 +47,7 @@ Gate semantics (:func:`compare_to_security_baseline`):
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -67,13 +75,27 @@ BOOT_SEED_ROOT = 0x51A7
 ENGINES = ("object", "fast")
 
 
-def __getattr__(name: str):
-    # The defense axis is the registry, read at use time so defenses
-    # registered after import still slot into the matrix.  Exposed under
-    # the historical ``DEFENSES`` name for every existing caller.
-    if name == "DEFENSES":
-        return tuple(defense_names())
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+#: the gated defense axis: the default of every driver here and of the
+#: CLI, and exactly the defenses of the committed security baseline.
+#: Any other registered defense (``ftm``, ``partition_flush``) is scored
+#: by naming it in ``defenses=``.
+DEFENSES = ("timecache", "baseline", "selective_flush", "copy_on_access")
+#: the SPEC pair an overhead cell times (same-benchmark pair keeps the
+#: contention story simple: two tenants fighting over one working set)
+OVERHEAD_BENCH = "wrf"
+#: fields of an overhead cell that are pure functions of the config
+OVERHEAD_DETERMINISTIC_FIELDS = (
+    "kind",
+    "defense",
+    "engine",
+    "label",
+    "sim_cycles",
+    "control_cycles",
+    "slowdown",
+    "llc_mpki",
+    "control_llc_mpki",
+    "instructions",
+)
 
 #: a collector returns (negative-arm latencies, positive-arm latencies)
 Collector = Callable[[SimConfig, int, bool], Tuple[List[int], List[int]]]
@@ -383,6 +405,76 @@ def run_tournament_cell(
     }
 
 
+def overhead_label(defense: str, engine: str) -> str:
+    return f"overhead|{defense}|{engine}"
+
+
+def _is_overhead(label: str) -> bool:
+    return label.startswith("overhead|")
+
+
+def _control_defense_name() -> str:
+    """The registered control arm the overhead cells normalize against."""
+    for name in defense_names():
+        if is_control_defense(name):
+            return name
+    raise LookupError("no control defense registered")
+
+
+def run_overhead_cell(
+    defense: str,
+    engine: str,
+    instructions: int,
+    seed: int,
+    bench: str = OVERHEAD_BENCH,
+    llc_kib: int = 32,
+) -> Dict:
+    """Worker body for one overhead cell (module-level, picklable).
+
+    Runs the ``bench`` same-benchmark SPEC pair under ``defense`` and
+    under the registered control, on identical geometry (one core,
+    ``llc_kib`` of LLC), and reports the simulated slowdown and both
+    runs' LLC MPKI (deterministic) plus this run's wall throughput
+    (weather).
+    """
+    from repro.analysis.experiment import _run_configured
+    from repro.workloads.generator import Tapes
+    from repro.workloads.spec import build_spec_pair
+
+    tapes: Tapes = {}
+
+    def workload(kernel) -> None:
+        build_spec_pair(kernel, bench, bench, instructions, seed=seed, tapes=tapes)
+
+    def build(name: str) -> SimConfig:
+        base = scaled_experiment_config(
+            num_cores=1,
+            llc_kib=llc_kib,
+            quantum_cycles=60_000,
+            engine=engine,
+        )
+        return get_defense(name).configure(base)
+
+    start = time.perf_counter()
+    run = _run_configured(build(defense), workload)
+    wall_s = time.perf_counter() - start
+    control = _run_configured(build(_control_defense_name()), workload)
+    return {
+        "kind": "overhead",
+        "defense": defense,
+        "engine": engine,
+        "label": overhead_label(defense, engine),
+        "sim_cycles": run.cycles,
+        "control_cycles": control.cycles,
+        "slowdown": run.cycles / control.cycles if control.cycles else 1.0,
+        "llc_mpki": run.llc_mpki,
+        "control_llc_mpki": control.llc_mpki,
+        "instructions": instructions,
+        "wall_s": wall_s,
+        "acc_per_s": (run.instructions / wall_s) if wall_s > 0 else 0.0,
+    }
+
+
 # --------------------------------------------------------------------------
 # the tournament driver
 # --------------------------------------------------------------------------
@@ -404,18 +496,16 @@ class TournamentOutcome:
 def tournament_jobs(
     attacks: Optional[Sequence[str]] = None,
     engines: Sequence[str] = ENGINES,
-    defenses: Optional[Sequence[str]] = None,
+    defenses: Sequence[str] = DEFENSES,
     seeds: Sequence[int] = (7,),
     quick: bool = False,
     n_boot: int = 500,
+    overhead_instructions: Optional[int] = None,
 ) -> List[SweepJob]:
-    """The cell matrix as supervised sweep jobs, in scorecard order.
-
-    ``defenses=None`` means every registered defense, read from the
-    registry at call time so late registrations still slot in.
-    """
-    if defenses is None:
-        defenses = defense_names()
+    """The cell matrix as supervised sweep jobs, in scorecard order:
+    the leakage cells, then — with ``overhead_instructions`` set — one
+    overhead cell per (defense, engine) at that many instructions per
+    process, seeded with the first seed."""
     names = list(ATTACKS) if attacks is None else list(attacks)
     unknown = [n for n in names if n not in ATTACKS]
     if unknown:
@@ -439,17 +529,31 @@ def tournament_jobs(
                         },
                     )
                 )
+    if overhead_instructions is not None:
+        seed = seeds[0] if seeds else 7
+        for defense in defenses:
+            for engine in engines:
+                jobs.append(
+                    SweepJob(
+                        label=overhead_label(defense, engine),
+                        fn=run_overhead_cell,
+                        args=(defense, engine, overhead_instructions, seed),
+                        kwargs={},
+                        provenance={"seed": seed, "engine": engine},
+                    )
+                )
     return jobs
 
 
 def run_tournament(
     attacks: Optional[Sequence[str]] = None,
     engines: Sequence[str] = ENGINES,
-    defenses: Optional[Sequence[str]] = None,
+    defenses: Sequence[str] = DEFENSES,
     seeds: Sequence[int] = (7,),
     quick: bool = False,
     jobs: Optional[int] = None,
     n_boot: int = 500,
+    overhead_instructions: Optional[int] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
     quarantine_dir: Optional[Union[str, Path]] = None,
     deadline_s: Optional[float] = 120.0,
@@ -470,6 +574,7 @@ def run_tournament(
         seeds=seeds,
         quick=quick,
         n_boot=n_boot,
+        overhead_instructions=overhead_instructions,
     )
     executor = SupervisedSweepExecutor(
         jobs,
@@ -497,7 +602,8 @@ def run_tournament(
 def scorecard_payload(
     outcome: TournamentOutcome, params: Optional[Mapping] = None
 ) -> Dict:
-    """The ``SECURITY.json`` document: every scored cell plus the gaps."""
+    """The ``SECURITY.json`` document: every scored cell (leakage and
+    overhead) plus the gaps."""
     return {
         "schema": SECURITY_SCHEMA,
         "kind": "security_scorecard",
@@ -562,6 +668,7 @@ def baseline_payload(
         "cells": {
             label: _baseline_cell(cell)
             for label, cell in outcome.cells.items()
+            if not _is_overhead(label)
         },
     }
 
@@ -597,7 +704,8 @@ def compare_to_security_baseline(
 ) -> List[str]:
     """Gate messages; empty means the gate passes.
 
-    Two failure directions (see module docstring): a defense-on cell
+    Leakage cells only.  Two failure directions (see module docstring):
+    a defense-on cell
     (any non-control registered defense) confidently more distinguishable
     than the baseline recorded, and a control cell that stopped leaking
     when the baseline says it should.  Cells present on only one side are
@@ -612,7 +720,7 @@ def compare_to_security_baseline(
     failures: List[str] = []
     for label, cell in cells.items():
         base = baseline.get(label)
-        if base is None:
+        if base is None or _is_overhead(label):
             continue
         if not is_control_defense(cell["defense"]):
             allowed = float(base["separation"]) + tolerance
@@ -639,9 +747,11 @@ def compare_to_security_baseline(
 
 
 def render_scorecard(outcome: TournamentOutcome) -> str:
-    """One line per cell: separation [CI], MI, verdict."""
+    """One line per leakage cell: separation [CI], MI, verdict."""
     lines = []
     for label in outcome.labels:
+        if _is_overhead(label):
+            continue
         cell = outcome.cells.get(label)
         if cell is None:
             lines.append(f"{label:<40} [quarantined]")
@@ -652,4 +762,51 @@ def render_scorecard(outcome: TournamentOutcome) -> str:
             f"[{cell['ci_low']:.3f}, {cell['ci_high']:.3f}]  "
             f"mi {cell['mi_bits']:.3f}b  {verdict}"
         )
+    return "\n".join(lines)
+
+
+def render_matrix(
+    outcome: TournamentOutcome,
+    attacks: Sequence[str],
+    defenses: Sequence[str],
+    engines: Sequence[str],
+) -> str:
+    """Rows = defense × engine; columns = slowdown, then one AUC
+    separation per attack.  ``*`` marks a leaking cell, ``^`` a leaking
+    cell on an attack the defense is documented not to close (see
+    :attr:`AttackSpec.self_timing`); ``—`` a cell that was not scored."""
+    col = 10
+    header = (
+        f"{'defense':<16} {'engine':<7} {'slowdown':>9}  "
+        + " ".join(f"{name[:col]:>{col}}" for name in attacks)
+    )
+    lines = [
+        "defense matrix — overhead vs leakage "
+        "(AUC separation; * leak, ^ known boundary)",
+        header,
+        "-" * len(header),
+    ]
+    for defense in defenses:
+        for engine in engines:
+            over = outcome.cells.get(overhead_label(defense, engine))
+            slowdown = (
+                f"{over['slowdown']:>9.4f}" if over else f"{'—':>9}"
+            )
+            row = [f"{defense:<16} {engine:<7} {slowdown} "]
+            for attack in attacks:
+                cell = outcome.cells.get(cell_label(attack, defense, engine))
+                if cell is None:
+                    row.append(f"{'—':>{col}}")
+                    continue
+                mark = " "
+                if cell["leak"]:
+                    spec = ATTACKS.get(attack)
+                    boundary = (
+                        spec is not None
+                        and spec.self_timing
+                        and not is_control_defense(defense)
+                    )
+                    mark = "^" if boundary else "*"
+                row.append(f"{cell['separation']:>{col - 1}.3f}{mark}")
+            lines.append(" ".join(row))
     return "\n".join(lines)

@@ -98,13 +98,6 @@ class TimeCacheConfig:
 
     #: master switch — False simulates the unmodified baseline cache
     enabled: bool = True
-    #: FTM (First Time Miss, Ramkrishnan et al.) comparison mode: detect
-    #: first accesses via per-*core* presence bits at the LLC only, with
-    #: no save/restore across context switches.  The related-work design
-    #: the paper's threat model subsumes: it blocks cross-core reuse but
-    #: not same-core time-slicing or SMT siblings.  Mutually exclusive
-    #: with ``enabled``.
-    ftm_mode: bool = False
     #: width of the per-line Tc timestamp (paper: 32)
     timestamp_bits: int = 32
     #: cycles per context switch spent on the s-bit DMA save+restore
@@ -139,11 +132,6 @@ class TimeCacheConfig:
             raise ConfigError("sbit_dma_cycles cannot be negative")
         if self.max_sharers < 0:
             raise ConfigError("max_sharers cannot be negative")
-        if self.ftm_mode and self.enabled:
-            raise ConfigError(
-                "FTM is a comparison baseline; enable it or TimeCache, "
-                "not both"
-            )
 
 
 @dataclass(frozen=True)
@@ -201,37 +189,15 @@ class HierarchyConfig:
 
 
 @dataclass(frozen=True)
-class PartitionConfig:
-    """The comparison baseline: CAT-style way partitioning + flush.
-
-    Models the class of defenses the paper positions TimeCache against
-    (Section VIII-B: Catalyst/Apparition on Intel CAT, DAWG): each
-    security domain may *fill* only its own subset of LLC ways, and —
-    Apparition-style — a domain's ways plus the core-private caches are
-    flushed when it is scheduled out.  Secure against reuse attacks, but
-    at the cost of reduced effective cache and lost locality per switch.
-    """
-
-    enabled: bool = False
-    #: number of security domains the LLC ways are split across
-    domains: int = 2
-
-    def validate(self) -> None:
-        if self.domains < 1:
-            raise ConfigError("partition domains must be >= 1")
-
-
-@dataclass(frozen=True)
 class SimConfig:
     """Top-level simulation configuration."""
 
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
     timecache: TimeCacheConfig = field(default_factory=TimeCacheConfig)
-    partition: PartitionConfig = field(default_factory=PartitionConfig)
     #: registered defense plugin to attach (see :mod:`repro.defenses`).
     #: Empty string = legacy wiring: no plugin is consulted and the
-    #: ``timecache``/``partition`` blocks alone decide the machine —
-    #: every pre-zoo construction site keeps its exact behavior.
+    #: ``timecache`` block alone decides the machine — every pre-zoo
+    #: construction site keeps its exact behavior.
     defense: str = ""
     #: scheduler quantum, in cycles
     quantum_cycles: int = 50_000
@@ -241,16 +207,6 @@ class SimConfig:
     def validate(self) -> None:
         self.hierarchy.validate()
         self.timecache.validate()
-        self.partition.validate()
-        if self.partition.enabled and self.timecache.enabled:
-            raise ConfigError(
-                "way partitioning is the comparison baseline; enable "
-                "either it or TimeCache, not both"
-            )
-        if self.partition.enabled and (
-            self.hierarchy.llc.ways < self.partition.domains
-        ):
-            raise ConfigError("fewer LLC ways than partition domains")
         if self.quantum_cycles <= 0:
             raise ConfigError("quantum_cycles must be positive")
         if self.context_switch_cycles < 0:
@@ -262,13 +218,6 @@ class SimConfig:
         from repro.defenses import get_defense  # registry imports config
 
         return get_defense(name).configure(self)
-
-    def with_partitioning(self, domains: int = 2) -> "SimConfig":
-        """The CAT+flush comparison baseline (TimeCache off)."""
-        return replace(
-            self.baseline(),
-            partition=PartitionConfig(enabled=True, domains=domains),
-        )
 
     def with_timecache(self, **changes: object) -> "SimConfig":
         """Return a copy with TimeCache parameters replaced."""

@@ -65,8 +65,6 @@ class TimeCacheSystem:
         self.hierarchy = hierarchy_cls(
             config.hierarchy, timecache=config.timecache, clock=self.clock
         )
-        if config.partition.enabled:
-            self.hierarchy.enable_partitioning(config.partition.domains)
         self.context_engine = ContextSwitchEngine(self.hierarchy, config.timecache)
         #: attached defense plugin (:mod:`repro.defenses`) and its
         #: per-system state.  ``config.defense == ""`` (every legacy
@@ -85,9 +83,6 @@ class TimeCacheSystem:
             self.defense = get_defense(config.defense)
             self.defense_state = self.defense.attach(self)
         self._task_state: Dict[int, TaskCachingState] = {}
-        #: partitioning baseline: security domain per task id (assigned
-        #: round-robin on first sight, like CLOS assignment per process)
-        self._task_domain: Dict[int, int] = {}
         #: observation hooks (repro.robustness): called after every
         #: completed context switch as ``(outgoing, incoming, ctx, now)``.
         #: The invariant checker scans here; the fault injector uses the
@@ -208,16 +203,11 @@ class TimeCacheSystem:
         """
         when = self.clock.now if now is None else now
         self.clock.advance_to(when)
-        if self.config.partition.enabled:
-            cost = self._partition_switch(outgoing_task, incoming_task, ctx)
-        else:
-            if outgoing_task is not None:
-                self.context_engine.save(
-                    self.task_state(outgoing_task), ctx, when
-                )
-            cost = self.context_engine.restore(
-                self.task_state(incoming_task), ctx, when
-            )
+        if outgoing_task is not None:
+            self.context_engine.save(self.task_state(outgoing_task), ctx, when)
+        cost = self.context_engine.restore(
+            self.task_state(incoming_task), ctx, when
+        )
         if self.defense is not None:
             extra = self.defense.on_context_switch(
                 self, outgoing_task, incoming_task, ctx, when
@@ -233,36 +223,6 @@ class TimeCacheSystem:
                 outgoing_task, incoming_task, ctx, when, cost
             )
         return cost
-
-    def _partition_switch(
-        self, outgoing_task: Optional[int], incoming_task: int, ctx: int
-    ) -> SwitchCost:
-        """The comparison baseline's switch path (Apparition-style):
-        flush the outgoing domain's LLC ways and the core's private
-        caches, then program the incoming task's domain into the context.
-        The flush cost is charged like the s-bit DMA would be."""
-        hierarchy = self.hierarchy
-        flushed = 0
-        if outgoing_task is not None:
-            out_domain = self._domain_for(outgoing_task)
-            in_domain = self._domain_for(incoming_task)
-            if out_domain != in_domain:
-                flushed += hierarchy.flush_domain_ways(out_domain)
-                flushed += hierarchy.flush_private_caches(
-                    hierarchy.core_of_ctx(ctx)
-                )
-        hierarchy.set_domain(ctx, self._domain_for(incoming_task))
-        # ~1 cycle per flushed line of tag-walk cost, as a flat estimate.
-        return SwitchCost(
-            dma_cycles=flushed, comparator_cycles=0, rollover_reset=False
-        )
-
-    def _domain_for(self, task_id: int) -> int:
-        if task_id not in self._task_domain:
-            self._task_domain[task_id] = (
-                len(self._task_domain) % self.config.partition.domains
-            )
-        return self._task_domain[task_id]
 
     # ------------------------------------------------------------------
     @property

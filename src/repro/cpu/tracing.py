@@ -2,9 +2,10 @@
 
 A recorded trace decouples workload *generation* from *simulation*: the
 same operation stream can be replayed against different configurations
-(baseline vs TimeCache vs partitioning) or saved to disk for regression
-experiments.  The format is line-oriented text — one op per line — so
-traces diff cleanly and can be inspected or hand-written.
+(baseline vs TimeCache vs the ``partition_flush`` defense) or saved to
+disk for regression experiments.  The format is line-oriented text —
+one op per line — so traces diff cleanly and can be inspected or
+hand-written.
 
 Format::
 

@@ -1,15 +1,18 @@
 """Pluggable cache-side-channel defenses (docs/internals.md §17).
 
-TimeCache, the undefended control, FASE-style selective flushing, and
-CACHEBAR-style copy-on-access, all behind one :class:`Defense` protocol
-and one registry that the tournament, the compare-defenses matrix, and
-:class:`~repro.core.timecache.TimeCacheSystem` share.
+TimeCache, the undefended control, FASE-style selective flushing,
+CACHEBAR-style copy-on-access, and the paper's Section VIII comparison
+arms (FTM and CAT partitioning with flush), all behind one
+:class:`Defense` protocol and one registry that ``SimConfig.with_defense``,
+the tournament and :class:`~repro.core.timecache.TimeCacheSystem` share.
 """
 
 from repro.defenses.base import Defense, merge_switch_costs
 from repro.defenses.builtin import (
     BaselineControl,
     CopyOnAccessDefense,
+    FtmDefense,
+    PartitionFlushDefense,
     SelectiveFlushDefense,
     TimeCacheDefense,
 )
@@ -25,6 +28,8 @@ __all__ = [
     "BaselineControl",
     "CopyOnAccessDefense",
     "Defense",
+    "FtmDefense",
+    "PartitionFlushDefense",
     "SelectiveFlushDefense",
     "TimeCacheDefense",
     "defense_names",

@@ -1,5 +1,6 @@
 """The shipped defense zoo: TimeCache, the undefended control, FASE-style
-selective flushing, and CACHEBAR-style copy-on-access.
+selective flushing, CACHEBAR-style copy-on-access, and the paper's two
+Section VIII comparison arms, FTM and CAT partitioning with flush.
 
 Cost models (docs/internals.md §17):
 
@@ -25,6 +26,19 @@ Cost models (docs/internals.md §17):
   pressure from the duplicated footprint — so no explicit switch cost
   is charged; the remap is pure arithmetic before the hierarchy is
   entered.
+* **ftm** — FTM (First Time Miss, Ramkrishnan et al.): per-*core*
+  presence bits at the LLC only, with no save/restore across context
+  switches.  It blocks cross-core reuse but not same-core time-slicing
+  or SMT siblings (Section VIII-B2).  No switch cost; the cost is the
+  cross-core first-access misses.
+* **partition_flush** — CAT-style way partitioning with an
+  Apparition-style flush (Section VIII-B1, Catalyst/Apparition, DAWG):
+  each task's security domain may fill only its half of the LLC ways,
+  and a switch between domains flushes the outgoing domain's ways and
+  the core's private caches.  The cost is the halved effective LLC plus
+  one cycle per flushed line, charged through the scheduler.  Ways mask
+  fills, not lookups, so a line one domain filled still hits for the
+  other where no flush intervened (another core, an SMT sibling).
 """
 
 from __future__ import annotations
@@ -34,6 +48,9 @@ from typing import Any, Dict, Optional, Set
 from repro.common.config import SimConfig
 from repro.core.context import SwitchCost
 from repro.defenses.base import Defense
+
+#: security domains ``partition_flush`` splits the LLC ways across
+PARTITION_DOMAINS = 2
 
 #: bit position of the copy-on-access tenant tag: far above any address
 #: the workloads or attacks generate, so remapped addresses never
@@ -69,7 +86,7 @@ class SelectiveFlushDefense(Defense):
     context, filled by a hierarchy post-access listener and drained
     (flushed) when that context switches tasks.  Flushing goes through
     :meth:`MemoryHierarchy._flush_line_everywhere`, the same path
-    clflush and the partitioning baseline use, so dirty writebacks and
+    clflush and ``partition_flush`` use, so dirty writebacks and
     directory bookkeeping are handled identically on both engines.
     """
 
@@ -159,3 +176,70 @@ class CopyOnAccessDefense(Defense):
     ) -> Optional[SwitchCost]:
         system.defense_state[ctx] = incoming_task
         return None
+
+
+class FtmDefense(Defense):
+    """FTM: first accesses detected by per-core LLC presence bits.
+
+    Attaching keys the LLC's s-bits by core and turns its first-access
+    guard on (:meth:`~repro.memsys.hierarchy.MemoryHierarchy.enable_ftm`);
+    the private caches and context switches are left as the baseline
+    has them.
+    """
+
+    name = "ftm"
+    summary = "FTM: per-core LLC presence bits, no switch handling"
+
+    def configure(self, config: SimConfig) -> SimConfig:
+        return super().configure(config.baseline())
+
+    def attach(self, system: "Any") -> None:
+        system.hierarchy.enable_ftm()
+
+
+class PartitionFlushDefense(Defense):
+    """CAT way partitioning + flush of the outgoing domain at a switch.
+
+    Per-system state: the security domain of each task id, assigned
+    round-robin on first sight (like CLOS assignment per process).
+    """
+
+    name = "partition_flush"
+    summary = "CAT: per-domain LLC ways, flushed when the domain switches"
+
+    def configure(self, config: SimConfig) -> SimConfig:
+        return super().configure(config.baseline())
+
+    def attach(self, system: "Any") -> Dict[int, int]:
+        system.hierarchy.enable_partitioning(PARTITION_DOMAINS)
+        return {}
+
+    def on_context_switch(
+        self,
+        system: "Any",
+        outgoing_task: Optional[int],
+        incoming_task: int,
+        ctx: int,
+        now: int,
+    ) -> Optional[SwitchCost]:
+        domains = system.defense_state
+
+        def domain_for(task: int) -> int:
+            if task not in domains:
+                domains[task] = len(domains) % PARTITION_DOMAINS
+            return domains[task]
+
+        hierarchy = system.hierarchy
+        flushed = 0
+        if outgoing_task is not None:
+            out_domain = domain_for(outgoing_task)
+            if out_domain != domain_for(incoming_task):
+                flushed += hierarchy.flush_domain_ways(out_domain)
+                flushed += hierarchy.flush_private_caches(
+                    hierarchy.core_of_ctx(ctx)
+                )
+        hierarchy.set_domain(ctx, domain_for(incoming_task))
+        # ~1 cycle per flushed line of tag-walk cost, as a flat estimate.
+        return SwitchCost(
+            dma_cycles=flushed, comparator_cycles=0, rollover_reset=False
+        )

@@ -1,11 +1,12 @@
 """The defense registry: name → :class:`~repro.defenses.base.Defense`.
 
-Registration order is presentation order — the tournament's defense
-axis, the compare-defenses matrix rows, and the committed security
-baseline all iterate :func:`defense_names`, so a newly registered
-defense slots into every artifact without touching the harnesses
-(``--update-baseline`` grows the new cells; the gate ignores cells
-present on only one side, so growth never retroactively fails it).
+Every ``SimConfig.defense`` resolves here, and registration order is
+presentation order.  The tournament's gated default axis is its own
+named tuple, ``repro.analysis.tournament.DEFENSES``; any other
+registered defense is scored through ``--defenses NAME`` (the
+``defenses=`` argument).  Adding a defense to ``DEFENSES`` grows the
+committed security baseline by ``--update-baseline``; the gate ignores
+cells present on only one side, so growth never retroactively fails it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from repro.defenses.base import Defense
 from repro.defenses.builtin import (
     BaselineControl,
     CopyOnAccessDefense,
+    FtmDefense,
+    PartitionFlushDefense,
     SelectiveFlushDefense,
     TimeCacheDefense,
 )
@@ -65,3 +68,5 @@ register_defense(TimeCacheDefense())
 register_defense(BaselineControl())
 register_defense(SelectiveFlushDefense())
 register_defense(CopyOnAccessDefense())
+register_defense(FtmDefense())
+register_defense(PartitionFlushDefense())

@@ -378,8 +378,6 @@ class FastHierarchy(MemoryHierarchy):
 
     def __init__(self, config, timecache=None, clock=None) -> None:
         super().__init__(config, timecache=timecache, clock=clock)
-        contexts = range(config.num_cores * config.threads_per_core)
-        self._sctx_of = [self._llc_sbit_ctx(ctx) for ctx in contexts]
         self._dram_first = self.tc_config.dram_latency_on_first_access
         #: interned AccessResult instances keyed by (latency, level,
         #: first) — the value set is tiny and the dataclass is frozen, so
@@ -450,7 +448,7 @@ class FastHierarchy(MemoryHierarchy):
         dram = self.dram
         tc_enabled = self.tc_config.enabled
         llc_guard = self._llc_first_access_guard
-        sctx = self._sctx_of[ctx]
+        sctx = self._llc_sbit_ctx[ctx]
         l1name = l1.name
         set_mask = l1._set_mask
         slot_of = l1._slot_of
@@ -718,7 +716,7 @@ class FastHierarchy(MemoryHierarchy):
                 f"inclusion violated: line {line:#x} in an L1 but not in LLC"
             )
         llc._last_used[idx] = now
-        sctx = self._sctx_of[ctx]
+        sctx = self._llc_sbit_ctx[ctx]
         bit = 1 << llc._ctx_to_col[sctx]
         if llc.sbits_mv[idx] & bit:
             if not self._dram_first:

@@ -92,14 +92,18 @@ class AccessPorts(NamedTuple):
     ifetch: Port
 
     def of(self, kind: AccessKind) -> Port:
-        """The port for ``kind`` (a kind that is neither a store nor an
-        ifetch is served as a load, as :meth:`MemoryHierarchy.access`
-        always served it)."""
+        """The port for ``kind``.  A ``kind`` that is not an
+        :class:`AccessKind` raises :class:`SimulationError`, so
+        :meth:`MemoryHierarchy.access` and a non-empty
+        :meth:`MemoryHierarchy.access_batch` refuse it before any
+        access."""
+        if kind is _LOAD:
+            return self.load
         if kind is _STORE:
             return self.store
         if kind is _IFETCH:
             return self.ifetch
-        return self.load
+        raise SimulationError(f"access kind must be an AccessKind, got {kind!r}")
 
 
 class MemoryHierarchy:
@@ -161,6 +165,13 @@ class MemoryHierarchy:
         #: range per domain.  Empty/None when partitioning is off.
         self._domain_of_ctx: Dict[int, int] = {}
         self._partition_domains = 0
+        #: the identity the LLC tracks each context's visibility by (its
+        #: s-bit column): the hardware context itself, or its core's
+        #: first context under FTM (:meth:`enable_ftm`)
+        self._llc_sbit_ctx: List[int] = list(all_ctxs)
+        #: whether the LLC applies the first-access discipline: under
+        #: TimeCache, and under FTM
+        self._llc_first_access_guard = self.tc_config.enabled
         #: observation hooks (repro.robustness).  Pre-listeners run before
         #: an access mutates any state, post-listeners after it completes;
         #: both receive the *line* address.  Empty lists cost nothing on
@@ -194,7 +205,9 @@ class MemoryHierarchy:
         return Cache(config, hw_contexts, hit_latency, max_sharers=max_sharers)
 
     # ------------------------------------------------------------------
-    # CAT-style way partitioning (the comparison baseline)
+    # The Section VIII comparison arms' hardware: FTM presence bits and
+    # CAT-style way partitioning (the ``ftm`` and ``partition_flush``
+    # defenses turn them on when they attach)
     # ------------------------------------------------------------------
     def enable_partitioning(self, domains: int) -> None:
         """Split the LLC ways into ``domains`` equal fill regions."""
@@ -203,6 +216,22 @@ class MemoryHierarchy:
                 f"cannot split {self.llc.ways} ways into {domains} domains"
             )
         self._partition_domains = domains
+
+    def enable_ftm(self) -> None:
+        """Track LLC first accesses per physical core (FTM, Ramkrishnan
+        et al.): every context of a core shares the core's LLC s-bit
+        column — directory presence bits are per core, which is why FTM
+        cannot separate time-sliced processes or SMT siblings — and the
+        LLC guards first accesses with TimeCache off.  The fast engine's
+        ports read both when they bind, so this must come before the
+        first port binds."""
+        if any(self._ports):
+            raise SimulationError("enable FTM before any port is bound")
+        threads = self.config.threads_per_core
+        self._llc_sbit_ctx = [
+            ctx // threads * threads for ctx in range(len(self._ports))
+        ]
+        self._llc_first_access_guard = True
 
     def set_domain(self, ctx: int, domain: int) -> None:
         """Program the security domain of a hardware context (the MSR
@@ -307,22 +336,6 @@ class MemoryHierarchy:
     def timecache_enabled(self) -> bool:
         return self.tc_config.enabled
 
-    @property
-    def _llc_first_access_guard(self) -> bool:
-        """Whether the LLC applies the first-access discipline — under
-        TimeCache, and under the FTM comparison mode (LLC-only)."""
-        return self.tc_config.enabled or self.tc_config.ftm_mode
-
-    def _llc_sbit_ctx(self, ctx: int) -> int:
-        """The identity the LLC tracks visibility by.
-
-        TimeCache: the hardware context (per-thread).  FTM: the physical
-        core (directory presence bits are per core — which is exactly why
-        FTM cannot separate time-sliced processes or SMT siblings)."""
-        if self.tc_config.ftm_mode:
-            return self.core_of_ctx(ctx) * self.config.threads_per_core
-        return ctx
-
     # ------------------------------------------------------------------
     # The access protocol
     # ------------------------------------------------------------------
@@ -414,7 +427,7 @@ class MemoryHierarchy:
         access issues at the cycle cursor, which starts at ``now``, and
         the cursor then moves by one cycle plus the observed latency —
         the blocking TimingSimpleCPU rule the CPU model retires every
-        memory op by.  ``kind`` is served as :meth:`access` serves it.
+        memory op by.  ``kind`` is checked as :meth:`access` checks it.
         A ``now`` that is not an integer raises
         :class:`SimulationError` before the first access, so it changes
         no cache state or counter.
@@ -506,7 +519,7 @@ class MemoryHierarchy:
         """
         llc = self.llc
         llc.c_accesses.add()
-        sctx = self._llc_sbit_ctx(ctx)
+        sctx = self._llc_sbit_ctx[ctx]
         pos = llc.lookup(line)
         if pos is not None:
             set_idx, way = pos
@@ -589,7 +602,7 @@ class MemoryHierarchy:
         set_idx, way = pos
         llc.c_accesses.add()
         llc.touch(set_idx, way, now)
-        sctx = self._llc_sbit_ctx(ctx)
+        sctx = self._llc_sbit_ctx[ctx]
         sbit = llc.sbit_is_set(set_idx, way, sctx)
         if sbit and not self.tc_config.dram_latency_on_first_access:
             llc.c_hits.add()

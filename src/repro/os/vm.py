@@ -144,32 +144,25 @@ class AddressSpace:
         self.page_bytes = phys.page_bytes
         self._page_shift = phys.page_bytes.bit_length() - 1
         self._vpage_to_ppage: Dict[int, int] = {}
-        self._segments: Dict[str, int] = {}  # segment name -> vaddr base
 
     # ------------------------------------------------------------------
     def map_segment(self, segment: Segment, vaddr: int) -> None:
-        """Map a segment at ``vaddr`` (page aligned)."""
+        """Map a segment at ``vaddr`` (page aligned).  Every page is
+        checked before any is mapped, so a refused segment leaves the
+        space as it was."""
         if vaddr % self.page_bytes != 0:
             raise SimulationError(
                 f"{self.name}: segment base {vaddr:#x} not page aligned"
             )
         base_vpage = vaddr >> self._page_shift
-        for i in range(segment.num_pages):
-            vpage = base_vpage + i
+        vpages = range(base_vpage, base_vpage + segment.num_pages)
+        for vpage in vpages:
             if vpage in self._vpage_to_ppage:
                 raise SimulationError(
                     f"{self.name}: vpage {vpage:#x} already mapped"
                 )
+        for i, vpage in enumerate(vpages):
             self._vpage_to_ppage[vpage] = segment.phys_page(i)
-        self._segments[segment.name] = vaddr
-
-    def segment_base(self, name: str) -> int:
-        try:
-            return self._segments[name]
-        except KeyError:
-            raise SimulationError(
-                f"{self.name}: segment {name!r} not mapped"
-            ) from None
 
     # ------------------------------------------------------------------
     def translate(self, vaddr: int) -> int:
@@ -224,13 +217,3 @@ class AddressSpace:
         vaddrs |= ppages
         view[memory] = vaddrs
         return args
-
-    def is_mapped(self, vaddr: int) -> bool:
-        return (vaddr >> self._page_shift) in self._vpage_to_ppage
-
-    def shares_page_with(self, other: "AddressSpace", vaddr: int) -> bool:
-        """True when both spaces map ``vaddr`` to the same physical page."""
-        vpage = vaddr >> self._page_shift
-        mine = self._vpage_to_ppage.get(vpage)
-        theirs = other._vpage_to_ppage.get(vpage)
-        return mine is not None and mine == theirs

@@ -35,9 +35,10 @@ context on the first breach.  Against the fault models in
 *detected* here or *provably benign* (it can only cost extra first-access
 misses, never grant visibility).
 
-Scope: the checker targets the TimeCache configuration proper.  The FTM
-and way-partitioning comparison baselines track visibility by core or
-domain, not by task, and are rejected at attach time.
+Scope: the checker targets the TimeCache configuration proper.  The
+``ftm`` and ``partition_flush`` defenses track visibility by core or
+domain, not by task, and run with TimeCache off, so they are rejected
+at attach time.
 
 Known modeling edge: on a multi-core system a slot refilled by another
 task in the *same cycle* as the victim's preemption keeps the victim's

@@ -46,7 +46,6 @@ JOBS_COMMANDS = [
     "export",
     "bench",
     "tournament",
-    "compare-defenses",
 ]
 
 
@@ -115,12 +114,6 @@ def test_fig10_command_prints_series(capsys):
     assert main(["--instructions", "8000", "fig10"]) == 0
     out = capsys.readouterr().out
     assert "32KiB" in out and "128KiB" in out
-
-
-def test_compare_command(capsys):
-    assert main(["--instructions", "8000", "compare", "--bench", "namd"]) == 0
-    out = capsys.readouterr().out
-    assert "timecache" in out and "partition" in out
 
 
 def test_export_command(tmp_path, capsys):

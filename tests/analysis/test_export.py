@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.analysis.comparison import compare_defenses
 from repro.analysis.experiment import run_spec_pair_experiment
 from repro.analysis.export import (
-    comparison_to_dict,
     export_sweep,
     load_json,
     result_to_dict,
@@ -62,15 +60,3 @@ def test_summarize_json(result):
 
 def test_summarize_empty():
     assert summarize_json({"results": []}) == {"count": 0}
-
-
-def test_comparison_export():
-    comparison = compare_defenses(
-        tiny_config(quantum=4_000),
-        bench_a="namd",
-        bench_b="namd",
-        instructions=6_000,
-    )
-    payload = comparison_to_dict(comparison)
-    assert set(payload["defenses"]) == {"baseline", "timecache", "partition"}
-    assert payload["defenses"]["timecache"]["secure"]

@@ -73,20 +73,22 @@ class TestAttackOutcome:
 
 
 class TestPartitionGeometry:
-    def test_last_domain_absorbs_remainder_ways(self):
+    @staticmethod
+    def _three_domains():
         from repro.core.timecache import TimeCacheSystem
 
-        system = TimeCacheSystem(tiny_config().with_partitioning(domains=3))
-        hier = system.hierarchy  # 8 LLC ways across 3 domains: 2+2+4
+        hier = TimeCacheSystem(tiny_config().baseline()).hierarchy
+        hier.enable_partitioning(3)
+        return hier
+
+    def test_last_domain_absorbs_remainder_ways(self):
+        hier = self._three_domains()  # 8 LLC ways across 3 domains: 2+2+4
         assert list(hier.domain_ways(0)) == [0, 1]
         assert list(hier.domain_ways(1)) == [2, 3]
         assert list(hier.domain_ways(2)) == [4, 5, 6, 7]
 
     def test_all_ways_covered_exactly_once(self):
-        from repro.core.timecache import TimeCacheSystem
-
-        system = TimeCacheSystem(tiny_config().with_partitioning(domains=3))
-        hier = system.hierarchy
+        hier = self._three_domains()
         covered = []
         for domain in range(3):
             covered.extend(hier.domain_ways(domain))

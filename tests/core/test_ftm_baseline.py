@@ -1,11 +1,12 @@
 """FTM (First Time Miss) — the related-work comparison (§II-C, §VIII-B2).
 
 FTM detects first accesses with per-core directory presence bits at the
-LLC only, with no context-switch handling.  The paper's threat-model
-argument: FTM blocks the cross-core reuse channel but "assumes that the
-victim and attacker … must otherwise run on isolated hardware" — it
-cannot separate processes time-sliced on one core, nor SMT siblings.
-These tests reproduce that comparison point for point.
+LLC only, with no context-switch handling; here it is the registered
+``ftm`` defense.  The paper's threat-model argument: FTM blocks the
+cross-core reuse channel but "assumes that the victim and attacker …
+must otherwise run on isolated hardware" — it cannot separate processes
+time-sliced on one core, nor SMT siblings.  These tests reproduce that
+comparison point for point.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ from repro.common.config import (
     SimConfig,
     TimeCacheConfig,
 )
-from repro.common.errors import ConfigError
+from repro.common.errors import SimulationError
 from repro.common.units import KIB
 from repro.core.timecache import TimeCacheSystem
 
@@ -35,20 +36,30 @@ def ftm_config(num_cores=2, threads_per_core=1):
             l1d=CacheConfig("L1D", 1 * KIB, ways=4),
             llc=CacheConfig("LLC", 16 * KIB, ways=8),
         ),
-        timecache=TimeCacheConfig(enabled=False, ftm_mode=True),
         quantum_cycles=5_000,
         context_switch_cycles=50,
-    )
+    ).with_defense("ftm")
     cfg.validate()
     return cfg
 
 
 def test_ftm_and_timecache_mutually_exclusive():
-    with pytest.raises(ConfigError):
-        dataclasses.replace(
-            tiny_config(),
-            timecache=TimeCacheConfig(enabled=True, ftm_mode=True),
-        ).validate()
+    """FTM is a machine of its own: the plugin turns TimeCache off, so
+    no configuration runs both."""
+    cfg = tiny_config().with_defense("ftm")
+    assert cfg.defense == "ftm"
+    assert not cfg.timecache.enabled
+
+
+def test_ftm_keys_the_llc_by_core():
+    system = TimeCacheSystem(ftm_config(num_cores=2, threads_per_core=2))
+    hierarchy = system.hierarchy
+    assert hierarchy._llc_sbit_ctx == [0, 0, 2, 2]
+    assert hierarchy._llc_first_access_guard
+    # ports bind with the table they find, so it cannot change later
+    hierarchy.ports(0)
+    with pytest.raises(SimulationError, match="before any port"):
+        hierarchy.enable_ftm()
 
 
 class TestFtmBlocksCrossCore:
@@ -98,6 +109,7 @@ class TestFtmGaps:
         cfg = dataclasses.replace(
             ftm_config(num_cores=1, threads_per_core=2),
             timecache=TimeCacheConfig(enabled=True, sbit_dma_cycles=20),
+            defense="",
         )
         system = TimeCacheSystem(cfg)
         system.flush(0, 0x1000, now=0)

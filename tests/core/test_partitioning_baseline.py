@@ -1,49 +1,52 @@
 """The comparison baseline: CAT-style way partitioning + flush-on-switch.
 
 Section VIII-B positions TimeCache against Catalyst/Apparition-style
-partitioning.  The baseline must be *secure* against the reuse attack
-(otherwise the comparison is meaningless) while paying its cost in
-reduced effective cache and per-switch flushes.
+partitioning, here the registered ``partition_flush`` defense.  The
+baseline must be *secure* against the reuse attack (otherwise the
+comparison is meaningless) while paying its cost in reduced effective
+cache and per-switch flushes.
 """
 
 import pytest
 
 from repro.attacks.flush_reload import run_microbenchmark_attack
-from repro.common.errors import ConfigError
+from repro.common.errors import SimulationError
 from repro.core.timecache import TimeCacheSystem
 
 from tests.conftest import tiny_config
 
 
-def partition_config(domains=2):
-    return tiny_config(num_cores=1).with_partitioning(domains=domains)
+def partition_config():
+    return tiny_config(num_cores=1).with_defense("partition_flush")
 
 
 class TestConfig:
     def test_partitioning_disables_timecache(self):
         cfg = partition_config()
-        assert cfg.partition.enabled
+        assert cfg.defense == "partition_flush"
         assert not cfg.timecache.enabled
 
     def test_cannot_enable_both(self):
-        import dataclasses
-
-        from repro.common.config import PartitionConfig
-
-        cfg = dataclasses.replace(
-            tiny_config(), partition=PartitionConfig(enabled=True)
-        )
-        with pytest.raises(ConfigError):
-            cfg.validate()
+        """A configuration names one defense: reshaping a TimeCache
+        machine into the partitioned one turns TimeCache off."""
+        cfg = tiny_config().with_defense("timecache")
+        assert cfg.timecache.enabled
+        assert not cfg.with_defense("partition_flush").timecache.enabled
 
     def test_domains_bounded_by_ways(self):
-        with pytest.raises(ConfigError):
-            partition_config(domains=100).validate()
+        hierarchy = TimeCacheSystem(tiny_config().baseline()).hierarchy
+        with pytest.raises(SimulationError, match="into 100 domains"):
+            hierarchy.enable_partitioning(100)
+
+    def test_attach_splits_the_llc_in_two(self):
+        hierarchy = TimeCacheSystem(partition_config()).hierarchy
+        assert list(hierarchy.domain_ways(0)) == [0, 1, 2, 3]
+        assert list(hierarchy.domain_ways(1)) == [4, 5, 6, 7]
 
 
 class TestMechanics:
     def test_fills_stay_in_domain_ways(self):
-        system = TimeCacheSystem(partition_config(domains=2))
+        system = TimeCacheSystem(partition_config())
         hier = system.hierarchy
         system.context_switch(None, incoming_task=1, ctx=0, now=0)  # domain 0
         for i in range(32):
@@ -55,7 +58,7 @@ class TestMechanics:
                     assert way in allowed
 
     def test_domain_flush_empties_ways(self):
-        system = TimeCacheSystem(partition_config(domains=2))
+        system = TimeCacheSystem(partition_config())
         hier = system.hierarchy
         system.context_switch(None, 1, ctx=0, now=0)
         for i in range(8):
@@ -67,7 +70,7 @@ class TestMechanics:
                 assert cset.lines[way] is None
 
     def test_switch_between_domains_flushes(self):
-        system = TimeCacheSystem(partition_config(domains=2))
+        system = TimeCacheSystem(partition_config())
         system.context_switch(None, 1, ctx=0, now=0)
         system.load(0, 0x100000, now=100)
         cost = system.context_switch(1, 2, ctx=0, now=1000)  # other domain
@@ -78,7 +81,7 @@ class TestMechanics:
         assert r.level == "DRAM"
 
     def test_same_domain_switch_does_not_flush(self):
-        system = TimeCacheSystem(partition_config(domains=2))
+        system = TimeCacheSystem(partition_config())
         system.context_switch(None, 1, ctx=0, now=0)  # domain 0
         system.context_switch(1, 3, ctx=0, now=100)  # task 3 -> domain 1
         cost = system.context_switch(3, 3, ctx=0, now=200)
@@ -88,7 +91,7 @@ class TestMechanics:
 class TestSecurity:
     def test_partitioning_blocks_the_microbenchmark(self):
         outcome = run_microbenchmark_attack(
-            partition_config(domains=2), shared_lines=32, sleep_cycles=50_000
+            partition_config(), shared_lines=32, sleep_cycles=50_000
         )
         assert outcome.probe_hits == 0
 
@@ -96,7 +99,7 @@ class TestSecurity:
         """Sanity: plain fill-partitioning without the switch flush (the
         naked Intel CAT semantics) leaves the reuse channel open, which
         is exactly why Apparition adds the flush."""
-        system = TimeCacheSystem(partition_config(domains=2))
+        system = TimeCacheSystem(partition_config())
         hier = system.hierarchy
         system.context_switch(None, 1, ctx=0, now=0)
         system.load(0, 0x100000, now=100)  # victim (domain 0) caches line

@@ -59,23 +59,37 @@ def test_register_rejects_empty_name():
         register_defense(Defense())
 
 
-def test_late_registration_slots_into_tournament_axis():
-    """The satellite fix: the tournament's defense axis is the registry,
-    so a defense registered after import shows up without code changes."""
+def test_tournament_axis_is_the_gated_tuple_and_more_enter_by_name():
+    """The tournament's default axis is ``DEFENSES``, the committed
+    baseline's four arms; any registered defense, a late one too,
+    enters through ``defenses=``."""
     from repro.analysis import tournament as tm
+
+    assert tm.DEFENSES == (
+        "timecache", "baseline", "selective_flush", "copy_on_access",
+    )
+    assert defense_names()[:4] == list(tm.DEFENSES)
+    assert defense_names()[4:] == ["ftm", "partition_flush"]
 
     class Throwaway(Defense):
         name = "throwaway_defense"
 
     register_defense(Throwaway())
     try:
-        assert "throwaway_defense" in tm.DEFENSES
         jobs = tm.tournament_jobs(attacks=["flush_reload"], engines=("object",))
-        labels = [job.label for job in jobs]
-        assert "flush_reload|throwaway_defense|object" in labels
+        assert [job.label for job in jobs] == [
+            f"flush_reload|{name}|object" for name in tm.DEFENSES
+        ]
+        jobs = tm.tournament_jobs(
+            attacks=["flush_reload"],
+            engines=("object",),
+            defenses=("throwaway_defense",),
+        )
+        assert [job.label for job in jobs] == [
+            "flush_reload|throwaway_defense|object"
+        ]
     finally:
         unregister_defense("throwaway_defense")
-    assert "throwaway_defense" not in tm.DEFENSES
 
 
 # ----------------------------------------------------------------------

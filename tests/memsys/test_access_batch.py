@@ -269,13 +269,20 @@ def test_single_kind_equals_the_same_kind_per_address(engine, kind, tc_on):
 
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
-def test_a_non_access_kind_entry_is_served_as_a_load(engine):
-    """``access`` serves any kind that is neither a store nor an ifetch
-    as a load; a batch of such a kind keeps that rule."""
-    addrs = [(i * 5 % 60) * LINE for i in range(120)]
-    as_loads = _batch_outcome(engine, addrs, LOAD, True)
-    for kind in (None, "store"):
-        assert _batch_outcome(engine, addrs, kind, True) == as_loads
+def test_a_kind_that_is_not_an_access_kind_is_refused(engine):
+    """``access`` and ``access_batch`` refuse a kind that is not an
+    ``AccessKind`` — ``None``, a string, or a per-address kind list —
+    before any access: no line is filled and no counter moves, where
+    such a kind used to be served as a load."""
+    for kind in (None, "store", [STORE, STORE]):
+        system = TimeCacheSystem(_config(engine))
+        system.access_batch(0, [LINE, 5 * LINE], STORE, now=0)  # warm state
+        before = (_snapshot(system), system.stats_snapshot())
+        with pytest.raises(SimulationError, match="AccessKind"):
+            system.access_batch(0, [LINE, 2 * LINE], kind, now=50)
+        with pytest.raises(SimulationError, match="AccessKind"):
+            system.access(0, 2 * LINE, kind, now=50)
+        assert (_snapshot(system), system.stats_snapshot()) == before
 
 
 def test_fast_and_object_batches_agree_with_listeners():

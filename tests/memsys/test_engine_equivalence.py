@@ -8,8 +8,10 @@ directory's non-empty sharer sets and owners) agree exactly.
 
 Nine scenarios x twenty seeds = 180 random traces, covering the defense on
 and off, context switches, multi-core stores and coherence, SMT sibling
-contexts, FTM comparison mode, limited-pointer sharer eviction, the
+contexts, the FTM defense, limited-pointer sharer eviction, the
 DRAM-latency-on-first-access hardening, and narrow-timestamp rollover.
+Every registered defense (the FTM and CAT partition+flush arms among
+them) is fuzzed the same way on a two-core machine.
 Each trace also runs through every context's ports, on each engine, and
 must match its ``access`` run.  The batched arm cuts a trace into
 same-context, single-kind chunks issued under the blocking CPU's rule,
@@ -78,10 +80,10 @@ SCENARIOS = {
         2,
         True,
     ),
-    "ftm_mode": (
+    "ftm": (
         lambda e, s: scaled_experiment_config(
             num_cores=2, engine=e
-        ).with_timecache(enabled=False, ftm_mode=True),
+        ).with_defense("ftm"),
         2,
         True,
     ),

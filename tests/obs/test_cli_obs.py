@@ -161,7 +161,7 @@ def test_obs_top_once_renders_heartbeat_and_shards(obs_sweep_dir, capsys):
 
 @pytest.mark.parametrize(
     "command",
-    ["table2", "fig8", "fig9", "export", "tournament", "compare-defenses"],
+    ["table2", "fig8", "fig9", "export", "tournament"],
 )
 def test_obs_dir_help_names_the_jobs_requirement(command):
     from repro.analysis.cli import build_parser

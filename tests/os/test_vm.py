@@ -111,23 +111,28 @@ class TestAddressSpace:
         b = AddressSpace("b", phys)
         a.map_segment(seg, 0x10000)
         b.map_segment(seg, 0x10000)
-        assert a.shares_page_with(b, 0x10000)
-        assert not a.shares_page_with(b, 0x90000)
-
-    def test_segment_base_lookup(self, phys):
-        seg = phys.allocate_segment("a", 4096)
-        aspace = AddressSpace("p", phys)
-        aspace.map_segment(seg, 0x30000)
-        assert aspace.segment_base("a") == 0x30000
-        with pytest.raises(SimulationError):
-            aspace.segment_base("missing")
+        assert a.translate(0x10000) == b.translate(0x10000)
+        for space in (a, b):
+            with pytest.raises(SimulationError, match="page fault"):
+                space.translate(0x90000)
 
     def test_is_mapped(self, phys):
         seg = phys.allocate_segment("a", 4096)
         aspace = AddressSpace("p", phys)
         aspace.map_segment(seg, 0x30000)
-        assert aspace.is_mapped(0x30FFF)
-        assert not aspace.is_mapped(0x31000)
+        assert aspace.translate(0x30FFF) == seg.phys_base + 0xFFF
+        with pytest.raises(SimulationError, match="page fault at 0x31000"):
+            aspace.translate(0x31000)
+
+    def test_a_refused_segment_maps_no_page(self, phys):
+        """A segment that overlaps a mapped page is refused whole: its
+        pages before the overlap stay unmapped."""
+        aspace = AddressSpace("p", phys)
+        aspace.map_segment(phys.allocate_segment("a", 4096), 0x10000)
+        with pytest.raises(SimulationError, match="vpage 0x10 already mapped"):
+            aspace.map_segment(phys.allocate_segment("b", 3 * 4096), 0xF000)
+        with pytest.raises(SimulationError, match="page fault at 0xf000"):
+            aspace.translate(0xF000)
 
 
 class TestPhysicalArgs:

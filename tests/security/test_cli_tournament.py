@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.analysis import defense_matrix as dm
 from repro.analysis import tournament as tm
 from repro.analysis.cli import EXIT_FATAL, build_parser, main
 from repro.robustness import safeio
@@ -37,22 +36,76 @@ def test_parser_accepts_tournament_flags():
     assert args.tolerance == 0.1
 
 
-def test_tournament_writes_scorecard_and_manifest(tmp_path, capsys):
-    from repro.defenses import defense_names
+def test_tournament_parser_accepts_defenses():
+    args = build_parser().parse_args(
+        [
+            "tournament", "--quick", "--jobs", "2",
+            "--engine", "both", "--attacks", "flush_reload",
+            "--defenses", "timecache", "--defenses", "baseline",
+            "--boot", "100", "--resume", "ck.json",
+        ]
+    )
+    assert args.command == "tournament"
+    assert args.defenses == ["timecache", "baseline"]
+    assert args.output == "SECURITY.json"
+    # without the flag the CLI falls back to the gated axis
+    assert build_parser().parse_args(["tournament"]).defenses is None
 
+
+def test_tournament_writes_scorecard_and_manifest(tmp_path, capsys):
     status, output = _run(tmp_path)
     assert status == 0
     out = capsys.readouterr().out
-    # one cell per registered defense — the axis is the registry
-    for defense in defense_names():
+    # one leakage cell per gated defense
+    for defense in tm.DEFENSES:
         assert f"flush_reload|{defense}|object" in out
     scorecard = json.loads(output.read_text())
     assert scorecard["kind"] == "security_scorecard"
-    assert len(scorecard["cells"]) == len(defense_names())
-    assert scorecard["params"]["defenses"] == list(defense_names())
+    for defense in tm.DEFENSES:
+        assert f"flush_reload|{defense}|object" in scorecard["cells"]
+    assert scorecard["params"]["defenses"] == list(tm.DEFENSES)
     assert scorecard["gaps"] == []
     manifest = json.loads((tmp_path / "SECURITY.json.manifest.json").read_text())
-    assert manifest["extra"]["cells"] == len(defense_names())
+    assert manifest["extra"]["cells"] == len(scorecard["cells"])
+
+
+def test_tournament_writes_overhead_matrix(tmp_path, capsys):
+    """The scorecard holds one overhead cell per gated defense beside
+    its leakage cell, and stdout ends with the overhead-vs-leakage
+    matrix."""
+    status, output = _run(tmp_path)
+    assert status == 0
+    out = capsys.readouterr().out
+    assert "slowdown" in out
+    scorecard = json.loads(output.read_text())
+    assert sorted(scorecard["cells"]) == sorted(
+        f"{kind}|{defense}|object"
+        for kind in ("flush_reload", "overhead")
+        for defense in tm.DEFENSES
+    )
+    assert scorecard["params"]["overhead_instructions"] == 8_000
+    manifest = json.loads((tmp_path / "SECURITY.json.manifest.json").read_text())
+    assert manifest["extra"]["cells"] == 2 * len(tm.DEFENSES)
+
+
+def test_tournament_scores_named_defenses(tmp_path, capsys):
+    """``--defenses`` replaces the gated axis, here with the Section
+    VIII comparison arms, which are registered but not gated."""
+    status, output = _run(
+        tmp_path, "--defenses", "ftm", "--defenses", "partition_flush"
+    )
+    assert status == 0
+    cells = json.loads(output.read_text())["cells"]
+    assert sorted(cells) == [
+        "flush_reload|ftm|object",
+        "flush_reload|partition_flush|object",
+        "overhead|ftm|object",
+        "overhead|partition_flush|object",
+    ]
+    # FTM's per-core bits cannot tell time-sliced tasks apart
+    assert cells["flush_reload|ftm|object"]["leak"] is True
+    assert cells["flush_reload|partition_flush|object"]["leak"] is False
+    assert cells["overhead|partition_flush|object"]["slowdown"] > 1.0
 
 
 def test_tournament_rejects_unknown_attack(tmp_path, capsys):
@@ -63,27 +116,19 @@ def test_tournament_rejects_unknown_attack(tmp_path, capsys):
     assert main(argv) == EXIT_FATAL
 
 
-#: each scoring command's sweep entry point, as (module, attribute)
-SWEEP_ENTRY = {
-    "tournament": (tm, "run_tournament"),
-    "compare-defenses": (dm, "run_defense_matrix"),
-}
-
-
 @pytest.mark.parametrize("flag", ["--boot", "--seeds"])
 @pytest.mark.parametrize("value", ["0", "-1"])
-@pytest.mark.parametrize("command", list(SWEEP_ENTRY))
+@pytest.mark.parametrize("command", ["tournament"])
 def test_count_flags_below_one_are_fatal_before_any_cell(
     tmp_path, capsys, monkeypatch, command, flag, value
 ):
     """A count below 1 is a ConfigError (exit 1) before any cell runs,
     not a silent fall-back to the default or a quarantined sweep."""
-    module, entry = SWEEP_ENTRY[command]
 
     def must_not_run(*args, **kwargs):
-        raise AssertionError(f"{entry} ran despite {flag} {value}")
+        raise AssertionError(f"run_tournament ran despite {flag} {value}")
 
-    monkeypatch.setattr(module, entry, must_not_run)
+    monkeypatch.setattr(tm, "run_tournament", must_not_run)
     argv = [
         command, "--quick", flag, value, "--jobs", "1",
         "--output", str(tmp_path / "out.json"),
@@ -104,45 +149,6 @@ def test_tournament_update_then_gate_passes(tmp_path, capsys):
     assert status == 0
     captured = capsys.readouterr()
     assert "security gate passed" in captured.out + captured.err
-
-
-def test_compare_defenses_writes_matrix(tmp_path, capsys):
-    """``repro compare-defenses`` end to end on a one-attack slice."""
-    from repro.defenses import defense_names
-
-    output = tmp_path / "DEFENSE_MATRIX.json"
-    argv = [
-        "compare-defenses", "--quick", "--attacks", "flush_reload",
-        "--engine", "object", "--boot", "50", "--jobs", "1",
-        "--output", str(output), "--quiet",
-    ]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert "slowdown" in out
-    matrix = json.loads(output.read_text())
-    assert matrix["kind"] == "defense_matrix"
-    assert matrix["axes"]["defenses"] == list(defense_names())
-    for defense in defense_names():
-        assert f"flush_reload|{defense}|object" in matrix["cells"]
-        assert f"overhead|{defense}|object" in matrix["cells"]
-    manifest = json.loads(
-        (tmp_path / "DEFENSE_MATRIX.json.manifest.json").read_text()
-    )
-    assert manifest["extra"]["cells"] == 2 * len(defense_names())
-
-
-def test_compare_defenses_parser_flags():
-    args = build_parser().parse_args(
-        [
-            "compare-defenses", "--quick", "--jobs", "2",
-            "--engine", "both", "--attacks", "flush_reload",
-            "--defenses", "timecache", "--defenses", "baseline",
-            "--boot", "100", "--resume", "ck.json",
-        ]
-    )
-    assert args.command == "compare-defenses"
-    assert args.defenses == ["timecache", "baseline"]
-    assert args.output == "DEFENSE_MATRIX.json"
 
 
 def test_tournament_gate_fails_on_doctored_baseline(tmp_path, capsys):

@@ -283,3 +283,140 @@ def test_gate_fails_on_doctored_committed_baseline(quick_outcome, tmp_path):
         outcome.cells, baseline, tolerance=0.05
     )
     assert any("flush_reload|timecache|object" in f for f in failures)
+
+
+# ----------------------------------------------------------------------
+# overhead cells: what each defense costs, beside what it blocks
+#
+# Every deterministic field of an overhead cell is a pure function of
+# (config, seeds) — identical across runs and ``jobs`` fan-outs — while
+# its wall-clock fields are excluded from every equality check.  The
+# smoke runs a one-attack slice under ``jobs=2`` with a checkpoint.
+# ----------------------------------------------------------------------
+def _deterministic(cell):
+    if cell.get("kind") == "overhead":
+        return {k: cell[k] for k in tm.OVERHEAD_DETERMINISTIC_FIELDS}
+    return cell  # leakage cells are deterministic in every field
+
+
+def test_tournament_jobs_add_overhead_cells_on_request():
+    jobs = tm.tournament_jobs(overhead_instructions=8_000)
+    leakage = len(tm.ATTACKS) * len(tm.DEFENSES) * len(tm.ENGINES)
+    assert len(jobs) == leakage + len(tm.DEFENSES) * len(tm.ENGINES)
+    labels = [job.label for job in jobs]
+    assert len(set(labels)) == len(labels)
+    assert labels[leakage:] == [
+        tm.overhead_label(defense, engine)
+        for defense in tm.DEFENSES
+        for engine in tm.ENGINES
+    ]
+    assert jobs[-1].args == ("copy_on_access", "fast", 8_000, 7)
+    # the default adds none: the gated tournament is the leakage matrix
+    assert len(tm.tournament_jobs()) == leakage
+
+
+def test_overhead_cell_control_normalizes_to_one():
+    cell = tm.run_overhead_cell("baseline", "object", 2_000, 7)
+    assert cell["slowdown"] == pytest.approx(1.0)
+    assert cell["sim_cycles"] == cell["control_cycles"]
+    assert cell["llc_mpki"] == cell["control_llc_mpki"]
+
+
+def test_overhead_cell_defenses_cost_something():
+    tc = tm.run_overhead_cell("timecache", "object", 2_000, 7)
+    sf = tm.run_overhead_cell("selective_flush", "object", 2_000, 7)
+    assert tc["slowdown"] > 1.0
+    assert sf["slowdown"] > 1.0
+    # flush-on-switch must cost more than the s-bit discipline — the
+    # whole point of the head-to-head table
+    assert sf["slowdown"] > tc["slowdown"]
+    assert tc["llc_mpki"] > tc["control_llc_mpki"]
+
+
+OVERHEAD_KW = dict(
+    attacks=["flush_reload"],
+    engines=("object",),
+    seeds=(7,),
+    quick=True,
+    jobs=2,
+    n_boot=50,
+    overhead_instructions=2_000,
+)
+
+
+@pytest.fixture(scope="module")
+def overhead_outcome(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("overhead")
+    outcome = tm.run_tournament(checkpoint_path=tmp / "ck.json", **OVERHEAD_KW)
+    return tmp, outcome
+
+
+def test_overhead_tournament_scores_every_gated_defense(overhead_outcome):
+    _, outcome = overhead_outcome
+    assert outcome.complete
+    assert sorted(outcome.cells) == sorted(outcome.labels)
+    for defense in tm.DEFENSES:
+        assert f"flush_reload|{defense}|object" in outcome.cells
+        assert tm.overhead_label(defense, "object") in outcome.cells
+    # flush+reload is a reuse channel: every non-control defense in the
+    # gated axis closes it, the control leaks
+    assert outcome.cells["flush_reload|baseline|object"]["leak"] is True
+    for defense in ("timecache", "selective_flush", "copy_on_access"):
+        assert outcome.cells[f"flush_reload|{defense}|object"]["leak"] is False
+
+
+def test_overhead_tournament_resumes_from_checkpoint(overhead_outcome):
+    tmp, first = overhead_outcome
+    second = tm.run_tournament(checkpoint_path=tmp / "ck.json", **OVERHEAD_KW)
+    assert sorted(second.sweep.resumed) == sorted(first.labels)
+    assert {k: _deterministic(c) for k, c in second.cells.items()} == {
+        k: _deterministic(c) for k, c in first.cells.items()
+    }
+
+
+def test_overhead_tournament_deterministic_across_fresh_runs(
+    overhead_outcome, tmp_path
+):
+    """A fresh checkpoint (nothing to resume) under the same jobs=2
+    fan-out must reproduce every deterministic field bit-for-bit."""
+    _, first = overhead_outcome
+    fresh = tm.run_tournament(checkpoint_path=tmp_path / "ck2.json", **OVERHEAD_KW)
+    assert not fresh.sweep.resumed
+    assert {k: _deterministic(c) for k, c in fresh.cells.items()} == {
+        k: _deterministic(c) for k, c in first.cells.items()
+    }
+
+
+def test_scorecard_round_trip_keeps_overhead_cells(overhead_outcome, tmp_path):
+    _, outcome = overhead_outcome
+    path = tm.write_scorecard(outcome, tmp_path / "SECURITY.json")
+    loaded = tm.load_scorecard(path)
+    assert loaded["cells"] == outcome.cells
+    assert loaded["gaps"] == []
+    assert sum(label.startswith("overhead|") for label in loaded["cells"]) == 4
+
+
+def test_gate_scorecard_and_baseline_read_leakage_cells_only(
+    overhead_outcome, tmp_path
+):
+    _, outcome = overhead_outcome
+    baseline = tm.load_security_baseline(
+        tm.write_security_baseline(outcome, tmp_path / "B.json")
+    )
+    assert sorted(baseline) == sorted(
+        f"flush_reload|{defense}|object" for defense in tm.DEFENSES
+    )
+    assert tm.compare_to_security_baseline(outcome.cells, baseline) == []
+    assert "overhead" not in tm.render_scorecard(outcome)
+
+
+def test_render_matrix_rows(overhead_outcome):
+    _, outcome = overhead_outcome
+    text = tm.render_matrix(outcome, ["flush_reload"], tm.DEFENSES, ["object"])
+    for defense in tm.DEFENSES:
+        assert defense in text
+    assert "slowdown" in text
+    # the control leaks flush+reload: a * marker must appear
+    assert "*" in text
+    # an arm that was not run renders as a gap, not a crash
+    assert "—" in tm.render_matrix(outcome, ["flush_reload"], ["ftm"], ["object"])
