@@ -18,14 +18,11 @@ from repro.analysis.experiment import (
     run_spec_pair_experiment,
 )
 from repro.analysis.export import (
-    export_sweep,
     load_json,
     result_to_dict,
     save_json,
-    summarize_json,
     sweep_to_dict,
 )
-from repro.analysis.figures import ascii_bars, figure7, figure9a, figure10
 from repro.analysis.runner import (
     llc_sensitivity_sweep,
     parsec_jobs,
@@ -43,16 +40,10 @@ from repro.analysis.tables import (
 __all__ = [
     "ExperimentResult",
     "LevelMpki",
-    "ascii_bars",
-    "export_sweep",
     "load_json",
     "result_to_dict",
     "save_json",
-    "summarize_json",
     "sweep_to_dict",
-    "figure7",
-    "figure9a",
-    "figure10",
     "llc_sensitivity_sweep",
     "parsec_jobs",
     "parsec_sweep",

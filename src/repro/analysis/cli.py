@@ -8,7 +8,6 @@ Usage (also available as ``python -m repro``):
     python -m repro fig8                   # first-access MPKI per level
     python -m repro fig9                   # PARSEC on 2 cores
     python -m repro fig10                  # LLC size sensitivity
-    python -m repro attacks                # Section VII attack battery
     python -m repro faults --quick         # fault-injection detection matrix
     python -m repro chaos --quick          # orchestration chaos scorecard
     python -m repro bench --quick          # perf harness, BENCH_*.json
@@ -24,8 +23,10 @@ scales simulation length (longer = tighter match, slower).  ``table2``,
 through one supervised sweep executor: a failing cell
 is retried, then quarantined with provenance while the rest of the
 sweep finishes.  ``--resume CHECKPOINT.json`` names the checkpoint:
-completed cells are recorded there, a rerun with the same file picks up
-where it left off, and quarantine records land beside it.
+completed cells are recorded there with their keys, a rerun with the
+same file picks up where it left off (a cell stored from other inputs,
+such as another ``--instructions`` or ``--engine``, reruns), and
+quarantine records land beside it.
 
 ``--jobs N`` fans the sweep commands out across ``N`` worker processes
 (default: one per CPU; ``--jobs 1`` runs every cell in this process;
@@ -102,15 +103,6 @@ def _count_flag(
     return value
 
 
-def _quarantine_dir_for(checkpoint_path: Optional[str]) -> Optional[Path]:
-    """Where FailureRecords land for a resumable sweep: next to (and
-    named after) its checkpoint file; ``None`` without one."""
-    if checkpoint_path is None:
-        return None
-    path = Path(checkpoint_path)
-    return path.parent / (path.name + ".quarantine")
-
-
 def _run_sweep(
     args: argparse.Namespace, sweep_jobs: Sequence[SweepJob]
 ) -> Tuple[SweepOutcome, List, List[str], int]:
@@ -125,7 +117,6 @@ def _run_sweep(
     executor = SupervisedSweepExecutor(
         args.jobs,
         checkpoint=result_checkpoint(args.resume),
-        quarantine_dir=_quarantine_dir_for(args.resume),
         obs_dir=args.obs_dir,
     )
     outcome = executor.run(sweep_jobs)
@@ -194,6 +185,11 @@ def _report_sweep_outcome(console: Console, outcome) -> int:
         console.info(
             f"resumed {len(outcome.resumed)} completed experiment(s) "
             f"from checkpoint"
+        )
+    if outcome.stale:
+        console.info(
+            f"reran {len(outcome.stale)} stale experiment(s): the "
+            f"checkpoint held them from other inputs"
         )
     for failure in outcome.failures:
         console.error(
@@ -407,7 +403,6 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
             n_boot=n_boot,
             overhead_instructions=overhead_instructions,
             checkpoint_path=args.resume,
-            quarantine_dir=_quarantine_dir_for(args.resume),
             obs_dir=args.obs_dir,
         )
     except ValueError as exc:  # unknown attack name

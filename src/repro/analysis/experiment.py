@@ -12,35 +12,14 @@ The paper's primary metrics, computed here for every experiment:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.common.config import SimConfig
-from repro.common.errors import ConfigError
 from repro.common.units import mpki
 from repro.os.kernel import Kernel, RunSummary
 from repro.workloads.generator import Tapes
 from repro.workloads.parsec import build_parsec_workload
 from repro.workloads.spec import build_spec_pair
-
-
-@dataclass(frozen=True)
-class SimulationBudget:
-    """Watchdog limits for one simulation.
-
-    Exceeding either raises :class:`~repro.common.errors.SimulationTimeout`
-    (a hard error the resilient sweep runner records), unlike the kernel's
-    ``max_steps`` which truncates silently.  ``None`` disables a limit;
-    a negative one is a :class:`~repro.common.errors.ConfigError`.
-    """
-
-    wall_clock_s: Optional[float] = None
-    max_instructions: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        for name in ("wall_clock_s", "max_instructions"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -144,20 +123,11 @@ def _collect_run(kernel: Kernel, summary: RunSummary) -> SingleRun:
 
 
 def _run_configured(
-    config: SimConfig,
-    build: Callable[[Kernel], object],
-    budget: Optional[SimulationBudget] = None,
+    config: SimConfig, build: Callable[[Kernel], object]
 ) -> SingleRun:
     kernel = Kernel(config)
     build(kernel)
-    if budget is None:
-        summary = kernel.run()
-    else:
-        summary = kernel.run(
-            wall_clock_budget_s=budget.wall_clock_s,
-            instruction_budget=budget.max_instructions,
-        )
-    return _collect_run(kernel, summary)
+    return _collect_run(kernel, kernel.run())
 
 
 def run_spec_pair_experiment(
@@ -166,15 +136,13 @@ def run_spec_pair_experiment(
     bench_b: str,
     instructions: int = 120_000,
     seed: int = 0xBEEF,
-    budget: Optional[SimulationBudget] = None,
 ) -> ExperimentResult:
     """One Table II SPEC row: the pair under baseline and TimeCache.
 
     Both configurations replay the identical deterministic instruction
     streams (same seed): each program's op tape is emitted once, for
     this experiment only, and both runs walk it, so the cycle ratio
-    isolates the defense's cost.  ``budget`` arms the simulation
-    watchdog for both runs.
+    isolates the defense's cost.
     """
     from repro.workloads.mixes import pair_label
 
@@ -185,8 +153,8 @@ def run_spec_pair_experiment(
             kernel, bench_a, bench_b, instructions, seed=seed, tapes=tapes
         )
 
-    base = _run_configured(config.baseline(), build, budget)
-    defended = _run_configured(config, build, budget)
+    base = _run_configured(config.baseline(), build)
+    defended = _run_configured(config, build)
     return ExperimentResult(pair_label(bench_a, bench_b), base, defended)
 
 
@@ -195,7 +163,6 @@ def run_parsec_experiment(
     bench: str,
     instructions_per_thread: int = 1_000_000,
     seed: int = 0xFACE,
-    budget: Optional[SimulationBudget] = None,
 ) -> ExperimentResult:
     """One Table II PARSEC row: 2 threads on 2 cores, both configurations
     walking each thread's op tape, emitted once for this experiment."""
@@ -206,6 +173,6 @@ def run_parsec_experiment(
             kernel, bench, instructions_per_thread, seed=seed, tapes=tapes
         )
 
-    base = _run_configured(config.baseline(), build, budget)
-    defended = _run_configured(config, build, budget)
+    base = _run_configured(config.baseline(), build)
+    defended = _run_configured(config, build)
     return ExperimentResult(bench, base, defended)

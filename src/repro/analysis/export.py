@@ -18,7 +18,7 @@ Schema (version 1)::
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Mapping, Sequence, Union
+from typing import Dict, Mapping, Sequence, Union
 
 from repro.analysis.experiment import ExperimentResult, LevelMpki, SingleRun
 from repro.robustness.resilience import SweepOutcome
@@ -154,28 +154,3 @@ def load_json(path: Union[str, Path]) -> Dict:
     from repro.robustness import safeio
 
     return safeio.read_json_verified(path, expected_schema=SCHEMA_VERSION)
-
-
-def export_sweep(
-    results: Sequence[ExperimentResult],
-    path: Union[str, Path],
-    kind: str = "spec_sweep",
-) -> Path:
-    """One-call sweep export."""
-    return save_json(sweep_to_dict(results, kind=kind), path)
-
-
-def summarize_json(payload: Mapping) -> Dict[str, float]:
-    """Aggregate a loaded sweep payload (geomean etc.) without rerunning."""
-    from repro.common.units import geometric_mean
-
-    ratios: List[float] = [
-        r["normalized_time"] for r in payload.get("results", [])
-    ]
-    if not ratios:
-        return {"count": 0}
-    return {
-        "count": len(ratios),
-        "geomean_normalized_time": geometric_mean(ratios),
-        "max_overhead": max(r - 1.0 for r in ratios),
-    }

@@ -35,12 +35,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.experiment import (
     ExperimentResult,
-    SimulationBudget,
     run_parsec_experiment,
     run_spec_pair_experiment,
 )
 from repro.common.config import SimConfig, scaled_experiment_config
-from repro.obs.manifest import config_fingerprint
 from repro.robustness.resilience import Checkpoint
 from repro.robustness.supervisor import SupervisedSweepExecutor, SweepJob
 from repro.workloads.mixes import (
@@ -51,37 +49,23 @@ from repro.workloads.mixes import (
 )
 
 
-def _sweep_provenance(config: SimConfig, seed: int) -> Dict[str, object]:
-    """Per-job provenance stamped onto FailureRecords by the sweep
-    executor: enough to re-run (and blame) one quarantined cell."""
-    return {
-        "seed": seed,
-        "engine": config.hierarchy.engine,
-        "config_sha256": config_fingerprint(config),
-    }
-
-
 def spec_pair_jobs(
     pairs: Sequence[Tuple[str, str]] = tuple(SPEC_SAME_PAIRS + SPEC_MIXED_PAIRS),
     instructions: int = 120_000,
     llc_kib: int = 128,
     seed: int = 0xBEEF,
     engine: str = "object",
-    budget: Optional[SimulationBudget] = None,
     label_prefix: str = "",
 ) -> List[SweepJob]:
     """One job per SPEC pair on the single-core experiment config: the
-    cells of Table II, Figure 7 and Figure 8.  ``budget`` arms each
-    cell's simulation watchdog."""
+    cells of Table II, Figure 7 and Figure 8."""
     config = scaled_experiment_config(num_cores=1, llc_kib=llc_kib, engine=engine)
-    provenance = _sweep_provenance(config, seed)
     return [
         SweepJob(
             label=label_prefix + pair_label(a, b),
             fn=run_spec_pair_experiment,
             args=(config, a, b),
-            kwargs={"instructions": instructions, "seed": seed, "budget": budget},
-            provenance=dict(provenance),
+            kwargs={"instructions": instructions, "seed": seed},
         )
         for a, b in pairs
     ]
@@ -93,12 +77,10 @@ def parsec_jobs(
     llc_kib: int = 128,
     seed: int = 0xFACE,
     engine: str = "object",
-    budget: Optional[SimulationBudget] = None,
 ) -> List[SweepJob]:
     """One job per PARSEC benchmark on the two-core experiment config:
     the cells of Figure 9 and Table II's PARSEC rows."""
     config = scaled_experiment_config(num_cores=2, llc_kib=llc_kib, engine=engine)
-    provenance = _sweep_provenance(config, seed)
     return [
         SweepJob(
             label=bench,
@@ -107,9 +89,7 @@ def parsec_jobs(
             kwargs={
                 "instructions_per_thread": instructions_per_thread,
                 "seed": seed,
-                "budget": budget,
             },
-            provenance=dict(provenance),
         )
         for bench in benchmarks
     ]
@@ -196,16 +176,6 @@ def llc_sensitivity_sweep(
         llc_kib: flat[i * per_size : (i + 1) * per_size]
         for i, llc_kib in enumerate(llc_sizes_kib)
     }
-
-
-def single_config(
-    llc_kib: int = 128, num_cores: int = 1, engine: str = "object"
-) -> SimConfig:
-    """Convenience for examples/tests wanting the standard experiment
-    configuration."""
-    return scaled_experiment_config(
-        num_cores=num_cores, llc_kib=llc_kib, engine=engine
-    )
 
 
 def hot_cold_reference_trace(

@@ -435,7 +435,8 @@ def run_overhead_cell(
     under the registered control, on identical geometry (one core,
     ``llc_kib`` of LLC), and reports the simulated slowdown and both
     runs' LLC MPKI (deterministic) plus this run's wall throughput
-    (weather).
+    (weather).  The control's own cell simulates once: its run is its
+    control run.
     """
     from repro.analysis.experiment import _run_configured
     from repro.workloads.generator import Tapes
@@ -458,7 +459,12 @@ def run_overhead_cell(
     start = time.perf_counter()
     run = _run_configured(build(defense), workload)
     wall_s = time.perf_counter() - start
-    control = _run_configured(build(_control_defense_name()), workload)
+    control_name = _control_defense_name()
+    control = (
+        run
+        if defense == control_name
+        else _run_configured(build(control_name), workload)
+    )
     return {
         "kind": "overhead",
         "defense": defense,
@@ -523,10 +529,6 @@ def tournament_jobs(
                         fn=run_tournament_cell,
                         args=(name, defense, engine, tuple(seeds)),
                         kwargs={"quick": quick, "n_boot": n_boot},
-                        provenance={
-                            "seed": seeds[0] if seeds else None,
-                            "engine": engine,
-                        },
                     )
                 )
     if overhead_instructions is not None:
@@ -538,8 +540,6 @@ def tournament_jobs(
                         label=overhead_label(defense, engine),
                         fn=run_overhead_cell,
                         args=(defense, engine, overhead_instructions, seed),
-                        kwargs={},
-                        provenance={"seed": seed, "engine": engine},
                     )
                 )
     return jobs
@@ -555,17 +555,16 @@ def run_tournament(
     n_boot: int = 500,
     overhead_instructions: Optional[int] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
-    quarantine_dir: Optional[Union[str, Path]] = None,
     deadline_s: Optional[float] = 120.0,
     on_event: Optional[Callable[[str, str], None]] = None,
     obs_dir: Optional[Union[str, Path]] = None,
 ) -> TournamentOutcome:
     """Run the cell matrix under the supervised executor.
 
-    A checkpoint path makes the run resumable (completed cells are
-    loaded, not re-run); a quarantine directory gives each poisoned cell
-    a standalone failure record.  Cell results are plain dicts, so the
-    checkpoint keeps them as they are.
+    A checkpoint path makes the run resumable (cells completed with the
+    same arguments are loaded, not re-run) and gives each poisoned cell
+    a standalone failure record beside it.  Cell results are plain
+    dicts, so the checkpoint keeps them as they are.
     """
     sweep_jobs = tournament_jobs(
         attacks,
@@ -579,7 +578,6 @@ def run_tournament(
     executor = SupervisedSweepExecutor(
         jobs,
         checkpoint=None if checkpoint_path is None else Checkpoint(checkpoint_path),
-        quarantine_dir=quarantine_dir,
         deadline_s=deadline_s,
         on_event=on_event,
         obs_dir=obs_dir,

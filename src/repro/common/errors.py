@@ -49,10 +49,6 @@ class InvariantViolation(SimulationError):
         super().__init__(f"{invariant or 'invariant'}: {detail}{where}")
 
 
-class SimulationTimeout(ReproError):
-    """A simulation exceeded its wall-clock or instruction budget."""
-
-
 class SweepExecutionError(ReproError):
     """A plain (non-resilient) sweep had at least one failed job.
 

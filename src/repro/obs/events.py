@@ -1,9 +1,7 @@
 """The typed simulator-time event record and its JSONL wire format.
 
 One event is one metadata transition somewhere in the machine, stamped
-with the *simulated* cycle count at which it happened (host-side events
-from the sweep executor carry ``ts=0`` and put wall-clock fields in
-``args`` instead — simulated time does not exist in the parent process).
+with the *simulated* cycle count at which it happened.
 
 The wire format is one JSON object per line, keys sorted, so a trace of
 a fixed-seed run is byte-reproducible and can be hashed into a manifest.
@@ -47,13 +45,6 @@ EVENT_KINDS = frozenset(
         "phase.end",
         # metrics sampler
         "metrics.sample",
-        # sweep executor (host-side)
-        "sweep.begin",
-        "sweep.job_done",
-        "sweep.job_failed",
-        "sweep.job_resumed",
-        "sweep.heartbeat",
-        "sweep.end",
     }
 )
 

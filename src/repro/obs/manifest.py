@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 import platform
 import subprocess
@@ -42,10 +41,9 @@ def config_to_dict(config: SimConfig) -> Dict:
 
 def config_fingerprint(config: SimConfig) -> str:
     """sha256 hex digest of the canonical JSON form of ``config``."""
-    canonical = json.dumps(
-        config_to_dict(config), sort_keys=True, separators=(",", ":"), default=str
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    from repro.robustness import safeio
+
+    return safeio.canonical_sha256(config)
 
 
 def _git_info() -> Dict[str, Union[str, bool]]:
@@ -147,8 +145,9 @@ class RunManifest:
             ],
             "extra": self.extra,
         }
-        canonical = json.dumps(stable, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        from repro.robustness import safeio
+
+        return safeio.canonical_sha256(stable)
 
     def to_dict(self) -> Dict:
         return {

@@ -13,7 +13,7 @@ wall-clock".  This module adds the host-side view:
   attribute per batch; when no profiler is installed it takes its
   ``is None`` branch and pays nothing.
 * :class:`SpanProfiler` — nesting wall-clock spans (``with
-  profiler.span("sweep.job")``) that fold into flamegraph stacks
+  profiler.span("job:<label>")``) that fold into flamegraph stacks
   (``repro obs flame``); :mod:`repro.obs.shards` lays them out as
   Perfetto slices.
 * :class:`ObsSession` — the per-process bundle (spans, kernel phases,

@@ -26,12 +26,11 @@ adds the measured 1.08 us DMA latency to each switch in gem5.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.config import SimConfig
-from repro.common.errors import ConfigError, SchedulerError, SimulationTimeout
+from repro.common.errors import ConfigError, SchedulerError
 from repro.core.timecache import TimeCacheSystem
 from repro.cpu.cpu import HardwareContext, Peer, StepEvent
 from repro.cpu.program import OpTape
@@ -211,73 +210,34 @@ class Kernel:
         max_steps: int = 50_000_000,
         stop_when: Optional[Callable[["Kernel"], bool]] = None,
         stop_check_interval: int = 256,
-        wall_clock_budget_s: Optional[float] = None,
-        instruction_budget: Optional[int] = None,
     ) -> RunSummary:
         """Run until every task exits, ``stop_when`` fires, or ``max_steps``.
 
         ``stop_when`` is evaluated every ``stop_check_interval`` steps so
         open-ended programs (a looping attacker) can be stopped once the
-        interesting task (the victim) finishes.
+        interesting task (the victim) finishes.  An interval below 1 is
+        a :class:`ConfigError`, raised before the first step.
 
-        ``wall_clock_budget_s`` / ``instruction_budget`` arm the watchdog:
-        unlike ``max_steps`` (which truncates silently), exceeding either
-        budget raises :class:`SimulationTimeout` so a sweep runner can
-        record the failure and move on (checked every
-        ``stop_check_interval`` steps, like ``stop_when``; an op makes at
-        most one memory access, so a budget overshoots by at most one
-        interval's ops).  An interval
-        below 1 is a :class:`ConfigError`, raised before the first step.
-        A negative budget is one too; a budget of 0 is allowed.
-
-        A run with ``stop_when`` or either budget is *watched*: its
-        slices end at every ``stop_check_interval`` step boundary, so
-        the checks see the machine after exactly those step counts.  An
-        unwatched run has nothing to check, and a slice ends only where
-        the kernel must decide: an exit, a yield or sleep, a quantum end
-        with tasks waiting, another context's turn, or ``max_steps``.
+        A run with ``stop_when`` is *watched*: its slices end at every
+        ``stop_check_interval`` step boundary, so the checks see the
+        machine after exactly those step counts.  An unwatched run has
+        nothing to check, and a slice ends only where the kernel must
+        decide: an exit, a yield or sleep, a quantum end with tasks
+        waiting, another context's turn, or ``max_steps``.
         """
         if stop_check_interval < 1:
             raise ConfigError(
                 f"stop_check_interval must be >= 1, got {stop_check_interval}"
             )
-        if wall_clock_budget_s is not None and wall_clock_budget_s < 0:
-            raise ConfigError(
-                f"wall_clock_budget_s must be >= 0, got {wall_clock_budget_s}"
-            )
-        if instruction_budget is not None and instruction_budget < 0:
-            raise ConfigError(
-                f"instruction_budget must be >= 0, got {instruction_budget}"
-            )
-        deadline = (
-            time.monotonic() + wall_clock_budget_s
-            if wall_clock_budget_s is not None
-            else None
-        )
-        watched = (
-            stop_when is not None
-            or deadline is not None
-            or instruction_budget is not None
-        )
         quantum = self.scheduler.quantum_cycles
         steps = 0
         while steps < max_steps:
-            if watched and steps % stop_check_interval == 0:
-                if stop_when is not None and stop_when(self):
-                    break
-                if deadline is not None and time.monotonic() > deadline:
-                    raise SimulationTimeout(
-                        f"wall-clock budget {wall_clock_budget_s}s exceeded "
-                        f"after {steps} steps"
-                    )
-                if (
-                    instruction_budget is not None
-                    and self.instructions_executed() > instruction_budget
-                ):
-                    raise SimulationTimeout(
-                        f"instruction budget {instruction_budget} exceeded "
-                        f"after {steps} steps"
-                    )
+            if (
+                stop_when is not None
+                and steps % stop_check_interval == 0
+                and stop_when(self)
+            ):
+                break
             ctx_id, until = self._pick_context()
             if ctx_id is None:
                 break  # machine fully idle: all tasks exited
@@ -299,7 +259,7 @@ class Kernel:
             # expires (if anyone waits), another context's turn comes, or
             # the next stop check is due (in a watched run).
             budget = max_steps - steps
-            if watched:
+            if stop_when is not None:
                 budget = min(
                     budget, stop_check_interval - steps % stop_check_interval
                 )

@@ -25,7 +25,8 @@ Four chaos models (``CHAOS_MODELS``):
 Every injection is classified as **recovered** (the sweep produced
 reference-identical results / the load healed to a known-good
 generation), **quarantined** (the failure was *recorded* — a
-FailureRecord with provenance, or a typed corruption error), or
+FailureRecord with the cell's spec and key, or a typed corruption
+error), or
 **silent** (wrong data with no error anywhere — the one count that must
 be zero).  ``repro chaos`` renders the matrix as a resilience scorecard
 and exits nonzero if anything was silent.
@@ -285,12 +286,7 @@ def _reference_results(seeds: Sequence[int]) -> Dict[str, Dict]:
 
 def _probe_sweep_jobs(seeds: Sequence[int]) -> List[SweepJob]:
     return [
-        SweepJob(
-            label=f"probe{i}",
-            fn=chaos_probe_job,
-            args=(seed,),
-            provenance={"seed": seed, "engine": "fast"},
-        )
+        SweepJob(label=f"probe{i}", fn=chaos_probe_job, args=(seed,))
         for i, seed in enumerate(seeds)
     ]
 
@@ -314,13 +310,8 @@ def _run_process_injection(
             return ("hang", 60.0)
         return ("kill", 86 + event.index % 40)
 
-    checkpoint_path = workdir / f"inj{event.index}.ckpt.json"
-    checkpoint = Checkpoint(
-        checkpoint_path,
-        serialize=lambda r: dict(r),  # probe results are plain dicts
-        deserialize=lambda p: dict(p),
-    )
-    quarantine_dir = workdir / f"inj{event.index}.quarantine"
+    # probe results are plain dicts: the checkpoint keeps them as they are
+    checkpoint = Checkpoint(workdir / f"inj{event.index}.ckpt.json")
     executor = SupervisedSweepExecutor(
         jobs,
         retries=2,
@@ -328,7 +319,6 @@ def _run_process_injection(
         deadline_s=0.5,
         poll_s=0.01,
         checkpoint=checkpoint,
-        quarantine_dir=quarantine_dir,
         sabotage_for=sabotage_for,
     )
     outcome = executor.run(_probe_sweep_jobs(seeds))
@@ -345,7 +335,7 @@ def _run_process_injection(
             silent_notes.append(f"{label}: missing with no failure record")
         else:
             record = failed[label]
-            if not record.error_type or not record.record_path:
+            if not (record.error_type and record.record_path and record.key):
                 silent_notes.append(
                     f"{label}: failure record missing provenance"
                 )
@@ -367,16 +357,28 @@ def _run_process_injection(
         )
 
 
+def _record_cell(checkpoint: Checkpoint, i: int) -> None:
+    """Record cell ``j<i>`` (result ``{"v": 10 + i}``) under its key."""
+    checkpoint.record_success(f"j{i}", f"key{i}", {"v": 10 + i})
+
+
+def _cells(count: int) -> Dict[str, Dict]:
+    """The ``completed`` section after :func:`_record_cell` of cells
+    ``0 .. count - 1``."""
+    return {
+        f"j{i}": {"key": f"key{i}", "result": {"v": 10 + i}}
+        for i in range(count)
+    }
+
+
 def _checkpoint_generations(
     path: Path,
 ) -> Tuple[Checkpoint, List[Dict]]:
     """A checkpoint with two recorded generations (g1 in ``.bak``)."""
-    checkpoint = Checkpoint(
-        path, serialize=lambda r: dict(r), deserialize=lambda p: dict(p)
-    )
-    checkpoint.record_success("j0", {"v": 10})
+    checkpoint = Checkpoint(path)
+    _record_cell(checkpoint, 0)
     gen1 = json.loads(path.read_text())
-    checkpoint.record_success("j1", {"v": 11})
+    _record_cell(checkpoint, 1)
     gen2 = json.loads(path.read_text())
     return checkpoint, [gen1, gen2]
 
@@ -389,15 +391,13 @@ def _run_corrupt_injection(
     if event.variant in ("truncate", "bitflip"):
         # Publish gen1 cleanly, then write gen2 through the corrupting
         # hook: the primary lands damaged, the backup still holds gen1.
-        checkpoint = Checkpoint(
-            path, serialize=lambda r: dict(r), deserialize=lambda p: dict(p)
-        )
-        checkpoint.record_success("j0", {"v": 10})
+        checkpoint = Checkpoint(path)
+        _record_cell(checkpoint, 0)
         good = [json.loads(path.read_text())]
         hook = ChaosIoHook(event)
         safeio.install_io_hook(hook)
         try:
-            checkpoint.record_success("j1", {"v": 11})
+            _record_cell(checkpoint, 1)
         finally:
             safeio.install_io_hook(None)
         # The damage may land outside the verified content — e.g. a
@@ -405,7 +405,7 @@ def _run_corrupt_injection(
         # checksum deliberately excludes.  The intended gen2 *content*
         # is then still a good generation: serving it is correct, not a
         # silent corruption.
-        good.append({"completed": {"j0": {"v": 10}, "j1": {"v": 11}}})
+        good.append({"completed": _cells(2)})
     elif event.variant == "stale_schema":
         _, good = _checkpoint_generations(path)
         stale = dict(good[1])
@@ -421,9 +421,7 @@ def _run_corrupt_injection(
     else:  # pragma: no cover - plan generator never emits others
         raise FaultInjectionError(f"unknown corrupt variant {event.variant!r}")
 
-    fresh = Checkpoint(
-        path, serialize=lambda r: dict(r), deserialize=lambda p: dict(p)
-    )
+    fresh = Checkpoint(path)
     try:
         fresh.load()
     except CheckpointCorruptionError as exc:
@@ -457,22 +455,18 @@ def _run_io_error_injection(
 ) -> None:
     """One io_error injection: transient write failures mid-checkpoint."""
     path = workdir / f"inj{event.index}.ckpt.json"
-    checkpoint = Checkpoint(
-        path, serialize=lambda r: dict(r), deserialize=lambda p: dict(p)
-    )
-    checkpoint.record_success("j0", {"v": 10})
+    checkpoint = Checkpoint(path)
+    _record_cell(checkpoint, 0)
     hook = ChaosIoHook(event)
     safeio.install_io_hook(hook)
     raised: Optional[OSError] = None
     try:
-        checkpoint.record_success("j1", {"v": 11})
+        _record_cell(checkpoint, 1)
     except OSError as exc:
         raised = exc
     finally:
         safeio.install_io_hook(None)
-    fresh = Checkpoint(
-        path, serialize=lambda r: dict(r), deserialize=lambda p: dict(p)
-    )
+    fresh = Checkpoint(path)
     try:
         fresh.load()
     except CheckpointCorruptionError as exc:
@@ -488,7 +482,7 @@ def _run_io_error_injection(
     else:
         # The writer gave up loudly; on-disk state must still be a good
         # generation (j0 alone) — never torn.
-        if fresh.completed == {"j0": {"v": 10}}:
+        if fresh.completed == _cells(1):
             scorecard.record(event, "quarantined", f"loud failure: {raised}")
         else:
             scorecard.record(
@@ -505,8 +499,10 @@ def run_chaos_campaign(
     """Execute a full seeded chaos plan and return the scorecard.
 
     ``counts`` maps chaos model -> injections (default: the ≥50-injection
-    quick mix).  All artifacts (checkpoints, quarantine records) are
-    written under ``workdir`` (a temp dir by default, removed after).
+    quick mix).  All artifacts are written under ``workdir`` (a temp dir
+    by default, removed after): injection ``i``'s checkpoint is
+    ``inj<i>.ckpt.json``, its quarantine records
+    ``inj<i>.ckpt.json.quarantine/``.
     Kill and hang injections sabotage worker processes, so a plan with
     any of them needs ``jobs >= 2``; at ``jobs == 1`` the executor
     raises :class:`~repro.common.errors.ConfigError` rather than score

@@ -1,17 +1,18 @@
 """Sweep outcomes, failure records, and checkpoint/resume.
 
 A paper-scale sweep is hours of simulation; one diverging workload or
-wall-clock overrun should cost one retry, not the whole run.  This
+crashed worker should cost one retry, not the whole run.  This
 module holds the records the sweep executor
 (:mod:`repro.robustness.supervisor`) produces and persists:
 
 * :class:`FailureRecord` — a job that exhausted its retries, with the
   provenance needed to reproduce it in isolation;
 * :class:`SweepOutcome` — results keyed by label, failures, and the
-  labels resumed from a checkpoint;
+  labels resumed from a checkpoint or rerun as stale;
 * :class:`Checkpoint` — after every finished job the completed results
-  are written to a JSON checkpoint; a rerun pointed at the same file
-  skips completed jobs (previously *failed* jobs are retried — a resume
+  are written to a JSON checkpoint, each with its cell's key; a rerun
+  pointed at the same file skips the jobs completed under the same key
+  and reruns the rest (previously *failed* jobs are retried — a resume
   is exactly a second chance for them).  Checkpoint files are written
   crash-safely via :mod:`repro.robustness.safeio` (atomic rename,
   content checksum, rotated ``.bak``), so a kill mid-write can never
@@ -28,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import repro.robustness.safeio as safeio
 
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 
 @dataclass
@@ -36,24 +37,22 @@ class FailureRecord:
     """A job that exhausted its retries, with enough provenance to
     reproduce it in isolation.
 
-    The first four fields are the core; the rest traces the
-    quarantined job across subsystems: the simulation ``seed``, the
-    ``engine`` it ran under, the sha256 of the full config, the obs
-    run-manifest fingerprint of the sweep that quarantined it, the
-    worker-side ``traceback``, and — once quarantined to disk — the
-    path of the standalone record file.  Keys a stored record carries
-    beyond these, such as fields older versions wrote, are ignored on
-    load.
+    The first four fields are the core.  ``spec`` is what the cell
+    computes (:meth:`~repro.robustness.supervisor.SweepJob.spec`: its
+    worker function and every argument, so the seed, the engine and the
+    whole config) and ``key`` its sha256, the cell's identity in the
+    checkpoint; then the worker-side ``traceback`` and, once
+    quarantined to disk, the path of the standalone record file.  Keys
+    a stored record carries beyond these, such as fields older versions
+    wrote, are ignored on load.
     """
 
     label: str
     attempts: int
     error_type: str
     message: str
-    seed: Optional[int] = None
-    engine: str = ""
-    config_sha256: str = ""
-    manifest_id: str = ""
+    spec: Dict = field(default_factory=dict)
+    key: str = ""
     traceback: str = ""
     record_path: str = ""
 
@@ -63,44 +62,24 @@ class FailureRecord:
             "attempts": self.attempts,
             "error_type": self.error_type,
             "message": self.message,
-            "seed": self.seed,
-            "engine": self.engine,
-            "config_sha256": self.config_sha256,
-            "manifest_id": self.manifest_id,
+            "spec": self.spec,
+            "key": self.key,
             "traceback": self.traceback,
             "record_path": self.record_path,
         }
 
     @staticmethod
     def from_dict(payload: Dict) -> "FailureRecord":
-        seed = payload.get("seed")
         return FailureRecord(
             label=payload["label"],
             attempts=int(payload["attempts"]),
             error_type=payload["error_type"],
             message=payload["message"],
-            seed=None if seed is None else int(seed),
-            engine=payload.get("engine", ""),
-            config_sha256=payload.get("config_sha256", ""),
-            manifest_id=payload.get("manifest_id", ""),
+            spec=dict(payload.get("spec", {})),
+            key=payload.get("key", ""),
             traceback=payload.get("traceback", ""),
             record_path=payload.get("record_path", ""),
         )
-
-    def apply_provenance(self, provenance: Dict) -> "FailureRecord":
-        """Fill the provenance fields from a job's provenance dict
-        (unknown keys are ignored; existing non-default values win)."""
-        if not provenance:
-            return self
-        if self.seed is None and provenance.get("seed") is not None:
-            self.seed = int(provenance["seed"])
-        if not self.engine:
-            self.engine = str(provenance.get("engine", ""))
-        if not self.config_sha256:
-            self.config_sha256 = str(provenance.get("config_sha256", ""))
-        if not self.manifest_id:
-            self.manifest_id = str(provenance.get("manifest_id", ""))
-        return self
 
 
 def format_exception(error: BaseException) -> str:
@@ -119,6 +98,8 @@ class SweepOutcome:
     failures: List[FailureRecord] = field(default_factory=list)
     #: labels that were loaded from a checkpoint rather than re-run
     resumed: List[str] = field(default_factory=list)
+    #: labels the checkpoint held from other inputs (another key), rerun
+    stale: List[str] = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
@@ -136,14 +117,20 @@ def _identity(value):
 class Checkpoint:
     """JSON persistence for a sweep in progress.
 
-    The file stores serialized results (via the caller's ``serialize``)
-    keyed by job label, plus the failure records::
+    The file stores each completed cell under its job label, with the
+    cell's key (:meth:`~repro.robustness.supervisor.SweepJob.key`) and
+    its result serialized by the caller's ``serialize``, plus the
+    failure records::
 
-        {"schema": 1, "kind": "sweep_checkpoint",
-         "completed": {label: <payload>}, "failures": [<record>, ...]}
+        {"schema": 2, "kind": "sweep_checkpoint",
+         "completed": {label: {"key": <sha256>, "result": <payload>}},
+         "failures": [<record>, ...]}
 
+    A stored result is handed back only for the key it was computed
+    under, so a resume never reuses a cell computed from other inputs.
     Both hooks default to the identity, for results that are already
-    JSON-ready dicts.
+    JSON-ready dicts.  The cells' failure records land as standalone
+    files in :attr:`quarantine_dir`.
     """
 
     def __init__(
@@ -167,7 +154,8 @@ class Checkpoint:
         Corruption (truncation, checksum mismatch, a stale schema
         version) is detected and silently healed from the rotated
         last-good backup; only both-copies-corrupt raises
-        :class:`~repro.common.errors.CheckpointCorruptionError`.
+        :class:`~repro.common.errors.CheckpointCorruptionError` — so
+        does a file an older schema wrote, whose cells carry no key.
         """
         payload, self.recovered_from_backup = safeio.read_json_recovering(
             self.path,
@@ -181,12 +169,21 @@ class Checkpoint:
             FailureRecord.from_dict(f) for f in payload.get("failures", [])
         ]
 
-    def result_for(self, label: str) -> Optional[object]:
-        payload = self.completed.get(label)
-        return None if payload is None else self.deserialize(payload)
+    @property
+    def quarantine_dir(self) -> Path:
+        """``<checkpoint>.quarantine/``, beside the checkpoint file."""
+        return self.path.parent / (self.path.name + ".quarantine")
 
-    def record_success(self, label: str, result: object) -> None:
-        self.completed[label] = self.serialize(result)
+    def result_for(self, label: str, key: str) -> Optional[object]:
+        """``label``'s stored result if the cell ``key`` names computed
+        it; ``None`` if none is stored or it came from other inputs."""
+        cell = self.completed.get(label)
+        if cell is None or cell["key"] != key:
+            return None
+        return self.deserialize(cell["result"])
+
+    def record_success(self, label: str, key: str, result: object) -> None:
+        self.completed[label] = {"key": key, "result": self.serialize(result)}
         # A success supersedes any failure recorded for the label by an
         # earlier (resumed) run.
         self.failures = [f for f in self.failures if f.label != label]

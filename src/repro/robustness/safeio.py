@@ -35,6 +35,7 @@ write and publish).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -64,13 +65,33 @@ def _apply_hook(stage: str, path: Path, data: bytes) -> bytes:
     return _io_hook(stage, path, data)
 
 
+def _plain(value: object) -> object:
+    """What the canonical form writes for a value JSON cannot hold:
+    a dataclass as its :func:`dataclasses.asdict` tree, anything else as
+    its ``str``."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return dataclasses.asdict(value)
+    return str(value)
+
+
+def canonical_json(value: object) -> str:
+    """The canonical JSON text of ``value``: sorted keys, compact
+    separators, dataclasses through :func:`dataclasses.asdict`.  Equal
+    values give equal text in any process, on any machine."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=_plain)
+
+
+def canonical_sha256(value: object) -> str:
+    """sha256 hex digest of :func:`canonical_json`'s text: a config's
+    fingerprint, a sweep cell's key, a document's integrity digest."""
+    return hashlib.sha256(canonical_json(value).encode()).hexdigest()
+
+
 def canonical_digest(payload: Mapping) -> str:
     """sha256 over the canonical JSON form, ignoring the integrity field."""
-    stripped = {k: v for k, v in payload.items() if k != INTEGRITY_KEY}
-    canonical = json.dumps(
-        stripped, sort_keys=True, separators=(",", ":"), default=str
+    return canonical_sha256(
+        {k: v for k, v in payload.items() if k != INTEGRITY_KEY}
     )
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def seal(payload: Mapping) -> Dict:

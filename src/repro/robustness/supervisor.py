@@ -27,15 +27,22 @@ Both modes share one settle path, so the contract does not depend on
 * the parent is the only checkpoint writer and records each terminal
   outcome as it settles; the checkpoint JSON has sorted keys, so
   ``jobs`` 1 and N write the same bytes;
-* a job failing ``retries + 1`` attempts becomes an enriched
-  :class:`~repro.robustness.resilience.FailureRecord` (seed, engine,
-  config hash, manifest id, traceback), written as a standalone record
-  under ``quarantine_dir``, and the sweep continues;
-* progress reaches ``on_event`` and the ``sweep.*`` trace events.
+* a job failing ``retries + 1`` attempts becomes a
+  :class:`~repro.robustness.resilience.FailureRecord` (the cell's spec
+  and key, the traceback), written as a standalone record under the
+  checkpoint's ``<checkpoint>.quarantine/``, and the sweep continues;
+* a checkpointed cell resumes only under the key it was computed with;
+  one stored from other inputs reruns and is listed as stale;
+* progress reaches ``on_event``.
+
+A cell's identity is its key (:meth:`SweepJob.key`), the sha256 of what
+it computes; it is computed only where it is read: a checkpoint, a
+failure record, an obs shard.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing as mp
 import os
 import time
@@ -58,18 +65,11 @@ from repro.robustness.resilience import (
     format_exception,
 )
 
-FAILURE_RECORD_SCHEMA = 1
+FAILURE_RECORD_SCHEMA = 2
 
 #: worker-side sabotage spec injected by the chaos layer:
 #: ("kill", exit_code) | ("hang", seconds) | ("raise", message)
 Sabotage = Optional[tuple]
-
-#: job events mapped onto trace event kinds
-_SWEEP_EVENT_KINDS = {
-    "ok": "sweep.job_done",
-    "failed": "sweep.job_failed",
-    "resumed": "sweep.job_resumed",
-}
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -96,19 +96,35 @@ class SweepJob:
     A worker process receives the job with the rest of the parent's
     state, but its result crosses back through a pipe, so results must
     pickle.  Module-level functions keep a job runnable in any mode.
+    The label names the cell in tables and files; :meth:`key` says what
+    it computes.
     """
 
     label: str
     fn: Callable[..., object]
     args: Tuple = ()
     kwargs: Dict = field(default_factory=dict)
-    #: optional provenance stamped onto a FailureRecord if this job is
-    #: quarantined (keys: seed, engine, config_sha256, manifest_id) —
-    #: see FailureRecord.apply_provenance
-    provenance: Dict = field(default_factory=dict)
 
     def run(self) -> object:
         return self.fn(*self.args, **self.kwargs)
+
+    def spec(self) -> Dict:
+        """What the cell computes, as plain JSON data: ``{"fn":
+        "<module>.<qualname>", "args": [...], "kwargs": {...}}``, a
+        config argument as its whole :func:`dataclasses.asdict` tree —
+        enough to rerun the cell alone."""
+        fn = f"{self.fn.__module__}.{self.fn.__qualname__}"
+        return json.loads(
+            safeio.canonical_json(
+                {"fn": fn, "args": self.args, "kwargs": self.kwargs}
+            )
+        )
+
+    def key(self) -> str:
+        """The cell's identity: the sha256 of :meth:`spec`'s canonical
+        JSON.  Two jobs share it exactly when they compute the same
+        thing, whatever their labels."""
+        return safeio.canonical_sha256(self.spec())
 
 
 @dataclass
@@ -125,7 +141,6 @@ class _Attempt:
     attempts: int = 1
     error_type: str = ""
     message: str = ""
-    duration_s: float = 0.0
     traceback: str = ""
 
 
@@ -207,7 +222,6 @@ def _supervised_worker(
     except ImportError:  # pragma: no cover - numpy is a hard dep today
         pass
     beat.value = time.monotonic()
-    started = time.perf_counter()
     if sabotage is not None:
         kind, param = sabotage
         if kind == "hang":
@@ -225,7 +239,7 @@ def _supervised_worker(
 
         session = ObsSession(label=job.label)
         session.meta["attempt"] = attempt
-        session.meta["provenance"] = dict(job.provenance)
+        session.meta["key"] = job.key()
         install_session(session)
     try:
         if sabotage is not None and sabotage[0] == "raise":
@@ -245,7 +259,6 @@ def _supervised_worker(
                 attempts=1,
                 error_type=type(exc).__name__,
                 message=str(exc),
-                duration_s=time.perf_counter() - started,
                 traceback=format_exception(exc),
             )
         )
@@ -259,7 +272,6 @@ def _supervised_worker(
             ok=True,
             result=result,
             attempts=1,
-            duration_s=time.perf_counter() - started,
         )
     )
     conn.close()
@@ -285,7 +297,6 @@ class SupervisionReport:
     crashes_detected: int = 0
     reschedules: int = 0
     quarantined: List[str] = field(default_factory=list)
-    record_paths: Dict[str, str] = field(default_factory=dict)
 
 
 class SweepExecutor:
@@ -298,16 +309,13 @@ class SweepExecutor:
     * ``retries`` — re-tries after the first attempt, so a job runs at
       most ``retries + 1`` times; the n-th retry waits
       ``backoff_s * 2**(n-1)`` seconds first;
-    * ``checkpoint`` — completed labels are loaded instead of re-run,
-      and every terminal outcome is recorded as it settles;
+    * ``checkpoint`` — a job whose label the checkpoint holds under the
+      job's key is loaded instead of re-run; every terminal outcome is
+      recorded as it settles, and exhausted jobs' failure records are
+      written to its :attr:`~repro.robustness.resilience.Checkpoint.quarantine_dir`
+      (without a checkpoint, records stay in the outcome);
     * ``on_event(label, event)`` — progress callback with events
-      ``"resumed" | "ok" | "retry" | "failed"``;
-    * ``tracer`` — receives ``sweep.begin/job_done/job_failed/
-      job_resumed/heartbeat/end`` events from the parent process;
-    * ``quarantine_dir`` — where exhausted jobs' failure records are
-      written; ``None`` keeps records only in the outcome/checkpoint;
-    * ``manifest_id`` — the sweep's run-manifest fingerprint, stamped
-      onto every failure record for cross-subsystem traceability.
+      ``"resumed" | "ok" | "retry" | "failed"``.
 
     After :meth:`run`, :attr:`report` lists the quarantined jobs (and,
     with worker slots, the reschedules, kills, and crashes).
@@ -323,23 +331,16 @@ class SweepExecutor:
         backoff_s: float = 0.5,
         checkpoint: Optional[Checkpoint] = None,
         on_event: Optional[Callable[[str, str], None]] = None,
-        tracer=None,
-        quarantine_dir: Optional[Union[str, Path]] = None,
-        manifest_id: str = "",
     ) -> None:
         self.retries = retries
         self.backoff_s = backoff_s
         self.checkpoint = checkpoint
         self.on_event = on_event
-        self.tracer = tracer
-        self.quarantine_dir = (
-            Path(quarantine_dir) if quarantine_dir is not None else None
-        )
-        self.manifest_id = manifest_id
         self.report = SupervisionReport()
         self._total = 0
         self._completed = 0
         self._failed = 0
+        self._keys: Dict[str, str] = {}
         self._results: Dict[str, object] = {}
         self._failures: Dict[str, FailureRecord] = {}
 
@@ -347,26 +348,12 @@ class SweepExecutor:
         if self.on_event is not None:
             self.on_event(label, event)
 
-    def _emit(self, kind: str, **args: object) -> None:
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(kind, src="sweep", args=args)
-
-    def _job_event(self, label: str, event: str, **extra: object) -> None:
-        """Fan one job completion out to the callback and the tracer."""
+    def _job_event(self, label: str, event: str) -> None:
+        """Count one job's terminal event and pass it to ``on_event``."""
         self._notify(label, event)
-        kind = _SWEEP_EVENT_KINDS.get(event)
-        if kind is None:
-            return
         self._completed += 1
         if event == "failed":
             self._failed += 1
-        self._emit(kind, label=label, **extra)
-        self._emit(
-            "sweep.heartbeat",
-            done=self._completed,
-            total=self._total,
-            failed=self._failed,
-        )
 
     def _backoff(self, attempt: int) -> float:
         """Seconds to wait before retrying after failed ``attempt``."""
@@ -383,18 +370,21 @@ class SweepExecutor:
         self._total = len(sweep_jobs)
         self._completed = 0
         self._failed = 0
+        self._keys = {}
         self._results = {}
         self._failures = {}
-        self._emit("sweep.begin", n_jobs=len(sweep_jobs), workers=self.jobs)
+        outcome = SweepOutcome()
         resumed: Dict[str, object] = {}
         if self.checkpoint is not None:
             self.checkpoint.load()
             for job in sweep_jobs:
-                prior = self.checkpoint.result_for(job.label)
+                key = self._keys[job.label] = job.key()
+                prior = self.checkpoint.result_for(job.label, key)
                 if prior is not None:
                     resumed[job.label] = prior
+                elif job.label in self.checkpoint.completed:
+                    outcome.stale.append(job.label)
         self._run_jobs([job for job in sweep_jobs if job.label not in resumed])
-        outcome = SweepOutcome()
         for label in labels:
             if label in resumed:
                 outcome.results[label] = resumed[label]
@@ -404,12 +394,6 @@ class SweepExecutor:
                 outcome.results[label] = self._results[label]
             else:
                 outcome.failures.append(self._failures[label])
-        self._emit(
-            "sweep.end",
-            ok=len(outcome.results),
-            failed=len(outcome.failures),
-            resumed=len(outcome.resumed),
-        )
         return outcome
 
     def map(self, sweep_jobs: Sequence[SweepJob]) -> List[object]:
@@ -433,7 +417,6 @@ class SweepExecutor:
                 if attempt > 1:
                     time.sleep(self._backoff(attempt - 1))
                     self._notify(job.label, "retry")
-                started = time.perf_counter()
                 try:
                     done = _Attempt(job.label, ok=True, result=job.run())
                 except Exception as exc:  # noqa: BLE001 - recorded, not raised
@@ -445,7 +428,6 @@ class SweepExecutor:
                         traceback=format_exception(exc),
                     )
                 done.attempts = attempt
-                done.duration_s = time.perf_counter() - started
                 if done.ok:
                     break
             self._settle(job, done)
@@ -457,36 +439,27 @@ class SweepExecutor:
         if attempt.ok:
             self._results[label] = attempt.result
             if self.checkpoint is not None:
-                self.checkpoint.record_success(label, attempt.result)
-            self._job_event(
-                label,
-                "ok",
-                attempts=attempt.attempts,
-                duration_s=round(attempt.duration_s, 6),
-            )
+                self.checkpoint.record_success(
+                    label, self._keys[label], attempt.result
+                )
+            self._job_event(label, "ok")
             return
+        spec = job.spec()
         record = FailureRecord(
             label=label,
             attempts=attempt.attempts,
             error_type=attempt.error_type,
             message=attempt.message,
+            spec=spec,
+            key=safeio.canonical_sha256(spec),
             traceback=attempt.traceback,
-        ).apply_provenance(job.provenance)
-        record.manifest_id = record.manifest_id or self.manifest_id
+        )
         self._failures[label] = record
         self.report.quarantined.append(label)
-        if self.quarantine_dir is not None:
-            path = write_quarantine_record(record, self.quarantine_dir)
-            self.report.record_paths[label] = str(path)
         if self.checkpoint is not None:
+            write_quarantine_record(record, self.checkpoint.quarantine_dir)
             self.checkpoint.record_failure(record)
-        self._job_event(
-            label,
-            "failed",
-            attempts=attempt.attempts,
-            error_type=attempt.error_type,
-            duration_s=round(attempt.duration_s, 6),
-        )
+        self._job_event(label, "failed")
 
 
 class SupervisedSweepExecutor(SweepExecutor):
@@ -500,8 +473,7 @@ class SupervisedSweepExecutor(SweepExecutor):
       heartbeat is older than this is killed and the job rescheduled
       (counting as one attempt).  ``None`` disables hang detection
       (crash detection stays on).  No effect at ``jobs == 1``;
-    * ``poll_s`` — supervisor loop cadence (also the heartbeat event
-      cadence while jobs are in flight);
+    * ``poll_s`` — supervisor loop cadence;
     * ``base_seed`` — each worker reseeds the global ``random``/NumPy
       generators from :func:`derive_job_seed` of it and its label, so
       even code reaching for global randomness stays reproducible;
@@ -526,9 +498,6 @@ class SupervisedSweepExecutor(SweepExecutor):
         checkpoint: Optional[Checkpoint] = None,
         on_event: Optional[Callable[[str, str], None]] = None,
         base_seed: int = 0,
-        tracer=None,
-        quarantine_dir: Optional[Union[str, Path]] = None,
-        manifest_id: str = "",
         sabotage_for: Optional[Callable[[str, int], Sabotage]] = None,
         obs_dir: Optional[Union[str, Path]] = None,
     ) -> None:
@@ -537,9 +506,6 @@ class SupervisedSweepExecutor(SweepExecutor):
             backoff_s=backoff_s,
             checkpoint=checkpoint,
             on_event=on_event,
-            tracer=tracer,
-            quarantine_dir=quarantine_dir,
-            manifest_id=manifest_id,
         )
         self.jobs = resolve_jobs(jobs)
         for name, value in (("sabotage_for", sabotage_for), ("obs_dir", obs_dir)):
@@ -695,7 +661,6 @@ class SupervisedSweepExecutor(SweepExecutor):
                         f"{slot.process.exitcode} before delivering a "
                         f"result"
                     ),
-                    duration_s=time.monotonic() - slot.started,
                 )
             last_beat = max(slot.beat.value, slot.started)
             if (
@@ -716,7 +681,6 @@ class SupervisedSweepExecutor(SweepExecutor):
                         f"no heartbeat for {self.deadline_s}s; worker "
                         f"killed by supervisor"
                     ),
-                    duration_s=time.monotonic() - slot.started,
                 )
             return None
 
@@ -749,13 +713,6 @@ class SupervisedSweepExecutor(SweepExecutor):
                         settle(slot, outcome)
                         progressed = True
                 if slots and not progressed:
-                    self._emit(
-                        "sweep.heartbeat",
-                        done=self._completed,
-                        total=self._total,
-                        failed=self._failed,
-                        in_flight=len(slots),
-                    )
                     time.sleep(self.poll_s)
         finally:
             for slot in slots:  # pragma: no cover - only on raise/interrupt

@@ -1,5 +1,7 @@
 """Tests for the artifact-regeneration CLI."""
 
+import json
+
 import pytest
 
 from repro.analysis import cli
@@ -124,10 +126,10 @@ def test_export_command(tmp_path, capsys):
         )
         == 0
     )
-    from repro.analysis.export import load_json, summarize_json
+    from repro.analysis.export import load_json
 
     payload = load_json(target)
-    assert summarize_json(payload)["count"] == 1
+    assert len(payload["results"]) == 1
     # Without --resume the document is still a sweep outcome.
     assert payload["failures"] == payload["resumed"] == payload["gaps"] == []
 
@@ -186,3 +188,58 @@ def test_export_resume_with_jobs_writes_outcome(tmp_path):
     payload = load_json(target)
     assert len(payload["results"]) == 1
     assert payload["failures"] == []
+
+
+class TestKeyCheckedResume:
+    """``--resume`` hands back a cell only when it was computed from the
+    inputs the run asks for: its key, not its label, decides."""
+
+    FIRST = ["--instructions", "20000", "table2", "--pairs", "2",
+             "--engine", "fast", "--jobs", "1"]
+    SECOND = ["--instructions", "30000", "table2", "--pairs", "2",
+              "--engine", "object", "--jobs", "1"]
+
+    def test_another_scale_and_engine_reruns_every_cell(self, tmp_path, capsys):
+        import shutil
+
+        ck = tmp_path / "ck.json"
+        assert main(self.FIRST + ["--resume", str(ck), "--quiet"]) == 0
+        shutil.copy(ck, tmp_path / "quiet.json")
+        capsys.readouterr()
+        assert main(self.SECOND + ["--quiet"]) == 0
+        fresh = capsys.readouterr().out
+        assert "geomean               1.0444" in fresh
+        quiet = tmp_path / "quiet.json"
+        assert main(self.SECOND + ["--resume", str(quiet), "--quiet"]) == 0
+        assert capsys.readouterr().out == fresh
+        assert main(self.SECOND + ["--resume", str(ck)]) == 0
+        out = capsys.readouterr().out
+        stale = (
+            "reran 2 stale experiment(s): the checkpoint held them "
+            "from other inputs\n"
+        )
+        assert out == stale + fresh
+        # the rerun cells replaced the stale ones: a third run resumes
+        assert main(self.SECOND + ["--resume", str(ck)]) == 0
+        out = capsys.readouterr().out
+        assert out == "resumed 2 completed experiment(s) from checkpoint\n" + fresh
+
+    def test_a_schema_1_checkpoint_is_refused(self, tmp_path, capsys):
+        from repro.robustness import safeio
+
+        ck = tmp_path / "ck.json"
+        legacy = {
+            "schema": 1,
+            "kind": "sweep_checkpoint",
+            "completed": {"2Xspecrand": {"label": "2Xspecrand"}},
+            "failures": [],
+        }
+        ck.write_text(json.dumps(safeio.seal(legacy)))
+        before = ck.read_bytes()
+        assert main(self.FIRST + ["--resume", str(ck)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "fatal: CheckpointCorruptionError" in err
+        assert "schema 1 (expected 2)" in err
+        assert ck.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]

@@ -4,11 +4,9 @@ import pytest
 
 from repro.analysis.experiment import run_spec_pair_experiment
 from repro.analysis.export import (
-    export_sweep,
     load_json,
     result_to_dict,
     save_json,
-    summarize_json,
     sweep_to_dict,
 )
 
@@ -31,7 +29,7 @@ def test_result_dict_schema(result):
 
 
 def test_sweep_roundtrip(tmp_path, result):
-    path = export_sweep([result], tmp_path / "sweep.json")
+    path = save_json(sweep_to_dict([result]), tmp_path / "sweep.json")
     loaded = load_json(path)
     assert loaded["kind"] == "spec_sweep"
     assert loaded["results"][0]["label"] == "2Xnamd"
@@ -40,7 +38,7 @@ def test_sweep_roundtrip(tmp_path, result):
 def test_sweep_is_valid_json(tmp_path, result):
     import json
 
-    path = export_sweep([result], tmp_path / "sweep.json")
+    path = save_json(sweep_to_dict([result]), tmp_path / "sweep.json")
     with open(path) as handle:
         json.load(handle)  # must parse cleanly
 
@@ -50,13 +48,3 @@ def test_schema_version_enforced(tmp_path):
     with pytest.raises(ValueError):
         load_json(tmp_path / "bad.json")
 
-
-def test_summarize_json(result):
-    payload = sweep_to_dict([result])
-    summary = summarize_json(payload)
-    assert summary["count"] == 1
-    assert summary["geomean_normalized_time"] == result.normalized_time
-
-
-def test_summarize_empty():
-    assert summarize_json({"results": []}) == {"count": 0}

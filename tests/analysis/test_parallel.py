@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiment import SimulationBudget, run_spec_pair_experiment
+from repro.analysis.experiment import run_spec_pair_experiment
 from repro.analysis.export import (
     export_outcome,
     result_from_dict,
@@ -45,17 +45,13 @@ def _sweep_bytes(results) -> bytes:
     return json.dumps(sweep_to_dict(results), sort_keys=True).encode()
 
 
-def _run_pairs(
-    pairs, jobs, checkpoint_path=None, budget=None, engine="object", **options
-):
+def _run_pairs(pairs, jobs, checkpoint_path=None, engine="object", **options):
     """The CLI sweep commands' path: SPEC-pair cells through
     ``SupervisedSweepExecutor.run()`` with a result checkpoint."""
     executor = SupervisedSweepExecutor(
         jobs, checkpoint=result_checkpoint(checkpoint_path), **options
     )
-    return executor.run(
-        spec_pair_jobs(pairs, INSTRUCTIONS, engine=engine, budget=budget)
-    )
+    return executor.run(spec_pair_jobs(pairs, INSTRUCTIONS, engine=engine))
 
 
 class TestSerialParallelEquivalence:
@@ -89,27 +85,28 @@ class TestSerialParallelEquivalence:
             outcome = _run_pairs(PAIRS, jobs, checkpoint_path=path)
             assert outcome.complete
             paths[jobs] = path.read_bytes()
-            # A pair that times out on its budget is quarantined the
-            # same way in both modes.
-            qdir = tmp_path / f"q{jobs}"
-            timed_out = _run_pairs(
-                [("specrand", "specrand")],
+            # A pair of an unknown benchmark raises when it runs, and is
+            # quarantined the same way in both modes.
+            poisoned = tmp_path / f"p{jobs}.json"
+            failed = _run_pairs(
+                [("nosuch", "nosuch")],
                 jobs,
-                budget=SimulationBudget(max_instructions=100),
+                checkpoint_path=poisoned,
                 engine="fast",
                 retries=0,
-                quarantine_dir=qdir,
-                manifest_id="m123",
             )
-            (record,) = timed_out.failures
-            assert (qdir / "2Xspecrand.failure.json").exists()
+            (record,) = failed.failures
+            assert record.record_path == str(
+                tmp_path / f"p{jobs}.json.quarantine" / "2Xnosuch.failure.json"
+            )
             records[jobs] = record
         assert paths[1] == paths[2]
         for record in records.values():
-            assert record.error_type == "SimulationTimeout"
-            assert record.seed is not None and record.engine == "fast"
-            assert record.config_sha256 and record.manifest_id == "m123"
-            assert record.traceback
+            assert record.error_type == "ConfigError"
+            (config, _, _) = record.spec["args"]
+            assert record.spec["kwargs"]["seed"] == 0xBEEF
+            assert config["hierarchy"]["engine"] == "fast"
+            assert record.key and record.traceback
         one, two = (records[j].to_dict() for j in (1, 2))
         for fields in (one, two):
             del fields["traceback"]

@@ -8,7 +8,6 @@ from repro.analysis.runner import (
     batched_replay_run,
     hot_cold_reference_trace,
     llc_sensitivity_sweep,
-    single_config,
     spec_pair_jobs,
 )
 from repro.attacks.base import AttackOutcome, hit_threshold
@@ -21,23 +20,18 @@ from repro.robustness.campaign import campaign_config
 from tests.conftest import tiny_config
 
 
-def test_single_config_valid():
-    cfg = single_config(llc_kib=64, num_cores=2)
-    cfg.validate()
-    assert cfg.hierarchy.num_cores == 2
-    assert cfg.hierarchy.llc.size_bytes == 64 * 1024
-
-
-def test_jobs_of_two_seeds_share_one_config_hash():
+def test_jobs_of_two_seeds_have_two_keys_and_one_config():
     """The seed steers the workload, not the machine: the jobs of two
-    seeds stamp their own seeds and one ``config_sha256``."""
-    stamps = [
-        job.provenance
+    seeds are two cells with one config in their specs."""
+    jobs = [
+        job
         for seed in (1, 2)
         for job in spec_pair_jobs(pairs=[("wrf", "wrf")], seed=seed)
     ]
-    assert [stamp["seed"] for stamp in stamps] == [1, 2]
-    assert len({stamp["config_sha256"] for stamp in stamps}) == 1
+    specs = [job.spec() for job in jobs]
+    assert [spec["kwargs"]["seed"] for spec in specs] == [1, 2]
+    assert specs[0]["args"][0] == specs[1]["args"][0]
+    assert len({job.key() for job in jobs}) == 2
 
 
 def test_llc_sweep_structure():

@@ -125,6 +125,10 @@ class TestCanonicalConfigs:
         cfg = scaled_experiment_config()
         cfg.validate()
         assert cfg.hierarchy.llc.size_bytes < 2 * MIB
+        two_core = scaled_experiment_config(llc_kib=64, num_cores=2)
+        two_core.validate()
+        assert two_core.hierarchy.num_cores == 2
+        assert two_core.hierarchy.llc.size_bytes == 64 * KIB
 
     def test_scaled_config_dma_scales_with_llc(self):
         small = scaled_experiment_config(llc_kib=128)

@@ -13,7 +13,6 @@ from repro.common.errors import (
     ReproError,
     SchedulerError,
     SimulationError,
-    SimulationTimeout,
 )
 
 
@@ -39,7 +38,6 @@ def test_every_library_exception_is_under_the_root():
         SimulationError,
         SchedulerError,
         ProgramError,
-        SimulationTimeout,
         FaultInjectionError,
     ],
 )
@@ -86,8 +84,8 @@ def test_distinct_categories_do_not_cross_catch():
             raise ConfigError("cfg")
         except SchedulerError:  # pragma: no cover - must not trigger
             pytest.fail("ConfigError caught as SchedulerError")
-    with pytest.raises(SimulationTimeout):
+    with pytest.raises(FaultInjectionError):
         try:
-            raise SimulationTimeout("slow")
+            raise FaultInjectionError("misused")
         except SimulationError:  # pragma: no cover - must not trigger
-            pytest.fail("SimulationTimeout caught as SimulationError")
+            pytest.fail("FaultInjectionError caught as SimulationError")

@@ -42,12 +42,7 @@ def batched_job(seed):
 
 def _jobs():
     return [
-        SweepJob(
-            label=label,
-            fn=batched_job,
-            args=(i,),
-            provenance={"seed": i, "engine": "fast"},
-        )
+        SweepJob(label=label, fn=batched_job, args=(i,))
         for i, label in enumerate(LABELS)
     ]
 
@@ -76,7 +71,9 @@ def test_jobs2_sweep_writes_one_shard_per_job(swept):
         # the job span wraps the whole attempt
         names = [s["name"] for s in shard["spans"]]
         assert f"job:{label}" in names
-        assert shard["meta"]["provenance"]["engine"] == "fast"
+        # the shard names the cell it measured by the cell's key
+        (job,) = [job for job in _jobs() if job.label == label]
+        assert shard["meta"]["key"] == job.key()
 
 
 def test_sweep_writes_merged_trace_and_counters(swept):

@@ -5,14 +5,16 @@ functions may be closures; ``tests/analysis/test_parallel.py`` holds
 the same contract against worker processes.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from repro.analysis.experiment import SimulationBudget
 from repro.analysis.runner import result_checkpoint, spec_pair_jobs
-from repro.common.errors import ConfigError, SimulationTimeout
-from repro.robustness import supervisor
+from repro.common.errors import SimulationError
+from repro.obs.manifest import config_fingerprint
+from repro.robustness import safeio, supervisor
 from repro.robustness.resilience import Checkpoint, FailureRecord
 from repro.robustness.supervisor import SupervisedSweepExecutor, SweepJob
 
@@ -157,17 +159,74 @@ class TestCheckpoint:
             ckpt.load()
 
     def test_failure_record_roundtrip(self):
-        record = FailureRecord("lbl", 3, "RuntimeError", "boom")
+        record = FailureRecord(
+            "lbl", 3, "RuntimeError", "boom", spec={"fn": "f"}, key="k"
+        )
         assert FailureRecord.from_dict(record.to_dict()) == record
 
+    def test_stale_cell_reruns_and_overwrites_its_cell(self, tmp_path):
+        """A label stored under another key is not a result for this
+        job: it reruns, is listed stale, and its new cell replaces the
+        old one, so the next identical run resumes it."""
+        path = tmp_path / "ckpt.json"
 
-def run_pairs(pairs, checkpoint_path=None, budget=None, **options):
+        def square(x):
+            return x * x
+
+        def run(arg):
+            executor = SupervisedSweepExecutor(
+                1, checkpoint=self._checkpoint(path)
+            )
+            return executor.run([SweepJob("cell", square, (arg,))])
+
+        assert run(2).stale == []
+        moved = run(3)
+        assert moved.stale == ["cell"] and moved.resumed == []
+        assert moved.results == {"cell": 9}
+        stored = json.loads(path.read_text())["completed"]["cell"]
+        key = SweepJob("cell", square, (3,)).key()
+        assert stored == {"key": key, "result": {"v": 9}}
+        again = run(3)
+        assert again.resumed == ["cell"] and again.stale == []
+
+
+class TestCellKey:
+    def test_key_is_the_sha256_of_the_canonical_spec(self):
+        job = SweepJob("any label", json.dumps, ([1, "a"],), {"indent": 2})
+        spec = {"fn": "json.dumps", "args": [[1, "a"]], "kwargs": {"indent": 2}}
+        assert job.spec() == spec
+        canonical = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+        assert job.key() == hashlib.sha256(canonical.encode()).hexdigest()
+        # the label names the cell; it is not part of what it computes
+        other = SweepJob("other", json.dumps, ([1, "a"],), {"indent": 2})
+        assert other.key() == job.key()
+
+    def test_config_argument_enters_the_spec_as_its_asdict_tree(self):
+        (job,) = spec_pair_jobs([("wrf", "wrf")], 4_000, engine="fast")
+        config = job.args[0]
+        spec_config = job.spec()["args"][0]
+        assert spec_config == json.loads(json.dumps(dataclasses.asdict(config)))
+        # one canonical rule: the config's fingerprint is the same digest
+        assert safeio.canonical_sha256(spec_config) == config_fingerprint(config)
+
+    def test_each_computed_input_moves_the_key(self):
+        base = spec_pair_jobs([("wrf", "wrf")], 4_000)[0].key()
+        for other in (
+            spec_pair_jobs([("wrf", "wrf")], 5_000),
+            spec_pair_jobs([("wrf", "wrf")], 4_000, engine="fast"),
+            spec_pair_jobs([("wrf", "wrf")], 4_000, llc_kib=64),
+            spec_pair_jobs([("wrf", "wrf")], 4_000, seed=1),
+        ):
+            assert other[0].key() != base
+
+
+def run_pairs(pairs, checkpoint_path=None, **options):
     """SPEC-pair cells through the in-process executor, as the CLI's
     sweep commands run them."""
     executor = SupervisedSweepExecutor(
         1, checkpoint=result_checkpoint(checkpoint_path), **options
     )
-    return executor.run(spec_pair_jobs(pairs, 4_000, budget=budget))
+    return executor.run(spec_pair_jobs(pairs, 4_000))
 
 
 class TestSweepIntegration:
@@ -189,24 +248,17 @@ class TestSweepIntegration:
             result.normalized_time
         )
 
-    def test_budget_timeout_becomes_failure_record(self):
-        """One forced timeout must not sink the sweep: the other pair
-        completes and the timeout is recorded."""
-        tight = SimulationBudget(max_instructions=100)
-        outcome = run_pairs([("specrand", "specrand")], budget=tight, retries=0)
+    def test_unknown_benchmark_becomes_failure_record(self):
+        """A cell that raises when it runs must not sink the sweep: the
+        other pair completes and the failure is recorded with the
+        cell's spec."""
+        outcome = run_pairs(
+            [("nosuch", "nosuch"), ("specrand", "specrand")], retries=0
+        )
         (failure,) = outcome.failures
-        assert failure.error_type == "SimulationTimeout"
-        assert not outcome.results
-
-    @pytest.mark.parametrize(
-        "limits", [{"wall_clock_s": -1.0}, {"max_instructions": -1}]
-    )
-    def test_negative_budget_is_a_config_error(self, limits):
-        """A negative wall-clock budget used to spend three attempts
-        before the pair was recorded as a SimulationTimeout."""
-        with pytest.raises(ConfigError, match=next(iter(limits))):
-            SimulationBudget(**limits)
-        SimulationBudget(wall_clock_s=0.0, max_instructions=0)  # 0 is a budget
+        assert failure.error_type == "ConfigError"
+        assert failure.spec["args"][1:] == ["nosuch", "nosuch"]
+        assert list(outcome.results) == ["2Xspecrand"]
 
     def test_partial_results_with_one_failure(self, monkeypatch):
         import repro.analysis.runner as runner_mod
@@ -215,7 +267,7 @@ class TestSweepIntegration:
 
         def sabotaged(config, a, b, **kwargs):
             if a == "lbm":
-                raise SimulationTimeout("forced")
+                raise SimulationError("forced")
             return real(config, a, b, **kwargs)
 
         monkeypatch.setattr(
@@ -226,25 +278,6 @@ class TestSweepIntegration:
         )
         assert len(outcome.results) == 1
         (failure,) = outcome.failures
-        assert failure.error_type == "SimulationTimeout"
+        assert failure.error_type == "SimulationError"
         assert "lbm" in failure.label.lower()
 
-
-def test_experiment_budget_passthrough():
-    """A generous budget changes nothing about the result."""
-    from repro.analysis.experiment import run_spec_pair_experiment
-    from repro.common.config import scaled_experiment_config
-
-    config = scaled_experiment_config(num_cores=1)
-    unbudgeted = run_spec_pair_experiment(
-        config, "specrand", "specrand", instructions=3_000
-    )
-    budgeted = run_spec_pair_experiment(
-        config,
-        "specrand",
-        "specrand",
-        instructions=3_000,
-        budget=SimulationBudget(wall_clock_s=120.0, max_instructions=10**9),
-    )
-    assert budgeted.timecache.cycles == unbudgeted.timecache.cycles
-    assert budgeted.baseline.cycles == unbudgeted.baseline.cycles

@@ -4,8 +4,8 @@ Sabotage specs stand in for real-world failure (OOM kills, deadlocks)
 so every path is deterministic: ``("kill", code)`` makes the worker die
 mid-protocol, ``("hang", s)`` makes it go silent, ``("raise", msg)``
 makes the job raise.  The supervisor must convert each into either a
-recovered reschedule or a loud, provenance-rich quarantine — never a
-silently missing result.
+recovered reschedule or a loud quarantine that names the cell's spec
+and key — never a silently missing result.
 """
 
 import json
@@ -29,20 +29,7 @@ def probe(value):
 
 
 def _jobs(n=2):
-    return [
-        SweepJob(
-            label=f"j{i}",
-            fn=probe,
-            args=(i,),
-            provenance={
-                "seed": 40 + i,
-                "engine": "fast",
-                "config_sha256": "cafe" * 16,
-                "batch_window": 4096,
-            },
-        )
-        for i in range(n)
-    ]
+    return [SweepJob(label=f"j{i}", fn=probe, args=(i,)) for i in range(n)]
 
 
 def _sabotage(label, models):
@@ -102,14 +89,13 @@ class TestRecovery:
 
 class TestQuarantine:
     def test_poison_job_quarantined_with_full_provenance(self, tmp_path):
-        qdir = tmp_path / "quarantine"
+        checkpoint = Checkpoint(tmp_path / "ck.json")
         executor = SupervisedSweepExecutor(
             2,
             retries=1,
             backoff_s=0.01,
             poll_s=0.01,
-            quarantine_dir=qdir,
-            manifest_id="deadbeef" * 8,
+            checkpoint=checkpoint,
             sabotage_for=_sabotage("j0", {0: ("kill", 9)}),
         )
         outcome = executor.run(_jobs())
@@ -118,15 +104,28 @@ class TestQuarantine:
         assert failure.label == "j0"
         assert failure.error_type == "WorkerCrashError"
         assert failure.attempts == 2  # retries + 1, kills count
-        # enrichment: job provenance + sweep manifest id
-        assert failure.seed == 40
-        assert failure.engine == "fast"
-        assert failure.config_sha256 == "cafe" * 16
-        assert failure.manifest_id == "deadbeef" * 8
-        # the standalone record round-trips
-        assert failure.record_path
+        # the cell's spec, enough to rerun it alone, and its key
+        assert failure.spec == {
+            "fn": f"{__name__}.probe", "args": [0], "kwargs": {}
+        }
+        assert failure.key == _jobs()[0].key()
+        # the standalone record lands beside the checkpoint and
+        # round-trips
+        assert failure.record_path == str(
+            tmp_path / "ck.json.quarantine" / "j0.failure.json"
+        )
         record = load_quarantine_record(failure.record_path)
         assert record.to_dict() == failure.to_dict()
+
+    def test_no_checkpoint_no_record_file(self):
+        outcome = SupervisedSweepExecutor(
+            2,
+            retries=0,
+            poll_s=0.01,
+            sabotage_for=_sabotage("j0", {0: ("raise", "boom")}),
+        ).run(_jobs())
+        (failure,) = outcome.failures
+        assert failure.key and failure.record_path == ""
 
     def test_quarantined_failure_lands_in_checkpoint(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -145,7 +144,8 @@ class TestQuarantine:
         payload = json.loads(path.read_text())
         (record,) = payload["failures"]
         assert record["error_type"] == "WorkerCrashError"
-        assert record["seed"] == 40
+        assert record["spec"]["args"] == [0]
+        assert record["key"] == _jobs()[0].key()
 
     def test_record_path_sanitizes_label(self, tmp_path):
         path = quarantine_record_path(tmp_path, "a/b c:d")
@@ -202,30 +202,21 @@ class TestFailureRecordEnrichment:
             "attempts": 3,
             "error_type": "ValueError",
             "message": "pre-enrichment record",
+            # fields older versions wrote are ignored
+            "seed": 5,
+            "engine": "fast",
+            "config_sha256": "cafe" * 16,
         }
         record = FailureRecord.from_dict(legacy)
-        assert record.seed is None
-        assert record.engine == ""
-        assert record.manifest_id == ""
+        assert record.spec == {}
+        assert record.key == ""
         assert record.traceback == ""
         assert record.record_path == ""
-        # and re-serialization emits the full enriched schema
-        assert set(record.to_dict()) >= {
-            "seed", "engine", "config_sha256",
-            "manifest_id", "traceback", "record_path",
+        # and re-serialization emits the current schema only
+        assert set(record.to_dict()) == {
+            "label", "attempts", "error_type", "message",
+            "spec", "key", "traceback", "record_path",
         }
-
-    def test_apply_provenance_fills_only_defaults(self):
-        record = FailureRecord(
-            label="x", attempts=1, error_type="E", message="m", engine="object"
-        )
-        # a key the record has no field for (an old batch_window) is ignored
-        record.apply_provenance(
-            {"seed": 5, "engine": "fast", "batch_window": 4096}
-        )
-        assert record.seed == 5
-        assert record.engine == "object"  # existing value wins
-        assert "batch_window" not in record.to_dict()
 
 
 class TestImportGraph:
@@ -273,9 +264,9 @@ def test_resume_loads_checkpoint_whose_failure_carries_batch_window(tmp_path, ca
     assert main(argv + ["--pairs", "1", "--resume", str(ck)]) == 0
     payload = json.loads(ck.read_text())
     payload["failures"] = [{
-        "label": "2Xlbm", "attempts": 3, "error_type": "SimulationTimeout",
-        "message": "budget", "seed": 1, "engine": "fast",
-        "config_sha256": "", "batch_window": 4096, "manifest_id": "",
+        "label": "2Xlbm", "attempts": 3, "error_type": "WorkerHungError",
+        "message": "deadline", "seed": 1, "engine": "fast",
+        "config_sha256": "", "batch_window": 4096,
         "traceback": "", "record_path": "",
     }]
     safeio.write_json_atomic(payload, ck)

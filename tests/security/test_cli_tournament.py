@@ -108,6 +108,36 @@ def test_tournament_scores_named_defenses(tmp_path, capsys):
     assert cells["overhead|partition_flush|object"]["slowdown"] > 1.0
 
 
+def test_resume_reruns_the_cells_another_boot_count_changes(tmp_path, capsys):
+    """``--boot`` enters every leakage cell's arguments, so a resume at
+    another count reruns them at the new count; the overhead cells'
+    arguments carry no ``n_boot``, so they resume."""
+    ck, output = tmp_path / "tk.json", tmp_path / "SECURITY.json"
+
+    def run(boot):
+        argv = [
+            "tournament", "--quick", "--attacks", "flush_reload",
+            "--boot", boot, "--jobs", "1", "--resume", str(ck),
+            "--output", str(output),
+        ]
+        assert main(argv) == 0
+        return json.loads(output.read_text())["cells"]
+
+    first = run("50")
+    capsys.readouterr()
+    second = run("400")
+    out = capsys.readouterr().out
+    assert "resumed 8 completed experiment(s) from checkpoint" in out
+    assert "reran 8 stale experiment(s)" in out
+    leakage = [label for label in second if not label.startswith("overhead|")]
+    assert len(leakage) == 8
+    assert {second[label]["n_boot"] for label in leakage} == {400}
+    for label in second:
+        if label.startswith("overhead|"):
+            # resumed as stored, wall-clock fields included
+            assert second[label] == first[label]
+
+
 def test_tournament_rejects_unknown_attack(tmp_path, capsys):
     argv = [
         "tournament", "--quick", "--attacks", "bogus",

@@ -322,6 +322,24 @@ def test_overhead_cell_control_normalizes_to_one():
     assert cell["llc_mpki"] == cell["control_llc_mpki"]
 
 
+@pytest.mark.parametrize("defense, runs", [("baseline", 1), ("timecache", 2)])
+def test_overhead_cell_simulates_the_control_once(monkeypatch, defense, runs):
+    """The control's own cell reuses its run as the control run; any
+    other defense's cell runs the defense and then the control."""
+    from repro.analysis import experiment
+
+    real, calls = experiment._run_configured, []
+
+    def counted(config, build):
+        calls.append(config.defense)
+        return real(config, build)
+
+    monkeypatch.setattr(experiment, "_run_configured", counted)
+    cell = tm.run_overhead_cell(defense, "object", 2_000, 7)
+    assert len(calls) == runs
+    assert cell["label"] == tm.overhead_label(defense, "object")
+
+
 def test_overhead_cell_defenses_cost_something():
     tc = tm.run_overhead_cell("timecache", "object", 2_000, 7)
     sf = tm.run_overhead_cell("selective_flush", "object", 2_000, 7)
