@@ -392,22 +392,18 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
     seeds = tuple(args.seed + i for i in range(seed_count))
     n_boot = _count_flag(args.boot, 200 if args.quick else 500, "--boot")
     overhead_instructions = 8_000 if args.quick else 60_000
-    try:
-        outcome = tm.run_tournament(
-            attacks=attacks,
-            engines=engines,
-            defenses=defenses,
-            seeds=seeds,
-            quick=args.quick,
-            jobs=args.jobs,
-            n_boot=n_boot,
-            overhead_instructions=overhead_instructions,
-            checkpoint_path=args.resume,
-            obs_dir=args.obs_dir,
-        )
-    except ValueError as exc:  # unknown attack name
-        console.error(str(exc))
-        return EXIT_FATAL
+    outcome = tm.run_tournament(
+        attacks=attacks,
+        engines=engines,
+        defenses=defenses,
+        seeds=seeds,
+        quick=args.quick,
+        jobs=args.jobs,
+        n_boot=n_boot,
+        overhead_instructions=overhead_instructions,
+        checkpoint_path=args.resume,
+        obs_dir=args.obs_dir,
+    )
     status = _report_sweep_outcome(console, outcome.sweep)
     if not outcome.cells:
         return EXIT_FATAL

@@ -1,9 +1,11 @@
-"""Run one workload under baseline and TimeCache, compare.
+"""Run one workload under a config's defense and its control
+(``config.baseline()``, the undefended machine), compare.
 
 The paper's primary metrics, computed here for every experiment:
 
-* **normalized execution time** — cycles with TimeCache / cycles without,
-  over the identical instruction stream (Figures 7, 9a, 10);
+* **normalized execution time** — cycles under the defense / cycles
+  without, over the identical instruction stream (Figures 7, 9a, 10, and
+  the tournament's overhead cells);
 * **LLC MPKI** baseline vs TimeCache (Table II);
 * **first-access MPKI per cache level** (Figures 8 and 9b);
 * context-switch bookkeeping share of the added cycles (Section VI-D).
@@ -59,7 +61,8 @@ class SingleRun:
 
 @dataclass
 class ExperimentResult:
-    """Baseline-vs-TimeCache comparison for one workload."""
+    """Defended-vs-control comparison for one workload: ``baseline`` is
+    the control run, ``timecache`` the run under the config's defense."""
 
     label: str
     baseline: SingleRun
@@ -67,7 +70,7 @@ class ExperimentResult:
 
     @property
     def normalized_time(self) -> float:
-        """Execution time with TimeCache / without (Figure 7's metric)."""
+        """Cycles under the defense / on the control (Figure 7's metric)."""
         if self.baseline.cycles == 0:
             return 1.0
         return self.timecache.cycles / self.baseline.cycles
@@ -109,15 +112,15 @@ def _collect_run(kernel: Kernel, summary: RunSummary) -> SingleRun:
     merge("LLC", [hierarchy.llc])
 
     switches = summary.context_switches
-    bookkeeping = switches * kernel.config.timecache.sbit_dma_cycles
-    if not kernel.config.timecache.enabled:
-        bookkeeping = 0
+    timecache = kernel.config.timecache
     return SingleRun(
         cycles=summary.makespan,
         instructions=instructions,
         context_switches=switches,
         level_mpki=levels,
-        switch_bookkeeping_cycles=bookkeeping,
+        switch_bookkeeping_cycles=(
+            switches * timecache.sbit_dma_cycles if timecache.enabled else 0
+        ),
         stats=kernel.system.stats_snapshot(),
     )
 
@@ -130,6 +133,19 @@ def _run_configured(
     return _collect_run(kernel, kernel.run())
 
 
+def _run_against_control(
+    config: SimConfig, label: str, build: Callable[[Kernel], object]
+) -> ExperimentResult:
+    """``build``'s workload on the control machine, then under
+    ``config``'s defense.  A control config is its own control: its one
+    run is both sides."""
+    control_config = config.baseline()
+    control = _run_configured(control_config, build)
+    if config == control_config:
+        return ExperimentResult(label, control, control)
+    return ExperimentResult(label, control, _run_configured(config, build))
+
+
 def run_spec_pair_experiment(
     config: SimConfig,
     bench_a: str,
@@ -137,7 +153,7 @@ def run_spec_pair_experiment(
     instructions: int = 120_000,
     seed: int = 0xBEEF,
 ) -> ExperimentResult:
-    """One Table II SPEC row: the pair under baseline and TimeCache.
+    """One Table II SPEC row: the pair on the control and under ``config``.
 
     Both configurations replay the identical deterministic instruction
     streams (same seed): each program's op tape is emitted once, for
@@ -153,9 +169,7 @@ def run_spec_pair_experiment(
             kernel, bench_a, bench_b, instructions, seed=seed, tapes=tapes
         )
 
-    base = _run_configured(config.baseline(), build)
-    defended = _run_configured(config, build)
-    return ExperimentResult(pair_label(bench_a, bench_b), base, defended)
+    return _run_against_control(config, pair_label(bench_a, bench_b), build)
 
 
 def run_parsec_experiment(
@@ -173,6 +187,4 @@ def run_parsec_experiment(
             kernel, bench, instructions_per_thread, seed=seed, tapes=tapes
         )
 
-    base = _run_configured(config.baseline(), build)
-    defended = _run_configured(config, build)
-    return ExperimentResult(bench, base, defended)
+    return _run_against_control(config, bench, build)

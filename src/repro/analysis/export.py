@@ -104,7 +104,8 @@ def outcome_to_dict(
     kind: str = "spec_sweep",
 ) -> Dict:
     """Serialize a resilient sweep outcome: results in ``labels`` order
-    plus the failure records and resumed labels.
+    plus the failure records, the resumed labels and the stale ones
+    (stored under another key, so rerun).
 
     The payload is a superset of :func:`sweep_to_dict`'s, so existing
     loaders keep working; because results are reassembled in label order
@@ -114,6 +115,7 @@ def outcome_to_dict(
     payload = sweep_to_dict(outcome.ordered_results(labels), kind=kind)
     payload["failures"] = [f.to_dict() for f in outcome.failures]
     payload["resumed"] = sorted(outcome.resumed)
+    payload["stale"] = sorted(outcome.stale)
     # Explicit gap markers: labels that produced no result.  A partial
     # export names what is missing instead of silently shrinking.
     payload["gaps"] = [

@@ -110,14 +110,10 @@ def result_checkpoint(
     )
 
 
-def _map_sweep(
-    sweep_jobs: Sequence[SweepJob], jobs: Optional[int], seed: int
-) -> List:
+def _map_sweep(sweep_jobs: Sequence[SweepJob], jobs: Optional[int]) -> List:
     """Run a plain sweep: no retries, any failure raises
     :class:`~repro.common.errors.SweepExecutionError`."""
-    return SupervisedSweepExecutor(jobs, retries=0, base_seed=seed).map(
-        sweep_jobs
-    )
+    return SupervisedSweepExecutor(jobs, retries=0).map(sweep_jobs)
 
 
 def spec_pair_sweep(
@@ -130,7 +126,7 @@ def spec_pair_sweep(
 ) -> List[ExperimentResult]:
     """The Table II / Figure 7 / Figure 8 sweep (single core, pairs)."""
     return _map_sweep(
-        spec_pair_jobs(pairs, instructions, llc_kib, seed, engine), jobs, seed
+        spec_pair_jobs(pairs, instructions, llc_kib, seed, engine), jobs
     )
 
 
@@ -146,7 +142,6 @@ def parsec_sweep(
     return _map_sweep(
         parsec_jobs(benchmarks, instructions_per_thread, llc_kib, seed, engine),
         jobs,
-        seed,
     )
 
 
@@ -170,7 +165,7 @@ def llc_sensitivity_sweep(
         all_jobs += spec_pair_jobs(
             pairs, instructions, llc_kib, seed, engine, label_prefix=f"{llc_kib}KiB/"
         )
-    flat = _map_sweep(all_jobs, jobs, seed)
+    flat = _map_sweep(all_jobs, jobs)
     per_size = len(pairs)
     return {
         llc_kib: flat[i * per_size : (i + 1) * per_size]

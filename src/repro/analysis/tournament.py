@@ -28,10 +28,10 @@ only) are crash-safe safeio documents.
 
 Because probe latencies are *simulated* cycle counts, every score is a
 pure function of (config, seeds, bootstrap seed) — identical on any
-host, as is every field of an overhead cell but its wall-clock ones
-(``wall_s``, ``acc_per_s``).  That is what lets CI enforce the security
-gate strictly, where the perf gate must stay warn-only on noisy
-runners: a separation change is a code change, never runner weather.
+host, as is every field of an overhead cell.  That is what lets CI
+enforce the security gate strictly, where the perf gate must stay
+warn-only on noisy runners: a separation change is a code change, never
+runner weather.
 
 Gate semantics (:func:`compare_to_security_baseline`):
 
@@ -47,14 +47,13 @@ Gate semantics (:func:`compare_to_security_baseline`):
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.common.config import SimConfig, scaled_experiment_config
-from repro.common.errors import LeakageStatsError
-from repro.defenses import defense_names, get_defense, is_control_defense
+from repro.common.errors import ConfigError, LeakageStatsError
+from repro.defenses import defense_names, is_control_defense
 from repro.obs.manifest import machine_metadata
 from repro.robustness import safeio
 from repro.robustness.resilience import Checkpoint, SweepOutcome
@@ -83,19 +82,6 @@ DEFENSES = ("timecache", "baseline", "selective_flush", "copy_on_access")
 #: the SPEC pair an overhead cell times (same-benchmark pair keeps the
 #: contention story simple: two tenants fighting over one working set)
 OVERHEAD_BENCH = "wrf"
-#: fields of an overhead cell that are pure functions of the config
-OVERHEAD_DETERMINISTIC_FIELDS = (
-    "kind",
-    "defense",
-    "engine",
-    "label",
-    "sim_cycles",
-    "control_cycles",
-    "slowdown",
-    "llc_mpki",
-    "control_llc_mpki",
-    "instructions",
-)
 
 #: a collector returns (negative-arm latencies, positive-arm latencies)
 Collector = Callable[[SimConfig, int, bool], Tuple[List[int], List[int]]]
@@ -363,7 +349,7 @@ def cell_config(attack: str, defense: str, engine: str) -> SimConfig:
             ),
         )
         config.validate()
-    return get_defense(defense).configure(config)
+    return config.with_defense(defense)
 
 
 def run_tournament_cell(
@@ -413,14 +399,6 @@ def _is_overhead(label: str) -> bool:
     return label.startswith("overhead|")
 
 
-def _control_defense_name() -> str:
-    """The registered control arm the overhead cells normalize against."""
-    for name in defense_names():
-        if is_control_defense(name):
-            return name
-    raise LookupError("no control defense registered")
-
-
 def run_overhead_cell(
     defense: str,
     engine: str,
@@ -431,40 +409,18 @@ def run_overhead_cell(
 ) -> Dict:
     """Worker body for one overhead cell (module-level, picklable).
 
-    Runs the ``bench`` same-benchmark SPEC pair under ``defense`` and
-    under the registered control, on identical geometry (one core,
-    ``llc_kib`` of LLC), and reports the simulated slowdown and both
-    runs' LLC MPKI (deterministic) plus this run's wall throughput
-    (weather).  The control's own cell simulates once: its run is its
-    control run.
+    The ``bench`` same-benchmark SPEC pair under ``defense`` against the
+    control, on one core with ``llc_kib`` of LLC: one
+    :func:`~repro.analysis.experiment.run_spec_pair_experiment`, whose
+    slowdown and both runs' LLC MPKI the cell reports.
     """
-    from repro.analysis.experiment import _run_configured
-    from repro.workloads.generator import Tapes
-    from repro.workloads.spec import build_spec_pair
+    from repro.analysis.experiment import run_spec_pair_experiment
 
-    tapes: Tapes = {}
-
-    def workload(kernel) -> None:
-        build_spec_pair(kernel, bench, bench, instructions, seed=seed, tapes=tapes)
-
-    def build(name: str) -> SimConfig:
-        base = scaled_experiment_config(
-            num_cores=1,
-            llc_kib=llc_kib,
-            quantum_cycles=60_000,
-            engine=engine,
-        )
-        return get_defense(name).configure(base)
-
-    start = time.perf_counter()
-    run = _run_configured(build(defense), workload)
-    wall_s = time.perf_counter() - start
-    control_name = _control_defense_name()
-    control = (
-        run
-        if defense == control_name
-        else _run_configured(build(control_name), workload)
-    )
+    config = scaled_experiment_config(
+        num_cores=1, llc_kib=llc_kib, quantum_cycles=60_000, engine=engine
+    ).with_defense(defense)
+    result = run_spec_pair_experiment(config, bench, bench, instructions, seed)
+    run, control = result.timecache, result.baseline
     return {
         "kind": "overhead",
         "defense": defense,
@@ -472,12 +428,10 @@ def run_overhead_cell(
         "label": overhead_label(defense, engine),
         "sim_cycles": run.cycles,
         "control_cycles": control.cycles,
-        "slowdown": run.cycles / control.cycles if control.cycles else 1.0,
+        "slowdown": result.normalized_time,
         "llc_mpki": run.llc_mpki,
         "control_llc_mpki": control.llc_mpki,
         "instructions": instructions,
-        "wall_s": wall_s,
-        "acc_per_s": (run.instructions / wall_s) if wall_s > 0 else 0.0,
     }
 
 
@@ -515,7 +469,7 @@ def tournament_jobs(
     names = list(ATTACKS) if attacks is None else list(attacks)
     unknown = [n for n in names if n not in ATTACKS]
     if unknown:
-        raise ValueError(
+        raise ConfigError(
             f"unknown attack(s) {unknown}; known: {sorted(ATTACKS)}"
         )
     jobs: List[SweepJob] = []

@@ -96,7 +96,8 @@ class CacheConfig:
 class TimeCacheConfig:
     """Parameters of the TimeCache defense itself."""
 
-    #: master switch — False simulates the unmodified baseline cache
+    #: whether the s-bit machinery runs; follows the named defense's
+    #: ``uses_sbits`` (set by its ``configure``, checked by ``validate``)
     enabled: bool = True
     #: width of the per-line Tc timestamp (paper: 32)
     timestamp_bits: int = 32
@@ -194,11 +195,8 @@ class SimConfig:
 
     hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
     timecache: TimeCacheConfig = field(default_factory=TimeCacheConfig)
-    #: registered defense plugin to attach (see :mod:`repro.defenses`).
-    #: Empty string = legacy wiring: no plugin is consulted and the
-    #: ``timecache`` block alone decides the machine — every pre-zoo
-    #: construction site keeps its exact behavior.
-    defense: str = ""
+    #: the registered defense the machine runs (see :mod:`repro.defenses`)
+    defense: str = "timecache"
     #: scheduler quantum, in cycles
     quantum_cycles: int = 50_000
     #: fixed (non-s-bit) cost of a context switch, in cycles
@@ -211,6 +209,13 @@ class SimConfig:
             raise ConfigError("quantum_cycles must be positive")
         if self.context_switch_cycles < 0:
             raise ConfigError("context_switch_cycles cannot be negative")
+        from repro.defenses import get_defense  # registry imports config
+
+        if self.timecache.enabled != get_defense(self.defense).uses_sbits:
+            raise ConfigError(
+                f"timecache.enabled={self.timecache.enabled} disagrees with "
+                f"defense {self.defense!r}; use with_defense() or baseline()"
+            )
 
     def with_defense(self, name: str) -> "SimConfig":
         """Reshape into the named registered defense's machine (and stamp
@@ -220,12 +225,16 @@ class SimConfig:
         return get_defense(name).configure(self)
 
     def with_timecache(self, **changes: object) -> "SimConfig":
-        """Return a copy with TimeCache parameters replaced."""
+        """Return a copy with TimeCache parameters replaced (the
+        ablation knobs; ``enabled`` follows the defense)."""
         return replace(self, timecache=replace(self.timecache, **changes))
 
     def baseline(self) -> "SimConfig":
-        """Return the same configuration with the defense disabled."""
-        return self.with_timecache(enabled=False)
+        """The same machine under the registered control: the
+        undefended cache a defense's cost is measured against."""
+        from repro.defenses import control_defense  # registry imports config
+
+        return control_defense().configure(self)
 
 
 def paper_table1_real_config() -> Tuple[str, ...]:

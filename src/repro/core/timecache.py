@@ -1,10 +1,11 @@
 """The public facade: :class:`TimeCacheSystem`.
 
 Bundles the substrate (clock, hierarchy) with the contribution (context
-engine) behind one object that the CPU layer, the OS layer, examples and
-tests all drive.  Construct one from a :class:`~repro.common.config.SimConfig`
-— with ``timecache.enabled`` True for the defended system or False for the
-baseline — and issue accesses, flushes, and context switches.
+engine) and the config's registered defense behind one object that the
+CPU layer, the OS layer, examples and tests all drive.  Construct one
+from a :class:`~repro.common.config.SimConfig` (TimeCache by default,
+``config.baseline()`` undefended, ``config.with_defense(name)``) and
+issue accesses, flushes, and context switches.
 
 Quickstart::
 
@@ -66,22 +67,17 @@ class TimeCacheSystem:
             config.hierarchy, timecache=config.timecache, clock=self.clock
         )
         self.context_engine = ContextSwitchEngine(self.hierarchy, config.timecache)
-        #: attached defense plugin (:mod:`repro.defenses`) and its
-        #: per-system state.  ``config.defense == ""`` (every legacy
-        #: construction site) leaves both None and every hot path on its
-        #: pre-zoo branch; the "timecache"/"baseline" plugins are pure
-        #: config transforms, so attaching them changes nothing either.
-        self.defense = None
-        self.defense_state = None
         #: address remap installed by a defense (copy-on-access): maps a
         #: hardware context to a constant offset folded into every
         #: address at this facade, before the hierarchy is entered.
         self._addr_offset: Optional[Callable[[int], int]] = None
-        if config.defense:
-            from repro.defenses import get_defense
+        from repro.defenses import get_defense  # defenses import core
 
-            self.defense = get_defense(config.defense)
-            self.defense_state = self.defense.attach(self)
+        #: the attached defense plugin (:mod:`repro.defenses`) and the
+        #: per-system state its ``attach`` returned; the "timecache" and
+        #: "baseline" plugins hook nothing and keep no state
+        self.defense = get_defense(config.defense)
+        self.defense_state = self.defense.attach(self)
         self._task_state: Dict[int, TaskCachingState] = {}
         #: observation hooks (repro.robustness): called after every
         #: completed context switch as ``(outgoing, incoming, ctx, now)``.
@@ -208,14 +204,13 @@ class TimeCacheSystem:
         cost = self.context_engine.restore(
             self.task_state(incoming_task), ctx, when
         )
-        if self.defense is not None:
-            extra = self.defense.on_context_switch(
-                self, outgoing_task, incoming_task, ctx, when
-            )
-            if extra is not None:
-                from repro.defenses import merge_switch_costs
+        extra = self.defense.on_context_switch(
+            self, outgoing_task, incoming_task, ctx, when
+        )
+        if extra is not None:
+            from repro.defenses import merge_switch_costs
 
-                cost = merge_switch_costs(cost, extra)
+            cost = merge_switch_costs(cost, extra)
         for listener in self.switch_listeners:
             listener(outgoing_task, incoming_task, ctx, when)
         if self.obs_tracer is not None:

@@ -17,6 +17,7 @@ from repro.defenses.builtin import (
     TimeCacheDefense,
 )
 from repro.defenses.registry import (
+    control_defense,
     defense_names,
     get_defense,
     is_control_defense,
@@ -32,6 +33,7 @@ __all__ = [
     "PartitionFlushDefense",
     "SelectiveFlushDefense",
     "TimeCacheDefense",
+    "control_defense",
     "defense_names",
     "get_defense",
     "is_control_defense",

@@ -1,12 +1,13 @@
 """The :class:`Defense` protocol: software cache-side-channel mitigations
 as pluggable policies over one simulated machine.
 
-A defense is two things:
+Every machine names one registered defense (``SimConfig.defense``,
+``"timecache"`` by default).  A defense is two things:
 
-* a **config transform** (:meth:`Defense.configure`) that turns a neutral
-  :class:`~repro.common.config.SimConfig` into the defended machine —
-  flipping the TimeCache s-bit machinery on or off, and stamping
-  ``config.defense`` so the system knows which plugin to attach; and
+* a **declaration** (:attr:`Defense.uses_sbits`): whether the machine
+  runs TimeCache's s-bit machinery.  :meth:`Defense.configure` turns a
+  config into the defended machine by setting ``timecache.enabled``
+  from it and stamping ``config.defense``; and
 * an optional set of **runtime hooks** (:meth:`Defense.attach`,
   :meth:`Defense.on_context_switch`) installed by
   :class:`~repro.core.timecache.TimeCacheSystem` at construction:
@@ -15,12 +16,12 @@ A defense is two things:
   merged into the :class:`~repro.core.context.SwitchCost` the scheduler
   charges.
 
-TimeCache itself is one registered plugin whose hooks are all no-ops —
-the s-bit/Tc machinery stays where it always lived (``repro.memsys``,
-``repro.core.context``), keyed off ``config.timecache.enabled``, so the
-defended system is *bit-identical* to what it was before the protocol
-existed.  The protocol earns its keep with the siblings: FASE-style
-selective flushing and CACHEBAR-style copy-on-access need only the hooks.
+TimeCache itself is one registered plugin whose hooks are all no-ops:
+its declaration turns on the s-bit/Tc machinery in ``repro.memsys`` and
+``repro.core.context``.  The control (``is_control``) is the undefended
+machine :meth:`SimConfig.baseline` names.  The protocol earns its keep
+with the siblings: FASE-style selective flushing and CACHEBAR-style
+copy-on-access need only the hooks.
 
 Every defense runs on both engines: both call the per-access listeners
 from every access, batched or not, and the address remap sits at the
@@ -43,8 +44,8 @@ class Defense:
     """Base class / protocol for one registered defense.
 
     Subclasses set the class attributes and override whichever hooks
-    they need; every base hook is a no-op so a pure config-transform
-    defense (TimeCache, the baseline control) costs nothing at runtime.
+    they need; every base hook is a no-op, so a defense with no hooks
+    (TimeCache, the baseline control) costs nothing at runtime.
     """
 
     #: registry key, and the value carried in ``SimConfig.defense``
@@ -55,18 +56,18 @@ class Defense:
     #: control cells to the *sanity* direction (the attack must keep
     #: leaking) instead of the defense-regression direction
     is_control: bool = False
+    #: whether the machine runs TimeCache's s-bit machinery: the value
+    #: :meth:`configure` gives ``timecache.enabled``
+    uses_sbits: bool = False
 
     # ------------------------------------------------------------------
     # config transform
     # ------------------------------------------------------------------
     def configure(self, config: SimConfig) -> SimConfig:
-        """Return ``config`` reshaped into this defense's machine.
-
-        The default stamps ``config.defense`` only; subclasses compose
-        with :meth:`SimConfig.with_timecache` / :meth:`SimConfig.baseline`
-        as needed.  Must be pure (frozen-dataclass ``replace``).
-        """
-        return dataclasses.replace(config, defense=self.name)
+        """``config`` as this defense's machine: ``timecache.enabled``
+        from :attr:`uses_sbits`, ``defense`` stamped, every other knob kept."""
+        timecache = dataclasses.replace(config.timecache, enabled=self.uses_sbits)
+        return dataclasses.replace(config, timecache=timecache, defense=self.name)
 
     # ------------------------------------------------------------------
     # runtime hooks
@@ -75,9 +76,9 @@ class Defense:
         """Install runtime hooks on a freshly built system.
 
         Returns the defense's per-system mutable state (stored by the
-        system as ``defense_state``), or ``None`` when the defense is a
-        pure config transform.  Registry entries are singletons — never
-        keep per-system state on ``self``.
+        system as ``defense_state``), or ``None`` when the defense keeps
+        none.  Registry entries are singletons — never keep per-system
+        state on ``self``.
         """
         return None
 

@@ -6,11 +6,12 @@ Cost models (docs/internals.md §17):
 
 * **timecache** — per-line s-bits + truncated Tc timestamps; cost is the
   first-access latency discipline plus the s-bit DMA/comparator cycles
-  at every switch.  All of that machinery predates the protocol and is
-  keyed off ``config.timecache``; this plugin is a pure config transform
-  so the defended system stays bit-identical to the pre-protocol one.
-* **baseline** — the control arm: the unmodified cache.  ``is_control``
-  puts its tournament cells under the gate's sanity direction.
+  at every switch.  That machinery lives in the hierarchy and the
+  context engine, keyed off ``config.timecache``; this plugin only
+  declares it on (``uses_sbits``) and hooks nothing.
+* **baseline** — the control arm: the unmodified cache that
+  :meth:`~repro.common.config.SimConfig.baseline` names.  ``is_control``
+  also puts its tournament cells under the gate's sanity direction.
 * **selective_flush** — FASE: at each reschedule, flush only the lines
   the switching-out context actually touched since it was switched in.
   Cost is ``flush_cached`` cycles per flushed line, charged through the
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Set
 
-from repro.common.config import SimConfig
 from repro.core.context import SwitchCost
 from repro.defenses.base import Defense
 
@@ -59,24 +59,19 @@ TENANT_SHIFT = 44
 
 
 class TimeCacheDefense(Defense):
-    """The paper's defense, as one registered plugin (pure transform)."""
+    """The paper's defense, as one registered plugin (no hooks)."""
 
     name = "timecache"
     summary = "per-context s-bits + Tc timestamps (the paper's defense)"
-
-    def configure(self, config: SimConfig) -> SimConfig:
-        return super().configure(config.with_timecache(enabled=True))
+    uses_sbits = True
 
 
 class BaselineControl(Defense):
-    """The undefended machine — the tournament's control arm."""
+    """The undefended machine: the control arm of every comparison."""
 
     name = "baseline"
     summary = "unmodified cache (control arm; attacks must leak here)"
     is_control = True
-
-    def configure(self, config: SimConfig) -> SimConfig:
-        return super().configure(config.baseline())
 
 
 class SelectiveFlushDefense(Defense):
@@ -92,9 +87,6 @@ class SelectiveFlushDefense(Defense):
 
     name = "selective_flush"
     summary = "FASE: flush the switching context's touched lines"
-
-    def configure(self, config: SimConfig) -> SimConfig:
-        return super().configure(config.baseline())
 
     def attach(self, system: "Any") -> Dict[int, Set[int]]:
         touched: Dict[int, Set[int]] = {}
@@ -153,9 +145,6 @@ class CopyOnAccessDefense(Defense):
     name = "copy_on_access"
     summary = "CACHEBAR: per-tenant line copies break shared-line reuse"
 
-    def configure(self, config: SimConfig) -> SimConfig:
-        return super().configure(config.baseline())
-
     def attach(self, system: "Any") -> Dict[int, int]:
         tenants: Dict[int, int] = {}
 
@@ -190,9 +179,6 @@ class FtmDefense(Defense):
     name = "ftm"
     summary = "FTM: per-core LLC presence bits, no switch handling"
 
-    def configure(self, config: SimConfig) -> SimConfig:
-        return super().configure(config.baseline())
-
     def attach(self, system: "Any") -> None:
         system.hierarchy.enable_ftm()
 
@@ -206,9 +192,6 @@ class PartitionFlushDefense(Defense):
 
     name = "partition_flush"
     summary = "CAT: per-domain LLC ways, flushed when the domain switches"
-
-    def configure(self, config: SimConfig) -> SimConfig:
-        return super().configure(config.baseline())
 
     def attach(self, system: "Any") -> Dict[int, int]:
         system.hierarchy.enable_partitioning(PARTITION_DOMAINS)

@@ -1,8 +1,9 @@
 """The defense registry: name → :class:`~repro.defenses.base.Defense`.
 
-Every ``SimConfig.defense`` resolves here, and registration order is
-presentation order.  The tournament's gated default axis is its own
-named tuple, ``repro.analysis.tournament.DEFENSES``; any other
+Every ``SimConfig.defense`` resolves here, registration order is
+presentation order, and the first control registered is the machine
+``SimConfig.baseline`` names.  The tournament's gated default axis is
+its own named tuple, ``repro.analysis.tournament.DEFENSES``; any other
 registered defense is scored through ``--defenses NAME`` (the
 ``defenses=`` argument).  Adding a defense to ``DEFENSES`` grows the
 committed security baseline by ``--update-baseline``; the gate ignores
@@ -60,6 +61,15 @@ def is_control_defense(name: str) -> bool:
     """True when ``name`` is registered as a control (undefended) arm."""
     defense = _REGISTRY.get(name)
     return bool(defense is not None and defense.is_control)
+
+
+def control_defense() -> Defense:
+    """The first registered control arm: the machine
+    :meth:`~repro.common.config.SimConfig.baseline` names."""
+    for defense in _REGISTRY.values():
+        if defense.is_control:
+            return defense
+    raise ConfigError("no control defense registered")
 
 
 # The shipped zoo.  TimeCache and the control arm first: they anchor the

@@ -13,8 +13,9 @@ three TimeCache behaviors the paper adds to a conventional cache:
 3. Fills set the requester's s-bit and clear everyone else's; evictions
    and invalidations clear all s-bits of the slot.
 
-With ``TimeCacheConfig.enabled == False`` the very same code paths model
-the unmodified baseline cache, which is what every experiment compares
+With ``TimeCacheConfig.enabled == False`` (every defense but
+``timecache`` declares it so) the very same code paths model the
+unmodified baseline cache, which is what every experiment compares
 against.
 """
 

@@ -64,12 +64,8 @@ __all__ = [
 ]
 
 
-def _safe_label(label: str) -> str:
-    return "".join(c if c.isalnum() or c in "._-" else "_" for c in label)
-
-
 def shard_path(obs_dir: Union[str, Path], label: str) -> Path:
-    return Path(obs_dir) / SHARD_DIR / f"shard-{_safe_label(label)}.json"
+    return Path(obs_dir) / SHARD_DIR / f"shard-{safeio.file_safe(label)}.json"
 
 
 def heartbeat_path(obs_dir: Union[str, Path]) -> Path:

@@ -70,7 +70,6 @@ def campaign_config() -> SimConfig:
             llc=CacheConfig("LLC", 16 * KIB, ways=8),
         ),
         timecache=TimeCacheConfig(
-            enabled=True,
             timestamp_bits=16,  # epochs short enough to roll over in-run
             sbit_dma_cycles=20,
         ),

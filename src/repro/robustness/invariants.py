@@ -72,7 +72,7 @@ class InvariantChecker:
         if not system.timecache_enabled:
             raise ConfigError(
                 "the invariant checker validates the TimeCache protocol; "
-                "attach it to a system with timecache.enabled"
+                "attach it to a system whose defense is 'timecache'"
             )
         self.system = system
         self.hierarchy = system.hierarchy

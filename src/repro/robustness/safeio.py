@@ -104,6 +104,12 @@ def seal(payload: Mapping) -> Dict:
     return sealed
 
 
+def file_safe(label: str) -> str:
+    """``label`` as a file-name stem: every character but letters,
+    digits and ``._-`` becomes ``_`` (a cell label's ``|`` and ``/``)."""
+    return "".join(c if c.isalnum() or c in "._-" else "_" for c in label)
+
+
 def backup_path(path: Union[str, Path]) -> Path:
     path = Path(path)
     return path.with_suffix(path.suffix + BACKUP_SUFFIX)

@@ -6,9 +6,8 @@ simulation.  Every sweep runs its cells through
 
 * ``jobs == 1`` runs each job in the calling process
   (:class:`SweepExecutor`, the base class), retrying a job that raises
-  with exponential backoff.  The global ``random``/NumPy generators are
-  not reseeded, so results are bit-for-bit those of calling the job
-  functions directly.  Nothing can kill a hung in-process job, so
+  with exponential backoff, so results are bit-for-bit those of calling
+  the job functions directly.  Nothing can kill a hung in-process job, so
   ``deadline_s`` does nothing here; ``sabotage_for`` and ``obs_dir`` act
   inside worker processes and are refused with
   :class:`~repro.common.errors.ConfigError`;
@@ -79,14 +78,15 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return max(1, int(jobs))
 
 
-def derive_job_seed(base_seed: int, label: str) -> int:
-    """Deterministic child seed for one job, keyed by its label.
+def derive_job_seed(root: int, label: str) -> int:
+    """Deterministic child seed for one job, keyed by its label (the
+    tournament's bootstrap seeds).
 
     Uses :meth:`DeterministicRng.fork` (stable crc32 derivation), so the
-    seed a job gets depends only on ``(base_seed, label)`` — never on
+    seed a job gets depends only on ``(root, label)`` — never on
     worker identity, submission order, or ``PYTHONHASHSEED``.
     """
-    return DeterministicRng(base_seed).fork(label).seed
+    return DeterministicRng(root).fork(label).seed
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,7 @@ def quarantine_record_path(
     quarantine_dir: Union[str, Path], label: str
 ) -> Path:
     """Where one label's quarantine record lives (label made file-safe)."""
-    safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in label)
-    return Path(quarantine_dir) / f"{safe}.failure.json"
+    return Path(quarantine_dir) / f"{safeio.file_safe(label)}.failure.json"
 
 
 def write_quarantine_record(
@@ -189,7 +188,6 @@ def _write_shard_quiet(session, obs_dir, attempt: int, ok: bool) -> None:
 
 def _supervised_worker(
     job: SweepJob,
-    child_seed: int,
     conn,
     beat,
     sabotage: Sabotage,
@@ -212,15 +210,6 @@ def _supervised_worker(
     killed/hung worker simply leaves no shard, which the merge treats
     as "nothing recorded", not an error.
     """
-    import random
-
-    random.seed(child_seed)
-    try:
-        import numpy as _np
-
-        _np.random.seed(child_seed & 0xFFFFFFFF)
-    except ImportError:  # pragma: no cover - numpy is a hard dep today
-        pass
     beat.value = time.monotonic()
     if sabotage is not None:
         kind, param = sabotage
@@ -474,9 +463,6 @@ class SupervisedSweepExecutor(SweepExecutor):
       (counting as one attempt).  ``None`` disables hang detection
       (crash detection stays on).  No effect at ``jobs == 1``;
     * ``poll_s`` — supervisor loop cadence;
-    * ``base_seed`` — each worker reseeds the global ``random``/NumPy
-      generators from :func:`derive_job_seed` of it and its label, so
-      even code reaching for global randomness stays reproducible;
     * ``sabotage_for`` — chaos seam: maps ``(label, attempt)`` to a
       worker sabotage spec; never set in production.  Needs
       ``jobs >= 2``;
@@ -497,7 +483,6 @@ class SupervisedSweepExecutor(SweepExecutor):
         poll_s: float = 0.02,
         checkpoint: Optional[Checkpoint] = None,
         on_event: Optional[Callable[[str, str], None]] = None,
-        base_seed: int = 0,
         sabotage_for: Optional[Callable[[str, int], Sabotage]] = None,
         obs_dir: Optional[Union[str, Path]] = None,
     ) -> None:
@@ -516,7 +501,6 @@ class SupervisedSweepExecutor(SweepExecutor):
                 )
         self.deadline_s = deadline_s
         self.poll_s = poll_s
-        self.base_seed = base_seed
         self.sabotage_for = sabotage_for
         self.obs_dir = Path(obs_dir) if obs_dir is not None else None
 
@@ -571,7 +555,6 @@ class SupervisedSweepExecutor(SweepExecutor):
                 target=_supervised_worker,
                 args=(
                     job,
-                    derive_job_seed(self.base_seed, job.label),
                     child_conn,
                     beat,
                     sabotage,

@@ -243,3 +243,20 @@ class TestKeyCheckedResume:
         assert "schema 1 (expected 2)" in err
         assert ck.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]
+
+    def test_export_records_the_stale_cells(self, tmp_path):
+        from repro.analysis.export import load_json
+
+        ck, target = tmp_path / "ck.json", tmp_path / "out.json"
+
+        def export(instructions):
+            argv = ["--instructions", instructions, "export", "--pairs", "1",
+                    "--jobs", "1", "--resume", str(ck), "--output", str(target),
+                    "--quiet"]
+            assert main(argv) == 0
+            return load_json(target)
+
+        assert export("3000")["stale"] == []
+        payload = export("4000")
+        assert payload["stale"] == ["2Xspecrand"]
+        assert payload["resumed"] == []

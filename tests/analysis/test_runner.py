@@ -157,7 +157,7 @@ class TestBatchedReplay:
             for i in range(3)
         ]
         serial, parallel = (
-            SupervisedSweepExecutor(jobs, retries=0, base_seed=7).map(sweep_jobs)
+            SupervisedSweepExecutor(jobs, retries=0).map(sweep_jobs)
             for jobs in (1, 2)
         )
         assert serial == parallel

@@ -30,12 +30,12 @@ def smt_config(enabled=True):
             l1d=CacheConfig("L1D", 1 * KIB, ways=4),
             llc=CacheConfig("LLC", 16 * KIB, ways=8),
         ),
-        timecache=TimeCacheConfig(enabled=enabled, sbit_dma_cycles=20),
+        timecache=TimeCacheConfig(sbit_dma_cycles=20),
         quantum_cycles=5_000,
         context_switch_cycles=50,
     )
     cfg.validate()
-    return cfg
+    return cfg if enabled else cfg.baseline()
 
 
 class TestSmtFlushReload:

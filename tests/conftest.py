@@ -24,7 +24,8 @@ def tiny_config(
     timestamp_bits: int = 32,
     **tc_kwargs,
 ) -> SimConfig:
-    """A minimal machine: 1 KiB L1s (4 sets x 4 ways), 16 KiB LLC."""
+    """A minimal machine: 1 KiB L1s (4 sets x 4 ways), 16 KiB LLC, under
+    TimeCache, or the undefended control with ``enabled=False``."""
     cfg = SimConfig(
         hierarchy=HierarchyConfig(
             num_cores=num_cores,
@@ -34,7 +35,6 @@ def tiny_config(
             llc=CacheConfig("LLC", 16 * KIB, ways=8),
         ),
         timecache=TimeCacheConfig(
-            enabled=enabled,
             timestamp_bits=timestamp_bits,
             sbit_dma_cycles=20,
             **tc_kwargs,
@@ -43,7 +43,7 @@ def tiny_config(
         context_switch_cycles=50,
     )
     cfg.validate()
-    return cfg
+    return cfg if enabled else cfg.baseline()
 
 
 @pytest.fixture

@@ -9,8 +9,6 @@ time-sliced on one core, nor SMT siblings.  These tests reproduce that
 comparison point for point.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.attacks.flush_reload import run_microbenchmark_attack
@@ -18,7 +16,6 @@ from repro.common.config import (
     CacheConfig,
     HierarchyConfig,
     SimConfig,
-    TimeCacheConfig,
 )
 from repro.common.errors import SimulationError
 from repro.common.units import KIB
@@ -106,12 +103,8 @@ class TestFtmGaps:
         assert not r.first_access
 
     def test_smt_sibling_blocked_by_timecache(self):
-        cfg = dataclasses.replace(
-            ftm_config(num_cores=1, threads_per_core=2),
-            timecache=TimeCacheConfig(enabled=True, sbit_dma_cycles=20),
-            defense="",
-        )
-        system = TimeCacheSystem(cfg)
+        cfg = ftm_config(num_cores=1, threads_per_core=2)
+        system = TimeCacheSystem(cfg.with_defense("timecache"))
         system.flush(0, 0x1000, now=0)
         system.load(1, 0x1000, now=100)
         r = system.load(0, 0x1000, now=400)

@@ -110,13 +110,6 @@ def test_with_defense_shortcut():
     assert not config.timecache.enabled
 
 
-def test_legacy_empty_defense_attaches_nothing():
-    system = TimeCacheSystem(scaled_experiment_config())
-    assert system.defense is None
-    assert system.defense_state is None
-    assert system._addr_offset is None
-
-
 # ----------------------------------------------------------------------
 # every defense runs on the fast engine
 # ----------------------------------------------------------------------

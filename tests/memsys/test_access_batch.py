@@ -24,11 +24,11 @@ STORE = AccessKind.STORE
 IFETCH = AccessKind.IFETCH
 
 
-def _config(engine, **tc):
+def _config(engine, enabled=True, **tc):
     cfg = scaled_experiment_config(engine=engine)
     if tc:
         cfg = cfg.with_timecache(**tc)
-    return cfg
+    return cfg if enabled else cfg.baseline()
 
 
 def _snapshot(system):

@@ -38,8 +38,10 @@ T0 = 70_000
 
 def _config(engine, tc_on, threads_per_core=1):
     cfg = scaled_experiment_config(engine=engine).with_timecache(
-        enabled=tc_on, timestamp_bits=16
+        timestamp_bits=16
     )
+    if not tc_on:
+        cfg = cfg.baseline()
     return dataclasses.replace(
         cfg,
         hierarchy=dataclasses.replace(

@@ -26,10 +26,9 @@ def smt_system(enabled=True, cores=1):
             l1d=CacheConfig("L1D", 1 * KIB, ways=4),
             llc=CacheConfig("LLC", 16 * KIB, ways=8),
         ),
-        timecache=TimeCacheConfig(enabled=enabled, sbit_dma_cycles=20),
+        timecache=TimeCacheConfig(sbit_dma_cycles=20),
     )
-    cfg.validate()
-    return TimeCacheSystem(cfg)
+    return TimeCacheSystem(cfg if enabled else cfg.baseline())
 
 
 def test_sibling_contexts_share_l1():

@@ -134,8 +134,7 @@ def test_resume_reruns_the_cells_another_boot_count_changes(tmp_path, capsys):
     assert {second[label]["n_boot"] for label in leakage} == {400}
     for label in second:
         if label.startswith("overhead|"):
-            # resumed as stored, wall-clock fields included
-            assert second[label] == first[label]
+            assert second[label] == first[label]  # resumed as stored
 
 
 def test_tournament_rejects_unknown_attack(tmp_path, capsys):
@@ -144,6 +143,26 @@ def test_tournament_rejects_unknown_attack(tmp_path, capsys):
         "--output", str(tmp_path / "S.json"), "--quiet",
     ]
     assert main(argv) == EXIT_FATAL
+    assert "fatal: ConfigError: unknown attack(s) ['bogus']" in (
+        capsys.readouterr().err
+    )
+
+
+def test_a_schema_1_checkpoint_is_fatal(tmp_path, capsys):
+    """A checkpoint from before cell keys exits under the exit contract,
+    naming the error type, as on the paper sweeps, and is left as is."""
+    ck = tmp_path / "tk1.json"
+    legacy = {"schema": 1, "kind": "sweep_checkpoint", "completed": {},
+              "failures": []}
+    ck.write_text(json.dumps(safeio.seal(legacy)))
+    before = ck.read_bytes()
+    code, output = _run(tmp_path, "--resume", str(ck))
+    assert code == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert "fatal: CheckpointCorruptionError" in err
+    assert "schema 1 (expected 2)" in err
+    assert ck.read_bytes() == before
+    assert not output.exists()
 
 
 @pytest.mark.parametrize("flag", ["--boot", "--seeds"])

@@ -9,7 +9,7 @@ cells so every failure direction is exercised without a simulator run.
 import pytest
 
 from repro.analysis import tournament as tm
-from repro.common.errors import LeakageStatsError
+from repro.common.errors import ConfigError, LeakageStatsError
 
 
 def _quick_cell(defense, n_boot=50):
@@ -23,7 +23,7 @@ def _quick_cell(defense, n_boot=50):
 # job matrix construction
 # ----------------------------------------------------------------------
 def test_tournament_jobs_unknown_attack_raises():
-    with pytest.raises(ValueError, match="unknown attack"):
+    with pytest.raises(ConfigError, match="unknown attack"):
         tm.tournament_jobs(attacks=["flush_reload", "nonexistent"])
 
 
@@ -288,17 +288,10 @@ def test_gate_fails_on_doctored_committed_baseline(quick_outcome, tmp_path):
 # ----------------------------------------------------------------------
 # overhead cells: what each defense costs, beside what it blocks
 #
-# Every deterministic field of an overhead cell is a pure function of
-# (config, seeds) — identical across runs and ``jobs`` fan-outs — while
-# its wall-clock fields are excluded from every equality check.  The
-# smoke runs a one-attack slice under ``jobs=2`` with a checkpoint.
+# Every field of an overhead cell is a pure function of (config, seeds)
+# — identical across runs and ``jobs`` fan-outs.  The smoke runs a
+# one-attack slice under ``jobs=2`` with a checkpoint.
 # ----------------------------------------------------------------------
-def _deterministic(cell):
-    if cell.get("kind") == "overhead":
-        return {k: cell[k] for k in tm.OVERHEAD_DETERMINISTIC_FIELDS}
-    return cell  # leakage cells are deterministic in every field
-
-
 def test_tournament_jobs_add_overhead_cells_on_request():
     jobs = tm.tournament_jobs(overhead_instructions=8_000)
     leakage = len(tm.ATTACKS) * len(tm.DEFENSES) * len(tm.ENGINES)
@@ -387,22 +380,18 @@ def test_overhead_tournament_resumes_from_checkpoint(overhead_outcome):
     tmp, first = overhead_outcome
     second = tm.run_tournament(checkpoint_path=tmp / "ck.json", **OVERHEAD_KW)
     assert sorted(second.sweep.resumed) == sorted(first.labels)
-    assert {k: _deterministic(c) for k, c in second.cells.items()} == {
-        k: _deterministic(c) for k, c in first.cells.items()
-    }
+    assert second.cells == first.cells
 
 
 def test_overhead_tournament_deterministic_across_fresh_runs(
     overhead_outcome, tmp_path
 ):
     """A fresh checkpoint (nothing to resume) under the same jobs=2
-    fan-out must reproduce every deterministic field bit-for-bit."""
+    fan-out must reproduce every cell bit-for-bit."""
     _, first = overhead_outcome
     fresh = tm.run_tournament(checkpoint_path=tmp_path / "ck2.json", **OVERHEAD_KW)
     assert not fresh.sweep.resumed
-    assert {k: _deterministic(c) for k, c in fresh.cells.items()} == {
-        k: _deterministic(c) for k, c in first.cells.items()
-    }
+    assert fresh.cells == first.cells
 
 
 def test_scorecard_round_trip_keeps_overhead_cells(overhead_outcome, tmp_path):

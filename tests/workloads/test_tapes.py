@@ -639,7 +639,8 @@ def test_spec_experiment_makes_one_engine_call_per_memory_op(monkeypatch, defens
     """The walk reads translated addresses off the tape and calls the
     engine's port for the op's kind itself, once per memory op: no
     per-op ``translate``, no ``access`` dispatcher, and no facade call
-    but the ``copy_on_access`` remap in front of the port."""
+    but the ``copy_on_access`` remap in front of the port, on the
+    defended run only (the control is the undefended machine)."""
     tapes = []
     emit = generator.emit_profile_tape
 
@@ -687,9 +688,9 @@ def test_spec_experiment_makes_one_engine_call_per_memory_op(monkeypatch, defens
         len(tape.kinds) - tape.kinds.count(TAPE_COMPUTE) - 1 for tape in tapes
     )
     assert len(tapes) == 2 and memory_ops > 1_000
-    assert len(ported) == 2 * memory_ops  # baseline and TimeCache runs
+    assert len(ported) == 2 * memory_ops  # the control and defended runs
     assert translations == [] and dispatcher == [] and facade == []
-    assert len(remaps) == (len(ported) if defense else 0)
+    assert len(remaps) == (memory_ops if defense else 0)
 
 
 def test_parsec_experiment_emits_each_thread_once(monkeypatch):
