@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.common.config import SimConfig, scaled_experiment_config
-from repro.common.errors import ConfigError, LeakageStatsError
+from repro.common.errors import ConfigError
 from repro.defenses import defense_names, is_control_defense
 from repro.obs.manifest import machine_metadata
 from repro.robustness import safeio
@@ -71,6 +71,8 @@ SECURITY_SCHEMA = 1
 DEFAULT_TOLERANCE = 0.05
 #: deterministic root for per-cell bootstrap seeds
 BOOT_SEED_ROOT = 0x51A7
+#: wall-clock seconds the supervisor gives one cell before killing it
+CELL_DEADLINE_S = 120.0
 ENGINES = ("object", "fast")
 
 
@@ -367,8 +369,6 @@ def run_tournament_cell(
     across ``seeds``; the bootstrap seed derives from the cell label so
     the score is reproducible regardless of which worker ran the cell.
     """
-    if defense not in defense_names():
-        raise LeakageStatsError(f"unknown defense arm {defense!r}")
     spec = ATTACKS[attack]
     neg: List[int] = []
     pos: List[int] = []
@@ -472,6 +472,12 @@ def tournament_jobs(
         raise ConfigError(
             f"unknown attack(s) {unknown}; known: {sorted(ATTACKS)}"
         )
+    registered = defense_names()
+    unknown = [d for d in defenses if d not in registered]
+    if unknown:
+        raise ConfigError(
+            f"unknown defense(s) {unknown}; registered: {sorted(registered)}"
+        )
     jobs: List[SweepJob] = []
     for name in names:
         for defense in defenses:
@@ -509,7 +515,6 @@ def run_tournament(
     n_boot: int = 500,
     overhead_instructions: Optional[int] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
-    deadline_s: Optional[float] = 120.0,
     on_event: Optional[Callable[[str, str], None]] = None,
     obs_dir: Optional[Union[str, Path]] = None,
 ) -> TournamentOutcome:
@@ -532,7 +537,7 @@ def run_tournament(
     executor = SupervisedSweepExecutor(
         jobs,
         checkpoint=None if checkpoint_path is None else Checkpoint(checkpoint_path),
-        deadline_s=deadline_s,
+        deadline_s=CELL_DEADLINE_S,
         on_event=on_event,
         obs_dir=obs_dir,
     )
@@ -651,7 +656,6 @@ def compare_to_security_baseline(
     cells: Mapping[str, Mapping],
     baseline: Mapping[str, Mapping],
     tolerance: float = DEFAULT_TOLERANCE,
-    leak_cutoff: float = LEAK_AUC_CUTOFF,
     waived: Optional[List[str]] = None,
 ) -> List[str]:
     """Gate messages; empty means the gate passes.
@@ -688,11 +692,11 @@ def compare_to_security_baseline(
                 else:
                     failures.append(message)
         elif base.get("leak"):
-            if float(cell["ci_high"]) < leak_cutoff:
+            if float(cell["ci_high"]) < LEAK_AUC_CUTOFF:
                 failures.append(
                     f"{label}: sanity failure — undefended attack no longer "
                     f"leaks (CI high {cell['ci_high']:.3f} < leak cutoff "
-                    f"{leak_cutoff:.2f}); the harness, not the defense, "
+                    f"{LEAK_AUC_CUTOFF:.2f}); the harness, not the defense, "
                     f"changed"
                 )
     return failures

@@ -23,8 +23,13 @@ Other attacks discussed in Section VII:
   explicitly does *not* target (randomizing caches do), kept here to
   demonstrate the threat-model boundary.
 
-Shared scaffolding lives in :mod:`repro.attacks.base` and the victim
-programs in :mod:`repro.attacks.victim`.
+Every two-party attack is staged by
+:class:`~repro.attacks.base.SharedArrayScenario`: it builds the machine
+(kernel, shared segment, attacker and victim tasks), times each probe
+(``yield from SharedArrayScenario.timed(op)``), finds congruent LLC
+lines for the eviction-set attacks and classifies latencies against
+:func:`~repro.attacks.base.hit_threshold`.  The generic victim programs
+live in :mod:`repro.attacks.victim`.
 """
 
 from repro.attacks.base import (

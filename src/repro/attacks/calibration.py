@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.attacks.base import SharedArrayScenario
 from repro.common.config import SimConfig
 from repro.common.errors import CalibrationError
-from repro.cpu.isa import Exit, Fence, Flush, Load, Rdtsc
+from repro.cpu.isa import Exit, Flush, Load
 from repro.cpu.program import Program, ProgramGen
 from repro.os.kernel import Kernel
 
@@ -100,18 +101,10 @@ def calibrate_hit_threshold(
         for i in range(probes):
             addr = base + i * line_bytes
             yield Flush(addr)
-            t0 = yield Rdtsc()
-            yield Fence()
-            yield Load(addr)  # guaranteed uncached
-            yield Fence()
-            t1 = yield Rdtsc()
-            uncached.append(t1 - t0 - 3)
-            t0 = yield Rdtsc()
-            yield Fence()
-            yield Load(addr)  # guaranteed cached (just loaded)
-            yield Fence()
-            t1 = yield Rdtsc()
-            cached.append(t1 - t0 - 3)
+            latency, _ = yield from SharedArrayScenario.timed(Load(addr))
+            uncached.append(latency)  # guaranteed uncached (just flushed)
+            latency, _ = yield from SharedArrayScenario.timed(Load(addr))
+            cached.append(latency)  # guaranteed cached (just loaded)
         yield Exit()
 
     task = process.spawn(Program("calibrate", program), affinity=ctx)

@@ -22,8 +22,11 @@ from typing import List
 from repro.attacks.base import AttackOutcome, SharedArrayScenario
 from repro.common.config import SimConfig
 from repro.common.errors import ConfigError
-from repro.cpu.isa import Compute, Exit, Fence, Flush, Load, Rdtsc, SleepOp, Store
+from repro.cpu.isa import Compute, Exit, Flush, Load, SleepOp, Store
 from repro.cpu.program import Program, ProgramGen
+
+WAIT_CYCLES = 15_000
+MONITORED_LINE = 1
 
 
 def run_invalidate_transfer(
@@ -31,8 +34,6 @@ def run_invalidate_transfer(
     victim_touches: bool = True,
     victim_writes: bool = False,
     rounds: int = 6,
-    wait_cycles: int = 15_000,
-    monitored_line: int = 1,
 ) -> AttackOutcome:
     """Cross-core invalidate+transfer on one shared line.
 
@@ -46,19 +47,15 @@ def run_invalidate_transfer(
     scenario = SharedArrayScenario(
         config, shared_lines=8, attacker_ctx=0, victim_ctx=1
     )
-    target = scenario.line_vaddr(monitored_line)
+    target = scenario.lines[MONITORED_LINE]
     latencies: List[int] = []
 
     def attacker_program() -> ProgramGen:
         for _ in range(rounds):
             yield Flush(target)
-            yield SleepOp(wait_cycles)
-            t0 = yield Rdtsc()
-            yield Fence()
-            yield Load(target)
-            yield Fence()
-            t1 = yield Rdtsc()
-            latencies.append(t1 - t0 - 3)
+            yield SleepOp(WAIT_CYCLES)
+            latency, _ = yield from SharedArrayScenario.timed(Load(target))
+            latencies.append(latency)
         yield Exit()
 
     def victim() -> ProgramGen:
@@ -68,7 +65,7 @@ def run_invalidate_transfer(
                     yield Store(target)
                 else:
                     yield Load(target)
-            yield Compute(wait_cycles // 4)
+            yield Compute(WAIT_CYCLES // 4)
         yield Exit()
 
     scenario.launch(

@@ -7,69 +7,29 @@ victim runs.  TimeCache breaks the reload exactly as it breaks
 flush+reload: after the victim refills the line, the attacker's reload is
 a first access.
 
-The eviction-set construction here uses the attacker's own mapped pages
-whose physical line addresses collide with the target's LLC set — the
-same congruence search a real attacker performs with large pages or
-timing probes.
+The eviction set is ``ways + 1`` of the attacker's own mapped lines whose
+physical addresses collide with the target's LLC set
+(:meth:`~repro.attacks.base.SharedArrayScenario.congruent_lines`), enough
+to force the target out under LRU.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.attacks.base import AttackOutcome, SharedArrayScenario
 from repro.common.config import SimConfig
-from repro.common.errors import SimulationError
-from repro.cpu.isa import Exit, Fence, Load, Rdtsc, SleepOp
+from repro.cpu.isa import Exit, Load, SleepOp
 from repro.cpu.program import Program, ProgramGen
-from repro.os.process import Process
 
-
-PRIVATE_BASE = 0x4000000
-
-
-def build_eviction_set(
-    scenario: SharedArrayScenario,
-    attacker: Process,
-    target_vaddr: int,
-    extra_ways: int = 1,
-) -> List[int]:
-    """Attacker-virtual addresses whose lines collide with the target's
-    LLC set; ``ways + extra_ways`` of them, enough to force the target
-    out under LRU."""
-    llc = scenario.kernel.system.hierarchy.llc
-    line_bytes = scenario.line_bytes
-    target_paddr = scenario.attacker_proc.address_space.translate(target_vaddr)
-    target_set = llc.set_index(target_paddr >> llc.config.line_bytes.bit_length() - 1)
-
-    pool_lines = llc.num_sets * (llc.ways + extra_ways + 2)
-    segment = scenario.kernel.phys.allocate_segment(
-        "attacker_private_pool", pool_lines * line_bytes
-    )
-    attacker.address_space.map_segment(segment, PRIVATE_BASE)
-
-    wanted = llc.ways + extra_ways
-    eviction_set: List[int] = []
-    for i in range(pool_lines):
-        vaddr = PRIVATE_BASE + i * line_bytes
-        paddr = attacker.address_space.translate(vaddr)
-        line = paddr >> (line_bytes.bit_length() - 1)
-        if llc.set_index(line) == target_set:
-            eviction_set.append(vaddr)
-            if len(eviction_set) == wanted:
-                return eviction_set
-    raise SimulationError(
-        f"could only find {len(eviction_set)}/{wanted} congruent lines"
-    )
+WAIT_CYCLES = 20_000
 
 
 def run_evict_reload(
     config: SimConfig,
     secret_indices: Sequence[int] = (5,),
-    shared_lines: int = 32,
     rounds: int = 4,
-    wait_cycles: int = 20_000,
-    monitored_line: int = None,
+    monitored_line: Optional[int] = None,
 ) -> AttackOutcome:
     """Monitor one shared line via evict+reload.
 
@@ -79,11 +39,17 @@ def run_evict_reload(
     one per round when the victim touches it, zero when it does not;
     TimeCache: always zero).
     """
-    scenario = SharedArrayScenario(config, shared_lines=shared_lines)
+    scenario = SharedArrayScenario(config, shared_lines=32)
     if monitored_line is None:
         monitored_line = secret_indices[0]
-    target = scenario.line_vaddr(monitored_line)
-    eviction_set = build_eviction_set(scenario, scenario.attacker_proc, target)
+    secret_lines = [scenario.lines[index] for index in secret_indices]
+    target = scenario.lines[monitored_line]
+    ways = config.hierarchy.llc.ways
+    eviction_set = scenario.congruent_lines(
+        scenario.attacker_proc.address_space.translate(target),
+        count=ways + 1,
+        lines_per_set=ways + 3,
+    )
     latencies: List[int] = []
 
     def attacker() -> ProgramGen:
@@ -92,13 +58,9 @@ def run_evict_reload(
             for _rep in range(2):
                 for vaddr in eviction_set:
                     yield Load(vaddr)
-            yield SleepOp(wait_cycles)
-            t0 = yield Rdtsc()
-            yield Fence()
-            yield Load(target)
-            yield Fence()
-            t1 = yield Rdtsc()
-            latencies.append(t1 - t0 - 3)
+            yield SleepOp(WAIT_CYCLES)
+            latency, _ = yield from SharedArrayScenario.timed(Load(target))
+            latencies.append(latency)
         yield Exit()
 
     def victim_program() -> ProgramGen:
@@ -106,10 +68,10 @@ def run_evict_reload(
         # between so activity spans the whole attack (a long-running
         # victim, like a crypto daemon handling periodic requests).
         for _ in range(rounds):
-            for index in secret_indices:
+            for vaddr in secret_lines:
                 for _rep in range(8):
-                    yield Load(scenario.line_vaddr(index))
-            yield SleepOp(wait_cycles)
+                    yield Load(vaddr)
+            yield SleepOp(WAIT_CYCLES)
         yield Exit()
 
     victim = Program("er_victim", victim_program)

@@ -28,13 +28,14 @@ from repro.common.config import SimConfig
 from repro.cpu.isa import Compute, Exit, Flush, Load, Rdtsc, YieldOp
 from repro.cpu.program import Program, ProgramGen
 
+MONITORED_LINE = 2
+VICTIM_ROUND_CYCLES = 4_000
+
 
 def run_evict_time(
     config: SimConfig,
     victim_uses_line: bool = True,
     rounds: int = 6,
-    monitored_line: int = 2,
-    victim_round_cycles: int = 4_000,
 ) -> AttackOutcome:
     """Alternate flushed/clean victim rounds; compare their durations.
 
@@ -42,7 +43,7 @@ def run_evict_time(
     positive value when the victim uses the line is the leak.
     """
     scenario = SharedArrayScenario(config, shared_lines=8)
-    target = scenario.line_vaddr(monitored_line)
+    target = scenario.lines[MONITORED_LINE]
     flushed_rounds: List[int] = []
     clean_rounds: List[int] = []
 
@@ -58,7 +59,7 @@ def run_evict_time(
             t0 = yield Rdtsc()
             if victim_uses_line:
                 yield Load(target)
-            yield Compute(victim_round_cycles)
+            yield Compute(VICTIM_ROUND_CYCLES)
             t1 = yield Rdtsc()
             (flushed_rounds if r % 2 == 0 else clean_rounds).append(t1 - t0)
             yield YieldOp()

@@ -18,16 +18,17 @@ from typing import List
 from repro.attacks.base import AttackOutcome, SharedArrayScenario
 from repro.attacks.victim import idle_victim, secret_indexed_victim
 from repro.common.config import SimConfig
-from repro.cpu.isa import Exit, Fence, Flush, Rdtsc, SleepOp
+from repro.cpu.isa import Exit, Flush, SleepOp
 from repro.cpu.program import Program, ProgramGen
+
+WAIT_CYCLES = 15_000
+MONITORED_LINE = 3
 
 
 def run_flush_flush(
     config: SimConfig,
     victim_touches: bool = True,
     rounds: int = 8,
-    wait_cycles: int = 15_000,
-    monitored_line: int = 3,
 ) -> AttackOutcome:
     """Time the second flush of a shared line around a victim window.
 
@@ -37,7 +38,8 @@ def run_flush_flush(
     two cases.
     """
     scenario = SharedArrayScenario(config, shared_lines=16)
-    target = scenario.line_vaddr(monitored_line)
+    lines = scenario.lines
+    target = lines[MONITORED_LINE]
     lat_cfg = config.hierarchy.latency
     # Threshold between the uncached-abort latency and the cached latency.
     flush_threshold = (lat_cfg.flush_uncached + lat_cfg.flush_cached) / 2.0
@@ -46,21 +48,15 @@ def run_flush_flush(
     def attacker() -> ProgramGen:
         yield Flush(target)  # establish the flushed state
         for _ in range(rounds):
-            yield SleepOp(wait_cycles)
-            t0 = yield Rdtsc()
-            yield Fence()
-            yield Flush(target)
-            yield Fence()
-            t1 = yield Rdtsc()
-            latencies.append(t1 - t0 - 3)
+            yield SleepOp(WAIT_CYCLES)
+            latency, _ = yield from SharedArrayScenario.timed(Flush(target))
+            latencies.append(latency)
         yield Exit()
 
     if victim_touches:
-        victim = secret_indexed_victim(
-            scenario.line_vaddr, [monitored_line] * rounds * 4
-        )
+        victim = secret_indexed_victim(lines, [MONITORED_LINE] * rounds * 4)
     else:
-        victim = idle_victim(cycles=wait_cycles * rounds)
+        victim = idle_victim(cycles=WAIT_CYCLES * rounds)
     scenario.launch(Program("flush_flush", attacker), victim)
     scenario.run()
     hits = sum(1 for lat in latencies if lat > flush_threshold)

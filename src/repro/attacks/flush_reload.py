@@ -21,20 +21,9 @@ from typing import List, Optional, Sequence, Set
 from repro.attacks.base import AttackOutcome, SharedArrayScenario
 from repro.attacks.victim import secret_indexed_victim, writer_victim
 from repro.common.config import SimConfig
-from repro.cpu.isa import Exit, Fence, Flush, Load, Rdtsc, SleepOp
+from repro.cpu.isa import Exit, Flush, Load, SleepOp
 from repro.cpu.program import Program, ProgramGen
 from repro.obs.tracer import Tracer
-
-
-def _timed_probe(vaddr: int, latencies: List[int]) -> ProgramGen:
-    """rdtsc-fenced timed load, like the real attack's measurement stanza."""
-    t0 = yield Rdtsc()
-    yield Fence()
-    yield Load(vaddr)
-    yield Fence()
-    t1 = yield Rdtsc()
-    # subtract the two fence cycles and the rdtsc cycle from the window
-    latencies.append(t1 - t0 - 3)
 
 
 def run_microbenchmark_attack(
@@ -58,22 +47,22 @@ def run_microbenchmark_attack(
         tracer=tracer,
         sample_every=sample_every,
     )
+    lines, phase = scenario.lines, scenario.phase
     latencies: List[int] = []
 
     def parent_program() -> ProgramGen:
-        with scenario.phase("flush"):
-            for i in range(shared_lines):
-                yield Flush(scenario.line_vaddr(i))
-        with scenario.phase("wait"):
+        with phase("flush"):
+            for vaddr in lines:
+                yield Flush(vaddr)
+        with phase("wait"):
             yield SleepOp(sleep_cycles)
-        with scenario.phase("probe"):
-            for i in range(shared_lines):
-                yield from _timed_probe(scenario.line_vaddr(i), latencies)
+        with phase("probe"):
+            for vaddr in lines:
+                latency, _ = yield from SharedArrayScenario.timed(Load(vaddr))
+                latencies.append(latency)
         yield Exit()
 
-    victim = writer_victim(
-        scenario.line_vaddr, shared_lines, repetitions=victim_repetitions
-    )
+    victim = writer_victim(lines, repetitions=victim_repetitions)
     scenario.launch(Program("flush_reload_parent", parent_program), victim)
     scenario.run()
     hits = sum(1 for lat in latencies if scenario.classify(lat))
@@ -105,27 +94,26 @@ def run_spy_flush_reload(
         tracer=tracer,
         sample_every=sample_every,
     )
+    lines, phase, threshold = scenario.lines, scenario.phase, scenario.threshold
     latencies: List[int] = []
     recovered: Set[int] = set()
 
     def spy() -> ProgramGen:
         for _ in range(rounds):
-            with scenario.phase("flush"):
-                for i in range(shared_lines):
-                    yield Flush(scenario.line_vaddr(i))
-            with scenario.phase("wait"):
+            with phase("flush"):
+                for vaddr in lines:
+                    yield Flush(vaddr)
+            with phase("wait"):
                 yield SleepOp(wait_cycles)
-            with scenario.phase("probe"):
-                for i in range(shared_lines):
-                    before = len(latencies)
-                    yield from _timed_probe(scenario.line_vaddr(i), latencies)
-                    if scenario.classify(latencies[before]):
+            with phase("probe"):
+                for i, vaddr in enumerate(lines):
+                    latency, _ = yield from SharedArrayScenario.timed(Load(vaddr))
+                    latencies.append(latency)
+                    if latency < threshold:
                         recovered.add(i)
         yield Exit()
 
-    victim = secret_indexed_victim(
-        scenario.line_vaddr, list(secret_indices) * rounds
-    )
+    victim = secret_indexed_victim(lines, list(secret_indices) * rounds)
     scenario.launch(Program("flush_reload_spy", spy), victim)
     scenario.run()
     hits = sum(1 for lat in latencies if scenario.classify(lat))

@@ -11,7 +11,9 @@ The simulation: a victim "editor" executes the shared handler at
 irregular (deterministic, seeded) intervals; the attacker polls.  The
 outcome compares the recovered event times against the ground-truth
 press times.  Under TimeCache the attacker observes no hits and recovers
-no timeline.
+no timeline.  The shared library is the shared segment of a
+:class:`~repro.attacks.base.SharedArrayScenario`, with the spy on
+context 0 and the editor on context 1.
 """
 
 from __future__ import annotations
@@ -19,17 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from repro.attacks.base import hit_threshold
+from repro.attacks.base import SharedArrayScenario
 from repro.common.config import SimConfig
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
-from repro.cpu.isa import Compute, Exit, Fence, Flush, Ifetch, Load, Rdtsc
+from repro.cpu.isa import Compute, Exit, Flush, Ifetch, Load, Rdtsc
 from repro.cpu.program import Program, ProgramGen
-from repro.os.kernel import Kernel
 
-LIB_BASE = 0x300000
 HANDLER_LINE = 2  # offset of the key-press handler inside the shared lib
 LIB_LINES = 8
+#: bounds of the idle gap before each key press (user thinking time)
+MIN_GAP, MAX_GAP = 20_000, 60_000
 
 
 @dataclass
@@ -63,8 +65,6 @@ class KeystrokeResult:
 def run_keystroke_attack(
     config: SimConfig,
     presses: int = 10,
-    min_gap: int = 20_000,
-    max_gap: int = 60_000,
     poll_period: int = 2_000,
     seed: int = 0x5EED,
 ) -> KeystrokeResult:
@@ -76,31 +76,22 @@ def run_keystroke_attack(
     """
     if config.hierarchy.num_hw_contexts < 2:
         raise ConfigError("the keystroke attack needs two hardware contexts")
-    kernel = Kernel(config)
-    line_bytes = config.hierarchy.line_bytes
-    lib = kernel.phys.allocate_segment(
-        "libinput.text", LIB_LINES * line_bytes, content_key="libinput-1.0"
+    scenario = SharedArrayScenario(
+        config, shared_lines=LIB_LINES, attacker_ctx=0, victim_ctx=1
     )
-    attacker_proc = kernel.create_process("spy")
-    victim_proc = kernel.create_process("editor")
-    attacker_proc.address_space.map_segment(lib, LIB_BASE)
-    victim_proc.address_space.map_segment(lib, LIB_BASE)
-    handler_addr = LIB_BASE + HANDLER_LINE * line_bytes
-    threshold = hit_threshold(config)
+    handler_addr = scenario.lines[HANDLER_LINE]
+    threshold = scenario.threshold
 
     rng = DeterministicRng(seed)
-    gaps = [rng.randint(min_gap, max_gap) for _ in range(presses)]
+    gaps = [rng.randint(MIN_GAP, MAX_GAP) for _ in range(presses)]
     true_press_times: List[int] = []
     hit_times: List[int] = []
     probe_log: List[Tuple[int, int]] = []
-    total_probes = [0]
 
     def victim() -> ProgramGen:
-        elapsed = 0
         for gap in gaps:
             # idle between keystrokes (user thinking time)
             yield Compute(gap)
-            elapsed += gap
             t = yield Rdtsc()
             true_press_times.append(t)
             # the key-press handler: a burst through the shared code
@@ -113,22 +104,17 @@ def run_keystroke_attack(
         while True:
             yield Flush(handler_addr)
             yield Compute(poll_period)
-            t0 = yield Rdtsc()
-            yield Fence()
-            yield Load(handler_addr)
-            yield Fence()
-            t1 = yield Rdtsc()
-            total_probes[0] += 1
-            probe_log.append((t1, t1 - t0 - 3))
-            if (t1 - t0 - 3) < threshold:
-                hit_times.append(t1)
+            latency, stamp = yield from SharedArrayScenario.timed(
+                Load(handler_addr)
+            )
+            probe_log.append((stamp, latency))
+            if latency < threshold:
+                hit_times.append(stamp)
 
-    victim_task = victim_proc.spawn(Program("editor", victim), affinity=1)
-    spy_task = attacker_proc.spawn(Program("spy", attacker), affinity=0)
-    kernel.submit(spy_task)
-    kernel.submit(victim_task)
-    kernel.run(
-        max_steps=20_000_000, stop_when=lambda k: k.task_done(victim_task)
+    scenario.launch(Program("spy", attacker), Program("editor", victim))
+    editor = scenario.victim_task
+    scenario.run(
+        max_steps=20_000_000, stop_when=lambda k: k.task_done(editor)
     )
 
     # Cluster consecutive hit polls into one recovered press event.
@@ -146,7 +132,7 @@ def run_keystroke_attack(
         true_press_times=true_press_times,
         recovered_times=recovered,
         probe_hits=len(hit_times),
-        probe_total=total_probes[0],
+        probe_total=len(probe_log),
         match_tolerance=tolerance,
         matched=matched,
         probe_log=probe_log,

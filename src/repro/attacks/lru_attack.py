@@ -20,19 +20,16 @@ from typing import List
 
 from repro.attacks.base import AttackOutcome, SharedArrayScenario
 from repro.common.config import SimConfig
-from repro.common.errors import SimulationError
-from repro.cpu.isa import Compute, Exit, Fence, Load, Rdtsc, SleepOp
+from repro.cpu.isa import Compute, Exit, Load, SleepOp
 from repro.cpu.program import Program, ProgramGen
 
-LRU_POOL_BASE = 0x5000000
+WAIT_CYCLES = 10_000
 
 
 def run_lru_attack(
     config: SimConfig,
     victim_touches: bool = True,
     rounds: int = 6,
-    wait_cycles: int = 10_000,
-    monitored_line: int = 0,
 ) -> AttackOutcome:
     """One monitored shared line, LRU-forced eviction, timed re-access.
 
@@ -40,30 +37,13 @@ def run_lru_attack(
     the attacker concludes the victim touched the line.
     """
     scenario = SharedArrayScenario(config, shared_lines=4)
-    kernel = scenario.kernel
-    llc = kernel.system.hierarchy.llc
-    line_bytes = scenario.line_bytes
-    line_shift = line_bytes.bit_length() - 1
-    target = scenario.line_vaddr(monitored_line)
-    target_paddr = scenario.attacker_proc.address_space.translate(target)
-    target_set = llc.set_index(target_paddr >> line_shift)
-
-    pool_lines = llc.num_sets * (llc.ways + 4)
-    segment = kernel.phys.allocate_segment(
-        "lru_pool", pool_lines * line_bytes
+    target = scenario.lines[0]
+    ways = config.hierarchy.llc.ways
+    congruent = scenario.congruent_lines(
+        scenario.attacker_proc.address_space.translate(target),
+        count=ways,
+        lines_per_set=ways + 4,
     )
-    scenario.attacker_proc.address_space.map_segment(segment, LRU_POOL_BASE)
-    congruent: List[int] = []
-    for i in range(pool_lines):
-        vaddr = LRU_POOL_BASE + i * line_bytes
-        paddr = scenario.attacker_proc.address_space.translate(vaddr)
-        if llc.set_index(paddr >> line_shift) == target_set:
-            congruent.append(vaddr)
-            if len(congruent) == llc.ways:
-                break
-    if len(congruent) < llc.ways:
-        raise SimulationError("could not build the LRU eviction set")
-
     latencies: List[int] = []
 
     def attacker() -> ProgramGen:
@@ -71,21 +51,17 @@ def run_lru_attack(
             yield Load(target)  # l becomes MRU, attacker s-bit set
             for vaddr in congruent[:-1]:  # fill w-1 ways; l is now LRU
                 yield Load(vaddr)
-            yield SleepOp(wait_cycles)  # victim window
+            yield SleepOp(WAIT_CYCLES)  # victim window
             yield Load(congruent[-1])  # force one eviction in the set
-            t0 = yield Rdtsc()
-            yield Fence()
-            yield Load(target)
-            yield Fence()
-            t1 = yield Rdtsc()
-            latencies.append(t1 - t0 - 3)
+            latency, _ = yield from SharedArrayScenario.timed(Load(target))
+            latencies.append(latency)
         yield Exit()
 
     def victim() -> ProgramGen:
         for _ in range(rounds * 4):
             if victim_touches:
                 yield Load(target)
-            yield Compute(wait_cycles // 4)
+            yield Compute(WAIT_CYCLES // 4)
         yield Exit()
 
     scenario.launch(Program("lru_attack", attacker), Program("lru_victim", victim))

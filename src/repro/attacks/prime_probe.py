@@ -17,19 +17,17 @@ from typing import List
 
 from repro.attacks.base import AttackOutcome, SharedArrayScenario
 from repro.common.config import SimConfig
-from repro.cpu.isa import Compute, Exit, Fence, Load, Rdtsc, SleepOp
+from repro.cpu.isa import Compute, Exit, Load, SleepOp
 from repro.cpu.program import Program, ProgramGen
-from repro.os.vm import Segment
 
-PRIME_BASE = 0x6000000
 VICTIM_PRIVATE_BASE = 0x7000000
+WAIT_CYCLES = 20_000
 
 
 def run_prime_probe(
     config: SimConfig,
     victim_active: bool = True,
     rounds: int = 4,
-    wait_cycles: int = 20_000,
 ) -> AttackOutcome:
     """Prime an LLC set, let the victim run, probe for displacement.
 
@@ -39,59 +37,39 @@ def run_prime_probe(
     whether the attacker saw any displaced line.
     """
     scenario = SharedArrayScenario(config, shared_lines=8)
-    kernel = scenario.kernel
-    llc = kernel.system.hierarchy.llc
-    line_bytes = scenario.line_bytes
-    line_shift = line_bytes.bit_length() - 1
-
-    # Attacker's prime pool: enough private lines to cover one set.
-    pool_lines = llc.num_sets * (llc.ways + 2)
-    prime_seg: Segment = kernel.phys.allocate_segment(
-        "prime_pool", pool_lines * line_bytes
-    )
-    scenario.attacker_proc.address_space.map_segment(prime_seg, PRIME_BASE)
+    llc = config.hierarchy.llc
 
     # Victim private working line, not shared with the attacker.
-    victim_seg = kernel.phys.allocate_segment(
-        "victim_private", llc.num_sets * line_bytes * 2
+    victim_seg = scenario.kernel.phys.allocate_segment(
+        "victim_private", llc.num_sets * llc.line_bytes * 2
     )
-    scenario.victim_proc.address_space.map_segment(victim_seg, VICTIM_PRIVATE_BASE)
+    victim_space = scenario.victim_proc.address_space
+    victim_space.map_segment(victim_seg, VICTIM_PRIVATE_BASE)
 
-    # Find the set the victim's secret line maps to, then the attacker's
-    # congruent lines for that set.
+    # The attacker's lines congruent with the victim's secret line.
     victim_vaddr = VICTIM_PRIVATE_BASE
-    victim_paddr = scenario.victim_proc.address_space.translate(victim_vaddr)
-    target_set = llc.set_index(victim_paddr >> line_shift)
-    prime_lines: List[int] = []
-    for i in range(pool_lines):
-        vaddr = PRIME_BASE + i * line_bytes
-        paddr = scenario.attacker_proc.address_space.translate(vaddr)
-        if llc.set_index(paddr >> line_shift) == target_set:
-            prime_lines.append(vaddr)
-            if len(prime_lines) == llc.ways:
-                break
-
+    prime_lines = scenario.congruent_lines(
+        victim_space.translate(victim_vaddr),
+        count=llc.ways,
+        lines_per_set=llc.ways + 2,
+    )
     latencies: List[int] = []
 
     def attacker() -> ProgramGen:
         for _ in range(rounds):
             for vaddr in prime_lines:  # prime
                 yield Load(vaddr)
-            yield SleepOp(wait_cycles)
+            yield SleepOp(WAIT_CYCLES)
             for vaddr in prime_lines:  # probe
-                t0 = yield Rdtsc()
-                yield Fence()
-                yield Load(vaddr)
-                yield Fence()
-                t1 = yield Rdtsc()
-                latencies.append(t1 - t0 - 3)
+                latency, _ = yield from SharedArrayScenario.timed(Load(vaddr))
+                latencies.append(latency)
         yield Exit()
 
     def victim() -> ProgramGen:
         for _ in range(rounds * 8):
             if victim_active:
                 yield Load(victim_vaddr)
-            yield Compute(wait_cycles // 8)
+            yield Compute(WAIT_CYCLES // 8)
         yield Exit()
 
     scenario.launch(

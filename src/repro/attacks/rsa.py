@@ -20,6 +20,10 @@ The victim's arithmetic is real: it computes ``pow(message, d, n)`` with
 explicit square/multiply/reduce steps, and the attack harness verifies
 the result against Python's ``pow`` — the side channel rides on genuine
 secret-dependent control flow, not a scripted access pattern.
+
+The library is the shared segment of a
+:class:`~repro.attacks.base.SharedArrayScenario`, with the attacker on
+context 0 and the signing victim on context 1.
 """
 
 from __future__ import annotations
@@ -28,13 +32,12 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.attacks.base import hit_threshold
+from repro.attacks.base import SharedArrayScenario
 from repro.common.config import SimConfig
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRng
-from repro.cpu.isa import Compute, Exit, Fence, Flush, Ifetch, Load, Rdtsc
+from repro.cpu.isa import Compute, Exit, Flush, Ifetch, Load, Rdtsc
 from repro.cpu.program import Program, ProgramGen
-from repro.os.kernel import Kernel
 
 
 # ----------------------------------------------------------------------
@@ -147,8 +150,6 @@ _MULTIPLY_LINE = 4
 _REDUCE_LINE = 8
 _LIB_LINES = 12
 
-_LIB_BASE = 0x200000
-
 
 def run_rsa_attack(
     config: SimConfig,
@@ -183,20 +184,13 @@ def run_rsa_attack(
         raise ConfigError("the RSA attack needs two hardware contexts")
     if key is None:
         key = generate_key()
-    kernel = Kernel(config)
-    line_bytes = config.hierarchy.line_bytes
-
-    library = kernel.phys.allocate_segment(
-        "libgcrypt.text", _LIB_LINES * line_bytes, content_key="libgcrypt-1.4"
+    scenario = SharedArrayScenario(
+        config, shared_lines=_LIB_LINES, attacker_ctx=0, victim_ctx=1
     )
-    attacker_proc = kernel.create_process("attacker")
-    victim_proc = kernel.create_process("gpg")
-    attacker_proc.address_space.map_segment(library, _LIB_BASE)
-    victim_proc.address_space.map_segment(library, _LIB_BASE)
-
-    square_addr = _LIB_BASE + _SQUARE_LINE * line_bytes
-    multiply_addr = _LIB_BASE + _MULTIPLY_LINE * line_bytes
-    reduce_addr = _LIB_BASE + _REDUCE_LINE * line_bytes
+    library = scenario.lines
+    square_addr = library[_SQUARE_LINE]
+    multiply_addr = library[_MULTIPLY_LINE]
+    reduce_addr = library[_REDUCE_LINE]
     probe_addrs = (square_addr, multiply_addr, reduce_addr)
 
     # ------------------------------------------------------------------
@@ -246,7 +240,7 @@ def run_rsa_attack(
     # ------------------------------------------------------------------
     # Attacker: flush the three lines, wait, timed reload of each.
     # ------------------------------------------------------------------
-    threshold = hit_threshold(config)
+    threshold = scenario.threshold
     samples: List[Tuple[int, bool, bool, bool]] = []
     latencies: List[int] = []
 
@@ -258,25 +252,17 @@ def run_rsa_attack(
             stamp = yield Rdtsc()
             hits = []
             for addr in probe_addrs:
-                t0 = yield Rdtsc()
-                yield Fence()
-                yield Load(addr)
-                yield Fence()
-                t1 = yield Rdtsc()
-                latency = t1 - t0 - 3
+                latency, _ = yield from SharedArrayScenario.timed(Load(addr))
                 latencies.append(latency)
                 hits.append(latency < threshold)
             samples.append((stamp, hits[0], hits[1], hits[2]))
 
-    attacker_task = attacker_proc.spawn(
-        Program("fr_spy", attacker_program), affinity=0
+    scenario.launch(
+        Program("fr_spy", attacker_program),
+        Program("gpg_sign", victim_program),
     )
-    victim_task = victim_proc.spawn(
-        Program("gpg_sign", victim_program), affinity=1
-    )
-    kernel.submit(attacker_task)
-    kernel.submit(victim_task)
-    kernel.run(
+    victim_task = scenario.victim_task
+    scenario.run(
         max_steps=max_steps, stop_when=lambda k: k.task_done(victim_task)
     )
 
@@ -294,9 +280,7 @@ def run_rsa_attack(
     )
 
 
-def decode_key_bits(
-    samples: List[Tuple[int, bool, bool, bool]], gap_tolerance: int = 1
-) -> List[int]:
+def decode_key_bits(samples: List[Tuple[int, bool, bool, bool]]) -> List[int]:
     """Recover exponent bits from (time, square, multiply, reduce) samples.
 
     Square hits are clustered into *square events* (one per exponent
@@ -307,11 +291,11 @@ def decode_key_bits(
     square_idx = [i for i, s in enumerate(samples) if s[1]]
     if not square_idx:
         return []
-    # Cluster square-hit samples separated by <= gap_tolerance gaps.
+    # Cluster square-hit samples separated by at most one missed sample.
     events: List[Tuple[int, int]] = []  # (first_sample, last_sample)
     start = prev = square_idx[0]
     for i in square_idx[1:]:
-        if i - prev <= gap_tolerance + 1:
+        if i - prev <= 2:
             prev = i
         else:
             events.append((start, prev))

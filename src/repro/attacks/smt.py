@@ -8,21 +8,20 @@ per *hardware context*, so the sibling hyperthread's first access is
 delayed exactly like a cross-core one.
 
 This module runs flush+reload between two hyperthreads of one physical
-core (``threads_per_core = 2``).
+core (``threads_per_core = 2``), staged through
+:class:`~repro.attacks.base.SharedArrayScenario` with the attacker on
+context 0 and the victim on its sibling, context 1.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from repro.attacks.base import AttackOutcome, hit_threshold
+from repro.attacks.base import AttackOutcome, SharedArrayScenario
 from repro.common.config import SimConfig
 from repro.common.errors import ConfigError
-from repro.cpu.isa import Compute, Exit, Fence, Flush, Load, Rdtsc, Store
+from repro.cpu.isa import Compute, Exit, Flush, Load, Store
 from repro.cpu.program import Program, ProgramGen
-from repro.os.kernel import Kernel
-
-SHARED_BASE = 0x100000
 
 
 def run_smt_flush_reload(
@@ -46,30 +45,20 @@ def run_smt_flush_reload(
     """
     if config.hierarchy.threads_per_core < 2:
         raise ConfigError("SMT attack needs threads_per_core >= 2")
-    kernel = Kernel(config)
-    line_bytes = config.hierarchy.line_bytes
-    segment = kernel.phys.allocate_segment(
-        "smt_shared", shared_lines * line_bytes
+    scenario = SharedArrayScenario(
+        config, shared_lines=shared_lines, attacker_ctx=0, victim_ctx=1
     )
-    attacker_proc = kernel.create_process("smt_attacker")
-    victim_proc = kernel.create_process("smt_victim")
-    attacker_proc.address_space.map_segment(segment, SHARED_BASE)
-    victim_proc.address_space.map_segment(segment, SHARED_BASE)
-    threshold = hit_threshold(config)
+    lines = scenario.lines
     latencies: List[int] = []
 
     def attacker() -> ProgramGen:
         for _ in range(rounds):
-            for i in range(shared_lines):
-                yield Flush(SHARED_BASE + i * line_bytes)
+            for vaddr in lines:
+                yield Flush(vaddr)
             yield Compute(wait_cycles)
-            for i in range(shared_lines):
-                t0 = yield Rdtsc()
-                yield Fence()
-                yield Load(SHARED_BASE + i * line_bytes)
-                yield Fence()
-                t1 = yield Rdtsc()
-                latencies.append(t1 - t0 - 3)
+            for vaddr in lines:
+                latency, _ = yield from SharedArrayScenario.timed(Load(vaddr))
+                latencies.append(latency)
         yield Exit()
 
     def victim() -> ProgramGen:
@@ -77,17 +66,17 @@ def run_smt_flush_reload(
         # or, in the control arm, burns the same cycles without it.
         for _ in range(rounds * 4):
             if victim_active:
-                for i in range(shared_lines):
-                    yield Store(SHARED_BASE + i * line_bytes)
+                for vaddr in lines:
+                    yield Store(vaddr)
             yield Compute(wait_cycles // 4)
         yield Exit()
 
-    ta = attacker_proc.spawn(Program("smt_spy", attacker), affinity=0)
-    tv = victim_proc.spawn(Program("smt_victim", victim), affinity=1)
-    kernel.submit(ta)
-    kernel.submit(tv)
-    kernel.run(stop_when=lambda k: k.task_done(ta), max_steps=10_000_000)
-    hits = sum(1 for lat in latencies if lat < threshold)
+    scenario.launch(
+        Program("smt_spy", attacker), Program("smt_victim", victim)
+    )
+    spy = scenario.attacker_task
+    scenario.run(stop_when=lambda k: k.task_done(spy), max_steps=10_000_000)
+    hits = sum(1 for lat in latencies if scenario.classify(lat))
     return AttackOutcome(
         probe_hits=hits, probe_total=len(latencies), latencies=latencies
     )

@@ -16,6 +16,10 @@ the byte with flush+reload over the array.
 Under TimeCache the attacker's reloads are all first accesses: the
 covert channel's receive end reads nothing, so the speculative leak
 dies at transmission — the paper's Section VIII claim, end to end.
+
+The probe array is the shared segment of a
+:class:`~repro.attacks.base.SharedArrayScenario`, with the receiver on
+context 0 and the gadget on context 1.
 """
 
 from __future__ import annotations
@@ -23,14 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.attacks.base import hit_threshold
+from repro.attacks.base import SharedArrayScenario
 from repro.common.config import SimConfig
 from repro.common.errors import ConfigError
-from repro.cpu.isa import Compute, Exit, Fence, Flush, Load, Rdtsc
+from repro.cpu.isa import Compute, Exit, Flush, Load
 from repro.cpu.program import Program, ProgramGen
-from repro.os.kernel import Kernel
 
-PROBE_BASE = 0x800000
 PROBE_LINES = 256
 
 
@@ -65,31 +67,21 @@ def run_spectre_covert_channel(
         raise ConfigError(f"secret byte out of range: {secret}")
     if config.hierarchy.num_hw_contexts < 2:
         raise ConfigError("the Spectre demo needs two hardware contexts")
-    kernel = Kernel(config)
-    line_bytes = config.hierarchy.line_bytes
-    probe = kernel.phys.allocate_segment(
-        "spectre_probe", PROBE_LINES * line_bytes, content_key="shared-probe"
+    scenario = SharedArrayScenario(
+        config, shared_lines=PROBE_LINES, attacker_ctx=0, victim_ctx=1
     )
-    attacker_proc = kernel.create_process("spectre_attacker")
-    victim_proc = kernel.create_process("spectre_victim")
-    attacker_proc.address_space.map_segment(probe, PROBE_BASE)
-    victim_proc.address_space.map_segment(probe, PROBE_BASE)
-    threshold = hit_threshold(config)
+    probe, threshold = scenario.lines, scenario.threshold
+    secret_line = probe[secret]
     latencies: List[int] = []
     hit_votes: List[int] = []
 
     def attacker() -> ProgramGen:
         for _ in range(rounds):
-            for i in range(PROBE_LINES):
-                yield Flush(PROBE_BASE + i * line_bytes)
+            for vaddr in probe:
+                yield Flush(vaddr)
             yield Compute(wait_cycles)
-            for i in range(PROBE_LINES):
-                t0 = yield Rdtsc()
-                yield Fence()
-                yield Load(PROBE_BASE + i * line_bytes)
-                yield Fence()
-                t1 = yield Rdtsc()
-                latency = t1 - t0 - 3
+            for i, vaddr in enumerate(probe):
+                latency, _ = yield from SharedArrayScenario.timed(Load(vaddr))
                 latencies.append(latency)
                 if latency < threshold:
                     hit_votes.append(i)
@@ -101,17 +93,17 @@ def run_spectre_covert_channel(
         # value is squashed, but the line is now cached.
         while True:
             yield Compute(wait_cycles // 8)
-            yield Load(PROBE_BASE + secret * line_bytes)  # transient load
+            yield Load(secret_line)  # transient load
             # (squash: the architectural result is discarded)
 
-    ta = attacker_proc.spawn(Program("spectre_recv", attacker), affinity=0)
-    tv = victim_proc.spawn(
+    scenario.launch(
+        Program("spectre_recv", attacker),
         Program("spectre_gadget", victim_gadget),
-        affinity=1 if config.hierarchy.num_hw_contexts > 1 else 0,
     )
-    kernel.submit(ta)
-    kernel.submit(tv)
-    kernel.run(stop_when=lambda k: k.task_done(ta), max_steps=20_000_000)
+    receiver = scenario.attacker_task
+    scenario.run(
+        stop_when=lambda k: k.task_done(receiver), max_steps=20_000_000
+    )
 
     recovered: Optional[int] = None
     if hit_votes:

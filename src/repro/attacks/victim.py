@@ -3,40 +3,37 @@
 These are the generic victims the reuse attacks monitor: a process whose
 access *pattern* over shared lines is indexed by secret data, so an
 attacker who learns which shared lines were touched learns the secret.
-(The RSA victim, whose secret-dependent footprint is instruction fetches
-into a shared library, lives in :mod:`repro.attacks.rsa`.)
+A victim that touches shared lines takes their addresses
+(``SharedArrayScenario.lines``) as a list, never the scenario itself.
+(The RSA victim, whose secret-dependent footprint is instruction
+fetches into a shared library, lives in :mod:`repro.attacks.rsa`.)
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
-from repro.cpu.isa import Compute, Exit, Load, Op, Store
+from repro.cpu.isa import Compute, Exit, Load, Store
 from repro.cpu.program import Program, ProgramGen
 
 
-def writer_victim(
-    line_vaddr: Callable[[int], int],
-    num_lines: int,
-    repetitions: int = 4,
-) -> Program:
-    """The Section VI-A1 microbenchmark victim: writes the whole shared
-    array repeatedly, pulling every line into the cache."""
+def writer_victim(lines: Sequence[int], repetitions: int = 4) -> Program:
+    """The Section VI-A1 microbenchmark victim: writes every shared line
+    in ``lines`` repeatedly, pulling each into the cache."""
 
     def factory() -> ProgramGen:
         for _ in range(repetitions):
-            for i in range(num_lines):
-                yield Store(line_vaddr(i))
+            for vaddr in lines:
+                yield Store(vaddr)
         yield Exit()
 
     return Program("writer_victim", factory)
 
 
 def secret_indexed_victim(
-    line_vaddr: Callable[[int], int],
+    lines: Sequence[int],
     secret_indices: Sequence[int],
     touches_per_index: int = 8,
-    think_cycles: int = 200,
 ) -> Program:
     """A victim that touches exactly the shared lines named by its secret.
 
@@ -48,30 +45,11 @@ def secret_indexed_victim(
     def factory() -> ProgramGen:
         for index in secret_indices:
             for _ in range(touches_per_index):
-                yield Load(line_vaddr(index))
-            yield Compute(think_cycles)
+                yield Load(lines[index])
+            yield Compute(200)  # think time between secret lookups
         yield Exit()
 
     return Program("secret_indexed_victim", factory)
-
-
-def periodic_victim(
-    make_round: Callable[[int], Iterable[Op]],
-    rounds: int,
-) -> Program:
-    """A victim executing ``rounds`` secret-dependent rounds.
-
-    ``make_round(r)`` emits the ops of round ``r`` — used by the
-    evict+time attack, where the attacker measures the victim's total
-    runtime rather than probing lines."""
-
-    def factory() -> ProgramGen:
-        for r in range(rounds):
-            for op in make_round(r):
-                yield op
-        yield Exit()
-
-    return Program("periodic_victim", factory)
 
 
 def idle_victim(cycles: int = 1000) -> Program:

@@ -293,22 +293,20 @@ def score_populations(
     *,
     n_boot: int = 500,
     seed: int = 0,
-    alpha: float = 0.05,
-    leak_cutoff: float = LEAK_AUC_CUTOFF,
 ) -> Dict[str, object]:
     """The full per-cell score the tournament records.
 
     One call, one JSON-ready dict: directional AUC, folded separation,
-    its bootstrap interval, mutual information, sample sizes, and the
-    leak verdict.  The verdict is interval-based — ``leak`` is True only
-    when the *lower* confidence bound clears ``leak_cutoff``, so a
-    single lucky resample cannot promote noise into a leak (nor, on the
-    gate's sanity direction, demote a real leak — that check uses the
-    upper bound).
+    its bootstrap interval (at :func:`bootstrap_auc`'s default
+    ``alpha``), mutual information, sample sizes, and the leak verdict.
+    The verdict is interval-based — ``leak`` is True only when the
+    *lower* confidence bound clears :data:`LEAK_AUC_CUTOFF`, so a single
+    lucky resample cannot promote noise into a leak (nor, on the gate's
+    sanity direction, demote a real leak — that check uses the upper
+    bound).  Every cell records the ``alpha`` and ``leak_cutoff`` it was
+    scored at.
     """
-    ci = bootstrap_auc(
-        negatives, positives, n_boot=n_boot, seed=seed, alpha=alpha
-    )
+    ci = bootstrap_auc(negatives, positives, n_boot=n_boot, seed=seed)
     return {
         "auc": roc_auc(negatives, positives),
         "separation": ci.point,
@@ -318,7 +316,7 @@ def score_populations(
         "n_neg": len(negatives),
         "n_pos": len(positives),
         "n_boot": n_boot,
-        "alpha": alpha,
-        "leak": bool(ci.low >= leak_cutoff),
-        "leak_cutoff": leak_cutoff,
+        "alpha": ci.alpha,
+        "leak": bool(ci.low >= LEAK_AUC_CUTOFF),
+        "leak_cutoff": LEAK_AUC_CUTOFF,
     }

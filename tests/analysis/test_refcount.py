@@ -1,10 +1,12 @@
-"""A finished experiment is freed by reference counting alone.
+"""A finished experiment or attack is freed by reference counting alone.
 
 Nothing an experiment builds — the hierarchies and their ports, the
 caches and their counter groups, the kernels, processes and tasks, the
 op tapes — may sit in a reference cycle: garbage left to the cyclic
 collector stays until a generation-2 collection, so peak memory would
-follow the collector's timing instead of the run.
+follow the collector's timing instead of the run.  The same holds for
+every tournament attack: its programs close over addresses, thresholds
+and lists, never over the scenario that holds their kernel.
 """
 
 import gc
@@ -16,6 +18,7 @@ from repro.analysis.experiment import (
     run_parsec_experiment,
     run_spec_pair_experiment,
 )
+from repro.analysis.tournament import ATTACKS, cell_config
 from repro.common.config import scaled_experiment_config
 
 EXPERIMENTS = {
@@ -30,20 +33,39 @@ EXPERIMENTS = {
 }
 
 
-@pytest.mark.parametrize("engine", ["object", "fast"])
-@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
-def test_a_finished_experiment_leaves_no_cyclic_garbage(experiment, engine):
-    run = EXPERIMENTS[experiment]
+def _run_without_collector(run):
+    """``run()``'s result and the objects it left to the cyclic collector,
+    counted by type."""
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        result = run(engine)
+        result = run()
         gc.collect()
         leaked = Counter(type(obj).__qualname__ for obj in gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+    return result, leaked
+
+
+@pytest.mark.parametrize("engine", ["object", "fast"])
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_a_finished_experiment_leaves_no_cyclic_garbage(experiment, engine):
+    result, leaked = _run_without_collector(
+        lambda: EXPERIMENTS[experiment](engine)
+    )
     assert result.timecache.instructions > 0
+    assert not leaked, leaked.most_common(10)
+
+
+@pytest.mark.parametrize("engine", ["object", "fast"])
+@pytest.mark.parametrize("attack", list(ATTACKS))
+def test_a_finished_attack_leaves_no_cyclic_garbage(attack, engine):
+    config = cell_config(attack, "timecache", engine)
+    (neg, pos), leaked = _run_without_collector(
+        lambda: ATTACKS[attack].collect(config, 7, True)
+    )
+    assert neg and pos
     assert not leaked, leaked.most_common(10)

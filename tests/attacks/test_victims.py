@@ -3,14 +3,12 @@
 from repro.cpu.isa import Compute, Exit, Load, Store
 from repro.attacks.victim import (
     idle_victim,
-    periodic_victim,
     secret_indexed_victim,
     writer_victim,
 )
 
 
-def line_vaddr(i):
-    return 0x100000 + i * 64
+LINES = [0x100000 + i * 64 for i in range(8)]
 
 
 def ops_of(program):
@@ -18,33 +16,19 @@ def ops_of(program):
 
 
 def test_writer_victim_covers_all_lines():
-    ops = ops_of(writer_victim(line_vaddr, num_lines=8, repetitions=2))
+    ops = ops_of(writer_victim(LINES, repetitions=2))
     stores = [op for op in ops if isinstance(op, Store)]
     assert len(stores) == 16
-    assert {op.vaddr for op in stores} == {line_vaddr(i) for i in range(8)}
+    assert {op.vaddr for op in stores} == set(LINES)
     assert isinstance(ops[-1], Exit)
 
 
 def test_secret_indexed_victim_touches_only_secret_lines():
-    ops = ops_of(
-        secret_indexed_victim(line_vaddr, [3, 5], touches_per_index=4)
-    )
+    ops = ops_of(secret_indexed_victim(LINES, [3, 5], touches_per_index=4))
     loads = [op for op in ops if isinstance(op, Load)]
-    assert {op.vaddr for op in loads} == {line_vaddr(3), line_vaddr(5)}
+    assert {op.vaddr for op in loads} == {LINES[3], LINES[5]}
     assert len(loads) == 8
     assert any(isinstance(op, Compute) for op in ops)
-
-
-def test_periodic_victim_emits_each_round():
-    seen = []
-
-    def make_round(r):
-        seen.append(r)
-        return [Compute(1)]
-
-    ops = ops_of(periodic_victim(make_round, rounds=3))
-    assert seen == [0, 1, 2]
-    assert isinstance(ops[-1], Exit)
 
 
 def test_idle_victim_touches_nothing():

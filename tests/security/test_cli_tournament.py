@@ -138,14 +138,20 @@ def test_resume_reruns_the_cells_another_boot_count_changes(tmp_path, capsys):
 
 
 def test_tournament_rejects_unknown_attack(tmp_path, capsys):
-    argv = [
-        "tournament", "--quick", "--attacks", "bogus",
-        "--output", str(tmp_path / "S.json"), "--quiet",
-    ]
-    assert main(argv) == EXIT_FATAL
-    assert "fatal: ConfigError: unknown attack(s) ['bogus']" in (
-        capsys.readouterr().err
-    )
+    """An unknown attack or defense name is refused before any cell
+    runs: exit 1, one ``fatal: ConfigError`` line, no scorecard."""
+    for flag, message in (
+        ("--attacks", "unknown attack(s) ['bogus']"),
+        ("--defenses", "unknown defense(s) ['bogus']; registered: "),
+    ):
+        output = tmp_path / "S.json"
+        argv = [
+            "tournament", "--quick", flag, "bogus",
+            "--output", str(output), "--quiet",
+        ]
+        assert main(argv) == EXIT_FATAL
+        assert f"fatal: ConfigError: {message}" in capsys.readouterr().err
+        assert not output.exists()
 
 
 def test_a_schema_1_checkpoint_is_fatal(tmp_path, capsys):

@@ -9,7 +9,7 @@ cells so every failure direction is exercised without a simulator run.
 import pytest
 
 from repro.analysis import tournament as tm
-from repro.common.errors import ConfigError, LeakageStatsError
+from repro.common.errors import ConfigError
 
 
 def _quick_cell(defense, n_boot=50):
@@ -36,7 +36,8 @@ def test_tournament_jobs_full_matrix_shape():
 
 
 def test_run_tournament_cell_rejects_unknown_defense():
-    with pytest.raises(LeakageStatsError, match="unknown defense"):
+    # the registry refuses the name: cell_config -> with_defense
+    with pytest.raises(ConfigError, match="unknown defense"):
         tm.run_tournament_cell("flush_reload", "nocache", "object", (7,))
 
 
