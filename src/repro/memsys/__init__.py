@@ -3,7 +3,8 @@
 This package is the reproduction's stand-in for gem5's memory system.  It
 models a blocking (TimingSimpleCPU-style) multi-level cache hierarchy:
 private L1I/L1D per core, a shared inclusive LLC, and a DRAM backend, with
-MESI-lite coherence between private caches through an LLC directory.
+MESI-lite coherence between private caches: the caches' residency names
+the holders of a line, and an LLC owner table its modified copy.
 Every cache level replaces its LRU line.
 
 The TimeCache defense (:mod:`repro.core`) hooks this substrate in two

@@ -413,8 +413,8 @@ class FastHierarchy(MemoryHierarchy):
         Everything an access reads that is fixed for the pair — the L1
         (the L1I for an ifetch) and the LLC, with their masks, slot
         maps, slot lists and memoryviews and this context's s-bit in
-        each, the directory maps, the clock, the listener lists, the
-        interned results of a pure L1 hit and a clean LLC hit — is
+        each, the directory's owner map, the clock, the listener lists,
+        the interned results of a pure L1 hit and a clean LLC hit — is
         resolved here, once, into closure cells.
         Each is set once and mutated only in place (see
         :meth:`MemoryHierarchy.ports`); a cache's ``event_listener`` is
@@ -444,7 +444,6 @@ class FastHierarchy(MemoryHierarchy):
         post_listeners = self.post_access_listeners
         results = self._results
         owners = self.directory._owner
-        all_sharers = self.directory._sharers
         dram = self.dram
         tc_enabled = self.tc_config.enabled
         llc_guard = self._llc_first_access_guard
@@ -513,10 +512,6 @@ class FastHierarchy(MemoryHierarchy):
                         if line in other_slots:
                             hier._invalidate_private(other, line)
                     owners[line] = l1name
-                    sharers = all_sharers.get(line)
-                    if sharers is None:
-                        sharers = all_sharers[line] = set()
-                    sharers.add(l1name)
             else:
                 l1.c_misses.value += 1
                 first = False
@@ -556,10 +551,6 @@ class FastHierarchy(MemoryHierarchy):
                     llc_last_used[lidx] = now
                     if is_write:
                         owners[line] = l1name
-                    sharers = all_sharers.get(line)
-                    if sharers is None:
-                        sharers = all_sharers[line] = set()
-                    sharers.add(l1name)
                 else:
                     below, level = hier._llc_miss(l1, line, ctx, sctx, is_write, now)
                 # -------- L1 fill (the inlined _fill_private) --------
@@ -602,10 +593,6 @@ class FastHierarchy(MemoryHierarchy):
                             if line in other_slots:
                                 hier._invalidate_private(other, line)
                         owners[line] = l1name
-                        sharers = all_sharers.get(line)
-                        if sharers is None:
-                            sharers = all_sharers[line] = set()
-                        sharers.add(l1name)
                     if vtag >= 0:
                         if vdirty:
                             # the inlined _writeback_to_llc
@@ -617,13 +604,6 @@ class FastHierarchy(MemoryHierarchy):
                                 )
                             llc_dirty[vidx] = True
                             l1.c_writebacks.value += 1
-                        sharers = all_sharers.get(vtag)
-                        if sharers is not None:
-                            # Unlike Directory.remove_sharer, leave the emptied
-                            # set in place: every reader treats empty and
-                            # absent identically, and the next fill of this line
-                            # reuses the set instead of reallocating one.
-                            sharers.discard(l1name)
                         if owners and owners.get(vtag) == l1name:
                             del owners[vtag]
                 if result is None:

@@ -280,7 +280,7 @@ class MemoryHierarchy:
                 if evicted is not None:
                     if evicted.dirty:
                         self._writeback_to_llc(line_addr)
-                    self.directory.remove_sharer(line_addr, cache.name)
+                    self.directory.release(line_addr, cache.name)
                     flushed += 1
         return flushed
 
@@ -297,18 +297,15 @@ class MemoryHierarchy:
         return True
 
     def _invalidate_holders(self, line: int) -> bool:
-        """Drop ``line``'s directory entry and invalidate it in each
-        private cache the entry listed, in :meth:`private_caches` order
-        (so the events do not depend on string hashing).  Returns
-        whether any of those copies was dirty."""
+        """Drop ``line``'s owner and invalidate it in each private cache
+        that holds it, in :meth:`private_caches` order; a cache that does
+        not hold it is not asked to invalidate.  Returns whether any of
+        those copies was dirty."""
+        self.directory.drop_line(line)
         dirty = False
-        holders = self.directory.drop_line(line)
-        if holders:
-            for name, cache in self._private_name_map.items():
-                if name in holders:
-                    evicted = cache.invalidate(line)
-                    if evicted is not None and evicted.dirty:
-                        dirty = True
+        for cache in self._private_name_map.values():
+            if cache.resident(line) and cache.invalidate(line).dirty:
+                dirty = True
         return dirty
 
     # ------------------------------------------------------------------
@@ -361,7 +358,7 @@ class MemoryHierarchy:
         out of range raises :class:`SimulationError`.
 
         A port captures what is fixed for its context and kind — the
-        L1, the LLC, the directory maps, the listener lists, the
+        L1, the LLC, the owner table, the listener lists, the
         counter handles, the context's s-bits — as closure cells.
         That is sound only because each of those is set once, at
         construction, and from then on mutated only in place: observers
@@ -546,8 +543,6 @@ class MemoryHierarchy:
             llc.touch(set_idx, way, now)
             if is_write:
                 self.directory.set_owner(line, l1.name)
-            else:
-                self.directory.add_sharer(line, l1.name)
             return latency, level, first
 
         below, level = self._llc_miss(l1, line, ctx, sctx, is_write, now)
@@ -579,8 +574,6 @@ class MemoryHierarchy:
             wb = self._handle_llc_eviction(victim)
         if is_write:
             self.directory.set_owner(line, l1.name)
-        else:
-            self.directory.add_sharer(line, l1.name)
         return llc.hit_latency + dram_latency + wb, "DRAM"
 
     def _probe_llc(self, line: int, ctx: int, now: int) -> Tuple[int, str]:
@@ -642,13 +635,12 @@ class MemoryHierarchy:
 
     def _invalidate_private(self, cache: CacheBase, line: int) -> None:
         """Invalidate ``line`` in one private cache: a dirty copy is
-        written back to the LLC, and the cache leaves the line's
-        sharers."""
+        written back to the LLC, and the cache releases its ownership."""
         evicted = cache.invalidate(line)
         if evicted is not None:
             if evicted.dirty:
                 self._writeback_to_llc(line)
-            self.directory.remove_sharer(line, cache.name)
+            self.directory.release(line, cache.name)
 
     def _coherence_on_access(
         self, requester_l1: CacheBase, line: int, is_write: bool, now: int
@@ -706,7 +698,7 @@ class MemoryHierarchy:
         if victim.dirty:
             self._writeback_to_llc(line)
             l1.c_writebacks.add()
-        self.directory.remove_sharer(line, l1.name)
+        self.directory.release(line, l1.name)
 
     def _handle_llc_eviction(self, victim: CacheLine) -> int:
         """Back-invalidate an evicted LLC line from every private cache
@@ -755,20 +747,30 @@ class MemoryHierarchy:
         return [self.l1i[core], self.l1d[core], self.llc]
 
     def check_inclusion(self) -> None:
-        """Raise if any private line is missing from the LLC, or is not
-        listed among the line's directory sharers (test hook): clflush
-        and LLC eviction invalidate only the caches the directory lists."""
+        """Raise if any private line is missing from the LLC, or if the
+        owner table and the private caches' dirty bits disagree (test
+        hook): every owner holds its line dirty, and every dirty private
+        line is owned by its cache."""
+        owners = self.directory._owner
         for cache in self.private_caches():
             for line in cache.resident_line_addrs():
                 if not self.llc.resident(line):
                     raise SimulationError(
                         f"{cache.name} holds {line:#x} but LLC does not"
                     )
-                if cache.name not in self.directory.sharers(line):
+                if cache.is_dirty(*cache.lookup(line)) and (
+                    owners.get(line) != cache.name
+                ):
                     raise SimulationError(
-                        f"{cache.name} holds {line:#x} but the directory "
-                        "does not list it"
+                        f"{cache.name} holds {line:#x} dirty but does not own it"
                     )
+        for line, owner in owners.items():
+            cache = self._private_by_name(owner)
+            pos = cache.lookup(line)
+            if pos is None or not cache.is_dirty(*pos):
+                raise SimulationError(
+                    f"{owner} owns {line:#x} but does not hold it dirty"
+                )
 
     def total_first_access_misses(self) -> int:
         return sum(c.stats.get("first_access_misses") for c in self.all_caches())

@@ -23,12 +23,19 @@ fill/s-bit operations through its event-emitting slow paths (the same
 fallbacks the invariant checker uses), so an enabled trace is honest but
 slower — never enable tracing inside a timing window you intend to
 compare against an untraced baseline.
+
+**No reference cycle.**  The system holds the tracer (``obs_tracer``,
+the bound ``_post_access`` and ``_sched_event``, the cache listeners),
+so the tracer holds the system and kernel only weakly, keeps no cache,
+and its cache listeners reach it through a weak proxy: a finished
+traced run is freed by reference counting, as an untraced one is.
 """
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional
 
 from repro.obs.events import TraceEvent
 from repro.obs.sinks import Sink
@@ -37,6 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import SwitchCost
     from repro.core.timecache import TimeCacheSystem
     from repro.os.kernel import Kernel
+
+
+def _detached() -> None:
+    """The weak reference of a tracer attached to nothing."""
+    return None
 
 
 class Tracer:
@@ -51,9 +63,11 @@ class Tracer:
         self.trace_all_accesses = False
         self._seq = 0
         self._clock = None
-        self._system: Optional["TimeCacheSystem"] = None
-        self._kernel: Optional["Kernel"] = None
-        self._cache_listeners: List[Tuple[object, Callable]] = []
+        #: the attached system and kernel, each through a weak reference
+        self._system: Callable[[], Optional["TimeCacheSystem"]] = _detached
+        self._kernel: Callable[[], Optional["Kernel"]] = _detached
+        #: each attached cache's listener, by cache name
+        self._cache_listeners: Dict[str, Callable] = {}
 
     # ------------------------------------------------------------------
     # Emission
@@ -104,41 +118,42 @@ class Tracer:
     # ------------------------------------------------------------------
     def attach(self, system: "TimeCacheSystem") -> "Tracer":
         """Install hooks on a system.  No-op when disabled."""
-        if not self.enabled or self._system is not None:
+        if not self.enabled or self._system() is not None:
             return self
-        self._system = system
+        self._system = weakref.ref(system)
         self._clock = system.clock
         hierarchy = system.hierarchy
         for cache in hierarchy.all_caches():
             listener = self._make_cache_listener(cache.name)
             cache.add_event_listener(listener)
-            self._cache_listeners.append((cache, listener))
+            self._cache_listeners[cache.name] = listener
         hierarchy.post_access_listeners.append(self._post_access)
         system.obs_tracer = self
         return self
 
     def detach(self) -> None:
-        """Undo :meth:`attach` (and :meth:`attach_kernel`)."""
-        system = self._system
+        """Undo :meth:`attach` (and :meth:`attach_kernel`) on the system,
+        if it is still alive."""
+        system, kernel = self._system(), self._kernel()
+        listeners = self._cache_listeners
+        self._system = self._kernel = _detached
+        self._cache_listeners = {}
+        self._clock = None
         if system is None:
             return
-        for cache, listener in self._cache_listeners:
-            cache.remove_event_listener(listener)
-        self._cache_listeners = []
+        for cache in system.hierarchy.all_caches():
+            cache.remove_event_listener(listeners[cache.name])
         system.hierarchy.post_access_listeners.remove(self._post_access)
         system.obs_tracer = None
-        if self._kernel is not None:
-            self._kernel.scheduler.event_hook = None
-            self._kernel = None
-        self._system = None
-        self._clock = None
+        if kernel is not None:
+            kernel.scheduler.event_hook = None
 
     def attach_kernel(self, kernel: "Kernel") -> "Tracer":
         """Attach to the kernel's system plus its scheduler."""
         if not self.enabled:
             return self
         self.attach(kernel.system)
-        self._kernel = kernel
+        self._kernel = weakref.ref(kernel)
         kernel.scheduler.event_hook = self._sched_event
         return self
 
@@ -148,8 +163,11 @@ class Tracer:
     def _make_cache_listener(
         self, cache_name: str
     ) -> Callable[[str, int, int, int], None]:
+        # the tracer keeps its listeners: one holding it would be a cycle
+        tracer = weakref.proxy(self)
+
         def listener(event: str, set_idx: int, way: int, ctx: int) -> None:
-            self.emit(
+            tracer.emit(
                 "cache." + event,
                 src=cache_name,
                 ctx=ctx,

@@ -6,7 +6,9 @@ op tapes — may sit in a reference cycle: garbage left to the cyclic
 collector stays until a generation-2 collection, so peak memory would
 follow the collector's timing instead of the run.  The same holds for
 every tournament attack: its programs close over addresses, thresholds
-and lists, never over the scenario that holds their kernel.
+and lists, never over the scenario that holds their kernel.  A traced
+run is no exception: the tracer holds the system and kernel it hooks
+only weakly.
 """
 
 import gc
@@ -19,7 +21,10 @@ from repro.analysis.experiment import (
     run_spec_pair_experiment,
 )
 from repro.analysis.tournament import ATTACKS, cell_config
+from repro.attacks.flush_reload import run_microbenchmark_attack
 from repro.common.config import scaled_experiment_config
+from repro.obs.sinks import RingBufferSink
+from repro.obs.tracer import Tracer
 
 EXPERIMENTS = {
     "spec_pair": lambda engine: run_spec_pair_experiment(
@@ -68,4 +73,16 @@ def test_a_finished_attack_leaves_no_cyclic_garbage(attack, engine):
         lambda: ATTACKS[attack].collect(config, 7, True)
     )
     assert neg and pos
+    assert not leaked, leaked.most_common(10)
+
+
+def test_a_finished_traced_run_leaves_no_cyclic_garbage():
+    sink = RingBufferSink()
+    outcome, leaked = _run_without_collector(
+        lambda: run_microbenchmark_attack(
+            scaled_experiment_config(), shared_lines=32, tracer=Tracer(sink)
+        )
+    )
+    assert outcome.probe_total == 32
+    assert sink.events
     assert not leaked, leaked.most_common(10)

@@ -1,11 +1,12 @@
-"""clflush and LLC eviction invalidate the private copies the directory
-lists, in one fixed cache order.
+"""clflush and LLC eviction invalidate every private copy of a line, in
+one fixed cache order.
 
 Both go through ``MemoryHierarchy._invalidate_holders``: it drops the
-line's directory entry and invalidates it in each listed private cache,
-in ``private_caches()`` order.  So a flush touches only the caches that
-hold the line, and the back-invalidation events of an LLC eviction do
-not depend on how the process hashes cache names.
+line's owner and invalidates the line in each private cache that holds
+it, in ``private_caches()`` order.  The caches' own residency names the
+holders; the directory keeps no sharer sets.  So a flush touches only
+the caches that hold the line, and the back-invalidation events of an
+LLC eviction do not depend on how the process hashes cache names.
 """
 
 import dataclasses
@@ -35,29 +36,35 @@ def _system(engine, num_cores):
     return TimeCacheSystem(config)
 
 
-def llc_eviction_events(engine):
-    """The trace of a two-core run whose last load evicts line 0 from the
-    LLC while both cores' L1I and L1D hold it.
+def evict_line_zero_from_the_llc(system, now):
+    """Load lines that share line 0's LLC set from core 0 until the LLC
+    evicts line 0.
 
     Core 0 reloads line 0 before each conflicting load, so it stays in
     L1D0; L1 hits leave the LLC's recency alone, so line 0 is the LLC
     set's least recently used line when the set overflows."""
-    system = _system(engine, num_cores=2)
     hierarchy = system.hierarchy
-    ring = RingBufferSink()
-    Tracer(ring).attach(system)
     llc = hierarchy.llc
     stride = llc.num_sets * hierarchy.config.line_bytes  # same LLC set
-    now = 0
-    for ctx in (0, 1):
-        system.load(ctx, 0, now)
-        system.ifetch(ctx, 0, now + 5)
-        now += 10
     for k in range(1, llc.ways + 1):
         system.load(0, 0, now)
         system.load(0, k * stride, now + 5)
         now += 10
     assert not llc.resident(0)
+
+
+def llc_eviction_events(engine):
+    """The trace of a two-core run whose last load evicts line 0 from the
+    LLC while both cores' L1I and L1D hold it."""
+    system = _system(engine, num_cores=2)
+    ring = RingBufferSink()
+    Tracer(ring).attach(system)
+    now = 0
+    for ctx in (0, 1):
+        system.load(ctx, 0, now)
+        system.ifetch(ctx, 0, now + 5)
+        now += 10
+    evict_line_zero_from_the_llc(system, now)
     return [
         [event.kind, event.src, event.ctx, event.ts, sorted(event.args.items())]
         for event in ring.events
@@ -120,3 +127,20 @@ def test_flush_invalidates_only_the_caches_holding_the_line(engine, monkeypatch)
     assert not system.hierarchy.llc.resident(line)
     assert not system.hierarchy.l1d[0].resident(line)
     system.hierarchy.check_inclusion()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_readers_leave_no_directory_entry_and_eviction_still_finds_them(engine):
+    """Loads of line 0 from both cores leave the directory with no entry
+    for it, since only a modified copy has an owner.  The LLC eviction of
+    the line then still invalidates both L1D copies, each once."""
+    system = _system(engine, num_cores=2)
+    hierarchy = system.hierarchy
+    system.load(0, 0, now=0)
+    system.load(1, 0, now=10)
+    assert [cache.resident(0) for cache in hierarchy.l1d] == [True, True]
+    assert all(0 not in table for table in vars(hierarchy.directory).values())
+    evict_line_zero_from_the_llc(system, now=20)
+    assert [cache.stats.get("invalidations") for cache in hierarchy.l1d] == [1, 1]
+    assert not any(cache.resident(0) for cache in hierarchy.private_caches())
+    hierarchy.check_inclusion()

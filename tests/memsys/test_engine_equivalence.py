@@ -4,7 +4,7 @@ Each scenario replays the same seeded random trace through both engines and
 asserts that every ``AccessResult`` (latency, level, first_access), every
 context-switch cost, the full stats snapshot, and the final architectural
 state (s-bits, Tc, valid bits, resident tags per cache, and the
-directory's non-empty sharer sets and owners) agree exactly.
+directory's owner map) agree exactly.
 
 Nine scenarios x twenty seeds = 180 random traces, covering the defense on
 and off, context switches, multi-core stores and coherence, SMT sibling
@@ -20,9 +20,10 @@ sends the identical (ctx, addr, kind, issue time) stream through
 ``access``; on the fast engine the batches' plain L1 hits are served by
 its batch loop without a port call.
 Every trace ends with the inclusion check: each private line is in the
-LLC and listed among the line's directory sharers.  On the fast engine
-it ends with the slot-state check too: each cache's line-to-slot map
-names exactly its occupied slots, and its per-set occupancy counts them.
+LLC, and a private line is dirty exactly when its cache owns it in the
+directory.  On the fast engine it ends with the slot-state check too:
+each cache's line-to-slot map names exactly its occupied slots, and its
+per-set occupancy counts them.
 The resident lines of each cache must agree in order, not only as sets.
 A reset arm zeroes every cache's, the hierarchy's and DRAM's counters
 mid-trace, in both orders, and the snapshots must still agree.  An
@@ -278,13 +279,8 @@ def _run_trace(
             cache.valid.tolist(),
             cache.resident_line_addrs(),
         )
-    # A fast port leaves a line's emptied sharer set in place, where the
-    # reference deletes it; every reader treats the two alike.
-    directory = hierarchy.directory
-    final["directory"] = (
-        {line: held for line, held in directory._sharers.items() if held},
-        dict(directory._owner),
-    )
+    # residency is compared above, through resident_line_addrs
+    final["directory"] = dict(hierarchy.directory._owner)
     trace = None
     if traced:
         tracer.detach()
