@@ -16,13 +16,23 @@ def test_owner_lifecycle():
     assert d.owner(0x10) == ""
 
 
-def test_release_by_the_owner_forgets_the_line():
+def test_remove_last_sharer_forgets_line():
+    # The owner is the only cache the table names for a line, so its copy
+    # leaving removes the line's entry.
+    d = Directory()
+    d.set_owner(0x10, "L1D0")
+    d.release(0x10, "L1D0")
+    assert 0x10 not in d._owner
+    d.release(0x10, "L1D0")  # releasing an unowned line is a no-op
+    assert 0x10 not in d._owner
+
+
+def test_removing_owner_sharer_clears_ownership():
     d = Directory()
     d.set_owner(0x10, "L1D0")
     d.release(0x10, "L1D0")
     assert d.owner(0x10) == ""
-    assert 0x10 not in d._owner
-    d.release(0x10, "L1D0")  # releasing an unowned line is a no-op
+    d.release(0x10, "L1D0")
     assert d.owner(0x10) == ""
 
 
