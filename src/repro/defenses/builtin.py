@@ -82,7 +82,7 @@ class SelectiveFlushDefense(Defense):
     (flushed) when that context switches tasks.  Flushing goes through
     :meth:`MemoryHierarchy._flush_line_everywhere`, the same path
     clflush and ``partition_flush`` use, so dirty writebacks and
-    directory bookkeeping are handled identically on both engines.
+    back-invalidations are handled identically on both engines.
     """
 
     name = "selective_flush"

@@ -4,7 +4,7 @@ This package is the reproduction's stand-in for gem5's memory system.  It
 models a blocking (TimingSimpleCPU-style) multi-level cache hierarchy:
 private L1I/L1D per core, a shared inclusive LLC, and a DRAM backend, with
 MESI-lite coherence between private caches: the caches' residency names
-the holders of a line, and an LLC owner table its modified copy.
+the holders of a line, and an L1D's dirty bit its one modified copy.
 Every cache level replaces its LRU line.
 
 The TimeCache defense (:mod:`repro.core`) hooks this substrate in two
@@ -19,7 +19,6 @@ timestamp comparator).
 
 from repro.memsys.cache import Cache
 from repro.memsys.cacheset import CacheSet
-from repro.memsys.coherence import Directory
 from repro.memsys.dram import Dram
 from repro.memsys.fastengine import FastCache, FastHierarchy
 from repro.memsys.hierarchy import (
@@ -37,7 +36,6 @@ __all__ = [
     "Cache",
     "CacheLine",
     "CacheSet",
-    "Directory",
     "Dram",
     "FastCache",
     "FastHierarchy",

@@ -413,9 +413,9 @@ class FastHierarchy(MemoryHierarchy):
         Everything an access reads that is fixed for the pair — the L1
         (the L1I for an ifetch) and the LLC, with their masks, slot
         maps, slot lists and memoryviews and this context's s-bit in
-        each, the directory's owner map, the clock, the listener lists,
-        the interned results of a pure L1 hit and a clean LLC hit — is
-        resolved here, once, into closure cells.
+        each, the other L1Ds' slot maps and dirty bits, the clock, the
+        listener lists, the interned results of a pure L1 hit and a
+        clean LLC hit — is resolved here, once, into closure cells.
         Each is set once and mutated only in place (see
         :meth:`MemoryHierarchy.ports`); a cache's ``event_listener`` is
         the exception and is read per access, because attaching a
@@ -423,13 +423,14 @@ class FastHierarchy(MemoryHierarchy):
         (``l1.c_hits.value += 1``), not bound as cells of their own:
         CPython copies every free variable into the frame on each call.
         The hierarchy's own methods — the LLC miss and probe, fills
-        while a listener is attached, invalidations, owner transfers —
-        are reached through a weak proxy, never bound: the hierarchy
-        keeps its ports, so a port holding the hierarchy would make a
-        reference cycle and leave a finished run to the cyclic
-        collector.  A port serves one kind, so only a store port walks
-        the other private caches, and it looks the line up in each
-        one's slot map before invalidating it there.
+        while a listener is attached, remote transfers — are reached
+        through a weak proxy, never bound: the hierarchy keeps its
+        ports, so a port holding the hierarchy would make a reference
+        cycle and leave a finished run to the cyclic collector.  An LLC
+        hit looks the line up in each other L1D's slot map and pulls a
+        dirty copy out of it.  A port serves one kind, so only a store
+        port walks the other private caches, and it looks the line up
+        in each one's slot map before invalidating it there.
         """
         l1 = (self.l1i if kind is _IFETCH else self.l1d)[
             ctx // self.config.threads_per_core
@@ -443,12 +444,10 @@ class FastHierarchy(MemoryHierarchy):
         pre_listeners = self.pre_access_listeners
         post_listeners = self.post_access_listeners
         results = self._results
-        owners = self.directory._owner
         dram = self.dram
         tc_enabled = self.tc_config.enabled
         llc_guard = self._llc_first_access_guard
         sctx = self._llc_sbit_ctx[ctx]
-        l1name = l1.name
         set_mask = l1._set_mask
         slot_of = l1._slot_of
         ways = l1.ways
@@ -472,6 +471,12 @@ class FastHierarchy(MemoryHierarchy):
         llc_last_used = llc._last_used
         llc_dirty = llc._dirty
         lbit = llc.ctx_bit(sctx)
+        # the L1Ds an LLC hit may pull a dirty copy out of
+        peers = [
+            (cache, cache._slot_of, cache._dirty)
+            for cache in self.l1d
+            if cache is not l1
+        ]
         # a store's other private caches, with their slot maps
         others = [
             (cache, cache._slot_of)
@@ -506,12 +511,11 @@ class FastHierarchy(MemoryHierarchy):
                 last_used[idx] = now
                 if is_write:
                     # Store upgrade: dirty the slot, invalidate other private
-                    # copies, take ownership (the inlined _store_upgrade).
+                    # copies (the inlined _store_upgrade).
                     dirty[idx] = True
                     for other, other_slots in others:
                         if line in other_slots:
-                            hier._invalidate_private(other, line)
-                    owners[line] = l1name
+                            other.invalidate(line)
             else:
                 l1.c_misses.value += 1
                 first = False
@@ -519,16 +523,19 @@ class FastHierarchy(MemoryHierarchy):
                 # -------- LLC (the inlined _access_llc) --------
                 lidx = llc_slot_of.get(line)
                 if lidx is not None:
-                    owner = owners.get(line) if owners else None
-                    if owner is not None and owner != l1name:
-                        extra, level = hier._remote_owner_transfer(line, owner)
-                    else:
-                        extra = 0
-                        level = ""
+                    extra = 0
+                    level = ""
+                    for peer, peer_slots, peer_dirty in peers:
+                        pidx = peer_slots.get(line)
+                        if pidx is not None and peer_dirty[pidx]:
+                            extra, level = hier._remote_transfer(
+                                peer, line, *divmod(pidx, peer.ways)
+                            )
+                            break
                     if is_write:
                         for other, other_slots in others:
                             if line in other_slots:
-                                hier._invalidate_private(other, line)
+                                other.invalidate(line)
                     if llc_guard and not (llc_sbits_mv[lidx] & lbit):
                         first = True
                         llc.c_first_access_misses.value += 1
@@ -549,10 +556,8 @@ class FastHierarchy(MemoryHierarchy):
                             if not extra:
                                 result = llc_hit_result
                     llc_last_used[lidx] = now
-                    if is_write:
-                        owners[line] = l1name
                 else:
-                    below, level = hier._llc_miss(l1, line, ctx, sctx, is_write, now)
+                    below, level = hier._llc_miss(line, ctx, sctx, now)
                 # -------- L1 fill (the inlined _fill_private) --------
                 if l1.event_listener is not None:
                     hier._fill_private(l1, line, ctx, is_write, now)
@@ -588,24 +593,16 @@ class FastHierarchy(MemoryHierarchy):
                     if line not in ever_filled:
                         ever_filled.add(line)
                         l1.c_cold_misses.value += 1
-                    if is_write:
-                        for other, other_slots in others:
-                            if line in other_slots:
-                                hier._invalidate_private(other, line)
-                        owners[line] = l1name
-                    if vtag >= 0:
-                        if vdirty:
-                            # the inlined _writeback_to_llc
-                            vidx = llc_slot_of.get(vtag)
-                            if vidx is None:
-                                raise SimulationError(
-                                    f"writeback of line {vtag:#x} but LLC "
-                                    "does not hold it"
-                                )
-                            llc_dirty[vidx] = True
-                            l1.c_writebacks.value += 1
-                        if owners and owners.get(vtag) == l1name:
-                            del owners[vtag]
+                    if vtag >= 0 and vdirty:
+                        # the inlined _writeback_to_llc
+                        vidx = llc_slot_of.get(vtag)
+                        if vidx is None:
+                            raise SimulationError(
+                                f"writeback of line {vtag:#x} but LLC "
+                                "does not hold it"
+                            )
+                        llc_dirty[vidx] = True
+                        l1.c_writebacks.value += 1
                 if result is None:
                     latency = hit_latency + below
                     key = (latency, level, first)

@@ -33,7 +33,6 @@ from repro.common.config import HierarchyConfig, TimeCacheConfig
 from repro.common.errors import SimulationError
 from repro.common.stats import StatGroup
 from repro.memsys.cache import Cache, CacheBase
-from repro.memsys.coherence import Directory
 from repro.memsys.dram import Dram
 from repro.memsys.line import CacheLine
 
@@ -108,7 +107,16 @@ class AccessPorts(NamedTuple):
 
 
 class MemoryHierarchy:
-    """Private L1s per core + shared inclusive LLC + DRAM + directory."""
+    """Private L1s per core + shared inclusive LLC + DRAM.
+
+    Coherence between the private caches keeps no table of its own: the
+    caches' residency names the holders of a line, and an L1D's dirty
+    bit marks the one modified copy.  A store leaves its L1D the only
+    private copy, and another cache's later fetch of the line pulls the
+    dirty copy out of that L1D (:meth:`_remote_transfer`), so a dirty
+    private line is never held by a second private cache
+    (:meth:`check_inclusion`).
+    """
 
     def __init__(
         self,
@@ -155,12 +163,10 @@ class MemoryHierarchy:
             max_sharers=self.tc_config.max_sharers,
         )
         self.dram = Dram(lat.dram)
-        self.directory = Directory()
         self.stats = StatGroup("hierarchy")
         self.c_accesses = self.stats.bound_counter("accesses")
-        self._private_name_map: Dict[str, CacheBase] = {
-            cache.name: cache for cache in self.private_caches()
-        }
+        #: the private caches, in :meth:`private_caches` order
+        self._private_caches: Tuple[CacheBase, ...] = tuple(self.private_caches())
         #: CAT-style partitioning state: security domain per hw context
         #: (programmed by the OS at context switches) and the LLC way
         #: range per domain.  Empty/None when partitioning is off.
@@ -280,7 +286,6 @@ class MemoryHierarchy:
                 if evicted is not None:
                     if evicted.dirty:
                         self._writeback_to_llc(line_addr)
-                    self.directory.release(line_addr, cache.name)
                     flushed += 1
         return flushed
 
@@ -297,13 +302,12 @@ class MemoryHierarchy:
         return True
 
     def _invalidate_holders(self, line: int) -> bool:
-        """Drop ``line``'s owner and invalidate it in each private cache
-        that holds it, in :meth:`private_caches` order; a cache that does
-        not hold it is not asked to invalidate.  Returns whether any of
-        those copies was dirty."""
-        self.directory.drop_line(line)
+        """Invalidate ``line`` in each private cache that holds it, in
+        :meth:`private_caches` order; a cache that does not hold it is
+        not asked to invalidate.  Returns whether any of those copies
+        was dirty."""
         dirty = False
-        for cache in self._private_name_map.values():
+        for cache in self._private_caches:
             if cache.resident(line) and cache.invalidate(line).dirty:
                 dirty = True
         return dirty
@@ -358,7 +362,7 @@ class MemoryHierarchy:
         out of range raises :class:`SimulationError`.
 
         A port captures what is fixed for its context and kind — the
-        L1, the LLC, the owner table, the listener lists, the
+        L1, the LLC, the other L1Ds, the listener lists, the
         counter handles, the context's s-bits — as closure cells.
         That is sound only because each of those is set once, at
         construction, and from then on mutated only in place: observers
@@ -500,7 +504,7 @@ class MemoryHierarchy:
                 latency, level = l1.hit_latency, "L1"
             l1.touch(set_idx, way, now)
             if is_write:
-                latency += self._store_upgrade(l1, line, set_idx, way, now)
+                self._store_upgrade(l1, line, set_idx, way)
             return AccessResult(latency, level, first)
 
         l1.c_misses.add()
@@ -521,7 +525,7 @@ class MemoryHierarchy:
         pos = llc.lookup(line)
         if pos is not None:
             set_idx, way = pos
-            extra, level = self._coherence_on_access(l1, line, is_write, now)
+            extra, level = self._coherence_on_access(l1, line, is_write)
             first = self._llc_first_access_guard and not llc.sbit_is_set(
                 set_idx, way, sctx
             )
@@ -541,22 +545,12 @@ class MemoryHierarchy:
                 if level == "":
                     level = "LLC"
             llc.touch(set_idx, way, now)
-            if is_write:
-                self.directory.set_owner(line, l1.name)
             return latency, level, first
 
-        below, level = self._llc_miss(l1, line, ctx, sctx, is_write, now)
+        below, level = self._llc_miss(line, ctx, sctx, now)
         return below, level, False
 
-    def _llc_miss(
-        self,
-        l1: CacheBase,
-        line: int,
-        ctx: int,
-        sctx: int,
-        is_write: bool,
-        now: int,
-    ) -> Tuple[int, str]:
+    def _llc_miss(self, line: int, ctx: int, sctx: int, now: int) -> Tuple[int, str]:
         """L1 and LLC both miss: fetch from DRAM and fill the LLC for
         ``sctx`` (the context its s-bits track), back-invalidating the
         LLC victim.  Returns (latency below L1, service level)."""
@@ -572,8 +566,6 @@ class MemoryHierarchy:
         wb = 0
         if victim is not None:
             wb = self._handle_llc_eviction(victim)
-        if is_write:
-            self.directory.set_owner(line, l1.name)
         return llc.hit_latency + dram_latency + wb, "DRAM"
 
     def _probe_llc(self, line: int, ctx: int, now: int) -> Tuple[int, str]:
@@ -612,77 +604,56 @@ class MemoryHierarchy:
     def _fill_private(
         self, l1: CacheBase, line: int, ctx: int, is_write: bool, now: int
     ) -> None:
+        """Install ``line`` in ``l1``, dirty for a store.  A store finds
+        no other private copy to invalidate: an LLC hit has invalidated
+        them (:meth:`_coherence_on_access`), and an LLC miss leaves none,
+        by inclusion."""
         victim = l1.fill(line, ctx, self._truncate(now), dirty=is_write)
-        if is_write:
-            self._invalidate_other_private(l1, line)
-            self.directory.set_owner(line, l1.name)
         if victim is not None:
             self._handle_private_eviction(l1, victim)
 
-    def _store_upgrade(
-        self, l1: CacheBase, line: int, set_idx: int, way: int, now: int
-    ) -> int:
-        """A store hit: dirty the line, invalidate other private copies."""
+    def _store_upgrade(self, l1: CacheBase, line: int, set_idx: int, way: int) -> None:
+        """A store hit: dirty the line, invalidate other private copies.
+        None of them is dirty: a line ``l1`` holds has no other writer."""
         l1.mark_dirty(set_idx, way)
         self._invalidate_other_private(l1, line)
-        self.directory.set_owner(line, l1.name)
-        return 0
 
     def _invalidate_other_private(self, requester: CacheBase, line: int) -> None:
-        for cache in self.private_caches():
+        for cache in self._private_caches:
             if cache is not requester:
-                self._invalidate_private(cache, line)
-
-    def _invalidate_private(self, cache: CacheBase, line: int) -> None:
-        """Invalidate ``line`` in one private cache: a dirty copy is
-        written back to the LLC, and the cache releases its ownership."""
-        evicted = cache.invalidate(line)
-        if evicted is not None:
-            if evicted.dirty:
-                self._writeback_to_llc(line)
-            self.directory.release(line, cache.name)
+                cache.invalidate(line)
 
     def _coherence_on_access(
-        self, requester_l1: CacheBase, line: int, is_write: bool, now: int
+        self, requester_l1: CacheBase, line: int, is_write: bool
     ) -> Tuple[int, str]:
         """Handle a remote modified copy on an LLC hit.
 
-        Returns (extra latency, level label or "").  A load pulls the dirty
-        line out of the owner's L1 (cache-to-cache transfer, leaving the
-        owner a clean copy); a write invalidates every other private copy.
+        Returns (extra latency, level label or "").  A load pulls the
+        dirty line out of the L1D that holds it (cache-to-cache
+        transfer, leaving that L1D a clean copy); a write then
+        invalidates every other private copy.
         """
         extra = 0
         level = ""
-        owner = self.directory.owner(line)
-        if owner and owner != requester_l1.name:
-            extra, level = self._remote_owner_transfer(line, owner)
+        for cache in self.l1d:
+            if cache is not requester_l1:
+                pos = cache.lookup(line)
+                if pos is not None and cache.is_dirty(*pos):
+                    extra, level = self._remote_transfer(cache, line, *pos)
+                    break
         if is_write:
             self._invalidate_other_private(requester_l1, line)
         return extra, level
 
-    def _remote_owner_transfer(self, line: int, owner: str) -> Tuple[int, str]:
-        """Another private cache owns ``line``: pull it out if dirty (a
-        cache-to-cache transfer, leaving the owner a clean copy) and
-        clear the ownership.  Returns (extra latency, level or "")."""
-        extra = 0
-        level = ""
-        owner_cache = self._private_by_name(owner)
-        pos = owner_cache.lookup(line)
-        if pos is not None:
-            set_idx, way = pos
-            if owner_cache.is_dirty(set_idx, way):
-                extra += self.latency.remote_transfer
-                level = "remote"
-                owner_cache.downgrade(set_idx, way)
-                self._writeback_to_llc(line)
-        self.directory.clear_owner(line)
-        return extra, level
-
-    def _private_by_name(self, name: str) -> CacheBase:
-        try:
-            return self._private_name_map[name]
-        except KeyError:
-            raise SimulationError(f"unknown private cache {name!r}") from None
+    def _remote_transfer(
+        self, cache: CacheBase, line: int, set_idx: int, way: int
+    ) -> Tuple[int, str]:
+        """Pull ``line``'s dirty copy out of ``cache`` (a cache-to-cache
+        transfer): leave ``cache`` a clean copy and write the data back
+        to the LLC.  Returns (extra latency, level)."""
+        cache.downgrade(set_idx, way)
+        self._writeback_to_llc(line)
+        return self.latency.remote_transfer, "remote"
 
     def _writeback_to_llc(self, line: int) -> None:
         pos = self.llc.lookup(line)
@@ -698,7 +669,6 @@ class MemoryHierarchy:
         if victim.dirty:
             self._writeback_to_llc(line)
             l1.c_writebacks.add()
-        self.directory.release(line, l1.name)
 
     def _handle_llc_eviction(self, victim: CacheLine) -> int:
         """Back-invalidate an evicted LLC line from every private cache
@@ -747,30 +717,27 @@ class MemoryHierarchy:
         return [self.l1i[core], self.l1d[core], self.llc]
 
     def check_inclusion(self) -> None:
-        """Raise if any private line is missing from the LLC, or if the
-        owner table and the private caches' dirty bits disagree (test
-        hook): every owner holds its line dirty, and every dirty private
-        line is owned by its cache."""
-        owners = self.directory._owner
-        for cache in self.private_caches():
+        """Raise if any private line is missing from the LLC, or if a
+        dirty private line is not the one private copy, in an L1D (test
+        hook)."""
+        for cache in self._private_caches:
             for line in cache.resident_line_addrs():
                 if not self.llc.resident(line):
                     raise SimulationError(
                         f"{cache.name} holds {line:#x} but LLC does not"
                     )
-                if cache.is_dirty(*cache.lookup(line)) and (
-                    owners.get(line) != cache.name
-                ):
+                if not cache.is_dirty(*cache.lookup(line)):
+                    continue
+                if cache not in self.l1d:
                     raise SimulationError(
-                        f"{cache.name} holds {line:#x} dirty but does not own it"
+                        f"{cache.name} holds {line:#x} dirty but is not an L1D"
                     )
-        for line, owner in owners.items():
-            cache = self._private_by_name(owner)
-            pos = cache.lookup(line)
-            if pos is None or not cache.is_dirty(*pos):
-                raise SimulationError(
-                    f"{owner} owns {line:#x} but does not hold it dirty"
-                )
+                for other in self._private_caches:
+                    if other is not cache and other.resident(line):
+                        raise SimulationError(
+                            f"{cache.name} holds {line:#x} dirty but "
+                            f"{other.name} holds it too"
+                        )
 
     def total_first_access_misses(self) -> int:
         return sum(c.stats.get("first_access_misses") for c in self.all_caches())

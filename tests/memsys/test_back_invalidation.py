@@ -1,12 +1,12 @@
 """clflush and LLC eviction invalidate every private copy of a line, in
 one fixed cache order.
 
-Both go through ``MemoryHierarchy._invalidate_holders``: it drops the
-line's owner and invalidates the line in each private cache that holds
-it, in ``private_caches()`` order.  The caches' own residency names the
-holders; the directory keeps no sharer sets.  So a flush touches only
-the caches that hold the line, and the back-invalidation events of an
-LLC eviction do not depend on how the process hashes cache names.
+Both go through ``MemoryHierarchy._invalidate_holders``: it invalidates
+the line in each private cache that holds it, in ``private_caches()``
+order.  The caches' own residency names the holders; no directory keeps
+a table of them.  So a flush touches only the caches that hold the
+line, and the back-invalidation events of an LLC eviction do not depend
+on how the process hashes cache names.
 """
 
 import dataclasses
@@ -130,16 +130,16 @@ def test_flush_invalidates_only_the_caches_holding_the_line(engine, monkeypatch)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_readers_leave_no_directory_entry_and_eviction_still_finds_them(engine):
-    """Loads of line 0 from both cores leave the directory with no entry
-    for it, since only a modified copy has an owner.  The LLC eviction of
-    the line then still invalidates both L1D copies, each once."""
+def test_two_readers_are_both_back_invalidated(engine):
+    """Loads of line 0 from both cores leave each L1D a clean copy.  The
+    LLC eviction of the line then invalidates both L1D copies, each
+    once."""
     system = _system(engine, num_cores=2)
     hierarchy = system.hierarchy
     system.load(0, 0, now=0)
     system.load(1, 0, now=10)
     assert [cache.resident(0) for cache in hierarchy.l1d] == [True, True]
-    assert all(0 not in table for table in vars(hierarchy.directory).values())
+    assert not any(cache.is_dirty(*cache.lookup(0)) for cache in hierarchy.l1d)
     evict_line_zero_from_the_llc(system, now=20)
     assert [cache.stats.get("invalidations") for cache in hierarchy.l1d] == [1, 1]
     assert not any(cache.resident(0) for cache in hierarchy.private_caches())

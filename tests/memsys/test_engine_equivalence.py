@@ -3,8 +3,8 @@
 Each scenario replays the same seeded random trace through both engines and
 asserts that every ``AccessResult`` (latency, level, first_access), every
 context-switch cost, the full stats snapshot, and the final architectural
-state (s-bits, Tc, valid bits, resident tags per cache, and the
-directory's owner map) agree exactly.
+state (s-bits, Tc, valid bits, resident tags per cache, and each private
+cache's dirty lines) agree exactly.
 
 Nine scenarios x twenty seeds = 180 random traces, covering the defense on
 and off, context switches, multi-core stores and coherence, SMT sibling
@@ -20,8 +20,8 @@ sends the identical (ctx, addr, kind, issue time) stream through
 ``access``; on the fast engine the batches' plain L1 hits are served by
 its batch loop without a port call.
 Every trace ends with the inclusion check: each private line is in the
-LLC, and a private line is dirty exactly when its cache owns it in the
-directory.  On the fast engine it ends with the slot-state check too:
+LLC, and a dirty private line sits in one L1D and in no other private
+cache.  On the fast engine it ends with the slot-state check too:
 each cache's line-to-slot map names exactly its occupied slots, and its
 per-set occupancy counts them.
 The resident lines of each cache must agree in order, not only as sets.
@@ -279,8 +279,15 @@ def _run_trace(
             cache.valid.tolist(),
             cache.resident_line_addrs(),
         )
-    # residency is compared above, through resident_line_addrs
-    final["directory"] = dict(hierarchy.directory._owner)
+    # the dirty bits are the only record of ownership
+    final["dirty"] = {
+        cache.name: [
+            line
+            for line in cache.resident_line_addrs()
+            if cache.is_dirty(*cache.lookup(line))
+        ]
+        for cache in hierarchy.private_caches()
+    }
     trace = None
     if traced:
         tracer.detach()
