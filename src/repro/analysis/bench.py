@@ -503,21 +503,32 @@ def write_baseline(
 def load_baseline(path: Union[str, Path]) -> Dict[str, float]:
     """Baseline medians keyed by bench name.
 
-    Entries recorded as skipped (or with a zero median, which is what a
-    skipped bench serializes as) carry no timing information and are
-    dropped, so they can never anchor a regression comparison.
+    The file is read through :mod:`~repro.robustness.safeio`, so a
+    checksum mismatch, another kind or schema, or a file with no
+    ``benches`` entries raises :class:`CheckpointCorruptionError` (a
+    ``ValueError``) rather than comparing against nothing.  Entries
+    recorded as skipped (or with a zero median, which is what a skipped
+    bench serializes as) carry no timing information and are dropped,
+    so they can never anchor a regression comparison.
     """
-    import json
+    from repro.common.errors import CheckpointCorruptionError
+    from repro.robustness import safeio
 
-    with open(path) as handle:
-        payload = json.load(handle)
+    payload = safeio.read_json_verified(path)
+    benches = payload.get("benches")
     if payload.get("kind") != "bench_baseline":
-        raise ValueError(f"{path}: not a bench baseline file")
-    return {
-        name: float(entry["median_s"])
-        for name, entry in payload.get("benches", {}).items()
-        if not entry.get("skipped") and float(entry.get("median_s", 0.0)) > 0
-    }
+        reason = "not a bench baseline file"
+    elif payload.get("schema") != BENCH_SCHEMA:
+        reason = f"schema {payload.get('schema')!r} (expected {BENCH_SCHEMA})"
+    elif not isinstance(benches, dict) or not benches:
+        reason = "no bench entries under 'benches'"
+    else:
+        return {
+            name: float(entry["median_s"])
+            for name, entry in benches.items()
+            if not entry.get("skipped") and float(entry.get("median_s", 0.0)) > 0
+        }
+    raise CheckpointCorruptionError(path, reasons=[reason])
 
 
 def compare_to_baseline(

@@ -77,8 +77,6 @@ def run_spy_flush_reload(
     shared_lines: int = 64,
     rounds: int = 6,
     wait_cycles: int = 30_000,
-    tracer: Optional[Tracer] = None,
-    sample_every: int = 0,
 ) -> AttackOutcome:
     """A spy recovering the victim's secret line set.
 
@@ -88,29 +86,21 @@ def run_spy_flush_reload(
     baseline it equals ``set(secret_indices)``, under TimeCache it must
     be empty.
     """
-    scenario = SharedArrayScenario(
-        config,
-        shared_lines=shared_lines,
-        tracer=tracer,
-        sample_every=sample_every,
-    )
-    lines, phase, threshold = scenario.lines, scenario.phase, scenario.threshold
+    scenario = SharedArrayScenario(config, shared_lines=shared_lines)
+    lines, threshold = scenario.lines, scenario.threshold
     latencies: List[int] = []
     recovered: Set[int] = set()
 
     def spy() -> ProgramGen:
         for _ in range(rounds):
-            with phase("flush"):
-                for vaddr in lines:
-                    yield Flush(vaddr)
-            with phase("wait"):
-                yield SleepOp(wait_cycles)
-            with phase("probe"):
-                for i, vaddr in enumerate(lines):
-                    latency, _ = yield from SharedArrayScenario.timed(Load(vaddr))
-                    latencies.append(latency)
-                    if latency < threshold:
-                        recovered.add(i)
+            for vaddr in lines:
+                yield Flush(vaddr)
+            yield SleepOp(wait_cycles)
+            for i, vaddr in enumerate(lines):
+                latency, _ = yield from SharedArrayScenario.timed(Load(vaddr))
+                latencies.append(latency)
+                if latency < threshold:
+                    recovered.add(i)
         yield Exit()
 
     victim = secret_indexed_victim(lines, list(secret_indices) * rounds)

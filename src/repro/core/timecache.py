@@ -79,18 +79,16 @@ class TimeCacheSystem:
         self.defense = get_defense(config.defense)
         self.defense_state = self.defense.attach(self)
         self._task_state: Dict[int, TaskCachingState] = {}
-        #: observation hooks (repro.robustness): called after every
-        #: completed context switch as ``(outgoing, incoming, ctx, now)``.
-        #: The invariant checker scans here; the fault injector uses the
-        #: same point as its deterministic trigger.
+        #: observers (repro.robustness, repro.obs), called in list order
+        #: after every completed context switch as ``(outgoing, incoming,
+        #: ctx, now, cost)`` with the :class:`SwitchCost` the switch
+        #: returns.  The fault injector uses this point as its
+        #: deterministic trigger, the invariant checker scans here, and
+        #: the obs tracer records the DMA/comparator cycles and the
+        #: rollover flash-clear.
         self.switch_listeners: List[
-            Callable[[Optional[int], int, int, int], None]
+            Callable[[Optional[int], int, int, int, SwitchCost], None]
         ] = []
-        #: observability hook (repro.obs): a Tracer attached via
-        #: ``Tracer.attach`` sets itself here.  Unlike switch_listeners it
-        #: receives the computed :class:`SwitchCost`, so the event stream
-        #: carries DMA/comparator cycles and the rollover flash-clear.
-        self.obs_tracer = None
         # Profiling sessions install process-globally (sweep jobs build
         # their systems many layers below the code that turned profiling
         # on); construction is the one moment both sides are in scope.
@@ -212,11 +210,7 @@ class TimeCacheSystem:
 
             cost = merge_switch_costs(cost, extra)
         for listener in self.switch_listeners:
-            listener(outgoing_task, incoming_task, ctx, when)
-        if self.obs_tracer is not None:
-            self.obs_tracer.on_context_switch(
-                outgoing_task, incoming_task, ctx, when, cost
-            )
+            listener(outgoing_task, incoming_task, ctx, when, cost)
         return cost
 
     # ------------------------------------------------------------------

@@ -27,8 +27,8 @@ from repro.common.stats import StatGroup
 from repro.memsys.cacheset import CacheSet
 from repro.memsys.line import CacheLine
 
-#: a cache event listener: ``(event, set_idx, way, ctx)``
-EventListener = Callable[[str, int, int, int], None]
+#: a cache event listener: ``(cache, event, set_idx, way, ctx)``
+EventListener = Callable[["CacheBase", str, int, int, int], None]
 
 
 class CacheBase:
@@ -40,7 +40,7 @@ class CacheBase:
 
     The base holds the geometry and the context columns, the Tc, s-bit
     and valid arrays with the context-switch operations over them, the
-    event-listener chain and the ``c_*`` counters of ``stats``.  A
+    event-listener list and the ``c_*`` counters of ``stats``.  A
     subclass stores the lines themselves and implements lookup, fill,
     eviction, invalidation and the slot accessors the hierarchy uses:
     :class:`Cache` with ``CacheLine`` objects, the fast engine's
@@ -73,8 +73,7 @@ class CacheBase:
         "c_writebacks",
         "c_back_invalidations",
         "_ever_filled",
-        "event_listener",
-        "_event_listeners",
+        "event_listeners",
     )
 
     def __init__(
@@ -136,57 +135,22 @@ class CacheBase:
         #: misses — reported separately so scaled (short) runs can report
         #: demand MPKI comparably to the paper's 1e9-instruction runs
         self._ever_filled: set = set()
-        #: observation hook (repro.robustness, repro.obs): called after
-        #: each metadata transition as ``(event, set_idx, way, ctx)`` where
-        #: event is one of "fill", "evict", "invalidate", "sbit_set"; ctx
-        #: is the global hardware context for fill/sbit_set and -1
-        #: otherwise.  The invariant checker mirrors s-bit entitlement
-        #: from these events; the obs tracer turns them into its event
-        #: stream.  Direct assignment (single observer) still works;
-        #: ``add_event_listener`` composes several without clobbering.
-        #: Any listener sends the fast engine's ports down the
-        #: event-emitting reference routes: tracing is honest but costs.
-        self.event_listener: Optional[EventListener] = None
-        self._event_listeners: List[EventListener] = []
+        #: observers (repro.robustness, repro.obs), called in list order
+        #: after each metadata transition as ``(cache, event, set_idx,
+        #: way, ctx)`` where event is one of "fill", "evict",
+        #: "invalidate", "sbit_set"; ctx is the global hardware context
+        #: for fill/sbit_set and -1 otherwise.  The invariant checker
+        #: mirrors s-bit entitlement from these events; the obs tracer
+        #: turns them into its event stream.  An observer appends itself
+        #: and removes itself.  Any listener sends the fast engine's
+        #: ports down the event-emitting reference routes: tracing is
+        #: honest but costs.
+        self.event_listeners: List[EventListener] = []
 
     def _notify(self, event: str, set_idx: int, way: int, ctx: int = -1) -> None:
-        if self.event_listener is not None:
-            self.event_listener(event, set_idx, way, ctx)
-
-    def add_event_listener(self, listener: EventListener) -> None:
-        """Register a listener without displacing existing observers.
-
-        A single listener is installed directly (the hot paths keep their
-        one-slot ``is None`` check); several are fanned out through one
-        dispatcher.  A listener installed by direct ``event_listener``
-        assignment before the first ``add_event_listener`` call is
-        adopted into the chain.
-        """
-        if self.event_listener is not None and not self._event_listeners:
-            self._event_listeners.append(self.event_listener)
-        self._event_listeners.append(listener)
-        self._rebind_listeners()
-
-    def remove_event_listener(self, listener: EventListener) -> None:
-        self._event_listeners.remove(listener)
-        self._rebind_listeners()
-
-    def _rebind_listeners(self) -> None:
-        listeners = self._event_listeners
-        if not listeners:
-            self.event_listener = None
-        elif len(listeners) == 1:
-            self.event_listener = listeners[0]
-        else:
-            chain = tuple(listeners)
-
-            def fanout(
-                event: str, set_idx: int, way: int, ctx: int, _chain=chain
-            ) -> None:
-                for fn in _chain:
-                    fn(event, set_idx, way, ctx)
-
-            self.event_listener = fanout
+        if self.event_listeners:
+            for listener in self.event_listeners:
+                listener(self, event, set_idx, way, ctx)
 
     # ------------------------------------------------------------------
     # Addressing helpers

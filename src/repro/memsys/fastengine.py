@@ -27,7 +27,7 @@ same per-slot state in struct-of-arrays form:
 Only the access path is the fast engine's own: the ports of
 :meth:`FastHierarchy._bind`, the LLC probe they call, the batch loop
 that serves plain L1 hits without a port call, and the cache methods
-over the arrays.  Everything else — the counters, the listener chain,
+over the arrays.  Everything else — the counters, the listener list,
 the context-switch array operations, ``access_batch``'s ``now`` check,
 and every cold path of the hierarchy — is the reference code,
 inherited.
@@ -273,8 +273,9 @@ class FastCache(CacheBase):
         self.tc_mv[idx] = tc_now
         self.sbits_mv[idx] = 1 << self._ctx_to_col[ctx]
         self.valid_mv[idx] = True
-        if self.event_listener is not None:
-            self.event_listener("fill", set_idx, way, ctx)
+        if self.event_listeners:
+            for listener in self.event_listeners:
+                listener(self, "fill", set_idx, way, ctx)
         self.c_fills.value += 1
         if line_addr not in self._ever_filled:
             self._ever_filled.add(line_addr)
@@ -292,8 +293,9 @@ class FastCache(CacheBase):
         self._occ[set_idx] -= 1
         self.sbits_mv[idx] = 0
         self.valid_mv[idx] = False
-        if self.event_listener is not None:
-            self.event_listener("evict", set_idx, way, -1)
+        if self.event_listeners:
+            for listener in self.event_listeners:
+                listener(self, "evict", set_idx, way, -1)
         self.c_evictions.value += 1
         if was_dirty:
             self.c_dirty_evictions.value += 1
@@ -309,8 +311,9 @@ class FastCache(CacheBase):
         self._occ[set_idx] -= 1
         self.sbits_mv[idx] = 0
         self.valid_mv[idx] = False
-        if self.event_listener is not None:
-            self.event_listener("invalidate", set_idx, way, -1)
+        if self.event_listeners:
+            for listener in self.event_listeners:
+                listener(self, "invalidate", set_idx, way, -1)
         self.c_invalidations.value += 1
         return EvictedLine(line_addr, was_dirty)
 
@@ -417,9 +420,8 @@ class FastHierarchy(MemoryHierarchy):
         listener lists, the interned results of a pure L1 hit and a
         clean LLC hit — is resolved here, once, into closure cells.
         Each is set once and mutated only in place (see
-        :meth:`MemoryHierarchy.ports`); a cache's ``event_listener`` is
-        the exception and is read per access, because attaching a
-        listener rebinds it.  Counters are bumped through their cache
+        :meth:`MemoryHierarchy.ports`).  A cache's ``event_listeners``
+        and counters are read through the cache on each access
         (``l1.c_hits.value += 1``), not bound as cells of their own:
         CPython copies every free variable into the frame on each call.
         The hierarchy's own methods — the LLC miss and probe, fills
@@ -496,7 +498,7 @@ class FastHierarchy(MemoryHierarchy):
                 if tc_enabled and not (sbits_mv[idx] & bit):
                     l1.c_first_access_misses.value += 1
                     below, level = hier._probe_llc(line, ctx, now)
-                    if l1.event_listener is None and l1.max_sharers == 0:
+                    if not l1.event_listeners and l1.max_sharers == 0:
                         sbits_mv[idx] |= bit
                     else:
                         l1.set_sbit(*divmod(idx, ways), ctx)
@@ -544,7 +546,7 @@ class FastHierarchy(MemoryHierarchy):
                             dram_latency if dram_latency > extra else extra
                         )
                         level = "DRAM"
-                        if llc.event_listener is None and llc.max_sharers == 0:
+                        if not llc.event_listeners and llc.max_sharers == 0:
                             llc_sbits_mv[lidx] |= lbit
                         else:
                             llc.set_sbit(*divmod(lidx, llc.ways), sctx)
@@ -559,7 +561,7 @@ class FastHierarchy(MemoryHierarchy):
                 else:
                     below, level = hier._llc_miss(line, ctx, sctx, now)
                 # -------- L1 fill (the inlined _fill_private) --------
-                if l1.event_listener is not None:
+                if l1.event_listeners:
                     hier._fill_private(l1, line, ctx, is_write, now)
                 else:
                     set_idx = line & set_mask
@@ -704,7 +706,7 @@ class FastHierarchy(MemoryHierarchy):
             llc.c_accesses.value += 1
         else:
             llc.c_first_access_misses.value += 1
-            if llc.event_listener is None and llc.max_sharers == 0:
+            if not llc.event_listeners and llc.max_sharers == 0:
                 llc.sbits_mv[idx] |= bit
             else:
                 llc.set_sbit(*divmod(idx, llc.ways), sctx)

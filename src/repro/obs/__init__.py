@@ -12,9 +12,9 @@ without perturbing the hot paths it observes:
   bounded in-memory ring buffer;
 * :mod:`~repro.obs.tracer`   — the emission guard and the hook wiring
   onto a :class:`~repro.core.timecache.TimeCacheSystem` or a
-  :class:`~repro.os.kernel.Kernel`.  A disabled tracer attaches nothing,
-  so the hot paths keep their pre-existing ``listener is None`` branch
-  and tracing costs literally zero when off;
+  :class:`~repro.os.kernel.Kernel`: one bound method on each observer
+  list.  A disabled tracer attaches nothing, so the hot paths keep
+  their empty-list branch and tracing costs literally zero when off;
 * :mod:`~repro.obs.sampler`  — periodic :class:`StatGroup` snapshots as
   a timeseries (windowed MPKA, first-access-miss rate over time);
 * :mod:`~repro.obs.perfetto` — Chrome trace-event / Perfetto export so

@@ -1,22 +1,25 @@
 """The emission guard and the hook wiring.
 
-A :class:`Tracer` owns a sink and a monotone sequence counter, and knows
-how to install itself on the existing observation seams:
+A :class:`Tracer` owns a sink and a monotone sequence counter, and
+appends one bound method to each observer list the machine iterates:
 
-* every cache's ``event_listener`` slot (via the chaining
-  ``add_event_listener`` helper, so a robustness checker and a tracer can
-  coexist) — fills, evictions, invalidations, s-bit sets;
+* every cache's ``event_listeners`` — fills, evictions, invalidations,
+  s-bit sets;
 * the hierarchy's ``post_access_listeners`` — first-access misses (and,
   with ``trace_all_accesses``, every access result);
-* ``TimeCacheSystem.obs_tracer`` — context-switch costs, rollover
+* ``TimeCacheSystem.switch_listeners`` — context-switch costs, rollover
   epochs, and the conservative s-bit flash-clear;
-* the scheduler's ``event_hook`` (via :meth:`attach_kernel`) — dispatch,
-  requeue, sleep, wake.
+* the scheduler's ``event_listeners`` (via :meth:`attach_kernel`) —
+  dispatch, requeue, sleep, wake.
+
+Each list fires in attach order, so a robustness checker, a metrics
+sampler and a tracer coexist, and :meth:`detach` removes only the
+tracer's own entries.
 
 **Cost when disabled.**  ``Tracer(enabled=False)`` attaches *nothing*:
-every hot path keeps taking its pre-existing ``listener is None`` /
-empty-list branch, so disabled tracing adds zero code to the measured
-paths.  ``bench_hierarchy_access_traced`` proves this stays under 5%.
+every hot path keeps taking its empty-list branch, so disabled tracing
+adds zero code to the measured paths.  ``bench_hierarchy_access_traced``
+proves this stays under 5%.
 
 **Cost when enabled.**  Attaching listeners routes the fast engine's
 fill/s-bit operations through its event-emitting slow paths (the same
@@ -24,18 +27,17 @@ fallbacks the invariant checker uses), so an enabled trace is honest but
 slower — never enable tracing inside a timing window you intend to
 compare against an untraced baseline.
 
-**No reference cycle.**  The system holds the tracer (``obs_tracer``,
-the bound ``_post_access`` and ``_sched_event``, the cache listeners),
-so the tracer holds the system and kernel only weakly, keeps no cache,
-and its cache listeners reach it through a weak proxy: a finished
-traced run is freed by reference counting, as an untraced one is.
+**No reference cycle.**  The system holds the tracer's bound methods,
+so the tracer holds the system and kernel only weakly and keeps no
+cache: a finished traced run is freed by reference counting, as an
+untraced one is.
 """
 
 from __future__ import annotations
 
 import weakref
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.obs.events import TraceEvent
 from repro.obs.sinks import Sink
@@ -43,6 +45,7 @@ from repro.obs.sinks import Sink
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.context import SwitchCost
     from repro.core.timecache import TimeCacheSystem
+    from repro.memsys.cache import CacheBase
     from repro.os.kernel import Kernel
 
 
@@ -66,8 +69,6 @@ class Tracer:
         #: the attached system and kernel, each through a weak reference
         self._system: Callable[[], Optional["TimeCacheSystem"]] = _detached
         self._kernel: Callable[[], Optional["Kernel"]] = _detached
-        #: each attached cache's listener, by cache name
-        self._cache_listeners: Dict[str, Callable] = {}
 
     # ------------------------------------------------------------------
     # Emission
@@ -124,57 +125,47 @@ class Tracer:
         self._clock = system.clock
         hierarchy = system.hierarchy
         for cache in hierarchy.all_caches():
-            listener = self._make_cache_listener(cache.name)
-            cache.add_event_listener(listener)
-            self._cache_listeners[cache.name] = listener
+            cache.event_listeners.append(self._cache_event)
         hierarchy.post_access_listeners.append(self._post_access)
-        system.obs_tracer = self
+        system.switch_listeners.append(self.on_context_switch)
         return self
 
     def detach(self) -> None:
         """Undo :meth:`attach` (and :meth:`attach_kernel`) on the system,
         if it is still alive."""
         system, kernel = self._system(), self._kernel()
-        listeners = self._cache_listeners
         self._system = self._kernel = _detached
-        self._cache_listeners = {}
         self._clock = None
         if system is None:
             return
         for cache in system.hierarchy.all_caches():
-            cache.remove_event_listener(listeners[cache.name])
+            cache.event_listeners.remove(self._cache_event)
         system.hierarchy.post_access_listeners.remove(self._post_access)
-        system.obs_tracer = None
+        system.switch_listeners.remove(self.on_context_switch)
         if kernel is not None:
-            kernel.scheduler.event_hook = None
+            kernel.scheduler.event_listeners.remove(self._sched_event)
 
     def attach_kernel(self, kernel: "Kernel") -> "Tracer":
         """Attach to the kernel's system plus its scheduler."""
-        if not self.enabled:
+        if not self.enabled or self._kernel() is not None:
             return self
         self.attach(kernel.system)
         self._kernel = weakref.ref(kernel)
-        kernel.scheduler.event_hook = self._sched_event
+        kernel.scheduler.event_listeners.append(self._sched_event)
         return self
 
     # ------------------------------------------------------------------
     # Listener bodies (only ever installed when enabled)
     # ------------------------------------------------------------------
-    def _make_cache_listener(
-        self, cache_name: str
-    ) -> Callable[[str, int, int, int], None]:
-        # the tracer keeps its listeners: one holding it would be a cycle
-        tracer = weakref.proxy(self)
-
-        def listener(event: str, set_idx: int, way: int, ctx: int) -> None:
-            tracer.emit(
-                "cache." + event,
-                src=cache_name,
-                ctx=ctx,
-                args={"set": set_idx, "way": way},
-            )
-
-        return listener
+    def _cache_event(
+        self, cache: "CacheBase", event: str, set_idx: int, way: int, ctx: int
+    ) -> None:
+        self.emit(
+            "cache." + event,
+            src=cache.name,
+            ctx=ctx,
+            args={"set": set_idx, "way": way},
+        )
 
     def _post_access(self, ctx, line, kind, now, result) -> None:
         if result.first_access:
@@ -212,7 +203,8 @@ class Tracer:
         now: int,
         cost: "SwitchCost",
     ) -> None:
-        """Called by ``TimeCacheSystem.context_switch`` (guarded there)."""
+        """The switch listener: a ``ctx.switch`` record with the switch's
+        cost, and the rollover records when the restore flash-cleared."""
         self.emit(
             "ctx.switch",
             src="os",

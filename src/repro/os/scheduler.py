@@ -33,11 +33,11 @@ class RoundRobinScheduler:
         self._sleeping: Dict[int, List[Task]] = {
             ctx: [] for ctx in range(num_contexts)
         }
-        #: observability hook (repro.obs): called after each queue
+        #: observers (repro.obs), called in list order after each queue
         #: transition as ``(event, tid, ctx, local_time)`` with event one
         #: of "admit", "dispatch", "requeue", "sleep", "wake"; the time is
         #: -1 where the scheduler has no clock (admit/requeue).
-        self.event_hook: Optional[Callable[[str, int, int, int], None]] = None
+        self.event_listeners: List[Callable[[str, int, int, int], None]] = []
 
     # ------------------------------------------------------------------
     def admit(self, task: Task, ctx: Optional[int] = None) -> int:
@@ -51,8 +51,9 @@ class RoundRobinScheduler:
             raise SchedulerError(f"context {target} out of range")
         task.status = TaskStatus.READY
         self._queues[target].append(task)
-        if self.event_hook is not None:
-            self.event_hook("admit", task.tid, target, -1)
+        if self.event_listeners:
+            for listener in self.event_listeners:
+                listener("admit", task.tid, target, -1)
         return target
 
     def next_task(self, ctx: int, local_time: int) -> Optional[Task]:
@@ -64,8 +65,9 @@ class RoundRobinScheduler:
             if task.status is TaskStatus.EXITED:
                 continue
             task.status = TaskStatus.RUNNING
-            if self.event_hook is not None:
-                self.event_hook("dispatch", task.tid, ctx, local_time)
+            if self.event_listeners:
+                for listener in self.event_listeners:
+                    listener("dispatch", task.tid, ctx, local_time)
             return task
         return None
 
@@ -75,15 +77,17 @@ class RoundRobinScheduler:
             return
         task.status = TaskStatus.READY
         self._queues[ctx].append(task)
-        if self.event_hook is not None:
-            self.event_hook("requeue", task.tid, ctx, -1)
+        if self.event_listeners:
+            for listener in self.event_listeners:
+                listener("requeue", task.tid, ctx, -1)
 
     def put_to_sleep(self, task: Task, ctx: int, wake_at: int) -> None:
         task.status = TaskStatus.SLEEPING
         task.wake_at = wake_at
         self._sleeping[ctx].append(task)
-        if self.event_hook is not None:
-            self.event_hook("sleep", task.tid, ctx, wake_at)
+        if self.event_listeners:
+            for listener in self.event_listeners:
+                listener("sleep", task.tid, ctx, wake_at)
 
     def _wake_sleepers(self, ctx: int, local_time: int) -> None:
         still_asleep: List[Task] = []
@@ -92,8 +96,9 @@ class RoundRobinScheduler:
                 task.status = TaskStatus.READY
                 task.wake_at = None
                 self._queues[ctx].append(task)
-                if self.event_hook is not None:
-                    self.event_hook("wake", task.tid, ctx, local_time)
+                if self.event_listeners:
+                    for listener in self.event_listeners:
+                        listener("wake", task.tid, ctx, local_time)
             else:
                 still_asleep.append(task)
         self._sleeping[ctx] = still_asleep

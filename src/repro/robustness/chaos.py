@@ -140,7 +140,8 @@ class ChaosPlan:
                     )
                 else:  # io_error
                     # param = consecutive failing writes; 3 exceeds the
-                    # writer's retry budget and must fail *loudly*.
+                    # writer's retry budget (safeio.IO_RETRIES) and must
+                    # fail *loudly*.
                     events.append(
                         ChaosEvent(
                             index=index,

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.common.errors import FaultInjectionError
 from repro.common.rng import DeterministicRng
+from repro.core.context import SwitchCost
 from repro.core.timecache import TimeCacheSystem
 from repro.memsys.cache import Cache
 
@@ -337,7 +338,12 @@ class FaultInjector:
             self._attached = False
 
     def _on_switch(
-        self, outgoing: Optional[int], incoming: int, ctx: int, now: int
+        self,
+        outgoing: Optional[int],
+        incoming: int,
+        ctx: int,
+        now: int,
+        cost: SwitchCost,
     ) -> None:
         self.switches += 1
         if self.switches == self.at_switch:

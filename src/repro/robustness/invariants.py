@@ -25,10 +25,11 @@ present) slot; a slot's Tc must be representable in the timestamp domain
 and equal to the value stamped at fill time; evictions and invalidations
 must leave the slot's s-bits all-clear.
 
-The checker observes the simulator through the narrow hook points the
-core layers expose (each cache's event-listener chain, the hierarchy's
-access listeners, ``TimeCacheSystem.switch_listeners``), alongside any
-other observer such as a tracer — no monkeypatching — and raises
+The checker observes the simulator through the observer lists the core
+layers iterate (each cache's ``event_listeners``, the hierarchy's access
+listeners, ``TimeCacheSystem.switch_listeners``), appending one bound
+method to each beside any other observer such as a tracer — no
+monkeypatching — and raises
 :class:`~repro.common.errors.InvariantViolation` with full diagnostic
 context on the first breach.  Against the fault models in
 :mod:`repro.robustness.faults`, every injected fault is therefore either
@@ -52,8 +53,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro.common.errors import ConfigError, InvariantViolation
+from repro.core.context import SwitchCost
 from repro.core.timecache import TimeCacheSystem
-from repro.memsys.cache import Cache, EventListener
+from repro.memsys.cache import Cache, CacheBase
 from repro.memsys.hierarchy import AccessKind, AccessResult
 
 Slot = Tuple[int, int]
@@ -62,13 +64,7 @@ Slot = Tuple[int, int]
 class InvariantChecker:
     """Validates TimeCache invariants per access and per context switch."""
 
-    def __init__(
-        self,
-        system: TimeCacheSystem,
-        *,
-        check_on_access: bool = True,
-        scan_on_switch: bool = True,
-    ) -> None:
+    def __init__(self, system: TimeCacheSystem) -> None:
         if not system.timecache_enabled:
             raise ConfigError(
                 "the invariant checker validates the TimeCache protocol; "
@@ -77,8 +73,6 @@ class InvariantChecker:
         self.system = system
         self.hierarchy = system.hierarchy
         self.domain = system.context_engine.domain
-        self.check_on_access = check_on_access
-        self.scan_on_switch = scan_on_switch
         #: resident task per hardware context (a pseudo task -(ctx+1)
         #: stands in until the first context switch names one)
         self._resident: Dict[int, int] = {}
@@ -86,8 +80,6 @@ class InvariantChecker:
         self._rightful: Dict[str, Dict[Slot, Set[int]]] = {}
         #: per cache: slot -> the Tc stamped at fill time
         self._expected_tc: Dict[str, Dict[Slot, int]] = {}
-        #: per cache: the event listener this checker added to its chain
-        self._listeners: Dict[str, EventListener] = {}
         self._pre: Optional[dict] = None
         self.scans = 0
         self.checked_accesses = 0
@@ -105,11 +97,9 @@ class InvariantChecker:
             self._rightful[cache.name] = {}
             self._expected_tc[cache.name] = {}
             self._bootstrap(cache)
-            listener = self._listeners[cache.name] = self._listener_for(cache)
-            cache.add_event_listener(listener)
-        if self.check_on_access:
-            self.hierarchy.pre_access_listeners.append(self._pre_access)
-            self.hierarchy.post_access_listeners.append(self._post_access)
+            cache.event_listeners.append(self._on_cache_event)
+        self.hierarchy.pre_access_listeners.append(self._pre_access)
+        self.hierarchy.post_access_listeners.append(self._post_access)
         self.system.switch_listeners.append(self._on_switch)
         self._attached = True
         return self
@@ -118,10 +108,9 @@ class InvariantChecker:
         if not self._attached:
             return
         for cache in self.hierarchy.all_caches():
-            cache.remove_event_listener(self._listeners.pop(cache.name))
-        if self.check_on_access:
-            self.hierarchy.pre_access_listeners.remove(self._pre_access)
-            self.hierarchy.post_access_listeners.remove(self._post_access)
+            cache.event_listeners.remove(self._on_cache_event)
+        self.hierarchy.pre_access_listeners.remove(self._pre_access)
+        self.hierarchy.post_access_listeners.remove(self._post_access)
         self.system.switch_listeners.remove(self._on_switch)
         self._attached = False
 
@@ -151,14 +140,8 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # Event mirroring (the shadow entitlement model)
     # ------------------------------------------------------------------
-    def _listener_for(self, cache: Cache):
-        def on_event(event: str, set_idx: int, way: int, ctx: int) -> None:
-            self._on_cache_event(cache, event, set_idx, way, ctx)
-
-        return on_event
-
     def _on_cache_event(
-        self, cache: Cache, event: str, set_idx: int, way: int, ctx: int
+        self, cache: CacheBase, event: str, set_idx: int, way: int, ctx: int
     ) -> None:
         key = (set_idx, way)
         rightful = self._rightful[cache.name]
@@ -182,11 +165,15 @@ class InvariantChecker:
                 )
 
     def _on_switch(
-        self, outgoing: Optional[int], incoming: int, ctx: int, now: int
+        self,
+        outgoing: Optional[int],
+        incoming: int,
+        ctx: int,
+        now: int,
+        cost: SwitchCost,
     ) -> None:
         self._resident[ctx] = incoming
-        if self.scan_on_switch:
-            self.scan_all(now=now)
+        self.scan_all(now=now)
 
     # ------------------------------------------------------------------
     # Per-access checking

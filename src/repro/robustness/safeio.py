@@ -29,7 +29,7 @@ Chaos seam
 raise transient ``OSError``; production code never installs a hook.
 Stages: ``"serialize"`` (may transform the bytes about to be written —
 byte corruption), ``"write"`` (may raise — transient IO error, retried
-``io_retries`` times), ``"rename"`` (may raise — a kill between temp
+``IO_RETRIES`` times), ``"rename"`` (may raise — a kill between temp
 write and publish).
 """
 
@@ -47,6 +47,9 @@ from repro.common.errors import CheckpointCorruptionError
 INTEGRITY_KEY = "integrity"
 BACKUP_SUFFIX = ".bak"
 TMP_SUFFIX = ".tmp"
+#: retries of a failed write before the error propagates; the chaos
+#: campaign's three consecutive failing writes must exceed it
+IO_RETRIES = 2
 
 #: chaos/test seam: hook(stage, path, data) -> data (see module docstring)
 IoHook = Callable[[str, Path, bytes], bytes]
@@ -115,20 +118,13 @@ def backup_path(path: Union[str, Path]) -> Path:
     return path.with_suffix(path.suffix + BACKUP_SUFFIX)
 
 
-def write_json_atomic(
-    payload: Mapping,
-    path: Union[str, Path],
-    *,
-    backup: bool = True,
-    fsync: bool = True,
-    io_retries: int = 2,
-) -> Path:
+def write_json_atomic(payload: Mapping, path: Union[str, Path]) -> Path:
     """Atomically publish ``payload`` (sealed with a checksum) at ``path``.
 
     Write order: temp file (+flush+fsync) → rotate the current file to
     ``.bak`` → ``os.replace`` temp over the destination → fsync the
     directory.  Transient ``OSError`` from the filesystem (or the chaos
-    hook) is retried up to ``io_retries`` times before propagating.
+    hook) is retried up to ``IO_RETRIES`` times before propagating.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -137,20 +133,18 @@ def write_json_atomic(
     data = _apply_hook("serialize", target, data)
     tmp = target.with_suffix(target.suffix + TMP_SUFFIX)
     error: Optional[OSError] = None
-    for _ in range(io_retries + 1):
+    for _ in range(IO_RETRIES + 1):
         try:
             _apply_hook("write", target, data)
             with open(tmp, "wb") as handle:
                 handle.write(data)
                 handle.flush()
-                if fsync:
-                    os.fsync(handle.fileno())
-            if backup and target.exists():
+                os.fsync(handle.fileno())
+            if target.exists():
                 _rotate_backup(target)
             _apply_hook("rename", target, data)
             os.replace(tmp, target)
-            if fsync:
-                _fsync_dir(target.parent)
+            _fsync_dir(target.parent)
             return target
         except OSError as exc:
             error = exc

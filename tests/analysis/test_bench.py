@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,9 @@ from repro.analysis.bench import (
     write_results,
 )
 from repro.analysis.cli import main
+from repro.common.errors import CheckpointCorruptionError
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _fake_results():
@@ -241,6 +245,45 @@ class TestBenchCli:
         )
         assert rc == 1
         assert "REGRESSION" in capsys.readouterr().err
+
+    def test_malformed_or_tampered_baseline_is_refused(self, tmp_path, capsys):
+        """A baseline with no ``benches`` or a broken digest fails the
+        gate loudly instead of comparing against nothing; the committed
+        baseline still loads."""
+        wrong_shape = tmp_path / "bad.json"
+        wrong_shape.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "kind": "bench_baseline",
+                    "medians": {"comparator": 1e-9},
+                }
+            )
+        )
+        with pytest.raises(CheckpointCorruptionError, match="no bench entries"):
+            load_baseline(wrong_shape)
+        rc = main(
+            [
+                "bench",
+                "--quick",
+                "--only",
+                "comparator",
+                "--output-dir",
+                str(tmp_path),
+                "--baseline",
+                str(wrong_shape),
+            ]
+        )
+        assert rc == 1
+        assert "fatal: CheckpointCorruptionError" in capsys.readouterr().err
+        tampered = write_baseline(_fake_results(), tmp_path / "BASELINE.json")
+        payload = json.loads(tampered.read_text())
+        payload["benches"]["comparator"]["median_s"] = 1.0
+        tampered.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointCorruptionError, match="checksum"):
+            load_baseline(tampered)
+        committed = REPO_ROOT / "benchmarks" / "perf" / "BASELINE.json"
+        assert len(load_baseline(committed)) == 9
 
     def test_warn_only_downgrades_regression(self, tmp_path, capsys):
         baseline = tmp_path / "BASELINE.json"

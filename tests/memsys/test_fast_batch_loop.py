@@ -260,8 +260,8 @@ def test_a_rollover_mid_batch_keeps_the_lru_victims(engine, tc_on):
     evicted = {}
     for name, system in (("batch", batched), ("access", single)):
         log = evicted[name] = []
-        system.hierarchy.l1d[0].add_event_listener(
-            lambda event, set_idx, way, ctx, log=log: log.append(
+        system.hierarchy.l1d[0].event_listeners.append(
+            lambda cache, event, set_idx, way, ctx, log=log: log.append(
                 (event, set_idx, way)
             )
         )

@@ -112,17 +112,14 @@ def test_eviction_with_surviving_sbits_detected(checked):
     system, checker = checked
     system.load(0, 0x1000, now=10)
     l1d = system.hierarchy.l1d[0]
-    # Sabotage the eviction path: make clearing impossible to observe by
-    # restoring the bit inside the event. Simpler: invalidate while the
-    # notification hook checks the post-state, so force bits back first.
-    original_listener = l1d.event_listener
+    # Sabotage the eviction path: a listener ahead of the checker's puts
+    # the bit back, so the checker sees it survive the invalidation.
 
-    def corrupting(event, s, w, ctx):
+    def corrupting(cache, event, s, w, ctx):
         if event == "invalidate":
-            l1d.sbits[s, w] = 1  # bits survive the invalidation
-        original_listener(event, s, w, ctx)
+            cache.sbits[s, w] = 1  # bits survive the invalidation
 
-    l1d.event_listener = corrupting
+    l1d.event_listeners.insert(0, corrupting)
     with pytest.raises(InvariantViolation) as exc:
         system.flush(0, 0x1000, now=100)
     assert exc.value.invariant == "sbits-cleared-on-eviction"
@@ -131,9 +128,7 @@ def test_eviction_with_surviving_sbits_detected(checked):
 def test_detach_restores_hooks(system):
     checker = InvariantChecker(system).attach()
     checker.detach()
-    assert all(
-        c.event_listener is None for c in system.hierarchy.all_caches()
-    )
+    assert all(c.event_listeners == [] for c in system.hierarchy.all_caches())
     assert not system.hierarchy.pre_access_listeners
     assert not system.hierarchy.post_access_listeners
     assert not system.switch_listeners
@@ -148,10 +143,11 @@ def test_detach_restores_hooks(system):
 def test_checker_and_tracer_share_the_cache_listeners(
     engine, attach_first, detach_first
 ):
-    """The checker joins each cache's listener chain beside a tracer:
-    whichever attaches or detaches first, the tracer sees every fill
-    while it is attached, and once both have detached no cache keeps a
-    listener."""
+    """The checker joins each cache's listener list, and the system's
+    switch listeners, beside a tracer: whichever attaches or detaches
+    first, the tracer sees every fill and both see every switch while
+    attached, each is gone after its own detach, and once both have
+    detached no cache and no switch keeps a listener."""
     config = tiny_config(num_cores=1)
     config = dataclasses.replace(
         config, hierarchy=dataclasses.replace(config.hierarchy, engine=engine)
@@ -179,15 +175,34 @@ def test_checker_and_tracer_share_the_cache_listeners(
         new_events = ring.events[traced:]
         return fills, sum(event.kind == "cache.fill" for event in new_events)
 
+    tasks = iter(range(1, 100))
+
+    def switch():
+        """One context switch; returns which observers saw it."""
+        scans, traced = checker.scans, len(ring.events)
+        system.context_switch(None, next(tasks), 0, now=system.clock.now + 10)
+        saw = set()
+        if checker.scans > scans:
+            saw.add("checker")
+        if any(e.kind == "ctx.switch" for e in ring.events[traced:]):
+            saw.add("tracer")
+        return saw
+
+    on_switch = {"checker": checker._on_switch, "tracer": tracer.on_context_switch}
     fills, traced = fresh_loads(40)
     assert fills >= 80 and traced == fills
+    assert switch() == {"checker", "tracer"}
     detach[detach_first]()
+    assert on_switch[detach_first] not in system.switch_listeners
     fills, traced = fresh_loads(40)
     assert traced == (fills if detach_first == "checker" else 0)
+    assert switch() == {other[detach_first]}
     detach[other[detach_first]]()
-    assert all(cache.event_listener is None for cache in caches)
+    assert all(cache.event_listeners == [] for cache in caches)
+    assert system.switch_listeners == []
     fresh_loads(4)
-    assert all(cache.event_listener is None for cache in caches)
+    assert switch() == set()
+    assert all(cache.event_listeners == [] for cache in caches)
 
 
 def test_bootstrap_adopts_preexisting_state(system):

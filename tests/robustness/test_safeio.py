@@ -139,7 +139,7 @@ class TestIoHook:
         path = tmp_path / "doc.json"
         safeio.install_io_hook(hook)
         try:
-            safeio.write_json_atomic(PAYLOAD, path, io_retries=2)
+            safeio.write_json_atomic(PAYLOAD, path)
         finally:
             safeio.install_io_hook(None)
         assert safeio.read_json_verified(path)["kind"] == "thing"
